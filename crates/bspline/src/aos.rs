@@ -9,7 +9,9 @@
 //! layout change: no z-unrolling and a temporary workspace allocated per
 //! call.
 
-use crate::batch::{check_batch, BatchOut, Located, PosBlock};
+use crate::batch::Located;
+use crate::engine::check_out;
+use crate::layout::{Kernel, Layout};
 use crate::output::WalkerAoS;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
@@ -24,10 +26,8 @@ pub struct BsplineAoS<T: Real> {
 /// per-call temporary `Vec` out of the hot path. Allocate once per
 /// walker (or thread) and pass to [`BsplineAoS::vgl_with`]; the buffer
 /// grows on first use and is reused allocation-free afterwards. The
-/// scalar [`BsplineAoS::vgl`] deliberately keeps the per-call
-/// allocation (it *is* the measured baseline deficiency); every other
-/// path — batched, one-move, and callers holding this handle — avoids
-/// it.
+/// engine's own VGL deliberately keeps one allocation per call (it *is*
+/// the measured baseline deficiency).
 #[derive(Clone, Debug, Default)]
 pub struct AosScratch<T: Real> {
     tmp: Vec<T>,
@@ -69,12 +69,7 @@ impl<T: Real> BsplineAoS<T> {
     }
 
     /// Values only.
-    pub fn v(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.v_located(&loc, out);
-    }
-
-    pub(crate) fn v_located(&self, loc: &Located<T>, out: &mut WalkerAoS<T>) {
+    fn v_located(&self, loc: &Located<T>, out: &mut WalkerAoS<T>) {
         let (a, b, c) = (&loc.wa.a, &loc.wb.a, &loc.wc.a);
         out.zero_v();
         let n = self.n_splines();
@@ -93,29 +88,20 @@ impl<T: Real> BsplineAoS<T> {
         }
     }
 
-    /// Value + gradient + Laplacian with AoS outputs.
-    ///
-    /// Mirrors the pre-optimization QMCPACK VGL: a 5-stream accumulation
-    /// where the gradient store is 3-strided, plus a per-call temporary
-    /// (the baseline allocated its workspace inside the loop; the paper
-    /// lists hoisting it as one of the VGL-only fixes).
-    pub fn vgl(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        // Baseline wart kept on purpose: fresh workspace every call. The
-        // batched path, the one-move path and [`Self::vgl_with`] all
-        // hoist this allocation behind a reusable handle.
-        let mut tmp = vec![T::ZERO; self.n_splines()];
-        self.vgl_located(&loc, &mut tmp, out);
-    }
-
-    /// [`Self::vgl`] through a caller-owned [`AosScratch`]: identical
-    /// results, no per-call allocation.
+    /// VGL through a caller-owned [`AosScratch`]: identical results to
+    /// the engine's own VGL, no per-call allocation.
     pub fn vgl_with(&self, scratch: &mut AosScratch<T>, pos: [T; 3], out: &mut WalkerAoS<T>) {
         let loc = Located::new(&self.coefs, pos);
         self.vgl_located(&loc, scratch.for_n(self.n_splines()), out);
     }
 
-    pub(crate) fn vgl_located(&self, loc: &Located<T>, tmp: &mut [T], out: &mut WalkerAoS<T>) {
+    /// Value + gradient + Laplacian with AoS outputs.
+    ///
+    /// Mirrors the pre-optimization QMCPACK VGL: a 5-stream accumulation
+    /// where the gradient store is 3-strided, plus a temporary `tmp`
+    /// (the baseline allocated its workspace inside the loop; the paper
+    /// lists hoisting it as one of the VGL-only fixes).
+    fn vgl_located(&self, loc: &Located<T>, tmp: &mut [T], out: &mut WalkerAoS<T>) {
         let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
         out.zero_vgl();
         let n = self.n_splines();
@@ -155,12 +141,7 @@ impl<T: Real> BsplineAoS<T> {
 
     /// Value + gradient + Hessian with AoS outputs: 13 accumulation
     /// streams per coefficient point, 3- and 9-strided stores (Fig. 4a).
-    pub fn vgh(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.vgh_located(&loc, out);
-    }
-
-    pub(crate) fn vgh_located(&self, loc: &Located<T>, out: &mut WalkerAoS<T>) {
+    fn vgh_located(&self, loc: &Located<T>, out: &mut WalkerAoS<T>) {
         let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
         out.zero_vgh();
         let n = self.n_splines();
@@ -204,36 +185,43 @@ impl<T: Real> BsplineAoS<T> {
             }
         }
     }
+}
 
-    /// Values for a whole position block; block `i` of `out` receives
-    /// position `i`. Grid location + basis weights are hoisted out of
-    /// the kernel loop.
-    pub fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.v_located(loc, block);
-        }
+impl<T: Real> crate::engine::EvalCore for BsplineAoS<T> {
+    type Scalar = T;
+    type Out = WalkerAoS<T>;
+
+    fn n_splines(&self) -> usize {
+        self.coefs.n_splines()
     }
 
-    /// VGL for a whole position block. Unlike the scalar [`Self::vgl`]
-    /// (which keeps the baseline's per-call workspace allocation), the
-    /// batched path allocates the temporary once for the whole block.
-    pub fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        let mut tmp = vec![T::ZERO; self.n_splines()];
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.vgl_located(loc, &mut tmp, block);
-        }
+    fn layout(&self) -> Layout {
+        Layout::Aos
     }
 
-    /// VGH for a whole position block (see [`Self::v_batch`]).
-    pub fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.vgh_located(loc, block);
+    fn grid_coefs(&self) -> &MultiCoefs<T> {
+        &self.coefs
+    }
+
+    fn make_out(&self) -> WalkerAoS<T> {
+        WalkerAoS::new(self.n_splines())
+    }
+
+    fn eval_located(&self, kernel: Kernel, locs: &[Located<T>], out: &mut [WalkerAoS<T>]) {
+        let n = self.n_splines();
+        // Baseline wart kept on purpose: the VGL workspace is allocated
+        // by every call (once, for all of the call's positions).
+        let mut tmp = match kernel {
+            Kernel::Vgl => vec![T::ZERO; n],
+            Kernel::V | Kernel::Vgh => Vec::new(),
+        };
+        for (loc, block) in locs.iter().zip(out) {
+            check_out(block.n_splines(), n);
+            match kernel {
+                Kernel::V => self.v_located(loc, block),
+                Kernel::Vgl => self.vgl_located(loc, &mut tmp, block),
+                Kernel::Vgh => self.vgh_located(loc, block),
+            }
         }
     }
 }
@@ -241,6 +229,7 @@ impl<T: Real> BsplineAoS<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SpoEngine;
     use einspline::{Grid1, MultiCoefs, Spline3};
 
     fn test_engine(n_splines: usize) -> (BsplineAoS<f64>, Vec<Spline3<f64>>) {

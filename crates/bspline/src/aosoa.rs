@@ -14,8 +14,9 @@
 //!
 //! The optimal `Nb` depends only on the cache hierarchy, not on N.
 
-use crate::batch::{check_batch, BatchOut, Located, PosBlock};
-use crate::layout::Kernel;
+use crate::batch::{Located, PosBlock};
+use crate::engine::check_out;
+use crate::layout::{Kernel, Layout};
 use crate::output::{WalkerSoA, WalkerTiled};
 use crate::soa::BsplineSoA;
 use einspline::multi::MultiCoefs;
@@ -85,33 +86,8 @@ impl<T: Real> BsplineAoSoA<T> {
         pos: [T; 3],
         out: &mut WalkerSoA<T>,
     ) {
-        let tile = &self.tiles[t];
-        match kernel {
-            Kernel::V => tile.v(pos, out),
-            Kernel::Vgl => tile.vgl(pos, out),
-            Kernel::Vgh => tile.vgh(pos, out),
-        }
-    }
-
-    /// Values for all tiles, serially.
-    pub fn v(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        for (t, tile) in self.tiles.iter().enumerate() {
-            tile.v(pos, out.tile_mut(t));
-        }
-    }
-
-    /// Value + gradient + Laplacian for all tiles, serially.
-    pub fn vgl(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        for (t, tile) in self.tiles.iter().enumerate() {
-            tile.vgl(pos, out.tile_mut(t));
-        }
-    }
-
-    /// Value + gradient + Hessian for all tiles, serially.
-    pub fn vgh(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        for (t, tile) in self.tiles.iter().enumerate() {
-            tile.vgh(pos, out.tile_mut(t));
-        }
+        let loc = Located::new(self.tiles[t].coefs(), pos);
+        self.eval_tile_located(t, kernel, &loc, out);
     }
 
     /// Bytes of coefficient data touched per evaluation of one tile
@@ -131,7 +107,7 @@ impl<T: Real> BsplineAoSoA<T> {
         loc: &Located<T>,
         out: &mut WalkerSoA<T>,
     ) {
-        self.tiles[t].eval_located(kernel, loc, out);
+        self.tiles[t].eval_block(kernel, loc, out, false);
     }
 
     /// Locate every position of a block against the (shared) tile grids.
@@ -139,26 +115,6 @@ impl<T: Real> BsplineAoSoA<T> {
     pub(crate) fn locate_block(&self, pos: &PosBlock<T>) -> Vec<Located<T>> {
         // All tiles share the same grids; tile 0 always exists.
         Located::block(self.tiles[0].coefs(), pos)
-    }
-
-    /// All tiles over one pre-located position — the one-move body: the
-    /// locate/weights hoist is shared by every tile (the scalar paths
-    /// recompute it per tile on the same floats, so results are
-    /// bit-identical), and each tile's coefficient runs are prefetched
-    /// while the previous tile computes.
-    #[inline]
-    pub(crate) fn eval_one_located(
-        &self,
-        kernel: Kernel,
-        loc: &Located<T>,
-        out: &mut WalkerTiled<T>,
-    ) {
-        for t in 0..self.tiles.len() {
-            if let Some(next) = self.tiles.get(t + 1) {
-                crate::simd::prefetch_tile(next.coefs(), loc);
-            }
-            self.eval_tile_located(t, kernel, loc, out.tile_mut(t));
-        }
     }
 
     /// Evaluate a batch of positions **tile-major** (paper Fig. 6: the
@@ -201,59 +157,57 @@ impl<T: Real> BsplineAoSoA<T> {
             crate::simd::prefetch_tile(tile.coefs(), loc);
         }
     }
+}
 
-    /// Kernel-dispatched batch evaluation, tile-major with per-position
-    /// retained outputs: block `i` of `out` receives position `i`.
-    ///
-    /// This is the cache-blocking transpose of the scalar position-major
-    /// order: the position loop is *innermost*, so one tile's
-    /// coefficient block (`4·Ng·Nb` bytes) and `Nb`-sized output stripe
-    /// stay hot across the whole batch before the next tile is touched,
-    /// and the per-position basis weights are computed once for all `M`
-    /// tiles instead of `M` times. Each (tile, position) evaluation runs
-    /// through the explicit-width micro-kernels of [`crate::simd`]: the
-    /// tile's coefficient rows are consumed at full SIMD width with all
-    /// output accumulators in registers, and because tile strides are
+impl<T: Real> crate::engine::EvalCore for BsplineAoSoA<T> {
+    type Scalar = T;
+    type Out = WalkerTiled<T>;
+
+    fn n_splines(&self) -> usize {
+        self.n_splines
+    }
+
+    fn layout(&self) -> Layout {
+        Layout::AoSoA
+    }
+
+    /// All tiles share the same grids; tile 0 always exists.
+    fn grid_coefs(&self) -> &MultiCoefs<T> {
+        self.tiles[0].coefs()
+    }
+
+    fn make_out(&self) -> WalkerTiled<T> {
+        BsplineAoSoA::make_out(self)
+    }
+
+    /// Tile-major: the cache-blocking transpose of a position-major
+    /// loop. The position loop is *innermost*, so one tile's coefficient
+    /// block (`4·Ng·Nb` bytes) and `Nb`-sized output stripe stay hot
+    /// across the whole slice before the next tile is touched, the
+    /// per-position basis weights serve all `M` tiles, and the
+    /// coefficient runs one evaluation ahead are prefetched (at a slice
+    /// of 1: the next tile's, while this tile computes). Each (tile,
+    /// position) evaluation runs through the explicit-width
+    /// micro-kernels of [`crate::simd`]; because tile strides are
     /// lane-padded ([`crate::layout::max_lanes`]) the inner loops never
     /// execute a ragged `m % LANES` tail.
-    pub fn eval_batch(
-        &self,
-        kernel: Kernel,
-        pos: &PosBlock<T>,
-        out: &mut BatchOut<WalkerTiled<T>>,
-    ) {
-        check_batch(pos.len(), out.len());
-        let locs = self.locate_block(pos);
+    fn eval_located(&self, kernel: Kernel, locs: &[Located<T>], out: &mut [WalkerTiled<T>]) {
+        for block in out.iter() {
+            check_out(block.n_splines(), self.n_splines);
+        }
         for t in 0..self.tiles.len() {
-            for (i, (loc, block)) in locs.iter().zip(out.blocks_mut()).enumerate() {
-                self.prefetch_ahead(t, i, &locs);
+            for (i, (loc, block)) in locs.iter().zip(out.iter_mut()).enumerate() {
+                self.prefetch_ahead(t, i, locs);
                 self.eval_tile_located(t, kernel, loc, block.tile_mut(t));
             }
         }
-    }
-
-    /// Values for a whole position block, tile-major (see
-    /// [`Self::eval_batch`]).
-    pub fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        self.eval_batch(Kernel::V, pos, out);
-    }
-
-    /// VGL for a whole position block, tile-major (see
-    /// [`Self::eval_batch`]).
-    pub fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        self.eval_batch(Kernel::Vgl, pos, out);
-    }
-
-    /// VGH for a whole position block, tile-major (see
-    /// [`Self::eval_batch`]).
-    pub fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        self.eval_batch(Kernel::Vgh, pos, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SpoEngine;
     use crate::output::WalkerSoA;
     use einspline::{Grid1, MultiCoefs};
     use rand::rngs::StdRng;

@@ -57,10 +57,9 @@
 //! contracts across budgets, including `B = 1`, ragged last blocks and
 //! blocks narrower than one SIMD register).
 
-use crate::batch::{check_batch, BatchOut, Located, PosBlock};
-use crate::engine::SpoEngine;
+use crate::batch::{Located, PosBlock};
+use crate::engine::{check_out, SpoEngine};
 use crate::layout::{Kernel, Layout};
-use crate::onemove::MoveContext;
 use crate::output::{SoAStreamsMut, WalkerSoA};
 use crate::soa::BsplineSoA;
 use einspline::multi::{BlockedCoefs, MultiCoefs, ShardMap};
@@ -327,30 +326,6 @@ impl<E: BlockEngine> BlockedEngine<E> {
         }
     }
 
-    fn check_out(&self, out: &WalkerSoA<E::Scalar>) {
-        assert!(
-            out.stride() >= self.n_splines,
-            "output block ({} orbitals padded) too small for {} orbitals",
-            out.stride(),
-            self.n_splines
-        );
-    }
-
-    /// All blocks over one pre-located position, scattered in place.
-    pub(crate) fn eval_located_all(
-        &self,
-        kernel: Kernel,
-        loc: &Located<E::Scalar>,
-        out: &mut WalkerSoA<E::Scalar>,
-    ) {
-        self.check_out(out);
-        for b in 0..self.blocks.len() {
-            let (lo, hi) = self.block_range(b);
-            self.prefetch_block(b + 1, loc);
-            self.blocks[b].eval_streams(kernel, loc, out.streams_range_mut(lo, hi));
-        }
-    }
-
     /// Prefetch one evaluation ahead of `(b, i)` in a block-major sweep
     /// over `locs`: the current block's next position while inside the
     /// block, the next block's first position at the block switch. One
@@ -378,37 +353,10 @@ impl<E: BlockEngine> BlockedEngine<E> {
             None => {}
         }
     }
-
-    /// Batched evaluation, **block-major** (the Fig. 6 loop order at
-    /// block granularity): one block's coefficient slab serves every
-    /// position of the batch before the next block is touched, the
-    /// per-position [`Located`] hoist is shared by all blocks, and the
-    /// coefficient runs one evaluation ahead are prefetched (the same
-    /// block's next position, or the next block's first position at
-    /// the block switch).
-    pub fn eval_batch_blocked(
-        &self,
-        kernel: Kernel,
-        pos: &PosBlock<E::Scalar>,
-        out: &mut BatchOut<WalkerSoA<E::Scalar>>,
-    ) {
-        check_batch(pos.len(), out.len());
-        for o in out.blocks_mut().iter().take(pos.len()) {
-            self.check_out(o);
-        }
-        let locs = self.locate_block(pos);
-        let b_end = self.blocks.len();
-        for b in 0..b_end {
-            let (lo, hi) = self.block_range(b);
-            for (i, (loc, block_out)) in locs.iter().zip(out.blocks_mut()).enumerate() {
-                self.prefetch_ahead(b, b_end, i, &locs);
-                self.blocks[b].eval_streams(kernel, loc, block_out.streams_range_mut(lo, hi));
-            }
-        }
-    }
 }
 
-impl<E: BlockEngine> SpoEngine<E::Scalar> for BlockedEngine<E> {
+impl<E: BlockEngine> crate::engine::EvalCore for BlockedEngine<E> {
+    type Scalar = E::Scalar;
     type Out = WalkerSoA<E::Scalar>;
 
     fn n_splines(&self) -> usize {
@@ -422,74 +370,39 @@ impl<E: BlockEngine> SpoEngine<E::Scalar> for BlockedEngine<E> {
         Layout::AoSoA
     }
 
-    fn domain(&self) -> [(f64, f64); 3] {
-        let (gx, gy, gz) = self.blocks[0].block_coefs().grids();
-        [
-            (gx.start(), gx.end()),
-            (gy.start(), gy.end()),
-            (gz.start(), gz.end()),
-        ]
+    fn grid_coefs(&self) -> &MultiCoefs<E::Scalar> {
+        self.blocks[0].block_coefs()
     }
 
     fn make_out(&self) -> WalkerSoA<E::Scalar> {
         WalkerSoA::new(self.n_splines)
     }
 
-    fn v(&self, pos: [E::Scalar; 3], out: &mut WalkerSoA<E::Scalar>) {
-        let loc = Located::new(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::V, &loc, out);
-    }
-
-    fn vgl(&self, pos: [E::Scalar; 3], out: &mut WalkerSoA<E::Scalar>) {
-        let loc = Located::new(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::Vgl, &loc, out);
-    }
-
-    fn vgh(&self, pos: [E::Scalar; 3], out: &mut WalkerSoA<E::Scalar>) {
-        let loc = Located::new(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::Vgh, &loc, out);
-    }
-
-    fn v_batch(&self, pos: &PosBlock<E::Scalar>, out: &mut BatchOut<WalkerSoA<E::Scalar>>) {
-        self.eval_batch_blocked(Kernel::V, pos, out);
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<E::Scalar>, out: &mut BatchOut<WalkerSoA<E::Scalar>>) {
-        self.eval_batch_blocked(Kernel::Vgl, pos, out);
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<E::Scalar>, out: &mut BatchOut<WalkerSoA<E::Scalar>>) {
-        self.eval_batch_blocked(Kernel::Vgh, pos, out);
-    }
-
-    fn v_one(
+    /// **Block-major** (the Fig. 6 loop order at block granularity):
+    /// one block's coefficient slab serves every position of the slice
+    /// before the next block is touched, the per-position [`Located`]
+    /// hoist is shared by all blocks, each block scatters in place into
+    /// its orbital range of the caller's streams, and the coefficient
+    /// runs one evaluation ahead are prefetched (the same block's next
+    /// position, or — always, at a slice of 1 — the next block's first
+    /// position at the block switch).
+    fn eval_located(
         &self,
-        ctx: &mut MoveContext<E::Scalar>,
-        pos: [E::Scalar; 3],
-        out: &mut WalkerSoA<E::Scalar>,
+        kernel: Kernel,
+        locs: &[Located<E::Scalar>],
+        out: &mut [WalkerSoA<E::Scalar>],
     ) {
-        let loc = ctx.located(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::V, &loc, out);
-    }
-
-    fn vgl_one(
-        &self,
-        ctx: &mut MoveContext<E::Scalar>,
-        pos: [E::Scalar; 3],
-        out: &mut WalkerSoA<E::Scalar>,
-    ) {
-        let loc = ctx.located(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::Vgl, &loc, out);
-    }
-
-    fn vgh_one(
-        &self,
-        ctx: &mut MoveContext<E::Scalar>,
-        pos: [E::Scalar; 3],
-        out: &mut WalkerSoA<E::Scalar>,
-    ) {
-        let loc = ctx.located(self.blocks[0].block_coefs(), pos);
-        self.eval_located_all(Kernel::Vgh, &loc, out);
+        for block_out in out.iter() {
+            check_out(block_out.stride(), self.n_splines);
+        }
+        let b_end = self.blocks.len();
+        for b in 0..b_end {
+            let (lo, hi) = self.block_range(b);
+            for (i, (loc, block_out)) in locs.iter().zip(out.iter_mut()).enumerate() {
+                self.prefetch_ahead(b, b_end, i, locs);
+                self.blocks[b].eval_streams(kernel, loc, block_out.streams_range_mut(lo, hi));
+            }
+        }
     }
 }
 
@@ -618,10 +531,36 @@ mod tests {
         let _ = BlockedEngine::from_multi_sharded(&t, 16 * t.bytes_per_spline(), &map);
     }
 
+    /// The shared always-on size check of the core: every native engine
+    /// panics on a short output block instead of evaluating a prefix
+    /// (also in release builds — `cargo test --release` runs this too).
+    /// The first three are caught and their message checked; the blocked
+    /// engine's panic is the one the attribute expects.
     #[test]
     #[should_panic(expected = "too small")]
     fn undersized_output_rejected() {
+        fn rejects<E: SpoEngine<f32>>(engine: &E, mut small: E::Out) {
+            let layout = engine.layout();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.vgh([0.5, 0.5, 0.5], &mut small)
+            }))
+            .expect_err("short output must be rejected");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("too small"), "{layout}: wrong message: {msg}");
+        }
         let t = table(40, 2);
+        rejects(&BsplineSoA::new(t.clone()), WalkerSoA::new(16));
+        rejects(
+            &crate::aos::BsplineAoS::new(t.clone()),
+            crate::output::WalkerAoS::new(16),
+        );
+        let tiled = crate::aosoa::BsplineAoSoA::from_multi(&t, 8);
+        rejects(
+            &tiled,
+            crate::aosoa::BsplineAoSoA::from_multi(&table(16, 2), 8).make_out(),
+        );
         let blocked = BlockedEngine::with_block_size(&t, 16);
         let mut small = WalkerSoA::new(16);
         blocked.vgh([0.5, 0.5, 0.5], &mut small);

@@ -1,22 +1,52 @@
-//! A common interface over the three evaluation engines so drivers,
-//! benches and tests can be written once per kernel instead of once per
-//! layout.
+//! The evaluation surface: **one core, three views**.
 //!
-//! Every method (scalar and batched, all three layouts) funnels into the
-//! [`crate::simd`] micro-kernels, so the runtime backend selection
-//! (`QMC_SIMD`, [`crate::simd::with_backend`]) applies uniformly behind
-//! this trait — callers never dispatch on the instruction set
-//! themselves.
+//! The paper's V, VGL and VGH are one loop nest that differs only in
+//! which output streams it accumulates (Fig. 4–6), and a scalar call, a
+//! batch and a single-electron move differ only in where the located
+//! positions come from. The code has the same shape:
+//!
+//! * **The core** ([`EvalCore`]): every native engine
+//!   ([`BsplineAoS`](crate::aos::BsplineAoS),
+//!   [`BsplineSoA`](crate::soa::BsplineSoA),
+//!   [`BsplineAoSoA`](crate::aosoa::BsplineAoSoA),
+//!   [`BlockedEngine`](crate::blocked::BlockedEngine)) implements
+//!   exactly one kernel-tagged evaluation body,
+//!   [`EvalCore::eval_located`], over a slice of pre-located positions
+//!   ([`Located`]: grid cell + basis weights) and a matching slice of
+//!   output blocks. Loop order, prefetch and the [`crate::simd`]
+//!   micro-kernel call live there and nowhere else.
+//! * **The views** ([`SpoEngine`]): the three position-level entry
+//!   points are derived from the core in one place (the blanket impl
+//!   below) and differ only in how the `Located` slice is built:
+//!   [`SpoEngine::eval`] is a slice of 1 with a fresh [`Located::new`],
+//!   [`SpoEngine::eval_batch`] is [`Located::block`] over a
+//!   [`PosBlock`], and [`SpoEngine::eval_one`] is a slice of 1 whose
+//!   `Located` comes from the walker's [`MoveContext`] (so the
+//!   accept-side call on the same position skips the locate). The same
+//!   body runs on the same floats, so the views are bit-identical to
+//!   each other on every backend.
+//! * **Sugar**: `v`/`vgl`/`vgh` and `v_one`/`vgl_one`/`vgh_one` are
+//!   provided one-line forwards to `eval`/`eval_one` with the kernel
+//!   tag filled in; no implementor overrides them.
+//!
+//! The two adapters ([`MixedEngine`](crate::precision::MixedEngine),
+//! [`ServiceClient`](crate::service::ServiceClient)) wrap another
+//! `SpoEngine` and implement the three views directly.
+//!
+//! Every body funnels into the [`crate::simd`] micro-kernels, so the
+//! runtime backend selection (`QMC_SIMD`, [`crate::simd::with_backend`])
+//! applies uniformly behind this trait — callers never dispatch on the
+//! instruction set themselves.
 
-use crate::aos::BsplineAoS;
-use crate::aosoa::BsplineAoSoA;
-use crate::batch::{check_batch, BatchOut, PosBlock};
+use crate::batch::{check_batch, BatchOut, Located, PosBlock};
 use crate::layout::{Kernel, Layout};
 use crate::onemove::MoveContext;
-use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
+use einspline::multi::MultiCoefs;
 use einspline::Real;
 
-/// A multi-orbital SPO evaluator with layout-specific output buffers.
+/// A multi-orbital SPO evaluator with layout-specific output buffers:
+/// three kernel-tagged views of one evaluation (see the [module
+/// docs](self)).
 pub trait SpoEngine<T: Real>: Send + Sync {
     /// Per-walker output block type (the paper's `WalkerAoS`/`WalkerSoA`).
     type Out: Send + Clone;
@@ -34,306 +64,181 @@ pub trait SpoEngine<T: Real>: Send + Sync {
     /// Allocate a matching output block.
     fn make_out(&self) -> Self::Out;
 
-    /// Values only.
-    fn v(&self, pos: [T; 3], out: &mut Self::Out);
-
-    /// Value + gradient + Laplacian.
-    fn vgl(&self, pos: [T; 3], out: &mut Self::Out);
-
-    /// Value + gradient + Hessian.
-    fn vgh(&self, pos: [T; 3], out: &mut Self::Out);
-
-    /// Dispatch by kernel tag.
-    #[inline]
-    fn eval(&self, kernel: Kernel, pos: [T; 3], out: &mut Self::Out) {
-        match kernel {
-            Kernel::V => self.v(pos, out),
-            Kernel::Vgl => self.vgl(pos, out),
-            Kernel::Vgh => self.vgh(pos, out),
-        }
-    }
-
-    /// Allocate `batch` per-position output blocks for the batched
-    /// entry points. Callers allocate once and reuse across batches.
+    /// Allocate `batch` per-position output blocks for
+    /// [`Self::eval_batch`]. Callers allocate once and reuse across
+    /// batches.
     fn make_batch_out(&self, batch: usize) -> BatchOut<Self::Out> {
         BatchOut::from_blocks((0..batch).map(|_| self.make_out()).collect())
     }
 
-    /// Values for a whole position block; block `i` of `out` receives
-    /// position `i`. The default loops over the scalar [`Self::v`];
-    /// engines override it with implementations that hoist the
-    /// basis-weight computation and (for AoSoA) batch tile-major.
-    fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<Self::Out>) {
-        check_batch(pos.len(), out.len());
-        for (i, p) in pos.iter().enumerate() {
-            self.v(p, out.block_mut(i));
-        }
-    }
+    /// Evaluate `kernel` at one position.
+    fn eval(&self, kernel: Kernel, pos: [T; 3], out: &mut Self::Out);
 
-    /// Value + gradient + Laplacian for a whole position block (see
-    /// [`Self::v_batch`]).
-    fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<Self::Out>) {
-        check_batch(pos.len(), out.len());
-        for (i, p) in pos.iter().enumerate() {
-            self.vgl(p, out.block_mut(i));
-        }
-    }
+    /// Evaluate `kernel` over a whole position block; block `i` of `out`
+    /// receives position `i` (`out` may hold more blocks than `pos` has
+    /// positions; the extra ones are left untouched). Bit-identical to
+    /// [`Self::eval`] per position.
+    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<T>, out: &mut BatchOut<Self::Out>);
 
-    /// Value + gradient + Hessian for a whole position block (see
-    /// [`Self::v_batch`]).
-    fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<Self::Out>) {
-        check_batch(pos.len(), out.len());
-        for (i, p) in pos.iter().enumerate() {
-            self.vgh(p, out.block_mut(i));
-        }
-    }
+    /// Evaluate `kernel` for one proposed single-electron move. The grid
+    /// locate + basis weights are cached in `ctx` keyed by `pos`, so the
+    /// accept-side call on the *same* position (V on propose, then
+    /// VGL/VGH on accept) reuses them. Bit-identical to [`Self::eval`],
+    /// cache hit or miss.
+    fn eval_one(&self, kernel: Kernel, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out);
 
-    /// Dispatch a whole position block by kernel tag.
+    /// Values only: [`Self::eval`] with [`Kernel::V`].
     #[inline]
-    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<T>, out: &mut BatchOut<Self::Out>) {
-        match kernel {
-            Kernel::V => self.v_batch(pos, out),
-            Kernel::Vgl => self.vgl_batch(pos, out),
-            Kernel::Vgh => self.vgh_batch(pos, out),
-        }
+    fn v(&self, pos: [T; 3], out: &mut Self::Out) {
+        self.eval(Kernel::V, pos, out);
     }
 
-    /// Values only for one proposed move (the determinant-ratio side of
-    /// the single-electron protocol). The grid locate + basis weights
-    /// are cached in `ctx` keyed by `pos`, so the accept-side
-    /// [`Self::vgl_one`]/[`Self::vgh_one`] on the *same* position reuses
-    /// them without recomputation. Results are bit-identical to
-    /// [`Self::v`] on every backend, cache hit or miss.
-    ///
-    /// The default ignores `ctx` and falls back to the scalar path;
-    /// engines with a pre-located kernel body override it.
+    /// Value + gradient + Laplacian: [`Self::eval`] with [`Kernel::Vgl`].
+    #[inline]
+    fn vgl(&self, pos: [T; 3], out: &mut Self::Out) {
+        self.eval(Kernel::Vgl, pos, out);
+    }
+
+    /// Value + gradient + Hessian: [`Self::eval`] with [`Kernel::Vgh`].
+    #[inline]
+    fn vgh(&self, pos: [T; 3], out: &mut Self::Out) {
+        self.eval(Kernel::Vgh, pos, out);
+    }
+
+    /// Values for one move (the determinant-ratio side of the
+    /// single-electron protocol): [`Self::eval_one`] with [`Kernel::V`].
+    #[inline]
     fn v_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
-        let _ = ctx;
-        self.v(pos, out);
+        self.eval_one(Kernel::V, ctx, pos, out);
     }
 
-    /// Value + gradient + Laplacian for one move, reusing the
-    /// locate/weights cached by a prior [`Self::v_one`] at the same
-    /// position (see [`Self::v_one`]; bit-identical to [`Self::vgl`]).
-    fn vgl_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
-        let _ = ctx;
-        self.vgl(pos, out);
-    }
-
-    /// Value + gradient + Hessian for one move, reusing the
-    /// locate/weights cached by a prior [`Self::v_one`] at the same
-    /// position (see [`Self::v_one`]; bit-identical to [`Self::vgh`]).
-    fn vgh_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
-        let _ = ctx;
-        self.vgh(pos, out);
-    }
-
-    /// Dispatch one move by kernel tag (see [`Self::v_one`]).
+    /// Value + gradient + Laplacian for one move: [`Self::eval_one`]
+    /// with [`Kernel::Vgl`].
     #[inline]
-    fn eval_one(&self, kernel: Kernel, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
-        match kernel {
-            Kernel::V => self.v_one(ctx, pos, out),
-            Kernel::Vgl => self.vgl_one(ctx, pos, out),
-            Kernel::Vgh => self.vgh_one(ctx, pos, out),
-        }
+    fn vgl_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
+        self.eval_one(Kernel::Vgl, ctx, pos, out);
+    }
+
+    /// Value + gradient + Hessian for one move: [`Self::eval_one`] with
+    /// [`Kernel::Vgh`].
+    #[inline]
+    fn vgh_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut Self::Out) {
+        self.eval_one(Kernel::Vgh, ctx, pos, out);
     }
 }
 
-fn grids_domain<T: Real>(coefs: &einspline::MultiCoefs<T>) -> [(f64, f64); 3] {
-    let (gx, gy, gz) = coefs.grids();
-    [
-        (gx.start(), gx.end()),
-        (gy.start(), gy.end()),
-        (gz.start(), gz.end()),
-    ]
+/// The single evaluation body of a native engine. Implementing this is
+/// implementing [`SpoEngine`]: the blanket impl below derives the three
+/// position-level views from [`EvalCore::eval_located`].
+///
+/// The scalar type is an associated type (one engine value evaluates in
+/// one precision), which is what lets the blanket impl coexist with the
+/// adapter impls.
+pub trait EvalCore: Send + Sync {
+    /// Storage and kernel precision.
+    type Scalar: Real;
+
+    /// Per-walker output block type.
+    type Out: Send + Clone;
+
+    /// Number of orbitals N.
+    fn n_splines(&self) -> usize;
+
+    /// Which data layout this engine implements.
+    fn layout(&self) -> Layout;
+
+    /// A coefficient table carrying the engine's grids — what positions
+    /// are located against (tiles and blocks of one engine share their
+    /// grids, so any of them serves).
+    fn grid_coefs(&self) -> &MultiCoefs<Self::Scalar>;
+
+    /// Allocate a matching output block.
+    fn make_out(&self) -> Self::Out;
+
+    /// Evaluate `kernel` at every located position: `out[i]` receives
+    /// `locs[i]` (one output block per position) and is fully
+    /// overwritten in the streams `kernel` produces. Panics if an output
+    /// block is too small for the engine — never evaluates a prefix.
+    fn eval_located(&self, kernel: Kernel, locs: &[Located<Self::Scalar>], out: &mut [Self::Out]);
 }
 
-impl<T: Real> SpoEngine<T> for BsplineAoS<T> {
-    type Out = WalkerAoS<T>;
+/// The one always-on output-size check of the native engines: panic
+/// unless an output block with room for `have` orbitals can receive the
+/// `need` the engine writes. Always on because the kernels write through
+/// the block's streams — a short block would otherwise keep stale values
+/// or fail deep inside a kernel with an index error.
+#[inline]
+pub(crate) fn check_out(have: usize, need: usize) {
+    assert!(
+        have >= need,
+        "output block (room for {have} orbitals) too small for {need} orbitals"
+    );
+}
+
+impl<C: EvalCore> SpoEngine<C::Scalar> for C {
+    type Out = C::Out;
 
     fn n_splines(&self) -> usize {
-        BsplineAoS::n_splines(self)
+        EvalCore::n_splines(self)
     }
 
     fn layout(&self) -> Layout {
-        Layout::Aos
+        EvalCore::layout(self)
     }
 
     fn domain(&self) -> [(f64, f64); 3] {
-        grids_domain(self.coefs())
+        let (gx, gy, gz) = self.grid_coefs().grids();
+        [
+            (gx.start(), gx.end()),
+            (gy.start(), gy.end()),
+            (gz.start(), gz.end()),
+        ]
     }
 
-    fn make_out(&self) -> WalkerAoS<T> {
-        WalkerAoS::new(self.n_splines())
+    fn make_out(&self) -> C::Out {
+        EvalCore::make_out(self)
     }
 
-    fn v(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        BsplineAoS::v(self, pos, out)
+    #[inline]
+    fn eval(&self, kernel: Kernel, pos: [C::Scalar; 3], out: &mut C::Out) {
+        let loc = Located::new(self.grid_coefs(), pos);
+        self.eval_located(
+            kernel,
+            std::slice::from_ref(&loc),
+            std::slice::from_mut(out),
+        );
     }
 
-    fn vgl(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        BsplineAoS::vgl(self, pos, out)
+    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<C::Scalar>, out: &mut BatchOut<C::Out>) {
+        check_batch(pos.len(), out.len());
+        let locs = Located::block(self.grid_coefs(), pos);
+        self.eval_located(kernel, &locs, &mut out.blocks_mut()[..pos.len()]);
     }
 
-    fn vgh(&self, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        BsplineAoS::vgh(self, pos, out)
-    }
-
-    fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        BsplineAoS::v_batch(self, pos, out)
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        BsplineAoS::vgl_batch(self, pos, out)
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerAoS<T>>) {
-        BsplineAoS::vgh_batch(self, pos, out)
-    }
-
-    fn v_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        self.v_located(&loc, out);
-    }
-
-    /// Unlike the scalar [`BsplineAoS::vgl`] (which keeps the baseline's
-    /// per-call workspace allocation on purpose), the one-move path runs
-    /// through the context's reusable scratch — allocation-free in
-    /// steady state.
-    fn vgl_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        let n = BsplineAoS::n_splines(self);
-        self.vgl_located(&loc, ctx.scratch(n), out);
-    }
-
-    fn vgh_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        self.vgh_located(&loc, out);
-    }
-}
-
-impl<T: Real> SpoEngine<T> for crate::soa::BsplineSoA<T> {
-    type Out = WalkerSoA<T>;
-
-    fn n_splines(&self) -> usize {
-        crate::soa::BsplineSoA::n_splines(self)
-    }
-
-    fn layout(&self) -> Layout {
-        Layout::Soa
-    }
-
-    fn domain(&self) -> [(f64, f64); 3] {
-        grids_domain(self.coefs())
-    }
-
-    fn make_out(&self) -> WalkerSoA<T> {
-        WalkerSoA::new(self.n_splines())
-    }
-
-    fn v(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        crate::soa::BsplineSoA::v(self, pos, out)
-    }
-
-    fn vgl(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        crate::soa::BsplineSoA::vgl(self, pos, out)
-    }
-
-    fn vgh(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        crate::soa::BsplineSoA::vgh(self, pos, out)
-    }
-
-    fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        crate::soa::BsplineSoA::v_batch(self, pos, out)
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        crate::soa::BsplineSoA::vgl_batch(self, pos, out)
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        crate::soa::BsplineSoA::vgh_batch(self, pos, out)
-    }
-
-    fn v_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        self.eval_one_located(Kernel::V, &loc, out);
-    }
-
-    fn vgl_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        self.eval_one_located(Kernel::Vgl, &loc, out);
-    }
-
-    fn vgh_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = ctx.located(self.coefs(), pos);
-        self.eval_one_located(Kernel::Vgh, &loc, out);
-    }
-}
-
-impl<T: Real> SpoEngine<T> for BsplineAoSoA<T> {
-    type Out = WalkerTiled<T>;
-
-    fn n_splines(&self) -> usize {
-        BsplineAoSoA::n_splines(self)
-    }
-
-    fn layout(&self) -> Layout {
-        Layout::AoSoA
-    }
-
-    fn domain(&self) -> [(f64, f64); 3] {
-        grids_domain(self.tiles()[0].coefs())
-    }
-
-    fn make_out(&self) -> WalkerTiled<T> {
-        BsplineAoSoA::make_out(self)
-    }
-
-    fn v(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        BsplineAoSoA::v(self, pos, out)
-    }
-
-    fn vgl(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        BsplineAoSoA::vgl(self, pos, out)
-    }
-
-    fn vgh(&self, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        BsplineAoSoA::vgh(self, pos, out)
-    }
-
-    fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        BsplineAoSoA::v_batch(self, pos, out)
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        BsplineAoSoA::vgl_batch(self, pos, out)
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerTiled<T>>) {
-        BsplineAoSoA::vgh_batch(self, pos, out)
-    }
-
-    fn v_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        let loc = ctx.located(self.tiles()[0].coefs(), pos);
-        self.eval_one_located(Kernel::V, &loc, out);
-    }
-
-    fn vgl_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        let loc = ctx.located(self.tiles()[0].coefs(), pos);
-        self.eval_one_located(Kernel::Vgl, &loc, out);
-    }
-
-    fn vgh_one(&self, ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut WalkerTiled<T>) {
-        let loc = ctx.located(self.tiles()[0].coefs(), pos);
-        self.eval_one_located(Kernel::Vgh, &loc, out);
+    #[inline]
+    fn eval_one(
+        &self,
+        kernel: Kernel,
+        ctx: &mut MoveContext<C::Scalar>,
+        pos: [C::Scalar; 3],
+        out: &mut C::Out,
+    ) {
+        let loc = ctx.located(self.grid_coefs(), pos);
+        self.eval_located(
+            kernel,
+            std::slice::from_ref(&loc),
+            std::slice::from_mut(out),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use einspline::{Grid1, MultiCoefs};
+    use crate::aos::BsplineAoS;
+    use crate::aosoa::BsplineAoSoA;
+    use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
+    use einspline::Grid1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -29,10 +29,29 @@
 //! auto-vectorization falls short (`mul_add` on a baseline x86-64
 //! target lowers to a libm call that blocks vectorization).
 //!
-//! # The batched multi-walker API
+//! # One evaluation core, three views
 //!
-//! Every engine exposes `v_batch` / `vgl_batch` / `vgh_batch` (and a
-//! kernel-dispatched `eval_batch`) next to the scalar entry points:
+//! The paper's V, VGL and VGH are one loop nest that differs only in
+//! the output streams it accumulates, and a scalar call, a batch and a
+//! single-electron move differ only in where the located positions come
+//! from. Every native engine therefore implements exactly **one**
+//! kernel-tagged body over a slice of pre-located positions
+//! ([`engine::EvalCore::eval_located`]) and [`engine::SpoEngine`]
+//! derives the three position-level views from it in one place:
+//!
+//! | view | located positions | for |
+//! |---|---|---|
+//! | [`eval`](engine::SpoEngine::eval)`(kernel, pos, out)` | a slice of 1, fresh [`batch::Located::new`] | one position |
+//! | [`eval_batch`](engine::SpoEngine::eval_batch)`(kernel, block, outs)` | [`batch::Located::block`] | a walker block (below) |
+//! | [`eval_one`](engine::SpoEngine::eval_one)`(kernel, ctx, pos, out)` | a slice of 1 from the walker's [`onemove::MoveContext`] | one move (see "Per-move evaluation") |
+//!
+//! `v`/`vgl`/`vgh` and `v_one`/`vgl_one`/`vgh_one` are one-line sugar
+//! for `eval`/`eval_one` with the kernel tag filled in. The same body
+//! runs on the same floats, so the three views are **bit-identical** to
+//! each other on every backend, which the workspace property tests
+//! assert for all layouts and batch sizes including 0 and 1.
+//!
+//! ## Batched evaluation
 //!
 //! * **Block layout.** Positions travel as a [`batch::PosBlock`] — one
 //!   unit-stride stream per coordinate (the SoA transformation applied
@@ -43,23 +62,18 @@
 //!   only overwrite. Drivers reuse one `BatchOut` across every
 //!   generation (and across the ragged tail of a chunked stream — extra
 //!   blocks are simply left untouched).
-//! * **What the engines hoist.** All three engines locate the grid cell
-//!   and build the three `BasisWeights` blocks once per position, up
-//!   front, instead of inside the kernel. For [`aos::BsplineAoS`] the
-//!   batched VGL also hoists the baseline's per-call scratch allocation
-//!   across the block.
-//! * **Why tile-major batching helps AoSoA.** The scalar path is
-//!   position-major: every position touches all `M` coefficient tiles
-//!   before the next position, so each tile's `4·Ng·Nb` input block is
-//!   re-fetched per position. The batched path transposes the loops
-//!   (tiles outer, positions inner — the actual Fig. 6 order): one
-//!   tile's coefficient block and `Nb`-sized output stripes stay
-//!   cache-hot for the whole batch, and the per-position basis weights
-//!   are shared by all tiles instead of recomputed `M` times.
-//!
-//! Results are **bit-identical** to the scalar loop (the batched paths
-//! reorder only independent work), which the workspace property tests
-//! assert for all layouts and batch sizes including 0 and 1.
+//! * **What the core hoists.** The grid cell and the three
+//!   `BasisWeights` blocks are computed once per position, up front,
+//!   and shared by every tile or block of the engine. For
+//!   [`aos::BsplineAoS`] the baseline's VGL scratch is allocated once
+//!   per call, whatever the slice length.
+//! * **Why the AoSoA and blocked cores are tile-major.** The tile (or
+//!   block) loop is outside the position loop — the actual Fig. 6
+//!   order: one tile's `4·Ng·Nb` coefficient block and `Nb`-sized
+//!   output stripes stay cache-hot for the whole slice, where a
+//!   position-major sweep would re-fetch every tile per position. At a
+//!   slice of 1 the same loop is simply "all tiles, next tile
+//!   prefetched".
 //!
 //! # Threading & blocking model
 //!
@@ -138,7 +152,7 @@
 //!   one fused block, up to `max_batch` positions; holding a *partial*
 //!   batch it waits at most `max_wait` for stragglers before
 //!   evaluating. Fusing never splits a per-orbital accumulation chain,
-//!   so coalesced results are **bit-identical** to a direct `*_batch`
+//!   so coalesced results are **bit-identical** to a direct `eval_batch`
 //!   call on every backend (property-tested in
 //!   `tests/integration_service.rs`).
 //! * **Backpressure.** The queue admits at most `queue_positions`
@@ -189,7 +203,7 @@
 //!   [`service::StatsSnapshot::stolen`]).
 //! * **Single-domain no-op contract.** Routing picks *where a request
 //!   waits*, never how it is split or fused — so every routed result
-//!   is **bit-identical** to a direct `*_batch` call, and with one
+//!   is **bit-identical** to a direct `eval_batch` call, and with one
 //!   shard (single-domain hosts, or `Fifo`) the router degenerates to
 //!   exactly the old single-queue FIFO: no classification, no spills,
 //!   no steals (property-tested across policies in
@@ -220,7 +234,7 @@
 //! * **Bit-identity of successes.** Faults decide *whether* a request
 //!   evaluates, never *how*: every successful result — retried,
 //!   re-coalesced, degraded pool or not — is bit-identical to the
-//!   direct `*_batch` call (chaos-tested in
+//!   direct `eval_batch` call (chaos-tested in
 //!   `tests/integration_service_faults.rs` under scripted
 //!   [`service::ServiceFaultPlan`]s).
 //! * **Graceful degradation.** [`service::ServiceClient`] retries with
@@ -231,11 +245,11 @@
 //!
 //! # Per-move evaluation
 //!
-//! Real VMC/DMC traffic is dominated by **single-electron** moves, and
-//! the batched API pessimizes that batch-of-1 shape: every scalar call
-//! re-runs the grid locate and rebuilds the basis weights, and the same
-//! position is evaluated twice per accepted move (V for the ratio test,
-//! then VGL/VGH for drift). The one-move path ([`onemove`]) makes the
+//! Real VMC/DMC traffic is dominated by **single-electron** moves: the
+//! same position is evaluated twice per accepted move (V for the ratio
+//! test, then VGL/VGH for drift), and each scalar call would re-run the
+//! grid locate and rebuild the basis weights. The one-move view
+//! ([`engine::SpoEngine::eval_one`], state in [`onemove`]) makes the
 //! propose→accept pair first-class:
 //!
 //! ```text
@@ -259,10 +273,8 @@
 //! * **What is cached where.** A [`onemove::MoveContext`] lives with
 //!   the *walker* (one per walker × engine): the hoisted
 //!   [`batch::Located`] for the last proposed position (keyed by the
-//!   exact floats), reusable scratch for the AoS VGL workspace, and a
-//!   lazily built `f32` sub-context for [`precision::MixedEngine`]
-//!   (positions narrow once per move). Nothing allocates on the hot
-//!   path in steady state.
+//!   exact floats) and a lazily built `f32` sub-context for
+//!   [`precision::MixedEngine`] (positions narrow once per move).
 //! * **Two protocols, picked by table residency.** For cache-resident
 //!   tables the split protocol above is right: the propose-side V is
 //!   cheap and the accept-side VGL rides warm lines. For
@@ -274,29 +286,28 @@
 //!   pass (the extra arithmetic hides under the line traffic), and the
 //!   accept side reads the context-cached output streams with no
 //!   further kernel call, making the pair's cost one cold pass
-//!   regardless of acceptance rate (measured ~1.6× the scalar
-//!   `v`+`vgl` sequence; `qmc-bench`'s `onemove_vgl_…` rows).
-//! * **Engine coverage.** [`engine::SpoEngine::v_one`] /
-//!   [`engine::SpoEngine::vgl_one`] / [`engine::SpoEngine::vgh_one`]
-//!   have native overrides in all layout engines ([`soa::BsplineSoA`]
-//!   through a dedicated single-position kernel whose streaming-V walk
-//!   software-prefetches the next orbital chunk's 64 line segments —
-//!   a batch-of-1 eval has no neighbor position to overlap with and
-//!   its 64 concurrent z-line streams defeat the hardware prefetcher,
-//!   [`aos::BsplineAoS`], [`aosoa::BsplineAoSoA`] with one-tile-ahead
-//!   prefetch), [`blocked::BlockedEngine`] (per-block scatter through
-//!   [`output::SoAStreamsMut`] with next-block prefetch),
-//!   [`precision::MixedEngine`] (narrow-in / widen-out per move) and
-//!   [`service::ServiceClient`] (single-position submissions ride the
-//!   coalescer). Engines without an override fall back to the scalar
-//!   path — the default is always correct, just slower.
-//! * **Bit-identity.** The context only caches what the scalar paths
-//!   recompute identically ([`batch::Located::new`] on the same
-//!   floats), so one-move results are bit-identical to `v`/`vgl`/`vgh`
-//!   on every backend, cache hit or miss — property-tested in
+//!   regardless of acceptance rate (`qmc-bench`'s `onemove_vgl_…`
+//!   rows).
+//! * **No dedicated kernel.** A move runs the engine's one body over a
+//!   slice of 1, exactly like a scalar call or a batch of one. What a
+//!   slice of 1 lacks is a neighbour position to overlap memory latency
+//!   with, so the body itself reacts to it: the SoA kernel walks V over
+//!   a streaming-sized table (≥ 8 MiB) in 64-orbital chunks with the
+//!   next chunk's 64 coefficient line segments software-prefetched (its
+//!   64 concurrent z-line streams defeat the hardware prefetcher; the
+//!   measurements that keep this are on `simd`'s kernel docs), and the
+//!   AoSoA and blocked cores prefetch the next tile/block while the
+//!   current one computes. The adapters forward the view:
+//!   [`precision::MixedEngine`] narrows in / widens out per move with
+//!   the `f32` sub-context, and [`service::ServiceClient`] submits a
+//!   block of one position that rides the coalescer.
+//! * **Bit-identity.** The context only caches what a fresh
+//!   [`batch::Located::new`] recomputes identically on the same floats,
+//!   so one-move results are bit-identical to `eval` on every backend,
+//!   cache hit or miss — property-tested in
 //!   `tests/integration_onemove.rs` across layouts × backends ×
-//!   precisions, including accept/reject sequences and grid-cell
-//!   boundary positions.
+//!   precisions, including accept/reject sequences, grid-cell boundary
+//!   positions and streaming-sized tables.
 //!
 //! # Precision model
 //!
@@ -314,8 +325,8 @@
 //!   kernels run in `f32` at full SIMD width (twice the lanes of the
 //!   f64 path, half the coefficient bandwidth), and every output widens
 //!   to `f64` at the engine boundary ([`precision::MixedEngine`], an
-//!   [`engine::SpoEngine<f64>`] over any `f32` inner engine, scalar and
-//!   batched). Downstream reductions (miniqmc determinants, drift,
+//!   [`engine::SpoEngine<f64>`] over any `f32` inner engine, all three
+//!   views). Downstream reductions (miniqmc determinants, drift,
 //!   kinetic energy) accumulate in `f64` — the
 //!   [`einspline::Real::Accum`] contract.
 //!

@@ -1,13 +1,12 @@
 //! Per-move (batch-of-1) evaluation state: the [`MoveContext`].
 //!
 //! Real VMC/DMC traffic is dominated by single-electron
-//! propose→ratio→accept steps, and the batched API actively pessimizes
-//! that shape: every scalar call re-runs the grid locate and rebuilds
-//! the three `BasisWeights` blocks, and the AoS baseline re-allocates
-//! its VGL scratch per call. The per-move protocol evaluates the *same
-//! position* up to twice — V for the determinant ratio on propose, then
-//! VGL/VGH for drift and Laplacian only if the move is accepted — so
-//! the locate/weights hoist is worth caching across the pair.
+//! propose→ratio→accept steps, and every scalar call of that shape
+//! re-runs the grid locate and rebuilds the three `BasisWeights`
+//! blocks. The per-move protocol evaluates the *same position* up to
+//! twice — V for the determinant ratio on propose, then VGL/VGH for
+//! drift and Laplacian only if the move is accepted — so the
+//! locate/weights hoist is worth caching across the pair.
 //!
 //! A [`MoveContext`] is that cache, owned by the *walker* (one per
 //! walker, reused for every move of every electron):
@@ -15,18 +14,18 @@
 //! * the hoisted [`Located`] for the most recent proposed position,
 //!   keyed by the exact position floats — the accept-side VGL/VGH call
 //!   reuses the propose-side locate/weights without recomputing them;
-//! * reusable scratch for engines that need per-call workspace (the
-//!   AoS baseline's VGL accumulator), so the hot path never allocates;
+//! * reusable zero-filled scratch for callers that keep per-move
+//!   workspace with the walker (the engines themselves need none);
 //! * a lazily allocated `f32` sub-context for
 //!   [`MixedEngine`](crate::precision::MixedEngine), which narrows the
 //!   `f64` position once per move and runs the inner engine's fast path
 //!   in `f32`.
 //!
 //! The context only ever caches work that is *recomputed identically*
-//! by the scalar paths ([`Located::new`] on the same floats), so
-//! `v_one`/`vgl_one`/`vgh_one` results are bit-identical to
-//! `v`/`vgl`/`vgh` on every backend, cache hit or miss — property-tested
-//! in `tests/integration_onemove.rs` including accept/reject sequences
+//! by the scalar view ([`Located::new`] on the same floats), so
+//! `eval_one` results are bit-identical to `eval` on every backend,
+//! cache hit or miss — property-tested in
+//! `tests/integration_onemove.rs` including accept/reject sequences
 //! and positions on grid-cell boundaries.
 //!
 //! A context belongs to one engine (the cached `Located` is only valid
@@ -40,17 +39,17 @@ use einspline::Real;
 
 /// Per-walker cached state for the single-electron fast path.
 ///
-/// Passed as `&mut` to the `*_one` methods of
-/// [`SpoEngine`](crate::engine::SpoEngine); see the [module docs](self)
-/// for what is cached and why the results stay bit-identical.
+/// Passed as `&mut` to
+/// [`SpoEngine::eval_one`](crate::engine::SpoEngine::eval_one); see the
+/// [module docs](self) for what is cached and why the results stay
+/// bit-identical.
 #[derive(Clone, Debug, Default)]
 pub struct MoveContext<T: Real> {
     /// Position the cached locate is valid for. Compared with float
     /// `==`, so a NaN coordinate never matches and always re-locates.
     key: Option<[T; 3]>,
     loc: Option<Located<T>>,
-    /// Reusable per-call workspace (AoS VGL accumulator), grown on
-    /// demand and kept across moves.
+    /// Reusable caller workspace, grown on demand and kept across moves.
     scratch: Vec<T>,
     /// Lazily built `f32` sub-context for the mixed-precision adapter.
     narrow: Option<Box<MoveContext<f32>>>,
@@ -92,8 +91,7 @@ impl<T: Real> MoveContext<T> {
     }
 
     /// Reusable workspace of at least `n` elements, zero-filled on
-    /// every call (the AoS VGL path accumulates into it). Grows once;
-    /// steady state is allocation-free.
+    /// every call. Grows once; steady state is allocation-free.
     #[inline]
     pub fn scratch(&mut self, n: usize) -> &mut [T] {
         if self.scratch.len() < n {

@@ -310,12 +310,12 @@ impl<O: WidenOut> MixedOut<O> {
 }
 
 /// Mixed-precision adapter around any single-precision engine `E`:
-/// implements the full double-precision [`SpoEngine`] surface (scalar
-/// *and* batched entry points) by narrowing positions at the input
-/// boundary, running `E`'s `f32` SIMD micro-kernels, and widening
-/// outputs at the output boundary.
+/// implements the three double-precision [`SpoEngine`] views by
+/// narrowing positions at the input boundary, running the matching
+/// view of `E` (its `f32` SIMD micro-kernels), and widening outputs at
+/// the output boundary.
 ///
-/// The batched paths preserve `E`'s native batching (hoisted basis
+/// The batched view preserves `E`'s native batching (hoisted basis
 /// weights, tile-major order for the AoSoA engine): the narrow blocks
 /// are temporarily re-wrapped into a `BatchOut<E::Out>` and handed to
 /// the inner batched call, so the mixed path pays only the position
@@ -382,59 +382,6 @@ fn narrow_pos(pos: [f64; 3]) -> [f32; 3] {
     [pos[0] as f32, pos[1] as f32, pos[2] as f32]
 }
 
-impl<E, O> MixedEngine<E>
-where
-    E: SpoEngine<f32, Out = O>,
-    O: WidenOut,
-{
-    fn eval_scalar(&self, kernel: Kernel, pos: [f64; 3], out: &mut MixedOut<O>) {
-        self.inner.eval(kernel, narrow_pos(pos), &mut out.narrow);
-        out.narrow.widen_into(kernel, &mut out.wide);
-    }
-
-    /// One-move body: narrow the position once per move, run the inner
-    /// engine's fast path with the `f32` sub-context (so the inner
-    /// locate/weights are cached across the propose→accept pair), widen
-    /// at the boundary.
-    fn eval_one_mixed(
-        &self,
-        kernel: Kernel,
-        ctx: &mut crate::onemove::MoveContext<f64>,
-        pos: [f64; 3],
-        out: &mut MixedOut<O>,
-    ) {
-        self.inner
-            .eval_one(kernel, ctx.narrow(), narrow_pos(pos), &mut out.narrow);
-        out.narrow.widen_into(kernel, &mut out.wide);
-    }
-
-    fn eval_batched(
-        &self,
-        kernel: Kernel,
-        pos: &PosBlock<f64>,
-        out: &mut BatchOut<MixedOut<O>>,
-    ) {
-        check_batch(pos.len(), out.len());
-        let pos32: PosBlock<f32> = pos.cast();
-        // Lend the narrow blocks to the inner engine's native batched
-        // path (placeholders hold the seats), then take them back and
-        // refresh the wide twins.
-        let narrow: Vec<O> = out.blocks_mut()[..pos.len()]
-            .iter_mut()
-            .map(|b| std::mem::replace(&mut b.narrow, O::placeholder()))
-            .collect();
-        let mut inner_out = BatchOut::from_blocks(narrow);
-        self.inner.eval_batch(kernel, &pos32, &mut inner_out);
-        for (b, n) in out.blocks_mut()[..pos.len()]
-            .iter_mut()
-            .zip(inner_out.into_blocks())
-        {
-            b.narrow = n;
-            b.narrow.widen_into(kernel, &mut b.wide);
-        }
-    }
-}
-
 impl<E, O> SpoEngine<f64> for MixedEngine<E>
 where
     E: SpoEngine<f32, Out = O>,
@@ -460,55 +407,45 @@ where
         MixedOut { narrow, wide }
     }
 
-    fn v(&self, pos: [f64; 3], out: &mut MixedOut<O>) {
-        self.eval_scalar(Kernel::V, pos, out);
+    fn eval(&self, kernel: Kernel, pos: [f64; 3], out: &mut MixedOut<O>) {
+        self.inner.eval(kernel, narrow_pos(pos), &mut out.narrow);
+        out.narrow.widen_into(kernel, &mut out.wide);
     }
 
-    fn vgl(&self, pos: [f64; 3], out: &mut MixedOut<O>) {
-        self.eval_scalar(Kernel::Vgl, pos, out);
+    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<f64>, out: &mut BatchOut<MixedOut<O>>) {
+        check_batch(pos.len(), out.len());
+        let pos32: PosBlock<f32> = pos.cast();
+        // Lend the narrow blocks to the inner engine's native batched
+        // path (placeholders hold the seats), then take them back and
+        // refresh the wide twins.
+        let narrow: Vec<O> = out.blocks_mut()[..pos.len()]
+            .iter_mut()
+            .map(|b| std::mem::replace(&mut b.narrow, O::placeholder()))
+            .collect();
+        let mut inner_out = BatchOut::from_blocks(narrow);
+        self.inner.eval_batch(kernel, &pos32, &mut inner_out);
+        for (b, n) in out.blocks_mut()[..pos.len()]
+            .iter_mut()
+            .zip(inner_out.into_blocks())
+        {
+            b.narrow = n;
+            b.narrow.widen_into(kernel, &mut b.wide);
+        }
     }
 
-    fn vgh(&self, pos: [f64; 3], out: &mut MixedOut<O>) {
-        self.eval_scalar(Kernel::Vgh, pos, out);
-    }
-
-    fn v_batch(&self, pos: &PosBlock<f64>, out: &mut BatchOut<MixedOut<O>>) {
-        self.eval_batched(Kernel::V, pos, out);
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<f64>, out: &mut BatchOut<MixedOut<O>>) {
-        self.eval_batched(Kernel::Vgl, pos, out);
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<f64>, out: &mut BatchOut<MixedOut<O>>) {
-        self.eval_batched(Kernel::Vgh, pos, out);
-    }
-
-    fn v_one(
+    /// Narrow the position once per move and run the inner engine's
+    /// one-move view with the `f32` sub-context, so the inner
+    /// locate/weights are cached across the propose→accept pair.
+    fn eval_one(
         &self,
+        kernel: Kernel,
         ctx: &mut crate::onemove::MoveContext<f64>,
         pos: [f64; 3],
         out: &mut MixedOut<O>,
     ) {
-        self.eval_one_mixed(Kernel::V, ctx, pos, out);
-    }
-
-    fn vgl_one(
-        &self,
-        ctx: &mut crate::onemove::MoveContext<f64>,
-        pos: [f64; 3],
-        out: &mut MixedOut<O>,
-    ) {
-        self.eval_one_mixed(Kernel::Vgl, ctx, pos, out);
-    }
-
-    fn vgh_one(
-        &self,
-        ctx: &mut crate::onemove::MoveContext<f64>,
-        pos: [f64; 3],
-        out: &mut MixedOut<O>,
-    ) {
-        self.eval_one_mixed(Kernel::Vgh, ctx, pos, out);
+        self.inner
+            .eval_one(kernel, ctx.narrow(), narrow_pos(pos), &mut out.narrow);
+        out.narrow.widen_into(kernel, &mut out.wide);
     }
 }
 
@@ -592,7 +529,7 @@ mod tests {
                 vec![[0.1, 0.5, 0.9], [0.33, 0.66, 0.05], [0.72, 0.2, 0.48]];
             let block: PosBlock<f64> = pos.iter().copied().collect();
             let mut bout = engine.make_batch_out(block.len());
-            engine.vgh_batch(&block, &mut bout);
+            engine.eval_batch(Kernel::Vgh, &block, &mut bout);
             let mut sout = engine.make_out();
             for (i, p) in pos.iter().enumerate() {
                 engine.vgh(*p, &mut sout);
@@ -617,10 +554,10 @@ mod tests {
         let engine = MixedEngine::aos(&t);
         let empty = PosBlock::<f64>::new();
         let mut out0 = engine.make_batch_out(0);
-        engine.v_batch(&empty, &mut out0); // no-op, no panic
+        engine.eval_batch(Kernel::V, &empty, &mut out0); // no-op, no panic
         let one: PosBlock<f64> = [[0.4f64, 0.4, 0.4]].into_iter().collect();
         let mut out1 = engine.make_batch_out(1);
-        engine.vgl_batch(&one, &mut out1);
+        engine.eval_batch(Kernel::Vgl, &one, &mut out1);
         let mut scalar = engine.make_out();
         engine.vgl([0.4, 0.4, 0.4], &mut scalar);
         for k in 0..5 {
@@ -653,7 +590,7 @@ mod tests {
         let block: PosBlock<f64> =
             [[0.1f64, 0.2, 0.3], [0.7, 0.8, 0.9]].into_iter().collect();
         let mut bout = blocked.make_batch_out(block.len());
-        blocked.vgl_batch(&block, &mut bout);
+        blocked.eval_batch(Kernel::Vgl, &block, &mut bout);
         let mut sout = mono.make_out();
         for (i, p) in block.iter().enumerate() {
             mono.vgl(p, &mut sout);

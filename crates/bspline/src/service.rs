@@ -51,7 +51,7 @@
 //!   service is exactly the single-queue FIFO coalescer.
 //! * **Determinism.** Fusing blocks never splits a per-orbital
 //!   accumulation chain, so coalesced results are **bit-identical** to
-//!   a direct `*_batch` call on every backend — property-tested in
+//!   a direct `eval_batch` call on every backend — property-tested in
 //!   `tests/integration_service.rs`.
 //! * **Shutdown.** Dropping the service (or calling
 //!   [`SpoService::shutdown`]) wakes all workers, drains every queued
@@ -85,7 +85,7 @@
 //! * **Bit-identity of successes.** Faults only decide *whether* a
 //!   request evaluates, never *how*: retried batches re-coalesce and
 //!   re-fuse under the same never-split-a-chain rule, so any `Ok`
-//!   outcome is exactly the direct `*_batch` result, crash or no crash.
+//!   outcome is exactly the direct `eval_batch` result, crash or no crash.
 //! * **Fault injection.** [`SpoService::with_fault_plan`] scripts
 //!   worker faults ([`ServiceFault`]: panic, kill, stall, poison) for
 //!   tests, the chaos proptest suite, and the degraded-mode benchmark
@@ -657,49 +657,6 @@ impl<T: Real, O> Ticket<T, O> {
                     slot = guard;
                 }
             }
-        }
-    }
-
-    /// Block until the request completes; returns the submitted
-    /// positions and the caller's output blocks, now filled.
-    ///
-    /// Panics if the request resolved to a [`ServiceError`] — migrate
-    /// to [`Ticket::redeem`] for typed failure handling.
-    #[deprecated(note = "use Ticket::redeem, which returns typed failures")]
-    pub fn wait(self) -> (PosBlock<T>, BatchOut<O>) {
-        match self.redeem() {
-            Ok((pos, out, _)) => (pos, out),
-            Err(f) => panic!("Ticket::wait on a failed request: {}", f.error),
-        }
-    }
-
-    /// [`Ticket::wait`] plus the worker-stamped completion instant.
-    ///
-    /// Panics if the request resolved to a [`ServiceError`] — migrate
-    /// to [`Ticket::redeem`] for typed failure handling.
-    #[deprecated(note = "use Ticket::redeem, which returns typed failures")]
-    pub fn wait_timed(self) -> Completed<T, O> {
-        match self.redeem() {
-            Ok(r) => r,
-            Err(f) => panic!("Ticket::wait_timed on a failed request: {}", f.error),
-        }
-    }
-
-    /// [`Ticket::wait_timed`] with a deadline: blocks at most `timeout`,
-    /// handing the ticket itself back (`Err`) on expiry.
-    ///
-    /// Panics if the request resolved to a non-timeout [`ServiceError`]
-    /// — migrate to [`Ticket::redeem_for`] for typed failure handling.
-    #[deprecated(note = "use Ticket::redeem_for, which returns typed failures")]
-    pub fn wait_for(self, timeout: Duration) -> Result<Completed<T, O>, Self> {
-        match self.redeem_for(timeout) {
-            Ok(r) => Ok(r),
-            Err(Failed {
-                error: ServiceError::Timeout,
-                ticket: Some(t),
-                ..
-            }) => Err(t),
-            Err(f) => panic!("Ticket::wait_for on a failed request: {}", f.error),
         }
     }
 
@@ -1632,64 +1589,16 @@ where
         self.cfg.fallback && self.service.health() != ServiceHealth::Healthy
     }
 
-    fn submit_one(&self, kernel: Kernel, pos: [T; 3], out: &mut E::Out) {
-        let dummy = {
-            let mut pool = lock_recover(&self.pool);
-            pool.pop()
-        }
-        .unwrap_or_else(|| self.service.engine().make_out());
-        let block = std::mem::replace(out, dummy);
-        let mut owned = vec![block];
-        for attempt in 0..=self.cfg.max_retries {
-            if self.diverted() {
-                break;
-            }
-            let mut pb = PosBlock::with_capacity(1);
-            pb.push(pos);
-            let ticket = match self.cfg.deadline {
-                Some(d) => self.service.submit_with_deadline(
-                    kernel,
-                    pb,
-                    BatchOut::from_blocks(owned),
-                    Instant::now() + d,
-                ),
-                None => self.service.submit(kernel, pb, BatchOut::from_blocks(owned)),
-            };
-            match ticket.redeem() {
-                Ok((_, res, _)) => {
-                    let mut blocks = res.into_blocks();
-                    let dummy = std::mem::replace(out, blocks.pop().expect("one block back"));
-                    lock_recover(&self.pool).push(dummy);
-                    return;
-                }
-                Err(f) => {
-                    let error = f.error;
-                    owned = f
-                        .out
-                        .expect("service failures return the caller's blocks")
-                        .into_blocks();
-                    if !self.cfg.fallback && attempt == self.cfg.max_retries {
-                        panic!("service call failed after {} attempts: {error}", attempt + 1);
-                    }
-                    std::thread::sleep(backoff_delay(self.cfg.backoff, attempt));
-                }
-            }
-        }
-        // Fallback: restore the caller's block and evaluate directly.
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        let dummy = std::mem::replace(out, owned.pop().expect("one block back"));
-        lock_recover(&self.pool).push(dummy);
-        let engine = self.service.engine();
-        match kernel {
-            Kernel::V => engine.v(pos, out),
-            Kernel::Vgl => engine.vgl(pos, out),
-            Kernel::Vgh => engine.vgh(pos, out),
-        }
-    }
-
-    fn submit_batch(&self, kernel: Kernel, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
-        check_batch(pos.len(), out.len());
-        let mut owned = std::mem::replace(out, BatchOut::from_blocks(Vec::new()));
+    /// One request under the client's failure policy: submit `owned`
+    /// for `pos`, retry failed redemptions with backoff, and fall back
+    /// to the shared engine when the service is unhealthy or retries run
+    /// out. Returns the caller's blocks, evaluated either way.
+    fn call(
+        &self,
+        kernel: Kernel,
+        pos: &PosBlock<T>,
+        mut owned: BatchOut<E::Out>,
+    ) -> BatchOut<E::Out> {
         for attempt in 0..=self.cfg.max_retries {
             if self.diverted() {
                 break;
@@ -1704,10 +1613,7 @@ where
                 None => self.service.submit(kernel, pos.clone(), owned),
             };
             match ticket.redeem() {
-                Ok((_, res, _)) => {
-                    *out = res;
-                    return;
-                }
+                Ok((_, res, _)) => return res,
                 Err(f) => {
                     let error = f.error;
                     owned = f.out.expect("service failures return the caller's blocks");
@@ -1718,10 +1624,9 @@ where
                 }
             }
         }
-        // Fallback: evaluate directly into the caller's blocks.
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        *out = owned;
-        self.service.engine().eval_batch(kernel, pos, out);
+        self.service.engine().eval_batch(kernel, pos, &mut owned);
+        owned
     }
 }
 
@@ -1756,52 +1661,42 @@ where
         self.service.engine().make_out()
     }
 
-    fn v(&self, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::V, pos, out);
+    /// A scalar call is a block of one position: the caller's buffer is
+    /// swapped against a pooled dummy for the trip (the trait's `&mut`
+    /// contract meets the service's move-based zero-copy contract).
+    fn eval(&self, kernel: Kernel, pos: [T; 3], out: &mut E::Out) {
+        let dummy = lock_recover(&self.pool)
+            .pop()
+            .unwrap_or_else(|| self.service.engine().make_out());
+        let block = std::mem::replace(out, dummy);
+        let served = self.call(
+            kernel,
+            &PosBlock::from_positions(&[pos]),
+            BatchOut::from_blocks(vec![block]),
+        );
+        let block = served.into_blocks().pop().expect("one block back");
+        lock_recover(&self.pool).push(std::mem::replace(out, block));
     }
 
-    fn vgl(&self, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::Vgl, pos, out);
+    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
+        check_batch(pos.len(), out.len());
+        let owned = std::mem::replace(out, BatchOut::from_blocks(Vec::new()));
+        *out = self.call(kernel, pos, owned);
     }
 
-    fn vgh(&self, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::Vgh, pos, out);
-    }
-
-    fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
-        self.submit_batch(Kernel::V, pos, out);
-    }
-
-    fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
-        self.submit_batch(Kernel::Vgl, pos, out);
-    }
-
-    fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
-        self.submit_batch(Kernel::Vgh, pos, out);
-    }
-
-    // Single-position submissions ride the existing coalescer: a
-    // per-move call is one kernel-tagged block of one position, fused
-    // with whatever same-kernel traffic the replicas see in the same
-    // max-wait window. The context's locate cache is server-side state
-    // the client cannot use, so it is deliberately ignored — what the
-    // one-move protocol buys here is the V-before-VGL kernel split, not
-    // the weight reuse.
-    fn v_one(&self, _ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::V, pos, out);
-    }
-
-    fn vgl_one(&self, _ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::Vgl, pos, out);
-    }
-
-    fn vgh_one(&self, _ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut E::Out) {
-        self.submit_one(Kernel::Vgh, pos, out);
+    /// Single-position submissions ride the existing coalescer: a
+    /// per-move call is one kernel-tagged block of one position, fused
+    /// with whatever same-kernel traffic the replicas see in the same
+    /// max-wait window. The context's locate cache is server-side state
+    /// the client cannot use, so it is deliberately ignored — what the
+    /// one-move protocol buys here is the V-before-VGL kernel split, not
+    /// the weight reuse.
+    fn eval_one(&self, kernel: Kernel, _ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut E::Out) {
+        self.eval(kernel, pos, out);
     }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::soa::BsplineSoA;
@@ -1910,7 +1805,7 @@ mod tests {
         let pos = block(2, 9);
         // 4 blocks for 2 positions: the extra 2 must come back.
         let out = service.engine().make_batch_out(4);
-        let (_, got) = service.submit(Kernel::V, pos, out).wait();
+        let (_, got, _) = service.submit(Kernel::V, pos, out).redeem().unwrap();
         assert_eq!(got.len(), 4);
     }
 
@@ -2418,7 +2313,7 @@ mod tests {
         let mut out = client.make_batch_out(4);
         // Infallible trait call: the service dies under it, the client
         // retries/diverts, and the caller still gets physics.
-        client.vgh_batch(&pos, &mut out);
+        client.eval_batch(Kernel::Vgh, &pos, &mut out);
         assert!(client.fallbacks() >= 1, "direct path was taken");
         for p in 0..4 {
             for n in 0..16 {
@@ -2430,27 +2325,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn deprecated_wait_shims_still_serve_pr9_call_sites() {
-        let service = SpoService::with_default_config(soa(8));
-        let out = service.engine().make_batch_out(2);
-        let (pos, out) = service.submit(Kernel::V, block(2, 31), out).wait();
-        assert_eq!((pos.len(), out.len()), (2, 2));
-        let out = service.engine().make_batch_out(2);
-        let (pos, ..) = service.submit(Kernel::V, block(2, 32), out).wait_timed();
-        assert_eq!(pos.len(), 2);
-        let out = service.engine().make_batch_out(2);
-        let ticket = service.submit(Kernel::V, block(2, 33), out);
-        match ticket.wait_for(Duration::from_secs(5)) {
-            Ok((pos, ..)) => assert_eq!(pos.len(), 2),
-            Err(t) => {
-                t.wait();
-            }
-        }
-    }
 }
-
-
-
-

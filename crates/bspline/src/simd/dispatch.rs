@@ -169,13 +169,12 @@ pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Signature of the dispatched SoA eval-level kernels: the stream view
-/// carries the orbital range (whole padded streams for the monolithic
-/// engines, one block's sub-range for [`crate::blocked`]).
-type SoaEvalFn<T> = for<'a> fn(&MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>);
-/// Signature of the dispatched single-position (one-move) kernel: one
-/// function covers V/VGL/VGH via the leading selector.
-type OneSoaFn<T> = for<'a> fn(Kernel, &MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>);
+/// Signature of the dispatched SoA evaluation kernel: one function
+/// covers V/VGL/VGH via the leading selector, the stream view carries
+/// the orbital range (whole padded streams for the monolithic engines,
+/// one block's sub-range for [`crate::blocked`]), and the trailing flag
+/// says the evaluation covers this one position only.
+type EvalSoaFn<T> = for<'a> fn(Kernel, &MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>, bool);
 /// Signature of the dispatched AoS V/L point accumulation.
 type VlPointFn<T> = fn(T, T, &[T], &mut [T], &mut [T], usize);
 
@@ -185,10 +184,7 @@ pub(crate) struct Fns<T: Real> {
     /// Which backend these pointers implement.
     #[cfg_attr(not(test), allow(dead_code))]
     pub backend: Backend,
-    pub v_soa: SoaEvalFn<T>,
-    pub vgl_soa: SoaEvalFn<T>,
-    pub vgh_soa: SoaEvalFn<T>,
-    pub one_soa: OneSoaFn<T>,
+    pub eval_soa: EvalSoaFn<T>,
     pub axpy: fn(T, &[T], &mut [T], usize),
     pub vl_point: VlPointFn<T>,
 }
@@ -197,10 +193,7 @@ macro_rules! scalar_fns {
     ($t:ty) => {
         Fns {
             backend: Backend::Scalar,
-            v_soa: kernels::v_soa::<$t, ScalarLanes<$t>>,
-            vgl_soa: kernels::vgl_soa::<$t, ScalarLanes<$t>>,
-            vgh_soa: kernels::vgh_soa::<$t, ScalarLanes<$t>>,
-            one_soa: kernels::one_soa::<$t, ScalarLanes<$t>>,
+            eval_soa: kernels::eval_soa::<$t, ScalarLanes<$t>>,
             axpy: kernels::axpy::<$t, ScalarLanes<$t>>,
             vl_point: kernels::vl_point::<$t, ScalarLanes<$t>>,
         }

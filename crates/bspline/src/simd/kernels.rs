@@ -33,22 +33,12 @@ fn plane_lines<'a, T: Real>(
     ]
 }
 
-/// V kernel: the view's `v` stream overwritten (all `out.len()`
-/// orbitals, evaluated against coefficient-line elements `0..len`).
-#[inline(always)]
-pub(crate) fn v_soa<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    mut out: SoAStreamsMut<'_, T>,
-) {
-    let m = out.len();
-    v_soa_range::<T, L>(coefs, loc, &mut out, 0, m);
-}
-
-/// The V kernel body over orbital sub-range `[from, to)` — both the
-/// per-orbital operation chain and the lane partition are identical to
-/// a full-range call, because every accumulator is lane-private: any
-/// split at a lane-multiple boundary is bit-identical to no split.
+/// V kernel body: the view's `v` stream overwritten over orbital
+/// sub-range `[from, to)`, evaluated against the same coefficient-line
+/// elements. Both the per-orbital operation chain and the lane
+/// partition are identical to a full-range call, because every
+/// accumulator is lane-private: any split at a lane-multiple boundary
+/// is bit-identical to no split.
 #[inline(always)]
 fn v_soa_range<T: Real, L: SimdReal<T>>(
     coefs: &MultiCoefs<T>,
@@ -99,29 +89,16 @@ fn v_soa_range<T: Real, L: SimdReal<T>>(
     }
 }
 
-/// VGL kernel: the view's five `v/gx/gy/gz/l` streams overwritten.
+/// VGL kernel body: the view's five `v/gx/gy/gz/l` streams overwritten
+/// (all `out.len()` orbitals, evaluated against coefficient-line
+/// elements `0..len`).
 #[inline(always)]
-pub(crate) fn vgl_soa<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    mut out: SoAStreamsMut<'_, T>,
-) {
-    let m = out.len();
-    vgl_soa_range::<T, L>(coefs, loc, &mut out, 0, m);
-}
-
-/// VGL kernel body over orbital sub-range `[from, to)` (bit-identical
-/// to the full-range call for any lane-multiple split — see
-/// [`v_soa_range`]).
-#[inline(always)]
-fn vgl_soa_range<T: Real, L: SimdReal<T>>(
+fn vgl_soa<T: Real, L: SimdReal<T>>(
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     out: &mut SoAStreamsMut<'_, T>,
-    from: usize,
-    to: usize,
 ) {
-    let m = to;
+    let m = out.len();
     debug_assert!(m <= coefs.stride_n());
     let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
     let SoAStreamsMut {
@@ -142,7 +119,7 @@ fn vgl_soa_range<T: Real, L: SimdReal<T>>(
         L::splat(d2c[3]),
     ];
 
-    let mut base = from;
+    let mut base = 0;
     while base + L::LANES <= m {
         let mut av = L::splat(T::ZERO);
         let mut agx = L::splat(T::ZERO);
@@ -213,29 +190,15 @@ fn vgl_soa_range<T: Real, L: SimdReal<T>>(
     }
 }
 
-/// VGH kernel: the view's ten `v/gx/gy/gz/h**` streams overwritten.
+/// VGH kernel body: the view's ten `v/gx/gy/gz/h**` streams
+/// overwritten (all `out.len()` orbitals).
 #[inline(always)]
-pub(crate) fn vgh_soa<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    mut out: SoAStreamsMut<'_, T>,
-) {
-    let m = out.len();
-    vgh_soa_range::<T, L>(coefs, loc, &mut out, 0, m);
-}
-
-/// VGH kernel body over orbital sub-range `[from, to)` (bit-identical
-/// to the full-range call for any lane-multiple split — see
-/// [`v_soa_range`]).
-#[inline(always)]
-fn vgh_soa_range<T: Real, L: SimdReal<T>>(
+fn vgh_soa<T: Real, L: SimdReal<T>>(
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     out: &mut SoAStreamsMut<'_, T>,
-    from: usize,
-    to: usize,
 ) {
-    let m = to;
+    let m = out.len();
     debug_assert!(m <= coefs.stride_n());
     let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
     let SoAStreamsMut {
@@ -261,7 +224,7 @@ fn vgh_soa_range<T: Real, L: SimdReal<T>>(
         L::splat(d2c[3]),
     ];
 
-    let mut base = from;
+    let mut base = 0;
     while base + L::LANES <= m {
         let mut av = L::splat(T::ZERO);
         let mut agx = L::splat(T::ZERO);
@@ -401,60 +364,68 @@ fn prefetch_span<T: Real>(coefs: &MultiCoefs<T>, loc: &Located<T>, from: usize, 
     }
 }
 
-/// Orbitals per look-ahead block of [`one_soa`]: 64·4 B = one 256 B
-/// segment per z-line in f32 (512 B in f64) — small enough that the
-/// prefetched next block displaces little of L1, large enough that one
-/// block's compute covers the 64 outstanding DRAM round-trips. Always
-/// a multiple of every pack's lane count, so the chunked lane
-/// partition equals the monolithic one.
-const ONE_BLOCK: usize = 64;
+/// Orbitals per look-ahead chunk of [`eval_soa`]'s streaming V walk:
+/// 64·4 B = one 256 B segment per z-line in f32 (512 B in f64) — small
+/// enough that the prefetched next chunk displaces little of L1, large
+/// enough that one chunk's compute covers the 64 outstanding DRAM
+/// round-trips. Always a multiple of every pack's lane count, so the
+/// chunked lane partition equals the monolithic one.
+const LOOKAHEAD_CHUNK: usize = 64;
 
 /// Coefficient tables at least this large are treated as streaming
-/// (not cache-resident) by [`one_soa`]: a batch-of-1 V evaluation of
-/// such a table stalls on DRAM and benefits from explicit look-ahead,
-/// while smaller tables stay hot in cache and the prefetch µops are
-/// pure overhead.
+/// (not cache-resident) by [`eval_soa`].
 const STREAMING_BYTES: usize = 8 << 20;
 
-/// Single-position ("one-move") kernel: the same per-orbital operation
-/// chains as [`v_soa`]/[`vgl_soa`]/[`vgh_soa`] — results are
-/// bit-identical (the per-orbital accumulators are lane-private, so
-/// any lane-aligned range partition reproduces the monolithic walk).
+/// The SoA evaluation kernel: V, VGL or VGH over one pre-located
+/// position, the streams `kernel` produces fully overwritten for all
+/// `out.len()` orbitals.
 ///
-/// The V kernel on a streaming-sized table walks the orbital range in
-/// [`ONE_BLOCK`] chunks with the *next* chunk's 64 coefficient
-/// segments software-prefetched while the current chunk computes: a
-/// batch-of-1 evaluation has no neighbor position to overlap with and
-/// its 64 concurrent z-line streams exceed the hardware prefetcher's
-/// stream capacity, so without the look-ahead every chunk stalls on
-/// DRAM latency. VGL/VGH carry 3–6× the arithmetic per coefficient
-/// and already cover the same latency with compute — for them (and
-/// for cache-resident tables, where every prefetch is a hit) the
-/// look-ahead µops measurably *cost* time, so those cases run the
-/// plain full-range bodies.
+/// One case walks differently, selected from what this body observes —
+/// the kernel is V, the table is at least [`STREAMING_BYTES`], and the
+/// evaluation covers this position only (`single`: a slice of 1 has no
+/// neighbour position to overlap memory latency with, and V's 64
+/// concurrent z-line streams exceed the hardware prefetcher's stream
+/// capacity). It then walks the orbitals in [`LOOKAHEAD_CHUNK`]s with
+/// the *next* chunk's 64 coefficient segments software-prefetched while
+/// the current one computes. Results are bit-identical either way (the
+/// per-orbital accumulators are lane-private, so any lane-aligned range
+/// partition reproduces the monolithic walk). The mechanism was
+/// measured on the traced `spline_onemove` workload against the same
+/// code with the look-ahead disabled (3 alternating pairs, every pair
+/// the same sign):
+///
+/// * `bspline.onemove.pair_cellwide_ns` (positions drawn cell-wide, the
+///   table streams): 7019/7017/6850 with it vs 10228/10095/9520
+///   without — it saves ~30 %, which is why it stays;
+/// * `bspline.onemove.v_one_ns` (confined positions, hot set resident
+///   in L2 although the table is above the threshold): 1579/1660/1684
+///   with it vs 1460/1414/1452 without — every prefetch is then a hit
+///   and the µops cost ~13 %, which is why tables below the threshold,
+///   and VGL/VGH (3–6× the arithmetic per coefficient already covers
+///   the latency), take the plain walk.
 #[inline(always)]
-pub(crate) fn one_soa<T: Real, L: SimdReal<T>>(
+pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(
     kernel: Kernel,
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     mut out: SoAStreamsMut<'_, T>,
+    single: bool,
 ) {
     let m = out.len();
-    let streaming = coefs.bytes() >= STREAMING_BYTES;
     match kernel {
-        Kernel::V if streaming => {
+        Kernel::V if single && coefs.bytes() >= STREAMING_BYTES => {
             let mut cs = 0usize;
-            prefetch_span(coefs, loc, 0, ONE_BLOCK.min(m));
+            prefetch_span(coefs, loc, 0, LOOKAHEAD_CHUNK.min(m));
             while cs < m {
-                let ce = (cs + ONE_BLOCK).min(m);
-                prefetch_span(coefs, loc, ce, (ce + ONE_BLOCK).min(m));
+                let ce = (cs + LOOKAHEAD_CHUNK).min(m);
+                prefetch_span(coefs, loc, ce, (ce + LOOKAHEAD_CHUNK).min(m));
                 v_soa_range::<T, L>(coefs, loc, &mut out, cs, ce);
                 cs = ce;
             }
         }
         Kernel::V => v_soa_range::<T, L>(coefs, loc, &mut out, 0, m),
-        Kernel::Vgl => vgl_soa_range::<T, L>(coefs, loc, &mut out, 0, m),
-        Kernel::Vgh => vgh_soa_range::<T, L>(coefs, loc, &mut out, 0, m),
+        Kernel::Vgl => vgl_soa::<T, L>(coefs, loc, &mut out),
+        Kernel::Vgh => vgh_soa::<T, L>(coefs, loc, &mut out),
     }
 }
 

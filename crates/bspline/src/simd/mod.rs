@@ -74,69 +74,31 @@ pub use dispatch::{active_backend, default_backend, lanes_for, with_backend, Bac
 pub use lanes::{ScalarLanes, SimdReal};
 
 use crate::batch::Located;
+use crate::layout::Kernel;
 use crate::output::SoAStreamsMut;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
 
-/// V kernel body over a pre-located position: overwrites the view's
-/// `v` stream (the view's length selects the orbital count; blocked
-/// callers pass a sub-range of a shared contiguous output).
+/// The one dispatched SoA evaluation entry: `kernel` over a pre-located
+/// position, overwriting the streams `kernel` produces (`v`; `v/gx/gy/gz/l`;
+/// `v/gx/gy/gz/h**`). The view's length selects the orbital count —
+/// whole padded streams for the monolithic engine, one block's
+/// sub-range of a shared contiguous output for [`crate::blocked`].
+/// `single` states that the enclosing evaluation covers this one
+/// position only (a slice of 1): there is then no neighbour position
+/// to overlap memory latency with, which is what the look-ahead V walk
+/// keys on (see `kernels::eval_soa`). Results do not depend on it.
 #[inline]
-pub(crate) fn v_soa<T: Real>(
+pub(crate) fn eval_soa<T: Real>(
+    kernel: Kernel,
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     out: SoAStreamsMut<'_, T>,
+    single: bool,
 ) {
     match dispatch::fns::<T>() {
-        Some(f) => (f.v_soa)(coefs, loc, out),
-        None => kernels::v_soa::<T, ScalarLanes<T>>(coefs, loc, out),
-    }
-}
-
-/// VGL kernel body over a pre-located position: overwrites the view's
-/// five `v/gx/gy/gz/l` streams.
-#[inline]
-pub(crate) fn vgl_soa<T: Real>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: SoAStreamsMut<'_, T>,
-) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.vgl_soa)(coefs, loc, out),
-        None => kernels::vgl_soa::<T, ScalarLanes<T>>(coefs, loc, out),
-    }
-}
-
-/// VGH kernel body over a pre-located position: overwrites the view's
-/// ten `v/gx/gy/gz/h**` streams.
-#[inline]
-pub(crate) fn vgh_soa<T: Real>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: SoAStreamsMut<'_, T>,
-) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.vgh_soa)(coefs, loc, out),
-        None => kernels::vgh_soa::<T, ScalarLanes<T>>(coefs, loc, out),
-    }
-}
-
-/// Single-position (one-move) kernel body over a pre-located position:
-/// the same per-orbital chains as the batched bodies — bit-identical
-/// results — restructured into look-ahead chunks whose next 64
-/// coefficient segments are software-prefetched while the current
-/// chunk computes (see `kernels::one_soa`). The fast path under
-/// [`crate::onemove::MoveContext`].
-#[inline]
-pub(crate) fn one_soa<T: Real>(
-    kernel: crate::layout::Kernel,
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: SoAStreamsMut<'_, T>,
-) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.one_soa)(kernel, coefs, loc, out),
-        None => kernels::one_soa::<T, ScalarLanes<T>>(kernel, coefs, loc, out),
+        Some(f) => (f.eval_soa)(kernel, coefs, loc, out, single),
+        None => kernels::eval_soa::<T, ScalarLanes<T>>(kernel, coefs, loc, out, single),
     }
 }
 
@@ -220,10 +182,12 @@ mod tests {
         let reference = {
             let mut out = WalkerSoA::<f32>::new(30);
             let m = out.stride();
-            kernels::vgh_soa::<f32, ScalarLanes<f32>>(
+            kernels::eval_soa::<f32, ScalarLanes<f32>>(
+                Kernel::Vgh,
                 &table,
                 &loc,
                 out.streams_range_mut(0, m),
+                false,
             );
             out
         };
@@ -231,12 +195,10 @@ mod tests {
         // width), 25 (tail after multiple avx2 chunks).
         for b in Backend::available() {
             for m in [1usize, 7, 13, 25] {
-                for kernel in 0..3 {
+                for kernel in Kernel::ALL {
                     let mut out = WalkerSoA::<f32>::new(30);
-                    with_backend(b, || match kernel {
-                        0 => v_soa(&table, &loc, out.streams_range_mut(0, m)),
-                        1 => vgl_soa(&table, &loc, out.streams_range_mut(0, m)),
-                        _ => vgh_soa(&table, &loc, out.streams_range_mut(0, m)),
+                    with_backend(b, || {
+                        eval_soa(kernel, &table, &loc, out.streams_range_mut(0, m), false)
                     });
                     for idx in 0..m {
                         let (want, got) = (reference.v[idx], out.v[idx]);
@@ -248,7 +210,7 @@ mod tests {
                                 "{b} kernel={kernel} m={m} idx={idx}: {want} vs {got}"
                             );
                         }
-                        if kernel == 2 {
+                        if kernel == Kernel::Vgh {
                             assert!(
                                 (reference.hzz[idx] - out.hzz[idx]).abs() < 1e-4,
                                 "{b} hzz m={m} idx={idx}"

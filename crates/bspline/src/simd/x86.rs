@@ -189,20 +189,14 @@ macro_rules! backend_fns {
             use einspline::multi::MultiCoefs;
 
             #[target_feature(enable = $feat)]
-            fn v_soa_tf(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                kernels::v_soa::<$t, $lane>(c, l, o)
-            }
-            #[target_feature(enable = $feat)]
-            fn vgl_soa_tf(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                kernels::vgl_soa::<$t, $lane>(c, l, o)
-            }
-            #[target_feature(enable = $feat)]
-            fn vgh_soa_tf(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                kernels::vgh_soa::<$t, $lane>(c, l, o)
-            }
-            #[target_feature(enable = $feat)]
-            fn one_soa_tf(k: Kernel, c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                kernels::one_soa::<$t, $lane>(k, c, l, o)
+            fn eval_soa_tf(
+                k: Kernel,
+                c: &MultiCoefs<$t>,
+                l: &Located<$t>,
+                o: SoAStreamsMut<'_, $t>,
+                single: bool,
+            ) {
+                kernels::eval_soa::<$t, $lane>(k, c, l, o, single)
             }
             #[target_feature(enable = $feat)]
             fn axpy_tf(a: $t, x: &[$t], y: &mut [$t], n: usize) {
@@ -213,22 +207,16 @@ macro_rules! backend_fns {
                 kernels::vl_point::<$t, $lane>(pv, pl, x, v, l, n)
             }
 
-            fn v_soa(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
+            fn eval_soa(
+                k: Kernel,
+                c: &MultiCoefs<$t>,
+                l: &Located<$t>,
+                o: SoAStreamsMut<'_, $t>,
+                single: bool,
+            ) {
                 // SAFETY: this table is only selected after runtime
                 // detection of the required CPU features.
-                unsafe { v_soa_tf(c, l, o) }
-            }
-            fn vgl_soa(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                // SAFETY: as above.
-                unsafe { vgl_soa_tf(c, l, o) }
-            }
-            fn vgh_soa(c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                // SAFETY: as above.
-                unsafe { vgh_soa_tf(c, l, o) }
-            }
-            fn one_soa(k: Kernel, c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
-                // SAFETY: as above.
-                unsafe { one_soa_tf(k, c, l, o) }
+                unsafe { eval_soa_tf(k, c, l, o, single) }
             }
             fn axpy(a: $t, x: &[$t], y: &mut [$t], n: usize) {
                 // SAFETY: as above.
@@ -241,10 +229,7 @@ macro_rules! backend_fns {
 
             pub(crate) static FNS: Fns<$t> = Fns {
                 backend: $backend,
-                v_soa,
-                vgl_soa,
-                vgh_soa,
-                one_soa,
+                eval_soa,
                 axpy,
                 vl_point,
             };

@@ -20,9 +20,10 @@
 //! dispatched) that keep all output accumulators in registers across
 //! the 4×4 basis unroll and store each stream once per orbital chunk.
 
-use crate::batch::{check_batch, BatchOut, Located, PosBlock};
-use crate::layout::Kernel;
-use crate::output::WalkerSoA;
+use crate::batch::Located;
+use crate::engine::check_out;
+use crate::layout::{Kernel, Layout};
+use crate::output::{SoAStreamsMut, WalkerSoA};
 use einspline::basis::BasisWeights;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
@@ -33,8 +34,7 @@ pub struct BsplineSoA<T: Real> {
     coefs: MultiCoefs<T>,
 }
 
-
-/// Ablation variant of [`BsplineSoA::vgh`]: same SoA output streams but
+/// Ablation variant of the engine's VGH: same SoA output streams but
 /// with the *naive* 64-point triple loop (no z-unroll fusion) — the
 /// literal Fig. 4b structure before the optimized-CPU-algorithm unroll.
 /// Used by the `ablations` bench to isolate the z-fusion contribution;
@@ -113,72 +113,28 @@ impl<T: Real> BsplineSoA<T> {
         self.coefs.stride_n()
     }
 
+    /// The padded trip count the kernels write into `out`, after the
+    /// shared size check.
     #[inline]
     fn check_out(&self, out: &WalkerSoA<T>) -> usize {
-        debug_assert_eq!(
-            out.stride(),
-            self.stride(),
-            "output buffer stride must match the coefficient table"
+        check_out(out.stride(), self.stride());
+        self.stride()
+    }
+
+    /// The engine's one call into [`crate::simd`]: `kernel` over a
+    /// pre-located position, writing through a stream view whose length
+    /// selects how many of this engine's orbitals are evaluated. `single`
+    /// says the enclosing call evaluates this one position only (a slice
+    /// of 1), which is what the kernel's look-ahead V walk keys on.
+    #[inline]
+    fn eval_view(&self, kernel: Kernel, loc: &Located<T>, out: SoAStreamsMut<'_, T>, single: bool) {
+        assert!(
+            out.len() <= self.stride(),
+            "stream view ({}) wider than the coefficient stride ({})",
+            out.len(),
+            self.stride()
         );
-        self.stride().min(out.stride())
-    }
-
-    /// Values only. The value kernel writes a single stream, so SoA
-    /// changes nothing over AoS (paper Sec. VI: "Kernel V … does not need
-    /// SoA data layout"); it still benefits from the padded trip count.
-    pub fn v(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.v_located(&loc, out);
-    }
-
-    /// Value + gradient + Laplacian into 5 SoA streams.
-    pub fn vgl(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.vgl_located(&loc, out);
-    }
-
-    /// Value + gradient + symmetric Hessian into 10 SoA streams.
-    pub fn vgh(&self, pos: [T; 3], out: &mut WalkerSoA<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.vgh_located(&loc, out);
-    }
-
-    /// V kernel body over a pre-located position. Dispatches to the
-    /// explicit-width micro-kernel for the active
-    /// [`crate::simd::Backend`]; `out.v[..m]` is fully overwritten.
-    pub(crate) fn v_located(&self, loc: &Located<T>, out: &mut WalkerSoA<T>) {
-        let m = self.check_out(out);
-        crate::simd::v_soa(&self.coefs, loc, out.streams_range_mut(0, m));
-    }
-
-    /// VGL kernel body over a pre-located position (dispatched
-    /// micro-kernel; the five output streams are fully overwritten).
-    pub(crate) fn vgl_located(&self, loc: &Located<T>, out: &mut WalkerSoA<T>) {
-        let m = self.check_out(out);
-        crate::simd::vgl_soa(&self.coefs, loc, out.streams_range_mut(0, m));
-    }
-
-    /// VGH kernel body over a pre-located position (dispatched
-    /// micro-kernel; the ten output streams are fully overwritten).
-    pub(crate) fn vgh_located(&self, loc: &Located<T>, out: &mut WalkerSoA<T>) {
-        let m = self.check_out(out);
-        crate::simd::vgh_soa(&self.coefs, loc, out.streams_range_mut(0, m));
-    }
-
-    /// Single-position kernel body over a pre-located position: same
-    /// per-orbital chains as the `*_located` bodies (bit-identical
-    /// results), but chunked with one-block-ahead software prefetch of
-    /// the 64 coefficient segments — the batch-of-1 fast path under
-    /// [`crate::onemove::MoveContext`], where there is no neighbor
-    /// position to overlap memory latency with.
-    pub(crate) fn eval_one_located(
-        &self,
-        kernel: Kernel,
-        loc: &Located<T>,
-        out: &mut WalkerSoA<T>,
-    ) {
-        let m = self.check_out(out);
-        crate::simd::one_soa(kernel, &self.coefs, loc, out.streams_range_mut(0, m));
+        crate::simd::eval_soa(kernel, &self.coefs, loc, out, single);
     }
 
     /// Kernel body over a pre-located position, writing through a
@@ -188,67 +144,54 @@ impl<T: Real> BsplineSoA<T> {
     /// shared contiguous output. The view length selects how many of
     /// this engine's orbitals are evaluated (`≤ stride`; ragged lengths
     /// take the micro-kernels' scalar tail).
-    pub fn eval_streams(
-        &self,
-        kernel: Kernel,
-        loc: &Located<T>,
-        out: crate::output::SoAStreamsMut<'_, T>,
-    ) {
-        assert!(
-            out.len() <= self.stride(),
-            "stream view ({}) wider than the coefficient stride ({})",
-            out.len(),
-            self.stride()
-        );
-        match kernel {
-            Kernel::V => crate::simd::v_soa(&self.coefs, loc, out),
-            Kernel::Vgl => crate::simd::vgl_soa(&self.coefs, loc, out),
-            Kernel::Vgh => crate::simd::vgh_soa(&self.coefs, loc, out),
-        }
+    pub fn eval_streams(&self, kernel: Kernel, loc: &Located<T>, out: SoAStreamsMut<'_, T>) {
+        self.eval_view(kernel, loc, out, false);
     }
 
-    /// Kernel-dispatched body over a pre-located position.
+    /// [`Self::eval_view`] into a whole output block, after the shared
+    /// size check — the body's per-position step, and this engine as
+    /// one tile of [`crate::aosoa::BsplineAoSoA`].
     #[inline]
-    pub(crate) fn eval_located(
+    pub(crate) fn eval_block(
         &self,
         kernel: Kernel,
         loc: &Located<T>,
         out: &mut WalkerSoA<T>,
+        single: bool,
     ) {
-        match kernel {
-            Kernel::V => self.v_located(loc, out),
-            Kernel::Vgl => self.vgl_located(loc, out),
-            Kernel::Vgh => self.vgh_located(loc, out),
-        }
+        let m = self.check_out(out);
+        self.eval_view(kernel, loc, out.streams_range_mut(0, m), single);
+    }
+}
+
+impl<T: Real> crate::engine::EvalCore for BsplineSoA<T> {
+    type Scalar = T;
+    type Out = WalkerSoA<T>;
+
+    fn n_splines(&self) -> usize {
+        self.coefs.n_splines()
     }
 
-    /// Values for a whole position block; block `i` of `out` receives
-    /// position `i`. Basis weights are hoisted: located once per
-    /// position up front, then the kernel loops run back-to-back over
-    /// the shared coefficient table.
-    pub fn v_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.v_located(loc, block);
-        }
+    fn layout(&self) -> Layout {
+        Layout::Soa
     }
 
-    /// VGL for a whole position block (see [`Self::v_batch`]).
-    pub fn vgl_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.vgl_located(loc, block);
-        }
+    fn grid_coefs(&self) -> &MultiCoefs<T> {
+        &self.coefs
     }
 
-    /// VGH for a whole position block (see [`Self::v_batch`]).
-    pub fn vgh_batch(&self, pos: &PosBlock<T>, out: &mut BatchOut<WalkerSoA<T>>) {
-        check_batch(pos.len(), out.len());
-        let locs = Located::block(&self.coefs, pos);
-        for (loc, block) in locs.iter().zip(out.blocks_mut()) {
-            self.vgh_located(loc, block);
+    fn make_out(&self) -> WalkerSoA<T> {
+        WalkerSoA::new(self.n_splines())
+    }
+
+    /// Positions back to back over the shared table. A slice of 1 (a
+    /// scalar call, a one-move call, a batch of one) has no neighbour
+    /// position to overlap its memory latency with and says so to the
+    /// kernel.
+    fn eval_located(&self, kernel: Kernel, locs: &[Located<T>], out: &mut [WalkerSoA<T>]) {
+        let single = locs.len() == 1;
+        for (loc, block) in locs.iter().zip(out) {
+            self.eval_block(kernel, loc, block, single);
         }
     }
 }
@@ -257,6 +200,7 @@ impl<T: Real> BsplineSoA<T> {
 mod tests {
     use super::*;
     use crate::aos::BsplineAoS;
+    use crate::engine::SpoEngine;
     use crate::output::WalkerAoS;
     use einspline::{Grid1, MultiCoefs, Spline3};
     use rand::rngs::StdRng;

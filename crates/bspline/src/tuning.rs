@@ -236,11 +236,11 @@ pub fn tune_block_budget<T: Real>(
         }
         let engine = BlockedEngine::from_multi(coefs, budget);
         let mut out = engine.make_batch_out(block.len());
-        engine.eval_batch_blocked(kernel, &block, &mut out); // warm-up
+        engine.eval_batch(kernel, &block, &mut out); // warm-up
         let mut best_t = f64::INFINITY;
         for _ in 0..cfg.reps {
             let t0 = Instant::now();
-            engine.eval_batch_blocked(kernel, &block, &mut out);
+            engine.eval_batch(kernel, &block, &mut out);
             best_t = best_t.min(t0.elapsed().as_secs_f64());
         }
         let ops = (n * cfg.ns) as f64 / best_t;

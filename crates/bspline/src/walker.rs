@@ -137,19 +137,19 @@ pub fn run_walker<T: Real, E: SpoEngine<T>>(
     for _ in 0..cfg.n_iters {
         let t0 = Instant::now();
         for b in &v_blocks {
-            engine.v_batch(b, &mut out);
+            engine.eval_batch(Kernel::V, b, &mut out);
         }
         times.v += t0.elapsed();
 
         let t0 = Instant::now();
         for b in &vgl_blocks {
-            engine.vgl_batch(b, &mut out);
+            engine.eval_batch(Kernel::Vgl, b, &mut out);
         }
         times.vgl += t0.elapsed();
 
         let t0 = Instant::now();
         for b in &vgh_blocks {
-            engine.vgh_batch(b, &mut out);
+            engine.eval_batch(Kernel::Vgh, b, &mut out);
         }
         times.vgh += t0.elapsed();
     }

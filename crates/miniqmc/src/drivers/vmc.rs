@@ -12,7 +12,7 @@
 //! the legacy all-electron propose path.
 //!
 //! After every sweep the driver runs the *batched* all-electron VGH
-//! sweep ([`TrialWaveFunction::log_derivs`]): one `vgh_batch` engine
+//! sweep ([`TrialWaveFunction::log_derivs`]): one VGH `eval_batch` engine
 //! call per spin yields every electron's drift gradient and the kinetic
 //! energy estimator, instead of an engine call per electron.
 

@@ -12,7 +12,7 @@
 use crate::lattice::Lattice;
 use bspline::blocked::BlockedEngine;
 use bspline::service::{ClientConfig, ServiceClient, ServiceConfig, SpoService};
-use bspline::{BatchOut, BsplineSoA, MoveContext, PosBlock, SpoEngine, WalkerSoA};
+use bspline::{BatchOut, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{MultiCoefs, Real};
 use std::sync::Arc;
 
@@ -299,7 +299,7 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
     /// reused across sweeps.
     pub fn evaluate_v_batch(&mut self, rs: &[[f64; 3]]) -> &[SpoVgl] {
         self.prepare_batch(rs);
-        self.engine.v_batch(&self.batch_pos, &mut self.batch_scratch);
+        self.engine.eval_batch(Kernel::V, &self.batch_pos, &mut self.batch_scratch);
         let n = self.n_orbitals();
         for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
             let scratch = self.batch_scratch.block(e);
@@ -312,12 +312,13 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
 
     /// The multi-electron VGH sweep: values + Cartesian gradients +
     /// Laplacians for every position of the block — one batched engine
-    /// call (`vgh_batch`) followed by the per-row pull-back. This is
-    /// what the VMC/DMC drift-diffusion machinery consumes to get all
-    /// electrons' drift gradients and kinetic Laplacians at once.
+    /// call (`eval_batch` with `Kernel::Vgh`) followed by the per-row
+    /// pull-back. This is what the VMC/DMC drift-diffusion machinery
+    /// consumes to get all electrons' drift gradients and kinetic
+    /// Laplacians at once.
     pub fn evaluate_vgl_batch(&mut self, rs: &[[f64; 3]]) -> &[SpoVgl] {
         self.prepare_batch(rs);
-        self.engine.vgh_batch(&self.batch_pos, &mut self.batch_scratch);
+        self.engine.eval_batch(Kernel::Vgh, &self.batch_pos, &mut self.batch_scratch);
         let n = self.n_orbitals();
         for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
             Self::pull_back(

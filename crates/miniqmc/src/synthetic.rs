@@ -183,6 +183,7 @@ impl CoralSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bspline::SpoEngine;
 
     #[test]
     fn coral_4x4x1_counts_match_paper() {

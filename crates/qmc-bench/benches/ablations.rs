@@ -103,13 +103,13 @@ fn bench_ablations(c: &mut Criterion) {
     let mut simd_out = simd_engine.make_batch_out(simd_block.len());
     g.bench_function(
         format!("vgh_batch_simd_{}", bspline::simd::default_backend()),
-        |b| b.iter(|| simd_engine.vgh_batch(&simd_block, &mut simd_out)),
+        |b| b.iter(|| simd_engine.eval_batch(Kernel::Vgh, &simd_block, &mut simd_out)),
     );
     for backend in bspline::simd::Backend::available() {
         g.bench_function(format!("vgh_batch_simd_forced_{backend}"), |b| {
             b.iter(|| {
                 bspline::simd::with_backend(backend, || {
-                    simd_engine.vgh_batch(&simd_block, &mut simd_out)
+                    simd_engine.eval_batch(Kernel::Vgh, &simd_block, &mut simd_out)
                 })
             })
         });

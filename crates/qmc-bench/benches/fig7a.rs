@@ -1,5 +1,5 @@
 //! Criterion bench for Fig. 7a: AoS vs SoA VGH kernel throughput,
-//! scalar loop vs the batched API (`vgh_batch`, hoisted basis weights).
+//! scalar loop vs the batched API (`eval_batch`, hoisted basis weights).
 //! Reduced scale (grid 12³); the full-scale sweep is the `fig7a` binary.
 
 use bspline::precision::MixedEngine;
@@ -32,7 +32,7 @@ fn bench_fig7a(c: &mut Criterion) {
         });
         let mut batch_out = aos.make_batch_out(block.len());
         g.bench_with_input(BenchmarkId::new("AoS_batch", n), &n, |b, _| {
-            b.iter(|| aos.vgh_batch(&block, &mut batch_out))
+            b.iter(|| aos.eval_batch(Kernel::Vgh, &block, &mut batch_out))
         });
 
         let soa = BsplineSoA::new(table);
@@ -46,7 +46,7 @@ fn bench_fig7a(c: &mut Criterion) {
         });
         let mut batch_out = soa.make_batch_out(block.len());
         g.bench_with_input(BenchmarkId::new("SoA_batch", n), &n, |b, _| {
-            b.iter(|| soa.vgh_batch(&block, &mut batch_out))
+            b.iter(|| soa.eval_batch(Kernel::Vgh, &block, &mut batch_out))
         });
         // Scalar-vs-SIMD ablation row: the same batched workload with
         // the micro-kernel dispatch forced to the portable scalar pack.
@@ -54,7 +54,7 @@ fn bench_fig7a(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("SoA_batch_simd_off", n), &n, |b, _| {
             b.iter(|| {
                 with_backend(SimdBackend::Scalar, || {
-                    soa.vgh_batch(&block, &mut batch_out)
+                    soa.eval_batch(Kernel::Vgh, &block, &mut batch_out)
                 })
             })
         });
@@ -68,12 +68,12 @@ fn bench_fig7a(c: &mut Criterion) {
         let soa64 = BsplineSoA::new(table64.clone());
         let mut batch_out = soa64.make_batch_out(block64.len());
         g.bench_with_input(BenchmarkId::new("SoA_batch_f64", n), &n, |b, _| {
-            b.iter(|| soa64.vgh_batch(&block64, &mut batch_out))
+            b.iter(|| soa64.eval_batch(Kernel::Vgh, &block64, &mut batch_out))
         });
         let mixed = MixedEngine::soa(&table64);
         let mut batch_out = mixed.make_batch_out(block64.len());
         g.bench_with_input(BenchmarkId::new("SoA_batch_mixed", n), &n, |b, _| {
-            b.iter(|| mixed.vgh_batch(&block64, &mut batch_out))
+            b.iter(|| mixed.eval_batch(Kernel::Vgh, &block64, &mut batch_out))
         });
     }
     g.finish();

@@ -1,12 +1,13 @@
-//! Quickstart: build a multi-orbital B-spline table, evaluate orbitals,
-//! see the three optimization steps of the paper on one position, and
-//! evaluate a whole position block through the batched API (one
-//! pre-allocated output block per position, no allocation in the loop).
+//! Quickstart: build a multi-orbital B-spline table, see the three
+//! optimization steps of the paper on one position, then the three
+//! views every engine offers of its one evaluation core: `eval` (one
+//! position; `v`/`vgl`/`vgh` are sugar for it), `eval_batch` (a whole
+//! position block, one pre-allocated output block per position) and
+//! `eval_one` (one single-electron move with a walker-owned context).
 //!
 //! Run: `cargo run --release -p qmc-bench --example quickstart`
 
-use bspline::SpoEngine;
-use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, PosBlock};
+use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use einspline::{Grid1, MultiCoefs};
@@ -54,17 +55,17 @@ fn main() {
         println!("{k:>7}  {v:>+.4e}  {gn:>+.4e}  {lap:>+.4e}  {agree}");
     }
 
-    // The batched multi-walker API: a whole SoA block of positions per
-    // engine call. Output blocks are allocated ONCE (make_batch_out)
-    // and reused — the engine only overwrites. For the tiled engine the
-    // batch runs tile-major: one coefficient tile serves every position
-    // before the next tile is touched, and the basis weights are
-    // computed once per position for all tiles.
+    // The batch view: a whole SoA block of positions per engine call,
+    // kernel chosen by tag. Output blocks are allocated ONCE
+    // (make_batch_out) and reused — the engine only overwrites. For the
+    // tiled engine the core runs tile-major: one coefficient tile serves
+    // every position before the next tile is touched, and the basis
+    // weights are computed once per position for all tiles.
     let mut rng = StdRng::seed_from_u64(7);
     let block: PosBlock<f32> =
         PosBlock::random(&mut rng, 8, SpoEngine::<f32>::domain(&tiled));
     let mut batch_out = tiled.make_batch_out(block.len());
-    tiled.vgh_batch(&block, &mut batch_out);
+    tiled.eval_batch(Kernel::Vgh, &block, &mut batch_out);
     println!("\nbatched VGH over {} positions (tile-major):", block.len());
     for (i, p) in block.iter().enumerate() {
         println!(
@@ -76,4 +77,20 @@ fn main() {
             batch_out.block(i).hessian_trace(0),
         );
     }
+
+    // The one-move view: V on propose, VGL on accept at the same
+    // position. The context (one per walker) caches the grid locate +
+    // basis weights of the proposal, so the accept-side call skips them;
+    // the result is bit-identical to the scalar view.
+    let mut ctx = MoveContext::new();
+    let mut out_move = soa.make_out();
+    soa.eval_one(Kernel::V, &mut ctx, pos, &mut out_move);
+    let ratio_value = out_move.value(0);
+    soa.eval_one(Kernel::Vgl, &mut ctx, pos, &mut out_move);
+    println!(
+        "\none move: phi_0 = {ratio_value:+.4e} on propose, lap_0 = {:+.4e} on accept \
+         (same as scalar: {})",
+        out_move.laplacian(0),
+        out_move.value(0) == out_soa.value(0),
+    );
 }

@@ -1,5 +1,5 @@
 //! Property tests for the batched multi-walker evaluation API: for all
-//! three layout engines, `v_batch`/`vgl_batch`/`vgh_batch` must
+//! three layout engines, `eval_batch` with each kernel tag must
 //! *bit-match* the scalar `v`/`vgl`/`vgh` loop over the same positions
 //! — the batched paths reorder only independent work (hoisted basis
 //! weights, tile-major loop order), never the per-(position, orbital)
@@ -157,7 +157,7 @@ fn oversized_batch_out_leaves_extra_blocks_untouched() {
     let soa = BsplineSoA::new(table);
     let pos = random_block(2, 3);
     let mut out = soa.make_batch_out(4);
-    soa.vgh_batch(&pos, &mut out);
+    soa.eval_batch(Kernel::Vgh, &pos, &mut out);
     // Blocks 2 and 3 were never written: still all-zero.
     for i in 2..4 {
         for k in 0..n {
@@ -174,5 +174,5 @@ fn undersized_batch_out_panics() {
     let soa = BsplineSoA::new(table);
     let pos = random_block(3, 1);
     let mut out = soa.make_batch_out(2);
-    soa.v_batch(&pos, &mut out);
+    soa.eval_batch(Kernel::V, &pos, &mut out);
 }

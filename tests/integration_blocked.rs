@@ -187,8 +187,8 @@ proptest! {
         let block: PosBlock<f64> = [pos, [0.9, 0.1, 0.5]].into_iter().collect();
         let mut ba = mono.make_batch_out(block.len());
         let mut bb = blocked.make_batch_out(block.len());
-        mono.vgh_batch(&block, &mut ba);
-        blocked.vgh_batch(&block, &mut bb);
+        mono.eval_batch(Kernel::Vgh, &block, &mut ba);
+        blocked.eval_batch(Kernel::Vgh, &block, &mut bb);
         for i in 0..block.len() {
             for k in 0..n {
                 for r in 0..6 {

@@ -7,13 +7,15 @@
 //! positions sitting exactly on grid-cell boundaries. The context only
 //! caches work the scalar paths recompute identically, so any bit
 //! difference is a real defect, not an accumulation-order artifact.
+//! The same checker pins all three views to each other: V through
+//! `eval`, `eval_one` and `eval_batch` at batch 1 must bit-match
+//! position 0 of a batch of 2 — including on tables large enough for
+//! the SoA kernel's look-ahead V walk, which only a slice of 1 takes.
 
 use bspline::blocked::BlockedEngine;
 use bspline::precision::{MixedEngine, MixedOut, WidenOut};
 use bspline::simd::{with_backend, Backend};
-use bspline::{
-    BsplineAoS, BsplineAoSoA, BsplineSoA, MoveContext, SpoEngine,
-};
+use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine};
 use einspline::{Grid1, MultiCoefs, Real};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +25,11 @@ use rand::{Rng, SeedableRng};
 const NX: usize = 5;
 
 fn random_table<T: Real>(n: usize, seed: u64) -> MultiCoefs<T> {
-    let g = Grid1::periodic(0.0, 1.0, NX);
+    random_table_on(NX, n, seed)
+}
+
+fn random_table_on<T: Real>(nx: usize, n: usize, seed: u64) -> MultiCoefs<T> {
+    let g = Grid1::periodic(0.0, 1.0, nx);
     let mut table = MultiCoefs::<T>::new(g, g, g, n);
     table.fill_random(&mut StdRng::seed_from_u64(seed));
     table
@@ -97,7 +103,9 @@ where
 /// Move `i` proposes with `v_one`, then: `i % 3 == 0` accepts via the
 /// cached-weights `vgl_one`, `i % 3 == 1` accepts via `vgh_one`, and
 /// `i % 3 == 2` rejects (nothing else runs, and the *next* propose
-/// replaces the stale cache).
+/// replaces the stale cache). Every propose also runs V through the
+/// batch view, alone and as position 0 of a batch of 2 (which has a
+/// neighbour position, so it never takes the look-ahead walk).
 fn check_moves<T: Real, E: SpoEngine<T>>(
     engine: &E,
     n: usize,
@@ -109,11 +117,24 @@ fn check_moves<T: Real, E: SpoEngine<T>>(
     let mut ctx = MoveContext::new();
     let mut one = engine.make_out();
     let mut reference = engine.make_out();
+    let mut batch = engine.make_batch_out(2);
     for (i, &p) in positions.iter().enumerate() {
         engine.v_one(&mut ctx, p, &mut one);
         engine.v(p, &mut reference);
         for k in 0..n {
             assert_eq!(one.v_at(k), reference.v_at(k), "{ctx_label} move {i} V v[{k}]");
+        }
+        let q = positions[(i + 1) % positions.len()];
+        for block in [&[p][..], &[p, q][..]] {
+            engine.eval_batch(Kernel::V, &PosBlock::from_positions(block), &mut batch);
+            for k in 0..n {
+                assert_eq!(
+                    batch.block(0).v_at(k),
+                    reference.v_at(k),
+                    "{ctx_label} move {i} V v[{k}] vs batch of {}",
+                    block.len()
+                );
+            }
         }
         match i % 3 {
             0 => {
@@ -218,6 +239,31 @@ proptest! {
         for backend in Backend::available() {
             with_backend(backend, || {
                 check_all_engines(n, nb, seed, ns, backend.name());
+            });
+        }
+    }
+}
+
+/// Tables above the SoA kernel's 8 MiB streaming threshold, where V over
+/// a slice of 1 walks the orbitals in 64-wide look-ahead chunks (every
+/// other table in the workspace's tests is far below it): N = 200 pads
+/// to 208, three full chunks and a ragged one (≈ 13 MB on 22³); N = 40
+/// is a single chunk shorter than the look-ahead (≈ 9 MB on 33³).
+#[test]
+fn lookahead_sized_tables_bitmatch() {
+    for (nx, n) in [(22usize, 200usize), (33, 40)] {
+        let table = random_table_on::<f32>(nx, n, 41);
+        assert!(table.bytes() >= 8 << 20, "table must be streaming-sized");
+        let soa = BsplineSoA::new(table);
+        let pos = random_positions::<f32>(4, 43);
+        for backend in Backend::available() {
+            with_backend(backend, || {
+                check_moves(
+                    &soa,
+                    n,
+                    &pos,
+                    &format!("{} SoA {nx}^3 N={n}", backend.name()),
+                );
             });
         }
     }

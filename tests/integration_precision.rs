@@ -330,7 +330,7 @@ fn batch_edges_hold_under_mixed_precision_and_forced_scalar() {
         // Batch 0: a no-op that must not touch pre-existing blocks.
         let empty = PosBlock::<f64>::new();
         let mut out0 = msoa.make_batch_out(2);
-        msoa.vgh_batch(&empty, &mut out0);
+        msoa.eval_batch(Kernel::Vgh, &empty, &mut out0);
         for i in 0..2 {
             for k in 0..13 {
                 assert_eq!(out0.block(i).wide().value(k), 0.0);
@@ -349,7 +349,7 @@ fn batch_edges_hold_under_mixed_precision_and_forced_scalar() {
         // Oversized BatchOut: extra blocks untouched.
         let block: PosBlock<f64> = pos.iter().copied().collect();
         let mut over = msoa.make_batch_out(3);
-        msoa.vgh_batch(&block, &mut over);
+        msoa.eval_batch(Kernel::Vgh, &block, &mut over);
         for k in 0..13 {
             assert_eq!(over.block(2).wide().value(k), 0.0);
         }
