@@ -216,6 +216,24 @@ pub fn graphite_supercell(nx: usize, ny: usize, nz: usize) -> (Lattice, Vec<[f64
     (sup, ions)
 }
 
+/// A random triclinic cell for tests: edges in `2..6`, every
+/// off-diagonal component within ±20 % of the shortest edge (skewed,
+/// but one image shell still holds every nearest image).
+#[cfg(test)]
+pub(crate) fn random_triclinic(rng: &mut impl rand::Rng) -> Lattice {
+    let edges: [f64; 3] = std::array::from_fn(|_| 2.0 + 4.0 * rng.random::<f64>());
+    let skew = 0.2 * edges.iter().fold(f64::INFINITY, |m, &e| m.min(e));
+    Lattice::from_rows(std::array::from_fn(|i| {
+        std::array::from_fn(|j| {
+            if i == j {
+                edges[i]
+            } else {
+                skew * (2.0 * rng.random::<f64>() - 1.0)
+            }
+        })
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,7 +156,8 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// copy). All incremental caches become stale; callers must run
     /// [`TrialWaveFunction::evaluate_log`] — which rebuilds distance
     /// tables, Jastrow sums and determinants from positions alone —
-    /// before the next per-electron move. That full rebuild is what
+    /// before the next per-electron move or [`Self::log_derivs`]
+    /// (nothing else rebuilds the tables). That full rebuild is what
     /// makes the wavefunction state a pure function of the positions
     /// written here (the campaign layer's resume-equivalence contract).
     pub fn set_electron_positions(&mut self, pos: &[[f64; 3]]) {
@@ -247,15 +248,19 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     ///
     /// The internal state (determinant inverses, distance tables) must
     /// be consistent with the current electron positions, i.e. call this
-    /// between sweeps, not with a move pending.
+    /// between sweeps, not with a move pending. The distance tables are
+    /// read as the moves left them, not rebuilt: `accept` writes the
+    /// moved electron's row and mirrors it into its column, which is the
+    /// table a rebuild from the new positions would give (debug builds
+    /// assert it). Only [`Self::evaluate_log`] re-anchors them.
     pub fn log_derivs(&mut self) -> JastrowDerivs {
         assert!(self.pending.is_none(), "log_derivs with a move pending");
         let n_per_spin = self.n_per_spin;
         let n_el = self.electrons.len();
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers) = (
             &self.electrons,
-            &mut self.dist_ee,
-            &mut self.dist_ei,
+            &self.dist_ee,
+            &self.dist_ei,
             &mut self.spo,
             &self.dets,
             &mut self.j1,
@@ -263,10 +268,11 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             &mut self.timers,
         );
 
-        timers.time(Category::Distance, || {
-            dist_ee.rebuild(electrons);
-            dist_ei.rebuild(electrons);
-        });
+        debug_assert!(
+            dist_ee.distances_match_rebuild(electrons, 1e-12)
+                && dist_ei.distances_match_rebuild(electrons, 1e-12),
+            "distance tables are stale: positions changed without evaluate_log"
+        );
         let mut derivs = JastrowDerivs::zeros(n_el);
         timers.time(Category::Jastrow, || {
             j2.evaluate_log(dist_ee, &mut derivs);
@@ -474,16 +480,13 @@ mod tests {
         assert!((log1 - log0).abs() < 1e-9);
     }
 
-    #[test]
-    fn sweep_keeps_incremental_log_consistent() {
-        let mut wf = small_system(11);
-        let mut rng = StdRng::seed_from_u64(101);
+    /// One Metropolis sweep with uniform moves of amplitude `d`; returns
+    /// how many were accepted.
+    fn metropolis_sweep(wf: &mut TrialWaveFunction<f64>, rng: &mut StdRng, d: f64) -> usize {
         let lat = *wf.electrons().lattice();
         let mut accepted = 0;
-        for step in 0..2 * wf.n_electrons() {
-            let iel = step % wf.n_electrons();
+        for iel in 0..wf.n_electrons() {
             let r = wf.electrons().get(iel);
-            let d = 0.4;
             let rnew = lat.wrap([
                 r[0] + d * (rng.random::<f64>() - 0.5),
                 r[1] + d * (rng.random::<f64>() - 0.5),
@@ -497,6 +500,16 @@ mod tests {
                 wf.reject();
             }
         }
+        accepted
+    }
+
+    #[test]
+    fn sweep_keeps_incremental_log_consistent() {
+        let mut wf = small_system(11);
+        let mut rng = StdRng::seed_from_u64(101);
+        let accepted: usize = (0..2)
+            .map(|_| metropolis_sweep(&mut wf, &mut rng, 0.4))
+            .sum();
         assert!(accepted > 0, "some moves should be accepted");
         let tracked = wf.log_psi();
         let fresh = wf.evaluate_log();
@@ -554,6 +567,39 @@ mod tests {
         }
         let rel = (derivs.lap[iel] - lap_fd).abs() / lap_fd.abs().max(1.0);
         assert!(rel < 5e-2, "{} vs {lap_fd}", derivs.lap[iel]);
+    }
+
+    /// `log_derivs` reads the distance tables as the sweep's accepts
+    /// left them. Rebuilding them first changes no bit of the result.
+    #[test]
+    fn log_derivs_needs_no_table_rebuild_after_a_sweep() {
+        let mut wfs = [small_system(29), small_system(29)];
+        for wf in &mut wfs {
+            let accepted = metropolis_sweep(wf, &mut StdRng::seed_from_u64(103), 0.8);
+            assert!(accepted > 2, "accepted {accepted}");
+        }
+        let [kept, rebuilt] = &mut wfs;
+        rebuilt.dist_ee.rebuild(&rebuilt.electrons);
+        rebuilt.dist_ei.rebuild(&rebuilt.electrons);
+        let (a, b) = (kept.log_derivs(), rebuilt.log_derivs());
+        let bits = |d: &JastrowDerivs| -> Vec<u64> {
+            let grad = d.grad.iter().flatten();
+            grad.chain(&d.lap).map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    /// Positions overwritten without `evaluate_log` leave the tables
+    /// stale; debug builds catch `log_derivs` reading them.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distance tables are stale")]
+    fn log_derivs_on_stale_tables_is_caught_in_debug_builds() {
+        let mut wf = small_system(31);
+        let mut pos = wf.electrons().to_aos();
+        pos[3][0] += 0.5;
+        wf.set_electron_positions(&pos);
+        wf.log_derivs();
     }
 
     #[test]
