@@ -22,34 +22,6 @@ pub struct BsplineAoS<T: Real> {
     coefs: MultiCoefs<T>,
 }
 
-/// Reusable VGL workspace for [`BsplineAoS`]: hoists the baseline's
-/// per-call temporary `Vec` out of the hot path. Allocate once per
-/// walker (or thread) and pass to [`BsplineAoS::vgl_with`]; the buffer
-/// grows on first use and is reused allocation-free afterwards. The
-/// engine's own VGL deliberately keeps one allocation per call (it *is*
-/// the measured baseline deficiency).
-#[derive(Clone, Debug, Default)]
-pub struct AosScratch<T: Real> {
-    tmp: Vec<T>,
-}
-
-impl<T: Real> AosScratch<T> {
-    /// Empty handle; the workspace is grown on first use.
-    pub fn new() -> Self {
-        Self { tmp: Vec::new() }
-    }
-
-    /// Workspace of at least `n` elements (contents are overwritten by
-    /// the kernel before use, so no zeroing is needed).
-    #[inline]
-    fn for_n(&mut self, n: usize) -> &mut [T] {
-        if self.tmp.len() < n {
-            self.tmp.resize(n, T::ZERO);
-        }
-        &mut self.tmp[..n]
-    }
-}
-
 impl<T: Real> BsplineAoS<T> {
     /// Create a new instance.
     pub fn new(coefs: MultiCoefs<T>) -> Self {
@@ -86,13 +58,6 @@ impl<T: Real> BsplineAoS<T> {
                 }
             }
         }
-    }
-
-    /// VGL through a caller-owned [`AosScratch`]: identical results to
-    /// the engine's own VGL, no per-call allocation.
-    pub fn vgl_with(&self, scratch: &mut AosScratch<T>, pos: [T; 3], out: &mut WalkerAoS<T>) {
-        let loc = Located::new(&self.coefs, pos);
-        self.vgl_located(&loc, scratch.for_n(self.n_splines()), out);
     }
 
     /// Value + gradient + Laplacian with AoS outputs.
@@ -315,23 +280,6 @@ mod tests {
             assert_eq!(h[1], h[3]);
             assert_eq!(h[2], h[6]);
             assert_eq!(h[5], h[7]);
-        }
-    }
-
-    #[test]
-    fn vgl_with_scratch_matches_allocating_vgl() {
-        let (engine, _) = test_engine(4);
-        let mut scratch = AosScratch::new();
-        let mut a = WalkerAoS::new(4);
-        let mut b = WalkerAoS::new(4);
-        for pos in [[0.1f64, 0.2, 0.3], [0.9, 0.5, 0.7], [0.4, 0.4, 0.4]] {
-            engine.vgl(pos, &mut a);
-            engine.vgl_with(&mut scratch, pos, &mut b);
-            for n in 0..4 {
-                assert_eq!(a.value(n), b.value(n));
-                assert_eq!(a.gradient(n), b.gradient(n));
-                assert_eq!(a.laplacian(n), b.laplacian(n));
-            }
         }
     }
 

@@ -257,28 +257,27 @@ pub fn tune_block_budget<T: Real>(
 }
 
 /// The block budget production runs should use for a table of
-/// `table_bytes` when no per-host sweep has run — the outcome the
-/// `{L2, LLC/workers, whole-table}` sweep measured on the
-/// recorded-baseline host (single-core AVX2 Xeon, 2 MiB L2, 260 MiB
-/// LLC, `QMC_THREADS=4`; 32³ grid, f32, VGH, walkers = 4, ns = 512
-/// per generation):
+/// `table_bytes` when no per-host sweep has run. The policy:
 ///
-/// * **Table > LLC** (N = 2048, 334 MiB): **LLC/workers** wins
-///   (65 MiB → nb = 384, B = 6): one nested generation ran
-///   23.2 M-evals/s vs the monolithic engine's 17.7 — **1.31×** on
-///   the recorded `BENCH_BASELINE.json` rows (1.24–1.46× across
-///   `blocked_scaling` example sweeps on this noisy shared host) —
-///   because a generation's positions re-touch each block's slab
-///   while it is LLC-resident, where the monolithic slab thrashes.
-///   The whole-table budget measured 0.97× (decomposition overhead
-///   only) and the L2 budget 0.94× (nb = 16 blocks pay per-block loop
-///   overhead that this flat-LLC host's cache hierarchy never pays
-///   back).
-/// * **Table ≤ LLC** (N = 512, 83 MiB): **whole table** (B = 1) wins —
-///   blocking has nothing to gain below the LLC, and an LLC/workers
-///   split measured 0.89× (decomposition overhead only). Hence the
-///   returned budget is the table itself whenever it already fits the
-///   shared LLC.
+/// * **Table ≤ LLC**: the **whole table** (B = 1) — blocking has
+///   nothing to gain while the monolithic slab already fits the shared
+///   LLC, so the decomposition would only add per-block loop overhead.
+/// * **Table > LLC**: **LLC/workers** — each worker's block slab can
+///   stay LLC-resident while a generation's positions re-touch it,
+///   where the monolithic slab would be re-streamed from DRAM.
+///
+/// Nothing here is a recorded speed-up. To reproduce the
+/// blocked-vs-monolithic comparison on a host, run
+/// `cargo run --release -p qmc-bench --bin fig9` (one VGH generation at
+/// this budget against the single multi-spline object) or
+/// `cargo run --release --example blocked_scaling`
+/// (`examples/blocked_scaling.rs`: one row per `{L2, LLC/workers,
+/// whole table}` candidate). The last recording on this 1-domain
+/// shared host (N = 2048, 334 MiB f32 table, `QMC_THREADS=4` on one
+/// hardware thread) read **0.58×** — blocked 17.04 vs monolithic 29.58
+/// M-evals/s — so the super-LLC branch is unproven here; re-judging it
+/// needs real multi-core hardware (ROADMAP carry-over "Strong
+/// scaling").
 pub fn default_block_budget(table_bytes: usize) -> usize {
     let llc = read_cache_size(3).unwrap_or(FALLBACK_L3);
     if table_bytes <= llc {

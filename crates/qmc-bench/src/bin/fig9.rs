@@ -61,10 +61,10 @@ fn main() {
     drop(engine);
 
     // ---- blocked vs monolithic (host) -------------------------------------
-    // The schema-v4 baseline rows at bench scale: the single
-    // multi-spline object (one tile — nothing for nested threads to
-    // split) against the orbital-block decomposition at the recorded
-    // default budget, both through the walker×block nested schedule.
+    // The single multi-spline object (one tile — nothing for nested
+    // threads to split) against the orbital-block decomposition at
+    // `default_block_budget`, both through the walker×block nested
+    // schedule: the reproduction that budget's docs point at.
     let table = coefficients(n, grid, 99);
     let budget = bspline::tuning::default_block_budget(table.bytes());
     let mono = BsplineAoSoA::from_multi(&table, n);

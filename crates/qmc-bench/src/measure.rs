@@ -1,17 +1,10 @@
 //! Host throughput measurement for the engines.
 
 use crate::workload::{batch_size, pos_block_in, positions_in};
-use bspline::blocked::BlockedEngine;
-use bspline::parallel::{run_nested, run_nested_blocked};
-use bspline::service::{
-    RoutingPolicy, ServiceConfig, ServiceFault, ServiceFaultPlan, SpoService,
-};
+use bspline::service::{RoutingPolicy, ServiceConfig, SpoService};
 use bspline::walker::walker_rng;
 use bspline::SpoEngine;
-use bspline::{
-    BatchOut, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock, Throughput,
-    WalkerSoA, WalkerTiled,
-};
+use bspline::{BsplineAoSoA, BsplineSoA, Kernel, PosBlock, Throughput};
 use einspline::{MultiCoefs, Real};
 use std::time::{Duration, Instant};
 
@@ -112,216 +105,6 @@ pub fn measure_tile_major<T: Real>(
     }
     Throughput {
         ops_per_sec: (engine.n_splines() * cfg.ns) as f64 / best,
-    }
-}
-
-/// Which evaluation protocol [`measure_onemove`] times per move.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OneMovePath {
-    /// `v_one` per move — the ratio-only latency of the fast path.
-    FastV,
-    /// The fast-path propose/accept pair, fused: one `vgl_one` per
-    /// move computes the ratio's V and the drift's G/L in a single
-    /// streaming pass (G/L cost ~15 % over V alone while the
-    /// coefficient lines move from DRAM), and the accept side reads
-    /// the `MoveContext`-cached streams with **zero** further kernel
-    /// calls — so the pair's cost is one cold pass regardless of the
-    /// acceptance rate, vs the comparator's two.
-    FastPair,
-    /// Scalar `v` per move — the pre-fast-path ratio comparator.
-    ScalarV,
-    /// Scalar `v` + `vgl` per move — the pre-fast-path propose/accept
-    /// pair (ratio pass, then a full derivative pass over the same
-    /// lines), the comparator of the fast-path speedup gate.
-    ScalarPair,
-}
-
-/// Shape of a per-move latency measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct OneMoveConfig {
-    /// Single-electron moves per repetition (each at a fresh position,
-    /// the propose-side cache-miss pattern of a real sweep).
-    pub moves: usize,
-    /// Timed repetitions (best is reported, Criterion-style).
-    pub reps: usize,
-    /// Position RNG seed.
-    pub seed: u64,
-}
-
-impl Default for OneMoveConfig {
-    fn default() -> Self {
-        Self {
-            moves: 256,
-            reps: 3,
-            seed: 0x10e5,
-        }
-    }
-}
-
-/// Result of one [`measure_onemove`] run: sweep throughput plus the
-/// per-move latency distribution.
-#[derive(Clone, Copy, Debug)]
-pub struct OneMoveStats {
-    /// Single-electron moves per second (a move = the full
-    /// propose/accept pair of its path).
-    pub moves_per_sec: f64,
-    /// Orbital evaluations per second (`N ×` engine calls / wall);
-    /// comparable with the [`Throughput`] rows.
-    pub evals_per_sec: f64,
-    /// Median per-move latency, nanoseconds.
-    pub p50_ns: f64,
-    /// 95th-percentile per-move latency, nanoseconds.
-    pub p95_ns: f64,
-    /// 99th-percentile per-move latency, nanoseconds.
-    pub p99_ns: f64,
-}
-
-/// Per-move latency and throughput of the single-electron protocol:
-/// `cfg.moves` propose steps, each at a fresh position (the
-/// propose-side cache-miss pattern of a real sweep). The fast paths
-/// thread one [`MoveContext`] through the whole run (the per-walker
-/// usage): the fused pair runs one `vgl_one` per move and the accept
-/// side reuses the context-cached streams without another kernel
-/// call, so its cost is acceptance-independent. The scalar paths are
-/// the pre-fast-path comparators on the same position stream.
-pub fn measure_onemove<T: Real, E: SpoEngine<T>>(
-    engine: &E,
-    path: OneMovePath,
-    cfg: &OneMoveConfig,
-) -> OneMoveStats {
-    assert!(cfg.moves > 0);
-    let pos = positions_in::<T>(cfg.moves, cfg.seed);
-    let mut out = engine.make_out();
-    let mut ctx = MoveContext::new();
-
-    let mut best_wall = f64::INFINITY;
-    let mut best_lat: Vec<f64> = Vec::new();
-    let mut calls = 0usize;
-    // First pass is the warm-up (rep < 0 semantics via reps+1 passes).
-    for rep in 0..cfg.reps.max(1) + 1 {
-        let mut lat = Vec::with_capacity(cfg.moves);
-        let mut pass_calls = 0usize;
-        let t0 = Instant::now();
-        for p in pos.iter() {
-            let m0 = Instant::now();
-            pass_calls += match path {
-                OneMovePath::FastV => {
-                    engine.v_one(&mut ctx, *p, &mut out);
-                    1
-                }
-                OneMovePath::FastPair => {
-                    engine.vgl_one(&mut ctx, *p, &mut out);
-                    1
-                }
-                OneMovePath::ScalarV => {
-                    engine.v(*p, &mut out);
-                    1
-                }
-                OneMovePath::ScalarPair => {
-                    engine.v(*p, &mut out);
-                    engine.vgl(*p, &mut out);
-                    2
-                }
-            };
-            lat.push(m0.elapsed().as_nanos() as f64);
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        if rep > 0 && wall < best_wall {
-            best_wall = wall;
-            best_lat = lat;
-            calls = pass_calls;
-        }
-    }
-    best_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    OneMoveStats {
-        moves_per_sec: cfg.moves as f64 / best_wall,
-        evals_per_sec: (engine.n_splines() * calls) as f64 / best_wall,
-        p50_ns: percentile(&best_lat, 50.0),
-        p95_ns: percentile(&best_lat, 95.0),
-        p99_ns: percentile(&best_lat, 99.0),
-    }
-}
-
-/// Shape of a nested-threading generation measurement (Fig. 9-style
-/// blocked-vs-monolithic rows).
-#[derive(Clone, Copy, Debug)]
-pub struct NestedConfig {
-    /// Concurrent walkers (each with its own position block).
-    pub walkers: usize,
-    /// Positions per walker per generation.
-    pub ns: usize,
-    /// Threads-per-walker handed to the nested scheduler (the worker
-    /// count itself comes from the rayon stub / `QMC_THREADS`).
-    pub nth: usize,
-    /// Timed generations (best-of; the same position set every time —
-    /// the miniQMC semantic, so slab residency across a generation is
-    /// what gets measured).
-    pub reps: usize,
-    /// Position RNG seed.
-    pub seed: u64,
-}
-
-fn nested_positions<T: Real, E: SpoEngine<T>>(
-    engine: &E,
-    cfg: &NestedConfig,
-) -> Vec<PosBlock<T>> {
-    let domain = engine.domain();
-    (0..cfg.walkers)
-        .map(|w| {
-            let mut rng = walker_rng(cfg.seed, w);
-            PosBlock::random(&mut rng, cfg.ns, domain)
-        })
-        .collect()
-}
-
-/// Nested-generation throughput (orbital evals/s across all walkers) of
-/// the **monolithic** engine: the single multi-spline object (a 1-tile
-/// AoSoA) driven by [`run_nested`] — with one tile there is nothing to
-/// split, so `nth` threads have one work item per walker. The
-/// comparison baseline for the blocked rows.
-pub fn measure_nested_monolithic<T: Real>(
-    coefs: &MultiCoefs<T>,
-    kernel: Kernel,
-    cfg: &NestedConfig,
-) -> Throughput {
-    let engine = BsplineAoSoA::from_multi(coefs, coefs.n_splines());
-    let positions = nested_positions(&engine, cfg);
-    let mut walkers: Vec<WalkerTiled<T>> =
-        (0..cfg.walkers).map(|_| engine.make_out()).collect();
-    run_nested(&engine, kernel, &mut walkers, &positions, cfg.nth); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps {
-        let d = run_nested(&engine, kernel, &mut walkers, &positions, cfg.nth);
-        best = best.min(d.as_secs_f64());
-    }
-    Throughput {
-        ops_per_sec: (coefs.n_splines() * cfg.walkers * cfg.ns) as f64 / best,
-    }
-}
-
-/// Nested-generation throughput of the **blocked** engine: the
-/// orbital-block decomposition at `budget_bytes` driven by the
-/// walker×block schedule ([`run_nested_blocked`]). Same workload shape
-/// as [`measure_nested_monolithic`]; the ratio of the two is the
-/// blocked-row gate in `BENCH_BASELINE.json`.
-pub fn measure_nested_blocked<T: Real>(
-    coefs: &MultiCoefs<T>,
-    kernel: Kernel,
-    budget_bytes: usize,
-    cfg: &NestedConfig,
-) -> Throughput {
-    let engine = BlockedEngine::from_multi(coefs, budget_bytes);
-    let positions = nested_positions(&engine, cfg);
-    let mut walkers: Vec<WalkerSoA<T>> =
-        (0..cfg.walkers).map(|_| engine.make_out()).collect();
-    run_nested_blocked(&engine, kernel, &mut walkers, &positions, cfg.nth); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps {
-        let d = run_nested_blocked(&engine, kernel, &mut walkers, &positions, cfg.nth);
-        best = best.min(d.as_secs_f64());
-    }
-    Throughput {
-        ops_per_sec: (coefs.n_splines() * cfg.walkers * cfg.ns) as f64 / best,
     }
 }
 
@@ -663,215 +446,6 @@ pub fn measure_routed_ablation<T: Real>(
     }
 }
 
-/// Result of [`measure_service_degraded`]: the open-loop load numbers
-/// with one replica permanently lost, plus the fault counters the run
-/// accumulated.
-#[derive(Clone, Copy, Debug)]
-pub struct DegradedLoad {
-    /// The load measurement over the degraded pool.
-    pub load: ServiceLoad,
-    /// Requests the *service* shed (deadline passed while queued) —
-    /// the stats-counter view, vs the per-submitter count in
-    /// [`ServiceLoad::shed`].
-    pub shed: usize,
-    /// Requests re-enqueued after the worker crash.
-    pub retried: usize,
-    /// Worker panics caught (≥ 1: the injected kill).
-    pub panics: usize,
-    /// Worker slots respawned (0 here: a kill is non-respawnable).
-    pub respawns: usize,
-}
-
-/// Degraded-mode service measurement: build a service over `base`
-/// (which must configure ≥ 2 replicas) with a scripted
-/// [`ServiceFault::Kill`] that permanently takes worker 0 down early in
-/// the run, then measure the same open-loop load as
-/// [`measure_service`]. The kill persists across reps — every rep after
-/// the fault fires runs on the surviving pool — so the reported
-/// latencies are the degraded-capacity tail the baseline's
-/// fault-tolerance row gates on. Requests in flight on the killed
-/// worker are re-enqueued (bounded by [`ServiceConfig::max_retries`])
-/// and complete bit-identically on a survivor.
-pub fn measure_service_degraded<T: Real>(
-    table: &MultiCoefs<T>,
-    kernel: Kernel,
-    base: ServiceConfig,
-    cfg: &ServiceLoadConfig,
-) -> DegradedLoad {
-    assert!(
-        base.replicas >= 2,
-        "degraded-mode measurement needs a survivor (replicas >= 2)"
-    );
-    let service = SpoService::with_fault_plan(
-        BsplineSoA::new(table.clone()),
-        base,
-        ServiceFaultPlan {
-            faults: vec![ServiceFault::Kill {
-                worker: 0,
-                at_request: 8,
-            }],
-        },
-    );
-    let load = measure_service(&service, kernel, cfg);
-    let stats = service.stats();
-    DegradedLoad {
-        load,
-        shed: stats.shed,
-        retried: stats.retried,
-        panics: stats.panics,
-        respawns: stats.respawns,
-    }
-}
-
-/// Shape of a mixed batched + one-move service measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct MixedOneMoveConfig {
-    /// Background batched submitter threads (saturating, pipelined).
-    pub submitters: usize,
-    /// Positions per background request.
-    pub positions_per_request: usize,
-    /// In-flight requests per background submitter.
-    pub pipeline: usize,
-    /// Distinct position blocks each background submitter cycles
-    /// (same semantics as [`ServiceLoadConfig::distinct_blocks`]).
-    pub distinct_blocks: usize,
-    /// Foreground single-position (one-move) submissions, each waited
-    /// on before the next is issued — the per-walker propose loop.
-    pub moves: usize,
-    /// Whole-run repetitions; the rep with the lowest one-move p99 is
-    /// reported (the SLO is a floor on tail latency, so best-of
-    /// matches the other rows' best-of statistic).
-    pub reps: usize,
-    /// Position RNG seed.
-    pub seed: u64,
-}
-
-impl Default for MixedOneMoveConfig {
-    fn default() -> Self {
-        Self {
-            submitters: 2,
-            positions_per_request: 8,
-            pipeline: 4,
-            distinct_blocks: 2,
-            moves: 256,
-            reps: 3,
-            seed: 0x10e5,
-        }
-    }
-}
-
-/// Result of [`measure_service_onemove_mixed`]: the foreground
-/// one-move latency distribution under background batched load.
-#[derive(Clone, Copy, Debug)]
-pub struct MixedOneMoveStats {
-    /// Foreground moves per second (each = submit + wait).
-    pub moves_per_sec: f64,
-    /// Median one-move latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile one-move latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile one-move latency, microseconds.
-    pub p99_us: f64,
-}
-
-/// Per-move service latency under mixed load: background submitters
-/// keep pipelined batched traffic in flight for the whole run while
-/// one foreground thread issues single-position submissions and waits
-/// for each — the per-move SLO measurement the ROADMAP's service row
-/// was missing. Latency runs from submit to the worker's completion
-/// stamp, so each sample includes queueing behind (and coalescing
-/// with) the background batches.
-pub fn measure_service_onemove_mixed<T: Real, E: SpoEngine<T> + 'static>(
-    service: &SpoService<T, E>,
-    kernel: Kernel,
-    cfg: &MixedOneMoveConfig,
-) -> MixedOneMoveStats {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    assert!(cfg.moves > 0 && cfg.submitters > 0 && cfg.pipeline > 0);
-    let domain = service.engine().domain();
-    let mut best: Option<MixedOneMoveStats> = None;
-    for _ in 0..cfg.reps.max(1) {
-        let stop = AtomicBool::new(false);
-        let run = std::thread::scope(|s| {
-            // Background: saturating pipelined batched load until the
-            // foreground finishes its moves.
-            for w in 0..cfg.submitters {
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut rng = walker_rng(cfg.seed, w);
-                    let fixed: Vec<PosBlock<T>> = (0..cfg.distinct_blocks.max(1))
-                        .map(|_| {
-                            PosBlock::random(&mut rng, cfg.positions_per_request, domain)
-                        })
-                        .collect();
-                    let mut pool: Vec<(PosBlock<T>, BatchOut<E::Out>)> = (0..cfg.pipeline)
-                        .map(|_| {
-                            (
-                                PosBlock::with_capacity(cfg.positions_per_request),
-                                service.engine().make_batch_out(cfg.positions_per_request),
-                            )
-                        })
-                        .collect();
-                    let mut outstanding: std::collections::VecDeque<
-                        bspline::service::Ticket<T, E::Out>,
-                    > = std::collections::VecDeque::new();
-                    let mut i = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        if pool.is_empty() {
-                            let (pos, out, _) = outstanding
-                                .pop_front()
-                                .expect("an in-flight request")
-                                .redeem()
-                                .expect("background request");
-                            pool.push((pos, out));
-                        }
-                        let (mut pos, out) = pool.pop().expect("refilled");
-                        pos.clear();
-                        pos.extend_from_block(&fixed[i % fixed.len()]);
-                        i += 1;
-                        outstanding.push_back(service.submit(kernel, pos, out));
-                    }
-                    while let Some(t) = outstanding.pop_front() {
-                        t.redeem().expect("background request");
-                    }
-                });
-            }
-            // Foreground: the one-move stream, one position per
-            // request, closed-loop (wait before next propose).
-            let mover = s.spawn(|| {
-                let mut rng = walker_rng(cfg.seed, cfg.submitters);
-                let mut lat = Vec::with_capacity(cfg.moves);
-                let t0 = Instant::now();
-                for _ in 0..cfg.moves {
-                    let pos = PosBlock::random(&mut rng, 1, domain);
-                    let out = service.engine().make_batch_out(1);
-                    let issued = Instant::now();
-                    let (_, _, done_at) = service
-                        .submit(kernel, pos, out)
-                        .redeem()
-                        .expect("one-move request");
-                    lat.push(done_at.duration_since(issued).as_secs_f64() * 1e6);
-                }
-                let wall = t0.elapsed().as_secs_f64();
-                stop.store(true, Ordering::Relaxed);
-                (lat, wall)
-            });
-            let (mut lat, wall) = mover.join().expect("mover thread");
-            lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            MixedOneMoveStats {
-                moves_per_sec: cfg.moves as f64 / wall,
-                p50_us: percentile(&lat, 50.0),
-                p95_us: percentile(&lat, 95.0),
-                p99_us: percentile(&lat, 99.0),
-            }
-        });
-        if best.as_ref().is_none_or(|b| run.p99_us < b.p99_us) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one rep")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,22 +490,6 @@ mod tests {
         assert!(
             measure_kernel_batched(&mixed, Kernel::Vgh, &cfg()).ops_per_sec > 0.0
         );
-    }
-
-    #[test]
-    fn nested_rows_measure_both_decompositions() {
-        let table = coefficients(48, (8, 8, 8), 6);
-        let cfg = NestedConfig {
-            walkers: 2,
-            ns: 4,
-            nth: 2,
-            reps: 1,
-            seed: 3,
-        };
-        let mono = measure_nested_monolithic(&table, Kernel::Vgh, &cfg);
-        let blocked = measure_nested_blocked(&table, Kernel::Vgh, 1, &cfg);
-        assert!(mono.ops_per_sec > 0.0);
-        assert!(blocked.ops_per_sec > 0.0);
     }
 
     #[test]
@@ -1010,75 +568,6 @@ mod tests {
         );
         assert_eq!(dl.requests, 8);
         assert_eq!(dl.shed, 0);
-    }
-
-    #[test]
-    fn degraded_measurement_survives_a_killed_replica() {
-        let table = coefficients(24, (8, 8, 8), 7);
-        let d = measure_service_degraded(
-            &table,
-            Kernel::Vgh,
-            ServiceConfig {
-                replicas: 2,
-                max_batch: 16,
-                max_wait: std::time::Duration::from_micros(100),
-                queue_positions: 256,
-                ..ServiceConfig::default()
-            },
-            &ServiceLoadConfig {
-                submitters: 2,
-                requests_per_submitter: 16,
-                positions_per_request: 4,
-                pipeline: 2,
-                reps: 2,
-                seed: 4,
-                ..ServiceLoadConfig::default()
-            },
-        );
-        // The kill fires once, panics the worker, and is never
-        // respawned; every request still resolves on the survivor.
-        assert_eq!(d.panics, 1);
-        assert_eq!(d.respawns, 0);
-        assert_eq!(d.load.requests + d.load.shed, 32);
-        assert!(d.load.evals_per_sec > 0.0);
-    }
-
-    #[test]
-    fn onemove_measures_every_path() {
-        let table = coefficients(32, (8, 8, 8), 5);
-        let soa = BsplineSoA::new(table.clone());
-        let aos = BsplineAoS::new(table);
-        let cfg = OneMoveConfig {
-            moves: 16,
-            reps: 2,
-            seed: 9,
-        };
-        for path in [
-            OneMovePath::FastV,
-            OneMovePath::FastPair,
-            OneMovePath::ScalarV,
-            OneMovePath::ScalarPair,
-        ] {
-            for stats in [
-                measure_onemove(&soa, path, &cfg),
-                measure_onemove(&aos, path, &cfg),
-            ] {
-                assert!(stats.moves_per_sec > 0.0, "{path:?}");
-                assert!(stats.evals_per_sec > 0.0, "{path:?}");
-                assert!(stats.p50_ns > 0.0 && stats.p50_ns <= stats.p95_ns);
-                assert!(stats.p95_ns <= stats.p99_ns);
-            }
-        }
-        // The fused pair runs one engine call per move; the scalar
-        // comparator runs two — evals/s accounting must reflect that.
-        let fused = measure_onemove(&soa, OneMovePath::FastPair, &cfg);
-        let only_v = measure_onemove(&soa, OneMovePath::FastV, &cfg);
-        let fused_calls = fused.evals_per_sec / fused.moves_per_sec;
-        let v_calls = only_v.evals_per_sec / only_v.moves_per_sec;
-        assert!(
-            (fused_calls - v_calls).abs() < 1e-6 * v_calls,
-            "fused pair charges exactly one call per move"
-        );
     }
 
     #[test]

@@ -15,12 +15,9 @@
 //! accessors (public-QMCPACK era, Table II); [`Suite::OptimizedSubstrate`]
 //! uses the SoA tables and row-sliced Jastrow loops (Table III), which
 //! shifts the profile towards the B-spline share the paper reports
-//! (>55 %). [`Suite::SingleElectronFastPath`] keeps the SoA substrate
-//! but replaces the per-move VGH with the one-move protocol (V-only
-//! ratio through a [`MoveContext`], cached-weights VGH only on accepted
-//! moves) — the profile after the single-electron fast path lands.
+//! (>55 %).
 
-use bspline::{BsplineAoS, MoveContext, SpoEngine, WalkerAoS};
+use bspline::{BsplineAoS, SpoEngine, WalkerAoS};
 use miniqmc::determinant::DiracDeterminant;
 use miniqmc::distance::aos::{DistanceTableAAAoS, DistanceTableABAoS};
 use miniqmc::distance::soa::{DistanceTableAA, DistanceTableAB};
@@ -38,10 +35,6 @@ pub enum Suite {
     Baseline,
     /// SoA distance tables + Jastrow, AoS B-splines (Table III).
     OptimizedSubstrate,
-    /// SoA substrate + the single-electron fast path: V-only B-spline
-    /// call per proposed move (locate/weights cached in a
-    /// [`MoveContext`]), cached-weights VGH only for accepted moves.
-    SingleElectronFastPath,
 }
 
 /// Profile run parameters.
@@ -79,80 +72,6 @@ impl ProfileConfig {
     }
 }
 
-/// The Table IV row categories in presentation order (the profile's
-/// `Other` bucket is driver bookkeeping, not a paper row).
-pub const STEP_CATEGORIES: [Category; 4] = [
-    Category::Bspline,
-    Category::Distance,
-    Category::Jastrow,
-    Category::Determinant,
-];
-
-/// Baseline-row name fragments for [`STEP_CATEGORIES`], same order.
-pub const STEP_CATEGORY_NAMES: [&str; 4] =
-    ["bspline", "distance", "jastrow", "determinant"];
-
-/// Best-of-reps per-category wall seconds of a pbyp sweep replay, plus
-/// the work counts that convert them into throughput rows (the
-/// Table IV per-step kernel profile).
-#[derive(Clone, Copy, Debug)]
-pub struct StepProfile {
-    /// Orbitals per spin (the paper's N).
-    pub n: usize,
-    /// Proposed moves replayed (sweeps × electrons).
-    pub moves: usize,
-    /// Wall seconds per category, [`STEP_CATEGORIES`] order, all from
-    /// the single fastest rep (shares stay self-consistent).
-    pub seconds: [f64; 4],
-    /// Total profile seconds of that rep (includes the `Other` bucket).
-    pub total: f64,
-}
-
-impl StepProfile {
-    /// Per-category throughput in move-orbital evaluations/s: each of
-    /// the `moves` proposals touches all `n` orbitals in every kernel
-    /// group, so `moves · n / seconds` is comparable across categories
-    /// and across N. Seconds are clamped away from zero so a category
-    /// too fast for the clock still serializes as a finite rate.
-    pub fn rate(&self, idx: usize) -> f64 {
-        (self.moves * self.n) as f64 / self.seconds[idx].max(1e-9)
-    }
-
-    /// [`StepProfile::rate`] for the whole step (total row).
-    pub fn total_rate(&self) -> f64 {
-        (self.moves * self.n) as f64 / self.total.max(1e-9)
-    }
-}
-
-/// Replay the profile `reps` times and keep the fastest rep whole
-/// (minimum total — noise only slows a pass down, and picking
-/// categories from different reps would break the share structure).
-pub fn measure_step_profile(suite: Suite, cfg: &ProfileConfig, reps: usize) -> StepProfile {
-    assert!(reps >= 1, "need at least one rep");
-    let sys = CoralSystem::new(cfg.tiling.0, cfg.tiling.1, cfg.tiling.2, cfg.grid);
-    let n = sys.n_per_spin;
-    let moves = cfg.sweeps * sys.n_electrons();
-    drop(sys);
-    let mut best: Option<Timers> = None;
-    for _ in 0..reps {
-        let t = run_profile(suite, cfg);
-        if best.as_ref().is_none_or(|b| t.total() < b.total()) {
-            best = Some(t);
-        }
-    }
-    let t = best.expect("reps >= 1");
-    let mut seconds = [0.0f64; 4];
-    for (s, cat) in seconds.iter_mut().zip(STEP_CATEGORIES) {
-        *s = t.get(cat).as_secs_f64();
-    }
-    StepProfile {
-        n,
-        moves,
-        seconds,
-        total: t.total().as_secs_f64(),
-    }
-}
-
 /// A well-conditioned random Slater matrix (profiling needs realistic
 /// O(N²) update cost, not physical values).
 fn random_slater(n: usize, rng: &mut StdRng) -> DiracDeterminant {
@@ -175,9 +94,6 @@ pub fn run_profile(suite: Suite, cfg: &ProfileConfig) -> Timers {
     let table = crate::workload::coefficients(n, cfg.grid, cfg.seed);
     let engine = BsplineAoS::new(table);
     let mut spo_out = WalkerAoS::<f32>::new(n);
-    // Per-walker move context for the fast-path suite (cached
-    // locate/weights + reusable VGL scratch).
-    let mut move_ctx = MoveContext::<f32>::new();
 
     let mut electrons = random_electrons(lat, n_el, &mut rng);
     let ions: &ParticleSet = &sys.ions;
@@ -206,16 +122,8 @@ pub fn run_profile(suite: Suite, cfg: &ProfileConfig) -> Timers {
             let u = lat.to_frac(rnew);
             let upos = [u[0] as f32, u[1] as f32, u[2] as f32];
 
-            // B-spline work for the proposed position: the legacy
-            // suites run the full VGH per proposal; the fast path runs
-            // V only (the ratio needs nothing else) and defers
-            // derivatives to the accept branch below.
-            match suite {
-                Suite::SingleElectronFastPath => timers.time(Category::Bspline, || {
-                    engine.v_one(&mut move_ctx, upos, &mut spo_out)
-                }),
-                _ => timers.time(Category::Bspline, || engine.vgh(upos, &mut spo_out)),
-            }
+            // B-spline work for the proposed position.
+            timers.time(Category::Bspline, || engine.vgh(upos, &mut spo_out));
 
             // Distance rows for the proposal.
             match suite {
@@ -223,39 +131,37 @@ pub fn run_profile(suite: Suite, cfg: &ProfileConfig) -> Timers {
                     ee_aos.propose(&electrons, iel, rnew);
                     ei_aos.propose(rnew);
                 }),
-                Suite::OptimizedSubstrate | Suite::SingleElectronFastPath => timers
-                    .time(Category::Distance, || {
-                        ee_soa.propose(&electrons, iel, rnew);
-                        ei_soa.propose(iel, rnew);
-                    }),
+                Suite::OptimizedSubstrate => timers.time(Category::Distance, || {
+                    ee_soa.propose(&electrons, iel, rnew);
+                    ei_soa.propose(iel, rnew);
+                }),
             }
 
             // Jastrow ratio + gradient over the proposal rows (QMC drift
             // moves use ratioGrad: value and first derivative per pair).
             let _log_ratio: f64 = match suite {
-                Suite::OptimizedSubstrate | Suite::SingleElectronFastPath => timers
-                    .time(Category::Jastrow, || {
-                        let mut du = 0.0;
-                        let mut g = [0.0f64; 3];
-                        let (dx, dy, dz) = ee_soa.temp_disp();
-                        for (j, &r) in ee_soa.temp_row().iter().enumerate() {
-                            if j != iel {
-                                let (u, d1, _) = u2.vgl(r);
-                                du += u;
-                                if r > 0.0 {
-                                    let s = d1 / r;
-                                    g[0] += s * dx[j];
-                                    g[1] += s * dy[j];
-                                    g[2] += s * dz[j];
-                                }
+                Suite::OptimizedSubstrate => timers.time(Category::Jastrow, || {
+                    let mut du = 0.0;
+                    let mut g = [0.0f64; 3];
+                    let (dx, dy, dz) = ee_soa.temp_disp();
+                    for (j, &r) in ee_soa.temp_row().iter().enumerate() {
+                        if j != iel {
+                            let (u, d1, _) = u2.vgl(r);
+                            du += u;
+                            if r > 0.0 {
+                                let s = d1 / r;
+                                g[0] += s * dx[j];
+                                g[1] += s * dy[j];
+                                g[2] += s * dz[j];
                             }
                         }
-                        for &r in ei_soa.temp_row() {
-                            let (u, _, _) = u1.vgl(r);
-                            du += u;
-                        }
-                        -du + 1e-300 * g[0]
-                    }),
+                    }
+                    for &r in ei_soa.temp_row() {
+                        let (u, _, _) = u1.vgl(r);
+                        du += u;
+                    }
+                    -du + 1e-300 * g[0]
+                }),
                 Suite::Baseline => timers.time(Category::Jastrow, || {
                     let mut du = 0.0;
                     let mut g = [0.0f64; 3];
@@ -300,19 +206,10 @@ pub fn run_profile(suite: Suite, cfg: &ProfileConfig) -> Timers {
                         ee_aos.accept(iel);
                         ei_aos.accept(iel);
                     }),
-                    Suite::OptimizedSubstrate | Suite::SingleElectronFastPath => {
-                        timers.time(Category::Distance, || {
-                            ee_soa.accept(iel);
-                            ei_soa.accept(iel);
-                        })
-                    }
-                }
-                if suite == Suite::SingleElectronFastPath {
-                    // Accept-side VGH for drift/Laplacian: a cache hit
-                    // on the locate/weights the propose-side V stored.
-                    timers.time(Category::Bspline, || {
-                        engine.vgh_one(&mut move_ctx, upos, &mut spo_out)
-                    });
+                    Suite::OptimizedSubstrate => timers.time(Category::Distance, || {
+                        ee_soa.accept(iel);
+                        ei_soa.accept(iel);
+                    }),
                 }
                 electrons.set(iel, rnew);
             }
@@ -336,65 +233,6 @@ mod tests {
         ] {
             assert!(t.get(cat) > std::time::Duration::ZERO, "{cat}");
         }
-    }
-
-    #[test]
-    fn fast_path_produces_all_categories_and_cuts_bspline_time() {
-        let small = ProfileConfig::small();
-        let t = run_profile(Suite::SingleElectronFastPath, &small);
-        for cat in [
-            Category::Bspline,
-            Category::Distance,
-            Category::Jastrow,
-            Category::Determinant,
-        ] {
-            assert!(t.get(cat) > std::time::Duration::ZERO, "{cat}");
-        }
-        // Per move the fast path runs V (1 output stream) plus VGH on
-        // the accepted half (10 streams) against the legacy suites'
-        // unconditional VGH — ~40 % less B-spline work. Timing-based,
-        // so retry a few times against background load.
-        let cfg = ProfileConfig {
-            tiling: (2, 2, 1),
-            grid: (14, 14, 16),
-            sweeps: 2,
-            seed: 0x0c0a1,
-        };
-        let mut last = (0.0, 0.0);
-        for _attempt in 0..3 {
-            let opt = run_profile(Suite::OptimizedSubstrate, &cfg);
-            let fast = run_profile(Suite::SingleElectronFastPath, &cfg);
-            last = (
-                fast.get(Category::Bspline).as_secs_f64(),
-                opt.get(Category::Bspline).as_secs_f64(),
-            );
-            if last.0 < last.1 {
-                return;
-            }
-        }
-        panic!(
-            "fast path must spend less B-spline time than unconditional VGH: {} vs {}",
-            last.0, last.1
-        );
-    }
-
-    #[test]
-    fn step_profile_reports_positive_consistent_rates() {
-        let cfg = ProfileConfig::small();
-        let p = measure_step_profile(Suite::SingleElectronFastPath, &cfg, 2);
-        // 1×1×1 tiling: 8 orbitals/spin, 16 electrons, 1 sweep.
-        assert_eq!(p.n, 8);
-        assert_eq!(p.moves, 16);
-        // Every category got nonzero time out of a single rep, the
-        // total covers the category sum, and rates are finite/positive.
-        let cat_sum: f64 = p.seconds.iter().sum();
-        assert!(p.seconds.iter().all(|&s| s > 0.0), "{:?}", p.seconds);
-        assert!(p.total >= cat_sum - 1e-9, "{} < {cat_sum}", p.total);
-        for i in 0..4 {
-            assert!(p.rate(i).is_finite() && p.rate(i) > 0.0);
-            assert!(p.rate(i) >= p.total_rate());
-        }
-        assert!(p.total_rate() > 0.0);
     }
 
     #[test]

@@ -15,9 +15,23 @@ pub const N_SWEEP: [usize; 6] = [128, 256, 512, 1024, 2048, 4096];
 pub const GRID: (usize, usize, usize) = (48, 48, 48);
 
 /// `QMC_BENCH_QUICK=1` shrinks every workload (used by CI/tests and the
-/// Criterion benches).
+/// Criterion benches). Unset or `0` is the full-size run; anything else
+/// panics naming the variable, like `QMC_THREADS` / `QMC_NUMA_DOMAINS`.
 pub fn is_quick() -> bool {
-    std::env::var("QMC_BENCH_QUICK").map(|v| v != "0").unwrap_or(false)
+    std::env::var("QMC_BENCH_QUICK").is_ok_and(|raw| parse_quick(&raw))
+}
+
+/// Strictly parse a `QMC_BENCH_QUICK` value: `0` or `1`, or panic
+/// naming the variable and the offending value.
+fn parse_quick(raw: &str) -> bool {
+    match raw.trim() {
+        "0" => false,
+        "1" => true,
+        _ => panic!(
+            "QMC_BENCH_QUICK must be 0 or 1, got {raw:?} \
+             (unset the variable for the full-size run)"
+        ),
+    }
 }
 
 /// Grid used by the current run (quick mode shrinks 48³ → 16³).
@@ -39,8 +53,8 @@ pub fn n_sweep() -> Vec<usize> {
 }
 
 /// Random-filled coefficient table in any storage precision (the
-/// miniQMC benchmark table; the per-precision baseline rows share one
-/// workload shape across `f64` / `f32` / mixed).
+/// miniQMC benchmark table; `f64` / `f32` / mixed measurements share
+/// one workload shape).
 pub fn coefficients_in<T: Real>(
     n: usize,
     grid: (usize, usize, usize),
@@ -127,6 +141,19 @@ mod tests {
         assert_eq!(samples_for(128), 512);
         assert!(samples_for(4096) >= 16);
         assert!(samples_for(4096) <= samples_for(128));
+    }
+
+    #[test]
+    fn quick_knob_is_parsed_strictly() {
+        for (raw, quick) in [("0", false), ("1", true), (" 1\n", true)] {
+            assert_eq!(parse_quick(raw), quick, "{raw:?}");
+        }
+        for raw in ["", "yes", "true", "2", "-1", "01"] {
+            let err = std::panic::catch_unwind(|| parse_quick(raw))
+                .expect_err("a garbage value must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("QMC_BENCH_QUICK") && msg.contains(raw), "{msg}");
+        }
     }
 
     #[test]
