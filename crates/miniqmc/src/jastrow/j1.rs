@@ -1,6 +1,9 @@
 //! One-body (electron–ion) Jastrow: `log J1 = −Σ_e Σ_I u(r_eI)`.
+//!
+//! The loops consume whole electron–ion rows through the functor's row
+//! evaluators ([`BsplineFunctor`]).
 
-use super::JastrowDerivs;
+use super::{sum_row, JastrowDerivs};
 use crate::distance::soa::DistanceTableAB;
 use crate::jastrow::BsplineFunctor;
 
@@ -13,6 +16,11 @@ pub struct OneBodyJastrow {
     uat: Vec<f64>,
     u_new: f64,
     iel: usize,
+    /// Scratch: the `u`, `u′`, `u″` rows of one electron, one entry per
+    /// ion (sized on first use: the ion count comes with the table).
+    vgl: [Vec<f64>; 3],
+    /// Scratch of the row evaluators.
+    idx: Vec<usize>,
 }
 
 impl OneBodyJastrow {
@@ -24,6 +32,8 @@ impl OneBodyJastrow {
             uat: vec![0.0; n_electrons],
             u_new: 0.0,
             iel: usize::MAX,
+            vgl: Default::default(),
+            idx: Vec::new(),
         }
     }
 
@@ -33,36 +43,33 @@ impl OneBodyJastrow {
         &self.u
     }
 
+    /// Size the row scratch for `n_ion` ions; allocates only when the
+    /// count changes.
+    fn fit_rows(&mut self, n_ion: usize) {
+        for row in &mut self.vgl {
+            row.resize(n_ion, 0.0);
+        }
+        self.idx.resize(n_ion, 0);
+    }
+
     /// Full evaluation: `log J1` plus per-electron derivative
     /// accumulation (added into `derivs`, so call after zeroing or after
     /// J2 to accumulate the total Jastrow derivatives).
     pub fn evaluate_log(&mut self, dist: &DistanceTableAB, derivs: &mut JastrowDerivs) -> f64 {
         assert_eq!(dist.n_targets(), self.n_el);
-        let n_ion = dist.n_sources();
+        self.fit_rows(dist.n_sources());
         let mut log_sum = 0.0;
         for e in 0..self.n_el {
             let row = dist.row(e);
-            let (dx, dy, dz) = dist.disp_rows(e);
-            let mut usum = 0.0;
-            let mut g = [0.0f64; 3];
-            let mut lap = 0.0;
-            for i in 0..n_ion {
-                let r = row[i];
-                let (u, du, d2u) = self.u.vgl(r);
-                usum += u;
-                if r > 0.0 {
-                    let du_r = du / r;
-                    // displacement = ion − electron; ∂r/∂r_e = −disp/r.
-                    g[0] += du_r * dx[i];
-                    g[1] += du_r * dy[i];
-                    g[2] += du_r * dz[i];
-                    lap -= d2u + 2.0 * du_r;
-                }
-            }
+            let out = self.vgl.each_mut().map(|x| &mut x[..]);
+            self.u.vgl_row(row, &mut self.idx, out);
+            // displacement = ion − electron; ∂r/∂r_e = −disp/r.
+            let vgl = self.vgl.each_ref().map(|x| &x[..]);
+            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(e));
             self.uat[e] = usum;
-            derivs.grad[e][0] += g[0];
-            derivs.grad[e][1] += g[1];
-            derivs.grad[e][2] += g[2];
+            for d in 0..3 {
+                derivs.grad[e][d] += g[d];
+            }
             derivs.lap[e] += lap;
             log_sum += usum;
         }
@@ -72,9 +79,13 @@ impl OneBodyJastrow {
     /// Move ratio for electron `iel` with proposed ion distances in the
     /// table's scratch row.
     pub fn ratio(&mut self, dist: &DistanceTableAB, iel: usize) -> f64 {
+        let temp = dist.temp_row();
+        self.fit_rows(temp.len());
+        let u = &mut self.vgl[0];
+        self.u.values_row(temp, &mut self.idx, u);
         let mut unew = 0.0;
-        for &r in dist.temp_row() {
-            unew += self.u.value(r);
+        for ui in u.iter() {
+            unew += ui;
         }
         self.u_new = unew;
         self.iel = iel;
@@ -203,8 +214,11 @@ mod tests {
             j1.accept(iel);
             els.set(iel, rnew);
         }
+        let tracked = j1.log_value();
         let expect = brute_force_log(&ions, &els, j1.functor());
-        assert!((j1.log_value() - expect).abs() < 1e-9);
+        assert!((tracked - expect).abs() < 1e-10, "{tracked} vs {expect}");
+        let fresh = j1.evaluate_log(&dist, &mut JastrowDerivs::zeros(6));
+        assert!((tracked - fresh).abs() < 1e-10, "{tracked} vs {fresh}");
     }
 
     #[test]

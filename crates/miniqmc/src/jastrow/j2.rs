@@ -3,78 +3,126 @@
 //! Keeps QMCPACK-style per-electron accumulators `Uat[i] = Σ_{j≠i}
 //! u(r_ij)` so a single-particle move ratio is O(N) and acceptance is
 //! O(N). The hot loops consume contiguous distance-table rows (the SoA
-//! layout payoff).
+//! layout payoff) through the functor's row evaluators
+//! ([`BsplineFunctor`]): electrons are ordered spin-up first, so a row
+//! is two contiguous segments split at `n_up`, each evaluated by the
+//! functor its pairs use.
 
-use super::JastrowDerivs;
+use super::{sum_row, JastrowDerivs};
 use crate::distance::soa::DistanceTableAA;
 use crate::jastrow::BsplineFunctor;
+use std::ops::Range;
 
-/// Two-body Jastrow term.
+/// The radial functions of same-spin and opposite-spin pairs, and the
+/// spin split that selects between them.
+#[derive(Clone, Debug)]
+struct PairFunctors {
+    same: BsplineFunctor,
+    opp: BsplineFunctor,
+    n: usize,
+    n_up: usize,
+}
+
+impl PairFunctors {
+    /// Electron `i`'s row as its two segments, each with the functor of
+    /// its pairs.
+    fn segments(&self, i: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
+        let (up, down) = if i < self.n_up {
+            (&self.same, &self.opp)
+        } else {
+            (&self.opp, &self.same)
+        };
+        [(0..self.n_up, up), (self.n_up..self.n, down)]
+    }
+}
+
+/// Two-body Jastrow term with distinct radial functions for same-spin
+/// and opposite-spin pairs (`u↑↑ = u↓↓`, `u↑↓`), the standard QMCPACK
+/// parameterization (same-spin correlation is weaker because exchange
+/// already keeps like-spin electrons apart).
+///
+/// Electrons `0..n_up` are spin-up, the rest spin-down.
 #[derive(Clone, Debug)]
 pub struct TwoBodyJastrow {
-    u: BsplineFunctor,
-    n: usize,
+    u: PairFunctors,
     /// Per-electron pair sums `Uat[i] = Σ_{j≠i} u(r_ij)`.
     uat: Vec<f64>,
     /// Scratch: `u(r)` of the proposed row.
     u_new: Vec<f64>,
     /// Scratch: `u(r)` of the current row of the moving electron.
     u_old: Vec<f64>,
+    /// Scratch of `evaluate_log`: the `u`, `u′`, `u″` rows of one
+    /// electron.
+    vgl: [Vec<f64>; 3],
+    /// Scratch of the row evaluators.
+    idx: Vec<usize>,
     iel: usize,
 }
 
 impl TwoBodyJastrow {
-    /// Create a new instance.
+    /// One radial function for every pair: the spin split is then
+    /// immaterial, and a row is one segment.
     pub fn new(u: BsplineFunctor, n_electrons: usize) -> Self {
+        Self::with_spin_functors(u.clone(), u, n_electrons, n_electrons)
+    }
+
+    /// Create with the same/opposite-spin functors and the spin split.
+    pub fn with_spin_functors(
+        u_same: BsplineFunctor,
+        u_opp: BsplineFunctor,
+        n_electrons: usize,
+        n_up: usize,
+    ) -> Self {
+        assert!(n_up <= n_electrons, "spin-up count exceeds electrons");
+        let row = vec![0.0; n_electrons];
         Self {
-            u,
-            n: n_electrons,
-            uat: vec![0.0; n_electrons],
-            u_new: vec![0.0; n_electrons],
-            u_old: vec![0.0; n_electrons],
+            u: PairFunctors {
+                same: u_same,
+                opp: u_opp,
+                n: n_electrons,
+                n_up,
+            },
+            uat: row.clone(),
+            u_new: row.clone(),
+            u_old: row.clone(),
+            vgl: [row.clone(), row.clone(), row],
+            idx: vec![0; n_electrons],
             iel: usize::MAX,
         }
     }
 
     #[inline]
-    /// Functor.
+    /// The same-spin functor (the only one after [`Self::new`]).
     pub fn functor(&self) -> &BsplineFunctor {
-        &self.u
+        &self.u.same
     }
 
-    /// Full evaluation: returns `log J2` and fills per-electron
-    /// gradients/Laplacians of `log J2`. Also (re)builds the `Uat`
-    /// accumulators.
+    /// Full evaluation: returns `log J2` and adds the per-electron
+    /// gradients/Laplacians of `log J2` into `derivs`. Also (re)builds
+    /// the `Uat` accumulators.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAA, derivs: &mut JastrowDerivs) -> f64 {
-        assert_eq!(dist.len(), self.n);
-        let n = self.n;
+        let n = self.u.n;
+        assert_eq!(dist.len(), n);
         let mut log_sum = 0.0;
         for i in 0..n {
             let row = dist.row(i);
-            let (dx, dy, dz) = dist.disp_rows(i);
-            let mut usum = 0.0;
-            let mut g = [0.0f64; 3];
-            let mut lap = 0.0;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let r = row[j];
-                let (u, du, d2u) = self.u.vgl(r);
-                usum += u;
-                if r > 0.0 {
-                    let du_r = du / r;
-                    // ∇ᵢ log J2 = +Σ u′(r)·(r_j − r_i)/r  (log J2 = −Σu,
-                    // ∂r/∂rᵢ = −disp/r).
-                    g[0] += du_r * dx[j];
-                    g[1] += du_r * dy[j];
-                    g[2] += du_r * dz[j];
-                    lap -= d2u + 2.0 * du_r;
-                }
+            for (seg, f) in self.u.segments(i) {
+                let out = self.vgl.each_mut().map(|x| &mut x[seg.clone()]);
+                f.vgl_row(&row[seg.clone()], &mut self.idx[seg], out);
             }
+            // The self-pair is no pair.
+            for x in &mut self.vgl {
+                x[i] = 0.0;
+            }
+            // ∇ᵢ log J2 = +Σ u′(r)·(r_j − r_i)/r  (log J2 = −Σu,
+            // ∂r/∂rᵢ = −disp/r).
+            let vgl = self.vgl.each_ref().map(|x| &x[..]);
+            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(i));
             self.uat[i] = usum;
-            derivs.grad[i] = g;
-            derivs.lap[i] = lap;
+            for d in 0..3 {
+                derivs.grad[i][d] += g[d];
+            }
+            derivs.lap[i] += lap;
             log_sum += usum;
         }
         // Each pair counted twice in Σᵢ Uat[i].
@@ -85,17 +133,16 @@ impl TwoBodyJastrow {
     /// distances are in the table's scratch row (after
     /// `DistanceTableAA::propose`).
     pub fn ratio(&mut self, dist: &DistanceTableAA, iel: usize) -> f64 {
-        let temp = dist.temp_row();
-        let old = dist.row(iel);
+        let (temp, old) = (dist.temp_row(), dist.row(iel));
+        for (seg, f) in self.u.segments(iel) {
+            let idx = &mut self.idx[seg.clone()];
+            f.values_row(&temp[seg.clone()], idx, &mut self.u_new[seg.clone()]);
+            f.values_row(&old[seg.clone()], idx, &mut self.u_old[seg]);
+        }
+        // The self-pair is no pair.
+        (self.u_new[iel], self.u_old[iel]) = (0.0, 0.0);
         let mut du_sum = 0.0;
-        for j in 0..self.n {
-            if j == iel {
-                continue;
-            }
-            let un = self.u.value(temp[j]);
-            let uo = self.u.value(old[j]);
-            self.u_new[j] = un;
-            self.u_old[j] = uo;
+        for (un, uo) in self.u_new.iter().zip(&self.u_old) {
             du_sum += un - uo;
         }
         self.iel = iel;
@@ -107,155 +154,15 @@ impl TwoBodyJastrow {
     pub fn accept(&mut self, iel: usize) {
         assert_eq!(iel, self.iel, "accept must follow ratio for the same electron");
         let mut unew_sum = 0.0;
-        for j in 0..self.n {
-            if j == iel {
-                continue;
-            }
-            self.uat[j] += self.u_new[j] - self.u_old[j];
-            unew_sum += self.u_new[j];
+        for ((uat, un), uo) in self.uat.iter_mut().zip(&self.u_new).zip(&self.u_old) {
+            *uat += un - uo;
+            unew_sum += un;
         }
         self.uat[iel] = unew_sum;
         self.iel = usize::MAX;
     }
 
     /// `log J2` recovered from the accumulators.
-    pub fn log_value(&self) -> f64 {
-        -0.5 * self.uat.iter().sum::<f64>()
-    }
-}
-
-
-/// Spin-dependent two-body Jastrow: distinct radial functions for
-/// same-spin and opposite-spin pairs (`u↑↑ = u↓↓`, `u↑↓`), the standard
-/// QMCPACK parameterization (same-spin correlation is weaker because
-/// exchange already keeps like-spin electrons apart).
-///
-/// Electrons `0..n_up` are spin-up, the rest spin-down.
-#[derive(Clone, Debug)]
-pub struct SpinTwoBodyJastrow {
-    u_same: BsplineFunctor,
-    u_opp: BsplineFunctor,
-    n: usize,
-    n_up: usize,
-    uat: Vec<f64>,
-    u_new: Vec<f64>,
-    u_old: Vec<f64>,
-    iel: usize,
-}
-
-impl SpinTwoBodyJastrow {
-    /// Create with the same/opposite-spin functors and the spin split.
-    pub fn new(
-        u_same: BsplineFunctor,
-        u_opp: BsplineFunctor,
-        n_electrons: usize,
-        n_up: usize,
-    ) -> Self {
-        assert!(n_up <= n_electrons, "spin-up count exceeds electrons");
-        Self {
-            u_same,
-            u_opp,
-            n: n_electrons,
-            n_up,
-            uat: vec![0.0; n_electrons],
-            u_new: vec![0.0; n_electrons],
-            u_old: vec![0.0; n_electrons],
-            iel: usize::MAX,
-        }
-    }
-
-    #[inline]
-    fn same_spin(&self, i: usize, j: usize) -> bool {
-        (i < self.n_up) == (j < self.n_up)
-    }
-
-    #[inline]
-    fn functor(&self, i: usize, j: usize) -> &BsplineFunctor {
-        if self.same_spin(i, j) {
-            &self.u_same
-        } else {
-            &self.u_opp
-        }
-    }
-
-    /// Full evaluation: `log J2` with per-electron derivative
-    /// accumulation (added into `derivs`).
-    pub fn evaluate_log(
-        &mut self,
-        dist: &DistanceTableAA,
-        derivs: &mut JastrowDerivs,
-    ) -> f64 {
-        assert_eq!(dist.len(), self.n);
-        let n = self.n;
-        let mut log_sum = 0.0;
-        for i in 0..n {
-            let row = dist.row(i);
-            let (dx, dy, dz) = dist.disp_rows(i);
-            let mut usum = 0.0;
-            let mut g = [0.0f64; 3];
-            let mut lap = 0.0;
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let r = row[j];
-                let (u, du, d2u) = self.functor(i, j).vgl(r);
-                usum += u;
-                if r > 0.0 {
-                    let du_r = du / r;
-                    g[0] += du_r * dx[j];
-                    g[1] += du_r * dy[j];
-                    g[2] += du_r * dz[j];
-                    lap -= d2u + 2.0 * du_r;
-                }
-            }
-            self.uat[i] = usum;
-            derivs.grad[i][0] += g[0];
-            derivs.grad[i][1] += g[1];
-            derivs.grad[i][2] += g[2];
-            derivs.lap[i] += lap;
-            log_sum += usum;
-        }
-        -0.5 * log_sum
-    }
-
-    /// Move ratio for electron `iel` (proposal rows in the distance
-    /// table scratch).
-    pub fn ratio(&mut self, dist: &DistanceTableAA, iel: usize) -> f64 {
-        let temp = dist.temp_row();
-        let old = dist.row(iel);
-        let mut du_sum = 0.0;
-        for j in 0..self.n {
-            if j == iel {
-                continue;
-            }
-            let f = self.functor(iel, j);
-            let un = f.value(temp[j]);
-            let uo = f.value(old[j]);
-            self.u_new[j] = un;
-            self.u_old[j] = uo;
-            du_sum += un - uo;
-        }
-        self.iel = iel;
-        (-du_sum).exp()
-    }
-
-    /// Commit the proposed move (O(N) accumulator repair).
-    pub fn accept(&mut self, iel: usize) {
-        assert_eq!(iel, self.iel, "accept must follow ratio for the same electron");
-        let mut unew_sum = 0.0;
-        for j in 0..self.n {
-            if j == iel {
-                continue;
-            }
-            self.uat[j] += self.u_new[j] - self.u_old[j];
-            unew_sum += self.u_new[j];
-        }
-        self.uat[iel] = unew_sum;
-        self.iel = usize::MAX;
-    }
-
-    /// `log J2` from the accumulators.
     pub fn log_value(&self) -> f64 {
         -0.5 * self.uat.iter().sum::<f64>()
     }
@@ -378,21 +285,20 @@ mod tests {
         );
     }
 
-
+    /// With equal functors the spin split is immaterial: one segment
+    /// or two, every bit is the same.
     #[test]
     fn spin_j2_with_equal_functors_matches_spinless() {
-        let (ps, dist, mut j2) = setup(8, 41);
+        let (_, dist, mut j2) = setup(8, 41);
         let u = j2.functor().clone();
-        let mut spin = SpinTwoBodyJastrow::new(u.clone(), u, 8, 4);
+        let mut spin = TwoBodyJastrow::with_spin_functors(u.clone(), u, 8, 4);
         let mut d1 = JastrowDerivs::zeros(8);
         let mut d2 = JastrowDerivs::zeros(8);
         let a = j2.evaluate_log(&dist, &mut d1);
         let b = spin.evaluate_log(&dist, &mut d2);
-        assert!((a - b).abs() < 1e-12);
-        for i in 0..8 {
-            assert!((d1.lap[i] - d2.lap[i]).abs() < 1e-12);
-        }
-        let _ = ps;
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(d1.grad, d2.grad);
+        assert_eq!(d1.lap, d2.lap);
     }
 
     #[test]
@@ -402,7 +308,7 @@ mod tests {
         let mut dist = DistanceTableAA::new(&ps);
         let u_same = BsplineFunctor::rpa_like(0.25, 1.4, 2.5, 32);
         let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
-        let mut spin = SpinTwoBodyJastrow::new(u_same, u_opp, 8, 4);
+        let mut spin = TwoBodyJastrow::with_spin_functors(u_same, u_opp, 8, 4);
         let mut derivs = JastrowDerivs::zeros(8);
         spin.evaluate_log(&dist, &mut derivs);
         let mut rng = StdRng::seed_from_u64(44);
@@ -424,7 +330,7 @@ mod tests {
         let tracked = spin.log_value();
         let mut fresh_derivs = JastrowDerivs::zeros(8);
         let fresh = spin.evaluate_log(&dist, &mut fresh_derivs);
-        assert!((tracked - fresh).abs() < 1e-9, "{tracked} vs {fresh}");
+        assert!((tracked - fresh).abs() < 1e-10, "{tracked} vs {fresh}");
     }
 
     #[test]
@@ -435,7 +341,7 @@ mod tests {
         let dist = DistanceTableAA::new(&ps);
         let zero = BsplineFunctor::fit(|_| 0.0, 2.5, 8);
         let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
-        let mut spin = SpinTwoBodyJastrow::new(zero, u_opp.clone(), 4, 2);
+        let mut spin = TwoBodyJastrow::with_spin_functors(zero, u_opp.clone(), 4, 2);
         let mut d = JastrowDerivs::zeros(4);
         let log = spin.evaluate_log(&dist, &mut d);
         let mut expect = 0.0;
@@ -467,11 +373,10 @@ mod tests {
             j2.accept(iel);
             ps.set(iel, rnew);
         }
+        let tracked = j2.log_value();
         let expect = brute_force_log(&ps, j2.functor());
-        assert!(
-            (j2.log_value() - expect).abs() < 1e-9,
-            "{} vs {expect}",
-            j2.log_value()
-        );
+        assert!((tracked - expect).abs() < 1e-10, "{tracked} vs {expect}");
+        let fresh = j2.evaluate_log(&dist, &mut JastrowDerivs::zeros(7));
+        assert!((tracked - fresh).abs() < 1e-10, "{tracked} vs {fresh}");
     }
 }

@@ -19,7 +19,7 @@ pub mod j2;
 
 pub use functor::BsplineFunctor;
 pub use j1::OneBodyJastrow;
-pub use j2::{SpinTwoBodyJastrow, TwoBodyJastrow};
+pub use j2::TwoBodyJastrow;
 
 /// Per-electron derivative accumulators of a Jastrow term.
 #[derive(Clone, Debug, Default)]
@@ -38,4 +38,32 @@ impl JastrowDerivs {
             lap: vec![0.0; n],
         }
     }
+}
+
+/// One particle's sums over a row that [`BsplineFunctor::vgl_row`]
+/// filled: `Σ u`, the gradient `Σ (u′/r)·disp` and the Laplacian
+/// `−Σ (u″ + 2u′/r)` of `log J`, in index order. An entry at `r = 0`
+/// (coincident particles have no direction) counts towards `Σ u` only;
+/// that guard is a select, so the loop has no branch.
+pub(crate) fn sum_row(
+    r: &[f64],
+    [u, du, d2u]: [&[f64]; 3],
+    (dx, dy, dz): (&[f64], &[f64], &[f64]),
+) -> (f64, [f64; 3], f64) {
+    let n = r.len();
+    let (u, du, d2u) = (&u[..n], &du[..n], &d2u[..n]);
+    let (dx, dy, dz) = (&dx[..n], &dy[..n], &dz[..n]);
+    let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
+    for j in 0..n {
+        usum += u[j];
+        let apart = r[j] > 0.0;
+        let du_r = du[j] / r[j];
+        let du_r = if apart { du_r } else { 0.0 };
+        g[0] += du_r * dx[j];
+        g[1] += du_r * dy[j];
+        g[2] += du_r * dz[j];
+        let l = d2u[j] + 2.0 * du_r;
+        lap -= if apart { l } else { 0.0 };
+    }
+    (usum, g, lap)
 }
