@@ -46,7 +46,7 @@
 //!   `simd` feature; a no-op elsewhere).
 //!
 //! Results are **bit-identical** to the monolithic SoA engine on the
-//! *fused* backends (the scalar pack and AVX2+FMA) for every kernel
+//! *fused* backends (the scalar pack, AVX2+FMA and AVX-512F) for every kernel
 //! and block width: the per-orbital operation chain only reads that
 //! orbital's own coefficient line elements and the shared weights, so
 //! splitting the spline dimension reorders nothing. The non-FMA SSE2
@@ -420,29 +420,39 @@ mod tests {
         m
     }
 
+    /// Under every fused backend, whatever `QMC_SIMD` says: a block of
+    /// one orbital runs the kernels' one-lane tail, which is fused also
+    /// behind the unfused SSE2 pack (the integration suite bounds that
+    /// pairing by tolerance).
     #[test]
     fn blocked_bit_matches_monolithic_soa() {
+        use crate::simd::{with_backend, Backend};
         let t = table(40, 5);
         let mono = BsplineSoA::new(t.clone());
         let pos = [0.31f32, 0.72, 0.18];
         let mut want = WalkerSoA::new(40);
-        for nb in [1usize, 3, 16, 17, 40] {
+        let fused = Backend::available().into_iter().filter(|b| b.is_fused());
+        for (backend, nb) in fused.flat_map(|b| [1usize, 3, 16, 17, 40].map(|nb| (b, nb))) {
             let blocked = BlockedEngine::with_block_size(&t, nb);
             let mut got = blocked.make_out();
             for k in Kernel::ALL {
-                mono.eval_streams(k, &Located::new(&t, pos), want.streams_range_mut(0, want.stride()));
-                blocked.eval(k, pos, &mut got);
+                with_backend(backend, || {
+                    let all = want.streams_range_mut(0, want.stride());
+                    mono.eval_streams(k, &Located::new(&t, pos), all);
+                    blocked.eval(k, pos, &mut got);
+                });
                 for n in 0..40 {
-                    assert_eq!(want.value(n), got.value(n), "{k} nb={nb} n={n}");
+                    let at = format!("{backend} {k} nb={nb} n={n}");
+                    assert_eq!(want.value(n), got.value(n), "{at}");
                     match k {
                         Kernel::V => {}
                         Kernel::Vgl => {
-                            assert_eq!(want.gradient(n), got.gradient(n), "nb={nb} n={n}");
-                            assert_eq!(want.laplacian(n), got.laplacian(n), "nb={nb} n={n}");
+                            assert_eq!(want.gradient(n), got.gradient(n), "{at}");
+                            assert_eq!(want.laplacian(n), got.laplacian(n), "{at}");
                         }
                         Kernel::Vgh => {
-                            assert_eq!(want.gradient(n), got.gradient(n), "nb={nb} n={n}");
-                            assert_eq!(want.hessian(n), got.hessian(n), "nb={nb} n={n}");
+                            assert_eq!(want.gradient(n), got.gradient(n), "{at}");
+                            assert_eq!(want.hessian(n), got.hessian(n), "{at}");
                         }
                     }
                 }

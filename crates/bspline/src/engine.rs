@@ -34,9 +34,10 @@
 //! `SpoEngine` and implement the three views directly.
 //!
 //! Every body funnels into the [`crate::simd`] micro-kernels, so the
-//! runtime backend selection (`QMC_SIMD`, [`crate::simd::with_backend`])
-//! applies uniformly behind this trait — callers never dispatch on the
-//! instruction set themselves.
+//! runtime backend selection (`QMC_SIMD=avx512|avx2|sse2|scalar`,
+//! [`crate::simd::with_backend`]) applies uniformly behind this trait —
+//! callers never dispatch on the instruction set themselves, and the
+//! fused backends (all but `sse2`) return the same bits.
 
 use crate::batch::{check_batch, BatchOut, Located, PosBlock};
 use crate::layout::{Kernel, Layout};

@@ -8,8 +8,8 @@ use std::fmt;
 /// Widest lane count any [`crate::simd`] backend may ever use for
 /// element type `T`: one 64-byte cache line (= one AVX-512 register),
 /// i.e. 16 `f32` or 8 `f64` lanes. Coefficient rows and SoA output
-/// streams are padded to a multiple of this, so every present and
-/// future backend (AVX2: 8/4 lanes, SSE2: 4/2) divides the padded
+/// streams are padded to a multiple of this, so every backend
+/// (AVX-512: 16/8 lanes, AVX2: 8/4, SSE2: 4/2) divides the padded
 /// length evenly and the hot path never executes a ragged tail.
 pub const fn max_lanes<T>() -> usize {
     64 / std::mem::size_of::<T>()

@@ -18,13 +18,14 @@
 //! | throughput metric `T = Nw·N/t` | [`throughput::Throughput`] |
 //!
 //! The hot inner loops are explicit SIMD micro-kernels ([`simd`]):
-//! a lane abstraction ([`simd::SimdReal`]) with AVX2+FMA and SSE2
-//! `std::arch` backends plus a portable scalar-array fallback, selected
-//! once at runtime by CPU detection (override with
-//! `QMC_SIMD=avx2|sse2|scalar` for A/B testing, or disable the whole
-//! layer with `--no-default-features`). All backends perform the same
-//! elementwise operation chain, so fused backends are bit-identical to
-//! the portable reference — the paper's "high SIMD efficiency on
+//! a lane abstraction ([`simd::SimdReal`]) with AVX-512F, AVX2+FMA and
+//! SSE2 `std::arch` backends plus a portable scalar-array fallback,
+//! selected once at runtime by CPU detection (override with
+//! `QMC_SIMD=avx512|avx2|sse2|scalar` for A/B testing, or disable the
+//! whole layer with `--no-default-features`). All backends perform the
+//! same elementwise operation chain, so the fused ones (AVX-512, AVX2,
+//! scalar) are bit-identical to the portable reference and to each
+//! other — the paper's "high SIMD efficiency on
 //! aligned, padded streams" realized with hand-written kernels where
 //! auto-vectorization falls short (`mul_add` on a baseline x86-64
 //! target lowers to a libm call that blocks vectorization).

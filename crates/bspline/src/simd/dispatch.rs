@@ -1,7 +1,8 @@
-//! Runtime backend selection: one-time CPU detection + `QMC_SIMD`
-//! override, cached per-process, with a thread-local force for A/B
-//! measurements, and the per-type `&'static` function-pointer tables
-//! the kernel entry points call through.
+//! Runtime backend selection: one-time CPU detection +
+//! `QMC_SIMD=avx512|avx2|sse2|scalar` override, cached per-process, with
+//! a thread-local force for A/B measurements, and the per-type
+//! `&'static` function-pointer tables the kernel entry points call
+//! through.
 
 use super::kernels;
 use super::lanes::{ScalarLanes, SimdReal};
@@ -28,11 +29,20 @@ pub enum Backend {
     /// 256-bit `std::arch` AVX2 pack with FMA3 — bit-identical to the
     /// scalar reference (same fused elementwise chain).
     Avx2,
+    /// 512-bit `std::arch` AVX-512F pack (`f32x16`/`f64x8`), fused like
+    /// AVX2 and therefore also bit-identical to the scalar reference.
+    Avx512,
 }
 
 impl Backend {
-    /// Every backend, worst to best.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
+    /// Every backend, worst to best — the derived `Ord` follows this
+    /// order, so `b >= Backend::Avx2` reads "AVX2 and FMA are present".
+    pub const ALL: [Backend; 4] = [
+        Backend::Scalar,
+        Backend::Sse2,
+        Backend::Avx2,
+        Backend::Avx512,
+    ];
 
     /// Backends usable on this host with the current build (ordered
     /// worst to best; always contains [`Backend::Scalar`]).
@@ -46,13 +56,18 @@ impl Backend {
                 && std::arch::is_x86_feature_detected!("fma")
             {
                 v.push(Backend::Avx2);
+                // On top of AVX2+FMA only, so that `>= Backend::Avx2`
+                // implies both features for every listed backend.
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    v.push(Backend::Avx512);
+                }
             }
         }
         v
     }
 
     /// Whether this backend's `mul_add` is fused (and therefore
-    /// bit-identical to the scalar reference).
+    /// bit-identical to the scalar reference): all but [`Backend::Sse2`].
     pub fn is_fused(self) -> bool {
         !matches!(self, Backend::Sse2)
     }
@@ -73,6 +88,7 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 }
@@ -91,8 +107,9 @@ impl FromStr for Backend {
             "scalar" => Ok(Backend::Scalar),
             "sse2" => Ok(Backend::Sse2),
             "avx2" => Ok(Backend::Avx2),
+            "avx512" => Ok(Backend::Avx512),
             other => Err(format!(
-                "unknown QMC_SIMD backend {other:?} (expected avx2|sse2|scalar)"
+                "unknown QMC_SIMD backend {other:?} (expected avx512|avx2|sse2|scalar)"
             )),
         }
     }
@@ -105,35 +122,61 @@ pub fn lanes_for<T: Real>(backend: Backend) -> usize {
         Backend::Scalar => ScalarLanes::<T>::LANES,
         Backend::Sse2 => 16 / std::mem::size_of::<T>(),
         Backend::Avx2 => 32 / std::mem::size_of::<T>(),
+        Backend::Avx512 => 64 / std::mem::size_of::<T>(),
     }
 }
 
 static DEFAULT: OnceLock<Backend> = OnceLock::new();
 
+/// `Ok` when `backend` is one of `available`, else the one-line reason
+/// — the single availability check behind [`with_backend`] (which
+/// panics with it) and the `QMC_SIMD` override (which warns and falls
+/// back). Pure, so both outcomes are testable on any host.
+fn ensure_available(backend: Backend, available: &[Backend]) -> Result<(), String> {
+    if available.contains(&backend) {
+        Ok(())
+    } else {
+        Err(format!("backend {backend} not available on this host/build"))
+    }
+}
+
+/// [`with_backend`]'s precondition: panics with [`ensure_available`]'s
+/// reason.
+fn require_available(backend: Backend, available: &[Backend]) {
+    if let Err(why) = ensure_available(backend, available) {
+        panic!("{why}");
+    }
+}
+
+/// The default backend for a `QMC_SIMD` value of `raw` on a host whose
+/// usable backends are `available` (worst to best), and the warning to
+/// print when `raw` named something else than what is returned.
+fn resolve_default(raw: Option<&str>, available: &[Backend]) -> (Backend, Option<String>) {
+    let best = *available.last().expect("scalar always available");
+    let Some(raw) = raw else {
+        return (best, None);
+    };
+    let asked = raw
+        .parse::<Backend>()
+        .and_then(|b| ensure_available(b, available).map(|()| b));
+    match asked {
+        Ok(b) => (b, None),
+        Err(why) => (best, Some(format!("QMC_SIMD={raw}: {why}; using {best}"))),
+    }
+}
+
 /// The process-wide default backend: best available, overridden by
-/// `QMC_SIMD=avx2|sse2|scalar`. Detected once and cached; an override
-/// naming an unavailable or unknown backend falls back to the best
-/// available with a one-time warning on stderr.
+/// `QMC_SIMD=avx512|avx2|sse2|scalar`. Detected once and cached; an
+/// override naming an unavailable or unknown backend falls back to the
+/// best available with a one-time warning on stderr.
 pub fn default_backend() -> Backend {
     *DEFAULT.get_or_init(|| {
-        let available = Backend::available();
-        let best = *available.last().expect("scalar always available");
-        match std::env::var("QMC_SIMD") {
-            Err(_) => best,
-            Ok(raw) => match raw.parse::<Backend>() {
-                Ok(b) if available.contains(&b) => b,
-                Ok(b) => {
-                    eprintln!(
-                        "QMC_SIMD={b} unavailable on this host/build; using {best}"
-                    );
-                    best
-                }
-                Err(e) => {
-                    eprintln!("{e}; using {best}");
-                    best
-                }
-            },
+        let raw = std::env::var("QMC_SIMD").ok();
+        let (backend, warning) = resolve_default(raw.as_deref(), &Backend::available());
+        if let Some(w) = warning {
+            eprintln!("{w}");
         }
+        backend
     })
 }
 
@@ -155,10 +198,7 @@ pub fn active_backend() -> Backend {
 /// handed to other threads (e.g. [`crate::parallel::run_nested`])
 /// keeps the process default.
 pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
-    assert!(
-        Backend::available().contains(&backend),
-        "backend {backend} not available on this host/build"
-    );
+    require_available(backend, &Backend::available());
     struct Restore(Option<Backend>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -206,6 +246,8 @@ static SCALAR_F64: Fns<f64> = scalar_fns!(f64);
 fn table_f32(b: Backend) -> &'static Fns<f32> {
     match b {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Backend::Avx512 => &super::x86::avx512_f32::FNS,
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Backend::Avx2 => &super::x86::avx2_f32::FNS,
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Backend::Sse2 => &super::x86::sse2_f32::FNS,
@@ -215,6 +257,8 @@ fn table_f32(b: Backend) -> &'static Fns<f32> {
 
 fn table_f64(b: Backend) -> &'static Fns<f64> {
     match b {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Backend::Avx512 => &super::x86::avx512_f64::FNS,
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Backend::Avx2 => &super::x86::avx2_f64::FNS,
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -253,13 +297,27 @@ mod tests {
         assert!(avail.windows(2).all(|w| w[0] < w[1]), "ordered worst→best");
     }
 
+    /// `>= Backend::Avx2` (the miniqmc kernels' gate) means something
+    /// only while the declaration order is the capability order.
+    #[test]
+    fn all_is_strictly_ordered() {
+        assert!(Backend::ALL.windows(2).all(|w| w[0] < w[1]));
+        for b in Backend::ALL {
+            assert_eq!(b.name().parse::<Backend>(), Ok(b));
+        }
+    }
+
     #[test]
     fn env_values_parse() {
+        assert_eq!("avx512".parse::<Backend>(), Ok(Backend::Avx512));
+        assert_eq!("AVX512".parse::<Backend>(), Ok(Backend::Avx512));
         assert_eq!("avx2".parse::<Backend>(), Ok(Backend::Avx2));
         assert_eq!(" SSE2 ".parse::<Backend>(), Ok(Backend::Sse2));
         assert_eq!("scalar".parse::<Backend>(), Ok(Backend::Scalar));
         assert!("neon".parse::<Backend>().is_err());
+        assert!("avx512f".parse::<Backend>().is_err());
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
     }
 
     #[test]
@@ -269,6 +327,8 @@ mod tests {
         assert_eq!(Backend::Sse2.lanes_f64(), 2);
         assert_eq!(Backend::Avx2.lanes_f32(), 8);
         assert_eq!(Backend::Avx2.lanes_f64(), 4);
+        assert_eq!(Backend::Avx512.lanes_f32(), 16);
+        assert_eq!(Backend::Avx512.lanes_f64(), 8);
     }
 
     #[test]
@@ -289,19 +349,36 @@ mod tests {
         }
     }
 
+    /// The panic `with_backend` raises, on a fabricated host without
+    /// AVX-512: where every backend is present (this host, the CI
+    /// runners) the real call cannot be made to fail.
     #[test]
-    #[should_panic(expected = "not available")]
+    #[should_panic(expected = "backend avx512 not available on this host/build")]
     fn with_backend_rejects_unavailable() {
-        // At least one of these is unavailable in a --no-default-features
-        // build; in a full build on an AVX2 host everything is available,
-        // so fabricate unavailability via the feature gate instead.
-        if Backend::available().len() == Backend::ALL.len() {
-            panic!("not available (all backends present; nothing to reject)");
-        }
-        let missing = *Backend::ALL
-            .iter()
-            .find(|b| !Backend::available().contains(b))
-            .unwrap();
-        with_backend(missing, || ());
+        let avx2_host = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
+        require_available(Backend::Avx512, &avx2_host);
+    }
+
+    #[test]
+    fn qmc_simd_override_resolves_or_falls_back_with_a_warning() {
+        let avx2_host = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
+        assert_eq!(resolve_default(None, &avx2_host), (Backend::Avx2, None));
+        assert_eq!(resolve_default(Some("sse2"), &avx2_host), (Backend::Sse2, None));
+        assert_eq!(resolve_default(Some("avx512"), &Backend::ALL), (Backend::Avx512, None));
+
+        // A runner without AVX-512 asked for it: best available, one line.
+        let (b, warning) = resolve_default(Some("avx512"), &avx2_host);
+        assert_eq!(b, Backend::Avx2);
+        let warning = warning.expect("fallback warns");
+        assert_eq!(
+            warning,
+            "QMC_SIMD=avx512: backend avx512 not available on this host/build; using avx2"
+        );
+        assert!(!warning.contains('\n'));
+
+        let (b, warning) = resolve_default(Some("neon"), &avx2_host);
+        assert_eq!(b, Backend::Avx2);
+        let warning = warning.expect("unknown name warns");
+        assert!(warning.contains("unknown QMC_SIMD backend") && warning.ends_with("using avx2"));
     }
 }

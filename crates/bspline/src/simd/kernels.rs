@@ -1,366 +1,344 @@
 //! Generic micro-kernel bodies, written once against [`SimdReal`] and
 //! instantiated per (scalar type, lane pack) by the dispatch tables.
 //!
-//! Loop structure (the tentpole restructuring): the orbital chunk is the
-//! *outer* loop and the 4×4 (i,j) basis unroll the inner one, so all
-//! output accumulators live in registers across the whole evaluation and
-//! each output stream is written exactly once per chunk — the scalar
-//! reference read-modified-wrote every stream once per plane (16×).
-//! Per element the operation chain is unchanged (same accumulation
-//! order, same fused ops), so results are bit-identical to the
-//! reference wherever the pack has FMA.
+//! # Loop structure
+//!
+//! V, VGL and VGH are one chunk loop ([`chunks`]) that differs in a
+//! constant table: which output stream and which z-sum each accumulate
+//! step feeds ([`V_TERMS`], [`VGL_TERMS`], [`VGH_TERMS`]). The orbital
+//! chunk is the *outer* loop and the 16 (i,j) planes the inner one, so
+//! every accumulator lives in a register across the whole evaluation
+//! and each output stream is written exactly once per chunk. The ragged
+//! `m % LANES` tail is the same loop at one lane ([`Lane1`]).
+//!
+//! **Hoisted per position** ([`Hoisted`]), because the disassembly of
+//! the 512-bit instantiation showed all of it redone per plane *and per
+//! chunk*:
+//!
+//! * the x/y weight products, one table entry per accumulate step
+//!   (16 × {1, 6, 10} values). Splats come **from memory**: an entry
+//!   used once folds into its FMA as a load-port broadcast operand,
+//!   where a product computed in the loop costs a scalar multiply and a
+//!   register broadcast, both on the two ports the 512-bit FMAs need.
+//!   Entries are not shared between steps that use the same product —
+//!   a shared one is broadcast into a register, and VGH already needs
+//!   10 accumulators + 12 z-weight splats + 4 loads + temporaries of
+//!   the 32 (sharing read `bspline.blocked.vgh_batch_mevals` 3 % lower
+//!   in every one of three alternating pairs);
+//! * the 16 plane bases, each plane's four z-lines as one run
+//!   (`MultiCoefs::z_run`: one bounds check instead of four per plane
+//!   per chunk).
+//!
+//! The table is cache-line aligned, which also makes the compiler
+//! realign the frame, so no spilled pack straddles a line. The 512-bit
+//! loops do not spill and do not care; under `QMC_SIMD=avx2` (16
+//! registers, VGH spills) the same ledger row read 96 with and 90.5
+//! without, three pairs of three.
+//!
+//! **Packs per step** ([`unroll`]): as many accumulators as the register
+//! file holds — 4 / 2 / 1 packs for V / VGL / VGH on 32 registers,
+//! 4 / 1 / 1 on 16. V reads 4 KiB per chunk for 80 FMAs and is bound by
+//! the L2, not by arithmetic; four packs a step read every z-line 128–
+//! 256 B at a time, which the hardware prefetchers follow
+//! (`bspline.blocked.v_batch_mevals` 299 / 365 / 437 at 1 / 2 / 4 packs;
+//! `vgl_batch_mevals` 230 / 283 at 1 / 2).
+//!
+//! **Software prefetch** ([`AHEAD`] planes ahead): where a pack is a
+//! whole cache line, every load is the only access to its line and the
+//! L1 next-line prefetcher never fires, so steps shorter than
+//! [`STREAMED_UNROLL`] hint the lines they will read four planes later
+//! (VGL 262 → 283, VGH 184 → 200; farther ahead thrashes — at N = 256
+//! the 64 lines of a chunk share four L1 sets). Narrower packs touch
+//! each line twice or more and read slower with the hints (AVX2 VGH 85
+//! vs 97), so they take none.
+//!
+//! Measured and **not kept**: hinting the output lines ahead of the
+//! stores (no change), and a fully unrolled plane loop (the compiler
+//! hoists 160 splats to the stack; −12 %).
+//!
+//! Per element the operation chain is unchanged by all of this (same
+//! products, same accumulation order, same fused ops), so results are
+//! bit-identical to the reference wherever the pack has FMA.
 
 use super::lanes::SimdReal;
 use crate::batch::Located;
 use crate::layout::Kernel;
 use crate::output::SoAStreamsMut;
+use einspline::basis::BasisWeights;
 use einspline::multi::MultiCoefs;
-use einspline::Real;
+use einspline::{Real, CACHE_LINE};
 
-/// The four z-lines of one (i,j) plane, starting at `k0`.
-#[inline(always)]
-fn plane_lines<'a, T: Real>(
-    coefs: &'a MultiCoefs<T>,
-    loc: &Located<T>,
-    i: usize,
-    j: usize,
-) -> [&'a [T]; 4] {
-    [
-        coefs.line(loc.i0 + i, loc.j0 + j, loc.k0),
-        coefs.line(loc.i0 + i, loc.j0 + j, loc.k0 + 1),
-        coefs.line(loc.i0 + i, loc.j0 + j, loc.k0 + 2),
-        coefs.line(loc.i0 + i, loc.j0 + j, loc.k0 + 3),
-    ]
-}
+/// The one-lane pack: the ragged `m % LANES` tail is the chunk loop
+/// instantiated at `LANES = 1`, always with the fused `mul_add` of the
+/// scalar reference (also behind the unfused SSE2 pack, as before).
+#[derive(Clone, Copy)]
+struct Lane1<T>(T);
 
-/// V kernel body: the view's `v` stream overwritten over orbital
-/// sub-range `[from, to)`, evaluated against the same coefficient-line
-/// elements. Both the per-orbital operation chain and the lane
-/// partition are identical to a full-range call, because every
-/// accumulator is lane-private: any split at a lane-multiple boundary
-/// is bit-identical to no split.
-#[inline(always)]
-fn v_soa_range<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: &mut SoAStreamsMut<'_, T>,
-    from: usize,
-    to: usize,
-) {
-    let m = to;
-    debug_assert!(m <= coefs.stride_n());
-    let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
-    let v = &mut *out.v;
-    let c = wc.a;
-    let cv = [L::splat(c[0]), L::splat(c[1]), L::splat(c[2]), L::splat(c[3])];
+impl<T: Real> SimdReal<T> for Lane1<T> {
+    const LANES: usize = 1;
+    const REGISTERS: usize = 16;
 
-    let mut base = from;
-    while base + L::LANES <= m {
-        let mut acc = L::splat(T::ZERO);
-        for i in 0..4 {
-            for j in 0..4 {
-                let ab = wa.a[i] * wb.a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let a0 = L::load(p[0], base);
-                let a1 = L::load(p[1], base);
-                let a2 = L::load(p[2], base);
-                let a3 = L::load(p[3], base);
-                let s0 = cv[3].mul_add(a3, cv[2].mul_add(a2, cv[1].mul_add(a1, cv[0].mul(a0))));
-                acc = L::splat(ab).mul_add(s0, acc);
-            }
-        }
-        acc.store(v, base);
-        base += L::LANES;
+    #[inline(always)]
+    fn splat(x: T) -> Self {
+        Self(x)
     }
-    for idx in base..m {
-        let mut acc = T::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                let ab = wa.a[i] * wb.a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let s0 = c[3].mul_add(
-                    p[3][idx],
-                    c[2].mul_add(p[2][idx], c[1].mul_add(p[1][idx], c[0] * p[0][idx])),
-                );
-                acc = ab.mul_add(s0, acc);
-            }
-        }
-        v[idx] = acc;
+
+    #[inline(always)]
+    fn load(s: &[T], at: usize) -> Self {
+        Self(s[at])
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [T], at: usize) {
+        s[at] = self.0;
+    }
+
+    #[inline(always)]
+    fn mul(self, a: Self) -> Self {
+        Self(self.0 * a.0)
+    }
+
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        Self(self.0.mul_add(a.0, b.0))
     }
 }
 
-/// VGL kernel body: the view's five `v/gx/gy/gz/l` streams overwritten
-/// (all `out.len()` orbitals, evaluated against coefficient-line
-/// elements `0..len`).
-#[inline(always)]
-fn vgl_soa<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: &mut SoAStreamsMut<'_, T>,
-) {
-    let m = out.len();
-    debug_assert!(m <= coefs.stride_n());
-    let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
-    let SoAStreamsMut {
-        ref mut v,
-        ref mut gx,
-        ref mut gy,
-        ref mut gz,
-        ref mut l,
-        ..
-    } = *out;
-    let (c, dc, d2c) = (wc.a, wc.da, wc.d2a);
-    let cv = [L::splat(c[0]), L::splat(c[1]), L::splat(c[2]), L::splat(c[3])];
-    let dcv = [L::splat(dc[0]), L::splat(dc[1]), L::splat(dc[2]), L::splat(dc[3])];
-    let d2cv = [
-        L::splat(d2c[0]),
-        L::splat(d2c[1]),
-        L::splat(d2c[2]),
-        L::splat(d2c[3]),
-    ];
+/// (i,j) planes of one tricubic evaluation cell.
+const PLANES: usize = 16;
 
-    let mut base = 0;
-    while base + L::LANES <= m {
-        let mut av = L::splat(T::ZERO);
-        let mut agx = L::splat(T::ZERO);
-        let mut agy = L::splat(T::ZERO);
-        let mut agz = L::splat(T::ZERO);
-        let mut al = L::splat(T::ZERO);
+/// What one position contributes to every orbital chunk, resolved once
+/// per evaluation: per (i,j) plane the x/y weight product of each of
+/// its kernel's `Q` accumulate steps, and the plane's four z-lines as
+/// one bounds-checked run. Cache-line aligned: see the module docs.
+#[repr(align(64))]
+struct Hoisted<'a, T, const Q: usize> {
+    pre: [[T; Q]; PLANES],
+    runs: [&'a [T]; PLANES],
+    /// Offset of z-line `k` inside a run: `k · stride`.
+    stride: usize,
+}
+
+impl<'a, T: Real, const Q: usize> Hoisted<'a, T, Q> {
+    #[inline(always)]
+    fn new(
+        coefs: &'a MultiCoefs<T>,
+        loc: &Located<T>,
+        products: impl Fn(usize, usize) -> [T; Q],
+    ) -> Self {
+        let mut pre = [[T::ZERO; Q]; PLANES];
+        let mut runs: [&[T]; PLANES] = [&[]; PLANES];
         for i in 0..4 {
             for j in 0..4 {
-                let pre00 = wa.a[i] * wb.a[j];
-                let pre10 = wa.da[i] * wb.a[j];
-                let pre01 = wa.a[i] * wb.da[j];
-                let pre_lap = wa.d2a[i] * wb.a[j] + wa.a[i] * wb.d2a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let a0 = L::load(p[0], base);
-                let a1 = L::load(p[1], base);
-                let a2 = L::load(p[2], base);
-                let a3 = L::load(p[3], base);
-                let s0 = cv[3].mul_add(a3, cv[2].mul_add(a2, cv[1].mul_add(a1, cv[0].mul(a0))));
-                let s1 =
-                    dcv[3].mul_add(a3, dcv[2].mul_add(a2, dcv[1].mul_add(a1, dcv[0].mul(a0))));
-                let s2 = d2cv[3]
-                    .mul_add(a3, d2cv[2].mul_add(a2, d2cv[1].mul_add(a1, d2cv[0].mul(a0))));
-                av = L::splat(pre00).mul_add(s0, av);
-                agx = L::splat(pre10).mul_add(s0, agx);
-                agy = L::splat(pre01).mul_add(s0, agy);
-                agz = L::splat(pre00).mul_add(s1, agz);
-                // lap = (pre20 + pre02)·s0 + pre00·s2
-                al = L::splat(pre_lap).mul_add(s0, L::splat(pre00).mul_add(s2, al));
+                pre[4 * i + j] = products(i, j);
+                runs[4 * i + j] = coefs.z_run(loc.i0 + i, loc.j0 + j, loc.k0);
             }
         }
-        av.store(v, base);
-        agx.store(gx, base);
-        agy.store(gy, base);
-        agz.store(gz, base);
-        al.store(l, base);
-        base += L::LANES;
-    }
-    for idx in base..m {
-        let mut av = T::ZERO;
-        let mut agx = T::ZERO;
-        let mut agy = T::ZERO;
-        let mut agz = T::ZERO;
-        let mut al = T::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                let pre00 = wa.a[i] * wb.a[j];
-                let pre10 = wa.da[i] * wb.a[j];
-                let pre01 = wa.a[i] * wb.da[j];
-                let pre_lap = wa.d2a[i] * wb.a[j] + wa.a[i] * wb.d2a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let (a0, a1, a2, a3) = (p[0][idx], p[1][idx], p[2][idx], p[3][idx]);
-                let s0 = c[3].mul_add(a3, c[2].mul_add(a2, c[1].mul_add(a1, c[0] * a0)));
-                let s1 = dc[3].mul_add(a3, dc[2].mul_add(a2, dc[1].mul_add(a1, dc[0] * a0)));
-                let s2 =
-                    d2c[3].mul_add(a3, d2c[2].mul_add(a2, d2c[1].mul_add(a1, d2c[0] * a0)));
-                av = pre00.mul_add(s0, av);
-                agx = pre10.mul_add(s0, agx);
-                agy = pre01.mul_add(s0, agy);
-                agz = pre00.mul_add(s1, agz);
-                al = pre_lap.mul_add(s0, pre00.mul_add(s2, al));
-            }
+        Self {
+            pre,
+            runs,
+            stride: coefs.stride_n(),
         }
-        v[idx] = av;
-        gx[idx] = agx;
-        gy[idx] = agy;
-        gz[idx] = agz;
-        l[idx] = al;
     }
 }
 
-/// VGH kernel body: the view's ten `v/gx/gy/gz/h**` streams
-/// overwritten (all `out.len()` orbitals).
+/// Hint the cache line holding `s[at]` into L1 (`_MM_HINT_T0`).
+/// Compiles to nothing outside x86-64 / without the `simd` feature.
 #[inline(always)]
-fn vgh_soa<T: Real, L: SimdReal<T>>(
-    coefs: &MultiCoefs<T>,
-    loc: &Located<T>,
-    out: &mut SoAStreamsMut<'_, T>,
-) {
-    let m = out.len();
-    debug_assert!(m <= coefs.stride_n());
-    let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
-    let SoAStreamsMut {
-        ref mut v,
-        ref mut gx,
-        ref mut gy,
-        ref mut gz,
-        ref mut hxx,
-        ref mut hxy,
-        ref mut hxz,
-        ref mut hyy,
-        ref mut hyz,
-        ref mut hzz,
-        ..
-    } = *out;
-    let (c, dc, d2c) = (wc.a, wc.da, wc.d2a);
-    let cv = [L::splat(c[0]), L::splat(c[1]), L::splat(c[2]), L::splat(c[3])];
-    let dcv = [L::splat(dc[0]), L::splat(dc[1]), L::splat(dc[2]), L::splat(dc[3])];
-    let d2cv = [
-        L::splat(d2c[0]),
-        L::splat(d2c[1]),
-        L::splat(d2c[2]),
-        L::splat(d2c[3]),
-    ];
-
-    let mut base = 0;
-    while base + L::LANES <= m {
-        let mut av = L::splat(T::ZERO);
-        let mut agx = L::splat(T::ZERO);
-        let mut agy = L::splat(T::ZERO);
-        let mut agz = L::splat(T::ZERO);
-        let mut ahxx = L::splat(T::ZERO);
-        let mut ahxy = L::splat(T::ZERO);
-        let mut ahxz = L::splat(T::ZERO);
-        let mut ahyy = L::splat(T::ZERO);
-        let mut ahyz = L::splat(T::ZERO);
-        let mut ahzz = L::splat(T::ZERO);
-        for i in 0..4 {
-            for j in 0..4 {
-                let pre00 = wa.a[i] * wb.a[j];
-                let pre10 = wa.da[i] * wb.a[j];
-                let pre01 = wa.a[i] * wb.da[j];
-                let pre20 = wa.d2a[i] * wb.a[j];
-                let pre11 = wa.da[i] * wb.da[j];
-                let pre02 = wa.a[i] * wb.d2a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let a0 = L::load(p[0], base);
-                let a1 = L::load(p[1], base);
-                let a2 = L::load(p[2], base);
-                let a3 = L::load(p[3], base);
-                let s0 = cv[3].mul_add(a3, cv[2].mul_add(a2, cv[1].mul_add(a1, cv[0].mul(a0))));
-                let s1 =
-                    dcv[3].mul_add(a3, dcv[2].mul_add(a2, dcv[1].mul_add(a1, dcv[0].mul(a0))));
-                let s2 = d2cv[3]
-                    .mul_add(a3, d2cv[2].mul_add(a2, d2cv[1].mul_add(a1, d2cv[0].mul(a0))));
-                av = L::splat(pre00).mul_add(s0, av);
-                agx = L::splat(pre10).mul_add(s0, agx);
-                agy = L::splat(pre01).mul_add(s0, agy);
-                agz = L::splat(pre00).mul_add(s1, agz);
-                ahxx = L::splat(pre20).mul_add(s0, ahxx);
-                ahxy = L::splat(pre11).mul_add(s0, ahxy);
-                ahxz = L::splat(pre10).mul_add(s1, ahxz);
-                ahyy = L::splat(pre02).mul_add(s0, ahyy);
-                ahyz = L::splat(pre01).mul_add(s1, ahyz);
-                ahzz = L::splat(pre00).mul_add(s2, ahzz);
-            }
-        }
-        av.store(v, base);
-        agx.store(gx, base);
-        agy.store(gy, base);
-        agz.store(gz, base);
-        ahxx.store(hxx, base);
-        ahxy.store(hxy, base);
-        ahxz.store(hxz, base);
-        ahyy.store(hyy, base);
-        ahyz.store(hyz, base);
-        ahzz.store(hzz, base);
-        base += L::LANES;
-    }
-    for idx in base..m {
-        let mut av = T::ZERO;
-        let mut agx = T::ZERO;
-        let mut agy = T::ZERO;
-        let mut agz = T::ZERO;
-        let mut ahxx = T::ZERO;
-        let mut ahxy = T::ZERO;
-        let mut ahxz = T::ZERO;
-        let mut ahyy = T::ZERO;
-        let mut ahyz = T::ZERO;
-        let mut ahzz = T::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                let pre00 = wa.a[i] * wb.a[j];
-                let pre10 = wa.da[i] * wb.a[j];
-                let pre01 = wa.a[i] * wb.da[j];
-                let pre20 = wa.d2a[i] * wb.a[j];
-                let pre11 = wa.da[i] * wb.da[j];
-                let pre02 = wa.a[i] * wb.d2a[j];
-                let p = plane_lines(coefs, loc, i, j);
-                let (a0, a1, a2, a3) = (p[0][idx], p[1][idx], p[2][idx], p[3][idx]);
-                let s0 = c[3].mul_add(a3, c[2].mul_add(a2, c[1].mul_add(a1, c[0] * a0)));
-                let s1 = dc[3].mul_add(a3, dc[2].mul_add(a2, dc[1].mul_add(a1, dc[0] * a0)));
-                let s2 =
-                    d2c[3].mul_add(a3, d2c[2].mul_add(a2, d2c[1].mul_add(a1, d2c[0] * a0)));
-                av = pre00.mul_add(s0, av);
-                agx = pre10.mul_add(s0, agx);
-                agy = pre01.mul_add(s0, agy);
-                agz = pre00.mul_add(s1, agz);
-                ahxx = pre20.mul_add(s0, ahxx);
-                ahxy = pre11.mul_add(s0, ahxy);
-                ahxz = pre10.mul_add(s1, ahxz);
-                ahyy = pre02.mul_add(s0, ahyy);
-                ahyz = pre01.mul_add(s1, ahyz);
-                ahzz = pre00.mul_add(s2, ahzz);
-            }
-        }
-        v[idx] = av;
-        gx[idx] = agx;
-        gy[idx] = agy;
-        gz[idx] = agz;
-        hxx[idx] = ahxx;
-        hxy[idx] = ahxy;
-        hxz[idx] = ahxz;
-        hyy[idx] = ahyy;
-        hyz[idx] = ahyz;
-        hzz[idx] = ahzz;
-    }
-}
-
-/// Prefetch the byte span covering orbitals `[from, to)` of all 64
-/// coefficient z-lines of `loc`'s evaluation cell into L1
-/// (`_MM_HINT_T0`). Compiles to nothing outside x86-64 / without the
-/// `simd` feature.
-#[inline(always)]
-fn prefetch_span<T: Real>(coefs: &MultiCoefs<T>, loc: &Located<T>, from: usize, to: usize) {
+fn prefetch_line<T>(s: &[T], at: usize) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        if from >= to {
-            return;
-        }
-        const CACHE_LINE: usize = 64;
-        let lo = from * std::mem::size_of::<T>();
-        let hi = to * std::mem::size_of::<T>();
-        for i in 0..4 {
-            for j in 0..4 {
-                for line in plane_lines(coefs, loc, i, j) {
-                    let base = line.as_ptr().cast::<i8>();
-                    let mut off = lo;
-                    while off < hi {
-                        // SAFETY: `off < hi ≤ line byte length`; prefetch
-                        // reads no data and has no architectural effects.
-                        unsafe { _mm_prefetch(base.add(off), _MM_HINT_T0) };
-                        off += CACHE_LINE;
-                    }
-                }
-            }
-        }
+        // SAFETY: prefetch reads no data and has no architectural
+        // effects, whatever the address.
+        unsafe { _mm_prefetch(s.as_ptr().wrapping_add(at).cast::<i8>(), _MM_HINT_T0) };
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        let _ = (coefs, loc, from, to);
+        let _ = (s, at);
+    }
+}
+
+/// Planes the chunk loops prefetch ahead of the one they compute.
+const AHEAD: usize = 4;
+
+/// Hint the four z-lines of the plane [`AHEAD`] after plane `p` at
+/// orbital `at` into L1, wrapping into the first planes of the pack
+/// `step` orbitals on (an address past the table is only a hint).
+#[inline(always)]
+fn prefetch_ahead<T: Real, const Q: usize>(
+    h: &Hoisted<'_, T, Q>,
+    p: usize,
+    at: usize,
+    step: usize,
+) {
+    let (q, at) = if p + AHEAD < PLANES {
+        (p + AHEAD, at)
+    } else {
+        (p + AHEAD - PLANES, at + step)
+    };
+    for k in 0..4 {
+        prefetch_line(h.runs[q], k * h.stride + at);
+    }
+}
+
+/// The four z-lines of one plane at orbitals `[at, at + LANES)`.
+#[inline(always)]
+fn z_loads<T: Real, L: SimdReal<T>>(run: &[T], stride: usize, at: usize) -> [L; 4] {
+    [
+        L::load(run, at),
+        L::load(run, stride + at),
+        L::load(run, 2 * stride + at),
+        L::load(run, 3 * stride + at),
+    ]
+}
+
+/// `Σ_k w[k]·a[k]` in the reference's order (`k = 0` first, innermost).
+#[inline(always)]
+fn z_sum<T: Real, L: SimdReal<T>>(w: &[L; 4], a: &[L; 4]) -> L {
+    w[3].mul_add(a[3], w[2].mul_add(a[2], w[1].mul_add(a[1], w[0].mul(a[0]))))
+}
+
+/// One accumulate step of a kernel: `acc[stream] += pre·s[z]`, where
+/// `s[z]` is the plane's z-sum with the value (0), first-derivative (1)
+/// or second-derivative (2) z-weights and `pre` the step's own entry of
+/// the hoisted product table.
+type Term = (usize, usize);
+
+/// V: `v += a_i b_j · s0`.
+const V_TERMS: [Term; 1] = [(0, 0)];
+/// VGL over streams `v gx gy gz l`; the Laplacian takes its `s2` term
+/// first: `l = pre_lap·s0 + (pre00·s2 + l)`.
+const VGL_TERMS: [Term; 6] = [(0, 0), (1, 0), (2, 0), (3, 1), (4, 2), (4, 0)];
+/// VGH over streams `v gx gy gz hxx hxy hxz hyy hyz hzz`, grouped by
+/// z-sum so that only one is live at a time.
+const VGH_TERMS: [Term; 10] = [
+    (0, 0),
+    (1, 0),
+    (2, 0),
+    (4, 0),
+    (5, 0),
+    (7, 0),
+    (3, 1),
+    (6, 1),
+    (8, 1),
+    (9, 2),
+];
+
+/// The chunk loop of every kernel: the `A` streams of `out` overwritten
+/// over `[from, to)` in steps of `U` packs for as long as a whole step
+/// fits below `to`; returns where it stopped. `terms[k]` says which
+/// stream and z-sum entry `k` of the product table accumulates into.
+/// Every accumulator is lane-private, so any split of `[from, to)` at
+/// lane multiples — over `U`, over packs, over sub-ranges — is
+/// bit-identical to no split.
+#[inline(always)]
+fn chunks<T: Real, L: SimdReal<T>, const U: usize, const Q: usize, const A: usize>(
+    h: &Hoisted<'_, T, Q>,
+    terms: &[Term; Q],
+    wc: &BasisWeights<T>,
+    out: &mut [&mut [T]; A],
+    from: usize,
+    to: usize,
+) -> usize {
+    let zw = [
+        wc.a.map(L::splat),
+        wc.da.map(L::splat),
+        wc.d2a.map(L::splat),
+    ];
+    let step = U * L::LANES;
+    let mut base = from;
+    while base + step <= to {
+        let mut acc = [[L::splat(T::ZERO); A]; U];
+        for p in 0..PLANES {
+            for (u, acc) in acc.iter_mut().enumerate() {
+                let at = base + u * L::LANES;
+                if U < STREAMED_UNROLL && std::mem::size_of::<L>() >= CACHE_LINE {
+                    prefetch_ahead(h, p, at, step);
+                }
+                let a = z_loads::<T, L>(h.runs[p], h.stride, at);
+                let s = [z_sum(&zw[0], &a), z_sum(&zw[1], &a), z_sum(&zw[2], &a)];
+                for (pre, &(stream, z)) in h.pre[p].iter().zip(terms) {
+                    acc[stream] = L::splat(*pre).mul_add(s[z], acc[stream]);
+                }
+            }
+        }
+        for (u, acc) in acc.into_iter().enumerate() {
+            for (acc, stream) in acc.into_iter().zip(out.iter_mut()) {
+                acc.store(stream, base + u * L::LANES);
+            }
+        }
+        base += step;
+    }
+    base
+}
+
+/// Packs per step from which a walk reads every z-line in runs long
+/// enough for the hardware prefetchers to follow; shorter steps of
+/// cache-line-wide packs prefetch [`AHEAD`] planes ahead in software.
+/// Also the largest step [`range`] takes.
+const STREAMED_UNROLL: usize = 4;
+
+/// Packs per step of a kernel with `streams` accumulators per pack and
+/// `z_sums` sets of z-weights on a register file of `registers`: as many
+/// as fit beside the `4·z_sums` weight splats, one plane's four loads
+/// and two temporaries, at most [`STREAMED_UNROLL`]. With 32 registers
+/// that is 4 / 2 / 1 for V / VGL / VGH, with 16 it is 4 / 1 / 1.
+const fn unroll(registers: usize, streams: usize, z_sums: usize) -> usize {
+    let fit = registers.saturating_sub(4 * z_sums + 6) / streams;
+    if fit >= STREAMED_UNROLL {
+        STREAMED_UNROLL
+    } else if fit >= 2 {
+        2
+    } else {
+        1
+    }
+}
+
+/// A kernel over orbitals `[from, to)`: [`unroll`] packs a step, then
+/// the smaller steps down to single packs, then single lanes.
+#[inline(always)]
+fn range<T: Real, L: SimdReal<T>, const Q: usize, const A: usize>(
+    h: &Hoisted<'_, T, Q>,
+    terms: &[Term; Q],
+    wc: &BasisWeights<T>,
+    mut out: [&mut [T]; A],
+    from: usize,
+    to: usize,
+) {
+    // What the packs' unchecked loads and stores rely on: every z-line
+    // and every stream holds orbitals `[from, to)`.
+    assert!(
+        to <= h.stride && out.iter().all(|s| to <= s.len()),
+        "orbital range [{from}, {to}) exceeds a coefficient line or an output stream"
+    );
+    let mut z_sums = 0;
+    for &(_, z) in terms {
+        z_sums = z_sums.max(z + 1);
+    }
+    let u = unroll(L::REGISTERS, A, z_sums);
+    let mut at = from;
+    if u >= 4 {
+        at = chunks::<T, L, 4, Q, A>(h, terms, wc, &mut out, at, to);
+    }
+    if u >= 2 {
+        at = chunks::<T, L, 2, Q, A>(h, terms, wc, &mut out, at, to);
+    }
+    at = chunks::<T, L, 1, Q, A>(h, terms, wc, &mut out, at, to);
+    chunks::<T, Lane1<T>, 1, Q, A>(h, terms, wc, &mut out, at, to);
+}
+
+/// Prefetch the byte span covering orbitals `[from, to)` of all 64
+/// coefficient z-lines of the evaluation cell into L1.
+#[inline(always)]
+fn prefetch_span<T: Real, const Q: usize>(h: &Hoisted<'_, T, Q>, from: usize, to: usize) {
+    let step = CACHE_LINE / std::mem::size_of::<T>();
+    for run in h.runs {
+        for k in 0..4 {
+            for at in (from..to).step_by(step) {
+                prefetch_line(run, k * h.stride + at);
+            }
+        }
     }
 }
 
@@ -402,30 +380,69 @@ const STREAMING_BYTES: usize = 8 << 20;
 ///   with it vs 1460/1414/1452 without — every prefetch is then a hit
 ///   and the µops cost ~13 %, which is why tables below the threshold,
 ///   and VGL/VGH (3–6× the arithmetic per coefficient already covers
-///   the latency), take the plain walk.
+///   the latency; their only hints are the [`AHEAD`]-plane ones of the
+///   chunk loop), take the plain walk.
 #[inline(always)]
 pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(
     kernel: Kernel,
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
-    mut out: SoAStreamsMut<'_, T>,
+    out: SoAStreamsMut<'_, T>,
     single: bool,
 ) {
     let m = out.len();
+    debug_assert!(m <= coefs.stride_n());
+    let (wa, wb, wc) = (&loc.wa, &loc.wb, &loc.wc);
     match kernel {
-        Kernel::V if single && coefs.bytes() >= STREAMING_BYTES => {
-            let mut cs = 0usize;
-            prefetch_span(coefs, loc, 0, LOOKAHEAD_CHUNK.min(m));
-            while cs < m {
-                let ce = (cs + LOOKAHEAD_CHUNK).min(m);
-                prefetch_span(coefs, loc, ce, (ce + LOOKAHEAD_CHUNK).min(m));
-                v_soa_range::<T, L>(coefs, loc, &mut out, cs, ce);
-                cs = ce;
+        Kernel::V => {
+            let h = Hoisted::new(coefs, loc, |i, j| [wa.a[i] * wb.a[j]]);
+            if single && coefs.bytes() >= STREAMING_BYTES {
+                prefetch_span(&h, 0, LOOKAHEAD_CHUNK.min(m));
+                let mut cs = 0usize;
+                while cs < m {
+                    let ce = (cs + LOOKAHEAD_CHUNK).min(m);
+                    prefetch_span(&h, ce, (ce + LOOKAHEAD_CHUNK).min(m));
+                    range::<T, L, 1, 1>(&h, &V_TERMS, wc, [&mut *out.v], cs, ce);
+                    cs = ce;
+                }
+            } else {
+                range::<T, L, 1, 1>(&h, &V_TERMS, wc, [out.v], 0, m);
             }
         }
-        Kernel::V => v_soa_range::<T, L>(coefs, loc, &mut out, 0, m),
-        Kernel::Vgl => vgl_soa::<T, L>(coefs, loc, &mut out),
-        Kernel::Vgh => vgh_soa::<T, L>(coefs, loc, &mut out),
+        Kernel::Vgl => {
+            let h = Hoisted::new(coefs, loc, |i, j| {
+                let pre00 = wa.a[i] * wb.a[j];
+                let pre_lap = wa.d2a[i] * wb.a[j] + wa.a[i] * wb.d2a[j];
+                [
+                    pre00,
+                    wa.da[i] * wb.a[j],
+                    wa.a[i] * wb.da[j],
+                    pre00,
+                    pre00,
+                    pre_lap,
+                ]
+            });
+            let streams = [out.v, out.gx, out.gy, out.gz, out.l];
+            range::<T, L, 6, 5>(&h, &VGL_TERMS, wc, streams, 0, m);
+        }
+        Kernel::Vgh => {
+            let h = Hoisted::new(coefs, loc, |i, j| {
+                let (pre00, pre10, pre01) =
+                    (wa.a[i] * wb.a[j], wa.da[i] * wb.a[j], wa.a[i] * wb.da[j]);
+                let (pre20, pre11, pre02) = (
+                    wa.d2a[i] * wb.a[j],
+                    wa.da[i] * wb.da[j],
+                    wa.a[i] * wb.d2a[j],
+                );
+                [
+                    pre00, pre10, pre01, pre20, pre11, pre02, pre00, pre10, pre01, pre00,
+                ]
+            });
+            let streams = [
+                out.v, out.gx, out.gy, out.gz, out.hxx, out.hxy, out.hxz, out.hyy, out.hyz, out.hzz,
+            ];
+            range::<T, L, 10, 10>(&h, &VGH_TERMS, wc, streams, 0, m);
+        }
     }
 }
 

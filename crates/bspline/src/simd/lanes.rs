@@ -19,6 +19,10 @@ pub trait SimdReal<T: Real>: Copy {
     /// Number of `T` lanes in one pack.
     const LANES: usize;
 
+    /// Packs the register file holds: what the kernels size their
+    /// accumulator unroll by.
+    const REGISTERS: usize;
+
     /// Broadcast one value to every lane.
     fn splat(x: T) -> Self;
 
@@ -32,7 +36,7 @@ pub trait SimdReal<T: Real>: Copy {
     fn mul(self, a: Self) -> Self;
 
     /// Lanewise `self * a + b`. Fused where the backend has FMA
-    /// (AVX2, scalar `mul_add`); `mul`+`add` on SSE2.
+    /// (AVX-512, AVX2, scalar `mul_add`); `mul`+`add` on SSE2.
     fn mul_add(self, a: Self, b: Self) -> Self;
 }
 
@@ -47,6 +51,8 @@ pub struct ScalarLanes<T>([T; SCALAR_LANES]);
 
 impl<T: Real> SimdReal<T> for ScalarLanes<T> {
     const LANES: usize = SCALAR_LANES;
+    /// Sixteen scalar registers, [`SCALAR_LANES`] to a pack.
+    const REGISTERS: usize = 16 / SCALAR_LANES;
 
     #[inline(always)]
     fn splat(x: T) -> Self {

@@ -1,4 +1,4 @@
-//! `std::arch` x86-64 lane packs (AVX2+FMA and SSE2) and the
+//! `std::arch` x86-64 lane packs (AVX-512F, AVX2+FMA and SSE2) and the
 //! `#[target_feature]` wrapper functions the dispatch tables point at.
 //!
 //! Every [`SimdReal`] method is `#[inline(always)]` so the intrinsic
@@ -13,12 +13,97 @@ use super::lanes::SimdReal;
 use super::Backend;
 use std::arch::x86_64::*;
 
+/// Sixteen `f32` lanes in one AVX-512 register, fused `mul_add`.
+#[derive(Clone, Copy)]
+pub(crate) struct F32x16(__m512);
+
+impl SimdReal<f32> for F32x16 {
+    const LANES: usize = 16;
+    const REGISTERS: usize = 32;
+
+    #[inline(always)]
+    fn splat(x: f32) -> Self {
+        // SAFETY: reached only from an avx512f wrapper (dispatch-gated).
+        Self(unsafe { _mm512_set1_ps(x) })
+    }
+
+    #[inline(always)]
+    fn load(s: &[f32], at: usize) -> Self {
+        debug_assert!(at + Self::LANES <= s.len());
+        // SAFETY: avx512f wrapper (dispatch-gated); bounds guaranteed by
+        // the kernel chunk loop (debug-asserted).
+        Self(unsafe { _mm512_loadu_ps(s.as_ptr().add(at)) })
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [f32], at: usize) {
+        debug_assert!(at + Self::LANES <= s.len());
+        // SAFETY: as for `load`.
+        unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(at), self.0) }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: Self) -> Self {
+        // SAFETY: as for `splat`.
+        Self(unsafe { _mm512_mul_ps(self.0, a.0) })
+    }
+
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        // SAFETY: as for `splat`.
+        Self(unsafe { _mm512_fmadd_ps(self.0, a.0, b.0) })
+    }
+}
+
+/// Eight `f64` lanes in one AVX-512 register, fused `mul_add`.
+#[derive(Clone, Copy)]
+pub(crate) struct F64x8(__m512d);
+
+impl SimdReal<f64> for F64x8 {
+    const LANES: usize = 8;
+    const REGISTERS: usize = 32;
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        // SAFETY: reached only from an avx512f wrapper (dispatch-gated).
+        Self(unsafe { _mm512_set1_pd(x) })
+    }
+
+    #[inline(always)]
+    fn load(s: &[f64], at: usize) -> Self {
+        debug_assert!(at + Self::LANES <= s.len());
+        // SAFETY: avx512f wrapper (dispatch-gated); bounds guaranteed by
+        // the kernel chunk loop (debug-asserted).
+        Self(unsafe { _mm512_loadu_pd(s.as_ptr().add(at)) })
+    }
+
+    #[inline(always)]
+    fn store(self, s: &mut [f64], at: usize) {
+        debug_assert!(at + Self::LANES <= s.len());
+        // SAFETY: as for `load`.
+        unsafe { _mm512_storeu_pd(s.as_mut_ptr().add(at), self.0) }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: Self) -> Self {
+        // SAFETY: as for `splat`.
+        Self(unsafe { _mm512_mul_pd(self.0, a.0) })
+    }
+
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        // SAFETY: as for `splat`.
+        Self(unsafe { _mm512_fmadd_pd(self.0, a.0, b.0) })
+    }
+}
+
 /// Eight `f32` lanes in one AVX2 register, fused `mul_add` (FMA3).
 #[derive(Clone, Copy)]
 pub(crate) struct F32x8(__m256);
 
 impl SimdReal<f32> for F32x8 {
     const LANES: usize = 8;
+    const REGISTERS: usize = 16;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -59,6 +144,7 @@ pub(crate) struct F64x4(__m256d);
 
 impl SimdReal<f64> for F64x4 {
     const LANES: usize = 4;
+    const REGISTERS: usize = 16;
 
     #[inline(always)]
     fn splat(x: f64) -> Self {
@@ -100,6 +186,7 @@ pub(crate) struct F32x4(__m128);
 
 impl SimdReal<f32> for F32x4 {
     const LANES: usize = 4;
+    const REGISTERS: usize = 16;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -140,6 +227,7 @@ pub(crate) struct F64x2(__m128d);
 
 impl SimdReal<f64> for F64x2 {
     const LANES: usize = 2;
+    const REGISTERS: usize = 16;
 
     #[inline(always)]
     fn splat(x: f64) -> Self {
@@ -237,6 +325,8 @@ macro_rules! backend_fns {
     };
 }
 
+backend_fns!(avx512_f32, Backend::Avx512, f32, F32x16, "avx512f");
+backend_fns!(avx512_f64, Backend::Avx512, f64, F64x8, "avx512f");
 backend_fns!(avx2_f32, Backend::Avx2, f32, F32x8, "avx2,fma");
 backend_fns!(avx2_f64, Backend::Avx2, f64, F64x4, "avx2,fma");
 backend_fns!(sse2_f32, Backend::Sse2, f32, F32x4, "sse2");

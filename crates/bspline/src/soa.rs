@@ -16,7 +16,7 @@
 //!   so the explicit-width kernels never hit a scalar remainder.
 //!
 //! The kernel bodies live in [`crate::simd`]: explicit lane-width
-//! micro-kernels (AVX2+FMA / SSE2 / portable scalar pack, runtime
+//! micro-kernels (AVX-512F / AVX2+FMA / SSE2 / portable scalar pack, runtime
 //! dispatched) that keep all output accumulators in registers across
 //! the 4×4 basis unroll and store each stream once per orbital chunk.
 

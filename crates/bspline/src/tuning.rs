@@ -321,6 +321,16 @@ pub struct TuneResult {
 /// Measure every candidate tile size with the tile-major batch loop and
 /// return the fastest. Candidates larger than N are skipped; the
 /// untiled case can be included by passing `n_splines` itself.
+///
+/// The optimum follows the cache hierarchy, not the pack width: the
+/// `tile_tuning` example (VGH, 24³ grid, cell-wide positions, N = 512
+/// and 1024, two runs each) reads `Nb* = 256` on the 2 MiB-L2 host of
+/// the `bench/` ledger both under `QMC_SIMD=avx2` (8 lanes: 0.050 G-
+/// evals/s at 256 against 0.035–0.041 at 16–128) and with the 16-lane
+/// AVX-512 packs (0.067–0.081 at 256 against 0.050–0.066); at N = 1024
+/// the untiled walk ties with 256 under AVX2 and loses to it at 16
+/// lanes. The ledger's fixed `AOSOA_NB` = 64 is the paper's CPU value,
+/// not a tuned one.
 pub fn tune_tile_size<T: Real>(
     coefs: &MultiCoefs<T>,
     kernel: Kernel,

@@ -193,6 +193,16 @@ impl<T: Real> MultiCoefs<T> {
         &self.data.as_slice()[off..off + self.stride_n]
     }
 
+    /// The four consecutive z-lines `(ix, iy, iz..iz + 4)` as the one
+    /// contiguous run they are in memory (`4·stride_n` values, line `k`
+    /// at `k·stride_n`) — a tricubic evaluation's reads of one (i,j)
+    /// plane, resolved with a single bounds check.
+    #[inline(always)]
+    pub fn z_run(&self, ix: usize, iy: usize, iz: usize) -> &[T] {
+        let off = self.line_offset(ix, iy, iz);
+        &self.data.as_slice()[off..off + 4 * self.stride_n]
+    }
+
     /// Flat offset of a line — used by the cache-simulator trace
     /// generator to reproduce the physical address stream.
     #[inline]

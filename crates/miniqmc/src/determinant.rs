@@ -29,9 +29,9 @@
 //! instruction but a call into libm per element, and Rust does not
 //! contract that into a fused multiply-add on its own, also not
 //! where FMA is available. So the two instantiations of each body (the
-//! baseline and `avx2,fma`, picked by
-//! [`bspline::simd::active_backend`] like every other kernel, so
-//! `QMC_SIMD` and `with_backend` select them) are bit-identical.
+//! baseline and `avx2,fma` — the latter for every backend from AVX2 up,
+//! picked by [`bspline::simd::active_backend`] like every other kernel,
+//! so `QMC_SIMD` and `with_backend` select them) are bit-identical.
 
 #[cfg(target_arch = "x86_64")]
 use bspline::simd::{active_backend, Backend};
@@ -81,10 +81,11 @@ fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if active_backend() == Backend::Avx2 {
-        // SAFETY: the AVX2 backend is only ever active after run-time
-        // detection of `avx2` and `fma` (`Backend::available`), which
-        // `with_backend` and the `QMC_SIMD` override both respect.
+    if active_backend() >= Backend::Avx2 {
+        // SAFETY: a backend from AVX2 up is only ever active after
+        // run-time detection of `avx2` and `fma` (`Backend::available`
+        // lists AVX-512 on top of them only), which `with_backend` and
+        // the `QMC_SIMD` override both respect.
         return unsafe { dot_avx2(a, b) };
     }
     dot_body(a, b)
@@ -120,7 +121,7 @@ fn sherman_morrison_avx2(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &m
 /// [`sherman_morrison_body`] in the active backend's instantiation.
 fn sherman_morrison(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
-    if active_backend() == Backend::Avx2 {
+    if active_backend() >= Backend::Avx2 {
         // SAFETY: as in `dot`.
         return unsafe { sherman_morrison_avx2(inv_t, e, phi, r, c) };
     }

@@ -32,8 +32,9 @@
 //! rounding.
 //!
 //! The body is compiled twice, for the x86-64 baseline and for
-//! AVX2, and [`bspline::simd::active_backend`] picks one, so
-//! `QMC_SIMD` and `with_backend` select it like every other kernel.
+//! AVX2 (which every backend from AVX2 up runs), and
+//! [`bspline::simd::active_backend`] picks one, so `QMC_SIMD` and
+//! `with_backend` select it like every other kernel.
 
 use super::ImageShifts;
 use crate::lattice::Lattice;
@@ -205,10 +206,11 @@ pub fn distances_to_point(
         dz: &mut dz[..n],
     };
     #[cfg(target_arch = "x86_64")]
-    if active_backend() == Backend::Avx2 {
-        // SAFETY: the AVX2 backend is only ever active after run-time
-        // detection of `avx2` and `fma` (`Backend::available`), which
-        // `with_backend` and the `QMC_SIMD` override both respect.
+    if active_backend() >= Backend::Avx2 {
+        // SAFETY: a backend from AVX2 up is only ever active after
+        // run-time detection of `avx2` and `fma` (`Backend::available`
+        // lists AVX-512 on top of them only), which `with_backend` and
+        // the `QMC_SIMD` override both respect.
         return unsafe { row_min_image_avx2(lattice, im.pruned(), p, row) };
     }
     row_min_image(lattice, im.pruned(), p, row);

@@ -25,9 +25,10 @@
 //! `a * b + c`. On the x86-64 baseline target `f64::mul_add` is a call
 //! into libm, 4 (value) or 12 (vgl) of them per pair; and Rust does not
 //! contract `a * b + c` on its own, so the two instantiations of each
-//! row body (baseline and `avx2,fma`, picked by
-//! [`bspline::simd::active_backend`], so `QMC_SIMD` and `with_backend`
-//! select them like every other kernel) and the scalar
+//! row body (baseline and `avx2,fma` — the latter for every backend
+//! from AVX2 up, picked by [`bspline::simd::active_backend`], so
+//! `QMC_SIMD` and `with_backend` select them like every other kernel)
+//! and the scalar
 //! [`BsplineFunctor::value`]/[`BsplineFunctor::vgl`] agree to the bit.
 
 #[cfg(target_arch = "x86_64")]
@@ -161,11 +162,12 @@ impl BsplineFunctor {
             "row lengths differ"
         );
         #[cfg(target_arch = "x86_64")]
-        if active_backend() == Backend::Avx2 {
-            // SAFETY: the AVX2 backend is only ever active after
-            // run-time detection of `avx2` and `fma`
-            // (`Backend::available`), which `with_backend` and the
-            // `QMC_SIMD` override both respect.
+        if active_backend() >= Backend::Avx2 {
+            // SAFETY: a backend from AVX2 up is only ever active
+            // after run-time detection of `avx2` and `fma`
+            // (`Backend::available` lists AVX-512 on top of them
+            // only), which `with_backend` and the `QMC_SIMD` override
+            // both respect.
             return unsafe { self.values_row_avx2(r, idx, u) };
         }
         self.values_row_body(r, idx, u);
@@ -200,7 +202,7 @@ impl BsplineFunctor {
             "row lengths differ"
         );
         #[cfg(target_arch = "x86_64")]
-        if active_backend() == Backend::Avx2 {
+        if active_backend() >= Backend::Avx2 {
             // SAFETY: as in `values_row`.
             return unsafe { self.vgl_row_avx2(r, idx, out) };
         }

@@ -112,3 +112,73 @@ pub mod prelude {
     pub use crate::synthetic::{random_coefficients, synthetic_orbitals, CoralSystem};
     pub use crate::wavefunction::{EvalMode, TrialWaveFunction};
 }
+
+#[cfg(test)]
+mod backend_twins {
+    //! The plain-Rust kernels have two instantiations each (baseline and
+    //! `avx2,fma`) and pick the wide one for every backend from
+    //! `Backend::Avx2` **up**. Forced through each such backend the host
+    //! has, all four must reproduce the baseline instantiation bit for
+    //! bit — a backend added above AVX2 that fell out of the gate, or
+    //! into a differently rounding body, shows here.
+
+    use crate::determinant::DiracDeterminant;
+    use crate::distance::{soa::distances_to_point, ImageShifts};
+    use crate::jastrow::BsplineFunctor;
+    use crate::lattice::graphite_supercell;
+    use crate::particleset::random_electrons;
+    use bspline::simd::{with_backend, Backend};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Bit patterns of everything the four kernels produce on one fixed
+    /// input: `dot` (determinant ratio), `sherman_morrison` (the accepted
+    /// inverse), `row_min_image` (one distance row) and the Jastrow
+    /// `values_row`/`vgl_row`.
+    fn fingerprint() -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut bits = Vec::new();
+
+        // 37: two 16-lane blocks of `dot` and a ragged tail.
+        let n = 37;
+        let mut a: Vec<f64> = (0..n * n).map(|_| rng.random::<f64>() - 0.5).collect();
+        for i in 0..n {
+            a[i * n + i] += 2.0;
+        }
+        let phi: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
+        let mut det = DiracDeterminant::build(&a, n);
+        bits.push(det.ratio(n / 2, &phi).to_bits());
+        det.accept(n / 2, &phi);
+        bits.push(det.log_det().to_bits());
+        bits.push(det.ratio(3, &phi).to_bits());
+
+        let (lat, _) = graphite_supercell(2, 2, 1);
+        let ps = random_electrons(lat, 41, &mut rng);
+        let im = ImageShifts::new(&lat);
+        let (sx, sy, sz) = ps.soa();
+        let mut row = [vec![0.0; 41], vec![0.0; 41], vec![0.0; 41], vec![0.0; 41]];
+        let [r, dx, dy, dz] = &mut row;
+        distances_to_point(&lat, &im, sx, sy, sz, [0.3, 1.1, 2.9], r, dx, dy, dz);
+        bits.extend(row.iter().flatten().map(|x| x.to_bits()));
+
+        let f = BsplineFunctor::rpa_like(0.5, 1.0, 3.0, 64);
+        let mut idx = vec![0; 41];
+        let mut rows = [vec![0.0; 41], vec![0.0; 41], vec![0.0; 41], vec![0.0; 41]];
+        let [v, u, du, d2u] = &mut rows;
+        f.values_row(&row[0], &mut idx, v);
+        f.vgl_row(&row[0], &mut idx, [u, du, d2u]);
+        bits.extend(rows.iter().flatten().map(|x| x.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn every_backend_from_avx2_up_matches_the_baseline_instantiation() {
+        let baseline = with_backend(Backend::Scalar, fingerprint);
+        assert!(baseline.len() > 8 * 41);
+        for b in Backend::available() {
+            if b >= Backend::Avx2 {
+                assert_eq!(with_backend(b, fingerprint), baseline, "{b}");
+            }
+        }
+    }
+}

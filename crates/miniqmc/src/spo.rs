@@ -501,8 +501,19 @@ mod tests {
         assert!(spo.evaluate_vgl_batch(&[]).is_empty());
     }
 
+    /// Bit for bit on a fused backend: under the unfused SSE2 pack a
+    /// block boundary moves orbitals into the kernels' fused one-lane
+    /// tail (tolerance-bounded in `tests/integration_blocked.rs`), so
+    /// that leg runs this on the scalar pack.
     #[test]
     fn blocked_spo_set_matches_monolithic_bit_for_bit() {
+        use bspline::simd::{active_backend, with_backend, Backend};
+        let active = active_backend();
+        let fused = if active.is_fused() { active } else { Backend::Scalar };
+        with_backend(fused, blocked_vs_monolithic);
+    }
+
+    fn blocked_vs_monolithic() {
         let lat = Lattice::hexagonal(2.5, 6.0);
         let mut mono = build(lat, 16, 5);
         // Rebuild the same coefficients for the blocked path.

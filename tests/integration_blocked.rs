@@ -28,7 +28,7 @@ fn table<T: Real>(n: usize, seed: u64) -> MultiCoefs<T> {
 }
 
 /// Compare the streams `kernel` writes under `backend`'s parity
-/// contract: fused backends (scalar pack, AVX2+FMA) perform the
+/// contract: fused backends (scalar pack, AVX2+FMA, AVX-512F) perform the
 /// identical elementwise chain regardless of how orbitals are grouped
 /// into blocks, so they must match **exactly**; the non-FMA SSE2
 /// backend fuses its ragged scalar tail but not its vector body, so a

@@ -256,6 +256,19 @@ fn lookahead_sized_tables_bitmatch() {
         assert!(table.bytes() >= 8 << 20, "table must be streaming-sized");
         let soa = BsplineSoA::new(table);
         let pos = random_positions::<f32>(4, 43);
+        // The walk itself, under each backend: V over a slice of 1.
+        let walk = |backend: Backend| {
+            with_backend(backend, || {
+                let mut out = soa.make_out();
+                pos.iter()
+                    .flat_map(|&p| {
+                        soa.v(p, &mut out);
+                        (0..n).map(|k| out.v_at(k)).collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<f32>>()
+            })
+        };
+        let reference = walk(Backend::Scalar);
         for backend in Backend::available() {
             with_backend(backend, || {
                 check_moves(
@@ -265,6 +278,12 @@ fn lookahead_sized_tables_bitmatch() {
                     &format!("{} SoA {nx}^3 N={n}", backend.name()),
                 );
             });
+            // A look-ahead chunk is 64 orbitals: four 16-lane packs, one
+            // unrolled step of the widest backend. Every fused pack
+            // must partition it to the scalar backend's bits.
+            if backend.is_fused() {
+                assert_eq!(walk(backend), reference, "{backend} vs scalar {nx}^3 N={n}");
+            }
         }
     }
 }

@@ -1,23 +1,25 @@
 //! SIMD/scalar parity property tests (ISSUE 3 satellite): for every
-//! backend available on the host (`QMC_SIMD=avx2|sse2|scalar` overrides,
+//! backend available on the host (`QMC_SIMD=avx512|avx2|sse2|scalar` overrides,
 //! exercised via `bspline::simd::with_backend`), every layout engine and
 //! every kernel must reproduce the scalar reference on ragged orbital
 //! counts — `m ∈ {1, LANES−1, LANES, LANES+1, non-multiple}` for each
 //! backend's lane width, in both precisions.
 //!
 //! Tolerance contract (documented in `bspline::simd`): backends with a
-//! fused `mul_add` (AVX2+FMA and the scalar-array pack) perform the
-//! bit-identical elementwise chain and must match to ≤ 2 ULP — in fact
-//! exactly. SSE2 models a pre-FMA machine (`mul`+`add`), so each of its
-//! accumulation steps rounds once more than the fused reference; it is
-//! bounded by a scale-aware tolerance instead. The ULP/tolerance
+//! fused `mul_add` (AVX-512F, AVX2+FMA and the scalar-array pack)
+//! perform the bit-identical elementwise chain and must match the
+//! scalar backend **exactly**. SSE2 models a pre-FMA machine
+//! (`mul`+`add`), so each of its accumulation steps rounds once more
+//! than the fused reference; it is bounded by a scale-aware tolerance
+//! instead. The ULP/tolerance
 //! machinery lives in the shared `tests/common` support module.
 
 mod common;
 
+use bspline::blocked::BlockedEngine;
 use bspline::simd::{with_backend, Backend};
-use common::BackendTolerance as Parity;
 use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, PosBlock, SpoEngine};
+use common::BackendTolerance as Parity;
 use einspline::{Grid1, MultiCoefs, Real};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,11 +95,17 @@ fn check_parity<T: Parity, E: SpoEngine<T>>(
     assert_eq!(ref_single.len(), ref_batched.len());
     for b in Backend::available() {
         let (got_single, got_batched) = outputs(engine, kernel, pos, b, read);
-        for (i, (&w, &g)) in ref_single.iter().zip(&got_single).enumerate() {
-            T::assert_close(b, w, g, &format!("{ctx} {kernel} scalar-entry idx={i}"));
-        }
-        for (i, (&w, &g)) in ref_batched.iter().zip(&got_batched).enumerate() {
-            T::assert_close(b, w, g, &format!("{ctx} {kernel} batch-entry idx={i}"));
+        let entries = [("scalar", &ref_single, &got_single), ("batch", &ref_batched, &got_batched)];
+        for (entry, want, got) in entries {
+            assert_eq!(want.len(), got.len());
+            for (i, (&w, &g)) in want.iter().zip(got).enumerate() {
+                let at = format!("{ctx} {kernel} {entry}-entry idx={i}");
+                if b.is_fused() {
+                    assert_eq!(w, g, "{at} [{b}]");
+                } else {
+                    T::assert_close(b, w, g, &at);
+                }
+            }
         }
     }
 }
@@ -205,6 +213,41 @@ fn lane_boundary_orbital_counts() {
         check_all_layouts::<f32>(m, (m / 2).max(1), 77 + i as u64, 2);
         check_all_layouts::<f64>(m, m, 177 + i as u64, 2);
     }
+}
+
+/// The orbital counts only a 16-lane pack can break — below one
+/// register (1, 15), exactly one (16), one plus a scalar tail (17), a
+/// tail of 8 that AVX2 took as a full chunk (24), two packs and a tail
+/// of 8 (40) — through the monolithic engines (whose padded streams
+/// never reach a tail) and through blocked engines whose block width is
+/// a multiple of 8 but not of 16, so that views of 8 and 24 orbitals
+/// reach the kernels: one pack-less tail, one pack plus a tail. Fused
+/// backends are bit-equal to `Backend::Scalar` (`check_parity`).
+fn sixteen_lane_cases<T: Parity>(seed: u64) {
+    for (i, n) in [1usize, 15, 16, 17, 24, 40].into_iter().enumerate() {
+        check_all_layouts::<T>(n, 8, seed + i as u64, 3);
+        let table = random_table::<T>(n, seed + i as u64);
+        let pos = random_block::<T>(3, seed ^ 0x16);
+        for nb in [8, 24] {
+            let blocked = BlockedEngine::with_block_size(&table, nb);
+            for kernel in Kernel::ALL {
+                let ctx = format!("N={n} blocked/{nb}");
+                check_parity(&blocked, kernel, &pos, kernel_outputs(kernel), &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn sixteen_lane_cases_match_the_scalar_backend_f32() {
+    sixteen_lane_cases::<f32>(500);
+}
+
+/// In `f64` the same counts straddle the 8-lane pack: 15 and 17 are
+/// one pack ± a tail of 7 / two packs + 1, 24 is three packs.
+#[test]
+fn sixteen_lane_cases_match_the_scalar_backend_f64() {
+    sixteen_lane_cases::<f64>(600);
 }
 
 /// `with_backend` is the in-process equivalent of the `QMC_SIMD`
