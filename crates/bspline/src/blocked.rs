@@ -463,8 +463,10 @@ mod tests {
     #[test]
     fn budget_construction_reports_shape() {
         let t = table(64, 9);
-        // Budget for two 16-spline quanta per block.
-        let blocked = BlockedEngine::from_multi(&t, 2 * 16 * t.bytes_per_spline());
+        // Budget for two 16-spline quanta per block: the bytes of a
+        // 32-spline table (its row pad is not twice a 16-spline one's).
+        let budget = einspline::multi::table_bytes_in::<f32>((6, 6, 6), 32);
+        let blocked = BlockedEngine::from_multi(&t, budget);
         assert_eq!(blocked.nb(), 32);
         assert_eq!(blocked.n_blocks(), 2);
         assert_eq!(SpoEngine::<f32>::n_splines(&blocked), 64);

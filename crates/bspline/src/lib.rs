@@ -85,19 +85,21 @@
 //!
 //! * **Block-size derivation.** The block width is the widest multiple
 //!   of the cache-line quantum (16 `f32` / 8 `f64` splines) whose
-//!   standalone coefficient slab — `(gx+3)(gy+3)(gz+3) · nb ·
-//!   sizeof(T)` bytes — fits a byte budget
-//!   ([`einspline::MultiCoefs::block_splines_for_budget`]). The budget
-//!   candidates are the cache hierarchy's natural levels
-//!   ([`tuning::BlockBudgets`]): private L2, shared LLC divided by the
-//!   worker count, and the whole table (`B = 1`, the monolithic
-//!   degenerate case). [`tuning::tune_block_budget`] measures the three
-//!   and [`tuning::default_block_budget`] records the winner on the
-//!   baseline host — LLC/workers for super-LLC tables (1.31× over
-//!   monolithic on the recorded N = 2048 nested VGH generation rows),
-//!   the whole table (B = 1) below the LLC — because a generation's
-//!   positions re-touch a resident block slab where the monolithic
-//!   slab thrashes; see its docs for the sweep numbers.
+//!   standalone coefficient slab fits a byte budget
+//!   ([`einspline::MultiCoefs::block_splines_for_budget`]). A slab's
+//!   bytes are those of the table layout ([`einspline::TableLayout`]):
+//!   `(gx+3)(gy+3)` z-rows of `(gz+3)` lines of `nb · sizeof(T)` bytes,
+//!   each followed by the row pad chosen for that line length, so a
+//!   slab is not linear in `nb`. The budget candidates are the cache
+//!   hierarchy's natural levels ([`tuning::BlockBudgets`]): private L2,
+//!   shared LLC divided by the worker count, and the whole table
+//!   (`B = 1`, the monolithic degenerate case).
+//!   [`tuning::tune_block_budget`] measures the three on a host;
+//!   [`tuning::default_block_budget`] is the policy without a sweep —
+//!   the whole table below the LLC, LLC/workers above it, so that a
+//!   generation's positions re-touch a resident block slab. The
+//!   super-LLC branch is not shown to pay on any recorded host (the
+//!   last N = 2048 reading was 0.58× of monolithic; see its docs).
 //! * **Nested schedule.** [`parallel::run_nested_blocked`] partitions
 //!   the `B` blocks into `nth` contiguous chunks
 //!   ([`parallel::partition_tiles`], non-empty chunks only) and crosses
@@ -181,9 +183,10 @@
 //!
 //! * **Shards.** [`service::ServiceConfig::routing`] selects the shard
 //!   count: `Fifo` forces one queue (the pre-routing behavior, and the
-//!   recorded-baseline configuration), `Auto` matches the detected
-//!   NUMA domain count ([`tuning::numa_domains`], overridable via
-//!   `QMC_NUMA_DOMAINS`), `Affinity { domains }` pins it explicitly.
+//!   configuration the ledger's `service_mixed` workload runs), `Auto`
+//!   matches the detected NUMA domain count ([`tuning::numa_domains`],
+//!   overridable via `QMC_NUMA_DOMAINS`), `Affinity { domains }` pins
+//!   it explicitly.
 //!   Replica workers are minted round-robin across domains
 //!   ([`replica::EngineCell::handles_for_domains`]) and drain their
 //!   *home* shard queue first.

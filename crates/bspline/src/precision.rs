@@ -101,7 +101,6 @@ use crate::layout::{Kernel, Layout};
 use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
 use crate::soa::BsplineSoA;
 use einspline::multi::MultiCoefs;
-use einspline::solver1d::COEF_PAD;
 use einspline::Real;
 
 /// Maximum allowed deviation of any `f32`/mixed kernel output from the
@@ -146,11 +145,7 @@ impl SplineScale {
 /// stay meaningful (`0 ≤ budget·1`).
 pub fn spline_scale<T: Real>(coefs: &MultiCoefs<T>) -> SplineScale {
     let (gx, gy, gz) = coefs.grids();
-    let (px, py, pz) = (
-        gx.num() + COEF_PAD,
-        gy.num() + COEF_PAD,
-        gz.num() + COEF_PAD,
-    );
+    let (px, py, pz) = coefs.layout().dims();
     let mut c_max = 0.0f64;
     for ix in 0..px {
         for iy in 0..py {

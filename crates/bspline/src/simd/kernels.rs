@@ -43,18 +43,33 @@
 //! (`bspline.blocked.v_batch_mevals` 299 / 365 / 437 at 1 / 2 / 4 packs;
 //! `vgl_batch_mevals` 230 / 283 at 1 / 2).
 //!
-//! **Software prefetch** ([`AHEAD`] planes ahead): where a pack is a
+//! **Software prefetch** ([`ahead`] planes ahead): where a pack is a
 //! whole cache line, every load is the only access to its line and the
 //! L1 next-line prefetcher never fires, so steps shorter than
-//! [`STREAMED_UNROLL`] hint the lines they will read four planes later
-//! (VGL 262 → 283, VGH 184 → 200; farther ahead thrashes — at N = 256
-//! the 64 lines of a chunk share four L1 sets). Narrower packs touch
-//! each line twice or more and read slower with the hints (AVX2 VGH 85
-//! vs 97), so they take none.
+//! [`STREAMED_UNROLL`] hint the lines they will read some planes later
+//! (four planes: VGL 262 → 283, VGH 184 → 200, on unpadded rows).
+//! Narrower packs touch each line twice or more and read slower with
+//! the hints (AVX2 VGH 85 vs 97), so they take none.
+//!
+//! How far ahead was swept again once the table padded its z-rows (see
+//! `einspline::multi`: at N = 256 a chunk's 64 lines now cover 52 L1
+//! sets, not 4). Traced `spline_batch`, 8 s runs, three alternating runs
+//! per distance, `bspline.blocked.*_batch_mevals`:
+//!
+//! | planes ahead | 4 | 6 | 8 | 12 | 16 |
+//! |---|---|---|---|---|---|
+//! | VGH (one pack a step) | 252–255 | | 252–254 | **258–268** | 260–265 |
+//! | VGL (two packs a step) | **312–320** | 312–320 | 314–318 | 306–317 | 301–307 |
+//!
+//! VGH at 12 won all nine pairs against 4 (three sweeps, two seeds); no
+//! distance moved VGL beyond the spread of 4, so it keeps 4.
 //!
 //! Measured and **not kept**: hinting the output lines ahead of the
-//! stores (no change), and a fully unrolled plane loop (the compiler
-//! hoists 160 splats to the stack; −12 %).
+//! stores (no change); a fully unrolled plane loop (the compiler
+//! hoists 160 splats to the stack; −12 %); hinting V's four-pack walk a
+//! whole chunk ahead (V 466–481 → 341–344). That loss was put down to
+//! the four shared L1 sets, but it survives the row pad: four packs a
+//! step already stream every z-line for the hardware prefetchers.
 //!
 //! Per element the operation chain is unchanged by all of this (same
 //! products, same accumulation order, same fused ops), so results are
@@ -159,23 +174,32 @@ fn prefetch_line<T>(s: &[T], at: usize) {
     }
 }
 
-/// Planes the chunk loops prefetch ahead of the one they compute.
-const AHEAD: usize = 4;
+/// Planes a chunk loop of `unroll` packs per step prefetches ahead of
+/// the one it computes: 12 at one pack a step (VGH), 4 at two (VGL).
+/// See the module docs for the sweep.
+const fn ahead(unroll: usize) -> usize {
+    if unroll == 1 {
+        12
+    } else {
+        4
+    }
+}
 
-/// Hint the four z-lines of the plane [`AHEAD`] after plane `p` at
-/// orbital `at` into L1, wrapping into the first planes of the pack
-/// `step` orbitals on (an address past the table is only a hint).
+/// Hint the four z-lines of the plane `ahead` planes after plane `p`
+/// at orbital `at` into L1, wrapping into the planes of the pack `step`
+/// orbitals on (an address past the table is only a hint).
 #[inline(always)]
 fn prefetch_ahead<T: Real, const Q: usize>(
     h: &Hoisted<'_, T, Q>,
     p: usize,
     at: usize,
     step: usize,
+    ahead: usize,
 ) {
-    let (q, at) = if p + AHEAD < PLANES {
-        (p + AHEAD, at)
+    let (q, at) = if p + ahead < PLANES {
+        (p + ahead, at)
     } else {
-        (p + AHEAD - PLANES, at + step)
+        (p + ahead - PLANES, at + step)
     };
     for k in 0..4 {
         prefetch_line(h.runs[q], k * h.stride + at);
@@ -254,7 +278,7 @@ fn chunks<T: Real, L: SimdReal<T>, const U: usize, const Q: usize, const A: usiz
             for (u, acc) in acc.iter_mut().enumerate() {
                 let at = base + u * L::LANES;
                 if U < STREAMED_UNROLL && std::mem::size_of::<L>() >= CACHE_LINE {
-                    prefetch_ahead(h, p, at, step);
+                    prefetch_ahead(h, p, at, step, ahead(U));
                 }
                 let a = z_loads::<T, L>(h.runs[p], h.stride, at);
                 let s = [z_sum(&zw[0], &a), z_sum(&zw[1], &a), z_sum(&zw[2], &a)];
@@ -275,7 +299,7 @@ fn chunks<T: Real, L: SimdReal<T>, const U: usize, const Q: usize, const A: usiz
 
 /// Packs per step from which a walk reads every z-line in runs long
 /// enough for the hardware prefetchers to follow; shorter steps of
-/// cache-line-wide packs prefetch [`AHEAD`] planes ahead in software.
+/// cache-line-wide packs prefetch [`ahead`] planes ahead in software.
 /// Also the largest step [`range`] takes.
 const STREAMED_UNROLL: usize = 4;
 
@@ -380,7 +404,7 @@ const STREAMING_BYTES: usize = 8 << 20;
 ///   with it vs 1460/1414/1452 without — every prefetch is then a hit
 ///   and the µops cost ~13 %, which is why tables below the threshold,
 ///   and VGL/VGH (3–6× the arithmetic per coefficient already covers
-///   the latency; their only hints are the [`AHEAD`]-plane ones of the
+///   the latency; their only hints are the [`ahead`]-plane ones of the
 ///   chunk loop), take the plain walk.
 #[inline(always)]
 pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(

@@ -24,6 +24,7 @@ use crate::hierarchy::{Hierarchy, LevelStats};
 use crate::platform::Platform;
 use bspline::parallel::partition_tiles;
 use bspline::{Kernel, Layout};
+use einspline::TableLayout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,20 +120,15 @@ impl SimStats {
     }
 }
 
-/// Pad a spline count to the f32 cache-line multiple used by the real
-/// containers.
-fn padded(n: usize) -> usize {
-    n.div_ceil(16) * 16
-}
-
 /// Virtual memory map of one scenario (f32 precision, 64 B lines).
 struct AddressMap {
     tile_base: Vec<u64>,
-    tile_bytes: u64,
+    /// The layout of one tile: the einspline table layout, row pads
+    /// included, so the replay reads the addresses the kernels read (a
+    /// ragged last tile is modelled at the full tile width).
+    layout: TableLayout,
     /// Coefficient line stride in bytes (padded Nb × 4).
     line_bytes: usize,
-    sy: usize,
-    sx: usize,
     out_base: u64,
     out_stream_bytes: usize,
     out_tile_bytes: usize,
@@ -142,14 +138,13 @@ struct AddressMap {
 
 impl AddressMap {
     fn new(cfg: &TraceConfig) -> Self {
-        let (nx, ny, nz) = cfg.grid;
-        let (px, py, pz) = (nx + 3, ny + 3, nz + 3);
         let (nb, n_tiles) = match cfg.layout {
             Layout::AoSoA => (cfg.nb.min(cfg.n_splines), cfg.n_splines.div_ceil(cfg.nb)),
             _ => (cfg.n_splines, 1),
         };
-        let line_bytes = padded(nb) * 4;
-        let tile_bytes = (px * py * pz * line_bytes) as u64;
+        let layout = TableLayout::new::<f32>(cfg.grid, nb);
+        let line_bytes = layout.stride_n() * 4;
+        let tile_bytes = layout.bytes() as u64;
         let tile_base: Vec<u64> = (0..n_tiles).map(|t| t as u64 * tile_bytes).collect();
         let coef_total = tile_bytes * n_tiles as u64;
 
@@ -160,10 +155,8 @@ impl AddressMap {
         let out_walker_bytes = n_tiles * out_tile_bytes;
         Self {
             tile_base,
-            tile_bytes,
+            layout,
             line_bytes,
-            sy: pz,
-            sx: py * pz,
             out_base: (coef_total + 4096) & !63u64,
             out_stream_bytes,
             out_tile_bytes,
@@ -174,8 +167,7 @@ impl AddressMap {
 
     #[inline]
     fn coef_line(&self, tile: usize, ix: usize, iy: usize, iz: usize) -> u64 {
-        self.tile_base[tile]
-            + ((ix * self.sx + iy * self.sy + iz) * self.line_bytes) as u64
+        self.tile_base[tile] + (self.layout.offset(ix, iy, iz) * 4) as u64
     }
 
     #[inline]
@@ -274,7 +266,7 @@ fn pretouch(
     }
     // The shared coefficient region, spread across its users round-robin
     // (it is read by everyone).
-    let lines = (map.tile_bytes / 64) as usize;
+    let lines = map.layout.bytes() / 64;
     for l in 0..lines {
         let (thread, _) = users[l % users.len()];
         h.access(thread, map.tile_base[tile] + (l * 64) as u64, false);
@@ -406,6 +398,49 @@ mod tests {
             n_threads: 1,
             threads_per_walker: 1,
             seed: 7,
+        }
+    }
+
+    /// The replay's coefficient addresses are the real table's: every
+    /// line of every tile sits at the byte offset `MultiCoefs` gives it,
+    /// row pads included, and a tile spans the table's bytes.
+    #[test]
+    fn coef_lines_follow_the_table_layout() {
+        use einspline::{Grid1, MultiCoefs};
+        for (layout, n, nb, grid) in [
+            (Layout::Soa, 256, 256, (6, 6, 6)),
+            (Layout::Soa, 100, 100, (17, 9, 11)),
+            (Layout::Soa, 64, 64, (6, 6, 8)),
+            (Layout::AoSoA, 256, 64, (6, 6, 6)),
+            (Layout::AoSoA, 96, 32, (17, 9, 11)),
+        ] {
+            let mut cfg = base_cfg(layout, n, nb);
+            cfg.grid = grid;
+            let map = AddressMap::new(&cfg);
+            let g = |k| Grid1::periodic(0.0, 1.0, k);
+            let table = MultiCoefs::<f32>::new(g(grid.0), g(grid.1), g(grid.2), n);
+            let tiles = match layout {
+                Layout::AoSoA => table.split_tiles(nb),
+                _ => vec![table],
+            };
+            assert_eq!(map.n_tiles, tiles.len());
+            let (px, py, pz) = tiles[0].layout().dims();
+            for (t, tile) in tiles.iter().enumerate() {
+                assert_eq!(map.layout.bytes(), tile.bytes(), "{layout:?} N={n} nb={nb}");
+                for (ix, iy, iz) in [
+                    (0, 0, 0),
+                    (0, 0, 1),
+                    (0, 1, 0),
+                    (1, 0, 0),
+                    (px - 1, py - 1, pz - 1),
+                ] {
+                    assert_eq!(
+                        map.coef_line(t, ix, iy, iz) - map.tile_base[t],
+                        (tile.line_offset(ix, iy, iz) * std::mem::size_of::<f32>()) as u64,
+                        "{layout:?} N={n} nb={nb} grid {grid:?} tile {t} ({ix}, {iy}, {iz})"
+                    );
+                }
+            }
         }
     }
 

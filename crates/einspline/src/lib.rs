@@ -18,7 +18,8 @@
 //! * [`spline1d`] / [`spline3d`] — scalar splines (Jastrow radial
 //!   functions; the tensor-product reference for engine validation);
 //! * [`multi`] — the 4D table `P[nx][ny][nz][N]` with padded, 64-byte
-//!   aligned spline lines consumed by the `bspline` evaluation engines;
+//!   aligned spline lines and padded z-rows ([`TableLayout`]) consumed
+//!   by the `bspline` evaluation engines;
 //! * [`aligned`] — cache-line aligned storage used throughout.
 //!
 //! # Quick example
@@ -55,7 +56,7 @@ pub mod spline3d;
 
 pub use aligned::{padded_len, AlignedVec, CACHE_LINE};
 pub use grid::{Boundary, Grid1};
-pub use multi::{BlockedCoefs, GridPoint, MultiCoefs, ShardMap};
+pub use multi::{BlockedCoefs, GridPoint, MultiCoefs, ShardMap, TableLayout};
 pub use real::Real;
 pub use solver1d::{solve_clamped, solve_natural, solve_periodic};
 pub use spline1d::Spline1;

@@ -7,8 +7,36 @@
 //! dimension is padded by 3 (periodic wrap or boundary ghosts), and the
 //! spline dimension is padded to a cache-line multiple and 64-byte
 //! aligned (paper Sec. IV: "aligned allocator and includes padding").
+//!
+//! # Row padding
+//!
+//! One tricubic evaluation reads the 64 lines `(i0+i, j0+j, k0+k)`,
+//! `i, j, k < 4`. With rows packed back to back their starts are
+//! `i·sx + j·sy + k·stride_n`, and at N = 256 `f32` (a 1 KiB line on a
+//! 51-point row) every one of those is a multiple of 1 KiB: the 64
+//! lines fall into 4 of the L1's 64 sets (the 4 KiB set period of an
+//! x86 L1d), 16 lines a set against 12 ways. So [`TableLayout`] appends
+//! `row_pad` cache lines after each z-row, `sy = pz·stride_n +
+//! row_pad·line`, `sx = py·sy`, where `row_pad` is the smallest value in
+//! `0..8` that maximises the number of distinct L1 sets the 64 line
+//! starts of a cell cover — a pure function of `(py, pz, line length)`
+//! (4 → 52 sets for that table, for one line per 816-line row: +0.12 %
+//! memory).
+//! A fixed one-line pad would not do: it leaves `f32` N = 100 on a 6³
+//! grid at 4 sets (`9·7 + 1 ≡ 0 mod 64`), where the search finds 52.
+//!
+//! What a row pad cannot fix: at lines of 4 KiB or more (`f32`
+//! N ≥ 1024, `f64` N ≥ 512) a plane's four z-lines share one set
+//! whatever the pad, and where `py` is a multiple of 32 (a 29³ or 61³
+//! grid) the x-stride `py·sy` aliases for every `sy`.
+//!
+//! Every table — monolithic, AoSoA tiles, orbital blocks, the
+//! down-cast table — gets its layout from [`TableLayout`] through
+//! [`MultiCoefs::new`], and every byte count ([`MultiCoefs::bytes`],
+//! [`table_bytes_in`], [`MultiCoefs::bytes_per_spline`],
+//! [`block_splines_for_budget_in`]) derives from it.
 
-use crate::aligned::{padded_len, AlignedVec};
+use crate::aligned::{padded_len, AlignedVec, CACHE_LINE};
 use crate::grid::Grid1;
 use crate::real::Real;
 use crate::solver1d::COEF_PAD;
@@ -33,19 +61,151 @@ pub struct GridPoint<T> {
     pub tz: T,
 }
 
-/// Multi-orbital tricubic B-spline coefficients.
-///
-/// Layout: `data[((ix·(ny+3) + iy)·(nz+3) + iz)·stride_n + n]` where
-/// `stride_n ≥ n_splines` is padded to a full cache line.
+/// L1 data-cache sets the row pad spreads a cell over: 64 sets of
+/// 64-byte lines, the 4 KiB set period of every x86 L1d.
+const L1_SETS: usize = 64;
+
+/// The row pad is searched in `0..ROW_PADS` cache lines.
+const ROW_PADS: usize = 8;
+
+/// Distinct L1 sets covered by the 64 line starts of one evaluation
+/// cell, for rows of `pz` lines of `line` cache lines each followed by
+/// `pad` cache lines, `py` rows per x-plane.
+fn cell_sets(py: usize, pz: usize, line: usize, pad: usize) -> usize {
+    // Everything mod the set period: the products stay small whatever
+    // the table size.
+    let sy = (pz % L1_SETS * (line % L1_SETS) + pad) % L1_SETS;
+    let (sx, sz) = (py % L1_SETS * sy % L1_SETS, line % L1_SETS);
+    let mut covered = [false; L1_SETS];
+    for i in 0..4 {
+        for j in 0..4 {
+            for k in 0..4 {
+                covered[(i * sx + j * sy + k * sz) % L1_SETS] = true;
+            }
+        }
+    }
+    covered.iter().filter(|&&c| c).count()
+}
+
+/// The smallest row pad in `0..ROW_PADS` cache lines that spreads one
+/// evaluation cell over the most L1 sets (see the module docs).
+fn row_pad(py: usize, pz: usize, line: usize) -> usize {
+    let (mut best, mut most) = (0, cell_sets(py, pz, line, 0));
+    for pad in 1..ROW_PADS {
+        let sets = cell_sets(py, pz, line, pad);
+        if sets > most {
+            (best, most) = (pad, sets);
+        }
+    }
+    best
+}
+
+/// The one coefficient-table layout: where each line of a table of
+/// `n_splines` orbitals on a grid starts, and how large the table is.
+/// Line `(ix, iy, iz)` starts at element `ix·sx + iy·sy + iz·stride_n`
+/// with `stride_n = padded_len(n_splines)`, `sy = pz·stride_n` plus
+/// `row_pad` cache lines, and `sx = py·sy` (`px, py, pz = grid + 3`; the
+/// row pad is chosen as the module docs say). Pad elements are never
+/// read by a kernel and stay zero.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableLayout {
+    dims: (usize, usize, usize),
+    stride_n: usize,
+    row_pad: usize,
+    sy: usize,
+    sx: usize,
+    len: usize,
+    bytes: usize,
+}
+
+impl TableLayout {
+    /// The layout of a table of `T` for `n_splines` orbitals on `grid`
+    /// (intervals per dimension, before the 3-point wrap). Panics,
+    /// naming the grid and N, if its size overflows `usize`: a wrapped
+    /// product would silently size the allocation or a budget.
+    pub fn new<T>(grid: (usize, usize, usize), n_splines: usize) -> Self {
+        let checked = |v: Option<usize>| {
+            v.unwrap_or_else(|| {
+                panic!("coefficient table of N = {n_splines} on grid {grid:?} overflows usize")
+            })
+        };
+        let (px, py, pz) = (
+            checked(grid.0.checked_add(COEF_PAD)),
+            checked(grid.1.checked_add(COEF_PAD)),
+            checked(grid.2.checked_add(COEF_PAD)),
+        );
+        let quantum = padded_len::<T>(1);
+        let stride_n = checked(n_splines.checked_next_multiple_of(quantum));
+        let row_pad = row_pad(py, pz, stride_n / quantum);
+        let sy = checked(
+            pz.checked_mul(stride_n)
+                .and_then(|row| row.checked_add(row_pad * quantum)),
+        );
+        let sx = checked(py.checked_mul(sy));
+        let len = checked(px.checked_mul(sx));
+        let bytes = checked(
+            len.checked_mul(std::mem::size_of::<T>())
+                .filter(|&b| b <= isize::MAX as usize),
+        );
+        Self {
+            dims: (px, py, pz),
+            stride_n,
+            row_pad,
+            sy,
+            sx,
+            len,
+            bytes,
+        }
+    }
+
+    /// Points per dimension, `grid + 3` each.
+    #[inline]
+    pub fn dims(&self) -> (usize, usize, usize) {
+        self.dims
+    }
+
+    /// Elements per coefficient line: N padded to a whole cache line.
+    #[inline]
+    pub fn stride_n(&self) -> usize {
+        self.stride_n
+    }
+
+    /// Cache lines of padding after each z-row.
+    #[inline]
+    pub fn row_pad(&self) -> usize {
+        self.row_pad
+    }
+
+    /// Elements of one z-row and its pad: the y-stride.
+    #[inline]
+    pub fn row_len(&self) -> usize {
+        self.sy
+    }
+
+    /// Element offset of line `(ix, iy, iz)`.
+    #[inline(always)]
+    pub fn offset(&self, ix: usize, iy: usize, iz: usize) -> usize {
+        ix * self.sx + iy * self.sy + iz * self.stride_n
+    }
+
+    /// Bytes of the whole table, row pads included.
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+/// Multi-orbital tricubic B-spline coefficients, laid out by
+/// [`TableLayout`]: line `(ix, iy, iz)` is `stride_n ≥ n_splines`
+/// elements (a whole number of cache lines) at
+/// [`MultiCoefs::line_offset`].
 #[derive(Debug)]
 pub struct MultiCoefs<T> {
     gx: Grid1,
     gy: Grid1,
     gz: Grid1,
     n_splines: usize,
-    stride_n: usize,
-    sy: usize,
-    sx: usize,
+    layout: TableLayout,
     data: AlignedVec<T>,
 }
 
@@ -56,37 +216,33 @@ impl<T: Real> Clone for MultiCoefs<T> {
             gy: self.gy,
             gz: self.gz,
             n_splines: self.n_splines,
-            stride_n: self.stride_n,
-            sy: self.sy,
-            sx: self.sx,
+            layout: self.layout,
             data: self.data.clone(),
         }
     }
 }
 
 impl<T: Real> MultiCoefs<T> {
-    /// Zero-initialized table for `n_splines` orbitals.
+    /// Zero-initialized table for `n_splines` orbitals. Panics if the
+    /// table's size overflows `usize` (see [`TableLayout::new`]).
     pub fn new(gx: Grid1, gy: Grid1, gz: Grid1, n_splines: usize) -> Self {
         assert!(n_splines > 0, "need at least one spline");
-        let (px, py, pz) = (
-            gx.num() + COEF_PAD,
-            gy.num() + COEF_PAD,
-            gz.num() + COEF_PAD,
-        );
-        let stride_n = padded_len::<T>(n_splines);
-        let data = AlignedVec::zeroed(px * py * pz * stride_n);
-        // Explicit-SIMD contract (bspline::simd): every coefficient row
+        let layout = TableLayout::new::<T>((gx.num(), gy.num(), gz.num()), n_splines);
+        let data = AlignedVec::zeroed(layout.len);
+        // Explicit-SIMD contract (bspline::simd): every coefficient line
         // must start on a cache-line boundary and span a whole number of
         // cache lines (= a multiple of the widest lane count), so the
-        // lane kernels can consume full rows with no ragged tail. Both
-        // hold by construction; assert so a future layout change cannot
-        // silently reintroduce tail-handling cost in the AoSoA path.
+        // lane kernels can consume full lines with no ragged tail. Both
+        // hold by construction (the row pad is whole lines too); assert
+        // so a future layout change cannot silently reintroduce
+        // tail-handling cost in the AoSoA path.
         assert!(
-            (stride_n * std::mem::size_of::<T>()).is_multiple_of(crate::aligned::CACHE_LINE),
-            "spline stride must be padded to a whole cache line"
+            (layout.stride_n() * std::mem::size_of::<T>()).is_multiple_of(CACHE_LINE)
+                && (layout.row_len() * std::mem::size_of::<T>()).is_multiple_of(CACHE_LINE),
+            "spline stride and row must be padded to whole cache lines"
         );
         assert!(
-            (data.as_ptr() as usize).is_multiple_of(crate::aligned::CACHE_LINE),
+            (data.as_ptr() as usize).is_multiple_of(CACHE_LINE),
             "coefficient table must be cache-line aligned"
         );
         Self {
@@ -94,23 +250,25 @@ impl<T: Real> MultiCoefs<T> {
             gy,
             gz,
             n_splines,
-            stride_n,
-            sy: pz * stride_n,
-            sx: py * pz * stride_n,
+            layout,
             data,
         }
     }
 
     /// Fill every coefficient with uniform random values in `[-0.5, 0.5)`
     /// — the miniQMC benchmarking path (kernel cost is independent of the
-    /// coefficient values; see paper Fig. 3, L9). Padding lanes beyond
-    /// `n_splines` stay zero so padded output streams remain zero.
+    /// coefficient values; see paper Fig. 3, L9). Values are drawn in
+    /// `(ix, iy, iz, n)` order, so they do not depend on the row pad;
+    /// padding lanes beyond `n_splines` and the row pads stay zero so
+    /// padded output streams remain zero.
     pub fn fill_random<R: Rng>(&mut self, rng: &mut R) {
-        let n = self.n_splines;
-        let stride = self.stride_n;
-        for line in self.data.as_mut_slice().chunks_exact_mut(stride) {
-            for x in &mut line[..n] {
-                *x = T::from_f64(rng.random::<f64>() - 0.5);
+        let (n, stride, row_len) = (self.n_splines, self.stride_n(), self.layout.row_len());
+        let lines = self.layout.dims().2 * stride;
+        for row in self.data.as_mut_slice().chunks_exact_mut(row_len) {
+            for line in row[..lines].chunks_exact_mut(stride) {
+                for x in &mut line[..n] {
+                    *x = T::from_f64(rng.random::<f64>() - 0.5);
+                }
             }
         }
     }
@@ -128,8 +286,7 @@ impl<T: Real> MultiCoefs<T> {
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
-                    let off = ix * self.sx + iy * self.sy + iz * self.stride_n + n;
-                    self.data[off] = s.coef(ix, iy, iz);
+                    self.data[self.layout.offset(ix, iy, iz) + n] = s.coef(ix, iy, iz);
                 }
             }
         }
@@ -144,7 +301,13 @@ impl<T: Real> MultiCoefs<T> {
     /// Padded spline stride (innermost dimension length).
     #[inline]
     pub fn stride_n(&self) -> usize {
-        self.stride_n
+        self.layout.stride_n()
+    }
+
+    /// The table's layout.
+    #[inline]
+    pub fn layout(&self) -> &TableLayout {
+        &self.layout
     }
 
     #[inline]
@@ -163,10 +326,11 @@ impl<T: Real> MultiCoefs<T> {
         ]
     }
 
-    /// Total table footprint in bytes (the paper's `4·Ng·N` for f32).
+    /// Total table footprint in bytes (the paper's `4·Ng·N` for f32,
+    /// plus the row pads).
     #[inline]
     pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+        self.layout.bytes()
     }
 
     /// Map a physical position to table indices + fractions.
@@ -189,25 +353,25 @@ impl<T: Real> MultiCoefs<T> {
     /// `stride_n` values, 64-byte aligned.
     #[inline(always)]
     pub fn line(&self, ix: usize, iy: usize, iz: usize) -> &[T] {
-        let off = ix * self.sx + iy * self.sy + iz * self.stride_n;
-        &self.data.as_slice()[off..off + self.stride_n]
+        let off = self.line_offset(ix, iy, iz);
+        &self.data.as_slice()[off..off + self.stride_n()]
     }
 
     /// The four consecutive z-lines `(ix, iy, iz..iz + 4)` as the one
     /// contiguous run they are in memory (`4·stride_n` values, line `k`
-    /// at `k·stride_n`) — a tricubic evaluation's reads of one (i,j)
-    /// plane, resolved with a single bounds check.
+    /// at `k·stride_n`; a row pad only follows the last line of a row)
+    /// — a tricubic evaluation's reads of one (i,j) plane, resolved with
+    /// a single bounds check.
     #[inline(always)]
     pub fn z_run(&self, ix: usize, iy: usize, iz: usize) -> &[T] {
         let off = self.line_offset(ix, iy, iz);
-        &self.data.as_slice()[off..off + 4 * self.stride_n]
+        &self.data.as_slice()[off..off + 4 * self.stride_n()]
     }
 
-    /// Flat offset of a line — used by the cache-simulator trace
-    /// generator to reproduce the physical address stream.
-    #[inline]
+    /// Flat element offset of a line ([`TableLayout::offset`]).
+    #[inline(always)]
     pub fn line_offset(&self, ix: usize, iy: usize, iz: usize) -> usize {
-        ix * self.sx + iy * self.sy + iz * self.stride_n
+        self.layout.offset(ix, iy, iz)
     }
 
     /// Extract the orbital range `[lo, hi)` into a standalone table — the
@@ -216,16 +380,12 @@ impl<T: Real> MultiCoefs<T> {
     pub fn slice_splines(&self, lo: usize, hi: usize) -> Self {
         assert!(lo < hi && hi <= self.n_splines, "bad spline range");
         let mut out = Self::new(self.gx, self.gy, self.gz, hi - lo);
-        let (px, py, pz) = (
-            self.gx.num() + COEF_PAD,
-            self.gy.num() + COEF_PAD,
-            self.gz.num() + COEF_PAD,
-        );
+        let (px, py, pz) = self.layout.dims();
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
-                    let src = ix * self.sx + iy * self.sy + iz * self.stride_n;
-                    let dst = ix * out.sx + iy * out.sy + iz * out.stride_n;
+                    let src = self.line_offset(ix, iy, iz);
+                    let dst = out.line_offset(ix, iy, iz);
                     out.data.as_mut_slice()[dst..dst + (hi - lo)]
                         .copy_from_slice(&self.data.as_slice()[src + lo..src + hi]);
                 }
@@ -242,26 +402,23 @@ impl<T: Real> MultiCoefs<T> {
     ///
     /// Every structural invariant is re-established for the narrower
     /// element type: the spline stride is re-padded to a whole cache
-    /// line of `f32` (16 lanes, not the f64 table's 8), the allocation
-    /// is 64-byte aligned, and padding lanes beyond `n_splines` stay
-    /// zero. Each stored coefficient rounds once (≤ 0.5 ulp ≈ 6e-8
-    /// relative); the evaluation-side consequences are documented and
-    /// tested against `bspline::precision::F32_REL_ERROR_BUDGET`.
+    /// line of `f32` (16 lanes, not the f64 table's 8), the row pad is
+    /// chosen for the `f32` line length, the allocation is 64-byte
+    /// aligned, and padding lanes beyond `n_splines` stay zero. Each
+    /// stored coefficient rounds once (≤ 0.5 ulp ≈ 6e-8 relative); the
+    /// evaluation-side consequences are documented and tested against
+    /// `bspline::precision::F32_REL_ERROR_BUDGET`.
     pub fn downcast(&self) -> MultiCoefs<f32>
     where
         T: Real<Accum = f64>,
     {
         let mut out = MultiCoefs::<f32>::new(self.gx, self.gy, self.gz, self.n_splines);
-        let (px, py, pz) = (
-            self.gx.num() + COEF_PAD,
-            self.gy.num() + COEF_PAD,
-            self.gz.num() + COEF_PAD,
-        );
+        let (px, py, pz) = self.layout.dims();
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
-                    let src = ix * self.sx + iy * self.sy + iz * self.stride_n;
-                    let dst = ix * out.sx + iy * out.sy + iz * out.stride_n;
+                    let src = self.line_offset(ix, iy, iz);
+                    let dst = out.line_offset(ix, iy, iz);
                     let src_line = &self.data.as_slice()[src..src + self.n_splines];
                     let dst_line = &mut out.data.as_mut_slice()[dst..dst + self.n_splines];
                     for (d, s) in dst_line.iter_mut().zip(src_line) {
@@ -282,15 +439,16 @@ impl<T: Real> MultiCoefs<T> {
             .collect()
     }
 
-    /// Bytes one spline column occupies across the whole (padded) grid:
-    /// the coefficient-slab cost of adding one orbital to a block.
+    /// Bytes per spline of the narrowest block, one cache-line quantum
+    /// wide (16 `f32` / 8 `f64` splines), row pads included: a budget of
+    /// `quantum · bytes_per_spline()` fits a one-quantum block. Wider
+    /// blocks are not linear in it (their row pad is chosen for their
+    /// own line length); [`Self::block_splines_for_budget`] sizes them
+    /// from the layout itself.
     pub fn bytes_per_spline(&self) -> usize {
-        let (px, py, pz) = (
-            self.gx.num() + COEF_PAD,
-            self.gy.num() + COEF_PAD,
-            self.gz.num() + COEF_PAD,
-        );
-        px * py * pz * std::mem::size_of::<T>()
+        let (gx, gy, gz) = self.grids();
+        let quantum = padded_len::<T>(1);
+        table_bytes_in::<T>((gx.num(), gy.num(), gz.num()), quantum) / quantum
     }
 
     /// The widest block (spline count) whose standalone coefficient slab
@@ -337,26 +495,26 @@ pub fn block_splines_for_budget_in<T>(
     budget_bytes: usize,
 ) -> usize {
     let quantum = padded_len::<T>(1);
-    let per_spline = (grid.0 + COEF_PAD)
-        * (grid.1 + COEF_PAD)
-        * (grid.2 + COEF_PAD)
-        * std::mem::size_of::<T>();
-    let fit = budget_bytes / (per_spline * quantum).max(1) * quantum;
-    // Floor at one quantum, cap at N (which may itself be below a
-    // quantum for tiny tables — N wins then: one block).
-    fit.max(quantum).min(n_splines.max(1))
+    let n = n_splines.max(1);
+    let width = |quanta: usize| (quanta * quantum).min(n);
+    // The row pad makes a table's size non-linear in its width, so scan
+    // down from N for the widest that fits. Floor at one quantum, cap at
+    // N (which may itself be below a quantum for tiny tables — N wins
+    // then: one block).
+    (1..=n.div_ceil(quantum))
+        .rev()
+        .map(width)
+        .find(|&w| table_bytes_in::<T>(grid, w) <= budget_bytes)
+        .unwrap_or(width(1))
 }
 
 /// Table-free twin of [`MultiCoefs::bytes`]: the coefficient-table
-/// footprint (padded stride included) a table of `n_splines` orbitals
-/// on `grid` would occupy — for model/bench code sizing budgets
-/// without allocating the table.
+/// footprint (padded stride and row pads included) a table of
+/// `n_splines` orbitals on `grid` would occupy — for model/bench code
+/// sizing budgets without allocating the table. Panics if it overflows
+/// `usize` (see [`TableLayout::new`]).
 pub fn table_bytes_in<T>(grid: (usize, usize, usize), n_splines: usize) -> usize {
-    (grid.0 + COEF_PAD)
-        * (grid.1 + COEF_PAD)
-        * (grid.2 + COEF_PAD)
-        * padded_len::<T>(n_splines)
-        * std::mem::size_of::<T>()
+    TableLayout::new::<T>(grid, n_splines).bytes()
 }
 
 /// A [`MultiCoefs`] table split along its spline dimension into
@@ -655,8 +813,163 @@ mod tests {
     fn bytes_accounts_padding() {
         let (gx, gy, gz) = small_grids();
         let m = MultiCoefs::<f32>::new(gx, gy, gz, 16);
-        // (6+3)(6+3)(8+3) lines of 16 f32.
+        // (6+3)(6+3)(8+3) lines of 16 f32; one-line rows of 11 already
+        // cover 52 sets, so no row pad.
+        assert_eq!(m.layout().row_pad(), 0);
         assert_eq!(m.bytes(), 9 * 9 * 11 * 16 * 4);
+        // Four-line rows of 11 alias (4 sets); one line of pad per row.
+        let m = MultiCoefs::<f32>::new(gx, gy, gz, 64);
+        assert_eq!(m.layout().row_pad(), 1);
+        assert_eq!(m.bytes(), 9 * 9 * (11 * 64 + 16) * 4);
+    }
+
+    /// The grids and orbital counts the layout tests sweep.
+    const SWEEP_GRIDS: [(usize, usize, usize); 3] = [(6, 6, 6), (17, 9, 11), (48, 48, 48)];
+    const SWEEP_N: [usize; 6] = [1, 16, 100, 128, 256, 512];
+
+    /// Distinct L1 sets of the 64 line starts of the cell at the origin,
+    /// from the layout's own offsets.
+    fn sets_of<T>(layout: &TableLayout) -> usize {
+        let mut sets = std::collections::BTreeSet::new();
+        for i in 0..4 {
+            for j in 0..4 {
+                for k in 0..4 {
+                    let byte = layout.offset(i, j, k) * std::mem::size_of::<T>();
+                    sets.insert(byte / CACHE_LINE % L1_SETS);
+                }
+            }
+        }
+        sets.len()
+    }
+
+    fn check_row_pad<T>() {
+        for grid in SWEEP_GRIDS {
+            for n in SWEEP_N {
+                let layout = TableLayout::new::<T>(grid, n);
+                let (_, py, pz) = layout.dims();
+                let line = layout.stride_n() * std::mem::size_of::<T>() / CACHE_LINE;
+                let sets = sets_of::<T>(&layout);
+                let at = format!("{} B, N = {n}, grid {grid:?}", std::mem::size_of::<T>());
+                assert_eq!(sets, cell_sets(py, pz, line, layout.row_pad()), "{at}");
+                assert!(
+                    sets >= cell_sets(py, pz, line, 0),
+                    "{at}: worse than no pad"
+                );
+                if line * CACHE_LINE < 4096 {
+                    assert!(sets >= 24, "{at}: {sets} sets");
+                }
+                // The pad is the smallest of the best.
+                for pad in 0..layout.row_pad() {
+                    assert!(cell_sets(py, pz, line, pad) < sets, "{at}: pad {pad}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_pad_spreads_a_cell_over_the_l1_sets() {
+        check_row_pad::<f32>();
+        check_row_pad::<f64>();
+        // The bench table: 1 KiB lines on 51-point rows share 4 sets
+        // unpadded, one line of pad per row spreads them over 52.
+        let bench = TableLayout::new::<f32>((48, 48, 48), 256);
+        assert_eq!(cell_sets(51, 51, 16, 0), 4);
+        assert_eq!((bench.row_pad(), sets_of::<f32>(&bench)), (1, 52));
+        // Where a fixed one-line pad fails: 7-line rows of 9 plus one
+        // line are 64 lines, so every row starts in the same set.
+        let small = TableLayout::new::<f32>((6, 6, 6), 100);
+        assert_eq!(cell_sets(9, 9, 7, 1), 4);
+        assert!(sets_of::<f32>(&small) >= 24);
+    }
+
+    #[test]
+    fn table_bytes_in_matches_the_allocated_table() {
+        for (gx, gy, gz) in SWEEP_GRIDS {
+            let g = |n| Grid1::periodic(0.0, 1.0, n);
+            for n in SWEEP_N {
+                assert_eq!(
+                    table_bytes_in::<f32>((gx, gy, gz), n),
+                    MultiCoefs::<f32>::new(g(gx), g(gy), g(gz), n).bytes(),
+                    "f32 N = {n} grid {gx}x{gy}x{gz}"
+                );
+                assert_eq!(
+                    table_bytes_in::<f64>((gx, gy, gz), n),
+                    MultiCoefs::<f64>::new(g(gx), g(gy), g(gz), n).bytes(),
+                    "f64 N = {n} grid {gx}x{gy}x{gz}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "N = 256 on grid (1152921504606846976, 8, 8) overflows usize")]
+    fn table_bytes_in_rejects_a_table_larger_than_memory() {
+        let _ = table_bytes_in::<f32>((1 << 60, 8, 8), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "N = 16 on grid (2097152, 2097152, 2097152) overflows usize")]
+    fn new_rejects_a_table_larger_than_memory() {
+        let g = Grid1::periodic(0.0, 1.0, 1 << 21);
+        let _ = MultiCoefs::<f32>::new(g, g, g, 16);
+    }
+
+    /// Every point `(ix, iy, iz)` of a padded grid of `dims` points, in
+    /// memory order.
+    fn grid_points(dims: (usize, usize, usize)) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (px, py, pz) = dims;
+        (0..px).flat_map(move |ix| (0..py).flat_map(move |iy| (0..pz).map(move |iz| (ix, iy, iz))))
+    }
+
+    /// Whether every element outside a line's first `n_splines` lanes —
+    /// lane padding and row pads — is zero.
+    fn pads_are_zero<T: Real>(m: &MultiCoefs<T>) -> bool {
+        let mut payload = vec![false; m.data.len()];
+        for (ix, iy, iz) in grid_points(m.layout.dims()) {
+            let at = m.line_offset(ix, iy, iz);
+            payload[at..at + m.n_splines()].fill(true);
+        }
+        m.data
+            .iter()
+            .zip(&payload)
+            .all(|(x, &p)| p || *x == T::ZERO)
+    }
+
+    /// `fill_random` on a table with row pads draws exactly what a
+    /// walk in `(ix, iy, iz, n)` order draws, and pads nothing.
+    fn check_fill_random<T: Real>(grid: (usize, usize, usize), n: usize) {
+        let g = |k| Grid1::periodic(0.0, 1.0, k);
+        let mut m = MultiCoefs::<T>::new(g(grid.0), g(grid.1), g(grid.2), n);
+        assert!(m.layout().row_pad() > 0, "the case must have row pads");
+        m.fill_random(&mut StdRng::seed_from_u64(17));
+        let mut rng = StdRng::seed_from_u64(17);
+        for (ix, iy, iz) in grid_points(m.layout().dims()) {
+            for k in 0..n {
+                let want = T::from_f64(rng.random::<f64>() - 0.5);
+                assert_eq!(m.line(ix, iy, iz)[k], want, "({ix}, {iy}, {iz}) lane {k}");
+            }
+        }
+        assert!(pads_are_zero(&m));
+    }
+
+    #[test]
+    fn fill_random_draws_in_grid_order_and_leaves_pads_zero() {
+        check_fill_random::<f32>((6, 6, 6), 100);
+        check_fill_random::<f64>((17, 9, 11), 20);
+    }
+
+    #[test]
+    fn derived_tables_keep_pads_zero() {
+        let g = Grid1::periodic(0.0, 1.0, 6);
+        let mut wide = MultiCoefs::<f64>::new(g, g, g, 100);
+        wide.fill_random(&mut StdRng::seed_from_u64(4));
+        let narrow = wide.downcast();
+        assert!(narrow.layout().row_pad() > 0 && wide.layout().row_pad() > 0);
+        assert!(pads_are_zero(&narrow));
+        assert!(pads_are_zero(&wide.slice_splines(3, 70)));
+        let blocked = narrow.split_blocks(2 * 16 * narrow.bytes_per_spline());
+        assert!(blocked.n_blocks() > 1);
+        assert!(blocked.blocks().iter().all(pads_are_zero));
     }
 
     #[test]
@@ -680,13 +993,18 @@ mod tests {
         // padded stride).
         assert_eq!(m.block_splines_for_budget(1), 16);
         // Room for 2 quanta and a bit: floors to the quantum multiple.
-        assert_eq!(m.block_splines_for_budget(2 * 16 * 3564 + 100), 32);
+        // Two-line rows of 11 take a one-line row pad, so two quanta
+        // cost more than twice one.
+        let two = table_bytes_in::<f32>((6, 6, 8), 32);
+        assert_eq!(two, 9 * 9 * (11 * 32 + 16) * 4);
+        assert_eq!(m.block_splines_for_budget(two + 100), 32);
+        assert_eq!(m.block_splines_for_budget(two - 1), 16);
         // A huge budget clamps to N.
         assert_eq!(m.block_splines_for_budget(usize::MAX / 2), 100);
         // The table-free twin agrees with the method for every case
         // above (it is the delegation target; assert the public
         // contract anyway).
-        for budget in [1usize, 2 * 16 * 3564 + 100, usize::MAX / 2] {
+        for budget in [1usize, two - 1, two + 100, usize::MAX / 2] {
             assert_eq!(
                 block_splines_for_budget_in::<f32>((6, 6, 8), 100, budget),
                 m.block_splines_for_budget(budget),
