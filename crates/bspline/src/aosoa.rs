@@ -3,8 +3,8 @@
 //!
 //! The spline dimension N — innermost and contiguous for both inputs and
 //! outputs after Opt A — is split into `M = ⌈N/Nb⌉` tiles. Each tile is a
-//! complete, independent [`BsplineSoA`] engine over its own
-//! `P[nx][ny][nz][Nb]` block plus matching `Nb`-sized outputs, so:
+//! complete, independent [`BsplineSoA`] over its own `P[nx][ny][nz][Nb]`
+//! block, so:
 //!
 //! * the *output* working set per evaluation shrinks from `40·N` bytes to
 //!   `40·Nb` bytes (fits L1/L2 → fast reductions: the KNC/KNL win);
@@ -12,204 +12,39 @@
 //!   small `Nb`: the BDW/BG/Q win);
 //! * tiles share nothing and can run on different threads (Opt C).
 //!
+//! That decomposition is a [`BlockedEngine`] at a fixed block width, so
+//! this is the paper's name for one: [`BsplineAoSoA::from_multi`] returns
+//! the blocked engine [`BlockedEngine::with_block_size`] builds. Its
+//! blocks are the tiles, its block-major core is the Fig. 6 tile loop,
+//! and Opt C is [`crate::parallel::run_nested_blocked`].
+//!
 //! The optimal `Nb` depends only on the cache hierarchy, not on N.
 
-use crate::batch::{Located, PosBlock};
-use crate::engine::check_out;
-use crate::layout::{Kernel, Layout};
-use crate::output::{WalkerSoA, WalkerTiled};
+use crate::blocked::BlockedEngine;
 use crate::soa::BsplineSoA;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
 
-/// Tiled (AoSoA) multi-orbital evaluator (Opt B).
-#[derive(Clone, Debug)]
-pub struct BsplineAoSoA<T: Real> {
-    tiles: Vec<BsplineSoA<T>>,
-    nb: usize,
-    n_splines: usize,
-}
+/// Opt B: the fixed-width tile decomposition (module docs).
+#[derive(Clone, Copy, Debug)]
+pub struct BsplineAoSoA;
 
-impl<T: Real> BsplineAoSoA<T> {
-    /// Split an existing coefficient table into tiles of `nb` splines.
-    pub fn from_multi(coefs: &MultiCoefs<T>, nb: usize) -> Self {
-        assert!(nb > 0, "tile size must be positive");
-        let n_splines = coefs.n_splines();
-        let tiles = coefs
-            .split_tiles(nb)
-            .into_iter()
-            .map(BsplineSoA::new)
-            .collect();
-        Self {
-            tiles,
-            nb,
-            n_splines,
-        }
-    }
-
-    /// Tile size `Nb` (last tile may hold fewer splines).
-    #[inline]
-    pub fn nb(&self) -> usize {
-        self.nb
-    }
-
-    /// Number of tiles `M`.
-    #[inline]
-    pub fn n_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    #[inline]
-    /// Number of orbitals N.
-    pub fn n_splines(&self) -> usize {
-        self.n_splines
-    }
-
-    #[inline]
-    /// Tiles.
-    pub fn tiles(&self) -> &[BsplineSoA<T>] {
-        &self.tiles
-    }
-
-    /// Allocate a matching tiled output block.
-    pub fn make_out(&self) -> WalkerTiled<T> {
-        let sizes: Vec<usize> = self.tiles.iter().map(|t| t.n_splines()).collect();
-        WalkerTiled::new(&sizes, self.nb)
-    }
-
-    /// Evaluate one tile only — the unit of work for nested threading.
-    #[inline]
-    pub fn eval_tile(
-        &self,
-        t: usize,
-        kernel: Kernel,
-        pos: [T; 3],
-        out: &mut WalkerSoA<T>,
-    ) {
-        let loc = Located::new(self.tiles[t].coefs(), pos);
-        self.eval_tile_located(t, kernel, &loc, out);
-    }
-
-    /// Bytes of coefficient data touched per evaluation of one tile
-    /// (`4·64·Nb_padded` for f32) — used by the roofline accounting.
-    pub fn tile_input_bytes(&self) -> usize {
-        64 * self.tiles[0].stride() * std::mem::size_of::<T>()
-    }
-
-    /// Evaluate one tile over a pre-located position — the batched unit
-    /// of work for nested threading (the locate + basis-weight block is
-    /// shared across all tiles instead of recomputed per tile).
-    #[inline]
-    pub(crate) fn eval_tile_located(
-        &self,
-        t: usize,
-        kernel: Kernel,
-        loc: &Located<T>,
-        out: &mut WalkerSoA<T>,
-    ) {
-        self.tiles[t].eval_block(kernel, loc, out, false);
-    }
-
-    /// Locate every position of a block against the (shared) tile grids.
-    #[inline]
-    pub(crate) fn locate_block(&self, pos: &PosBlock<T>) -> Vec<Located<T>> {
-        // All tiles share the same grids; tile 0 always exists.
-        Located::block(self.tiles[0].coefs(), pos)
-    }
-
-    /// Evaluate a batch of positions **tile-major** (paper Fig. 6: the
-    /// tile loop outside the position loop), which is the actual
-    /// cache-blocking: one tile's coefficient block stays hot across all
-    /// `positions` before the next tile is touched. `out` is overwritten
-    /// per position; after the call it holds the last position's outputs
-    /// (bench/tuning use only).
-    pub fn eval_batch_tile_major(
-        &self,
-        kernel: Kernel,
-        positions: &[[T; 3]],
-        out: &mut WalkerTiled<T>,
-    ) {
-        let coefs = self.tiles[0].coefs();
-        let locs: Vec<Located<T>> =
-            positions.iter().map(|p| Located::new(coefs, *p)).collect();
-        for (t, tile_out) in out.tiles_mut().iter_mut().enumerate() {
-            for (i, loc) in locs.iter().enumerate() {
-                // Pull the coefficient runs one evaluation ahead into
-                // L2 while the current one computes: the same tile's
-                // next position, or the next tile's first position at
-                // the tile switch (`simd` feature only; no-op
-                // elsewhere).
-                self.prefetch_ahead(t, i, &locs);
-                self.eval_tile_located(t, kernel, loc, tile_out);
-            }
-        }
-    }
-
-    /// Prefetch one evaluation ahead of `(t, i)` in a tile-major sweep
-    /// over `locs` (see [`Self::eval_batch_tile_major`]).
-    #[inline]
-    fn prefetch_ahead(&self, t: usize, i: usize, locs: &[Located<T>]) {
-        let (tile, loc) = match locs.get(i + 1) {
-            Some(next) => (self.tiles.get(t), Some(next)),
-            None => (self.tiles.get(t + 1), locs.first()),
-        };
-        if let (Some(tile), Some(loc)) = (tile, loc) {
-            crate::simd::prefetch_tile(tile.coefs(), loc);
-        }
-    }
-}
-
-impl<T: Real> crate::engine::EvalCore for BsplineAoSoA<T> {
-    type Scalar = T;
-    type Out = WalkerTiled<T>;
-
-    fn n_splines(&self) -> usize {
-        self.n_splines
-    }
-
-    fn layout(&self) -> Layout {
-        Layout::AoSoA
-    }
-
-    /// All tiles share the same grids; tile 0 always exists.
-    fn grid_coefs(&self) -> &MultiCoefs<T> {
-        self.tiles[0].coefs()
-    }
-
-    fn make_out(&self) -> WalkerTiled<T> {
-        BsplineAoSoA::make_out(self)
-    }
-
-    /// Tile-major: the cache-blocking transpose of a position-major
-    /// loop. The position loop is *innermost*, so one tile's coefficient
-    /// block (`4·Ng·Nb` bytes) and `Nb`-sized output stripe stay hot
-    /// across the whole slice before the next tile is touched, the
-    /// per-position basis weights serve all `M` tiles, and the
-    /// coefficient runs one evaluation ahead are prefetched (at a slice
-    /// of 1: the next tile's, while this tile computes). Each (tile,
-    /// position) evaluation runs through the explicit-width
-    /// micro-kernels of [`crate::simd`]; because tile strides are
-    /// lane-padded ([`crate::layout::max_lanes`]) the inner loops never
-    /// execute a ragged `m % LANES` tail.
-    fn eval_located(&self, kernel: Kernel, locs: &[Located<T>], out: &mut [WalkerTiled<T>]) {
-        for block in out.iter() {
-            check_out(block.n_splines(), self.n_splines);
-        }
-        for t in 0..self.tiles.len() {
-            for (i, (loc, block)) in locs.iter().zip(out.iter_mut()).enumerate() {
-                self.prefetch_ahead(t, i, locs);
-                self.eval_tile_located(t, kernel, loc, block.tile_mut(t));
-            }
-        }
+impl BsplineAoSoA {
+    /// Split `coefs` into tiles of `nb` splines (the last tile may hold
+    /// fewer; `nb ≥ N` is one tile).
+    pub fn from_multi<T: Real>(coefs: &MultiCoefs<T>, nb: usize) -> BlockedEngine<BsplineSoA<T>> {
+        BlockedEngine::with_block_size(coefs, nb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Located;
     use crate::engine::SpoEngine;
+    use crate::layout::Kernel;
     use crate::output::WalkerSoA;
-    use einspline::{Grid1, MultiCoefs};
+    use einspline::Grid1;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -224,14 +59,16 @@ mod tests {
     fn tile_partitioning_shapes() {
         let multi = random_table(128, 3);
         let engine = BsplineAoSoA::from_multi(&multi, 32);
-        assert_eq!(engine.n_tiles(), 4);
+        assert_eq!(engine.n_blocks(), 4);
         assert_eq!(engine.nb(), 32);
-        assert_eq!(engine.n_splines(), 128);
+        assert_eq!(SpoEngine::<f32>::n_splines(&engine), 128);
         let ragged = BsplineAoSoA::from_multi(&multi, 48);
-        assert_eq!(ragged.n_tiles(), 3);
-        assert_eq!(ragged.tiles()[2].n_splines(), 32);
+        assert_eq!(ragged.n_blocks(), 3);
+        assert_eq!(ragged.block(2).n_splines(), 32);
     }
 
+    /// Tile widths here are multiples of every backend's lane count, so
+    /// the equality is exact under the unfused SSE2 pack too.
     #[test]
     fn vgh_equivalent_to_untiled_soa() {
         let n = 96;
@@ -281,6 +118,8 @@ mod tests {
         }
     }
 
+    /// One tile evaluated on its own — the nested-threading unit of
+    /// work — writes what the full evaluation writes for its orbitals.
     #[test]
     fn eval_tile_matches_full_eval() {
         let n = 64;
@@ -289,12 +128,14 @@ mod tests {
         let pos = [0.93f32, 0.12, 0.55];
         let mut full = tiled.make_out();
         tiled.vgh(pos, &mut full);
-        for t in 0..tiled.n_tiles() {
-            let mut single = WalkerSoA::new(tiled.tiles()[t].n_splines());
-            tiled.eval_tile(t, Kernel::Vgh, pos, &mut single);
-            for o in 0..16 {
-                assert_eq!(single.value(o), full.tile(t).value(o));
-                assert_eq!(single.hessian(o), full.tile(t).hessian(o));
+        let loc = Located::new(&multi, pos);
+        for t in 0..tiled.n_blocks() {
+            let (lo, hi) = tiled.block_range(t);
+            let mut single = WalkerSoA::new(hi - lo);
+            tiled.eval_block_located(t, Kernel::Vgh, &loc, single.streams_range_mut(0, hi - lo));
+            for o in 0..hi - lo {
+                assert_eq!(single.value(o), full.value(lo + o));
+                assert_eq!(single.hessian(o), full.hessian(lo + o));
             }
         }
     }
@@ -305,7 +146,7 @@ mod tests {
         let multi = random_table(n, 41);
         let soa = BsplineSoA::new(multi.clone());
         let tiled = BsplineAoSoA::from_multi(&multi, n);
-        assert_eq!(tiled.n_tiles(), 1);
+        assert_eq!(tiled.n_blocks(), 1);
         let mut out_t = tiled.make_out();
         let mut out_s = WalkerSoA::new(n);
         let pos = [0.5f32, 0.25, 0.75];
@@ -317,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile size must be positive")]
+    #[should_panic(expected = "block width must be positive")]
     fn zero_tile_size_rejected() {
         let multi = random_table(8, 1);
         let _ = BsplineAoSoA::from_multi(&multi, 0);

@@ -16,9 +16,9 @@
 //! * `Located` *(crate-private)* — the hoisted per-position work
 //!   (grid location + the three [`BasisWeights`] blocks) that the native
 //!   batched engine paths compute once per position up front. For the
-//!   AoSoA engine this is the real win: the scalar path recomputes the
-//!   basis weights once per *(tile, position)* pair, the batched
-//!   tile-major path once per position for all `M` tiles.
+//!   blocked (AoSoA) engine this is the real win: one `Located` per
+//!   position serves all `M` tiles, instead of one per *(tile,
+//!   position)* pair.
 //!
 //! The batched entry points are also where the explicit SIMD layer
 //! ([`crate::simd`]) bites hardest: with the locate/weights hoisted
@@ -284,8 +284,8 @@ pub(crate) fn check_batch(n_pos: usize, n_out: usize) {
 /// the three per-dimension basis-weight blocks (value / first / second
 /// derivative weights, derivative weights pre-scaled by `delta_inv`).
 ///
-/// Computing this once per position and reusing it across tiles (AoSoA),
-/// blocks ([`crate::blocked`]) or kernels is the "hoist basis-coefficient
+/// Computing this once per position and reusing it across blocks
+/// ([`crate::blocked`], the AoSoA tiles) or kernels is the "hoist basis-coefficient
 /// computation" step of the batched API; the arithmetic is bit-identical
 /// to the scalar paths, which build the same weights inline. Public so
 /// block engines ([`crate::blocked::BlockEngine`]) can receive the

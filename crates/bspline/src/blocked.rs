@@ -4,46 +4,28 @@
 //! the block of read-only coefficient data fits in cache", the substrate
 //! of the Fig. 9/10 nested-threading scaling).
 //!
-//! # How it differs from [`crate::aosoa::BsplineAoSoA`]
+//! # One tile-major core
 //!
-//! The AoSoA engine tiles for *SIMD and output locality* and keeps a
-//! tiled output type ([`crate::output::WalkerTiled`]); consumers index
-//! through an orbital → (tile, offset) map. The blocked engine sits one
-//! level up:
-//!
-//! * **Budget-sized blocks.** The block width comes from a *byte budget*
-//!   ([`einspline::MultiCoefs::block_splines_for_budget`]): the widest
-//!   block whose standalone coefficient slab fits the target cache
-//!   level, quantized to the cache-line padding unit so block tables
-//!   carry no padding waste and block boundaries in the contiguous
-//!   output stay 64-byte aligned.
-//! * **Contiguous caller output.** `Out = `[`WalkerSoA`]` (N orbitals)`:
-//!   each block's V/VGL/VGH streams scatter **in place** into the
-//!   caller's contiguous streams at the block's orbital offset (a
-//!   [`SoAStreamsMut`] sub-range handed to the micro-kernels — no copy,
-//!   no gather on the consumer side). miniqmc's `SpoSet` consumes a
-//!   blocked engine exactly like a monolithic SoA engine.
-//! * **Shared per-position hoist.** The grid locate + basis-weight
-//!   blocks ([`Located`]) are computed once per position and reused by
-//!   every block (the scalar paths of a naive multi-engine split would
-//!   recompute them `B` times).
-//! * **Nested-threading unit.** Blocks share nothing and their output
-//!   ranges are disjoint, so a walker's evaluation splits across
-//!   threads by handing each thread a block range and the matching
-//!   [`WalkerSoA::split_streams_mut`] views
-//!   ([`crate::parallel::run_nested_blocked`]).
-//! * **First-touch placement.** [`BlockedEngine::from_multi`] builds
-//!   each block's coefficient table *on the thread that the static
-//!   nested schedule assigns the block to*, so on a NUMA host the pages
-//!   of a block are first touched (faulted + written) in the domain of
-//!   the thread that will stream them. (With the vendored scoped-thread
-//!   rayon stub this is an approximation — worker `k` of the stub's
-//!   balanced partition owns the same block span every parallel region
-//!   of equal width; with real rayon + a pinned pool it is exact.)
-//! * **Tile prefetch.** The block-major batch loop issues
-//!   `_mm_prefetch` for the *next* block's coefficient runs of the
-//!   position at hand while the current block computes (behind the
-//!   `simd` feature; a no-op elsewhere).
+//! This is the workspace's one tiled engine: the paper's AoSoA tiles
+//! ([`crate::aosoa::BsplineAoSoA`]) are its blocks at a fixed width. A
+//! block's width comes either from a *byte budget*
+//! ([`einspline::MultiCoefs::block_splines_for_budget`]: the widest
+//! block whose standalone slab fits the target cache level, quantized
+//! to the cache-line padding unit so block boundaries in the output stay
+//! 64-byte aligned) or explicitly ([`BlockedEngine::with_block_size`]).
+//! Every block scatters **in place** into its orbital range of the
+//! caller's one contiguous [`WalkerSoA`] (a [`SoAStreamsMut`] sub-range,
+//! no copy), so miniqmc's `SpoSet` consumes it like a monolithic SoA
+//! engine. The grid locate + basis weights ([`Located`]) are computed
+//! once per position and shared by every block; the batch loop is
+//! block-major and prefetches the next block's coefficient runs one
+//! evaluation ahead (`simd` feature only). Blocks share nothing, so a
+//! walker's evaluation splits across threads by block range
+//! ([`crate::parallel::run_nested_blocked`]), and [`BlockedEngine::from_multi`]
+//! builds each block on the thread the static nested schedule assigns
+//! it to, so on a NUMA host its pages are first touched where they are
+//! streamed (exact with a pinned pool; approximated by the vendored
+//! scoped-thread rayon stub).
 //!
 //! Results are **bit-identical** to the monolithic SoA engine on the
 //! *fused* backends (the scalar pack, AVX2+FMA and AVX-512F) for every kernel
@@ -62,7 +44,7 @@ use crate::engine::{check_out, SpoEngine};
 use crate::layout::{Kernel, Layout};
 use crate::output::{SoAStreamsMut, WalkerSoA};
 use crate::soa::BsplineSoA;
-use einspline::multi::{BlockedCoefs, MultiCoefs, ShardMap};
+use einspline::multi::MultiCoefs;
 use einspline::Real;
 use rayon::prelude::*;
 
@@ -126,60 +108,12 @@ impl<T: Real> BlockedEngine<BsplineSoA<T>> {
         Self::build(coefs, nb, budget_bytes)
     }
 
-    /// Build with an explicit block width (tests and ablations; no
-    /// budget semantics, any `nb ≥ 1` including widths narrower than a
-    /// SIMD register).
+    /// Build with an explicit block width — the AoSoA tile decomposition
+    /// ([`crate::aosoa::BsplineAoSoA`]). No budget semantics: any
+    /// `nb ≥ 1`, including widths narrower than a SIMD register.
     pub fn with_block_size(coefs: &MultiCoefs<T>, nb: usize) -> Self {
         assert!(nb > 0, "block width must be positive");
         Self::build(coefs, nb.min(coefs.n_splines()), 0)
-    }
-
-    /// Wrap per-block tables split ahead of time
-    /// ([`einspline::MultiCoefs::split_blocks`]).
-    pub fn from_blocked(blocked: BlockedCoefs<T>) -> Self {
-        let nb = blocked.nb();
-        let budget = blocked.block_bytes();
-        let blocks: Vec<BsplineSoA<T>> =
-            blocked.into_blocks().into_iter().map(BsplineSoA::new).collect();
-        Self::from_blocks(blocks, nb, budget)
-    }
-
-    /// [`BlockedEngine::from_multi`] with the block set built **one
-    /// NUMA shard at a time**: domain `d`'s contiguous block range
-    /// ([`ShardMap::blocks_of`]) is constructed as its own parallel
-    /// pass before the next domain's begins, so on a host whose worker
-    /// pool is pinned per domain, every page of a shard's slabs is
-    /// first-touched — and therefore placed — in the domain whose
-    /// replicas the router will steer at it. (With the vendored
-    /// unpinned pool this is an ordering guarantee only, like the
-    /// single-pass first-touch path.) The resulting engine is
-    /// bit-identical to the single-pass construction.
-    pub fn from_multi_sharded(
-        coefs: &MultiCoefs<T>,
-        budget_bytes: usize,
-        shards: &ShardMap,
-    ) -> Self {
-        let nb = coefs.block_splines_for_budget(budget_bytes);
-        let n = coefs.n_splines();
-        let n_blocks = n.div_ceil(nb);
-        assert_eq!(
-            shards.n_blocks(),
-            n_blocks,
-            "shard map must partition exactly this decomposition's blocks"
-        );
-        let mut blocks: Vec<BsplineSoA<T>> = Vec::with_capacity(n_blocks);
-        for d in 0..shards.n_domains() {
-            let ranges: Vec<(usize, usize)> = shards
-                .blocks_of(d)
-                .map(|b| (b * nb, ((b + 1) * nb).min(n)))
-                .collect();
-            let built: Vec<BsplineSoA<T>> = ranges
-                .into_par_iter()
-                .map(|(lo, hi)| BsplineSoA::new(coefs.slice_splines(lo, hi)))
-                .collect();
-            blocks.extend(built);
-        }
-        Self::from_blocks(blocks, nb, budget_bytes)
     }
 
     fn build(coefs: &MultiCoefs<T>, nb: usize, budget: usize) -> Self {
@@ -273,13 +207,6 @@ impl<E> BlockedEngine<E> {
     pub fn locate_orbital(&self, n: usize) -> (usize, usize) {
         debug_assert!(n < self.n_splines, "orbital index out of range");
         (n / self.nb, n % self.nb)
-    }
-
-    /// Partition this decomposition's blocks across `n_domains` NUMA
-    /// domains ([`ShardMap::balanced`]) — the ownership map
-    /// [`BlockedEngine::from_multi_sharded`] constructs against.
-    pub fn shard_map(&self, n_domains: usize) -> ShardMap {
-        ShardMap::balanced(self.blocks.len(), n_domains)
     }
 }
 
@@ -498,55 +425,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_blocked_and_first_touch_builds_agree() {
-        let t = table(40, 21);
-        let serial = BlockedEngine::from_blocked(t.split_blocks(16 * t.bytes_per_spline()));
-        let parallel = BlockedEngine::from_multi(&t, 16 * t.bytes_per_spline());
-        assert_eq!(serial.n_blocks(), parallel.n_blocks());
-        let pos = [0.4f32, 0.8, 0.2];
-        let (mut a, mut b) = (serial.make_out(), parallel.make_out());
-        serial.vgh(pos, &mut a);
-        parallel.vgh(pos, &mut b);
-        for n in 0..40 {
-            assert_eq!(a.value(n), b.value(n));
-            assert_eq!(a.hessian(n), b.hessian(n));
-        }
-    }
-
-    #[test]
-    fn sharded_construction_is_bit_identical_to_single_pass() {
-        let t = table(40, 21); // ragged: 3 blocks of nb = 16
-        let budget = 16 * t.bytes_per_spline();
-        let single = BlockedEngine::from_multi(&t, budget);
-        for domains in [1, 2, 3, 5] {
-            let map = single.shard_map(domains);
-            let sharded = BlockedEngine::from_multi_sharded(&t, budget, &map);
-            assert_eq!(sharded.n_blocks(), single.n_blocks());
-            assert_eq!(sharded.nb(), single.nb());
-            let pos = [0.4f32, 0.8, 0.2];
-            let (mut a, mut b) = (single.make_out(), sharded.make_out());
-            single.vgh(pos, &mut a);
-            sharded.vgh(pos, &mut b);
-            for n in 0..40 {
-                assert_eq!(a.value(n), b.value(n), "domains={domains} n={n}");
-                assert_eq!(a.hessian(n), b.hessian(n), "domains={domains} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard map must partition")]
-    fn sharded_construction_rejects_mismatched_map() {
-        let t = table(40, 21);
-        let map = einspline::ShardMap::balanced(7, 2); // decomposition has 3 blocks
-        let _ = BlockedEngine::from_multi_sharded(&t, 16 * t.bytes_per_spline(), &map);
-    }
-
     /// The shared always-on size check of the core: every native engine
     /// panics on a short output block instead of evaluating a prefix
     /// (also in release builds — `cargo test --release` runs this too).
-    /// The first three are caught and their message checked; the blocked
+    /// The first two are caught and their message checked; the blocked
     /// engine's panic is the one the attribute expects.
     #[test]
     #[should_panic(expected = "too small")]
@@ -567,11 +449,6 @@ mod tests {
         rejects(
             &crate::aos::BsplineAoS::new(t.clone()),
             crate::output::WalkerAoS::new(16),
-        );
-        let tiled = crate::aosoa::BsplineAoSoA::from_multi(&t, 8);
-        rejects(
-            &tiled,
-            crate::aosoa::BsplineAoSoA::from_multi(&table(16, 2), 8).make_out(),
         );
         let blocked = BlockedEngine::with_block_size(&t, 16);
         let mut small = WalkerSoA::new(16);

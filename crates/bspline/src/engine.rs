@@ -5,12 +5,12 @@
 //! batch and a single-electron move differ only in where the located
 //! positions come from. The code has the same shape:
 //!
-//! * **The core** ([`EvalCore`]): every native engine
+//! * **The core** ([`EvalCore`]): each of the three native engines
 //!   ([`BsplineAoS`](crate::aos::BsplineAoS),
-//!   [`BsplineSoA`](crate::soa::BsplineSoA),
-//!   [`BsplineAoSoA`](crate::aosoa::BsplineAoSoA),
-//!   [`BlockedEngine`](crate::blocked::BlockedEngine)) implements
-//!   exactly one kernel-tagged evaluation body,
+//!   [`BsplineSoA`](crate::soa::BsplineSoA) and
+//!   [`BlockedEngine`](crate::blocked::BlockedEngine), which is also the
+//!   paper's AoSoA tiling, [`BsplineAoSoA`](crate::aosoa::BsplineAoSoA))
+//!   implements exactly one kernel-tagged evaluation body,
 //!   [`EvalCore::eval_located`], over a slice of pre-located positions
 //!   ([`Located`]: grid cell + basis weights) and a matching slice of
 //!   output blocks. Loop order, prefetch and the [`crate::simd`]
@@ -149,8 +149,8 @@ pub trait EvalCore: Send + Sync {
     fn layout(&self) -> Layout;
 
     /// A coefficient table carrying the engine's grids — what positions
-    /// are located against (tiles and blocks of one engine share their
-    /// grids, so any of them serves).
+    /// are located against (the blocks of one engine share their grids,
+    /// so any of them serves).
     fn grid_coefs(&self) -> &MultiCoefs<Self::Scalar>;
 
     /// Allocate a matching output block.
@@ -238,7 +238,7 @@ mod tests {
     use super::*;
     use crate::aos::BsplineAoS;
     use crate::aosoa::BsplineAoSoA;
-    use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
+    use crate::output::{WalkerAoS, WalkerSoA};
     use einspline::Grid1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -268,11 +268,6 @@ mod tests {
         }
     }
     impl ValueView for WalkerSoA<f32> {
-        fn value_at(&self, n: usize) -> f32 {
-            self.value(n)
-        }
-    }
-    impl ValueView for WalkerTiled<f32> {
         fn value_at(&self, n: usize) -> f32 {
             self.value(n)
         }

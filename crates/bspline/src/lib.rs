@@ -9,8 +9,8 @@
 //! |---|---|
 //! | `BsplineAoS` baseline (Fig. 4a) | [`aos::BsplineAoS`] |
 //! | Opt A: AoS→SoA outputs (Fig. 4b) | [`soa::BsplineSoA`] |
-//! | Opt B: AoSoA tiling (Fig. 5b/6) | [`aosoa::BsplineAoSoA`] |
-//! | Opt C: nested threading (Sec. V-C) | [`parallel::run_nested`] |
+//! | Opt B: AoSoA tiling (Fig. 5b/6) | [`aosoa::BsplineAoSoA`], i.e. [`blocked::BlockedEngine`] at a fixed width |
+//! | Opt C: nested threading (Sec. V-C) | [`parallel::run_nested_blocked`] |
 //! | orbital-block decomposition (Sec. IV, Fig. 9/10 substrate) | [`blocked::BlockedEngine`] |
 //! | miniQMC driver (Fig. 3) | [`walker`] |
 //! | multi-walker batching (Fig. 6 loop order) | [`batch`] |
@@ -65,16 +65,16 @@
 //!   blocks are simply left untouched).
 //! * **What the core hoists.** The grid cell and the three
 //!   `BasisWeights` blocks are computed once per position, up front,
-//!   and shared by every tile or block of the engine. For
+//!   and shared by every block of the engine. For
 //!   [`aos::BsplineAoS`] the baseline's VGL scratch is allocated once
 //!   per call, whatever the slice length.
-//! * **Why the AoSoA and blocked cores are tile-major.** The tile (or
-//!   block) loop is outside the position loop — the actual Fig. 6
-//!   order: one tile's `4·Ng·Nb` coefficient block and `Nb`-sized
-//!   output stripes stay cache-hot for the whole slice, where a
-//!   position-major sweep would re-fetch every tile per position. At a
-//!   slice of 1 the same loop is simply "all tiles, next tile
-//!   prefetched".
+//! * **Why the one tiled core is tile-major.** The AoSoA tiles are the
+//!   blocks of [`blocked::BlockedEngine`], whose block loop is outside
+//!   the position loop — the actual Fig. 6 order: one tile's
+//!   `4·Ng·Nb` coefficient block and `Nb`-sized output stripes stay
+//!   cache-hot for the whole slice, where a position-major sweep would
+//!   re-fetch every tile per position. At a slice of 1 the same loop is
+//!   simply "all tiles, next tile prefetched".
 //!
 //! # Threading & blocking model
 //!
@@ -118,7 +118,7 @@
 //!   first-touch page placement puts a block's pages in the domain of
 //!   the thread that reads them every generation. (Exact with a pinned
 //!   rayon pool; approximated by the vendored scoped-thread stub.)
-//! * **Prefetch distance.** The block-/tile-major batch loops issue
+//! * **Prefetch distance.** The block-major batch loop issues
 //!   `_mm_prefetch(T1)` for the sixteen (i,j) coefficient runs **one
 //!   evaluation ahead**: the current block's next position while
 //!   sweeping a block, the next block's first position at the block
@@ -300,8 +300,8 @@
 //!   next chunk's 64 coefficient line segments software-prefetched (its
 //!   64 concurrent z-line streams defeat the hardware prefetcher; the
 //!   measurements that keep this are on `simd`'s kernel docs), and the
-//!   AoSoA and blocked cores prefetch the next tile/block while the
-//!   current one computes. The adapters forward the view:
+//!   blocked core prefetches the next block while the current one
+//!   computes. The adapters forward the view:
 //!   [`precision::MixedEngine`] narrows in / widens out per move with
 //!   the `f32` sub-context, and [`service::ServiceClient`] submits a
 //!   block of one position that rides the coalescer.
@@ -399,11 +399,8 @@ pub mod prelude {
     pub use crate::engine::SpoEngine;
     pub use crate::layout::{Kernel, Layout, OptStep};
     pub use crate::onemove::MoveContext;
-    pub use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
-    pub use crate::parallel::{
-        run_nested, run_nested_blocked, run_nested_blocked_dynamic, run_nested_dynamic,
-        run_walkers_parallel,
-    };
+    pub use crate::output::{WalkerAoS, WalkerSoA};
+    pub use crate::parallel::{run_nested_blocked, run_walkers_parallel};
     pub use crate::precision::{MixedEngine, MixedOut, F32_REL_ERROR_BUDGET};
     pub use crate::replica::{EngineCell, EngineRef, Replica};
     pub use crate::service::{
@@ -414,8 +411,7 @@ pub mod prelude {
     pub use crate::soa::BsplineSoA;
     pub use crate::throughput::Throughput;
     pub use crate::tuning::{
-        default_block_budget, default_nested_grain, tune_block_budget, tune_tile_size,
-        BlockBudgets, TuneConfig, Wisdom,
+        default_block_budget, tune_block_budget, tune_tile_size, BlockBudgets, TuneConfig, Wisdom,
     };
     pub use crate::walker::{DriverConfig, KernelTimes};
 }
@@ -427,7 +423,7 @@ pub use blocked::BlockedEngine;
 pub use engine::SpoEngine;
 pub use layout::{Kernel, Layout, OptStep};
 pub use onemove::MoveContext;
-pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA, WalkerTiled};
+pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA};
 pub use replica::{EngineCell, EngineRef, Replica};
 pub use service::{
     ClientConfig, Failed, RoutingPolicy, ServiceClient, ServiceConfig, ServiceError, ServiceFault,

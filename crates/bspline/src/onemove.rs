@@ -14,8 +14,6 @@
 //! * the hoisted [`Located`] for the most recent proposed position,
 //!   keyed by the exact position floats — the accept-side VGL/VGH call
 //!   reuses the propose-side locate/weights without recomputing them;
-//! * reusable zero-filled scratch for callers that keep per-move
-//!   workspace with the walker (the engines themselves need none);
 //! * a lazily allocated `f32` sub-context for
 //!   [`MixedEngine`](crate::precision::MixedEngine), which narrows the
 //!   `f64` position once per move and runs the inner engine's fast path
@@ -49,8 +47,6 @@ pub struct MoveContext<T: Real> {
     /// `==`, so a NaN coordinate never matches and always re-locates.
     key: Option<[T; 3]>,
     loc: Option<Located<T>>,
-    /// Reusable caller workspace, grown on demand and kept across moves.
-    scratch: Vec<T>,
     /// Lazily built `f32` sub-context for the mixed-precision adapter.
     narrow: Option<Box<MoveContext<f32>>>,
 }
@@ -61,7 +57,6 @@ impl<T: Real> MoveContext<T> {
         Self {
             key: None,
             loc: None,
-            scratch: Vec::new(),
             narrow: None,
         }
     }
@@ -90,18 +85,6 @@ impl<T: Real> MoveContext<T> {
         self.key == Some(pos) && self.loc.is_some()
     }
 
-    /// Reusable workspace of at least `n` elements, zero-filled on
-    /// every call. Grows once; steady state is allocation-free.
-    #[inline]
-    pub fn scratch(&mut self, n: usize) -> &mut [T] {
-        if self.scratch.len() < n {
-            self.scratch.resize(n, T::ZERO);
-        }
-        let s = &mut self.scratch[..n];
-        s.fill(T::ZERO);
-        s
-    }
-
     /// The lazily allocated `f32` sub-context the mixed-precision
     /// engine runs its inner fast path with.
     #[inline]
@@ -109,8 +92,8 @@ impl<T: Real> MoveContext<T> {
         self.narrow.get_or_insert_with(Box::default)
     }
 
-    /// Drop the cached locate (e.g. after the engine's table changed).
-    /// Keeps the scratch and sub-context allocations.
+    /// Drop the cached locate (e.g. after the engine's table changed),
+    /// here and in the sub-context. Keeps the sub-context allocation.
     pub fn invalidate(&mut self) {
         self.key = None;
         self.loc = None;
@@ -178,25 +161,17 @@ mod tests {
     }
 
     #[test]
-    fn scratch_grows_and_zeroes() {
-        let mut ctx = MoveContext::<f32>::new();
-        let s = ctx.scratch(4);
-        s.fill(7.0);
-        let s = ctx.scratch(2);
-        assert_eq!(s, &[0.0, 0.0]);
-        assert_eq!(ctx.scratch(8).len(), 8);
-    }
-
-    #[test]
     fn invalidate_clears_locate_but_keeps_scratch() {
         let coefs = table();
         let mut ctx = MoveContext::new();
         let p = [0.2, 0.4, 0.6];
         let _ = ctx.located(&coefs, p);
-        let _ = ctx.scratch(16);
-        ctx.narrow().scratch(4);
+        let q = [0.2f32, 0.4, 0.6];
+        let _ = ctx.narrow().located(&coefs.downcast(), q);
         ctx.invalidate();
         assert!(!ctx.is_cached(p));
-        assert!(ctx.scratch.capacity() >= 16);
+        // The sub-context survives, with its own cache cleared too.
+        assert!(ctx.narrow.is_some());
+        assert!(!ctx.narrow().is_cached(q));
     }
 }

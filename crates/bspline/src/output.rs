@@ -366,106 +366,6 @@ impl<T: Real> WalkerSoA<T> {
     }
 }
 
-/// Tiled outputs for the AoSoA engine: one [`WalkerSoA`] per tile
-/// (paper Fig. 6: `WalkerSoA w[M](Nb)`).
-#[derive(Clone, Debug)]
-pub struct WalkerTiled<T: Real> {
-    tiles: Vec<WalkerSoA<T>>,
-    nb: usize,
-    n: usize,
-}
-
-impl<T: Real> WalkerTiled<T> {
-    /// `sizes[t]` is the spline count of tile `t` (all `nb` except
-    /// possibly the last).
-    pub fn new(sizes: &[usize], nb: usize) -> Self {
-        let n = sizes.iter().sum();
-        Self {
-            tiles: sizes.iter().map(|&s| WalkerSoA::new(s)).collect(),
-            nb,
-            n,
-        }
-    }
-
-    #[inline]
-    /// Number of orbitals N.
-    pub fn n_splines(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    /// N tiles.
-    pub fn n_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// Tile size `Nb` the indices were laid out with (last tile may
-    /// hold fewer splines).
-    #[inline]
-    pub fn nb(&self) -> usize {
-        self.nb
-    }
-
-    #[inline]
-    /// Tile.
-    pub fn tile(&self, t: usize) -> &WalkerSoA<T> {
-        &self.tiles[t]
-    }
-
-    #[inline]
-    /// Tile mut.
-    pub fn tile_mut(&mut self, t: usize) -> &mut WalkerSoA<T> {
-        &mut self.tiles[t]
-    }
-
-    /// Mutable access to all tiles (nested-threading partitioning).
-    #[inline]
-    pub fn tiles_mut(&mut self) -> &mut [WalkerSoA<T>] {
-        &mut self.tiles
-    }
-
-    /// Map a global orbital index to `(tile, offset)`.
-    #[inline]
-    pub fn locate(&self, n: usize) -> (usize, usize) {
-        (n / self.nb, n % self.nb)
-    }
-
-    #[inline]
-    /// Value of orbital `n`.
-    pub fn value(&self, n: usize) -> T {
-        let (t, o) = self.locate(n);
-        self.tiles[t].value(o)
-    }
-
-    #[inline]
-    /// Gradient of orbital `n`.
-    pub fn gradient(&self, n: usize) -> [T; 3] {
-        let (t, o) = self.locate(n);
-        self.tiles[t].gradient(o)
-    }
-
-    #[inline]
-    /// Laplacian of orbital `n` (VGL path).
-    pub fn laplacian(&self, n: usize) -> T {
-        let (t, o) = self.locate(n);
-        self.tiles[t].laplacian(o)
-    }
-
-    #[inline]
-    /// Symmetric Hessian of orbital `n` (`xx xy xz yy yz zz`).
-    pub fn hessian(&self, n: usize) -> [T; 6] {
-        let (t, o) = self.locate(n);
-        self.tiles[t].hessian(o)
-    }
-
-    #[inline]
-    /// Laplacian recovered from the Hessian trace (VGH path).
-    pub fn hessian_trace(&self, n: usize) -> T {
-        let (t, o) = self.locate(n);
-        self.tiles[t].hessian_trace(o)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,24 +405,5 @@ mod tests {
         assert_eq!(w.v[0], 0.0);
         assert_eq!(w.gx[1], 0.0);
         assert_eq!(w.hzz[2], 0.0);
-    }
-
-    #[test]
-    fn tiled_locate_maps_global_index() {
-        let w = WalkerTiled::<f32>::new(&[16, 16, 8], 16);
-        assert_eq!(w.n_splines(), 40);
-        assert_eq!(w.n_tiles(), 3);
-        assert_eq!(w.locate(0), (0, 0));
-        assert_eq!(w.locate(17), (1, 1));
-        assert_eq!(w.locate(39), (2, 7));
-    }
-
-    #[test]
-    fn tiled_accessors_delegate() {
-        let mut w = WalkerTiled::<f32>::new(&[4, 4], 4);
-        w.tile_mut(1).v[2] = 7.0;
-        w.tile_mut(1).gx[2] = 1.0;
-        assert_eq!(w.value(6), 7.0);
-        assert_eq!(w.gradient(6)[0], 1.0);
     }
 }

@@ -1,42 +1,35 @@
-//! Walker-level and nested (tile-level) parallel execution — Opt C.
+//! Walker-level and nested (block-level) parallel execution — Opt C.
 //!
 //! The classic QMC strategy parallelizes over walkers only
 //! ([`run_walkers_parallel`]). The paper's Opt C additionally splits each
 //! walker's evaluation across `nth` threads by statically partitioning
-//! the M AoSoA tiles into `nth` contiguous chunks
-//! ([`run_nested`]); walkers per node shrink by the same factor, so the
-//! machine-wide thread count stays constant while the time-to-solution
-//! per Monte Carlo generation drops by up to `nth`.
+//! the B blocks of a [`BlockedEngine`] (the AoSoA tiles) into `nth`
+//! contiguous chunks ([`run_nested_blocked`]); walkers per node shrink
+//! by the same factor, so the machine-wide thread count stays constant
+//! while the time-to-solution per Monte Carlo generation drops by up to
+//! `nth`.
 //!
-//! The explicit partition mirrors the paper's implementation choice
+//! The partition is static and explicit, which is the paper's choice
 //! ("an explicit data partition scheme … avoids any potential overhead
 //! from OpenMP nested run time environment"): work items are
-//! `(walker, tile-chunk)` pairs enumerated up front and handed to rayon
-//! as a flat parallel iterator; no nested pool is spawned.
-//!
-//! Both nested paths flow through the batched evaluation machinery: the
-//! per-position grid location + basis weights are hoisted once per
-//! walker *before* the parallel region, so every tile chunk reuses the
-//! same hoisted `Located` block instead of recomputing it per `(tile,
-//! position)` pair. [`run_nested_dynamic`] is the scheduling ablation:
-//! single-tile work items handed to the rayon stub's grained dynamic
-//! queue (`with_min_len`), for comparing against the static partition
-//! on ragged tile counts.
+//! `(walker, block-chunk)` pairs enumerated up front and handed to rayon
+//! as a flat parallel iterator; no nested pool is spawned and no work
+//! queue is consulted. The per-position grid location + basis weights
+//! are hoisted once per walker *before* the parallel region, so every
+//! block chunk reuses the same `Located` block.
 //!
 //! Every entry point is generic over [`EngineRef`], so it runs
 //! identically against a borrowed engine (`&engine`, the classic
-//! closed-loop call — existing call sites compile unchanged) and
-//! against a long-lived [`crate::replica::Replica`] handle (the service
-//! path). The SIMD backend the fan-out workers re-arm comes from the
-//! `EngineRef`: sampled at call time for a borrow, pinned at mint time
-//! for a replica.
+//! closed-loop call) and against a long-lived
+//! [`crate::replica::Replica`] handle (the service path). The SIMD
+//! backend the fan-out workers re-arm comes from the `EngineRef`:
+//! sampled at call time for a borrow, pinned at mint time for a replica.
 
-use crate::aosoa::BsplineAoSoA;
 use crate::batch::{Located, PosBlock};
 use crate::blocked::{BlockEngine, BlockedEngine};
 use crate::engine::SpoEngine;
 use crate::layout::Kernel;
-use crate::output::{SoAStreamsMut, WalkerSoA, WalkerTiled};
+use crate::output::{SoAStreamsMut, WalkerSoA};
 use crate::replica::EngineRef;
 use crate::walker::{run_walker, walker_rng, DriverConfig, KernelTimes};
 use einspline::Real;
@@ -97,133 +90,6 @@ pub fn partition_tiles(m: usize, nth: usize) -> Vec<(usize, usize)> {
     }
     debug_assert_eq!(lo, m);
     out
-}
-
-/// Hoist the per-position location + basis weights for every walker's
-/// position block (computed serially, outside the timed region — the
-/// batched analogue of the paper's shared read-only inputs).
-fn locate_walkers<T: Real>(
-    engine: &BsplineAoSoA<T>,
-    positions: &[PosBlock<T>],
-) -> Vec<Vec<Located<T>>> {
-    positions.iter().map(|b| engine.locate_block(b)).collect()
-}
-
-/// One nested-threading generation: every walker evaluates its position
-/// block through `kernel`, with each walker's tiles statically split
-/// across `nth` work items. Returns the wall-clock time of the parallel
-/// region.
-///
-/// `walkers[w]` must have been allocated by [`BsplineAoSoA::make_out`].
-pub fn run_nested<T: Real, R: EngineRef<BsplineAoSoA<T>>>(
-    engine: R,
-    kernel: Kernel,
-    walkers: &mut [WalkerTiled<T>],
-    positions: &[PosBlock<T>],
-    nth: usize,
-) -> Duration {
-    assert_eq!(
-        walkers.len(),
-        positions.len(),
-        "one position block per walker"
-    );
-    let eng = engine.engine();
-    let ranges = partition_tiles(eng.n_tiles(), nth);
-    let locs = locate_walkers(eng, positions);
-
-    // Flatten (walker, chunk) into independent jobs. Splitting each
-    // walker's tile buffers keeps &mut disjointness checkable by the
-    // compiler.
-    struct Job<'a, T: Real> {
-        tiles: &'a mut [WalkerSoA<T>],
-        tile_lo: usize,
-        locs: &'a [Located<T>],
-    }
-
-    let mut jobs: Vec<Job<'_, T>> = Vec::with_capacity(walkers.len() * ranges.len());
-    for (w, out) in walkers.iter_mut().enumerate() {
-        let mut rest = out.tiles_mut();
-        let mut consumed = 0;
-        for &(lo, hi) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            jobs.push(Job {
-                tiles: chunk,
-                tile_lo: consumed,
-                locs: &locs[w],
-            });
-            consumed = hi;
-        }
-    }
-
-    // The SIMD force ([`crate::simd::with_backend`]) is thread-local;
-    // re-arm the `EngineRef`'s backend inside every worker so
-    // scalar-vs-SIMD A/B rows measure the forced backend even when the
-    // work fans out to other threads.
-    let backend = engine.backend();
-    let t0 = Instant::now();
-    jobs.into_par_iter().for_each(|job| {
-        crate::simd::with_backend(backend, || {
-            for (off, tile_out) in job.tiles.iter_mut().enumerate() {
-                let t = job.tile_lo + off;
-                for loc in job.locs {
-                    eng.eval_tile_located(t, kernel, loc, tile_out);
-                }
-            }
-        })
-    });
-    t0.elapsed()
-}
-
-/// Dynamic-scheduling variant of [`run_nested`]: every `(walker, tile)`
-/// pair is its own work item, pulled from a shared queue in chunks of
-/// `grain` items (the rayon stub's `with_min_len`). On ragged tile
-/// counts this keeps all threads busy where the static partition would
-/// idle some; the ablations bench measures the trade against the
-/// static path's lower scheduling overhead.
-pub fn run_nested_dynamic<T: Real, R: EngineRef<BsplineAoSoA<T>>>(
-    engine: R,
-    kernel: Kernel,
-    walkers: &mut [WalkerTiled<T>],
-    positions: &[PosBlock<T>],
-    grain: usize,
-) -> Duration {
-    assert_eq!(
-        walkers.len(),
-        positions.len(),
-        "one position block per walker"
-    );
-    let eng = engine.engine();
-    let locs = locate_walkers(eng, positions);
-
-    struct Job<'a, T: Real> {
-        tile: usize,
-        out: &'a mut WalkerSoA<T>,
-        locs: &'a [Located<T>],
-    }
-
-    let mut jobs: Vec<Job<'_, T>> =
-        Vec::with_capacity(walkers.len() * eng.n_tiles());
-    for (w, walker_out) in walkers.iter_mut().enumerate() {
-        for (t, tile_out) in walker_out.tiles_mut().iter_mut().enumerate() {
-            jobs.push(Job {
-                tile: t,
-                out: tile_out,
-                locs: &locs[w],
-            });
-        }
-    }
-
-    let backend = engine.backend();
-    let t0 = Instant::now();
-    jobs.into_par_iter().with_min_len(grain).for_each(|job| {
-        crate::simd::with_backend(backend, || {
-            for loc in job.locs {
-                eng.eval_tile_located(job.tile, kernel, loc, job.out);
-            }
-        })
-    });
-    t0.elapsed()
 }
 
 /// One nested-threading generation over a [`BlockedEngine`]: the
@@ -309,69 +175,11 @@ pub fn run_nested_blocked<E: BlockEngine, R: EngineRef<BlockedEngine<E>>>(
     t0.elapsed()
 }
 
-/// Dynamic-scheduling variant of [`run_nested_blocked`]: every
-/// `(walker, block)` pair is its own work item, pulled from the rayon
-/// stub's shared queue in `grain`-sized chunks (`with_min_len`) — the
-/// load-balance ablation for ragged block counts.
-pub fn run_nested_blocked_dynamic<E: BlockEngine, R: EngineRef<BlockedEngine<E>>>(
-    engine: R,
-    kernel: Kernel,
-    walkers: &mut [WalkerSoA<E::Scalar>],
-    positions: &[PosBlock<E::Scalar>],
-    grain: usize,
-) -> Duration {
-    assert_eq!(
-        walkers.len(),
-        positions.len(),
-        "one position block per walker"
-    );
-    let eng = engine.engine();
-    let locs: Vec<Vec<Located<E::Scalar>>> =
-        positions.iter().map(|b| eng.locate_block(b)).collect();
-    let bounds: Vec<(usize, usize)> =
-        (0..eng.n_blocks()).map(|b| eng.block_range(b)).collect();
-
-    struct Job<'a, T: Real> {
-        block: usize,
-        view: SoAStreamsMut<'a, T>,
-        locs: &'a [Located<T>],
-    }
-
-    let mut jobs: Vec<Job<'_, E::Scalar>> =
-        Vec::with_capacity(eng.n_blocks() * walkers.len());
-    for (w, walker_out) in walkers.iter_mut().enumerate() {
-        for (b, view) in walker_out.split_streams_mut(&bounds).into_iter().enumerate() {
-            jobs.push(Job {
-                block: b,
-                view,
-                locs: &locs[w],
-            });
-        }
-    }
-
-    let backend = engine.backend();
-    let t0 = Instant::now();
-    jobs.into_par_iter().with_min_len(grain).for_each(|mut job| {
-        crate::simd::with_backend(backend, || {
-            for loc in job.locs {
-                let len = job.view.len();
-                eng.eval_block_located(
-                    job.block,
-                    kernel,
-                    loc,
-                    job.view.range_mut(0, len),
-                );
-            }
-        })
-    });
-    t0.elapsed()
-}
-
-/// Strong-scaling measurement for the blocked engine (the Fig. 9 rows'
-/// blocked counterpart): with a fixed machine-wide thread budget
-/// `total_threads`, run `total_threads / nth` walkers at `nth`
-/// threads-per-walker through [`run_nested_blocked`] and return the
-/// wall time of one generation.
+/// Strong-scaling measurement for Fig. 9: with a fixed machine-wide
+/// thread budget `total_threads`, run `total_threads / nth` walkers at
+/// `nth` threads-per-walker through [`run_nested_blocked`] and return
+/// the wall time of one generation (`ns` positions of `kernel` per
+/// walker).
 pub fn blocked_generation_time<E: BlockEngine>(
     engine: &BlockedEngine<E>,
     kernel: Kernel,
@@ -393,51 +201,63 @@ pub fn blocked_generation_time<E: BlockEngine>(
     run_nested_blocked(engine, kernel, &mut walkers, &positions, nth)
 }
 
-/// Strong-scaling measurement for Fig. 9: with a fixed machine-wide
-/// thread budget `total_threads`, run `total_threads / nth` walkers at
-/// `nth` threads each and return the wall time of one generation
-/// (`ns` positions of `kernel` per walker).
-pub fn nested_generation_time<T: Real>(
-    engine: &BsplineAoSoA<T>,
-    kernel: Kernel,
-    total_threads: usize,
-    nth: usize,
-    ns: usize,
-    seed: u64,
-) -> Duration {
-    let n_walkers = (total_threads / nth).max(1);
-    let domain = SpoEngine::<T>::domain(engine);
-    let positions: Vec<PosBlock<T>> = (0..n_walkers)
-        .map(|w| {
-            let mut rng = walker_rng(seed, w);
-            PosBlock::random(&mut rng, ns, domain)
-        })
-        .collect();
-    let mut walkers: Vec<WalkerTiled<T>> =
-        (0..n_walkers).map(|_| engine.make_out()).collect();
-    run_nested(engine, kernel, &mut walkers, &positions, nth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::BsplineSoA;
     use einspline::{Grid1, MultiCoefs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tiled_engine(n: usize, nb: usize) -> BsplineAoSoA<f32> {
+    fn table(n: usize) -> MultiCoefs<f32> {
         let g = Grid1::periodic(0.0, 1.0, 6);
         let mut m = MultiCoefs::<f32>::new(g, g, g, n);
-        m.fill_random(&mut StdRng::seed_from_u64(77));
-        BsplineAoSoA::from_multi(&m, nb)
+        m.fill_random(&mut StdRng::seed_from_u64(177));
+        m
     }
 
-    fn random_blocks(engine: &BsplineAoSoA<f32>, n_walkers: usize, ns: usize) -> Vec<PosBlock<f32>> {
-        let domain = SpoEngine::<f32>::domain(engine);
-        let mut rng = StdRng::seed_from_u64(9);
+    fn blocked_engine(n: usize, nb: usize) -> BlockedEngine<BsplineSoA<f32>> {
+        BlockedEngine::with_block_size(&table(n), nb)
+    }
+
+    fn random_blocks<E: SpoEngine<f32>>(
+        engine: &E,
+        n_walkers: usize,
+        ns: usize,
+        seed: u64,
+    ) -> Vec<PosBlock<f32>> {
+        let domain = engine.domain();
+        let mut rng = StdRng::seed_from_u64(seed);
         (0..n_walkers)
             .map(|_| PosBlock::random(&mut rng, ns, domain))
             .collect()
+    }
+
+    /// Serial reference: each walker's last position's outputs.
+    fn serial<E: SpoEngine<f32, Out = WalkerSoA<f32>>>(
+        engine: &E,
+        positions: &[PosBlock<f32>],
+    ) -> Vec<WalkerSoA<f32>> {
+        positions
+            .iter()
+            .map(|block| {
+                let mut out = engine.make_out();
+                for p in block.iter() {
+                    engine.vgh(p, &mut out);
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn assert_walkers_eq(want: &[WalkerSoA<f32>], got: &[WalkerSoA<f32>], n: usize, ctx: &str) {
+        assert_eq!(want.len(), got.len(), "{ctx}");
+        for (w, (a, b)) in want.iter().zip(got).enumerate() {
+            for k in 0..n {
+                assert_eq!(a.value(k), b.value(k), "{ctx} w={w} k={k}");
+                assert_eq!(a.hessian(k), b.hessian(k), "{ctx} w={w} k={k}");
+            }
+        }
     }
 
     #[test]
@@ -462,132 +282,71 @@ mod tests {
     }
 
     #[test]
-    fn nested_results_match_serial_tiled_eval() {
-        let engine = tiled_engine(48, 8);
-        let positions = random_blocks(&engine, 2, 3);
-
-        // Serial reference: last position's outputs.
-        let mut expect: Vec<WalkerTiled<f32>> =
-            (0..2).map(|_| engine.make_out()).collect();
-        for (w, out) in expect.iter_mut().enumerate() {
-            for p in positions[w].iter() {
-                engine.vgh(p, out);
-            }
-        }
-
-        for nth in [1, 2, 4, 16] {
-            let mut walkers: Vec<WalkerTiled<f32>> =
-                (0..2).map(|_| engine.make_out()).collect();
-            run_nested(&engine, Kernel::Vgh, &mut walkers, &positions, nth);
-            for w in 0..2 {
-                for n in 0..48 {
-                    assert_eq!(
-                        walkers[w].value(n),
-                        expect[w].value(n),
-                        "nth={nth} w={w} n={n}"
-                    );
-                    assert_eq!(walkers[w].hessian(n), expect[w].hessian(n));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dynamic_scheduling_matches_static() {
-        let engine = tiled_engine(56, 8); // 7 tiles: ragged on most nth
-        let positions = random_blocks(&engine, 3, 4);
-        let mut expect: Vec<WalkerTiled<f32>> =
-            (0..3).map(|_| engine.make_out()).collect();
-        run_nested(&engine, Kernel::Vgh, &mut expect, &positions, 4);
-
-        for grain in [1, 2, 5, 100] {
-            let mut walkers: Vec<WalkerTiled<f32>> =
-                (0..3).map(|_| engine.make_out()).collect();
-            run_nested_dynamic(&engine, Kernel::Vgh, &mut walkers, &positions, grain);
-            for w in 0..3 {
-                for n in 0..56 {
-                    assert_eq!(
-                        walkers[w].value(n),
-                        expect[w].value(n),
-                        "grain={grain} w={w} n={n}"
-                    );
-                    assert_eq!(walkers[w].hessian(n), expect[w].hessian(n));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn partition_of_zero_tiles_is_empty() {
         assert!(partition_tiles(0, 4).is_empty());
         assert!(partition_tiles(0, 1).is_empty());
     }
 
-    fn blocked_engine(n: usize, nb: usize) -> crate::blocked::BlockedEngine<crate::soa::BsplineSoA<f32>> {
-        let g = Grid1::periodic(0.0, 1.0, 6);
-        let mut m = MultiCoefs::<f32>::new(g, g, g, n);
-        m.fill_random(&mut StdRng::seed_from_u64(177));
-        crate::blocked::BlockedEngine::with_block_size(&m, nb)
+    #[test]
+    fn nested_results_match_serial_tiled_eval() {
+        let engine = crate::aosoa::BsplineAoSoA::from_multi(&table(48), 8);
+        let positions = random_blocks(&engine, 2, 3, 9);
+        let expect = serial(&engine, &positions);
+        for nth in [1usize, 2, 4, 16] {
+            let mut got: Vec<WalkerSoA<f32>> = (0..2).map(|_| engine.make_out()).collect();
+            run_nested_blocked(&engine, Kernel::Vgh, &mut got, &positions, nth);
+            assert_walkers_eq(&expect, &got, 48, &format!("nth={nth}"));
+        }
     }
 
     #[test]
     fn nested_blocked_matches_serial_blocked_eval() {
         let engine = blocked_engine(53, 8); // 7 blocks, ragged tail of 5
-        let domain = SpoEngine::<f32>::domain(&engine);
-        let mut rng = StdRng::seed_from_u64(4);
-        let positions: Vec<PosBlock<f32>> =
-            (0..3).map(|_| PosBlock::random(&mut rng, 4, domain)).collect();
-
-        let mut expect: Vec<WalkerSoA<f32>> =
-            (0..3).map(|_| engine.make_out()).collect();
-        for (w, out) in expect.iter_mut().enumerate() {
-            for p in positions[w].iter() {
-                engine.vgh(p, out);
-            }
-        }
-
+        let positions = random_blocks(&engine, 3, 4, 4);
+        let expect = serial(&engine, &positions);
         for nth in [1usize, 2, 4, 16] {
-            let mut walkers: Vec<WalkerSoA<f32>> =
-                (0..3).map(|_| engine.make_out()).collect();
-            run_nested_blocked(&engine, Kernel::Vgh, &mut walkers, &positions, nth);
-            for w in 0..3 {
-                for n in 0..53 {
-                    assert_eq!(
-                        walkers[w].value(n),
-                        expect[w].value(n),
-                        "nth={nth} w={w} n={n}"
-                    );
-                    assert_eq!(walkers[w].hessian(n), expect[w].hessian(n));
-                }
+            let mut got: Vec<WalkerSoA<f32>> = (0..3).map(|_| engine.make_out()).collect();
+            run_nested_blocked(&engine, Kernel::Vgh, &mut got, &positions, nth);
+            assert_walkers_eq(&expect, &got, 53, &format!("nth={nth}"));
+        }
+    }
+
+    #[test]
+    fn more_threads_than_tiles_is_safe() {
+        let engine = blocked_engine(16, 8); // 2 blocks
+        let positions = random_blocks(&engine, 2, 3, 1);
+        let expect = serial(&engine, &positions);
+        let mut got: Vec<WalkerSoA<f32>> = (0..2).map(|_| engine.make_out()).collect();
+        run_nested_blocked(&engine, Kernel::Vgh, &mut got, &positions, 8);
+        assert_walkers_eq(&expect, &got, 16, "nth=8 > B=2");
+    }
+
+    #[test]
+    fn nested_blocked_with_no_walkers_is_a_no_op() {
+        let engine = blocked_engine(24, 8);
+        run_nested_blocked(&engine, Kernel::Vgh, &mut [], &[], 4);
+    }
+
+    #[test]
+    fn nested_blocked_leaves_outputs_of_an_empty_block_untouched() {
+        let engine = blocked_engine(24, 8);
+        for nth in [1usize, 4] {
+            let mut walkers = vec![engine.make_out()];
+            run_nested_blocked(&engine, Kernel::Vgh, &mut walkers, &[PosBlock::new()], nth);
+            for k in 0..24 {
+                assert_eq!(walkers[0].value(k), 0.0, "nth={nth} k={k}");
+                assert_eq!(walkers[0].hessian(k), [0.0; 6], "nth={nth} k={k}");
             }
         }
     }
 
     #[test]
-    fn dynamic_blocked_matches_static_blocked() {
-        let engine = blocked_engine(40, 16); // ragged: blocks of 16,16,8
-        let domain = SpoEngine::<f32>::domain(&engine);
-        let mut rng = StdRng::seed_from_u64(6);
-        let positions: Vec<PosBlock<f32>> =
-            (0..2).map(|_| PosBlock::random(&mut rng, 3, domain)).collect();
-        let mut expect: Vec<WalkerSoA<f32>> =
-            (0..2).map(|_| engine.make_out()).collect();
-        run_nested_blocked(&engine, Kernel::Vgh, &mut expect, &positions, 3);
-        for grain in [1usize, 2, 7, 100] {
-            let mut walkers: Vec<WalkerSoA<f32>> =
-                (0..2).map(|_| engine.make_out()).collect();
-            run_nested_blocked_dynamic(&engine, Kernel::Vgh, &mut walkers, &positions, grain);
-            for w in 0..2 {
-                for n in 0..40 {
-                    assert_eq!(
-                        walkers[w].value(n),
-                        expect[w].value(n),
-                        "grain={grain} w={w} n={n}"
-                    );
-                    assert_eq!(walkers[w].hessian(n), expect[w].hessian(n));
-                }
-            }
-        }
+    #[should_panic(expected = "need at least one thread per walker")]
+    fn nested_blocked_rejects_zero_threads() {
+        let engine = blocked_engine(24, 8);
+        let positions = random_blocks(&engine, 1, 2, 3);
+        let mut walkers = vec![engine.make_out()];
+        run_nested_blocked(&engine, Kernel::Vgh, &mut walkers, &positions, 0);
     }
 
     #[test]
@@ -597,9 +356,6 @@ mod tests {
             let d = blocked_generation_time(&engine, k, 4, 2, 2, 13);
             assert!(d > Duration::ZERO, "{k}");
         }
-        // More threads than blocks is safe (chunks clamp to B).
-        let d = blocked_generation_time(&engine, Kernel::Vgh, 8, 8, 2, 1);
-        assert!(d > Duration::ZERO);
     }
 
     #[test]
@@ -609,47 +365,31 @@ mod tests {
         // under a scalar force must equal a plain scalar-forced serial
         // loop even if the stub spawns worker threads.
         let engine = blocked_engine(24, 8);
-        let domain = SpoEngine::<f32>::domain(&engine);
-        let mut rng = StdRng::seed_from_u64(11);
-        let positions = vec![PosBlock::random(&mut rng, 3, domain)];
-        let mut serial = engine.make_out();
-        with_backend(Backend::Scalar, || {
-            for p in positions[0].iter() {
-                engine.vgh(p, &mut serial);
-            }
-        });
+        let positions = random_blocks(&engine, 1, 3, 11);
+        let expect = with_backend(Backend::Scalar, || serial(&engine, &positions));
         let mut nested = vec![engine.make_out()];
         with_backend(Backend::Scalar, || {
             run_nested_blocked(&engine, Kernel::Vgh, &mut nested, &positions, 4);
         });
-        for n in 0..24 {
-            assert_eq!(serial.value(n), nested[0].value(n), "n={n}");
-        }
+        assert_walkers_eq(&expect, &nested, 24, "forced scalar");
     }
 
     #[test]
     fn replica_handle_drives_the_same_nested_code_path() {
         use crate::replica::EngineCell;
         // One code path for closed-loop and service execution: a
-        // Replica handle through run_nested* must be bit-identical to
-        // the borrowed-engine call.
-        let engine = tiled_engine(40, 8);
-        let positions = random_blocks(&engine, 2, 3);
-        let mut borrowed: Vec<WalkerTiled<f32>> =
-            (0..2).map(|_| engine.make_out()).collect();
-        run_nested(&engine, Kernel::Vgh, &mut borrowed, &positions, 4);
+        // Replica handle through run_nested_blocked must be
+        // bit-identical to the borrowed-engine call.
+        let engine = blocked_engine(40, 8);
+        let positions = random_blocks(&engine, 2, 3, 9);
+        let mut borrowed: Vec<WalkerSoA<f32>> = (0..2).map(|_| engine.make_out()).collect();
+        run_nested_blocked(&engine, Kernel::Vgh, &mut borrowed, &positions, 4);
 
         let cell = EngineCell::new(engine);
         let replica = cell.handle();
-        let mut via: Vec<WalkerTiled<f32>> =
-            (0..2).map(|_| cell.engine().make_out()).collect();
-        run_nested(replica, Kernel::Vgh, &mut via, &positions, 4);
-        for w in 0..2 {
-            for n in 0..40 {
-                assert_eq!(borrowed[w].value(n), via[w].value(n), "w={w} n={n}");
-                assert_eq!(borrowed[w].hessian(n), via[w].hessian(n));
-            }
-        }
+        let mut via: Vec<WalkerSoA<f32>> = (0..2).map(|_| cell.engine().make_out()).collect();
+        run_nested_blocked(replica, Kernel::Vgh, &mut via, &positions, 4);
+        assert_walkers_eq(&borrowed, &via, 40, "replica");
     }
 
     #[test]
@@ -659,27 +399,18 @@ mod tests {
         // A replica minted under a scalar force evaluates scalar even
         // when the nested run is issued outside the force.
         let engine = blocked_engine(24, 8);
-        let domain = SpoEngine::<f32>::domain(&engine);
-        let mut rng = StdRng::seed_from_u64(12);
-        let positions = vec![PosBlock::random(&mut rng, 3, domain)];
-        let mut serial = engine.make_out();
-        with_backend(Backend::Scalar, || {
-            for p in positions[0].iter() {
-                engine.vgh(p, &mut serial);
-            }
-        });
+        let positions = random_blocks(&engine, 1, 3, 12);
+        let expect = with_backend(Backend::Scalar, || serial(&engine, &positions));
         let cell = EngineCell::new(engine);
         let replica = with_backend(Backend::Scalar, || cell.handle());
         let mut nested = vec![cell.engine().make_out()];
         run_nested_blocked(replica, Kernel::Vgh, &mut nested, &positions, 4);
-        for n in 0..24 {
-            assert_eq!(serial.value(n), nested[0].value(n), "n={n}");
-        }
+        assert_walkers_eq(&expect, &nested, 24, "pinned scalar");
     }
 
     #[test]
     fn walker_parallel_matches_walker_serial_workload() {
-        let engine = tiled_engine(16, 8);
+        let engine = blocked_engine(16, 8);
         let cfg = DriverConfig {
             n_walkers: 3,
             n_samples: 4,
@@ -695,21 +426,5 @@ mod tests {
         // the summed kernel time stays small, which made the old
         // `vgh ≥ wall/10` form flaky.)
         assert!(run.total.vgh > Duration::ZERO);
-    }
-
-    #[test]
-    fn nested_generation_time_runs_all_kernels() {
-        let engine = tiled_engine(32, 8);
-        for k in Kernel::ALL {
-            let d = nested_generation_time(&engine, k, 4, 2, 2, 13);
-            assert!(d > Duration::ZERO, "{k}");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_tiles_is_safe() {
-        let engine = tiled_engine(16, 8); // 2 tiles
-        let d = nested_generation_time(&engine, Kernel::Vgh, 8, 8, 2, 1);
-        assert!(d > Duration::ZERO);
     }
 }

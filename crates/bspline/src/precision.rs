@@ -96,9 +96,10 @@
 use crate::aos::BsplineAoS;
 use crate::aosoa::BsplineAoSoA;
 use crate::batch::{check_batch, BatchOut, PosBlock};
+use crate::blocked::BlockedEngine;
 use crate::engine::SpoEngine;
 use crate::layout::{Kernel, Layout};
-use crate::output::{WalkerAoS, WalkerSoA, WalkerTiled};
+use crate::output::{WalkerAoS, WalkerSoA};
 use crate::soa::BsplineSoA;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
@@ -173,7 +174,7 @@ pub fn spline_scale<T: Real>(coefs: &MultiCoefs<T>) -> SplineScale {
 
 /// A single-precision per-walker output block that can widen itself
 /// into a double-precision twin — the output-boundary half of the
-/// mixed-precision contract. Implemented by all three walker output
+/// mixed-precision contract. Implemented by both walker output
 /// layouts.
 pub trait WidenOut: Send + Clone {
     /// The double-precision twin (same layout, `f64` streams).
@@ -259,26 +260,6 @@ impl WidenOut for WalkerSoA<f32> {
     }
 }
 
-impl WidenOut for WalkerTiled<f32> {
-    type Wide = WalkerTiled<f64>;
-
-    fn make_wide(&self) -> WalkerTiled<f64> {
-        let sizes: Vec<usize> =
-            (0..self.n_tiles()).map(|t| self.tile(t).n_splines()).collect();
-        WalkerTiled::new(&sizes, self.nb())
-    }
-
-    fn widen_into(&self, kernel: Kernel, wide: &mut WalkerTiled<f64>) {
-        for (t, dst) in wide.tiles_mut().iter_mut().enumerate() {
-            self.tile(t).widen_into(kernel, dst);
-        }
-    }
-
-    fn placeholder() -> Self {
-        WalkerTiled::new(&[], 1)
-    }
-}
-
 /// The caller-owned output block of a [`MixedEngine`]: the inner
 /// engine's `f32` block plus its widened `f64` twin. Kernel calls
 /// overwrite the narrow block and refresh the wide one; consumers read
@@ -311,7 +292,7 @@ impl<O: WidenOut> MixedOut<O> {
 /// the output boundary.
 ///
 /// The batched view preserves `E`'s native batching (hoisted basis
-/// weights, tile-major order for the AoSoA engine): the narrow blocks
+/// weights, block-major order for the blocked engine): the narrow blocks
 /// are temporarily re-wrapped into a `BatchOut<E::Out>` and handed to
 /// the inner batched call, so the mixed path pays only the position
 /// narrowing and the output widening on top of the pure-`f32` path.
@@ -349,15 +330,13 @@ impl MixedEngine<BsplineSoA<f32>> {
     }
 }
 
-impl MixedEngine<BsplineAoSoA<f32>> {
+impl MixedEngine<BlockedEngine<BsplineSoA<f32>>> {
     /// Mixed-precision AoSoA engine from a double-precision table
     /// (solve in `f64`, store `f32`, tile by `nb`).
     pub fn aosoa(coefs: &MultiCoefs<f64>, nb: usize) -> Self {
         Self::new(BsplineAoSoA::from_multi(&coefs.downcast(), nb))
     }
-}
 
-impl MixedEngine<crate::blocked::BlockedEngine<BsplineSoA<f32>>> {
     /// Mixed-precision blocked engine from a double-precision table
     /// (solve in `f64`, store `f32`, orbital-block-decompose to
     /// `budget_bytes` — [`crate::blocked::BlockedEngine::from_multi`],
@@ -365,10 +344,7 @@ impl MixedEngine<crate::blocked::BlockedEngine<BsplineSoA<f32>>> {
     /// twice the orbitals per cache-sized block compared to an `f64`
     /// decomposition of the same byte budget.
     pub fn blocked(coefs: &MultiCoefs<f64>, budget_bytes: usize) -> Self {
-        Self::new(crate::blocked::BlockedEngine::from_multi(
-            &coefs.downcast(),
-            budget_bytes,
-        ))
+        Self::new(BlockedEngine::from_multi(&coefs.downcast(), budget_bytes))
     }
 }
 
@@ -606,6 +582,6 @@ mod tests {
         assert_eq!(SpoEngine::<f64>::layout(&tiled), Layout::AoSoA);
         assert_eq!(SpoEngine::<f64>::n_splines(&tiled), 8);
         assert_eq!(SpoEngine::<f64>::domain(&soa)[0], (0.0, 1.0));
-        assert_eq!(tiled.inner().n_tiles(), 2);
+        assert_eq!(tiled.inner().n_blocks(), 2);
     }
 }

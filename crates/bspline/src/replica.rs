@@ -2,7 +2,7 @@
 //! thread pool.
 //!
 //! Every pre-service entry point in this crate borrowed an engine per
-//! call (`run_nested(&engine, …)`): the engine lives on the caller's
+//! call (`run_nested_blocked(&engine, …)`): the engine lives on the caller's
 //! stack and the fork-join workers borrow it for one generation. The
 //! service model ([`crate::service`]) inverts that — worker threads own
 //! their evaluation context for the lifetime of the service — and the
@@ -188,7 +188,7 @@ impl<E> Replica<E> {
 /// workers) and by [`Replica`]/[`EngineCell`] (long-lived ownership:
 /// the replica's pinned backend / the currently active one). Entry
 /// points take the implementor **by value**, so existing
-/// `run_nested(&engine, …)` call sites compile unchanged while a
+/// `run_nested_blocked(&engine, …)` call sites compile unchanged while a
 /// service worker passes its replica handle.
 pub trait EngineRef<E>: Send + Sync {
     /// The engine to evaluate with.

@@ -404,9 +404,7 @@ const ROUTER_CELLS: usize = 4;
 /// The routing decision state: lattice → shard ownership plus the
 /// spill threshold. Immutable after service construction.
 struct Router {
-    /// Lattice cells → shards (balanced contiguous partition, the same
-    /// shape [`crate::blocked::BlockedEngine::from_multi_sharded`] uses
-    /// for coefficient placement).
+    /// Lattice cells → shards (balanced contiguous partition).
     map: ShardMap,
     /// Engine evaluation domain the lattice spans.
     domain: [(f64, f64); 3],

@@ -195,7 +195,7 @@ pub fn active_backend() -> Backend {
 /// (A/B testing: scalar-vs-SIMD bench rows, parity tests). Panics if
 /// `backend` is not in [`Backend::available`] — forcing an undetected
 /// instruction set would be unsound. The force is thread-local: work
-/// handed to other threads (e.g. [`crate::parallel::run_nested`])
+/// handed to other threads (e.g. [`crate::parallel::run_nested_blocked`])
 /// keeps the process default.
 pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
     require_available(backend, &Backend::available());

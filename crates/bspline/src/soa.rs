@@ -149,10 +149,11 @@ impl<T: Real> BsplineSoA<T> {
     }
 
     /// [`Self::eval_view`] into a whole output block, after the shared
-    /// size check — the body's per-position step, and this engine as
-    /// one tile of [`crate::aosoa::BsplineAoSoA`].
+    /// size check — the per-position step of this engine's own body. As
+    /// a block of [`crate::blocked::BlockedEngine`] (an AoSoA tile) the
+    /// engine is entered through [`Self::eval_streams`] instead.
     #[inline]
-    pub(crate) fn eval_block(
+    fn eval_block(
         &self,
         kernel: Kernel,
         loc: &Located<T>,

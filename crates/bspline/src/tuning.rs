@@ -1,53 +1,24 @@
-//! Tile-size auto-tuning — the paper's plan "to provide an auto-tuning
-//! capability using miniQMC to guide the production runs similar to
-//! FFTW's solution using wisdom files" (Sec. VI).
+//! Tile-size and block-budget auto-tuning — the paper's plan "to
+//! provide an auto-tuning capability using miniQMC to guide the
+//! production runs similar to FFTW's solution using wisdom files"
+//! (Sec. VI).
 //!
-//! [`tune_tile_size`] measures a candidate sweep on the current machine
-//! and returns the best `Nb`; [`Wisdom`] caches tuning outcomes keyed by
-//! (kernel, grid, N) in a plain-text format so production runs can skip
-//! the sweep. The optimal tile size is a property of the cache
-//! hierarchy, not the problem size (paper Sec. VI-B), so wisdom learned
-//! on one problem transfers to others on the same machine.
+//! Both sweeps time the one tiled engine ([`BlockedEngine`]) through
+//! its batched view, one candidate width at a time, in one shared
+//! timing loop: [`tune_tile_size`] over explicit tile widths `Nb` (the
+//! AoSoA decomposition), [`tune_block_budget`] over the byte budgets of
+//! the cache hierarchy ([`BlockBudgets`]). [`Wisdom`] caches tile-size
+//! outcomes keyed by (kernel, grid, N) in a plain-text format so
+//! production runs can skip the sweep. The optimal tile size is a
+//! property of the cache hierarchy, not the problem size (paper
+//! Sec. VI-B), so wisdom learned on one problem transfers to others on
+//! the same machine.
 
 use crate::aosoa::BsplineAoSoA;
-use crate::layout::Kernel;
-
-/// Default work-queue grain for
-/// [`run_nested_dynamic`](crate::parallel::run_nested_dynamic) when the
-/// tiles partition evenly across threads. Measured with the `ablations`
-/// bench (`nested_batched_*uniform16*` rows): with no ragged remainder
-/// the queue only adds per-pop overhead, so a coarser grain wins —
-/// grain 4 ran ~2–4% faster than grain 1 (89.6µs vs 91.4µs/iter) and
-/// matched the static partition. (Bench host was single-core, so this
-/// isolates the queue-overhead component; the load-balance component
-/// needs the many-core validation still open in ROADMAP.)
-pub const NESTED_DYNAMIC_GRAIN_UNIFORM: usize = 4;
-
-/// Default work-queue grain for
-/// [`run_nested_dynamic`](crate::parallel::run_nested_dynamic) on
-/// *ragged* tile counts (static partitioning leaves a remainder).
-/// Measured with the `ablations` bench (`nested_batched_*ragged13*`
-/// rows): single-tile work items edged out grain 4 (72.0µs vs
-/// 72.9µs/iter) and beat the static partition by ~5%, and raggedness
-/// is exactly the case where fine-grained stealing pays once threads
-/// contend for the remainder.
-pub const NESTED_DYNAMIC_GRAIN_RAGGED: usize = 1;
-
-/// The measured per-workload grain default for
-/// [`run_nested_dynamic`](crate::parallel::run_nested_dynamic): fine
-/// grain on ragged tile counts (load balance dominates), coarse grain
-/// when the partition is even (queue overhead dominates).
-pub fn default_nested_grain(n_tiles: usize, n_threads: usize) -> usize {
-    let workers = n_threads.max(1).min(n_tiles.max(1));
-    if n_tiles.is_multiple_of(workers) {
-        NESTED_DYNAMIC_GRAIN_UNIFORM
-    } else {
-        NESTED_DYNAMIC_GRAIN_RAGGED
-    }
-}
 use crate::batch::PosBlock;
 use crate::blocked::BlockedEngine;
 use crate::engine::SpoEngine;
+use crate::layout::Kernel;
 use crate::walker::random_positions;
 use einspline::multi::MultiCoefs;
 use einspline::Real;
@@ -57,8 +28,7 @@ use std::str::FromStr;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Orbital-block budget tuning (the blocked-engine counterpart of the
-// tile-size sweep below).
+// Cache probes and the block-budget sweep.
 
 /// Fallback L2 size when sysfs is unreadable (bytes).
 const FALLBACK_L2: usize = 1 << 20;
@@ -204,29 +174,17 @@ pub struct BlockTuneResult {
     pub sweep: Vec<(usize, usize, f64)>,
 }
 
-/// Measure the blocked engine's batched (block-major) throughput at
-/// each candidate budget of [`BlockBudgets::detect`] and return the
-/// fastest — the autotuner that picks the blocked engine's default
-/// decomposition on a new host. Construction cost is excluded (tables
-/// are built once per candidate outside the timed region), matching
-/// production use where the decomposition is built once per run.
+/// Measure the blocked engine's batched throughput at each candidate
+/// budget of [`BlockBudgets::detect`] and return the fastest — the
+/// autotuner that picks the blocked engine's default decomposition on a
+/// new host.
 pub fn tune_block_budget<T: Real>(
     coefs: &MultiCoefs<T>,
     kernel: Kernel,
     cfg: &TuneConfig,
 ) -> BlockTuneResult {
     let budgets = BlockBudgets::detect(coefs.bytes());
-    let n = coefs.n_splines();
-    let (gx, gy, gz) = coefs.grids();
-    let domain = [
-        (gx.start(), gx.end()),
-        (gy.start(), gy.end()),
-        (gz.start(), gz.end()),
-    ];
-    let mut rng = crate::walker::walker_rng(cfg.seed, 0);
-    let positions: Vec<[T; 3]> = random_positions(&mut rng, cfg.ns, domain);
-    let block: PosBlock<T> = positions.iter().copied().collect();
-
+    let block = tune_positions(coefs, cfg);
     let mut sweep: Vec<(usize, usize, f64)> = Vec::new();
     let mut best = (0usize, 0usize, 0.0f64);
     for budget in budgets.candidates() {
@@ -235,15 +193,7 @@ pub fn tune_block_budget<T: Real>(
             continue;
         }
         let engine = BlockedEngine::from_multi(coefs, budget);
-        let mut out = engine.make_batch_out(block.len());
-        engine.eval_batch(kernel, &block, &mut out); // warm-up
-        let mut best_t = f64::INFINITY;
-        for _ in 0..cfg.reps {
-            let t0 = Instant::now();
-            engine.eval_batch(kernel, &block, &mut out);
-            best_t = best_t.min(t0.elapsed().as_secs_f64());
-        }
-        let ops = (n * cfg.ns) as f64 / best_t;
+        let ops = batched_evals_per_sec(&engine, kernel, &block, cfg.reps);
         sweep.push((budget, nb, ops));
         if ops > best.2 {
             best = (budget, nb, ops);
@@ -318,19 +268,20 @@ pub struct TuneResult {
     pub sweep: Vec<(usize, f64)>,
 }
 
-/// Measure every candidate tile size with the tile-major batch loop and
-/// return the fastest. Candidates larger than N are skipped; the
-/// untiled case can be included by passing `n_splines` itself.
+/// Measure the AoSoA engine's batched throughput at every candidate
+/// tile size and return the fastest. Candidates larger than N are
+/// skipped; the untiled case can be included by passing `n_splines`
+/// itself.
 ///
 /// The optimum follows the cache hierarchy, not the pack width: the
 /// `tile_tuning` example (VGH, 24³ grid, cell-wide positions, N = 512
-/// and 1024, two runs each) reads `Nb* = 256` on the 2 MiB-L2 host of
-/// the `bench/` ledger both under `QMC_SIMD=avx2` (8 lanes: 0.050 G-
-/// evals/s at 256 against 0.035–0.041 at 16–128) and with the 16-lane
-/// AVX-512 packs (0.067–0.081 at 256 against 0.050–0.066); at N = 1024
-/// the untiled walk ties with 256 under AVX2 and loses to it at 16
-/// lanes. The ledger's fixed `AOSOA_NB` = 64 is the paper's CPU value,
-/// not a tuned one.
+/// and 1024) reads `Nb* = 256` in every run on the 2 MiB-L2 host of the
+/// `bench/` ledger, both under `QMC_SIMD=avx2` (8 lanes, N = 512:
+/// 0.046–0.048 G-evals/s at 256 against 0.019–0.037 at 16–128, two
+/// runs) and with the 16-lane AVX-512 packs (0.066–0.081 at 256 over
+/// three runs, against 0.017–0.059 at 16–128 in one); at N = 1024 the
+/// untiled walk loses to 256 at both widths. The ledger's fixed
+/// `AOSOA_NB` = 64 is the paper's CPU value, not a tuned one.
 pub fn tune_tile_size<T: Real>(
     coefs: &MultiCoefs<T>,
     kernel: Kernel,
@@ -338,15 +289,7 @@ pub fn tune_tile_size<T: Real>(
     cfg: &TuneConfig,
 ) -> TuneResult {
     let n = coefs.n_splines();
-    let (gx, gy, gz) = coefs.grids();
-    let domain = [
-        (gx.start(), gx.end()),
-        (gy.start(), gy.end()),
-        (gz.start(), gz.end()),
-    ];
-    let mut rng = crate::walker::walker_rng(cfg.seed, 0);
-    let positions: Vec<[T; 3]> = random_positions(&mut rng, cfg.ns, domain);
-
+    let block = tune_positions(coefs, cfg);
     let mut sweep = Vec::new();
     let mut best = (0usize, 0.0f64);
     for &nb in candidates {
@@ -354,15 +297,7 @@ pub fn tune_tile_size<T: Real>(
             continue;
         }
         let engine = BsplineAoSoA::from_multi(coefs, nb);
-        let mut out = engine.make_out();
-        engine.eval_batch_tile_major(kernel, &positions, &mut out); // warm-up
-        let mut best_t = f64::INFINITY;
-        for _ in 0..cfg.reps {
-            let t0 = Instant::now();
-            engine.eval_batch_tile_major(kernel, &positions, &mut out);
-            best_t = best_t.min(t0.elapsed().as_secs_f64());
-        }
-        let ops = (n * cfg.ns) as f64 / best_t;
+        let ops = batched_evals_per_sec(&engine, kernel, &block, cfg.reps);
         sweep.push((nb, ops));
         if ops > best.1 {
             best = (nb, ops);
@@ -373,6 +308,41 @@ pub fn tune_tile_size<T: Real>(
         best_nb: best.0,
         sweep,
     }
+}
+
+/// The positions both sweeps time: `cfg.ns` random positions over the
+/// table's domain, one [`PosBlock`].
+fn tune_positions<T: Real>(coefs: &MultiCoefs<T>, cfg: &TuneConfig) -> PosBlock<T> {
+    let (gx, gy, gz) = coefs.grids();
+    let domain = [
+        (gx.start(), gx.end()),
+        (gy.start(), gy.end()),
+        (gz.start(), gz.end()),
+    ];
+    let mut rng = crate::walker::walker_rng(cfg.seed, 0);
+    random_positions(&mut rng, cfg.ns, domain).into_iter().collect()
+}
+
+/// The one timing loop of both sweeps: best-of-`reps` orbital
+/// evaluations per second of `engine` over `block` through its batched
+/// (block-major) view, after one warm-up call. Construction stays
+/// outside the timed region, matching production use where the
+/// decomposition is built once per run.
+fn batched_evals_per_sec<T: Real, E: SpoEngine<T>>(
+    engine: &E,
+    kernel: Kernel,
+    block: &PosBlock<T>,
+    reps: usize,
+) -> f64 {
+    let mut out = engine.make_batch_out(block.len());
+    engine.eval_batch(kernel, block, &mut out); // warm-up
+    let mut best_t = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        engine.eval_batch(kernel, block, &mut out);
+        best_t = best_t.min(t0.elapsed().as_secs_f64());
+    }
+    (engine.n_splines() * block.len()) as f64 / best_t
 }
 
 /// The default candidate ladder (powers of two from 16, as in the
@@ -621,18 +591,6 @@ mod tests {
         w.record(&t64, Kernel::Vgh, 32);
         assert_eq!(w.lookup(&t128, Kernel::Vgh), None);
         assert_eq!(w.lookup_any_n(&t128, Kernel::Vgh), Some(32));
-    }
-
-    #[test]
-    fn grain_defaults_follow_raggedness() {
-        // 16 tiles on 4 threads: even partition → coarse grain.
-        assert_eq!(default_nested_grain(16, 4), NESTED_DYNAMIC_GRAIN_UNIFORM);
-        // 13 tiles on 4 threads: ragged → single-tile grain.
-        assert_eq!(default_nested_grain(13, 4), NESTED_DYNAMIC_GRAIN_RAGGED);
-        // More threads than tiles: every thread gets ≤1 tile, even.
-        assert_eq!(default_nested_grain(2, 8), NESTED_DYNAMIC_GRAIN_UNIFORM);
-        // Degenerate inputs must not panic.
-        assert_eq!(default_nested_grain(0, 0), NESTED_DYNAMIC_GRAIN_UNIFORM);
     }
 
     #[test]

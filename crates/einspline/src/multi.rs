@@ -464,23 +464,6 @@ impl<T: Real> MultiCoefs<T> {
             budget_bytes,
         )
     }
-
-    /// Split the table along the spline dimension into independent
-    /// cache-budget-sized blocks: each block's coefficient slab is (at
-    /// most) `budget_bytes` (subject to the one-quantum floor of
-    /// [`Self::block_splines_for_budget`]). Every per-block table is
-    /// re-padded and re-aligned to the cache-line quantum by
-    /// construction ([`Self::slice_splines`] allocates through
-    /// [`Self::new`]), and the returned [`BlockedCoefs`] carries the
-    /// orbital → (block, offset) map.
-    pub fn split_blocks(&self, budget_bytes: usize) -> BlockedCoefs<T> {
-        let nb = self.block_splines_for_budget(budget_bytes);
-        BlockedCoefs {
-            blocks: self.split_tiles(nb),
-            nb,
-            n_splines: self.n_splines,
-        }
-    }
 }
 
 /// Table-free twin of [`MultiCoefs::block_splines_for_budget`]: the
@@ -517,111 +500,13 @@ pub fn table_bytes_in<T>(grid: (usize, usize, usize), n_splines: usize) -> usize
     TableLayout::new::<T>(grid, n_splines).bytes()
 }
 
-/// A [`MultiCoefs`] table split along its spline dimension into
-/// independent cache-sized blocks (the orbital-block decomposition the
-/// paper's nested threading schedules over), plus the orbital →
-/// (block, offset) map. All blocks except possibly the last hold
-/// exactly [`BlockedCoefs::nb`] splines.
-#[derive(Debug)]
-pub struct BlockedCoefs<T> {
-    blocks: Vec<MultiCoefs<T>>,
-    nb: usize,
-    n_splines: usize,
-}
-
-impl<T: Real> BlockedCoefs<T> {
-    /// Reassemble from per-block tables built elsewhere (the first-touch
-    /// construction path builds each block on its owning thread).
-    /// Panics if the blocks are not a uniform-`nb` partition (last block
-    /// may be ragged) or disagree on grids.
-    pub fn from_blocks(blocks: Vec<MultiCoefs<T>>, nb: usize) -> Self {
-        assert!(!blocks.is_empty(), "need at least one block");
-        assert!(nb > 0, "block width must be positive");
-        let g0 = blocks[0].grids();
-        let grids = (*g0.0, *g0.1, *g0.2);
-        let mut n_splines = 0;
-        for (i, b) in blocks.iter().enumerate() {
-            let g = b.grids();
-            assert_eq!((*g.0, *g.1, *g.2), grids, "block {i} grid mismatch");
-            assert!(
-                b.n_splines() == nb || i + 1 == blocks.len(),
-                "interior block {i} must hold exactly nb={nb} splines"
-            );
-            assert!(b.n_splines() <= nb, "block {i} wider than nb={nb}");
-            n_splines += b.n_splines();
-        }
-        Self {
-            blocks,
-            nb,
-            n_splines,
-        }
-    }
-
-    /// Per-block coefficient tables.
-    #[inline]
-    pub fn blocks(&self) -> &[MultiCoefs<T>] {
-        &self.blocks
-    }
-
-    /// Take the per-block tables out.
-    pub fn into_blocks(self) -> Vec<MultiCoefs<T>> {
-        self.blocks
-    }
-
-    /// Number of blocks B.
-    #[inline]
-    pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Block width `nb` the orbital map is laid out with (the last
-    /// block may hold fewer splines).
-    #[inline]
-    pub fn nb(&self) -> usize {
-        self.nb
-    }
-
-    /// Total number of orbitals N across all blocks.
-    #[inline]
-    pub fn n_splines(&self) -> usize {
-        self.n_splines
-    }
-
-    /// Map a global orbital index to `(block, offset)`.
-    #[inline]
-    pub fn locate_orbital(&self, n: usize) -> (usize, usize) {
-        debug_assert!(n < self.n_splines, "orbital index out of range");
-        (n / self.nb, n % self.nb)
-    }
-
-    /// Global orbital offset of block `b`'s first spline.
-    #[inline]
-    pub fn block_offset(&self, b: usize) -> usize {
-        b * self.nb
-    }
-
-    /// Coefficient-slab bytes of the widest block (what the cache
-    /// budget bounded).
-    pub fn block_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.bytes()).max().unwrap_or(0)
-    }
-
-    /// Partition this block set across `n_domains` memory domains (the
-    /// NUMA sharding map; see [`ShardMap::balanced`]).
-    pub fn shard_map(&self, n_domains: usize) -> ShardMap {
-        ShardMap::balanced(self.blocks.len(), n_domains)
-    }
-}
-
 /// A balanced contiguous partition of a block set into per-domain
-/// shards — the ownership map behind NUMA-domain engine sharding.
+/// shards — the ownership map behind NUMA-domain batch routing.
 ///
-/// The "blocks" are whatever unit the caller shards over: the
-/// [`BlockedCoefs`] orbital blocks for per-domain first-touch
-/// construction, or the evaluation service's table-region cells for
-/// batch routing. Each domain owns one contiguous run of block ids;
-/// the first `n_blocks % n_domains` domains own one extra block, so
-/// shard sizes differ by at most one. When `n_domains >= n_blocks`
+/// The "blocks" are whatever unit the caller shards over; the
+/// evaluation service shards its table-region cells. Each domain owns
+/// one contiguous run of block ids; the first `n_blocks % n_domains`
+/// domains own one extra block, so shard sizes differ by at most one. When `n_domains >= n_blocks`
 /// the trailing domains own empty ranges (they still exist, so a
 /// replica keyed to such a domain simply never wins affinity).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -967,9 +852,9 @@ mod tests {
         assert!(narrow.layout().row_pad() > 0 && wide.layout().row_pad() > 0);
         assert!(pads_are_zero(&narrow));
         assert!(pads_are_zero(&wide.slice_splines(3, 70)));
-        let blocked = narrow.split_blocks(2 * 16 * narrow.bytes_per_spline());
-        assert!(blocked.n_blocks() > 1);
-        assert!(blocked.blocks().iter().all(pads_are_zero));
+        let tiles = narrow.split_tiles(32);
+        assert!(tiles.len() > 1);
+        assert!(tiles.iter().all(pads_are_zero));
     }
 
     #[test]
@@ -1011,56 +896,6 @@ mod tests {
                 "budget={budget}"
             );
         }
-    }
-
-    #[test]
-    fn split_blocks_partitions_and_maps_orbitals() {
-        let (gx, gy, gz) = small_grids();
-        let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 40);
-        m.fill_random(&mut StdRng::seed_from_u64(3));
-        // Budget for exactly one 16-spline quantum per block.
-        let blocked = m.split_blocks(16 * m.bytes_per_spline());
-        assert_eq!(blocked.nb(), 16);
-        assert_eq!(blocked.n_blocks(), 3);
-        assert_eq!(blocked.n_splines(), 40);
-        assert_eq!(blocked.blocks()[2].n_splines(), 8); // ragged tail
-        assert_eq!(blocked.locate_orbital(0), (0, 0));
-        assert_eq!(blocked.locate_orbital(17), (1, 1));
-        assert_eq!(blocked.locate_orbital(39), (2, 7));
-        assert_eq!(blocked.block_offset(2), 32);
-        assert!(blocked.block_bytes() <= 16 * m.bytes_per_spline());
-        // Block contents match the source table columns.
-        for n in [0usize, 17, 39] {
-            let (b, o) = blocked.locate_orbital(n);
-            for (ix, iy, iz) in [(0, 0, 0), (3, 5, 7), (8, 8, 10)] {
-                assert_eq!(
-                    blocked.blocks()[b].line(ix, iy, iz)[o],
-                    m.line(ix, iy, iz)[n],
-                    "n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_from_blocks_roundtrip_and_validation() {
-        let (gx, gy, gz) = small_grids();
-        let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 40);
-        m.fill_random(&mut StdRng::seed_from_u64(8));
-        let tiles = m.split_tiles(16);
-        let blocked = BlockedCoefs::from_blocks(tiles, 16);
-        assert_eq!(blocked.n_splines(), 40);
-        assert_eq!(blocked.into_blocks().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "interior block")]
-    fn blocked_from_blocks_rejects_ragged_interior() {
-        let (gx, gy, gz) = small_grids();
-        let m = MultiCoefs::<f32>::new(gx, gy, gz, 40);
-        let mut tiles = m.split_tiles(16);
-        tiles.swap(1, 2); // ragged 8-spline block now interior
-        let _ = BlockedCoefs::from_blocks(tiles, 16);
     }
 
     #[test]
@@ -1114,17 +949,5 @@ mod tests {
     #[should_panic(expected = "at least one domain")]
     fn shard_map_rejects_zero_domains() {
         let _ = ShardMap::balanced(4, 0);
-    }
-
-    #[test]
-    fn blocked_coefs_shard_map_covers_all_blocks() {
-        let (gx, gy, gz) = small_grids();
-        let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 40);
-        m.fill_random(&mut StdRng::seed_from_u64(9));
-        let blocked = BlockedCoefs::from_blocks(m.split_tiles(16), 16);
-        let map = blocked.shard_map(2);
-        assert_eq!(map.n_blocks(), blocked.n_blocks());
-        let covered: usize = (0..map.n_domains()).map(|d| map.blocks_of(d).len()).sum();
-        assert_eq!(covered, blocked.n_blocks());
     }
 }

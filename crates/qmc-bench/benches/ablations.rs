@@ -2,12 +2,12 @@
 //!
 //! * z-unrolled fused inner loop (SoA) vs the 64-point triple loop
 //!   structure (AoS uses it) — isolate via VGL which differs most;
-//! * explicit static tile partitioning vs dynamic rayon scheduling for
-//!   nested threading;
+//! * nested threading over the explicit static tile partition, on
+//!   ragged and uniform tile counts;
 //! * distance-table layout: AoS scalar pairs vs SoA streamed rows;
 //! * Jastrow over SoA rows vs per-pair AoS accessors.
 
-use bspline::parallel::{nested_generation_time, run_nested, run_nested_dynamic};
+use bspline::parallel::{blocked_generation_time, run_nested_blocked};
 use bspline::{BsplineAoSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use criterion::{criterion_group, criterion_main, Criterion};
 use miniqmc::distance::aos::DistanceTableAAAoS;
@@ -18,7 +18,6 @@ use miniqmc::particleset::random_electrons;
 use qmc_bench::workload::{coefficients, positions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::time::Duration;
 
 fn bench_ablations(c: &mut Criterion) {
@@ -27,7 +26,12 @@ fn bench_ablations(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(900));
 
-    // --- nested threading: explicit partition vs dynamic rayon ----------
+    // --- nested threading: the static block partition -----------------
+    // One generation at every thread per walker, the same work on one
+    // thread, and the batched schedule on a deliberately ragged tile
+    // count (13 tiles on `total` threads: the static partition idles
+    // workers) against a uniform one (16 tiles). Outputs and position
+    // blocks are allocated once outside the timed region.
     let n = 256;
     let table = coefficients(n, (12, 12, 12), 3);
     let engine = BsplineAoSoA::from_multi(&table, 16); // 16 tiles
@@ -35,41 +39,15 @@ fn bench_ablations(c: &mut Criterion) {
         .map(|v| v.get())
         .unwrap_or(2);
     g.bench_function("nested_static_partition", |b| {
-        b.iter(|| nested_generation_time(&engine, Kernel::Vgh, total, total, 8, 5))
+        b.iter(|| blocked_generation_time(&engine, Kernel::Vgh, total, total, 8, 5))
     });
     let pos = positions(8, 5);
-    g.bench_function("nested_dynamic_rayon", |b| {
-        b.iter(|| {
-            let mut out = engine.make_out();
-            out.tiles_mut()
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(t, tile_out)| {
-                    for p in &pos {
-                        engine.eval_tile(t, Kernel::Vgh, *p, tile_out);
-                    }
-                });
-            out
-        })
-    });
-    // Reference: the same work single-threaded through run_nested.
     let block = PosBlock::from_positions(&pos);
+    let mut single = vec![engine.make_out()];
+    let one_walker = vec![block.clone()];
     g.bench_function("nested_single_thread", |b| {
-        b.iter(|| {
-            let mut walkers = vec![engine.make_out()];
-            let ppw = vec![block.clone()];
-            run_nested(&engine, Kernel::Vgh, &mut walkers, &ppw, 1)
-        })
+        b.iter(|| run_nested_blocked(&engine, Kernel::Vgh, &mut single, &one_walker, 1))
     });
-
-    // --- batched nested path: static partition vs dynamic chunk queue --
-    // Measured on BOTH a deliberately ragged tile count (13 tiles on
-    // `total` threads: the static partition idles workers) and a
-    // uniform one (16 tiles: the queue only adds overhead). The winning
-    // grains are recorded as `tuning::NESTED_DYNAMIC_GRAIN_RAGGED` /
-    // `tuning::NESTED_DYNAMIC_GRAIN_UNIFORM` and picked per workload by
-    // `tuning::default_nested_grain`; outputs and position blocks are
-    // allocated once outside the timed region.
     let n_walkers = 2;
     let blocks: Vec<PosBlock<f32>> = (0..n_walkers).map(|_| block.clone()).collect();
     for (label, n_tiles) in [("ragged13", 13usize), ("uniform16", 16)] {
@@ -77,24 +55,8 @@ fn bench_ablations(c: &mut Criterion) {
             BsplineAoSoA::from_multi(&coefficients(n_tiles * 16, (12, 12, 12), 4), 16);
         let mut walkers: Vec<_> = (0..n_walkers).map(|_| tiled.make_out()).collect();
         g.bench_function(format!("nested_batched_static_{label}"), |b| {
-            b.iter(|| run_nested(&tiled, Kernel::Vgh, &mut walkers, &blocks, total))
+            b.iter(|| run_nested_blocked(&tiled, Kernel::Vgh, &mut walkers, &blocks, total))
         });
-        for grain in [1usize, 4] {
-            g.bench_function(format!("nested_batched_dynamic_{label}_grain{grain}"), |b| {
-                b.iter(|| {
-                    run_nested_dynamic(&tiled, Kernel::Vgh, &mut walkers, &blocks, grain)
-                })
-            });
-        }
-        let picked = bspline::tuning::default_nested_grain(n_tiles, total);
-        g.bench_function(
-            format!("nested_batched_dynamic_{label}_default_grain{picked}"),
-            |b| {
-                b.iter(|| {
-                    run_nested_dynamic(&tiled, Kernel::Vgh, &mut walkers, &blocks, picked)
-                })
-            },
-        );
     }
 
     // --- SIMD dispatch: active backend vs forced sse2 vs forced scalar

@@ -1,8 +1,8 @@
-//! Criterion bench for Fig. 7b: untiled SoA vs AoSoA tiling (tile-major
-//! batch, Fig. 6 loop order). Full-scale sweep: the `fig7b` binary.
+//! Criterion bench for Fig. 7b: untiled SoA vs AoSoA tiling (batched
+//! view, Fig. 6 loop order). Full-scale sweep: the `fig7b` binary.
 
 use bspline::SpoEngine;
-use bspline::{BsplineAoSoA, BsplineSoA, Kernel};
+use bspline::{BsplineAoSoA, BsplineSoA, Kernel, PosBlock};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qmc_bench::workload::{coefficients, positions};
 use std::time::Duration;
@@ -13,6 +13,7 @@ fn bench_fig7b(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
     let pos = positions(16, 13);
+    let block = PosBlock::from_positions(&pos);
     for n in [128usize, 256] {
         let table = coefficients(n, (12, 12, 12), n as u64);
         g.throughput(Throughput::Elements((n * pos.len()) as u64));
@@ -28,9 +29,9 @@ fn bench_fig7b(c: &mut Criterion) {
         });
 
         let tiled = BsplineAoSoA::from_multi(&table, 32);
-        let mut out = tiled.make_out();
+        let mut out = tiled.make_batch_out(block.len());
         g.bench_with_input(BenchmarkId::new("AoSoA_Nb32", n), &n, |b, _| {
-            b.iter(|| tiled.eval_batch_tile_major(Kernel::Vgh, &pos, &mut out))
+            b.iter(|| tiled.eval_batch(Kernel::Vgh, &block, &mut out))
         });
     }
     g.finish();

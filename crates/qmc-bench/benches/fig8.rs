@@ -1,8 +1,8 @@
 //! Criterion bench for Fig. 8: per-kernel (V/VGL/VGH) cost in the AoS
-//! baseline vs the AoSoA-optimized implementation, plus the batched
-//! per-position-retained AoSoA path (`eval_batch`: tile-major order,
-//! basis weights hoisted once per position for all tiles). Full-scale:
-//! `fig8` binary.
+//! baseline vs the AoSoA-optimized implementation through its batched
+//! view (`eval_batch`: tile-major order, basis weights hoisted once per
+//! position for all tiles), plus its scalar loop. Full-scale: `fig8`
+//! binary.
 
 use bspline::precision::MixedEngine;
 use bspline::simd::{with_backend, Backend as SimdBackend};
@@ -41,10 +41,6 @@ fn bench_fig8(c: &mut Criterion) {
                     aos.eval(k, *p, &mut out);
                 }
             })
-        });
-        let mut out = tiled.make_out();
-        g.bench_with_input(BenchmarkId::new(format!("AoSoA_{k}"), n), &n, |b, _| {
-            b.iter(|| tiled.eval_batch_tile_major(k, &pos, &mut out))
         });
         let mut batch_out = tiled.make_batch_out(block.len());
         g.bench_with_input(

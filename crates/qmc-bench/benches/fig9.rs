@@ -8,7 +8,7 @@
 //! for smoke runs. `QMC_THREADS` pins the worker count.
 
 use bspline::blocked::BlockedEngine;
-use bspline::parallel::{blocked_generation_time, nested_generation_time};
+use bspline::parallel::blocked_generation_time;
 use bspline::{BsplineAoSoA, Kernel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qmc_bench::workload::{coefficients, is_quick};
@@ -32,10 +32,10 @@ fn bench_fig9(c: &mut Criterion) {
     let mut nth = 1;
     while nth <= total {
         g.bench_with_input(BenchmarkId::new("nth", nth), &nth, |b, &nth| {
-            b.iter(|| nested_generation_time(&engine, Kernel::Vgh, total, nth, ns, 3))
+            b.iter(|| blocked_generation_time(&engine, Kernel::Vgh, total, nth, ns, 3))
         });
         g.bench_with_input(BenchmarkId::new("monolithic_nth", nth), &nth, |b, &nth| {
-            b.iter(|| nested_generation_time(&mono, Kernel::Vgh, total, nth, ns, 3))
+            b.iter(|| blocked_generation_time(&mono, Kernel::Vgh, total, nth, ns, 3))
         });
         g.bench_with_input(BenchmarkId::new("blocked_nth", nth), &nth, |b, &nth| {
             b.iter(|| blocked_generation_time(&blocked, Kernel::Vgh, total, nth, ns, 3))

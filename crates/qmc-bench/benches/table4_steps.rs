@@ -3,8 +3,8 @@
 //! Full-scale + modelled platforms: `table4` binary.
 
 use bspline::SpoEngine;
-use bspline::parallel::nested_generation_time;
-use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel};
+use bspline::parallel::blocked_generation_time;
+use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, PosBlock};
 use criterion::{criterion_group, criterion_main, Criterion};
 use qmc_bench::workload::{coefficients, positions};
 use std::time::Duration;
@@ -39,16 +39,17 @@ fn bench_table4(c: &mut Criterion) {
     });
 
     let tiled = BsplineAoSoA::from_multi(&table, 32);
-    let mut out = tiled.make_out();
+    let block = PosBlock::from_positions(&pos);
+    let mut out = tiled.make_batch_out(block.len());
     g.bench_function("stepB_aosoa", |b| {
-        b.iter(|| tiled.eval_batch_tile_major(Kernel::Vgh, &pos, &mut out))
+        b.iter(|| tiled.eval_batch(Kernel::Vgh, &block, &mut out))
     });
 
     let total = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(2);
     g.bench_function("stepC_nested", |b| {
-        b.iter(|| nested_generation_time(&tiled, Kernel::Vgh, total, total, 12, 3))
+        b.iter(|| blocked_generation_time(&tiled, Kernel::Vgh, total, total, 12, 3))
     });
     g.finish();
 }

@@ -12,7 +12,7 @@ use cachesim::Platform;
 use qmc_bench::report::{gops, speedup};
 use qmc_bench::workload::{grid, n_sweep, samples_for};
 use qmc_bench::{
-    coefficients, measure_kernel, measure_tile_major, MeasureConfig, ModelScenario, Table,
+    coefficients, measure_kernel, measure_kernel_batched, MeasureConfig, ModelScenario, Table,
 };
 
 fn arg_nb() -> usize {
@@ -45,7 +45,7 @@ fn main() {
         drop(soa);
         let tiled = BsplineAoSoA::from_multi(&table, nb_host.min(n));
         drop(table);
-        let t_tiled = measure_tile_major(&tiled, Kernel::Vgh, &cfg);
+        let t_tiled = measure_kernel_batched(&tiled, Kernel::Vgh, &cfg);
         t.row(vec![
             n.to_string(),
             gops(t_soa.ops_per_sec),

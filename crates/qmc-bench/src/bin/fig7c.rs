@@ -10,7 +10,7 @@ use bspline::{BsplineAoSoA, Kernel, Layout};
 use cachesim::Platform;
 use qmc_bench::report::gops;
 use qmc_bench::workload::{grid, samples_for};
-use qmc_bench::{coefficients, measure_tile_major, MeasureConfig, ModelScenario, Table};
+use qmc_bench::{coefficients, measure_kernel_batched, MeasureConfig, ModelScenario, Table};
 
 fn main() {
     let quick = qmc_bench::is_quick();
@@ -35,10 +35,10 @@ fn main() {
         );
         for &nb in &sweep {
             let tiled = BsplineAoSoA::from_multi(&table, nb);
-            let thr = measure_tile_major(&tiled, Kernel::Vgh, &cfg);
+            let thr = measure_kernel_batched(&tiled, Kernel::Vgh, &cfg);
             t.row(vec![
                 nb.to_string(),
-                tiled.n_tiles().to_string(),
+                tiled.n_blocks().to_string(),
                 gops(thr.ops_per_sec),
             ]);
             eprintln!("host Nb={nb}");

@@ -8,7 +8,7 @@
 use bspline::{BsplineAoS, BsplineAoSoA, Kernel};
 use qmc_bench::report::speedup;
 use qmc_bench::workload::{grid, n_sweep, samples_for};
-use qmc_bench::{coefficients, measure_kernel, measure_tile_major, MeasureConfig, Table};
+use qmc_bench::{coefficients, measure_kernel, measure_kernel_batched, MeasureConfig, Table};
 
 fn arg_nb() -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -43,7 +43,7 @@ fn main() {
         drop(table);
         let opt: Vec<f64> = Kernel::ALL
             .iter()
-            .map(|&k| measure_tile_major(&tiled, k, &cfg).ops_per_sec)
+            .map(|&k| measure_kernel_batched(&tiled, k, &cfg).ops_per_sec)
             .collect();
         t.row(vec![
             n.to_string(),

@@ -9,7 +9,7 @@
 //! work-splitting (the paper's explicit-partition design point).
 
 use bspline::blocked::BlockedEngine;
-use bspline::parallel::{blocked_generation_time, nested_generation_time};
+use bspline::parallel::blocked_generation_time;
 use bspline::{BsplineAoSoA, Kernel, Layout};
 use cachesim::Platform;
 use qmc_bench::workload::{grid, samples_for};
@@ -42,7 +42,7 @@ fn main() {
         // Warm-up + best-of-3.
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let d = nested_generation_time(&engine, Kernel::Vgh, host_threads, nth, ns, 5);
+            let d = blocked_generation_time(&engine, Kernel::Vgh, host_threads, nth, ns, 5);
             best = best.min(d.as_secs_f64());
         }
         let b = *base.get_or_insert(best);
@@ -83,7 +83,7 @@ fn main() {
         let mut best_m = f64::INFINITY;
         let mut best_b = f64::INFINITY;
         for _ in 0..3 {
-            let dm = nested_generation_time(&mono, Kernel::Vgh, host_threads, nth, ns, 5);
+            let dm = blocked_generation_time(&mono, Kernel::Vgh, host_threads, nth, ns, 5);
             best_m = best_m.min(dm.as_secs_f64());
             let db = blocked_generation_time(&blocked, Kernel::Vgh, host_threads, nth, ns, 5);
             best_b = best_b.min(db.as_secs_f64());

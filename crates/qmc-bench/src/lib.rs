@@ -41,7 +41,7 @@ pub mod workload;
 
 pub use measure::{
     measure_kernel, measure_kernel_batched, measure_routed_ablation, measure_service,
-    measure_tile_major, MeasureConfig, RoutedAblation, ServiceLoad, ServiceLoadConfig,
+    MeasureConfig, RoutedAblation, ServiceLoad, ServiceLoadConfig,
 };
 pub use modelled::{model_prediction, sim_threads, ModelScenario};
 pub use profile_suite::{run_profile, ProfileConfig, Suite};

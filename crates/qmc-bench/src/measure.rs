@@ -4,7 +4,7 @@ use crate::workload::{batch_size, pos_block_in, positions_in};
 use bspline::service::{RoutingPolicy, ServiceConfig, SpoService};
 use bspline::walker::walker_rng;
 use bspline::SpoEngine;
-use bspline::{BsplineAoSoA, BsplineSoA, Kernel, PosBlock, Throughput};
+use bspline::{BsplineSoA, Kernel, PosBlock, Throughput};
 use einspline::{MultiCoefs, Real};
 use std::time::{Duration, Instant};
 
@@ -29,8 +29,9 @@ impl Default for MeasureConfig {
     }
 }
 
-/// Throughput of `kernel` on `engine`: positions-major loop (AoS/SoA
-/// engines; also valid for AoSoA but see [`measure_tile_major`]).
+/// Throughput of `kernel` on `engine` through the scalar view, one
+/// position per call (for the tiled engine see
+/// [`measure_kernel_batched`], whose block-major loop is the blocking).
 /// Generic over the engine's position precision `T`, so the same
 /// harness times f32, f64 and mixed (`SpoEngine<f64>` adapter) rows.
 pub fn measure_kernel<T: Real, E: SpoEngine<T>>(
@@ -60,8 +61,9 @@ pub fn measure_kernel<T: Real, E: SpoEngine<T>>(
 /// Throughput of `kernel` through the batched API: the position stream
 /// is pre-chunked into [`batch_size`]-sized [`PosBlock`]s and every
 /// timed call hands the engine a whole block (hoisted basis weights;
-/// tile-major blocking for AoSoA). Output blocks are allocated once and
-/// reused across the run.
+/// for the AoSoA/blocked engine, the paper's Fig. 6 loop order: tiles
+/// outer, positions inner). Output blocks are allocated once and reused
+/// across the run.
 pub fn measure_kernel_batched<T: Real, E: SpoEngine<T>>(
     engine: &E,
     kernel: Kernel,
@@ -80,27 +82,6 @@ pub fn measure_kernel_batched<T: Real, E: SpoEngine<T>>(
         for b in &blocks {
             engine.eval_batch(kernel, b, &mut out);
         }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    Throughput {
-        ops_per_sec: (engine.n_splines() * cfg.ns) as f64 / best,
-    }
-}
-
-/// Throughput of the tiled engine with the paper's Fig. 6 loop order
-/// (tiles outer, positions inner) — the cache-blocking measurement.
-pub fn measure_tile_major<T: Real>(
-    engine: &BsplineAoSoA<T>,
-    kernel: Kernel,
-    cfg: &MeasureConfig,
-) -> Throughput {
-    let pos = positions_in::<T>(cfg.ns, cfg.seed);
-    let mut out = engine.make_out();
-    engine.eval_batch_tile_major(kernel, &pos, &mut out);
-    let mut best = f64::INFINITY;
-    for _ in 0..cfg.reps {
-        let t0 = Instant::now();
-        engine.eval_batch_tile_major(kernel, &pos, &mut out);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     Throughput {
@@ -450,7 +431,7 @@ pub fn measure_routed_ablation<T: Real>(
 mod tests {
     use super::*;
     use crate::workload::coefficients;
-    use bspline::{BsplineAoS, BsplineSoA};
+    use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA};
 
     fn cfg() -> MeasureConfig {
         MeasureConfig {
@@ -469,7 +450,6 @@ mod tests {
         for k in Kernel::ALL {
             assert!(measure_kernel(&aos, k, &cfg()).ops_per_sec > 0.0);
             assert!(measure_kernel(&soa, k, &cfg()).ops_per_sec > 0.0);
-            assert!(measure_tile_major(&tiled, k, &cfg()).ops_per_sec > 0.0);
             assert!(measure_kernel_batched(&aos, k, &cfg()).ops_per_sec > 0.0);
             assert!(measure_kernel_batched(&soa, k, &cfg()).ops_per_sec > 0.0);
             assert!(measure_kernel_batched(&tiled, k, &cfg()).ops_per_sec > 0.0);

@@ -16,7 +16,7 @@
 //! engine at the same walker×thread shape.
 
 use bspline::blocked::BlockedEngine;
-use bspline::parallel::{run_nested, run_nested_blocked};
+use bspline::parallel::run_nested_blocked;
 use bspline::prelude::*;
 use bspline::tuning::BlockBudgets;
 use bspline::walker::walker_rng;
@@ -51,22 +51,23 @@ fn main() {
         .map(|w| PosBlock::random(&mut walker_rng(7, w), ns, domain))
         .collect();
 
+    // Best-of-`reps` wall time of one VGH generation, after a warm-up.
+    let generation = |engine: &BlockedEngine<BsplineSoA<f32>>| {
+        let mut outs: Vec<WalkerSoA<f32>> = (0..walkers).map(|_| engine.make_out()).collect();
+        run_nested_blocked(engine, Kernel::Vgh, &mut outs, &positions, nth);
+        (0..reps)
+            .map(|_| run_nested_blocked(engine, Kernel::Vgh, &mut outs, &positions, nth))
+            .fold(f64::INFINITY, |best, d| best.min(d.as_secs_f64()))
+    };
+
     // Monolithic reference: the single multi-spline object (1 tile).
-    let mono = BsplineAoSoA::from_multi(&table, n);
-    let mut mono_out: Vec<WalkerTiled<f32>> = (0..walkers).map(|_| mono.make_out()).collect();
-    let mut best_mono = f64::INFINITY;
-    run_nested(&mono, Kernel::Vgh, &mut mono_out, &positions, nth);
-    for _ in 0..reps {
-        let d = run_nested(&mono, Kernel::Vgh, &mut mono_out, &positions, nth);
-        best_mono = best_mono.min(d.as_secs_f64());
-    }
+    let best_mono = generation(&BsplineAoSoA::from_multi(&table, n));
     let evals = (n * walkers * ns) as f64;
     println!(
         "monolithic: {:8.1} ms   {:6.2} M-evals/s",
         best_mono * 1e3,
         evals / best_mono / 1e6
     );
-    drop((mono, mono_out));
 
     let budgets = BlockBudgets::detect(table.bytes());
     let candidates = vec![
@@ -86,13 +87,7 @@ fn main() {
         }
         seen_nb.push(nb);
         let engine = BlockedEngine::from_multi(&table, budget);
-        let mut outs: Vec<WalkerSoA<f32>> = (0..walkers).map(|_| engine.make_out()).collect();
-        run_nested_blocked(&engine, Kernel::Vgh, &mut outs, &positions, nth);
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let d = run_nested_blocked(&engine, Kernel::Vgh, &mut outs, &positions, nth);
-            best = best.min(d.as_secs_f64());
-        }
+        let best = generation(&engine);
         println!(
             "blocked {label:>12} ({:7} KiB, nb={:4}, B={:3}): {:8.1} ms   {:6.2} M-evals/s   {:4.2}x vs monolithic",
             budget >> 10,

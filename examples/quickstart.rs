@@ -41,7 +41,7 @@ fn main() {
     let tiled = BsplineAoSoA::from_multi(&table, 8);
     let mut out_tiled = tiled.make_out();
     tiled.vgh(pos, &mut out_tiled);
-    println!("AoSoA engine: {} tiles of Nb = {}", tiled.n_tiles(), tiled.nb());
+    println!("AoSoA engine: {} tiles of Nb = {}", tiled.n_blocks(), tiled.nb());
 
     // All three layouts produce the same physics.
     println!("\norbital  value        |grad|      laplacian   (layouts agree)");

@@ -3,16 +3,16 @@
 //! accordingly — the paper's path to strong scaling (Fig. 9).
 //!
 //! Flows through the batched API: every walker's generation is one
-//! [`PosBlock`] handed to [`run_nested`], and the per-walker output
+//! [`PosBlock`] handed to [`run_nested_blocked`], and the per-walker output
 //! blocks + position blocks are allocated once up front and reused
 //! across all repetitions and thread counts (no allocation inside the
 //! measurement loop).
 //!
 //! Run: `cargo run --release -p qmc-bench --example strong_scaling`
 
-use bspline::parallel::run_nested;
+use bspline::parallel::run_nested_blocked;
 use bspline::walker::walker_rng;
-use bspline::{BsplineAoSoA, Kernel, PosBlock, SpoEngine, WalkerTiled};
+use bspline::{BsplineAoSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use qmc_bench::workload::coefficients;
 
 fn main() {
@@ -26,16 +26,16 @@ fn main() {
         .unwrap_or(2);
     println!(
         "N = {n}, Nb = {nb} ({} tiles), machine threads = {total}",
-        engine.n_tiles()
+        engine.n_blocks()
     );
 
-    // One position block and one tiled output block per walker at the
+    // One position block and one output block per walker at the
     // maximum walker count, allocated once and reused for every nth.
     let domain = SpoEngine::<f32>::domain(&engine);
     let positions: Vec<PosBlock<f32>> = (0..total)
         .map(|w| PosBlock::random(&mut walker_rng(9, w), ns, domain))
         .collect();
-    let mut walkers: Vec<WalkerTiled<f32>> =
+    let mut walkers: Vec<WalkerSoA<f32>> =
         (0..total).map(|_| engine.make_out()).collect();
 
     println!("\nnth  walkers  generation wall  speedup  efficiency");
@@ -45,7 +45,7 @@ fn main() {
         let n_walkers = (total / nth).max(1);
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let d = run_nested(
+            let d = run_nested_blocked(
                 &engine,
                 Kernel::Vgh,
                 &mut walkers[..n_walkers],

@@ -5,13 +5,13 @@
 //!
 //! Run: `cargo run --release -p qmc-bench --example tile_tuning`
 
-use bspline::{BsplineAoSoA, Kernel};
+use bspline::tuning::{tune_tile_size, TuneConfig};
+use bspline::Kernel;
 use qmc_bench::workload::coefficients;
-use qmc_bench::{measure_tile_major, MeasureConfig};
 
 fn main() {
     let grid = (24, 24, 24);
-    let cfg = MeasureConfig {
+    let cfg = TuneConfig {
         ns: 64,
         reps: 3,
         seed: 1,
@@ -19,20 +19,11 @@ fn main() {
     for n in [512usize, 1024] {
         println!("N = {n} (grid {grid:?}):");
         let table = coefficients(n, grid, n as u64);
-        let mut best = (0.0f64, 0usize);
-        for nb in [16, 32, 64, 128, 256, 512, 1024] {
-            if nb > n {
-                continue;
-            }
-            let engine = BsplineAoSoA::from_multi(&table, nb);
-            let t = measure_tile_major(&engine, Kernel::Vgh, &cfg);
-            let g = t.ops_per_sec / 1e9;
-            if t.ops_per_sec > best.0 {
-                best = (t.ops_per_sec, nb);
-            }
-            println!("  Nb = {nb:>5}: {g:.3} G-evals/s");
+        let tuned = tune_tile_size(&table, Kernel::Vgh, &[16, 32, 64, 128, 256, 512, 1024], &cfg);
+        for (nb, ops) in tuned.sweep {
+            println!("  Nb = {nb:>5}: {:.3} G-evals/s", ops / 1e9);
         }
-        println!("  -> optimal Nb on this machine: {}\n", best.1);
+        println!("  -> optimal Nb on this machine: {}\n", tuned.best_nb);
     }
     println!("(paper: Nb* = 64 on BDW/BG-Q, 512 on KNC/KNL — machine-dependent,");
     println!(" problem-size-independent; tune once per architecture)");

@@ -7,13 +7,10 @@
 //! `par_iter_mut().enumerate().for_each(..)` on slices — implemented
 //! with `std::thread::scope` over contiguous chunks. The default split
 //! is a *balanced static partition* (chunk sizes differ by at most one,
-//! so a ragged item count never idles a worker), which matches how this
-//! workspace mostly uses it: the paper's Opt C deliberately prefers an
+//! so a ragged item count never idles a worker), which is how this
+//! workspace uses it: the paper's Opt C deliberately prefers an
 //! explicit static partition ("avoids any potential overhead from
-//! \[the\] nested run time environment"). For ragged workloads,
-//! `with_min_len(grain)` switches to a *dynamic chunk queue*: workers
-//! pull `grain`-sized chunks from a shared queue until it drains
-//! (a poor man's work stealing, configurable grain size).
+//! \[the\] nested run time environment").
 //!
 //! Replace this stub with the real crate by pointing the
 //! `[workspace.dependencies]` entry back at crates.io.
@@ -22,7 +19,6 @@
 #![warn(clippy::all)]
 
 use std::ops::Range;
-use std::sync::Mutex;
 use std::sync::OnceLock;
 use std::thread;
 
@@ -112,48 +108,6 @@ fn run_map_with<I: Send, O: Send, F: Fn(I) -> O + Sync>(
     })
 }
 
-/// Dynamic scheduling: workers pull `grain`-sized chunks of owned items
-/// from a shared queue until it drains.
-fn run_queue_with<I: Send, F: Fn(I) + Sync>(
-    max_threads: usize,
-    grain: usize,
-    items: Vec<I>,
-    f: &F,
-) {
-    let grain = grain.max(1);
-    let n = items.len();
-    let threads = max_threads.min(n.div_ceil(grain)).max(1);
-    if threads <= 1 {
-        for x in items {
-            f(x);
-        }
-        return;
-    }
-    let mut chunks: Vec<Vec<I>> = Vec::with_capacity(n.div_ceil(grain));
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<I> = it.by_ref().take(grain).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let queue = Mutex::new(chunks.into_iter());
-    thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let Some(chunk) = queue.lock().expect("queue poisoned").next()
-                else {
-                    return;
-                };
-                for x in chunk {
-                    f(x);
-                }
-            });
-        }
-    });
-}
-
 fn run_slice<T: Send, F: Fn(usize, &mut T) + Sync>(slice: &mut [T], f: &F) {
     run_slice_with(current_num_threads(), slice, f)
 }
@@ -184,53 +138,6 @@ fn run_slice_with<T: Send, F: Fn(usize, &mut T) + Sync>(
                 }
             });
             base += len;
-        }
-    });
-}
-
-/// Dynamic scheduling over a mutable slice: `grain`-sized sub-slices
-/// pulled from a shared queue.
-fn run_slice_queue_with<T: Send, F: Fn(usize, &mut T) + Sync>(
-    max_threads: usize,
-    grain: usize,
-    slice: &mut [T],
-    f: &F,
-) {
-    let grain = grain.max(1);
-    let n = slice.len();
-    let threads = max_threads.min(n.div_ceil(grain)).max(1);
-    if threads <= 1 {
-        for (i, x) in slice.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let chunks: Vec<(usize, &mut [T])> = {
-        let mut v = Vec::with_capacity(n.div_ceil(grain));
-        let mut rest = slice;
-        let mut base = 0;
-        while !rest.is_empty() {
-            let len = grain.min(rest.len());
-            let (c, tail) = rest.split_at_mut(len);
-            rest = tail;
-            v.push((base, c));
-            base += len;
-        }
-        v
-    };
-    let queue = Mutex::new(chunks.into_iter());
-    thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let Some((base, chunk)) =
-                    queue.lock().expect("queue poisoned").next()
-                else {
-                    return;
-                };
-                for (i, x) in chunk.iter_mut().enumerate() {
-                    f(base + i, x);
-                }
-            });
         }
     });
 }
@@ -283,31 +190,6 @@ impl<T: Send> IntoParIter<T> {
     /// Collect the items (identity pipeline).
     pub fn collect<C: FromIterator<T>>(self) -> C {
         self.items.into_iter().collect()
-    }
-
-    /// Switch from the balanced static partition to the dynamic chunk
-    /// queue with `grain` items per chunk (mirrors rayon's
-    /// `IndexedParallelIterator::with_min_len`).
-    pub fn with_min_len(self, grain: usize) -> GrainedIter<T> {
-        GrainedIter {
-            items: self.items,
-            grain,
-        }
-    }
-}
-
-/// A parallel iterator with an explicit grain size: work is pulled from
-/// a shared queue in `grain`-sized chunks (dynamic scheduling).
-pub struct GrainedIter<T> {
-    items: Vec<T>,
-    grain: usize,
-}
-
-impl<T: Send> GrainedIter<T> {
-    /// Run `f` on every item; workers pull `grain`-sized chunks until
-    /// the queue drains.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        run_queue_with(current_num_threads(), self.grain, self.items, &|x| f(x));
     }
 }
 
@@ -373,37 +255,6 @@ impl<'a, T: Send> IterMut<'a, T> {
     pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
         run_slice(self.slice, &|_, x| f(x));
     }
-
-    /// Dynamic chunk queue with `grain` elements per chunk.
-    pub fn with_min_len(self, grain: usize) -> GrainedIterMut<'a, T> {
-        GrainedIterMut {
-            slice: self.slice,
-            grain,
-        }
-    }
-}
-
-/// Borrowed mutable parallel iterator with an explicit grain size.
-pub struct GrainedIterMut<'a, T> {
-    slice: &'a mut [T],
-    grain: usize,
-}
-
-impl<'a, T: Send> GrainedIterMut<'a, T> {
-    /// Pair every element with its index.
-    pub fn enumerate(self) -> GrainedEnumerateMut<'a, T> {
-        GrainedEnumerateMut {
-            slice: self.slice,
-            grain: self.grain,
-        }
-    }
-
-    /// Run `f` on every element; workers pull `grain`-sized chunks.
-    pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        run_slice_queue_with(current_num_threads(), self.grain, self.slice, &|_, x| {
-            f(x)
-        });
-    }
 }
 
 /// Indexed borrowed mutable parallel iterator.
@@ -415,30 +266,6 @@ impl<'a, T: Send> EnumerateMut<'a, T> {
     /// Run `f` on every `(index, element)` pair in parallel.
     pub fn for_each<F: Fn((usize, &mut T)) + Sync>(self, f: F) {
         run_slice(self.slice, &|i, x| f((i, x)));
-    }
-
-    /// Dynamic chunk queue with `grain` elements per chunk.
-    pub fn with_min_len(self, grain: usize) -> GrainedEnumerateMut<'a, T> {
-        GrainedEnumerateMut {
-            slice: self.slice,
-            grain,
-        }
-    }
-}
-
-/// Indexed grained mutable parallel iterator (dynamic chunk queue).
-pub struct GrainedEnumerateMut<'a, T> {
-    slice: &'a mut [T],
-    grain: usize,
-}
-
-impl<T: Send> GrainedEnumerateMut<'_, T> {
-    /// Run `f` on every `(index, element)` pair; workers pull
-    /// `grain`-sized chunks.
-    pub fn for_each<F: Fn((usize, &mut T)) + Sync>(self, f: F) {
-        run_slice_queue_with(current_num_threads(), self.grain, self.slice, &|i, x| {
-            f((i, x))
-        });
     }
 }
 
@@ -498,55 +325,6 @@ mod tests {
         assert!(lens.iter().all(|&l| l == 1 || l == 2));
         assert_eq!(crate::balanced_chunk_lens(3, 8), vec![1, 1, 1]);
         assert_eq!(crate::balanced_chunk_lens(0, 4), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn grained_for_each_visits_everything() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for grain in [1, 3, 7, 1000] {
-            let sum = AtomicUsize::new(0);
-            (1..=100)
-                .collect::<Vec<usize>>()
-                .into_par_iter()
-                .with_min_len(grain)
-                .for_each(|x| {
-                    sum.fetch_add(x, Ordering::Relaxed);
-                });
-            assert_eq!(sum.load(Ordering::Relaxed), 5050, "grain={grain}");
-        }
-    }
-
-    #[test]
-    fn grained_slice_paths_match_sequential() {
-        for grain in [1, 4, 9, 300] {
-            let mut v = vec![0usize; 257];
-            v.par_iter_mut()
-                .with_min_len(grain)
-                .enumerate()
-                .for_each(|(i, x)| *x = i * i);
-            for (i, x) in v.iter().enumerate() {
-                assert_eq!(*x, i * i, "grain={grain}");
-            }
-            let mut w = vec![0usize; 61];
-            w.par_iter_mut().with_min_len(grain).for_each(|x| *x = 5);
-            assert!(w.iter().all(|&x| x == 5));
-            // Forced multithread queue (available_parallelism may be 1).
-            let mut q = vec![0usize; 103];
-            crate::run_slice_queue_with(7, grain, &mut q, &|i, x| *x = i + 1);
-            for (i, x) in q.iter().enumerate() {
-                assert_eq!(*x, i + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn forced_queue_map_matches_sequential() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sum = AtomicUsize::new(0);
-        crate::run_queue_with(5, 3, (1..=50).collect::<Vec<usize>>(), &|x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 1275);
     }
 
     #[test]

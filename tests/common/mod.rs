@@ -98,3 +98,17 @@ impl BackendTolerance for f64 {
         }
     }
 }
+
+/// The blocked engine's regrouping contract: a fused backend performs
+/// the identical elementwise chain however orbitals are grouped into
+/// blocks, so `got` must equal `want` **exactly**; the non-FMA SSE2
+/// backend fuses its ragged scalar tail but not its vector body, so a
+/// block boundary can move an orbital between the two paths — bounded
+/// by [`BackendTolerance`] instead.
+pub fn assert_regrouped<T: BackendTolerance>(backend: Backend, want: T, got: T, ctx: &str) {
+    if backend.is_fused() {
+        assert_eq!(want, got, "{ctx} [{backend}]");
+    } else {
+        T::assert_close(backend, want, got, ctx);
+    }
+}

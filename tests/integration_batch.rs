@@ -2,7 +2,7 @@
 //! three layout engines, `eval_batch` with each kernel tag must
 //! *bit-match* the scalar `v`/`vgl`/`vgh` loop over the same positions
 //! — the batched paths reorder only independent work (hoisted basis
-//! weights, tile-major loop order), never the per-(position, orbital)
+//! weights, block-major loop order), never the per-(position, orbital)
 //! arithmetic. Batch sizes 0 and 1 are covered explicitly.
 
 use bspline::{
@@ -98,7 +98,6 @@ macro_rules! impl_view {
 }
 impl_view!(bspline::WalkerAoS<f32>);
 impl_view!(bspline::WalkerSoA<f32>);
-impl_view!(bspline::WalkerTiled<f32>);
 
 fn check_engine<E: SpoEngine<f32>>(engine: &E, n: usize, pos: &PosBlock<f32>, ctx: &str)
 where

@@ -4,17 +4,17 @@
 //! combination, for every block shape — including `B = 1` (the
 //! degenerate monolithic decomposition), ragged last blocks, and blocks
 //! narrower than one SIMD register (the micro-kernels' scalar-tail
-//! path). The nested walker×block schedules must agree with the serial
-//! blocked evaluation for any thread count and grain.
+//! path). The nested walker×block schedule must agree with the serial
+//! blocked evaluation for any thread count.
 
 mod common;
 
-use crate::common::BackendTolerance;
+use crate::common::{assert_regrouped, BackendTolerance};
 use bspline::blocked::BlockedEngine;
-use bspline::parallel::{run_nested_blocked, run_nested_blocked_dynamic};
+use bspline::parallel::run_nested_blocked;
 use bspline::precision::MixedEngine;
 use bspline::simd::{with_backend, Backend};
-use bspline::{BsplineAoSoA, BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
+use bspline::{BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{Grid1, MultiCoefs, Real};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,13 +27,8 @@ fn table<T: Real>(n: usize, seed: u64) -> MultiCoefs<T> {
     m
 }
 
-/// Compare the streams `kernel` writes under `backend`'s parity
-/// contract: fused backends (scalar pack, AVX2+FMA, AVX-512F) perform the
-/// identical elementwise chain regardless of how orbitals are grouped
-/// into blocks, so they must match **exactly**; the non-FMA SSE2
-/// backend fuses its ragged scalar tail but not its vector body, so a
-/// block boundary can legitimately move an orbital between those two
-/// paths — bounded by the shared scale-aware tolerance instead.
+/// Compare the streams `kernel` writes under `backend`'s regrouping
+/// contract ([`assert_regrouped`]).
 fn assert_streams_eq<T: BackendTolerance>(
     backend: Backend,
     kernel: Kernel,
@@ -41,13 +36,7 @@ fn assert_streams_eq<T: BackendTolerance>(
     got: &WalkerSoA<T>,
     n: usize,
 ) {
-    let close = |want: T, got: T, ctx: &str| {
-        if backend.is_fused() {
-            assert_eq!(want, got, "{ctx} [{backend}]");
-        } else {
-            T::assert_close(backend, want, got, ctx);
-        }
-    };
+    let close = |want: T, got: T, ctx: &str| assert_regrouped(backend, want, got, ctx);
     for k in 0..n {
         close(want.value(k), got.value(k), &format!("{kernel} value k={k}"));
         let (per_comp, wants, gots): (usize, Vec<T>, Vec<T>) = match kernel {
@@ -72,7 +61,7 @@ fn assert_streams_eq<T: BackendTolerance>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Blocked ≡ monolithic SoA ≡ tiled AoSoA for every kernel and
+    /// Blocked (the AoSoA tiling) ≡ monolithic SoA for every kernel and
     /// backend, scalar and batched entry, f32: any block width from 1
     /// (narrower than every SIMD register → pure scalar tails) through
     /// ragged widths to `nb ≥ N` (B = 1).
@@ -87,7 +76,6 @@ proptest! {
     ) {
         let t = table::<f32>(n, seed);
         let mono = BsplineSoA::new(t.clone());
-        let tiled = BsplineAoSoA::from_multi(&t, nb.min(n).max(1));
         let blocked = BlockedEngine::with_block_size(&t, nb);
         let pos = [px, py, pz];
         let block: PosBlock<f32> = [pos, [pz, px, py]].into_iter().collect();
@@ -98,21 +86,9 @@ proptest! {
                     // Scalar entry.
                     let mut want = mono.make_out();
                     let mut got = blocked.make_out();
-                    let mut got_t = tiled.make_out();
                     mono.eval(kernel, pos, &mut want);
                     blocked.eval(kernel, pos, &mut got);
-                    tiled.eval(kernel, pos, &mut got_t);
                     assert_streams_eq(backend, kernel, &want, &got, n);
-                    for k in 0..n {
-                        // Tiled and blocked group identically only when
-                        // tile = block width; compare under the same
-                        // contract instead of exactly.
-                        if backend.is_fused() {
-                            assert_eq!(got.value(k), got_t.value(k), "{backend} {kernel} vs tiled k={k}");
-                        } else {
-                            f32::assert_close(backend, got_t.value(k), got.value(k), "vs tiled");
-                        }
-                    }
 
                     // Batched entry (block-major loop + prefetch path).
                     let mut bwant = mono.make_batch_out(block.len());
@@ -169,13 +145,7 @@ proptest! {
         // the blocked-vs-monolithic contract is the f32 one: exact under
         // fused backends, scale-aware under SSE2 (QMC_SIMD matrix legs).
         let backend = bspline::simd::active_backend();
-        let close = |x: f64, y: f64, ctx: &str| {
-            if backend.is_fused() {
-                assert_eq!(x, y, "{ctx}");
-            } else {
-                f32::assert_close(backend, x as f32, y as f32, ctx);
-            }
-        };
+        let close = |x: f64, y: f64, ctx: &str| assert_regrouped(backend, x as f32, y as f32, ctx);
         let (mut a, mut b) = (mono.make_out(), blocked.make_out());
         for kernel in Kernel::ALL {
             mono.eval(kernel, pos, &mut a);
@@ -202,16 +172,14 @@ proptest! {
         }
     }
 
-    /// The nested walker×block schedule (static and dynamic, any
-    /// thread count / grain — including more threads than blocks and a
-    /// grain beyond the work-list) reproduces the serial blocked
+    /// The nested walker×block schedule (any thread count, including
+    /// more threads than blocks) reproduces the serial blocked
     /// evaluation bit-for-bit.
     #[test]
     fn nested_blocked_schedules_match_serial(
         n in 1usize..40,
         nb in 1usize..16,
         nth in 1usize..12,
-        grain in 1usize..64,
         seed in 0u64..200,
     ) {
         let t = table::<f32>(n, seed);
@@ -230,16 +198,12 @@ proptest! {
         let mut stat: Vec<WalkerSoA<f32>> =
             (0..2).map(|_| blocked.make_out()).collect();
         run_nested_blocked(&blocked, Kernel::Vgh, &mut stat, &positions, nth);
-        let mut dynq: Vec<WalkerSoA<f32>> =
-            (0..2).map(|_| blocked.make_out()).collect();
-        run_nested_blocked_dynamic(&blocked, Kernel::Vgh, &mut dynq, &positions, grain);
         // Serial and scheduled runs take identical per-block code paths,
         // so exact equality holds on every backend; passing the active
         // backend only affects the (unused) tolerance branch.
         for w in 0..2 {
             let b = bspline::simd::active_backend();
             assert_streams_eq(b, Kernel::Vgh, &expect[w], &stat[w], n);
-            assert_streams_eq(b, Kernel::Vgh, &expect[w], &dynq[w], n);
         }
     }
 
@@ -254,24 +218,22 @@ proptest! {
     ) {
         let t = table::<f32>(n, seed);
         let budget = budget_quanta * 16 * t.bytes_per_spline() + 1;
-        let blocked = t.split_blocks(budget);
+        let engine = BlockedEngine::from_multi(&t, budget);
         let quantum_slab = 16 * t.bytes_per_spline();
         // Respect the budget unless the one-quantum floor forces more.
-        prop_assert!(blocked.block_bytes() <= budget.max(quantum_slab));
+        prop_assert!(engine.block_bytes() <= budget.max(quantum_slab));
+        prop_assert_eq!(engine.nb(), t.block_splines_for_budget(budget));
         // Full disjoint cover, map inversion.
         let mut covered = 0usize;
-        for (b, blk) in blocked.blocks().iter().enumerate() {
-            for o in 0..blk.n_splines() {
-                let g = blocked.block_offset(b) + o;
-                prop_assert_eq!(blocked.locate_orbital(g), (b, o));
+        for b in 0..engine.n_blocks() {
+            let (lo, hi) = engine.block_range(b);
+            prop_assert_eq!(lo, covered);
+            for g in lo..hi {
+                prop_assert_eq!(engine.locate_orbital(g), (b, g - lo));
             }
-            covered += blk.n_splines();
+            covered = hi;
         }
         prop_assert_eq!(covered, n);
-        // The engine view of the same decomposition agrees.
-        let engine = BlockedEngine::from_multi(&t, budget);
-        prop_assert_eq!(engine.n_blocks(), blocked.n_blocks());
-        prop_assert_eq!(engine.nb(), blocked.nb());
         prop_assert_eq!(SpoEngine::<f32>::n_splines(&engine), n);
     }
 }

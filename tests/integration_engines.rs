@@ -113,7 +113,7 @@ fn nested_parallel_execution_is_deterministic() {
     ];
     let run = |nth: usize| -> Vec<f64> {
         let mut walkers: Vec<_> = (0..2).map(|_| tiled.make_out()).collect();
-        bspline::parallel::run_nested(
+        bspline::parallel::run_nested_blocked(
             &tiled,
             Kernel::Vgh,
             &mut walkers,

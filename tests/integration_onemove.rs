@@ -77,7 +77,6 @@ macro_rules! impl_view {
 }
 impl_view!(bspline::WalkerAoS<T>);
 impl_view!(bspline::WalkerSoA<T>);
-impl_view!(bspline::WalkerTiled<T>);
 
 impl<O: WidenOut> View<f64> for MixedOut<O>
 where
@@ -192,18 +191,12 @@ fn check_all_engines(n: usize, nb: usize, seed: u64, ns: usize, label: &str) {
     let pos = random_positions::<f32>(ns, seed ^ 0x0e0e);
     check_moves(&BsplineAoS::new(table.clone()), n, &pos, &format!("{label} AoS f32"));
     check_moves(&BsplineSoA::new(table.clone()), n, &pos, &format!("{label} SoA f32"));
+    // Any tile width, down to one orbital per block (the AoSoA tiling).
     check_moves(
-        &BsplineAoSoA::from_multi(&table, nb),
+        &BlockedEngine::with_block_size(&table, nb),
         n,
         &pos,
-        &format!("{label} AoSoA f32"),
-    );
-    // Tiny budget forces a multi-block decomposition for any n > 1.
-    check_moves(
-        &BlockedEngine::from_multi(&table, 1),
-        n,
-        &pos,
-        &format!("{label} Blocked f32"),
+        &format!("{label} Blocked/{nb} f32"),
     );
 
     let table64 = random_table::<f64>(n, seed);

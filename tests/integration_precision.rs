@@ -75,7 +75,6 @@ macro_rules! impl_out_read {
 }
 impl_out_read!(WalkerAoS);
 impl_out_read!(WalkerSoA);
-impl_out_read!(WalkerTiled);
 
 impl<O> OutRead<f64> for MixedOut<O>
 where

@@ -1,8 +1,11 @@
 //! Property-based integration tests (proptest): layout equivalence and
 //! physics invariants under randomized configurations.
 
+mod common;
+
 use bspline::SpoEngine;
 use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA};
+use common::assert_regrouped;
 use einspline::{basis, solve_clamped, solve_natural, solve_periodic, Grid1, MultiCoefs};
 use miniqmc::distance::aos::DistanceTableAAAoS;
 use miniqmc::distance::soa::DistanceTableAA;
@@ -79,10 +82,13 @@ proptest! {
         aos.vgh(pos, &mut oa);
         soa.vgh(pos, &mut os);
         tiled.vgh(pos, &mut ot);
+        let backend = bspline::simd::active_backend();
         for k in 0..n {
             prop_assert!((oa.value(k) - os.value(k)).abs() < 2e-4);
-            prop_assert_eq!(os.value(k), ot.value(k));
-            prop_assert_eq!(os.hessian(k), ot.hessian(k));
+            assert_regrouped(backend, os.value(k), ot.value(k), &format!("value k={k}"));
+            for (r, (w, g)) in os.hessian(k).into_iter().zip(ot.hessian(k)).enumerate() {
+                assert_regrouped(backend, w, g, &format!("hessian k={k} r={r}"));
+            }
         }
     }
 
@@ -119,10 +125,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Threading-ablation substrate (ISSUE 4 satellite): direct property
-// coverage for the static tile partition and the rayon stub's grained
-// dynamic queue — the two scheduling modes the nested-threading
-// ablation compares. Until now only their consumers were tested.
+// Nested-threading substrate: direct property coverage for the static
+// tile partition the nested schedule splits blocks with.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -154,81 +158,5 @@ proptest! {
         );
         prop_assert!(mx - mn <= 1, "balanced: sizes {:?}", sizes);
         prop_assert_eq!(sizes.iter().sum::<usize>(), m);
-    }
-
-    /// The rayon stub's `with_min_len(grain)` dynamic queue processes
-    /// every item exactly once for any (count, grain) combination —
-    /// including a grain larger than the whole work list — and its
-    /// mutations match the serial loop.
-    #[test]
-    fn rayon_stub_grained_queue_processes_each_item_once(
-        n in 0usize..200,
-        grain in 1usize..256,
-    ) {
-        use rayon::prelude::*;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        // Owned-items queue: count visits.
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        (0..n).collect::<Vec<usize>>()
-            .into_par_iter()
-            .with_min_len(grain)
-            .for_each(|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-        for (i, h) in hits.iter().enumerate() {
-            prop_assert_eq!(h.load(Ordering::Relaxed), 1, "item {} visits", i);
-        }
-
-        // Mutable-slice queue (the `run_nested_dynamic` shape): the
-        // indexed mutation matches the serial result.
-        let mut data: Vec<usize> = vec![0; n];
-        data.par_iter_mut()
-            .with_min_len(grain)
-            .enumerate()
-            .for_each(|(i, x)| *x = 3 * i + 1);
-        let expect: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
-        prop_assert_eq!(data, expect);
-    }
-
-    /// Dynamic-queue scheduling of the nested-threading driver agrees
-    /// bit-for-bit with the static partition on ragged tile counts for
-    /// any grain, including one exceeding the total work-item count.
-    #[test]
-    fn nested_dynamic_matches_static_for_any_grain(
-        n_orb in 1usize..48,
-        nb in 1usize..16,
-        grain in 1usize..300,
-        seed in 0u64..200,
-    ) {
-        let g = Grid1::periodic(0.0, 1.0, 5);
-        let mut table = MultiCoefs::<f32>::new(g, g, g, n_orb);
-        table.fill_random(&mut StdRng::seed_from_u64(seed));
-        let engine = BsplineAoSoA::from_multi(&table, nb);
-        let positions = vec![bspline::PosBlock::from_positions(&[
-            [0.2f32, 0.7, 0.4],
-            [0.9, 0.1, 0.6],
-        ])];
-
-        let mut expect = vec![engine.make_out()];
-        bspline::parallel::run_nested(
-            &engine,
-            bspline::Kernel::Vgh,
-            &mut expect,
-            &positions,
-            3,
-        );
-        let mut got = vec![engine.make_out()];
-        bspline::parallel::run_nested_dynamic(
-            &engine,
-            bspline::Kernel::Vgh,
-            &mut got,
-            &positions,
-            grain,
-        );
-        for k in 0..n_orb {
-            prop_assert_eq!(got[0].value(k), expect[0].value(k), "orb {}", k);
-            prop_assert_eq!(got[0].hessian(k), expect[0].hessian(k), "orb {}", k);
-        }
     }
 }
