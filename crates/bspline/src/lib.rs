@@ -12,10 +12,8 @@
 //! | Opt B: AoSoA tiling (Fig. 5b/6) | [`aosoa::BsplineAoSoA`], i.e. [`blocked::BlockedEngine`] at a fixed width |
 //! | Opt C: nested threading (Sec. V-C) | [`parallel::run_nested_blocked`] |
 //! | orbital-block decomposition (Sec. IV, Fig. 9/10 substrate) | [`blocked::BlockedEngine`] |
-//! | miniQMC driver (Fig. 3) | [`walker`] |
 //! | multi-walker batching (Fig. 6 loop order) | [`batch`] |
 //! | explicit vectorization (Fig. 6–7, Table 4) | [`simd`] |
-//! | throughput metric `T = Nw·N/t` | [`throughput::Throughput`] |
 //!
 //! The hot inner loops are explicit SIMD micro-kernels ([`simd`]):
 //! a lane abstraction ([`simd::SimdReal`]) with AVX-512F, AVX2+FMA and
@@ -94,12 +92,11 @@
 //!   hierarchy's natural levels ([`tuning::BlockBudgets`]): private L2,
 //!   shared LLC divided by the worker count, and the whole table
 //!   (`B = 1`, the monolithic degenerate case).
-//!   [`tuning::tune_block_budget`] measures the three on a host;
-//!   [`tuning::default_block_budget`] is the policy without a sweep —
-//!   the whole table below the LLC, LLC/workers above it, so that a
-//!   generation's positions re-touch a resident block slab. The
-//!   super-LLC branch is not shown to pay on any recorded host (the
-//!   last N = 2048 reading was 0.58× of monolithic; see its docs).
+//!   [`tuning::default_block_budget`] is the policy — the whole table
+//!   below the LLC, LLC/workers above it, so that a generation's
+//!   positions re-touch a resident block slab. The super-LLC branch is
+//!   not shown to pay on any recorded host (the last N = 2048 reading
+//!   was 0.58× of monolithic; see its docs).
 //! * **Nested schedule.** [`parallel::run_nested_blocked`] partitions
 //!   the `B` blocks into `nth` contiguous chunks
 //!   ([`parallel::partition_tiles`], non-empty chunks only) and crosses
@@ -386,7 +383,6 @@ pub mod replica;
 pub mod service;
 pub mod simd;
 pub mod soa;
-pub mod throughput;
 pub mod tuning;
 pub mod walker;
 
@@ -400,7 +396,7 @@ pub mod prelude {
     pub use crate::layout::{Kernel, Layout, OptStep};
     pub use crate::onemove::MoveContext;
     pub use crate::output::{WalkerAoS, WalkerSoA};
-    pub use crate::parallel::{run_nested_blocked, run_walkers_parallel};
+    pub use crate::parallel::run_nested_blocked;
     pub use crate::precision::{MixedEngine, MixedOut, F32_REL_ERROR_BUDGET};
     pub use crate::replica::{EngineCell, EngineRef, Replica};
     pub use crate::service::{
@@ -409,11 +405,7 @@ pub mod prelude {
     };
     pub use crate::simd::{active_backend, with_backend, Backend as SimdBackend};
     pub use crate::soa::BsplineSoA;
-    pub use crate::throughput::Throughput;
-    pub use crate::tuning::{
-        default_block_budget, tune_block_budget, tune_tile_size, BlockBudgets, TuneConfig, Wisdom,
-    };
-    pub use crate::walker::{DriverConfig, KernelTimes};
+    pub use crate::tuning::{default_block_budget, BlockBudgets};
 }
 
 pub use aos::BsplineAoS;
@@ -430,4 +422,3 @@ pub use service::{
     ServiceFaultPlan, ServiceHealth, SpoService, Ticket,
 };
 pub use soa::BsplineSoA;
-pub use throughput::Throughput;

@@ -1,13 +1,12 @@
-//! Walker-level and nested (block-level) parallel execution — Opt C.
+//! Nested (block-level) parallel execution — Opt C.
 //!
-//! The classic QMC strategy parallelizes over walkers only
-//! ([`run_walkers_parallel`]). The paper's Opt C additionally splits each
-//! walker's evaluation across `nth` threads by statically partitioning
-//! the B blocks of a [`BlockedEngine`] (the AoSoA tiles) into `nth`
-//! contiguous chunks ([`run_nested_blocked`]); walkers per node shrink
-//! by the same factor, so the machine-wide thread count stays constant
-//! while the time-to-solution per Monte Carlo generation drops by up to
-//! `nth`.
+//! The classic QMC strategy parallelizes over walkers only. The paper's
+//! Opt C additionally splits each walker's evaluation across `nth`
+//! threads by statically partitioning the B blocks of a
+//! [`BlockedEngine`] (the AoSoA tiles) into `nth` contiguous chunks
+//! ([`run_nested_blocked`]); walkers per node shrink by the same factor,
+//! so the machine-wide thread count stays constant while the
+//! time-to-solution per Monte Carlo generation drops by up to `nth`.
 //!
 //! The partition is static and explicit, which is the paper's choice
 //! ("an explicit data partition scheme … avoids any potential overhead
@@ -18,7 +17,7 @@
 //! are hoisted once per walker *before* the parallel region, so every
 //! block chunk reuses the same `Located` block.
 //!
-//! Every entry point is generic over [`EngineRef`], so it runs
+//! [`run_nested_blocked`] is generic over [`EngineRef`], so it runs
 //! identically against a borrowed engine (`&engine`, the classic
 //! closed-loop call) and against a long-lived
 //! [`crate::replica::Replica`] handle (the service path). The SIMD
@@ -31,42 +30,10 @@ use crate::engine::SpoEngine;
 use crate::layout::Kernel;
 use crate::output::{SoAStreamsMut, WalkerSoA};
 use crate::replica::EngineRef;
-use crate::walker::{run_walker, walker_rng, DriverConfig, KernelTimes};
+use crate::walker::walker_rng;
 use einspline::Real;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
-
-/// Run all walkers concurrently (one rayon task per walker) and return
-/// the wall-clock per-kernel times of the slowest path plus the sum of
-/// per-walker times.
-pub struct ParallelRun {
-    /// Wall-clock duration of the whole parallel region.
-    pub wall: Duration,
-    /// Sum of per-walker kernel times (CPU-time proxy).
-    pub total: KernelTimes,
-}
-
-/// Walker-only parallelism: the pre-Opt-C execution model.
-pub fn run_walkers_parallel<T: Real, E: SpoEngine<T>, R: EngineRef<E>>(
-    engine: R,
-    cfg: &DriverConfig,
-) -> ParallelRun {
-    let eng = engine.engine();
-    let backend = engine.backend();
-    let t0 = Instant::now();
-    let times: Vec<KernelTimes> = (0..cfg.n_walkers)
-        .into_par_iter()
-        .map(|w| crate::simd::with_backend(backend, || run_walker(eng, cfg, w)))
-        .collect();
-    let wall = t0.elapsed();
-    let mut total = KernelTimes::default();
-    for t in times {
-        total.v += t.v;
-        total.vgl += t.vgl;
-        total.vgh += t.vgh;
-    }
-    ParallelRun { wall, total }
-}
 
 /// Partition `m` tiles into at most `nth` contiguous chunks of nearly
 /// equal size. Returns `(lo, hi)` half-open ranges — **only non-empty
@@ -406,25 +373,5 @@ mod tests {
         let mut nested = vec![cell.engine().make_out()];
         run_nested_blocked(replica, Kernel::Vgh, &mut nested, &positions, 4);
         assert_walkers_eq(&expect, &nested, 24, "pinned scalar");
-    }
-
-    #[test]
-    fn walker_parallel_matches_walker_serial_workload() {
-        let engine = blocked_engine(16, 8);
-        let cfg = DriverConfig {
-            n_walkers: 3,
-            n_samples: 4,
-            n_iters: 1,
-            batch: 2,
-            seed: 21,
-        };
-        let run = run_walkers_parallel(&engine, &cfg);
-        assert!(run.wall > Duration::ZERO);
-        // The per-walker timers must have accumulated. (Do not compare
-        // against a fraction of `wall`: on a loaded shared host the
-        // parallel region's wall clock can inflate arbitrarily while
-        // the summed kernel time stays small, which made the old
-        // `vgh ≥ wall/10` form flaky.)
-        assert!(run.total.vgh > Duration::ZERO);
     }
 }

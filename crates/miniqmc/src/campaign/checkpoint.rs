@@ -160,6 +160,18 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| CkptError::Malformed("length overflows usize"))
     }
 
+    /// Next `u64` item count, bounded by what the unread bytes could
+    /// encode at `item_bytes` per item (a zero-byte item counts as one).
+    /// Decoders size allocations from this count, so a hostile length
+    /// is [`CkptError::Malformed`] instead of an allocation abort.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, CkptError> {
+        let n = self.len_u64()?;
+        if n > self.remaining() / item_bytes.max(1) {
+            return Err(CkptError::Malformed("count exceeds the remaining bytes"));
+        }
+        Ok(n)
+    }
+
     /// Next `f64` (from its bit pattern).
     pub fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
@@ -409,5 +421,26 @@ mod tests {
         assert!(matches!(r.u64(), Err(CkptError::Truncated)));
         // Position is unchanged after a failed read.
         assert_eq!(r.bytes(3).unwrap(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn reader_count_is_bounded_by_remaining_bytes() {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 2);
+        put_f64(&mut buf, 1.0);
+        put_f64(&mut buf, 2.0);
+        assert_eq!(Reader::new(&buf).count(8).unwrap(), 2);
+        assert!(matches!(
+            Reader::new(&buf).count(9),
+            Err(CkptError::Malformed(_))
+        ));
+        for hostile in [u64::MAX, 1 << 58] {
+            let mut bad = hostile.to_le_bytes().to_vec();
+            bad.extend_from_slice(&buf[8..]);
+            assert!(matches!(
+                Reader::new(&bad).count(0),
+                Err(CkptError::Malformed(_))
+            ));
+        }
     }
 }

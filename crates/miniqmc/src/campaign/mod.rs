@@ -66,6 +66,9 @@ pub struct GenStats {
 }
 
 impl GenStats {
+    /// Encoded size: seven 8-byte fields.
+    const BYTES: usize = 7 * 8;
+
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.generation);
         put_u64(out, self.population);
@@ -153,15 +156,16 @@ impl GenStatsRing {
         if cap == 0 {
             return Err(CkptError::Malformed("zero ring capacity"));
         }
-        let len = r.len_u64()?;
+        let len = r.count(GenStats::BYTES)?;
         if len > cap {
             return Err(CkptError::Malformed("ring length exceeds capacity"));
         }
-        let mut ring = GenStatsRing::new(cap);
+        // Allocate what was recorded, not the (unbounded) capacity.
+        let mut data = VecDeque::with_capacity(len);
         for _ in 0..len {
-            ring.data.push_back(GenStats::decode(r)?);
+            data.push_back(GenStats::decode(r)?);
         }
-        Ok(ring)
+        Ok(Self { cap, data })
     }
 }
 
@@ -255,7 +259,7 @@ impl Propagator for SyntheticPropagator {
     }
 
     fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.len_u64()?;
+        let n = r.count(8)?;
         let mut xs = Vec::with_capacity(n);
         for _ in 0..n {
             xs.push(r.f64()?);
@@ -385,9 +389,10 @@ impl<F: FnMut() -> TrialWaveFunction<f64>> Propagator for WalkerPropagator<F> {
     }
 
     fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let active = r.len_u64()?;
-        let n_el = r.len_u64()?;
         let have = self.pool.first().map_or(0, |w| w.n_electrons());
+        // Each walker is `have` positions of three f64s.
+        let active = r.count(have * 3 * 8)?;
+        let n_el = r.len_u64()?;
         if n_el != have {
             return Err(CkptError::Malformed("electron count mismatch"));
         }
@@ -606,7 +611,8 @@ impl<P: Propagator> Campaign<P> {
         if rng_state == [0; 4] {
             return Err(CkptError::Malformed("all-zero RNG state"));
         }
-        let n_walkers = r.len_u64()?;
+        // Each walker is an id, a weight and an age.
+        let n_walkers = r.count(3 * 8)?;
         let mut walkers = Vec::with_capacity(n_walkers);
         for _ in 0..n_walkers {
             walkers.push(DmcWalker {

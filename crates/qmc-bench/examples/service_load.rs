@@ -109,7 +109,7 @@ fn main() {
         reps: 3,
         seed: 7,
     };
-    let closed = measure_kernel_batched(&soa, Kernel::Vgh, &mcfg).ops_per_sec;
+    let closed = measure_kernel_batched(&soa, Kernel::Vgh, &mcfg);
     drop(soa);
 
     let service = SpoService::new(

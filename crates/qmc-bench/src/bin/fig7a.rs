@@ -43,10 +43,10 @@ fn main() {
         t.row(vec![
             n.to_string(),
             cfg.ns.to_string(),
-            gops(t_aos.ops_per_sec),
-            gops(t_soa.ops_per_sec),
-            speedup(t_soa.speedup_over(t_aos)),
-            gops(t_soa_batch.ops_per_sec),
+            gops(t_aos),
+            gops(t_soa),
+            speedup(t_soa / t_aos),
+            gops(t_soa_batch),
         ]);
         eprintln!("measured N={n}");
     }

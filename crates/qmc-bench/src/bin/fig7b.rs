@@ -48,9 +48,9 @@ fn main() {
         let t_tiled = measure_kernel_batched(&tiled, Kernel::Vgh, &cfg);
         t.row(vec![
             n.to_string(),
-            gops(t_soa.ops_per_sec),
-            gops(t_tiled.ops_per_sec),
-            speedup(t_tiled.speedup_over(t_soa)),
+            gops(t_soa),
+            gops(t_tiled),
+            speedup(t_tiled / t_soa),
         ]);
         eprintln!("measured N={n}");
     }

@@ -5,6 +5,17 @@
 //! LLC; on private-L2 Xeon Phi (KNC, KNL) the optimum is Nb = 512 —
 //! output blocks stay cache-resident while prefactor costs amortize.
 //! Host measurements plus per-platform model predictions.
+//!
+//! The host optimum follows the cache hierarchy, not the pack width. The
+//! last recorded Nb sweep (VGH, 24³ grid, cell-wide positions, N = 512
+//! and 1024, on the 2 MiB-private-L2 x86-64 host the `bench/` ledger
+//! runs on) read **Nb\* = 256** in every run: under `QMC_SIMD=avx2`
+//! (8 lanes, N = 512) 0.046–0.048 G-evals/s at 256 against 0.019–0.037
+//! at 16–128 over two runs, and with the 16-lane AVX-512 packs
+//! 0.066–0.081 at 256 over three runs against 0.017–0.059 at 16–128 in
+//! one. At N = 1024 the untiled walk lost to 256 at both widths. The
+//! ledger's fixed `AOSOA_NB` = 64 is the paper's CPU value, not a tuned
+//! one.
 
 use bspline::{BsplineAoSoA, Kernel, Layout};
 use cachesim::Platform;
@@ -39,7 +50,7 @@ fn main() {
             t.row(vec![
                 nb.to_string(),
                 tiled.n_blocks().to_string(),
-                gops(thr.ops_per_sec),
+                gops(thr),
             ]);
             eprintln!("host Nb={nb}");
         }

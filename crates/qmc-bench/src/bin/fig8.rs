@@ -36,14 +36,14 @@ fn main() {
         let aos = BsplineAoS::new(table.clone());
         let base: Vec<f64> = Kernel::ALL
             .iter()
-            .map(|&k| measure_kernel(&aos, k, &cfg).ops_per_sec)
+            .map(|&k| measure_kernel(&aos, k, &cfg))
             .collect();
         drop(aos);
         let tiled = BsplineAoSoA::from_multi(&table, nb.min(n));
         drop(table);
         let opt: Vec<f64> = Kernel::ALL
             .iter()
-            .map(|&k| measure_kernel_batched(&tiled, k, &cfg).ops_per_sec)
+            .map(|&k| measure_kernel_batched(&tiled, k, &cfg))
             .collect();
         t.row(vec![
             n.to_string(),

@@ -28,13 +28,13 @@ fn host_rows(n: usize, nb: usize) -> Vec<(Kernel, f64, f64, f64)> {
     let mut out = Vec::new();
     for k in Kernel::ALL {
         let aos = BsplineAoS::new(table.clone());
-        let t0 = measure_kernel(&aos, k, &cfg).ops_per_sec;
+        let t0 = measure_kernel(&aos, k, &cfg);
         drop(aos);
         let soa = BsplineSoA::new(table.clone());
-        let ta = measure_kernel(&soa, k, &cfg).ops_per_sec;
+        let ta = measure_kernel(&soa, k, &cfg);
         drop(soa);
         let tiled = BsplineAoSoA::from_multi(&table, nb);
-        let tb = measure_kernel_batched(&tiled, k, &cfg).ops_per_sec;
+        let tb = measure_kernel_batched(&tiled, k, &cfg);
         // Opt C on the host: nth = all host threads on one walker; the
         // paper's convention multiplies B by the per-generation wall
         // gain at a fixed machine.

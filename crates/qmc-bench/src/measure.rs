@@ -4,7 +4,7 @@ use crate::workload::{batch_size, pos_block_in, positions_in};
 use bspline::service::{RoutingPolicy, ServiceConfig, SpoService};
 use bspline::walker::walker_rng;
 use bspline::SpoEngine;
-use bspline::{BsplineSoA, Kernel, PosBlock, Throughput};
+use bspline::{BsplineSoA, Kernel, PosBlock};
 use einspline::{MultiCoefs, Real};
 use std::time::{Duration, Instant};
 
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 pub struct MeasureConfig {
     /// Random positions per repetition.
     pub ns: usize,
-    /// Timed repetitions (the best is reported, Criterion-style).
+    /// Timed repetitions (the best is reported).
     pub reps: usize,
     /// Position RNG seed.
     pub seed: u64,
@@ -29,16 +29,17 @@ impl Default for MeasureConfig {
     }
 }
 
-/// Throughput of `kernel` on `engine` through the scalar view, one
-/// position per call (for the tiled engine see
-/// [`measure_kernel_batched`], whose block-major loop is the blocking).
-/// Generic over the engine's position precision `T`, so the same
-/// harness times f32, f64 and mixed (`SpoEngine<f64>` adapter) rows.
+/// Orbital evaluations per second (the paper's `T = Nw·N/t`, Sec. VI)
+/// of `kernel` on `engine` through the scalar view, one position per
+/// call (for the tiled engine see [`measure_kernel_batched`], whose
+/// block-major loop is the blocking). Generic over the engine's
+/// position precision `T`, so the same harness times f32, f64 and mixed
+/// (`SpoEngine<f64>` adapter) rows.
 pub fn measure_kernel<T: Real, E: SpoEngine<T>>(
     engine: &E,
     kernel: Kernel,
     cfg: &MeasureConfig,
-) -> Throughput {
+) -> f64 {
     let pos = positions_in::<T>(cfg.ns, cfg.seed);
     let mut out = engine.make_out();
     // Warm-up pass (touch table + outputs, settle frequencies).
@@ -53,22 +54,20 @@ pub fn measure_kernel<T: Real, E: SpoEngine<T>>(
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    Throughput {
-        ops_per_sec: (engine.n_splines() * cfg.ns) as f64 / best,
-    }
+    (engine.n_splines() * cfg.ns) as f64 / best
 }
 
-/// Throughput of `kernel` through the batched API: the position stream
-/// is pre-chunked into [`batch_size`]-sized [`PosBlock`]s and every
-/// timed call hands the engine a whole block (hoisted basis weights;
-/// for the AoSoA/blocked engine, the paper's Fig. 6 loop order: tiles
-/// outer, positions inner). Output blocks are allocated once and reused
-/// across the run.
+/// Orbital evaluations per second of `kernel` through the batched API:
+/// the position stream is pre-chunked into [`batch_size`]-sized
+/// [`PosBlock`]s and every timed call hands the engine a whole block
+/// (hoisted basis weights; for the AoSoA/blocked engine, the paper's
+/// Fig. 6 loop order: tiles outer, positions inner). Output blocks are
+/// allocated once and reused across the run.
 pub fn measure_kernel_batched<T: Real, E: SpoEngine<T>>(
     engine: &E,
     kernel: Kernel,
     cfg: &MeasureConfig,
-) -> Throughput {
+) -> f64 {
     let batch = batch_size().min(cfg.ns.max(1));
     let blocks: Vec<PosBlock<T>> =
         pos_block_in::<T>(cfg.ns, cfg.seed).chunks(batch).collect();
@@ -84,9 +83,7 @@ pub fn measure_kernel_batched<T: Real, E: SpoEngine<T>>(
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    Throughput {
-        ops_per_sec: (engine.n_splines() * cfg.ns) as f64 / best,
-    }
+    (engine.n_splines() * cfg.ns) as f64 / best
 }
 
 /// Shape of an open-loop service-load measurement.
@@ -124,10 +121,10 @@ pub struct ServiceLoadConfig {
     /// (a streaming, open-world workload).
     pub distinct_blocks: usize,
     /// Whole-run repetitions; the rep with the highest throughput is
-    /// reported (Criterion-style, matching [`measure_kernel_batched`]'s
-    /// best-of statistic — comparing a single service run's *mean*
-    /// against the closed loop's best-of *peak* would charge host noise
-    /// to the service).
+    /// reported (matching [`measure_kernel_batched`]'s best-of
+    /// statistic — comparing a single service run's *mean* against the
+    /// closed loop's best-of *peak* would charge host noise to the
+    /// service).
     pub reps: usize,
     /// Position RNG seed.
     pub seed: u64,
@@ -448,11 +445,11 @@ mod tests {
         let soa = BsplineSoA::new(table.clone());
         let tiled = BsplineAoSoA::from_multi(&table, 16);
         for k in Kernel::ALL {
-            assert!(measure_kernel(&aos, k, &cfg()).ops_per_sec > 0.0);
-            assert!(measure_kernel(&soa, k, &cfg()).ops_per_sec > 0.0);
-            assert!(measure_kernel_batched(&aos, k, &cfg()).ops_per_sec > 0.0);
-            assert!(measure_kernel_batched(&soa, k, &cfg()).ops_per_sec > 0.0);
-            assert!(measure_kernel_batched(&tiled, k, &cfg()).ops_per_sec > 0.0);
+            assert!(measure_kernel(&aos, k, &cfg()) > 0.0);
+            assert!(measure_kernel(&soa, k, &cfg()) > 0.0);
+            assert!(measure_kernel_batched(&aos, k, &cfg()) > 0.0);
+            assert!(measure_kernel_batched(&soa, k, &cfg()) > 0.0);
+            assert!(measure_kernel_batched(&tiled, k, &cfg()) > 0.0);
         }
     }
 
@@ -464,11 +461,11 @@ mod tests {
         let soa64 = BsplineSoA::new(table64.clone());
         let mixed = MixedEngine::soa(&table64);
         let soa32 = BsplineSoA::new(table64.downcast());
-        assert!(measure_kernel(&soa64, Kernel::Vgh, &cfg()).ops_per_sec > 0.0);
-        assert!(measure_kernel(&soa32, Kernel::Vgh, &cfg()).ops_per_sec > 0.0);
-        assert!(measure_kernel(&mixed, Kernel::Vgh, &cfg()).ops_per_sec > 0.0);
+        assert!(measure_kernel(&soa64, Kernel::Vgh, &cfg()) > 0.0);
+        assert!(measure_kernel(&soa32, Kernel::Vgh, &cfg()) > 0.0);
+        assert!(measure_kernel(&mixed, Kernel::Vgh, &cfg()) > 0.0);
         assert!(
-            measure_kernel_batched(&mixed, Kernel::Vgh, &cfg()).ops_per_sec > 0.0
+            measure_kernel_batched(&mixed, Kernel::Vgh, &cfg()) > 0.0
         );
     }
 
@@ -568,6 +565,6 @@ mod tests {
         let t = coefficients(64, (8, 8, 8), 3);
         let soa = BsplineSoA::new(t);
         let m = measure_kernel(&soa, Kernel::V, &cfg());
-        assert!(m.ops_per_sec.is_finite());
+        assert!(m.is_finite());
     }
 }

@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn optimized_substrate_raises_bspline_share() {
         // Timing-based: retry a few times so background load (e.g. a
-        // concurrent `cargo bench`) cannot flake it; the SoA substrate
+        // concurrent build or test run) cannot flake it; the SoA substrate
         // must shift the profile towards B-splines in at least one
         // clean measurement.
         let cfg = ProfileConfig {

@@ -14,9 +14,9 @@ pub const N_SWEEP: [usize; 6] = [128, 256, 512, 1024, 2048, 4096];
 /// The fixed evaluation grid of the sweep (Sec. VI): 48³.
 pub const GRID: (usize, usize, usize) = (48, 48, 48);
 
-/// `QMC_BENCH_QUICK=1` shrinks every workload (used by CI/tests and the
-/// Criterion benches). Unset or `0` is the full-size run; anything else
-/// panics naming the variable, like `QMC_THREADS` / `QMC_NUMA_DOMAINS`.
+/// `QMC_BENCH_QUICK=1` shrinks every workload (used by CI and tests).
+/// Unset or `0` is the full-size run; anything else panics naming the
+/// variable, like `QMC_THREADS` / `QMC_NUMA_DOMAINS`.
 pub fn is_quick() -> bool {
     std::env::var("QMC_BENCH_QUICK").is_ok_and(|raw| parse_quick(&raw))
 }
@@ -84,21 +84,10 @@ pub fn positions_in<T: Real>(ns: usize, seed: u64) -> Vec<[T; 3]> {
         .collect()
 }
 
-/// `ns` random fractional positions.
-pub fn positions(ns: usize, seed: u64) -> Vec<[f32; 3]> {
-    positions_in::<f32>(ns, seed)
-}
-
 /// The same `ns` random fractional positions as [`positions_in`], as a
 /// SoA [`PosBlock`] for the batched engine paths.
 pub fn pos_block_in<T: Real>(ns: usize, seed: u64) -> PosBlock<T> {
     PosBlock::from_positions(&positions_in::<T>(ns, seed))
-}
-
-/// The same `ns` random fractional positions as [`positions`], as a
-/// SoA [`PosBlock`] for the batched engine paths.
-pub fn pos_block(ns: usize, seed: u64) -> PosBlock<f32> {
-    pos_block_in::<f32>(ns, seed)
 }
 
 /// Positions per batched engine call in the batched measurement
@@ -158,7 +147,7 @@ mod tests {
 
     #[test]
     fn positions_in_unit_cube() {
-        for p in positions(50, 3) {
+        for p in positions_in::<f32>(50, 3) {
             for x in &p {
                 assert!((0.0..1.0).contains(x));
             }

@@ -2,13 +2,12 @@
 //! crate.
 //!
 //! The build environment has no network access, so the workspace vendors
-//! the rayon API surface it consumes — `into_par_iter()` on ranges and
-//! vectors with `.map(..).collect()` / `.for_each(..)`, and
-//! `par_iter_mut().enumerate().for_each(..)` on slices — implemented
-//! with `std::thread::scope` over contiguous chunks. The default split
-//! is a *balanced static partition* (chunk sizes differ by at most one,
-//! so a ragged item count never idles a worker), which is how this
-//! workspace uses it: the paper's Opt C deliberately prefers an
+//! the rayon API surface it consumes — `into_par_iter()` on vectors
+//! with `.map(..).collect()` or `.for_each(..)`, and
+//! `current_num_threads()` — implemented with `std::thread::scope` over
+//! contiguous chunks. The split is a *balanced static partition* (chunk
+//! sizes differ by at most one, so a ragged item count never idles a
+//! worker), which is how this workspace uses it: the paper's Opt C deliberately prefers an
 //! explicit static partition ("avoids any potential overhead from
 //! \[the\] nested run time environment").
 //!
@@ -18,22 +17,20 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::ops::Range;
 use std::sync::OnceLock;
 use std::thread;
 
 /// Conventional glob-import module, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, ParallelSliceMut};
+    pub use crate::IntoParallelIterator;
 }
 
 /// Number of worker threads used for parallel regions: the host's
 /// available parallelism, overridden by `QMC_THREADS=n` (read once per
-/// process). The override is what lets scaling benches, the blocked
-/// autotuner and CI pin reproducible thread counts — including counts
-/// *above* the core count (the scoped-thread workers simply timeshare),
-/// which is how a single-core host still exercises every nested
-/// scheduling path.
+/// process). The override is what lets the scaling bins, the examples
+/// and CI pin reproducible thread counts — including counts *above* the
+/// core count (the scoped-thread workers simply timeshare), which is how
+/// a single-core host still exercises every nested scheduling path.
 ///
 /// The override is parsed **strictly**: `QMC_THREADS=0` or a
 /// non-numeric value panics with a message naming the variable. A
@@ -108,40 +105,6 @@ fn run_map_with<I: Send, O: Send, F: Fn(I) -> O + Sync>(
     })
 }
 
-fn run_slice<T: Send, F: Fn(usize, &mut T) + Sync>(slice: &mut [T], f: &F) {
-    run_slice_with(current_num_threads(), slice, f)
-}
-
-fn run_slice_with<T: Send, F: Fn(usize, &mut T) + Sync>(
-    max_threads: usize,
-    slice: &mut [T],
-    f: &F,
-) {
-    let n = slice.len();
-    let threads = max_threads.min(n.max(1));
-    if threads <= 1 {
-        for (i, x) in slice.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    thread::scope(|s| {
-        let mut rest = slice;
-        let mut base = 0;
-        for len in balanced_chunk_lens(n, threads) {
-            let (c, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let lo = base;
-            s.spawn(move || {
-                for (i, x) in c.iter_mut().enumerate() {
-                    f(lo + i, x);
-                }
-            });
-            base += len;
-        }
-    });
-}
-
 /// Conversion into a parallel iterator, mirroring
 /// `rayon::iter::IntoParallelIterator`.
 pub trait IntoParallelIterator {
@@ -155,15 +118,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     fn into_par_iter(self) -> IntoParIter<T> {
         IntoParIter { items: self }
-    }
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    fn into_par_iter(self) -> IntoParIter<usize> {
-        IntoParIter {
-            items: self.collect(),
-        }
     }
 }
 
@@ -186,11 +140,6 @@ impl<T: Send> IntoParIter<T> {
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
         run_map(self.items, &|x| f(x));
     }
-
-    /// Collect the items (identity pipeline).
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
-    }
 }
 
 /// A mapped parallel iterator (`IntoParIter::map`).
@@ -209,64 +158,6 @@ impl<T: Send, F> MapIter<T, F> {
     {
         run_map(self.items, &self.f).into_iter().collect()
     }
-
-    /// Execute the pipeline in parallel, discarding results.
-    pub fn for_each<O>(self, f2: impl Fn(O) + Sync)
-    where
-        O: Send,
-        F: Fn(T) -> O + Sync,
-    {
-        let g = &self.f;
-        run_map(self.items, &|x| f2(g(x)));
-    }
-}
-
-/// Parallel mutable iteration over slices, mirroring
-/// `rayon::iter::IntoParallelRefMutIterator` for `[T]`.
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator of `&mut T`.
-    fn par_iter_mut(&mut self) -> IterMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_iter_mut(&mut self) -> IterMut<'_, T> {
-        IterMut { slice: self }
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for Vec<T> {
-    fn par_iter_mut(&mut self) -> IterMut<'_, T> {
-        IterMut { slice: self }
-    }
-}
-
-/// Borrowed mutable parallel iterator (`par_iter_mut`).
-pub struct IterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> IterMut<'a, T> {
-    /// Pair every element with its index.
-    pub fn enumerate(self) -> EnumerateMut<'a, T> {
-        EnumerateMut { slice: self.slice }
-    }
-
-    /// Run `f` on every element in parallel.
-    pub fn for_each<F: Fn(&mut T) + Sync>(self, f: F) {
-        run_slice(self.slice, &|_, x| f(x));
-    }
-}
-
-/// Indexed borrowed mutable parallel iterator.
-pub struct EnumerateMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> EnumerateMut<'a, T> {
-    /// Run `f` on every `(index, element)` pair in parallel.
-    pub fn for_each<F: Fn((usize, &mut T)) + Sync>(self, f: F) {
-        run_slice(self.slice, &|i, x| f((i, x)));
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +166,8 @@ mod tests {
 
     #[test]
     fn map_collect_preserves_order() {
-        let out: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
+        let items: Vec<usize> = (0..1000).collect();
+        let out: Vec<usize> = items.into_par_iter().map(|i| i * 2).collect();
         assert_eq!(out.len(), 1000);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 2);
@@ -293,15 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_enumerate_writes_in_place() {
-        let mut v = vec![0usize; 257]; // deliberately not a multiple of threads
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * i);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i * i);
-        }
-    }
-
-    #[test]
     fn forced_multithread_paths_match_sequential() {
         // `available_parallelism` may be 1 in CI containers, which
         // would leave the scoped-thread branch uncovered — force it.
@@ -309,10 +192,6 @@ mod tests {
         let expect: Vec<usize> = inputs.iter().map(|i| i * 3 + 1).collect();
         let out = crate::run_map_with(7, inputs, &|i| i * 3 + 1);
         assert_eq!(out, expect);
-
-        let mut v = vec![0usize; 1003];
-        crate::run_slice_with(7, &mut v, &|i, x| *x = i * 3 + 1);
-        assert_eq!(v, expect);
     }
 
     #[test]
@@ -364,7 +243,7 @@ mod tests {
     fn empty_and_single_inputs_are_fine() {
         let out: Vec<usize> = Vec::<usize>::new().into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
-        let one: Vec<usize> = (0..1).into_par_iter().map(|x| x + 41).collect();
+        let one: Vec<usize> = vec![0].into_par_iter().map(|x| x + 41).collect();
         assert_eq!(one, vec![41]);
     }
 }

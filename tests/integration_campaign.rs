@@ -20,10 +20,15 @@
 //!    rebuild-from-positions contract erases incremental rounding
 //!    history at checkpoint boundaries;
 //! 4. recovery edge cases: kill before the first checkpoint (fresh
-//!    restart must equal golden), and an empty/corrupt-only store.
+//!    restart must equal golden), and an empty/corrupt-only store;
+//! 5. hostile bytes: every count field overwritten with `u64::MAX` or
+//!    2^58, and seeded random byte flips, through `unframe` and
+//!    `Campaign::decode` on both propagators — each case returns `Ok` or
+//!    `Err`, never panics or aborts on a huge allocation.
 
 use std::path::PathBuf;
 
+use miniqmc::campaign::checkpoint::{frame, unframe};
 use miniqmc::campaign::{
     BitFlip, Campaign, CampaignConfig, CampaignFaultPlan, CheckpointStore, GenStats, Propagator,
     RunOutcome, SyntheticPropagator, TornWrite, WalkerPropagator,
@@ -32,7 +37,7 @@ use miniqmc::drivers::dmc::DmcConfig;
 use miniqmc::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn dmc_cfg(pop: usize, seed: u64) -> DmcConfig {
     DmcConfig {
@@ -256,10 +261,15 @@ proptest! {
     }
 }
 
+/// The orbitals every graphite walker shares (solved once, cloned per
+/// walker).
+fn graphite_orbitals(sys: &CoralSystem) -> SpoSet<f64> {
+    SpoSet::new(sys.orbitals::<f64>(7), sys.lattice)
+}
+
 /// One graphite walker over the smallest CORAL cell (16 electrons,
 /// 8 orbitals/spin) on the per-electron fast path.
-fn graphite_walker(sys: &CoralSystem, seed: u64) -> TrialWaveFunction<f64> {
-    let spo = SpoSet::new(sys.orbitals::<f64>(7), sys.lattice);
+fn graphite_walker(sys: &CoralSystem, spo: &SpoSet<f64>, seed: u64) -> TrialWaveFunction<f64> {
     let electrons = random_electrons(
         sys.lattice,
         sys.n_electrons(),
@@ -267,7 +277,7 @@ fn graphite_walker(sys: &CoralSystem, seed: u64) -> TrialWaveFunction<f64> {
     );
     let rc = sys.lattice.wigner_seitz_radius() * 0.9;
     TrialWaveFunction::new(
-        spo,
+        spo.clone(),
         &sys.ions,
         electrons,
         BsplineFunctor::rpa_like(0.3, 1.0, rc, 20),
@@ -280,10 +290,11 @@ fn graphite_campaign(
     pop: usize,
 ) -> Campaign<WalkerPropagator<impl FnMut() -> TrialWaveFunction<f64> + '_>> {
     let mut walker_seed = 100u64;
+    let spo = graphite_orbitals(sys);
     let prop = WalkerPropagator::new(
         move || {
             walker_seed += 1;
-            graphite_walker(sys, walker_seed)
+            graphite_walker(sys, &spo, walker_seed)
         },
         pop,
         0.5,
@@ -329,10 +340,11 @@ fn wavefunction_campaign_resume_is_bit_identical() {
         // reproduces walkers with the right electron count; positions
         // come from the checkpoint.
         let mut walker_seed = 500u64;
+        let spo = graphite_orbitals(sys_ref);
         WalkerPropagator::new(
             move || {
                 walker_seed += 1;
-                graphite_walker(sys_ref, walker_seed)
+                graphite_walker(sys_ref, &spo, walker_seed)
             },
             pop,
             0.5,
@@ -396,4 +408,84 @@ fn empty_or_fully_corrupt_store_resumes_none() {
         .expect("scan of corrupt store")
         .is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Offsets of the item counts in a [`Campaign::encode`] payload — walker
+/// count, statistics-ring length, propagator byte length, then the
+/// propagator's first `prop_counts` fields — plus the ring capacity,
+/// all located by reading the payload itself.
+fn count_offsets(payload: &[u8], prop_counts: usize) -> (Vec<usize>, usize) {
+    let at = |o: usize| u64::from_le_bytes(payload[o..o + 8].try_into().unwrap()) as usize;
+    // Twelve 8-byte header fields: generation, target population, tau,
+    // feedback, max ratio, seed, trial energy, next id, four RNG words.
+    let walkers = 12 * 8;
+    let ring_cap = walkers + 8 + 3 * 8 * at(walkers);
+    let ring_len = ring_cap + 8;
+    let prop_len = ring_len + 8 + 7 * 8 * at(ring_len);
+    let mut counts = vec![walkers, ring_len, prop_len];
+    counts.extend((0..prop_counts).map(|i| prop_len + 8 * (i + 1)));
+    (counts, ring_cap)
+}
+
+/// Hostile checkpoint bytes must come back as `Ok` or `Err`: a panic
+/// fails the test, and an allocation abort kills the whole binary.
+fn assert_hostile_bytes_return<P: Propagator>(
+    payload: &[u8],
+    prop_counts: usize,
+    rounds: usize,
+    seed: u64,
+    blank: impl Fn() -> P,
+) {
+    assert!(Campaign::decode(blank(), payload).is_ok(), "clean payload");
+    let (counts, ring_cap) = count_offsets(payload, prop_counts);
+    for hostile in [u64::MAX, 1 << 58] {
+        for &off in counts.iter().chain([&ring_cap]) {
+            let mut bad = payload.to_vec();
+            bad[off..off + 8].copy_from_slice(&hostile.to_le_bytes());
+            // Re-framed, the damage passes the CRC and reaches the decoder.
+            let framed = frame(&bad);
+            let inner = unframe(&framed).expect("re-framed payload validates");
+            let decoded = Campaign::decode(blank(), inner);
+            // A huge retention cap is legal; a huge item count is not.
+            if off != ring_cap {
+                assert!(decoded.is_err(), "count at {off} = {hostile:#x} decoded");
+            }
+        }
+        let mut framed = frame(payload);
+        framed[12..20].copy_from_slice(&hostile.to_le_bytes());
+        assert!(unframe(&framed).is_err(), "frame length {hostile:#x}");
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut flip = |bytes: &mut [u8]| {
+        for _ in 0..rng.random_range(1..=4usize) {
+            let i = rng.random_range(0..bytes.len());
+            bytes[i] ^= rng.random_range(1..=255u8);
+        }
+    };
+    for _ in 0..rounds {
+        let mut bad = payload.to_vec();
+        flip(&mut bad);
+        let _ = Campaign::decode(blank(), &bad);
+        let mut framed = frame(payload);
+        flip(&mut framed);
+        if let Ok(inner) = unframe(&framed) {
+            let _ = Campaign::decode(blank(), inner);
+        }
+    }
+}
+
+#[test]
+fn hostile_checkpoint_bytes_error_instead_of_aborting() {
+    let mut c = synthetic(8, 21);
+    for _ in 0..3 {
+        c.step();
+    }
+    assert_hostile_bytes_return(&c.encode(), 1, 4000, 0xBAD, || blank(8));
+
+    let sys = CoralSystem::new(1, 1, 1, (10, 10, 12));
+    let mut g = graphite_campaign(&sys, 2);
+    g.step();
+    let spo = graphite_orbitals(&sys);
+    let walker = || WalkerPropagator::new(|| graphite_walker(&sys, &spo, 3), 1, 0.5, 0xFEED);
+    assert_hostile_bytes_return(&g.encode(), 2, 200, 0xBEEF, walker);
 }

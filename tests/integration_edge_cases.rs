@@ -3,10 +3,16 @@
 
 mod common;
 
+use std::sync::Arc;
+
+use bspline::precision::{MixedEngine, MixedOut, WidenOut};
 use bspline::SpoEngine;
-use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel};
+use bspline::{
+    BlockedEngine, BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock,
+    RoutingPolicy, ServiceClient, ServiceConfig, SpoService, WalkerAoS, WalkerSoA,
+};
 use common::assert_regrouped;
-use einspline::{Grid1, MultiCoefs};
+use einspline::{Grid1, MultiCoefs, Real};
 use miniqmc::determinant::DiracDeterminant;
 use miniqmc::drivers::dmc::{DmcConfig, DmcPopulation};
 use rand::rngs::StdRng;
@@ -178,5 +184,126 @@ fn anisotropic_grid_engines_agree() {
                 assert!((ga[d] - gs[d]).abs() < 2e-3);
             }
         }
+    }
+}
+
+/// Every stream `kernel` writes for orbital `k`, widened to `f64`.
+trait Written {
+    fn written(&self, kernel: Kernel, k: usize) -> Vec<f64>;
+}
+
+macro_rules! impl_written {
+    ($($out:ident),*) => {$(
+        impl<T: Real> Written for $out<T> {
+            fn written(&self, kernel: Kernel, k: usize) -> Vec<f64> {
+                let mut s = vec![self.value(k)];
+                match kernel {
+                    Kernel::V => {}
+                    Kernel::Vgl => {
+                        s.extend(self.gradient(k));
+                        s.push(self.laplacian(k));
+                    }
+                    Kernel::Vgh => {
+                        s.extend(self.gradient(k));
+                        s.extend(self.hessian(k));
+                    }
+                }
+                s.into_iter().map(|x| x.to_f64()).collect()
+            }
+        }
+    )*};
+}
+impl_written!(WalkerSoA, WalkerAoS);
+
+impl<O: WidenOut> Written for MixedOut<O>
+where
+    O::Wide: Written,
+{
+    fn written(&self, kernel: Kernel, k: usize) -> Vec<f64> {
+        self.wide().written(kernel, k)
+    }
+}
+
+/// Hostile positions and whether their outputs are finite: non-finite
+/// inputs give non-finite outputs, far out-of-domain positions wrap
+/// (periodic tables) to finite ones, and an ordinary position amid the
+/// hostile ones is not poisoned by its neighbours in a batch.
+const HOSTILE: [([f64; 3], bool); 6] = [
+    ([0.3, 0.6, 0.9], true),
+    ([f64::NAN, 0.6, 0.9], false),
+    ([0.3, f64::INFINITY, 0.9], false),
+    ([0.3, 0.6, f64::NEG_INFINITY], false),
+    ([1.0e6 + 0.25, -7.5e5, 3.0e4 + 0.5], true),
+    ([-1.0e4 - 0.125, 2.5e5, -0.0], true),
+];
+
+/// Drive every [`HOSTILE`] position through `eval`, `eval_batch` and
+/// `eval_one` for every kernel, then an empty block through
+/// `eval_batch`, which must leave every output block untouched.
+fn assert_hostile_positions<T: Real, E: SpoEngine<T>>(name: &str, engine: &E)
+where
+    E::Out: Written,
+{
+    let n = engine.n_splines();
+    let pos: Vec<[T; 3]> = HOSTILE.iter().map(|(p, _)| p.map(T::from_f64)).collect();
+    let check = |out: &E::Out, kernel: Kernel, finite: bool, ctx: String| {
+        for k in 0..n {
+            for x in out.written(kernel, k) {
+                assert_eq!(x.is_finite(), finite, "{name} n={n} {kernel} {ctx} k={k}: {x}");
+            }
+        }
+    };
+    let block = PosBlock::from_positions(&pos);
+    let mut outs = engine.make_batch_out(pos.len());
+    let mut out = engine.make_out();
+    let mut move_ctx = MoveContext::new();
+    for kernel in Kernel::ALL {
+        engine.eval_batch(kernel, &block, &mut outs);
+        for (i, (&p, &(raw, finite))) in pos.iter().zip(&HOSTILE).enumerate() {
+            check(outs.block(i), kernel, finite, format!("eval_batch {raw:?}"));
+            engine.eval(kernel, p, &mut out);
+            check(&out, kernel, finite, format!("eval {raw:?}"));
+            engine.eval_one(kernel, &mut move_ctx, p, &mut out);
+            check(&out, kernel, finite, format!("eval_one {raw:?}"));
+        }
+    }
+    let bits = |outs: &bspline::BatchOut<E::Out>| -> Vec<u64> {
+        (0..pos.len())
+            .flat_map(|i| (0..n).flat_map(move |k| outs.block(i).written(Kernel::Vgh, k)))
+            .map(f64::to_bits)
+            .collect()
+    };
+    let before = bits(&outs);
+    engine.eval_batch(Kernel::Vgh, &PosBlock::new(), &mut outs);
+    assert_eq!(bits(&outs), before, "{name} n={n}: an empty block wrote outputs");
+}
+
+#[test]
+fn hostile_positions_have_defined_behaviour() {
+    // N = 1 and 3 sit below one SIMD register at every width; 37 has a
+    // full register and a ragged tail.
+    for n in [1usize, 3, 37] {
+        let t = table(n, 5, 40 + n as u64);
+        assert_hostile_positions("soa", &BsplineSoA::new(t.clone()));
+        assert_hostile_positions("aos", &BsplineAoS::new(t.clone()));
+        assert_hostile_positions("aosoa", &BsplineAoSoA::from_multi(&t, 2));
+        // The smallest budget: one cache-line quantum per block.
+        assert_hostile_positions("blocked", &BlockedEngine::from_multi(&t, 1));
+
+        let g = Grid1::periodic(0.0, 1.0, 5);
+        let mut t64 = MultiCoefs::<f64>::new(g, g, g, n);
+        t64.fill_random(&mut StdRng::seed_from_u64(50 + n as u64));
+        assert_hostile_positions("mixed", &MixedEngine::soa(&t64));
+
+        // Two affinity shards, so the router's cell scoring sees the
+        // hostile coordinates too.
+        let service = SpoService::new(
+            BsplineSoA::new(t),
+            ServiceConfig {
+                routing: RoutingPolicy::Affinity { domains: 2 },
+                ..ServiceConfig::default()
+            },
+        );
+        assert_hostile_positions("service", &ServiceClient::new(Arc::new(service)));
     }
 }
