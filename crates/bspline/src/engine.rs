@@ -29,9 +29,8 @@
 //!   provided one-line forwards to `eval`/`eval_one` with the kernel
 //!   tag filled in; no implementor overrides them.
 //!
-//! The two adapters ([`MixedEngine`](crate::precision::MixedEngine),
-//! [`ServiceClient`](crate::service::ServiceClient)) wrap another
-//! `SpoEngine` and implement the three views directly.
+//! The one adapter, [`MixedEngine`](crate::precision::MixedEngine),
+//! wraps another `SpoEngine` and implements the three views directly.
 //!
 //! Every body funnels into the [`crate::simd`] micro-kernels, so the
 //! runtime backend selection (`QMC_SIMD=avx512|avx2|sse2|scalar`,

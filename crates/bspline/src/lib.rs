@@ -142,10 +142,7 @@
 //!   each owning one [`replica::Replica`] handle. A replica pins the
 //!   SIMD backend active at mint time and re-arms it on the worker for
 //!   every batch, so forced scalar/SIMD A/B measurement works across
-//!   the submission boundary. The fork-join entry points in
-//!   [`parallel`] are generic over [`replica::EngineRef`], so the
-//!   closed-loop (`&engine`) and service (`Replica`) paths share one
-//!   code path.
+//!   the submission boundary.
 //! * **Coalescing policy.** Submissions carry a kernel tag. A worker
 //!   seeds a batch from the queue head and splices every queued
 //!   same-kernel request ([`batch::PosBlock::extend_from_block`]) into
@@ -164,9 +161,6 @@
 //!   [`batch::BatchOut`] blocks move into the fused engine call and
 //!   come back filled through the [`service::Ticket`]. Dropping the
 //!   service drains every queued request before joining the workers.
-//! * **Trait adapter.** [`service::ServiceClient`] implements
-//!   [`engine::SpoEngine`] over a shared service, so trait-generic
-//!   drivers (miniqmc's `SpoSet`) run service-backed unchanged.
 //!
 //! # Sharding & routing
 //!
@@ -238,20 +232,18 @@
 //!   direct `eval_batch` call (chaos-tested in
 //!   `tests/integration_service_faults.rs` under scripted
 //!   [`service::ServiceFaultPlan`]s).
-//! * **Graceful degradation.** [`service::ServiceClient`] retries with
-//!   exponential backoff and, gated on [`service::SpoService::health`],
-//!   falls back to direct evaluation on the shared engine
-//!   ([`service::ClientConfig`]), so trait-level drivers keep producing
-//!   physics when replicas die.
 //!
 //! # Per-move evaluation
 //!
-//! Real VMC/DMC traffic is dominated by **single-electron** moves: the
-//! same position is evaluated twice per accepted move (V for the ratio
-//! test, then VGL/VGH for drift), and each scalar call would re-run the
-//! grid locate and rebuild the basis weights. The one-move view
-//! ([`engine::SpoEngine::eval_one`], state in [`onemove`]) makes the
-//! propose→accept pair first-class:
+//! Real VMC/DMC traffic is dominated by **single-electron** moves. A
+//! driver whose proposals use drift evaluates the same position twice
+//! per accepted move (V for the ratio test, then VGL/VGH for drift), and
+//! each scalar call would re-run the grid locate and rebuild the basis
+//! weights. The one-move view ([`engine::SpoEngine::eval_one`], state in
+//! [`onemove`]) makes that propose→accept pair first-class. (`miniqmc`'s
+//! VMC proposals are symmetric, so its wavefunction makes only the
+//! propose-side `v_one` call and takes every electron's derivatives from
+//! one batched VGH per spin per sweep.)
 //!
 //! ```text
 //!   propose r'  ──►  v_one(ctx, r')        locate + weights computed,
@@ -287,8 +279,8 @@
 //!   pass (the extra arithmetic hides under the line traffic), and the
 //!   accept side reads the context-cached output streams with no
 //!   further kernel call, making the pair's cost one cold pass
-//!   regardless of acceptance rate (`qmc-bench`'s `onemove_vgl_…`
-//!   rows).
+//!   regardless of acceptance rate (the ledger's `spline_onemove`
+//!   workload times both halves as its `bspline.onemove.*` rows).
 //! * **No dedicated kernel.** A move runs the engine's one body over a
 //!   slice of 1, exactly like a scalar call or a batch of one. What a
 //!   slice of 1 lacks is a neighbour position to overlap memory latency
@@ -298,10 +290,9 @@
 //!   64 concurrent z-line streams defeat the hardware prefetcher; the
 //!   measurements that keep this are on `simd`'s kernel docs), and the
 //!   blocked core prefetches the next block while the current one
-//!   computes. The adapters forward the view:
+//!   computes. The one adapter forwards the view:
 //!   [`precision::MixedEngine`] narrows in / widens out per move with
-//!   the `f32` sub-context, and [`service::ServiceClient`] submits a
-//!   block of one position that rides the coalescer.
+//!   the `f32` sub-context.
 //! * **Bit-identity.** The context only caches what a fresh
 //!   [`batch::Located::new`] recomputes identically on the same floats,
 //!   so one-move results are bit-identical to `eval` on every backend,
@@ -398,10 +389,10 @@ pub mod prelude {
     pub use crate::output::{WalkerAoS, WalkerSoA};
     pub use crate::parallel::run_nested_blocked;
     pub use crate::precision::{MixedEngine, MixedOut, F32_REL_ERROR_BUDGET};
-    pub use crate::replica::{EngineCell, EngineRef, Replica};
+    pub use crate::replica::{EngineCell, Replica};
     pub use crate::service::{
-        ClientConfig, Failed, RoutingPolicy, ServiceClient, ServiceConfig, ServiceError,
-        ServiceFault, ServiceFaultPlan, ServiceHealth, SpoService, StatsSnapshot, Ticket,
+        Failed, RoutingPolicy, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
+        ServiceHealth, SpoService, StatsSnapshot, Ticket,
     };
     pub use crate::simd::{active_backend, with_backend, Backend as SimdBackend};
     pub use crate::soa::BsplineSoA;
@@ -416,9 +407,9 @@ pub use engine::SpoEngine;
 pub use layout::{Kernel, Layout, OptStep};
 pub use onemove::MoveContext;
 pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA};
-pub use replica::{EngineCell, EngineRef, Replica};
+pub use replica::{EngineCell, Replica};
 pub use service::{
-    ClientConfig, Failed, RoutingPolicy, ServiceClient, ServiceConfig, ServiceError, ServiceFault,
-    ServiceFaultPlan, ServiceHealth, SpoService, Ticket,
+    Failed, RoutingPolicy, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
+    ServiceHealth, SpoService, Ticket,
 };
 pub use soa::BsplineSoA;

@@ -15,21 +15,16 @@
 //! as a flat parallel iterator; no nested pool is spawned and no work
 //! queue is consulted. The per-position grid location + basis weights
 //! are hoisted once per walker *before* the parallel region, so every
-//! block chunk reuses the same `Located` block.
-//!
-//! [`run_nested_blocked`] is generic over [`EngineRef`], so it runs
-//! identically against a borrowed engine (`&engine`, the classic
-//! closed-loop call) and against a long-lived
-//! [`crate::replica::Replica`] handle (the service path). The SIMD
-//! backend the fan-out workers re-arm comes from the `EngineRef`:
-//! sampled at call time for a borrow, pinned at mint time for a replica.
+//! block chunk reuses the same `Located` block. The fan-out workers
+//! re-arm the SIMD backend that is active on the calling thread, so a
+//! surrounding [`with_backend`](crate::simd::with_backend) force
+//! reaches every worker.
 
 use crate::batch::{Located, PosBlock};
 use crate::blocked::{BlockEngine, BlockedEngine};
 use crate::engine::SpoEngine;
 use crate::layout::Kernel;
 use crate::output::{SoAStreamsMut, WalkerSoA};
-use crate::replica::EngineRef;
 use crate::walker::walker_rng;
 use einspline::Real;
 use rayon::prelude::*;
@@ -73,8 +68,8 @@ pub fn partition_tiles(m: usize, nth: usize) -> Vec<(usize, usize)> {
 ///
 /// `walkers[w]` must have been allocated by the engine's `make_out`.
 /// Returns the wall-clock time of the parallel region.
-pub fn run_nested_blocked<E: BlockEngine, R: EngineRef<BlockedEngine<E>>>(
-    engine: R,
+pub fn run_nested_blocked<E: BlockEngine>(
+    eng: &BlockedEngine<E>,
     kernel: Kernel,
     walkers: &mut [WalkerSoA<E::Scalar>],
     positions: &[PosBlock<E::Scalar>],
@@ -85,7 +80,6 @@ pub fn run_nested_blocked<E: BlockEngine, R: EngineRef<BlockedEngine<E>>>(
         positions.len(),
         "one position block per walker"
     );
-    let eng = engine.engine();
     let ranges = partition_tiles(eng.n_blocks(), nth);
     let locs: Vec<Vec<Located<E::Scalar>>> =
         positions.iter().map(|b| eng.locate_block(b)).collect();
@@ -119,7 +113,7 @@ pub fn run_nested_blocked<E: BlockEngine, R: EngineRef<BlockedEngine<E>>>(
         }
     }
 
-    let backend = engine.backend();
+    let backend = crate::simd::active_backend();
     let t0 = Instant::now();
     jobs.into_par_iter().for_each(|mut job| {
         crate::simd::with_backend(backend, || {
@@ -339,39 +333,5 @@ mod tests {
             run_nested_blocked(&engine, Kernel::Vgh, &mut nested, &positions, 4);
         });
         assert_walkers_eq(&expect, &nested, 24, "forced scalar");
-    }
-
-    #[test]
-    fn replica_handle_drives_the_same_nested_code_path() {
-        use crate::replica::EngineCell;
-        // One code path for closed-loop and service execution: a
-        // Replica handle through run_nested_blocked must be
-        // bit-identical to the borrowed-engine call.
-        let engine = blocked_engine(40, 8);
-        let positions = random_blocks(&engine, 2, 3, 9);
-        let mut borrowed: Vec<WalkerSoA<f32>> = (0..2).map(|_| engine.make_out()).collect();
-        run_nested_blocked(&engine, Kernel::Vgh, &mut borrowed, &positions, 4);
-
-        let cell = EngineCell::new(engine);
-        let replica = cell.handle();
-        let mut via: Vec<WalkerSoA<f32>> = (0..2).map(|_| cell.engine().make_out()).collect();
-        run_nested_blocked(replica, Kernel::Vgh, &mut via, &positions, 4);
-        assert_walkers_eq(&borrowed, &via, 40, "replica");
-    }
-
-    #[test]
-    fn replica_pinned_backend_survives_the_fan_out() {
-        use crate::replica::EngineCell;
-        use crate::simd::{with_backend, Backend};
-        // A replica minted under a scalar force evaluates scalar even
-        // when the nested run is issued outside the force.
-        let engine = blocked_engine(24, 8);
-        let positions = random_blocks(&engine, 1, 3, 12);
-        let expect = with_backend(Backend::Scalar, || serial(&engine, &positions));
-        let cell = EngineCell::new(engine);
-        let replica = with_backend(Backend::Scalar, || cell.handle());
-        let mut nested = vec![cell.engine().make_out()];
-        run_nested_blocked(replica, Kernel::Vgh, &mut nested, &positions, 4);
-        assert_walkers_eq(&expect, &nested, 24, "pinned scalar");
     }
 }

@@ -1,8 +1,8 @@
 //! Long-lived engine replicas: engine ownership decoupled from the
 //! thread pool.
 //!
-//! Every pre-service entry point in this crate borrowed an engine per
-//! call (`run_nested_blocked(&engine, …)`): the engine lives on the caller's
+//! The fork-join entry point in this crate borrows an engine per call
+//! (`run_nested_blocked(&engine, …)`): the engine lives on the caller's
 //! stack and the fork-join workers borrow it for one generation. The
 //! service model ([`crate::service`]) inverts that — worker threads own
 //! their evaluation context for the lifetime of the service — and the
@@ -17,13 +17,7 @@
 //!   ([`Replica::run`]) instead of relying on the submitting thread's
 //!   state, so a service worker evaluates with the backend that was
 //!   active when the service was built — which is what makes forced
-//!   scalar/SIMD A/B measurement work across the submission boundary;
-//! * [`EngineRef`] — the access trait the `parallel` entry points are
-//!   generic over, so the closed-loop fork-join path (`&engine`) and
-//!   the service path (`Replica`) share one code path. For a plain
-//!   borrow the backend is sampled at entry-point call time (the
-//!   pre-refactor behavior, exactly); for a replica it is the pinned
-//!   one.
+//!   scalar/SIMD A/B measurement work across the submission boundary.
 //!
 //! The engine behind a cell is immutable (all evaluation methods take
 //! `&self`), so replicas never contend on anything but the shared
@@ -121,10 +115,9 @@ impl<E> EngineCell<E> {
 /// A long-lived handle to a shared engine: the replica a service worker
 /// owns for its lifetime.
 ///
-/// Dereferences to the engine for read-only queries; evaluation should
-/// go through [`Replica::run`] (or the [`EngineRef`]-generic entry
-/// points in [`crate::parallel`]) so the pinned SIMD backend is armed
-/// on the evaluating thread.
+/// Dereferences to the engine; evaluation should run inside
+/// [`Replica::run`] so the pinned SIMD backend is armed on the
+/// evaluating thread.
 #[derive(Debug)]
 pub struct Replica<E> {
     engine: Arc<E>,
@@ -178,50 +171,6 @@ impl<E> Replica<E> {
     }
 }
 
-/// Access to an engine for the generic entry points in
-/// [`crate::parallel`]: *which engine*, and *which SIMD backend the
-/// fan-out workers must re-arm*.
-///
-/// Implemented by `&E` (the classic borrowed call: backend sampled at
-/// entry-point call time, preserving the pre-refactor semantics where a
-/// surrounding [`simd::with_backend`] force propagates into the
-/// workers) and by [`Replica`]/[`EngineCell`] (long-lived ownership:
-/// the replica's pinned backend / the currently active one). Entry
-/// points take the implementor **by value**, so existing
-/// `run_nested_blocked(&engine, …)` call sites compile unchanged while a
-/// service worker passes its replica handle.
-pub trait EngineRef<E>: Send + Sync {
-    /// The engine to evaluate with.
-    fn engine(&self) -> &E;
-
-    /// The SIMD backend the parallel workers re-arm before evaluating.
-    fn backend(&self) -> Backend {
-        simd::active_backend()
-    }
-}
-
-impl<E: Send + Sync> EngineRef<E> for &E {
-    fn engine(&self) -> &E {
-        self
-    }
-}
-
-impl<E: Send + Sync> EngineRef<E> for Replica<E> {
-    fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    fn backend(&self) -> Backend {
-        self.backend
-    }
-}
-
-impl<E: Send + Sync> EngineRef<E> for EngineCell<E> {
-    fn engine(&self) -> &E {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,10 +196,7 @@ mod tests {
         assert_eq!(a.id(), 0);
         assert_eq!(b.id(), 1, "clones mint from one id sequence");
         assert_eq!(a.n_splines(), 16);
-        assert!(std::ptr::eq(
-            cell.engine() as *const _,
-            EngineRef::engine(&b) as *const _
-        ));
+        assert!(std::ptr::eq(cell.engine(), &*b));
         assert_eq!(cell.handles(3).len(), 3);
         assert_eq!(cell.minted(), 5, "every handle counts, across clones");
     }
@@ -282,15 +228,6 @@ mod tests {
         // A handle minted outside the force keeps the default backend.
         let free = cell.handle();
         assert_eq!(free.backend(), crate::simd::active_backend());
-    }
-
-    #[test]
-    fn borrowed_engine_ref_samples_backend_at_call_time() {
-        use crate::simd::{with_backend, Backend};
-        let engine = soa(8);
-        let r = &engine;
-        let sampled = with_backend(Backend::Scalar, || EngineRef::<_>::backend(&r));
-        assert_eq!(sampled, Backend::Scalar);
     }
 
     #[test]

@@ -95,8 +95,7 @@
 use crate::batch::{check_batch, BatchOut, PosBlock};
 use crate::engine::SpoEngine;
 use crate::layout::Kernel;
-use crate::onemove::MoveContext;
-use crate::replica::{EngineCell, EngineRef, Replica};
+use crate::replica::{EngineCell, Replica};
 use crate::tuning;
 use einspline::{Real, ShardMap};
 use std::collections::VecDeque;
@@ -143,7 +142,7 @@ impl RoutingPolicy {
             Self::Fifo => 1,
             Self::Auto => tuning::numa_domains(),
             Self::Affinity { domains } => {
-                assert!(domains > 0, "affinity routing needs at least one domain");
+                assert!(domains > 0, "RoutingPolicy::Affinity domains must be positive");
                 domains
             }
         }
@@ -252,7 +251,7 @@ impl<T: Real, O> std::fmt::Debug for Failed<T, O> {
     }
 }
 
-/// Liveness of a service's replica pool, as a client would gate on it.
+/// Liveness of a service's replica pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceHealth {
     /// Every configured replica worker is live.
@@ -776,9 +775,9 @@ where
     /// fault-injection entry point for tests, the chaos suite, and the
     /// degraded-mode benchmark rows.
     pub fn with_fault_plan(engine: E, cfg: ServiceConfig, plan: ServiceFaultPlan) -> Self {
-        assert!(cfg.replicas > 0, "need at least one service replica");
-        assert!(cfg.max_batch > 0, "fused batches must hold positions");
-        assert!(cfg.queue_positions > 0, "queue bound must be positive");
+        assert!(cfg.replicas > 0, "ServiceConfig::replicas must be positive");
+        assert!(cfg.max_batch > 0, "ServiceConfig::max_batch must be positive");
+        assert!(cfg.queue_positions > 0, "ServiceConfig::queue_positions must be positive");
         let n_shards = cfg.routing.shards();
         let router = Router {
             map: ShardMap::balanced(ROUTER_CELLS * ROUTER_CELLS * ROUTER_CELLS, n_shards),
@@ -855,7 +854,7 @@ where
         self.shared.router.n_shards()
     }
 
-    /// Liveness of the replica pool (the client's fallback gate).
+    /// Liveness of the replica pool.
     pub fn health(&self) -> ServiceHealth {
         if self.shared.failed.load(Ordering::Relaxed) {
             ServiceHealth::Failed
@@ -1375,7 +1374,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
         let mut out = BatchOut::from_blocks(std::mem::take(&mut req.out));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shared.faults.before_eval(slot, req.seq);
-            replica.run(|| replica.engine().eval_batch(kernel, &req.pos, &mut out));
+            replica.run(|| replica.eval_batch(kernel, &req.pos, &mut out));
         }));
         return match outcome {
             Ok(()) => {
@@ -1406,7 +1405,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
     let mut fused_out = BatchOut::from_blocks(blocks);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared.faults.before_eval(slot, seq0);
-        replica.run(|| replica.engine().eval_batch(kernel, fused_pos, &mut fused_out));
+        replica.run(|| replica.eval_batch(kernel, fused_pos, &mut fused_out));
     }));
     let mut rest = fused_out.into_blocks();
     match outcome {
@@ -1474,224 +1473,6 @@ fn requeue_after_crash<T: Real, O>(shared: &Shared<T, O>, batch: Vec<Request<T, 
     }
     shared.work.notify_all();
     shared.space.notify_all();
-}
-
-/// How a [`ServiceClient`] reacts to service failures: bounded
-/// exponential-backoff retry, an optional per-request service deadline,
-/// and a health-gated local fallback.
-#[derive(Clone, Copy, Debug)]
-pub struct ClientConfig {
-    /// Resubmission attempts after a failed redemption (in addition to
-    /// the first submission).
-    pub max_retries: usize,
-    /// Backoff before the first retry; doubles per attempt (capped at
-    /// `base << 10`).
-    pub backoff: Duration,
-    /// Service-side deadline attached to every submission
-    /// ([`SpoService::submit_with_deadline`]); `None` submits without
-    /// one.
-    pub deadline: Option<Duration>,
-    /// When `true`, a service that is not [`ServiceHealth::Healthy`]
-    /// (or a request that exhausts its retries) is bypassed: the client
-    /// evaluates directly on the shared engine, so drivers keep
-    /// producing physics while replicas are down. The direct path runs
-    /// on the caller's thread with its ambient SIMD backend.
-    pub fallback: bool,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            backoff: Duration::from_micros(50),
-            deadline: None,
-            fallback: true,
-        }
-    }
-}
-
-/// Exponential backoff: `base << attempt`, exponent capped so a large
-/// retry budget cannot overflow into a multi-hour sleep.
-fn backoff_delay(base: Duration, attempt: usize) -> Duration {
-    base * (1u32 << attempt.min(10) as u32)
-}
-
-/// An [`SpoEngine`] adapter over a shared service: scalar and batched
-/// calls become service submissions, so any driver written against the
-/// trait (e.g. `miniqmc`'s `SpoSet`) runs service-backed unchanged.
-///
-/// Scalar calls borrow a pooled dummy block to swap with the caller's
-/// buffer (the trait's `&mut` contract meets the service's move-based
-/// zero-copy contract); batched calls clone the position block (the
-/// trait borrows it, the service takes ownership) but move the output
-/// blocks both ways.
-///
-/// The trait's methods are infallible, so the client absorbs the
-/// service's failure model ([`ClientConfig`]): failed redemptions are
-/// retried with exponential backoff, and when the service is
-/// [`ServiceHealth::Degraded`]/[`ServiceHealth::Failed`] (or retries
-/// run out) the call falls back to evaluating directly on the shared
-/// engine — the driver never sees an error, it just loses coalescing
-/// until the replicas come back. With `fallback` disabled the client
-/// panics instead of degrading silently.
-pub struct ServiceClient<T: Real, E: SpoEngine<T> + 'static>
-where
-    E::Out: 'static,
-{
-    service: Arc<SpoService<T, E>>,
-    /// Dummy blocks for the scalar-call swap trick; steady state reuses
-    /// one allocation per concurrent scalar caller.
-    pool: Mutex<Vec<E::Out>>,
-    cfg: ClientConfig,
-    /// Calls that bypassed the service onto the direct engine path.
-    fallbacks: AtomicUsize,
-}
-
-impl<T: Real, E: SpoEngine<T> + 'static> ServiceClient<T, E>
-where
-    E::Out: 'static,
-{
-    /// Wrap a shared service handle with the default [`ClientConfig`].
-    pub fn new(service: Arc<SpoService<T, E>>) -> Self {
-        Self::with_config(service, ClientConfig::default())
-    }
-
-    /// Wrap a shared service handle with an explicit failure policy.
-    pub fn with_config(service: Arc<SpoService<T, E>>, cfg: ClientConfig) -> Self {
-        Self {
-            service,
-            pool: Mutex::new(Vec::new()),
-            cfg,
-            fallbacks: AtomicUsize::new(0),
-        }
-    }
-
-    /// The underlying service.
-    pub fn service(&self) -> &SpoService<T, E> {
-        &self.service
-    }
-
-    /// The client's failure policy.
-    pub fn client_config(&self) -> ClientConfig {
-        self.cfg
-    }
-
-    /// Calls this client evaluated directly (service unhealthy or
-    /// retries exhausted) instead of through the service.
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Whether the health gate diverts this call to the direct path.
-    fn diverted(&self) -> bool {
-        self.cfg.fallback && self.service.health() != ServiceHealth::Healthy
-    }
-
-    /// One request under the client's failure policy: submit `owned`
-    /// for `pos`, retry failed redemptions with backoff, and fall back
-    /// to the shared engine when the service is unhealthy or retries run
-    /// out. Returns the caller's blocks, evaluated either way.
-    fn call(
-        &self,
-        kernel: Kernel,
-        pos: &PosBlock<T>,
-        mut owned: BatchOut<E::Out>,
-    ) -> BatchOut<E::Out> {
-        for attempt in 0..=self.cfg.max_retries {
-            if self.diverted() {
-                break;
-            }
-            let ticket = match self.cfg.deadline {
-                Some(d) => self.service.submit_with_deadline(
-                    kernel,
-                    pos.clone(),
-                    owned,
-                    Instant::now() + d,
-                ),
-                None => self.service.submit(kernel, pos.clone(), owned),
-            };
-            match ticket.redeem() {
-                Ok((_, res, _)) => return res,
-                Err(f) => {
-                    let error = f.error;
-                    owned = f.out.expect("service failures return the caller's blocks");
-                    if !self.cfg.fallback && attempt == self.cfg.max_retries {
-                        panic!("service call failed after {} attempts: {error}", attempt + 1);
-                    }
-                    std::thread::sleep(backoff_delay(self.cfg.backoff, attempt));
-                }
-            }
-        }
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.service.engine().eval_batch(kernel, pos, &mut owned);
-        owned
-    }
-}
-
-impl<T: Real, E: SpoEngine<T> + 'static> Clone for ServiceClient<T, E>
-where
-    E::Out: 'static,
-{
-    fn clone(&self) -> Self {
-        Self::with_config(Arc::clone(&self.service), self.cfg)
-    }
-}
-
-impl<T: Real, E: SpoEngine<T> + 'static> SpoEngine<T> for ServiceClient<T, E>
-where
-    E::Out: 'static,
-{
-    type Out = E::Out;
-
-    fn n_splines(&self) -> usize {
-        self.service.engine().n_splines()
-    }
-
-    fn layout(&self) -> crate::layout::Layout {
-        self.service.engine().layout()
-    }
-
-    fn domain(&self) -> [(f64, f64); 3] {
-        self.service.engine().domain()
-    }
-
-    fn make_out(&self) -> E::Out {
-        self.service.engine().make_out()
-    }
-
-    /// A scalar call is a block of one position: the caller's buffer is
-    /// swapped against a pooled dummy for the trip (the trait's `&mut`
-    /// contract meets the service's move-based zero-copy contract).
-    fn eval(&self, kernel: Kernel, pos: [T; 3], out: &mut E::Out) {
-        let dummy = lock_recover(&self.pool)
-            .pop()
-            .unwrap_or_else(|| self.service.engine().make_out());
-        let block = std::mem::replace(out, dummy);
-        let served = self.call(
-            kernel,
-            &PosBlock::from_positions(&[pos]),
-            BatchOut::from_blocks(vec![block]),
-        );
-        let block = served.into_blocks().pop().expect("one block back");
-        lock_recover(&self.pool).push(std::mem::replace(out, block));
-    }
-
-    fn eval_batch(&self, kernel: Kernel, pos: &PosBlock<T>, out: &mut BatchOut<E::Out>) {
-        check_batch(pos.len(), out.len());
-        let owned = std::mem::replace(out, BatchOut::from_blocks(Vec::new()));
-        *out = self.call(kernel, pos, owned);
-    }
-
-    /// Single-position submissions ride the existing coalescer: a
-    /// per-move call is one kernel-tagged block of one position, fused
-    /// with whatever same-kernel traffic the replicas see in the same
-    /// max-wait window. The context's locate cache is server-side state
-    /// the client cannot use, so it is deliberately ignored — what the
-    /// one-move protocol buys here is the V-before-VGL kernel split, not
-    /// the weight reuse.
-    fn eval_one(&self, kernel: Kernel, _ctx: &mut MoveContext<T>, pos: [T; 3], out: &mut E::Out) {
-        self.eval(kernel, pos, out);
-    }
 }
 
 #[cfg(test)]
@@ -2011,29 +1792,6 @@ mod tests {
     }
 
     #[test]
-    fn service_client_scalar_calls_match_direct_engine() {
-        let engine = soa(20);
-        let mut direct = engine.make_out();
-        engine.vgh([0.3, 0.6, 0.9], &mut direct);
-
-        let service = Arc::new(SpoService::with_default_config(soa(20)));
-        let client = ServiceClient::new(service);
-        let mut via = client.make_out();
-        client.vgh([0.3, 0.6, 0.9], &mut via);
-        for n in 0..20 {
-            assert_eq!(direct.value(n), via.value(n), "n={n}");
-            assert_eq!(direct.hessian(n), via.hessian(n), "n={n}");
-        }
-        // Pool reuse: a second call must not grow the pool.
-        client.v([0.1, 0.2, 0.3], &mut via);
-        client.v([0.4, 0.5, 0.6], &mut via);
-        assert_eq!(client.pool.lock().unwrap().len(), 1);
-        assert_eq!(client.fallbacks(), 0, "healthy service never diverts");
-    }
-
-    // ---- failure model ----
-
-    #[test]
     fn service_error_display_is_stable() {
         assert!(ServiceError::Timeout.to_string().contains("in flight"));
         assert!(ServiceError::Shed.to_string().contains("shed"));
@@ -2282,44 +2040,6 @@ mod tests {
                 let ticket = failed.ticket.expect("the claim comes back");
                 let (pos, _, _) = ticket.redeem().expect("still in flight, still completes");
                 assert_eq!(pos.len(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn client_falls_back_to_direct_eval_when_service_dies() {
-        let engine = soa(16);
-        let pos = block(4, 21);
-        let mut direct = engine.make_batch_out(4);
-        engine.eval_batch(Kernel::Vgh, &pos, &mut direct);
-
-        let service = Arc::new(SpoService::with_fault_plan(
-            soa(16),
-            ServiceConfig {
-                replicas: 1,
-                max_retries: 0,
-                ..ServiceConfig::default()
-            },
-            ServiceFaultPlan {
-                faults: vec![ServiceFault::Kill {
-                    worker: 0,
-                    at_request: 0,
-                }],
-            },
-        ));
-        let client = ServiceClient::new(service);
-        let mut out = client.make_batch_out(4);
-        // Infallible trait call: the service dies under it, the client
-        // retries/diverts, and the caller still gets physics.
-        client.eval_batch(Kernel::Vgh, &pos, &mut out);
-        assert!(client.fallbacks() >= 1, "direct path was taken");
-        for p in 0..4 {
-            for n in 0..16 {
-                assert_eq!(
-                    direct.block(p).value(n),
-                    out.block(p).value(n),
-                    "fallback result bit-identical, p={p} n={n}"
-                );
             }
         }
     }

@@ -2,14 +2,11 @@
 //! diffusion + Metropolis structure of paper Sec. III, without the
 //! branching of DMC).
 //!
-//! The inner loop runs the wavefunction's move protocol, which defaults
-//! to the single-electron fast path
-//! ([`EvalMode::PerElectron`](crate::wavefunction::EvalMode)): a V-only
-//! engine call for each ratio, with the grid locate and basis weights
-//! cached in the walker's move context and reused by the accept-side
-//! VGL. Call
-//! [`TrialWaveFunction::set_eval_mode`] before `run_vmc` to A/B against
-//! the legacy all-electron propose path.
+//! The inner loop runs the wavefunction's move protocol: one V-only
+//! engine call per proposal ([`TrialWaveFunction::ratio`]) and no SPO
+//! call on accept. The proposals are uniform and symmetric, so the
+//! Metropolis test needs no drift and no moved electron's gradient is
+//! read between moves.
 //!
 //! After every sweep the driver runs the *batched* all-electron VGH
 //! sweep ([`TrialWaveFunction::log_derivs`]): one VGH `eval_batch` engine

@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::particleset::{random_electrons, ParticleSet};
     pub use crate::spo::SpoSet;
     pub use crate::synthetic::{random_coefficients, synthetic_orbitals, CoralSystem};
-    pub use crate::wavefunction::{EvalMode, TrialWaveFunction};
+    pub use crate::wavefunction::TrialWaveFunction;
 }
 
 #[cfg(test)]

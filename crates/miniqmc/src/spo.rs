@@ -11,10 +11,8 @@
 
 use crate::lattice::Lattice;
 use bspline::blocked::BlockedEngine;
-use bspline::service::{ClientConfig, ServiceClient, ServiceConfig, SpoService};
 use bspline::{BatchOut, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{MultiCoefs, Real};
-use std::sync::Arc;
 
 /// Orbital values + Cartesian gradients + Laplacians for one position —
 /// the determinant-facing view, in `f64`.
@@ -75,9 +73,9 @@ pub struct SpoSet<T: Real, E: SpoEngine<T, Out = WalkerSoA<T>> = BsplineSoA<T>> 
     batch_scratch: BatchOut<WalkerSoA<T>>,
     batch_pos: PosBlock<T>,
     batch_rows: Vec<SpoVgl>,
-    /// Per-walker single-electron move state: the cached locate/weights
-    /// the propose (`evaluate_v_one`) and accept (`evaluate_vgl_one`)
-    /// sides of one move share.
+    /// Per-walker single-electron move state: the locate/weights cached
+    /// by `evaluate_v_one`, which an `evaluate_vgl_one` at the same
+    /// position reuses. The wavefunction calls only `evaluate_v_one`.
     move_ctx: MoveContext<T>,
 }
 
@@ -98,42 +96,6 @@ impl<T: Real<Accum = f64>> SpoSet<T, BlockedEngine<BsplineSoA<T>>> {
     /// size in, budget out) for the budget.
     pub fn new_blocked(coefs: MultiCoefs<T>, lattice: Lattice, budget_bytes: usize) -> Self {
         Self::with_engine(BlockedEngine::from_multi(&coefs, budget_bytes), lattice)
-    }
-}
-
-impl<T: Real<Accum = f64>> SpoSet<T, ServiceClient<T, BsplineSoA<T>>> {
-    /// Construct service-backed: the orbital engine is owned by a
-    /// [`SpoService`]'s long-lived workers, and every evaluation this
-    /// set performs is a service submission — coalescable with other
-    /// walkers' submissions to the same service. Results are
-    /// bit-identical to the direct [`SpoSet::new`] path (fusing never
-    /// splits a per-orbital accumulation chain).
-    pub fn new_service(coefs: MultiCoefs<T>, lattice: Lattice, cfg: ServiceConfig) -> Self {
-        let service = Arc::new(SpoService::new(BsplineSoA::new(coefs), cfg));
-        Self::with_service(service, lattice)
-    }
-
-    /// Wrap an existing shared service (several `SpoSet`s — one per
-    /// walker stream — submitting to one service is the coalescing
-    /// scenario the service exists for). Uses the default
-    /// [`ClientConfig`] failure policy: bounded retry with backoff and
-    /// health-gated fallback to direct evaluation, so the driver keeps
-    /// producing physics when replicas die.
-    pub fn with_service(
-        service: Arc<SpoService<T, BsplineSoA<T>>>,
-        lattice: Lattice,
-    ) -> Self {
-        Self::with_service_client(service, lattice, ClientConfig::default())
-    }
-
-    /// [`SpoSet::with_service`] with an explicit client failure policy
-    /// — deadline per submission, retry budget, fallback gating.
-    pub fn with_service_client(
-        service: Arc<SpoService<T, BsplineSoA<T>>>,
-        lattice: Lattice,
-        client_cfg: ClientConfig,
-    ) -> Self {
-        Self::with_engine(ServiceClient::with_config(service, client_cfg), lattice)
     }
 }
 
@@ -218,8 +180,8 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
     /// Orbital values at `r` through the single-electron fast path
     /// ([`SpoEngine::v_one`]): the grid locate + basis weights for the
     /// fractional position are cached in this walker's move context, so
-    /// the accept-side [`Self::evaluate_vgl_one`] at the *same* `r`
-    /// reuses them without recomputation. Bit-identical to
+    /// a following [`Self::evaluate_vgl_one`] at the *same* `r` reuses
+    /// them without recomputation. Bit-identical to
     /// [`Self::evaluate_v`].
     pub fn evaluate_v_one(&mut self, r: [f64; 3]) -> &[f64] {
         let u = self.frac_pos(r);
@@ -547,112 +509,6 @@ mod tests {
             }
         }
         assert!(blocked.engine().n_blocks() >= 1);
-    }
-
-    #[test]
-    fn service_backed_spo_set_matches_direct_bit_for_bit() {
-        use bspline::service::ServiceConfig;
-        use std::time::Duration;
-        let lat = Lattice::hexagonal(2.5, 6.0);
-        let mut direct = build(lat, 16, 4);
-        let coefs = {
-            let spo = build(lat, 16, 4);
-            spo.engine().coefs().clone()
-        };
-        let mut served = SpoSet::new_service(
-            coefs,
-            lat,
-            ServiceConfig {
-                replicas: 2,
-                max_batch: 8,
-                max_wait: Duration::from_micros(50),
-                queue_positions: 64,
-                ..ServiceConfig::default()
-            },
-        );
-        let rs: Vec<[f64; 3]> = [[0.11, 0.42, 0.83], [0.57, 0.24, 0.39], [0.91, 0.66, 0.05]]
-            .iter()
-            .map(|u| lat.to_cart(*u))
-            .collect();
-        // Scalar path (single-position submissions).
-        for &r in &rs {
-            let a = direct.evaluate_vgl(r).clone();
-            let b = served.evaluate_vgl(r).clone();
-            for k in 0..4 {
-                assert_eq!(a.v[k], b.v[k], "k={k}");
-                assert_eq!(a.gx[k], b.gx[k]);
-                assert_eq!(a.lap[k], b.lap[k]);
-            }
-        }
-        // Batched sweep (whole-block submission).
-        let am = direct.evaluate_vgl_batch(&rs).to_vec();
-        let ab = served.evaluate_vgl_batch(&rs).to_vec();
-        for (e, (x, y)) in am.iter().zip(&ab).enumerate() {
-            for k in 0..4 {
-                assert_eq!(x.v[k], y.v[k], "e={e} k={k}");
-                assert_eq!(x.gz[k], y.gz[k]);
-                assert_eq!(x.lap[k], y.lap[k]);
-            }
-        }
-        let av = direct.evaluate_v_batch(&rs).to_vec();
-        let bv = served.evaluate_v_batch(&rs).to_vec();
-        for (x, y) in av.iter().zip(&bv) {
-            assert_eq!(&x.v[..4], &y.v[..4]);
-        }
-    }
-
-    #[test]
-    fn service_backed_spo_set_survives_replica_death() {
-        use bspline::service::{ServiceFault, ServiceFaultPlan};
-        use bspline::{BsplineSoA, SpoService};
-        let lat = Lattice::hexagonal(2.5, 6.0);
-        let mut direct = build(lat, 16, 4);
-        let coefs = {
-            let spo = build(lat, 16, 4);
-            spo.engine().coefs().clone()
-        };
-        // One replica scripted to die on its first request and stay
-        // dead: the client's health-gated fallback must keep the
-        // SpoSet producing bit-identical physics.
-        let service = Arc::new(SpoService::with_fault_plan(
-            BsplineSoA::new(coefs),
-            ServiceConfig {
-                replicas: 1,
-                max_retries: 0,
-                ..ServiceConfig::default()
-            },
-            ServiceFaultPlan {
-                faults: vec![ServiceFault::Kill {
-                    worker: 0,
-                    at_request: 0,
-                }],
-            },
-        ));
-        let mut served = SpoSet::with_service_client(service, lat, ClientConfig::default());
-        let rs: Vec<[f64; 3]> = [[0.11, 0.42, 0.83], [0.57, 0.24, 0.39]]
-            .iter()
-            .map(|u| lat.to_cart(*u))
-            .collect();
-        let am = direct.evaluate_vgl_batch(&rs).to_vec();
-        let ab = served.evaluate_vgl_batch(&rs).to_vec();
-        for (e, (x, y)) in am.iter().zip(&ab).enumerate() {
-            for k in 0..4 {
-                assert_eq!(x.v[k], y.v[k], "e={e} k={k}");
-                assert_eq!(x.lap[k], y.lap[k]);
-            }
-        }
-        // The scalar path also keeps serving through the fallback.
-        for &r in &rs {
-            let a = direct.evaluate_vgl(r).clone();
-            let b = served.evaluate_vgl(r).clone();
-            for k in 0..4 {
-                assert_eq!(a.v[k], b.v[k], "k={k}");
-            }
-        }
-        assert!(
-            served.engine().fallbacks() >= 1,
-            "the direct path carried the physics"
-        );
     }
 
     #[test]

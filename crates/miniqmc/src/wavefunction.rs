@@ -15,24 +15,6 @@ use crate::particleset::ParticleSet;
 use crate::spo::SpoSet;
 use einspline::Real;
 
-/// Which SPO path the particle-by-particle move protocol runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvalMode {
-    /// The single-electron fast path (default): a V-only engine call
-    /// for the determinant ratio on propose
-    /// ([`SpoSet::evaluate_v_one`], grid locate + basis weights cached
-    /// in the walker's move context), then a cached-weights VGL on
-    /// accept ([`SpoSet::evaluate_vgl_one`]) for the moved electron's
-    /// drift gradient and log-Laplacian
-    /// ([`TrialWaveFunction::last_move_derivs`]).
-    #[default]
-    PerElectron,
-    /// The pre-fast-path behavior: a full VGH evaluation on propose
-    /// (only the values are consumed), nothing on accept. Kept for
-    /// A/B comparison (`QMC_ALL_ELECTRON=1` in the examples).
-    AllElectron,
-}
-
 /// Slater–Jastrow trial wavefunction over a two-spin electron set.
 ///
 /// `T` is the orbital storage/kernel precision only. Every
@@ -56,12 +38,6 @@ pub struct TrialWaveFunction<T: Real> {
     /// Pending move bookkeeping.
     pending: Option<(usize, [f64; 3], f64)>,
     log_psi: f64,
-    /// Which SPO path the move protocol runs (per-electron fast path by
-    /// default).
-    mode: EvalMode,
-    /// `(iel, ∇ ln|D|, ∇² ln|D|)` of the moved electron, from the
-    /// cached-weights VGL of the last accepted per-electron move.
-    last_move_derivs: Option<(usize, [f64; 3], f64)>,
     /// Timers.
     pub timers: Timers,
 }
@@ -115,8 +91,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             phi_new: vec![0.0; n_per_spin],
             pending: None,
             log_psi: 0.0,
-            mode: EvalMode::default(),
-            last_move_derivs: None,
             timers: Timers::new(),
         };
         wf.evaluate_log();
@@ -141,17 +115,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi
     }
 
-    #[inline]
-    /// The active SPO move path.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.mode
-    }
-
-    /// Select the SPO move path (defaults to [`EvalMode::PerElectron`]).
-    pub fn set_eval_mode(&mut self, mode: EvalMode) {
-        self.mode = mode;
-    }
-
     /// Overwrite every electron position (campaign restore / branching
     /// copy). All incremental caches become stale; callers must run
     /// [`TrialWaveFunction::evaluate_log`] — which rebuilds distance
@@ -165,15 +128,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         for (i, &r) in pos.iter().enumerate() {
             self.electrons.set(i, r);
         }
-    }
-
-    /// `(iel, ∇ᵢ ln|D|, ∇²ᵢ ln|D|)` of the moved electron at its *new*
-    /// position, computed on the last accepted move from the
-    /// cached-weights VGL (accept-side of the per-electron protocol)
-    /// against the post-accept determinant inverse. `None` before the
-    /// first accept and in [`EvalMode::AllElectron`].
-    pub fn last_move_derivs(&self) -> Option<(usize, [f64; 3], f64)> {
-        self.last_move_derivs
     }
 
     fn spin_of(&self, iel: usize) -> (usize, usize) {
@@ -235,7 +189,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi =
             log_j1 + log_j2 + self.dets[0].log_det() + self.dets[1].log_det();
         self.pending = None;
-        self.last_move_derivs = None;
         self.log_psi
     }
 
@@ -306,15 +259,12 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// Propose moving electron `iel` to `rnew`; returns the wavefunction
     /// ratio `ΨT(R′)/ΨT(R)`.
     ///
-    /// In [`EvalMode::PerElectron`] (the default) the SPO evaluation is
-    /// a V-only call through the walker's move context — the ratio test
-    /// needs nothing but values, and the locate/weights it computes are
-    /// reused by the accept-side VGL at the same position. In
-    /// [`EvalMode::AllElectron`] it is the legacy full-VGH call.
+    /// The SPO evaluation is one V-only call
+    /// ([`SpoSet::evaluate_v_one`]): the ratio test needs nothing but
+    /// orbital values, because the driver's proposals are symmetric and
+    /// carry no drift term.
     pub fn ratio(&mut self, iel: usize, rnew: [f64; 3]) -> f64 {
         let (spin, e) = self.spin_of(iel);
-        let n = self.n_per_spin;
-        let mode = self.mode;
 
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers, phi_new) = (
             &self.electrons,
@@ -333,19 +283,9 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             dist_ei.propose(iel, rnew);
         });
 
-        let det_ratio = {
-            match mode {
-                EvalMode::PerElectron => {
-                    let v = timers.time(Category::Bspline, || spo.evaluate_v_one(rnew));
-                    phi_new.copy_from_slice(v);
-                }
-                EvalMode::AllElectron => {
-                    let out = timers.time(Category::Bspline, || spo.evaluate_vgl(rnew));
-                    phi_new.copy_from_slice(&out.v[..n]);
-                }
-            }
-            timers.time(Category::Determinant, || dets[spin].ratio(e, phi_new))
-        };
+        let v = timers.time(Category::Bspline, || spo.evaluate_v_one(rnew));
+        phi_new.copy_from_slice(v);
+        let det_ratio = timers.time(Category::Determinant, || dets[spin].ratio(e, phi_new));
 
         let (r2, r1) = timers.time(Category::Jastrow, || {
             (j2.ratio(dist_ee, iel), j1.ratio(dist_ei, iel))
@@ -356,11 +296,11 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         ratio
     }
 
-    /// Commit the pending move. In [`EvalMode::PerElectron`] this also
-    /// runs the accept-side VGL for the moved electron — a cache hit on
-    /// the locate/weights the propose-side [`Self::ratio`] stored — and
-    /// records its drift gradient / log-Laplacian against the
-    /// post-accept determinant inverse ([`Self::last_move_derivs`]).
+    /// Commit the pending move: update the distance tables, the
+    /// determinant inverse (from the values [`Self::ratio`] stored) and
+    /// the Jastrow sums. It makes no SPO call. Nothing reads a moved
+    /// electron's derivatives between moves; the sweep's
+    /// [`Self::log_derivs`] recomputes every electron's at once.
     pub fn accept(&mut self, iel: usize) {
         let Some((p_iel, rnew, ratio)) = self.pending.take() else {
             panic!("accept without a pending ratio");
@@ -389,27 +329,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         });
         self.electrons.set(iel, rnew);
         self.log_psi += ratio.abs().ln();
-
-        if self.mode == EvalMode::PerElectron {
-            let (spo, dets, timers) = (&mut self.spo, &self.dets, &mut self.timers);
-            // Accept-side VGL: same position as the propose-side V, so
-            // the move context's locate/weights are reused (this is the
-            // V→VGL pair the fast path exists for). The determinant
-            // inverse is already rank-1 updated, so the derivatives are
-            // those of the *new* configuration.
-            let row = timers.time(Category::Bspline, || spo.evaluate_vgl_one(rnew));
-            let (g, l) = timers.time(Category::Determinant, || {
-                crate::drivers::observables::det_log_derivs(
-                    &dets[spin],
-                    e,
-                    &row.gx,
-                    &row.gy,
-                    &row.gz,
-                    &row.lap,
-                )
-            });
-            self.last_move_derivs = Some((iel, g, l));
-        }
     }
 
     /// Discard the pending move.
@@ -625,88 +544,5 @@ mod tests {
     fn accept_without_ratio_panics() {
         let mut wf = small_system(17);
         wf.accept(0);
-    }
-
-    /// The per-electron fast path (V-only ratio, cached-weights VGL on
-    /// accept) and the legacy all-electron path must agree on every
-    /// ratio and on the tracked log over a full sweep. The two paths run
-    /// different kernels on propose (V vs VGH), whose value streams
-    /// agree to rounding, not bit-for-bit — hence the tight-but-not-zero
-    /// tolerances.
-    #[test]
-    fn per_electron_and_all_electron_modes_agree() {
-        let mut fast = small_system(23);
-        let mut legacy = small_system(23);
-        legacy.set_eval_mode(EvalMode::AllElectron);
-        assert_eq!(fast.eval_mode(), EvalMode::PerElectron);
-        assert_eq!(legacy.eval_mode(), EvalMode::AllElectron);
-
-        let mut rng = StdRng::seed_from_u64(77);
-        let lat = *fast.electrons().lattice();
-        for iel in 0..fast.n_electrons() {
-            let r = fast.electrons().get(iel);
-            let d = 0.4;
-            let rnew = lat.wrap([
-                r[0] + d * (rng.random::<f64>() - 0.5),
-                r[1] + d * (rng.random::<f64>() - 0.5),
-                r[2] + d * (rng.random::<f64>() - 0.5),
-            ]);
-            let ra = fast.ratio(iel, rnew);
-            let rb = legacy.ratio(iel, rnew);
-            assert!(
-                (ra - rb).abs() <= 1e-9 * ra.abs().max(1.0),
-                "iel={iel}: fast ratio {ra} vs legacy {rb}"
-            );
-            if iel % 2 == 0 {
-                fast.accept(iel);
-                legacy.accept(iel);
-            } else {
-                fast.reject();
-                legacy.reject();
-            }
-        }
-        assert!((fast.log_psi() - legacy.log_psi()).abs() < 1e-8);
-        assert!(fast.last_move_derivs().is_some());
-        assert!(legacy.last_move_derivs().is_none());
-    }
-
-    /// The accept-side cached-weights VGL must give the same determinant
-    /// derivatives as a fresh scalar evaluation against the post-accept
-    /// inverse — bit-identical, since `vgh_one` reuses the exact
-    /// locate/weights the scalar path recomputes.
-    #[test]
-    fn last_move_derivs_match_fresh_vgl_against_post_accept_inverse() {
-        let mut wf = small_system(19);
-        assert!(wf.last_move_derivs().is_none());
-        let iel = 5;
-        let rnew = {
-            let r = wf.electrons().get(iel);
-            [r[0] + 0.17, r[1] - 0.09, r[2] + 0.12]
-        };
-        let _ = wf.ratio(iel, rnew);
-        wf.accept(iel);
-        let (m_iel, g, l) = wf.last_move_derivs().unwrap();
-        assert_eq!(m_iel, iel);
-
-        let (spin, e) = wf.spin_of(iel);
-        let row = wf.spo.evaluate_vgl(rnew);
-        let (g2, l2) = crate::drivers::observables::det_log_derivs(
-            &wf.dets[spin],
-            e,
-            &row.gx,
-            &row.gy,
-            &row.gz,
-            &row.lap,
-        );
-        assert_eq!(g, g2);
-        assert_eq!(l, l2);
-
-        // A rejected move leaves the last accepted derivs in place; a
-        // full recompute clears them.
-        let _ = wf.ratio(iel, [0.1, 0.2, 0.3]);
-        wf.reject();
-        assert!(wf.last_move_derivs().is_some());
-        wf.evaluate_log();
-        assert!(wf.last_move_derivs().is_none());
     }
 }

@@ -2,7 +2,7 @@
 //! population dynamics + the ISSUE 9 campaign layer).
 //!
 //! Each walker is a real Slater–Jastrow [`TrialWaveFunction`] advanced
-//! by particle-by-particle sweeps on the single-electron fast path; the
+//! by particle-by-particle sweeps (V per proposal, nothing on accept); the
 //! campaign driver couples the pool to `DmcPopulation` branching,
 //! records per-generation statistics, and (optionally) checkpoints the
 //! full resume closure so a `SIGKILL` mid-run loses nothing: resuming
@@ -18,9 +18,7 @@
 //! * `QMC_DMC_RESUME` — `1` resumes from the newest valid checkpoint
 //!   (fresh start if none);
 //! * `QMC_DMC_SLEEP_MS` — artificial per-generation pause so an outer
-//!   script has a window to `kill -9` mid-run;
-//! * `QMC_ALL_ELECTRON` — `1` selects the legacy all-electron propose
-//!   path.
+//!   script has a window to `kill -9` mid-run.
 //!
 //! Kill-resume from the shell:
 //!
@@ -52,18 +50,9 @@ fn env_flag(name: &str) -> bool {
     matches!(std::env::var(name).as_deref(), Ok("1") | Ok("true"))
 }
 
-/// `QMC_ALL_ELECTRON=1` selects the legacy all-electron propose path.
-fn mode_from_env() -> EvalMode {
-    if env_flag("QMC_ALL_ELECTRON") {
-        EvalMode::AllElectron
-    } else {
-        EvalMode::PerElectron
-    }
-}
-
 /// One graphite walker: a 1×1×1 cell (16 electrons, 8 orbitals/spin)
 /// with its own electron configuration.
-fn make_walker(sys: &CoralSystem, seed: u64, mode: EvalMode) -> TrialWaveFunction<f64> {
+fn make_walker(sys: &CoralSystem, seed: u64) -> TrialWaveFunction<f64> {
     let spo = SpoSet::new(sys.orbitals::<f64>(7), sys.lattice);
     let electrons = random_electrons(
         sys.lattice,
@@ -71,19 +60,16 @@ fn make_walker(sys: &CoralSystem, seed: u64, mode: EvalMode) -> TrialWaveFunctio
         &mut StdRng::seed_from_u64(seed),
     );
     let rc = sys.lattice.wigner_seitz_radius() * 0.9;
-    let mut wf = TrialWaveFunction::new(
+    TrialWaveFunction::new(
         spo,
         &sys.ions,
         electrons,
         BsplineFunctor::rpa_like(0.3, 1.0, rc, 24),
         BsplineFunctor::rpa_like(0.5, 1.2, rc, 24),
-    );
-    wf.set_eval_mode(mode);
-    wf
+    )
 }
 
 fn main() {
-    let mode = mode_from_env();
     let n_walkers = 8usize;
     let generations = env_u64("QMC_DMC_GENERATIONS", 12);
     let checkpoint_every = env_u64("QMC_DMC_CHECKPOINT_EVERY", 0);
@@ -93,7 +79,7 @@ fn main() {
 
     let sys = CoralSystem::new(1, 1, 1, (10, 10, 12));
     println!(
-        "graphite DMC campaign: {n_walkers} walkers x {} electrons, move path {mode:?}",
+        "graphite DMC campaign: {n_walkers} walkers x {} electrons",
         sys.n_electrons()
     );
     println!(
@@ -110,7 +96,7 @@ fn main() {
         WalkerPropagator::new(
             move || {
                 seed += 1;
-                make_walker(sys_ref, seed, mode)
+                make_walker(sys_ref, seed)
             },
             n_walkers,
             0.5,

@@ -2,24 +2,15 @@
 //! particle-by-particle VMC, per-kernel profile — the full pipeline the
 //! paper's kernels live in (scaled down to a single primitive cell).
 //!
-//! The move loop runs the single-electron fast path by default (V-only
-//! ratio with cached locate/weights, VGL on accept). Set
-//! `QMC_ALL_ELECTRON=1` to A/B against the legacy all-electron propose
-//! path (full VGH per ratio, nothing cached).
+//! The move loop evaluates orbital values (V) for every proposal and
+//! makes no orbital call on accept; after each sweep one batched VGH per
+//! spin gives every electron's derivatives for the kinetic energy.
 //!
-//! Run: `cargo run --release -p qmc-bench --example graphite_vmc`
+//! Run: `cargo run --release --example graphite_vmc`
 
 use miniqmc::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// `QMC_ALL_ELECTRON=1` selects the legacy all-electron propose path.
-fn mode_from_env() -> EvalMode {
-    match std::env::var("QMC_ALL_ELECTRON").as_deref() {
-        Ok("1") | Ok("true") => EvalMode::AllElectron,
-        _ => EvalMode::PerElectron,
-    }
-}
 
 fn main() {
     // 1×1×1 graphite cell: 4 carbons, 16 electrons, 8 orbitals per spin.
@@ -46,9 +37,7 @@ fn main() {
         BsplineFunctor::rpa_like(0.3, 1.0, rc, 32),
         BsplineFunctor::rpa_like(0.5, 1.2, rc, 32),
     );
-    wf.set_eval_mode(mode_from_env());
     println!("initial log|Psi_T| = {:.6}", wf.log_psi());
-    println!("SPO move path: {:?}", wf.eval_mode());
 
     let result = run_vmc(
         &mut wf,

@@ -3,13 +3,13 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bspline::precision::{MixedEngine, MixedOut, WidenOut};
 use bspline::SpoEngine;
 use bspline::{
-    BlockedEngine, BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock,
-    RoutingPolicy, ServiceClient, ServiceConfig, SpoService, WalkerAoS, WalkerSoA,
+    BatchOut, BlockedEngine, BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock,
+    RoutingPolicy, ServiceConfig, SpoService, WalkerAoS, WalkerSoA,
 };
 use common::assert_regrouped;
 use einspline::{Grid1, MultiCoefs, Real};
@@ -237,6 +237,24 @@ const HOSTILE: [([f64; 3], bool); 6] = [
     ([-1.0e4 - 0.125, 2.5e5, -0.0], true),
 ];
 
+/// Every stream `kernel` wrote for the first `n` orbitals of `out` is
+/// finite exactly when `finite` says so.
+fn assert_finiteness<O: Written>(out: &O, n: usize, kernel: Kernel, finite: bool, ctx: &str) {
+    for k in 0..n {
+        for x in out.written(kernel, k) {
+            assert_eq!(x.is_finite(), finite, "{ctx} {kernel} k={k}: {x}");
+        }
+    }
+}
+
+/// Bit patterns of every VGH stream of the first `len` blocks.
+fn vgh_bits<O: Written>(outs: &BatchOut<O>, len: usize, n: usize) -> Vec<u64> {
+    (0..len)
+        .flat_map(|i| (0..n).flat_map(move |k| outs.block(i).written(Kernel::Vgh, k)))
+        .map(f64::to_bits)
+        .collect()
+}
+
 /// Drive every [`HOSTILE`] position through `eval`, `eval_batch` and
 /// `eval_one` for every kernel, then an empty block through
 /// `eval_batch`, which must leave every output block untouched.
@@ -246,13 +264,6 @@ where
 {
     let n = engine.n_splines();
     let pos: Vec<[T; 3]> = HOSTILE.iter().map(|(p, _)| p.map(T::from_f64)).collect();
-    let check = |out: &E::Out, kernel: Kernel, finite: bool, ctx: String| {
-        for k in 0..n {
-            for x in out.written(kernel, k) {
-                assert_eq!(x.is_finite(), finite, "{name} n={n} {kernel} {ctx} k={k}: {x}");
-            }
-        }
-    };
     let block = PosBlock::from_positions(&pos);
     let mut outs = engine.make_batch_out(pos.len());
     let mut out = engine.make_out();
@@ -260,22 +271,48 @@ where
     for kernel in Kernel::ALL {
         engine.eval_batch(kernel, &block, &mut outs);
         for (i, (&p, &(raw, finite))) in pos.iter().zip(&HOSTILE).enumerate() {
-            check(outs.block(i), kernel, finite, format!("eval_batch {raw:?}"));
+            let ctx = |call: &str| format!("{name} n={n} {call} {raw:?}");
+            assert_finiteness(outs.block(i), n, kernel, finite, &ctx("eval_batch"));
             engine.eval(kernel, p, &mut out);
-            check(&out, kernel, finite, format!("eval {raw:?}"));
+            assert_finiteness(&out, n, kernel, finite, &ctx("eval"));
             engine.eval_one(kernel, &mut move_ctx, p, &mut out);
-            check(&out, kernel, finite, format!("eval_one {raw:?}"));
+            assert_finiteness(&out, n, kernel, finite, &ctx("eval_one"));
         }
     }
-    let bits = |outs: &bspline::BatchOut<E::Out>| -> Vec<u64> {
-        (0..pos.len())
-            .flat_map(|i| (0..n).flat_map(move |k| outs.block(i).written(Kernel::Vgh, k)))
-            .map(f64::to_bits)
-            .collect()
-    };
-    let before = bits(&outs);
+    let before = vgh_bits(&outs, pos.len(), n);
     engine.eval_batch(Kernel::Vgh, &PosBlock::new(), &mut outs);
-    assert_eq!(bits(&outs), before, "{name} n={n}: an empty block wrote outputs");
+    let after = vgh_bits(&outs, pos.len(), n);
+    assert_eq!(after, before, "{name} n={n}: an empty block wrote outputs");
+}
+
+/// The [`HOSTILE`] positions through a service's own `submit` +
+/// `redeem`, for every kernel: once as one block, then one position per
+/// submission. An empty submission is done at once and hands its blocks
+/// back untouched.
+fn assert_hostile_service(service: &SpoService<f32, BsplineSoA<f32>>) {
+    let n = service.engine().n_splines();
+    let pos: Vec<[f32; 3]> = HOSTILE.iter().map(|(p, _)| p.map(f32::from_f64)).collect();
+    let submit = |kernel: Kernel, block: PosBlock<f32>, out: BatchOut<WalkerSoA<f32>>| {
+        let (_, out, _) = service.submit(kernel, block, out).redeem().expect("served");
+        out
+    };
+    let mut outs = service.engine().make_batch_out(pos.len());
+    for kernel in Kernel::ALL {
+        outs = submit(kernel, PosBlock::from_positions(&pos), outs);
+        for (i, (&p, &(raw, finite))) in pos.iter().zip(&HOSTILE).enumerate() {
+            let ctx = |how: &str| format!("service n={n} {how} {raw:?}");
+            assert_finiteness(outs.block(i), n, kernel, finite, &ctx("block"));
+            let alone = PosBlock::from_positions(&[p]);
+            let one = submit(kernel, alone, service.engine().make_batch_out(1));
+            assert_finiteness(one.block(0), n, kernel, finite, &ctx("alone"));
+        }
+    }
+    let before = vgh_bits(&outs, pos.len(), n);
+    let ticket = service.submit(Kernel::Vgh, PosBlock::new(), outs);
+    assert!(ticket.is_done(), "service n={n}: an empty submission queued");
+    let (_, outs, _) = ticket.redeem().expect("empty submissions complete");
+    let after = vgh_bits(&outs, pos.len(), n);
+    assert_eq!(after, before, "service n={n}: an empty submission wrote outputs");
 }
 
 #[test]
@@ -297,13 +334,45 @@ fn hostile_positions_have_defined_behaviour() {
 
         // Two affinity shards, so the router's cell scoring sees the
         // hostile coordinates too.
-        let service = SpoService::new(
+        assert_hostile_service(&SpoService::new(
             BsplineSoA::new(t),
             ServiceConfig {
                 routing: RoutingPolicy::Affinity { domains: 2 },
                 ..ServiceConfig::default()
             },
-        );
-        assert_hostile_positions("service", &ServiceClient::new(Arc::new(service)));
+        ));
+    }
+}
+
+/// A zero in any sizing field of the service configuration panics in
+/// `SpoService::new`, on the calling thread, with a message naming the
+/// field. The constructor validates before it spawns a worker, so a
+/// rejected configuration leaves no thread behind.
+#[test]
+fn zero_sized_service_configs_are_rejected_by_name() {
+    let base = ServiceConfig::default();
+    let cases = [
+        ("replicas", ServiceConfig { replicas: 0, ..base }),
+        ("max_batch", ServiceConfig { max_batch: 0, ..base }),
+        ("queue_positions", ServiceConfig { queue_positions: 0, ..base }),
+        (
+            "domains",
+            ServiceConfig {
+                routing: RoutingPolicy::Affinity { domains: 0 },
+                ..base
+            },
+        ),
+    ];
+    for (field, cfg) in cases {
+        let engine = BsplineSoA::new(table(4, 5, 60));
+        let err = catch_unwind(AssertUnwindSafe(|| SpoService::new(engine, cfg)))
+            .err()
+            .unwrap_or_else(|| panic!("{field} = 0 was accepted"));
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains(field), "{field} = 0 panicked with {msg:?}");
     }
 }

@@ -29,7 +29,9 @@
 //!    content-hash tie-break, spill, steal) only picks *which queue*
 //!    a request waits in, so results stay bit-identical to the direct
 //!    batch even for spatially-concentrated blocks that all classify
-//!    to one hot shard.
+//!    to one hot shard;
+//! 7. the pinned backend: a service built under a backend force keeps
+//!    that backend for submitters outside the force.
 
 use bspline::service::{RoutingPolicy, ServiceConfig, ServiceError, SpoService};
 use bspline::{BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
@@ -566,6 +568,41 @@ fn drop_with_queued_requests_completes_every_ticket() {
                 references[ki].block(at + j),
                 &format!("post-drop kernel={} pos={}", Kernel::ALL[ki], at + j),
             );
+        }
+    }
+}
+
+/// A service built under a backend force keeps it: the workers re-arm
+/// their replica's pinned backend for every batch, so a submission from
+/// outside the force evaluates exactly as a direct call under it does.
+#[test]
+fn service_keeps_the_backend_it_was_built_under() {
+    use bspline::simd::{active_backend, with_backend, Backend};
+    if !Backend::available().contains(&Backend::Sse2) {
+        return;
+    }
+    let (n, ns) = (40, 6);
+    let engine = BsplineSoA::new(random_table::<f32>(n, 31));
+    let pos = random_block::<f32>(ns, 32);
+    let sse2 = with_backend(Backend::Sse2, || direct_batch(&engine, Kernel::Vgh, &pos));
+    if active_backend().is_fused() {
+        // Unfused SSE2 must differ from the ambient backend somewhere, or
+        // a worker that skipped the re-arm would pass unnoticed.
+        let ambient = direct_batch(&engine, Kernel::Vgh, &pos);
+        let differs = |p: usize, k: usize| sse2.block(p).hessian(k) != ambient.block(p).hessian(k);
+        assert!((0..ns).any(|p| (0..n).any(|k| differs(p, k))));
+    }
+    let cfg = ServiceConfig {
+        replicas: 2,
+        ..ServiceConfig::default()
+    };
+    let service = with_backend(Backend::Sse2, || SpoService::new(engine, cfg));
+    for round in 0..4 {
+        let out = service.engine().make_batch_out(ns);
+        let (_, got, _) = service.submit(Kernel::Vgh, pos.clone(), out).redeem().unwrap();
+        for p in 0..ns {
+            let ctx = format!("round {round} p={p}");
+            assert_blocks_bitmatch(Kernel::Vgh, n, got.block(p), sse2.block(p), &ctx);
         }
     }
 }
