@@ -133,16 +133,17 @@
 //! # Service model
 //!
 //! The closed-loop entry points above borrow an engine per call. The
-//! service layer ([`replica`], [`service`]) inverts the ownership for
-//! open-loop workloads — many independent walker streams submitting at
-//! their own pace:
+//! service layer ([`service`]) inverts the ownership for open-loop
+//! workloads — many independent walker streams submitting at their own
+//! pace:
 //!
-//! * **Ownership.** [`service::SpoService::new`] moves the engine into
-//!   an [`replica::EngineCell`] and spawns long-lived worker threads,
-//!   each owning one [`replica::Replica`] handle. A replica pins the
-//!   SIMD backend active at mint time and re-arms it on the worker for
-//!   every batch, so forced scalar/SIMD A/B measurement works across
-//!   the submission boundary.
+//! * **Ownership.** [`service::SpoService::new`] moves the engine
+//!   behind one `Arc<E>` — the read-only table every worker shares, as
+//!   in the paper's threading model — and spawns `replicas` long-lived
+//!   worker threads. It pins the SIMD backend active at construction
+//!   and every worker re-arms it for every batch (restarts included),
+//!   so forced scalar/SIMD A/B measurement works across the submission
+//!   boundary.
 //! * **Coalescing policy.** Submissions carry a kernel tag. A worker
 //!   seeds a batch from the queue head and splices every queued
 //!   same-kernel request ([`batch::PosBlock::extend_from_block`]) into
@@ -155,12 +156,11 @@
 //! * **Backpressure.** The queue admits at most `queue_positions`
 //!   pending positions; [`service::SpoService::submit`] blocks until
 //!   space frees (an oversized request is admitted only when the
-//!   service is idle, so it cannot deadlock), and
-//!   [`service::SpoService::try_submit`] returns the request instead of
-//!   blocking. Completion is zero-copy: the caller's
-//!   [`batch::BatchOut`] blocks move into the fused engine call and
-//!   come back filled through the [`service::Ticket`]. Dropping the
-//!   service drains every queued request before joining the workers.
+//!   service is idle, so it cannot deadlock). Completion is zero-copy:
+//!   the caller's [`batch::BatchOut`] blocks move into the fused engine
+//!   call and come back filled through the [`service::Ticket`].
+//!   Dropping the service drains every queued request before joining
+//!   the workers.
 //!
 //! # Sharding & routing
 //!
@@ -170,7 +170,7 @@
 //! unrelated coefficient regions and every batch re-streams from DRAM.
 //! The routing layer ([`service::RoutingPolicy`]) splits the service
 //! into per-domain shard queues and routes each submission to the
-//! shard whose replicas keep its coefficient region warm:
+//! shard whose workers keep its coefficient region warm:
 //!
 //! * **Shards.** [`service::ServiceConfig::routing`] selects the shard
 //!   count: `Fifo` forces one queue (the pre-routing behavior, and the
@@ -178,9 +178,8 @@
 //!   matches the detected NUMA domain count ([`tuning::numa_domains`],
 //!   overridable via `QMC_NUMA_DOMAINS`), `Affinity { domains }` pins
 //!   it explicitly.
-//!   Replica workers are minted round-robin across domains
-//!   ([`replica::EngineCell::handles_for_domains`]) and drain their
-//!   *home* shard queue first.
+//!   Worker `i` drains its *home* shard queue `i % shards` first, so
+//!   the workers spread round-robin across the domains.
 //! * **Affinity scoring.** Each submitted block's positions are
 //!   quantized onto a small per-axis lattice over the engine's domain;
 //!   an [`einspline::ShardMap`] partitions the lattice cells across
@@ -219,13 +218,12 @@
 //!   [`service::ServiceConfig::max_retries`] budget), `ShuttingDown`
 //!   (the service stopped first) — plus the caller's position/output
 //!   buffers, so no buffer is ever lost to a failure.
-//! * **Retry & supervision.** Kernel evaluation runs under
+//! * **Retry & in-place restart.** Kernel evaluation runs under
 //!   `catch_unwind`; a panicking batch is un-fused, its requests
 //!   re-enqueued (front of queue, bounded by `max_retries`), and the
-//!   dead worker slot is re-minted from the [`replica::EngineCell`]
-//!   with the same domain tag by a supervisor thread. Load shedding is
-//!   the deadline dual: expired requests are dropped *before*
-//!   evaluation, never mid-fuse.
+//!   worker restarts its loop on the same thread with the same engine,
+//!   pinned backend and home shard. Load shedding is the deadline dual:
+//!   expired requests are dropped *before* evaluation, never mid-fuse.
 //! * **Bit-identity of successes.** Faults decide *whether* a request
 //!   evaluates, never *how*: every successful result — retried,
 //!   re-coalesced, degraded pool or not — is bit-identical to the
@@ -370,7 +368,6 @@ pub mod onemove;
 pub mod output;
 pub mod parallel;
 pub mod precision;
-pub mod replica;
 pub mod service;
 pub mod simd;
 pub mod soa;
@@ -389,7 +386,6 @@ pub mod prelude {
     pub use crate::output::{WalkerAoS, WalkerSoA};
     pub use crate::parallel::run_nested_blocked;
     pub use crate::precision::{MixedEngine, MixedOut, F32_REL_ERROR_BUDGET};
-    pub use crate::replica::{EngineCell, Replica};
     pub use crate::service::{
         Failed, RoutingPolicy, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
         ServiceHealth, SpoService, StatsSnapshot, Ticket,
@@ -407,7 +403,6 @@ pub use engine::SpoEngine;
 pub use layout::{Kernel, Layout, OptStep};
 pub use onemove::MoveContext;
 pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA};
-pub use replica::{EngineCell, Replica};
 pub use service::{
     Failed, RoutingPolicy, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
     ServiceHealth, SpoService, Ticket,

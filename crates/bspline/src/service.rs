@@ -1,5 +1,5 @@
-//! `SpoService` — a coalescing orbital-evaluation service over
-//! long-lived engine replicas.
+//! `SpoService` — a coalescing orbital-evaluation service over one
+//! shared engine and a pool of long-lived worker threads.
 //!
 //! The fork-join entry points in [`crate::parallel`] are *closed-loop*:
 //! a driver owns the walkers, builds full position blocks itself and
@@ -9,14 +9,13 @@
 //! comes from fusing those submissions into the full [`PosBlock`]s the
 //! batched engines are fast on. This module is that front-end:
 //!
-//! * **Ownership.** [`SpoService::new`] moves the engine into an
-//!   [`EngineCell`] and spawns
-//!   `replicas` worker threads, each owning one
-//!   [`Replica`] handle for its lifetime.
-//!   Workers re-arm the replica's pinned SIMD backend before every
-//!   batch, so a service built inside a
+//! * **Ownership.** [`SpoService::new`] moves the engine behind one
+//!   `Arc<E>` — the read-only table every worker shares — and spawns
+//!   exactly `replicas` worker threads. It also reads the active SIMD
+//!   backend once and pins it: every worker re-arms that backend
+//!   before every batch, so a service built inside a
 //!   [`with_backend`](crate::simd::with_backend) force keeps that
-//!   backend no matter which thread submits.
+//!   backend no matter which thread submits, crash or no crash.
 //! * **Coalescing.** Submissions carry a kernel tag
 //!   ([`Kernel`]); a worker seeds a batch with the queue head and
 //!   splices every queued same-kernel request
@@ -27,8 +26,7 @@
 //! * **Backpressure.** The queue is bounded by `queue_positions`
 //!   pending positions; [`SpoService::submit`] blocks until space is
 //!   available (one oversized request is admitted when the queue is
-//!   empty so it cannot deadlock), and [`SpoService::try_submit`] gives
-//!   the request back instead of blocking.
+//!   empty so it cannot deadlock).
 //! * **Zero-copy completion.** The caller's [`BatchOut`] blocks are
 //!   moved into the fused engine call and handed back through the
 //!   [`Ticket`] — the engine writes orbitals directly into the
@@ -43,8 +41,8 @@
 //!   always land on the same shard and coalesce adjacently). A
 //!   load-balance escape hatch spills submissions off a shard whose
 //!   queue is over its spill limit onto the least-loaded one, so a hot
-//!   region cannot starve the rest. Workers drain their replica's home
-//!   shard first and steal round-robin otherwise. Routing only decides
+//!   region cannot starve the rest. Worker `i` drains home shard
+//!   `i % shards` first and steals round-robin otherwise. Routing only decides
 //!   *where* a batch runs — never how it is split — so routed results
 //!   stay bit-identical to the FIFO path. With one shard (the
 //!   [`RoutingPolicy::Auto`] default on a single-domain host) the
@@ -59,19 +57,21 @@
 //!
 //! # Failure model
 //!
-//! A replica worker is allowed to die: kernel evaluation runs under
+//! A worker is allowed to crash: kernel evaluation runs under
 //! [`std::panic::catch_unwind`], and a panicking batch never takes the
 //! service (or any caller's buffers) down with it.
 //!
-//! * **Supervision.** When a worker's evaluation panics, the worker
-//!   recovers the in-flight requests (the fused output blocks are
-//!   un-fused and reattached to their callers), re-enqueues them with a
-//!   bumped crash count, and dies. A supervisor thread re-mints a fresh
-//!   [`Replica`] from the [`EngineCell`] **with the same domain tag**
-//!   and respawns the worker slot, so routing affinity survives the
-//!   crash. A request that crashes workers more than
-//!   [`ServiceConfig::max_retries`] times resolves its ticket to
-//!   [`ServiceError::WorkerLost`] instead of being retried forever.
+//! * **In-place restart.** When a worker's evaluation panics, the
+//!   worker recovers the in-flight requests (the fused output blocks
+//!   are un-fused and reattached to their callers), re-enqueues them
+//!   with a bumped crash count, and restarts its own loop on the same
+//!   thread with the same engine, pinned backend and home shard. Only a
+//!   slot the fault plan killed stops for good; when the last worker
+//!   stops outside a shutdown, the service turns
+//!   [`ServiceHealth::Failed`] and resolves everything still queued to
+//!   [`ServiceError::ShuttingDown`]. A request that crashes workers
+//!   more than [`ServiceConfig::max_retries`] times resolves its ticket
+//!   to [`ServiceError::WorkerLost`] instead of being retried forever.
 //! * **Typed outcomes.** [`Ticket::redeem`] (and the deadline-bounded
 //!   [`Ticket::redeem_for`]) return `Result<_, Failed>`: the error
 //!   carries a [`ServiceError`] *and* the caller's position/output
@@ -95,22 +95,22 @@
 use crate::batch::{check_batch, BatchOut, PosBlock};
 use crate::engine::SpoEngine;
 use crate::layout::Kernel;
-use crate::replica::{EngineCell, Replica};
+use crate::simd::{self, Backend};
 use crate::tuning;
 use einspline::{Real, ShardMap};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Lock, recovering the guard if a panicking thread poisoned the mutex.
-/// Every mutation of the shared state happens either before any panic
-/// site or is re-validated by the supervisor, so a poisoned guard is
-/// still consistent — this is the "poison-then-recover" contract the
-/// fault suite scripts with [`ServiceFault::Poison`].
+/// No panic site sits between two mutations of the shared state that
+/// must happen together, so a poisoned guard is still consistent and
+/// the restarted worker carries on with it — this is the
+/// "poison-then-recover" contract the fault suite scripts with
+/// [`ServiceFault::Poison`].
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -153,7 +153,7 @@ impl RoutingPolicy {
 /// routing policy, crash-retry budget.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads, each owning one engine replica handle.
+    /// Worker threads, all sharing the one engine.
     pub replicas: usize,
     /// Fused-batch target: a worker stops coalescing once the fused
     /// block holds at least this many positions.
@@ -203,8 +203,8 @@ pub enum ServiceError {
         /// Re-enqueue attempts performed before giving up.
         retries: usize,
     },
-    /// The service stopped — shut down, or every replica worker was
-    /// lost with none respawnable — before the request could run.
+    /// The service stopped — shut down, or every worker was killed —
+    /// before the request could run.
     ShuttingDown,
 }
 
@@ -251,13 +251,13 @@ impl<T: Real, O> std::fmt::Debug for Failed<T, O> {
     }
 }
 
-/// Liveness of a service's replica pool.
+/// Liveness of a service's worker pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceHealth {
-    /// Every configured replica worker is live.
+    /// Every configured worker is live.
     Healthy,
-    /// At least one worker is dead (killed, or crashed and not yet
-    /// respawned); the survivors keep evaluating.
+    /// At least one worker was killed (a crashed worker restarts in
+    /// place and never counts as dead); the survivors keep evaluating.
     Degraded,
     /// No worker is live and none is coming back; queued and future
     /// requests resolve to [`ServiceError::ShuttingDown`].
@@ -265,22 +265,22 @@ pub enum ServiceHealth {
 }
 
 /// One scripted worker fault (see [`ServiceFaultPlan`]). `worker` is
-/// the worker *slot* (`0..replicas`, stable across respawns);
+/// the worker *slot* (`0..replicas`, stable across restarts);
 /// `at_request` is an admission sequence number — the fault fires the
 /// first time that slot handles a batch whose seed request was admitted
 /// at or after it. Every fault fires exactly once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServiceFault {
     /// Panic the worker inside kernel evaluation. The batch is
-    /// recovered and retried; the supervisor respawns the slot.
+    /// recovered and retried; the worker restarts in place.
     Panic {
         /// Worker slot the fault targets.
         worker: usize,
         /// Admission sequence number that arms the fault.
         at_request: usize,
     },
-    /// Panic the worker and mark the slot non-respawnable — a permanent
-    /// replica loss (the degraded-mode benchmark's knob).
+    /// Panic the worker and stop its thread instead of restarting it —
+    /// a permanent worker loss (the degraded-mode benchmark's knob).
     Kill {
         /// Worker slot the fault targets.
         worker: usize,
@@ -288,7 +288,7 @@ pub enum ServiceFault {
         at_request: usize,
     },
     /// Sleep the worker for `ms` milliseconds before evaluating — a
-    /// slow replica, for deadline/timeout coverage.
+    /// slow worker, for deadline/timeout coverage.
     Stall {
         /// Worker slot the fault targets.
         worker: usize,
@@ -298,7 +298,7 @@ pub enum ServiceFault {
         ms: u64,
     },
     /// Panic the worker **while it holds the shared state mutex**,
-    /// poisoning it; the supervisor respawns the slot and every later
+    /// poisoning it; the worker restarts in place and every later
     /// lock recovers the (still consistent) state — the
     /// poison-then-recover scenario.
     Poison {
@@ -528,7 +528,7 @@ pub struct StatsSnapshot {
     pub retried: usize,
     /// Worker evaluation panics caught (injected or real).
     pub panics: usize,
-    /// Worker slots the supervisor respawned after a crash.
+    /// Worker restarts after a caught panic.
     pub respawns: usize,
 }
 
@@ -712,21 +712,14 @@ struct Shared<T: Real, O> {
     cfg: ServiceConfig,
     router: Router,
     stats: Stats,
-    /// Live worker count (decremented by the exit wrapper, incremented
-    /// at spawn/respawn) — the health signal.
+    /// Live worker count (decremented when a worker thread stops) —
+    /// the health signal.
     live: AtomicUsize,
-    /// Set once every worker is gone with none respawnable; submissions
+    /// Set once the last worker stopped outside a shutdown; submissions
     /// then resolve to [`ServiceError::ShuttingDown`] instead of
     /// queueing forever.
     failed: AtomicBool,
     faults: FaultState,
-}
-
-/// Supervisor mail: worker slot `slot` (serving NUMA `domain`) died,
-/// or the service is shutting down and the supervisor should retire.
-enum Notice {
-    Died { slot: usize, domain: usize },
-    Shutdown,
 }
 
 /// How a worker's loop ended: a clean shutdown drain, or a caught
@@ -743,30 +736,22 @@ where
     E::Out: 'static,
 {
     shared: Arc<Shared<T, E::Out>>,
-    cell: EngineCell<E>,
-    /// Worker join handles; the supervisor pushes respawned workers
-    /// here, shutdown drains it (possibly twice).
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    supervisor: Option<JoinHandle<()>>,
-    /// Death-notice sender; kept so shutdown can send the retire
-    /// sentinel *after* joining the workers (mpsc is FIFO, so every
-    /// crash notice from a joined worker precedes the sentinel).
-    tx: Option<Sender<Notice>>,
+    engine: Arc<E>,
+    /// One handle per worker thread; shutdown joins them once.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl<T: Real, E: SpoEngine<T> + 'static> SpoService<T, E>
 where
     E::Out: 'static,
 {
-    /// Move `engine` into a replica cell and spawn the worker threads
-    /// plus the supervisor.
+    /// Move `engine` behind a shared `Arc` and spawn `cfg.replicas`
+    /// worker threads.
     ///
-    /// The workers' SIMD backend is pinned here (replica mint time), so
-    /// building the service inside a
-    /// [`with_backend`](crate::simd::with_backend) force pins that
-    /// backend for the service's lifetime — including any workers the
-    /// supervisor respawns later, since respawned replicas are minted
-    /// on the supervisor thread from the same cell under no force.
+    /// The workers' SIMD backend is read here, once, and pinned: a
+    /// service built inside a [`with_backend`](crate::simd::with_backend)
+    /// force evaluates with that backend for its whole lifetime,
+    /// including after a worker restarts from a caught panic.
     pub fn new(engine: E, cfg: ServiceConfig) -> Self {
         Self::with_fault_plan(engine, cfg, ServiceFaultPlan::none())
     }
@@ -786,7 +771,8 @@ where
             // of the queue bound (but never less than one full batch).
             spill_limit: cfg.max_batch.max(cfg.queue_positions / n_shards),
         };
-        let cell = EngineCell::new(engine);
+        let engine = Arc::new(engine);
+        let backend = simd::active_backend();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queues: (0..n_shards).map(|_| VecDeque::new()).collect(),
@@ -803,45 +789,19 @@ where
             failed: AtomicBool::new(false),
             faults: FaultState::new(plan, cfg.replicas),
         });
-        let (tx, rx) = mpsc::channel();
-        let handles = Arc::new(Mutex::new(Vec::with_capacity(cfg.replicas)));
-        {
-            let mut hs = lock_recover(&handles);
-            for (slot, replica) in cell
-                .handles_for_domains(cfg.replicas, n_shards)
-                .into_iter()
-                .enumerate()
-            {
-                hs.push(spawn_worker(replica, slot, Arc::clone(&shared), tx.clone()));
-            }
-        }
-        let supervisor = {
-            let cell = cell.clone();
-            let shared = Arc::clone(&shared);
-            let handles = Arc::clone(&handles);
-            let tx = tx.clone();
-            std::thread::Builder::new()
-                .name("spo-supervisor".into())
-                .spawn(move || supervisor_loop(cell, shared, handles, rx, tx))
-                .expect("spawn service supervisor")
-        };
+        let workers = (0..cfg.replicas)
+            .map(|slot| spawn_worker(Arc::clone(&engine), backend, slot, Arc::clone(&shared)))
+            .collect();
         Self {
             shared,
-            cell,
-            handles,
-            supervisor: Some(supervisor),
-            tx: Some(tx),
+            engine,
+            workers,
         }
-    }
-
-    /// Service with the default [`ServiceConfig`].
-    pub fn with_default_config(engine: E) -> Self {
-        Self::new(engine, ServiceConfig::default())
     }
 
     /// The shared engine (configuration queries, buffer allocation).
     pub fn engine(&self) -> &E {
-        self.cell.engine()
+        &self.engine
     }
 
     /// The service configuration.
@@ -854,7 +814,7 @@ where
         self.shared.router.n_shards()
     }
 
-    /// Liveness of the replica pool.
+    /// Liveness of the worker pool.
     pub fn health(&self) -> ServiceHealth {
         if self.shared.failed.load(Ordering::Relaxed) {
             ServiceHealth::Failed
@@ -887,53 +847,6 @@ where
         }
     }
 
-    /// Route the admitted request onto its shard queue (the caller
-    /// holds the lock and has already passed admission control).
-    /// `class` is the pre-lock classification (`None` with one shard).
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_locked(
-        &self,
-        st: &mut State<T, E::Out>,
-        class: Option<usize>,
-        seq: usize,
-        deadline: Option<Instant>,
-        kernel: Kernel,
-        pos: PosBlock<T>,
-        out: BatchOut<E::Out>,
-        done: &Arc<Done<T, E::Out>>,
-    ) {
-        let (target, spilled) = match class {
-            Some(c) => spill_target(
-                c,
-                pos.len(),
-                &st.queued_positions,
-                self.shared.router.spill_limit,
-            ),
-            None => (0, false),
-        };
-        if spilled {
-            self.shared.stats.spilled.fetch_add(1, Ordering::Relaxed);
-        }
-        st.pending_positions += pos.len();
-        st.queued_positions[target] += pos.len();
-        st.queues[target].push_back(Request {
-            kernel,
-            pos,
-            out: out.into_blocks(),
-            done: Arc::clone(done),
-            seq,
-            shard: target,
-            crashes: 0,
-            deadline,
-        });
-    }
-
-    /// Classify `pos` outside the state lock (`None` = single shard,
-    /// nothing to decide).
-    fn classify(&self, pos: &PosBlock<T>) -> Option<usize> {
-        (self.shared.router.n_shards() > 1).then(|| self.shared.router.classify(pos))
-    }
-
     /// The one submission path behind [`SpoService::submit`] and
     /// [`SpoService::submit_with_deadline`].
     fn submit_inner(
@@ -957,7 +870,10 @@ where
             done.fail(ServiceError::Shed, pos, out);
             return Ticket { done };
         }
-        let class = self.classify(&pos);
+        // Classify outside the state lock (`None` = single shard,
+        // nothing to decide).
+        let router = &self.shared.router;
+        let class = (router.n_shards() > 1).then(|| router.classify(&pos));
         let mut st = lock_recover(&self.shared.state);
         loop {
             assert!(!st.shutdown, "submit on a shut-down SpoService");
@@ -999,7 +915,27 @@ where
                 }
             }
         }
-        self.enqueue_locked(&mut st, class, seq, deadline, kernel, pos, out, &done);
+        // Admitted: route onto the classified shard queue, unless the
+        // load-balance escape hatch spills it.
+        let (target, spilled) = match class {
+            Some(c) => spill_target(c, pos.len(), &st.queued_positions, router.spill_limit),
+            None => (0, false),
+        };
+        if spilled {
+            self.shared.stats.spilled.fetch_add(1, Ordering::Relaxed);
+        }
+        st.pending_positions += pos.len();
+        st.queued_positions[target] += pos.len();
+        st.queues[target].push_back(Request {
+            kernel,
+            pos,
+            out: out.into_blocks(),
+            done: Arc::clone(&done),
+            seq,
+            shard: target,
+            crashes: 0,
+            deadline,
+        });
         drop(st);
         self.shared.work.notify_one();
         Ticket { done }
@@ -1037,86 +973,20 @@ where
         self.submit_inner(kernel, pos, out, Some(deadline))
     }
 
-    /// Non-blocking [`SpoService::submit`]: if admitting `pos` would
-    /// exceed the queue bound, the request is handed back unevaluated.
-    #[allow(clippy::type_complexity)]
-    pub fn try_submit(
-        &self,
-        kernel: Kernel,
-        pos: PosBlock<T>,
-        out: BatchOut<E::Out>,
-    ) -> Result<Ticket<T, E::Out>, (PosBlock<T>, BatchOut<E::Out>)> {
-        check_batch(pos.len(), out.len());
-        let done = Arc::new(Done::new());
-        if pos.is_empty() {
-            done.complete(pos, out, Instant::now());
-            return Ok(Ticket { done });
-        }
-        let class = self.classify(&pos);
-        let mut st = lock_recover(&self.shared.state);
-        assert!(!st.shutdown, "submit on a shut-down SpoService");
-        if self.shared.failed.load(Ordering::Relaxed) {
-            drop(st);
-            self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-            done.fail(ServiceError::ShuttingDown, pos, out);
-            return Ok(Ticket { done });
-        }
-        if st.pending_positions != 0
-            && st.pending_positions + pos.len() > self.shared.cfg.queue_positions
-        {
-            return Err((pos, out));
-        }
-        let seq = self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.enqueue_locked(&mut st, class, seq, None, kernel, pos, out, &done);
-        drop(st);
-        self.shared.work.notify_one();
-        Ok(Ticket { done })
-    }
-
-    /// Join every worker handle registered so far (the supervisor may
-    /// push more while this runs; callers loop via the double drain in
-    /// [`SpoService::shutdown`]).
-    fn join_workers(&self) {
-        loop {
-            let handle = lock_recover(&self.handles).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Drain every queued request, retire the supervisor and join the
-    /// workers. Idempotent; also runs on drop. Every ticket issued
-    /// before the call resolves (successfully for drained work,
-    /// [`ServiceError::ShuttingDown`] for anything unrunnable).
+    /// Drain every queued request and join the workers. Idempotent;
+    /// also runs on drop. Every ticket issued before the call resolves
+    /// (successfully for drained work, [`ServiceError::ShuttingDown`]
+    /// for anything unrunnable).
     pub fn shutdown(&mut self) {
-        {
-            let mut st = lock_recover(&self.shared.state);
-            if st.shutdown && self.supervisor.is_none() {
-                return;
-            }
-            st.shutdown = true;
-        }
+        lock_recover(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
         self.shared.space.notify_all();
-        self.join_workers();
-        // All original workers are joined, so every Died notice they
-        // sent is already in the channel (mpsc is FIFO): the sentinel
-        // cannot overtake a crash the supervisor still must handle.
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Notice::Shutdown);
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        // Workers the supervisor respawned during the drain.
-        self.join_workers();
-        // Safety net: if the last worker crashed after the supervisor
-        // retired, its re-enqueued requests are still queued — resolve
-        // them rather than strand the tickets.
+        // Safety net: if the last worker was killed during the drain,
+        // its re-enqueued requests are still queued — resolve them
+        // rather than strand the tickets.
         fail_all_queued(&self.shared);
     }
 }
@@ -1130,18 +1000,20 @@ where
     }
 }
 
-/// Spawn one worker thread for `slot`: the worker loop wrapped in the
-/// crash handler that keeps the books (live count, panic counter) and
-/// mails the supervisor. This outer `catch_unwind` is the safety net
-/// for panics *outside* evaluation (e.g. the scripted Poison fault,
-/// which panics while holding the state mutex); evaluation panics are
-/// caught closer in, inside [`execute`], so the batch's buffers are
-/// recovered first.
+/// Spawn the worker thread for `slot`. The worker loop runs under an
+/// outer `catch_unwind`, the safety net for panics *outside*
+/// evaluation (e.g. the scripted Poison fault, which panics while
+/// holding the state mutex); evaluation panics are caught closer in,
+/// inside [`execute`], so the batch's buffers are recovered first.
+/// After any crash the loop restarts in place with the same engine,
+/// backend and slot — unless the fault plan killed the slot. When the
+/// last worker stops outside a shutdown, the service turns
+/// [`ServiceHealth::Failed`] and resolves everything still queued.
 fn spawn_worker<T: Real, E: SpoEngine<T> + 'static>(
-    replica: Replica<E>,
+    engine: Arc<E>,
+    backend: Backend,
     slot: usize,
     shared: Arc<Shared<T, E::Out>>,
-    tx: Sender<Notice>,
 ) -> JoinHandle<()>
 where
     E::Out: 'static,
@@ -1149,60 +1021,28 @@ where
     std::thread::Builder::new()
         .name(format!("spo-worker-{slot}"))
         .spawn(move || {
-            let domain = replica.domain();
-            let exit = catch_unwind(AssertUnwindSafe(|| worker_loop(&replica, slot, &shared)));
-            let crashed = !matches!(exit, Ok(WorkerExit::Shutdown));
-            if crashed {
+            loop {
+                let exit =
+                    catch_unwind(AssertUnwindSafe(|| worker_loop(&*engine, backend, slot, &shared)));
+                if matches!(exit, Ok(WorkerExit::Shutdown)) {
+                    break;
+                }
                 shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+                if shared.faults.is_killed(slot) {
+                    break;
+                }
+                shared.stats.respawns.fetch_add(1, Ordering::Relaxed);
             }
-            shared.live.fetch_sub(1, Ordering::Relaxed);
-            if crashed {
-                // Receiver gone (supervisor already retired) is fine:
-                // shutdown's final drain resolves anything left queued.
-                let _ = tx.send(Notice::Died { slot, domain });
+            let last = shared.live.fetch_sub(1, Ordering::Relaxed) == 1;
+            let shutdown = lock_recover(&shared.state).shutdown;
+            if last && !shutdown {
+                shared.failed.store(true, Ordering::Relaxed);
+                fail_all_queued(&shared);
             }
             shared.work.notify_all();
             shared.space.notify_all();
         })
         .expect("spawn service worker")
-}
-
-/// The supervisor: respawn crashed workers from the cell (same slot,
-/// same domain tag, so routing affinity survives), unless the slot was
-/// scripted as killed or the service is draining an empty queue. When
-/// the last worker is gone with no respawn, flip the service to
-/// [`ServiceHealth::Failed`] and resolve everything still queued.
-fn supervisor_loop<T: Real, E: SpoEngine<T> + 'static>(
-    cell: EngineCell<E>,
-    shared: Arc<Shared<T, E::Out>>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    rx: Receiver<Notice>,
-    tx: Sender<Notice>,
-) where
-    E::Out: 'static,
-{
-    while let Ok(notice) = rx.recv() {
-        match notice {
-            Notice::Shutdown => return,
-            Notice::Died { slot, domain } => {
-                let killed = shared.faults.is_killed(slot);
-                let (shutdown, queued) = {
-                    let st = lock_recover(&shared.state);
-                    (st.shutdown, st.queues.iter().map(VecDeque::len).sum::<usize>())
-                };
-                if !killed && (!shutdown || queued > 0) {
-                    shared.stats.respawns.fetch_add(1, Ordering::Relaxed);
-                    shared.live.fetch_add(1, Ordering::Relaxed);
-                    let replica = cell.handle_for_domain(domain);
-                    let h = spawn_worker(replica, slot, Arc::clone(&shared), tx.clone());
-                    lock_recover(&handles).push(h);
-                } else if shared.live.load(Ordering::Relaxed) == 0 {
-                    shared.failed.store(true, Ordering::Relaxed);
-                    fail_all_queued(&shared);
-                }
-            }
-        }
-    }
 }
 
 /// Resolve every queued request to [`ServiceError::ShuttingDown`],
@@ -1252,19 +1092,20 @@ fn pop_live<T: Real, O>(
 
 /// One service worker: pop → coalesce → evaluate → complete, until
 /// shutdown (or until an evaluation crash, which re-enqueues the batch
-/// and ends this incarnation of the slot).
+/// and returns so [`spawn_worker`] can restart the loop).
 ///
-/// With shards, a worker seeds from its replica's home shard queue
+/// With shards, worker `slot` seeds from home shard `slot % shards`
 /// first and steals round-robin from the others when home is empty;
 /// the coalescing scan is scoped to the seed's queue, so only
 /// same-shard (spatially adjacent or identical) requests fuse.
 fn worker_loop<T: Real, E: SpoEngine<T>>(
-    replica: &Replica<E>,
+    engine: &E,
+    backend: Backend,
     slot: usize,
     shared: &Shared<T, E::Out>,
 ) -> WorkerExit {
     let n_shards = shared.router.n_shards();
-    let home = replica.domain() % n_shards;
+    let home = slot % n_shards;
     // Reused across batches: the fused position block (reserve keeps
     // the splice allocation-free in steady state).
     let mut fused_pos = PosBlock::<T>::new();
@@ -1340,7 +1181,7 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
         st.pending_positions -= total;
         drop(st);
         shared.space.notify_all();
-        match execute(replica, slot, kernel, batch, total, &mut fused_pos, shared) {
+        match execute(engine, backend, slot, batch, total, &mut fused_pos, shared) {
             Ok(()) => {}
             Err(recovered) => {
                 requeue_after_crash(shared, recovered);
@@ -1357,16 +1198,16 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
 /// requests — contents unspecified, but every caller buffer recovered —
 /// and the whole batch comes back as `Err` for re-enqueue.
 fn execute<T: Real, E: SpoEngine<T>>(
-    replica: &Replica<E>,
+    engine: &E,
+    backend: Backend,
     slot: usize,
-    kernel: Kernel,
     mut batch: Vec<Request<T, E::Out>>,
     total: usize,
     fused_pos: &mut PosBlock<T>,
     shared: &Shared<T, E::Out>,
 ) -> Result<(), Vec<Request<T, E::Out>>> {
     let stats = &shared.stats;
-    let seq0 = batch[0].seq;
+    let (kernel, seq0) = (batch[0].kernel, batch[0].seq);
     if batch.len() == 1 {
         // Single-request fast path: evaluate straight into the caller's
         // blocks, no splice.
@@ -1374,7 +1215,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
         let mut out = BatchOut::from_blocks(std::mem::take(&mut req.out));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shared.faults.before_eval(slot, req.seq);
-            replica.run(|| replica.eval_batch(kernel, &req.pos, &mut out));
+            simd::with_backend(backend, || engine.eval_batch(kernel, &req.pos, &mut out));
         }));
         return match outcome {
             Ok(()) => {
@@ -1405,7 +1246,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
     let mut fused_out = BatchOut::from_blocks(blocks);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared.faults.before_eval(slot, seq0);
-        replica.run(|| replica.eval_batch(kernel, fused_pos, &mut fused_out));
+        simd::with_backend(backend, || engine.eval_batch(kernel, fused_pos, &mut fused_out));
     }));
     let mut rest = fused_out.into_blocks();
     match outcome {
@@ -1495,7 +1336,7 @@ mod tests {
         PosBlock::random(&mut rng, ns, [(0.0, 1.0); 3])
     }
 
-    /// Spin until `f` is true or ~2s pass (supervisor actions are
+    /// Spin until `f` is true or ~2s pass (worker restarts are
     /// asynchronous; tests must not race them).
     fn eventually(f: impl Fn() -> bool) -> bool {
         for _ in 0..2000 {
@@ -1514,7 +1355,7 @@ mod tests {
         let mut direct = engine.make_batch_out(5);
         engine.eval_batch(Kernel::Vgh, &pos, &mut direct);
 
-        let service = SpoService::with_default_config(soa(24));
+        let service = SpoService::new(soa(24), ServiceConfig::default());
         let out = service.engine().make_batch_out(5);
         let (_, got, _) = service.submit(Kernel::Vgh, pos, out).redeem().unwrap();
         for p in 0..5 {
@@ -1530,7 +1371,7 @@ mod tests {
 
     #[test]
     fn empty_submission_completes_immediately() {
-        let service = SpoService::with_default_config(soa(8));
+        let service = SpoService::new(soa(8), ServiceConfig::default());
         let ticket = service.submit(
             Kernel::V,
             PosBlock::new(),
@@ -1580,43 +1421,12 @@ mod tests {
 
     #[test]
     fn ragged_tail_blocks_ride_along_untouched() {
-        let service = SpoService::with_default_config(soa(8));
+        let service = SpoService::new(soa(8), ServiceConfig::default());
         let pos = block(2, 9);
         // 4 blocks for 2 positions: the extra 2 must come back.
         let out = service.engine().make_batch_out(4);
         let (_, got, _) = service.submit(Kernel::V, pos, out).redeem().unwrap();
         assert_eq!(got.len(), 4);
-    }
-
-    #[test]
-    fn try_submit_hands_back_over_bound_requests() {
-        let engine = soa(8);
-        let service = SpoService::new(
-            engine,
-            ServiceConfig {
-                replicas: 1,
-                max_batch: 4,
-                // Long window: the first request is still pending when
-                // the second arrives.
-                max_wait: Duration::from_millis(200),
-                queue_positions: 4,
-                ..ServiceConfig::default()
-            },
-        );
-        let first = service.submit(Kernel::V, block(4, 1), service.engine().make_batch_out(4));
-        // The worker holds 4 pending positions; a second 4-position
-        // request exceeds the bound while the service is non-idle.
-        // (It may also have already drained — then submission succeeds.)
-        match service.try_submit(Kernel::V, block(4, 2), service.engine().make_batch_out(4)) {
-            Ok(t) => {
-                t.redeem().unwrap();
-            }
-            Err((pos, out)) => {
-                assert_eq!(pos.len(), 4);
-                assert_eq!(out.len(), 4);
-            }
-        }
-        first.redeem().unwrap();
     }
 
     #[test]
@@ -1648,7 +1458,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shut-down SpoService")]
     fn submit_after_shutdown_panics() {
-        let mut service = SpoService::with_default_config(soa(4));
+        let mut service = SpoService::new(soa(4), ServiceConfig::default());
         service.shutdown();
         let out = service.engine().make_batch_out(1);
         service.submit(Kernel::V, block(1, 0), out);
@@ -1674,7 +1484,7 @@ mod tests {
         assert_eq!(pinned.n_shards(), 3);
         // Auto resolves to whatever the host (or QMC_NUMA_DOMAINS)
         // reports — at least one shard, whatever that is.
-        let auto = SpoService::with_default_config(soa(8));
+        let auto = SpoService::new(soa(8), ServiceConfig::default());
         assert!(auto.n_shards() >= 1);
         assert_eq!(auto.n_shards(), crate::tuning::numa_domains());
     }
@@ -1803,7 +1613,7 @@ mod tests {
 
     #[test]
     fn past_deadline_submission_sheds_before_queueing() {
-        let service = SpoService::with_default_config(soa(8));
+        let service = SpoService::new(soa(8), ServiceConfig::default());
         let out = service.engine().make_batch_out(2);
         let deadline = Instant::now() - Duration::from_millis(1);
         let ticket = service.submit_with_deadline(Kernel::V, block(2, 3), out, deadline);
@@ -1925,6 +1735,58 @@ mod tests {
     }
 
     #[test]
+    fn last_worker_killed_with_work_queued_fails_every_ticket() {
+        // The stall holds the only worker on request 0 while the other
+        // five queue behind it; the kill then stops the worker for good,
+        // so request 0 is lost and everything queued must resolve too.
+        let mut service = SpoService::with_fault_plan(
+            soa(8),
+            ServiceConfig {
+                replicas: 1,
+                max_batch: 1,
+                routing: RoutingPolicy::Fifo,
+                max_retries: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceFaultPlan {
+                faults: vec![
+                    ServiceFault::Stall {
+                        worker: 0,
+                        at_request: 0,
+                        ms: 50,
+                    },
+                    ServiceFault::Kill {
+                        worker: 0,
+                        at_request: 0,
+                    },
+                ],
+            },
+        );
+        let tickets: Vec<_> = (0..6)
+            .map(|i| {
+                let out = service.engine().make_batch_out(1);
+                service.submit(Kernel::V, block(1, 20 + i), out)
+            })
+            .collect();
+        let errors: Vec<ServiceError> = tickets
+            .into_iter()
+            .map(|t| {
+                let failed = t.redeem().unwrap_err();
+                assert_eq!(failed.pos.map(|p| p.len()), Some(1), "positions returned");
+                assert_eq!(failed.out.map(|o| o.len()), Some(1), "blocks returned");
+                failed.error
+            })
+            .collect();
+        let count = |e: ServiceError| errors.iter().filter(|&&x| x == e).count();
+        assert_eq!(count(ServiceError::WorkerLost { retries: 0 }), 1, "{errors:?}");
+        assert_eq!(count(ServiceError::ShuttingDown), 5, "{errors:?}");
+        assert_eq!(service.health(), ServiceHealth::Failed);
+        let stats = service.stats();
+        assert_eq!((stats.panics, stats.respawns), (1, 0));
+        service.shutdown();
+    }
+
+    #[test]
     fn retry_budget_exhaustion_resolves_worker_lost() {
         let service = SpoService::with_fault_plan(
             soa(8),
@@ -1934,8 +1796,8 @@ mod tests {
                 ..ServiceConfig::default()
             },
             ServiceFaultPlan {
-                // Two one-shot panics on the same slot: the original
-                // worker and its respawn each crash once.
+                // Two one-shot panics on the same slot: the worker
+                // crashes once before and once after its restart.
                 faults: vec![
                     ServiceFault::Panic {
                         worker: 0,
@@ -1956,7 +1818,7 @@ mod tests {
         assert_eq!(failed.error, ServiceError::WorkerLost { retries: 1 });
         assert!(eventually(|| service.stats().panics == 2));
         assert_eq!(service.stats().retried, 1, "one re-enqueue before giving up");
-        // The second respawn leaves the service healthy again.
+        // The second restart leaves the service healthy again.
         assert!(eventually(|| service.health() == ServiceHealth::Healthy));
         let out = service.engine().make_batch_out(2);
         service
@@ -2006,7 +1868,7 @@ mod tests {
             },
         );
         // The poison fires as soon as worker 0 wakes with the state
-        // mutex held; the respawned worker recovers the poisoned lock.
+        // mutex held; the restarted worker recovers the poisoned lock.
         assert!(eventually(|| service.stats().respawns >= 1));
         let out = service.engine().make_batch_out(3);
         let (_, got, _) = service

@@ -1,17 +1,18 @@
 //! Fault-injection smoke for the evaluation service (CI tool).
 //!
 //! Builds an [`SpoService`] with a scripted [`ServiceFaultPlan`] that
-//! panics both replica workers mid-load, drives it with concurrent
-//! pipelined submitters, and checks the fault-tolerance contract the
-//! chaos proptests assert statistically:
+//! panics both workers mid-load, drives it with concurrent pipelined
+//! submitters, and checks the fault-tolerance contract the chaos
+//! proptests assert statistically:
 //!
 //! * every ticket resolves (no deadlock, no lost caller buffers);
 //! * every successful result is bit-identical to the direct
 //!   `eval_batch` over the same positions;
-//! * the supervisor respawned at least one killed worker slot.
+//! * at least one crashed worker restarted in place
+//!   (`StatsSnapshot::respawns`).
 //!
 //! Exits nonzero when any ticket is lost, any result mismatches, or no
-//! respawn happened (the injected faults never fired — a dead harness).
+//! restart happened (the injected faults never fired — a dead harness).
 //!
 //!   cargo run --release -p qmc-bench --example service_chaos
 

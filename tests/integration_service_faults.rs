@@ -353,8 +353,49 @@ fn injected_panics_move_the_fault_counters_without_losing_requests() {
     assert_eq!(stats.requests, total);
     assert_eq!(stats.positions, total * pos.len());
     assert_eq!(stats.panics, 1, "the scripted fault fired once");
-    assert!(stats.respawns >= 1, "the supervisor replaced the slot");
+    assert!(stats.respawns >= 1, "the worker restarted in place");
     assert!(stats.retried >= 1, "the crashed batch was re-enqueued");
+}
+
+/// A worker restarted after a crash keeps the backend the service was
+/// built under: the restart runs on the worker's own thread, where no
+/// backend force is active, so it must re-arm the backend pinned at
+/// construction rather than read the thread's default.
+#[test]
+fn respawned_worker_keeps_the_pinned_backend() {
+    use bspline::simd::{with_backend, Backend};
+    if !Backend::available().contains(&Backend::Sse2) {
+        return;
+    }
+    quiet_worker_panics();
+    let (n, ns) = (40, 6);
+    let engine = BsplineSoA::new(random_table::<f32>(n, 0xbac4));
+    let pos = random_block::<f32>(ns, 0xbac5);
+    let sse2 = with_backend(Backend::Sse2, || direct_batch(&engine, Kernel::Vgh, &pos));
+    let service = with_backend(Backend::Sse2, || {
+        SpoService::with_fault_plan(
+            engine,
+            ServiceConfig {
+                replicas: 1,
+                ..ServiceConfig::default()
+            },
+            ServiceFaultPlan {
+                faults: vec![ServiceFault::Panic { worker: 0, at_request: 0 }],
+            },
+        )
+    });
+    for round in 0..4 {
+        let out = service.engine().make_batch_out(ns);
+        let (_, got, _) = service
+            .submit(Kernel::Vgh, pos.clone(), out)
+            .redeem()
+            .expect("the default retry budget covers one panic");
+        for p in 0..ns {
+            let ctx = format!("round {round} p={p}");
+            assert_blocks_bitmatch(Kernel::Vgh, n, got.block(p), sse2.block(p), &ctx);
+        }
+    }
+    assert!(service.stats().respawns >= 1, "the injected panic restarted the worker");
 }
 
 /// Deadline/shed coverage, made deterministic with a scripted stall:
