@@ -266,27 +266,11 @@
 //!   [`batch::Located`] for the last proposed position (keyed by the
 //!   exact floats) and a lazily built `f32` sub-context for
 //!   [`precision::MixedEngine`] (positions narrow once per move).
-//! * **Two protocols, picked by table residency.** For cache-resident
-//!   tables the split protocol above is right: the propose-side V is
-//!   cheap and the accept-side VGL rides warm lines. For
-//!   streaming-sized tables (paper-scale: N = 512 at a 32³ grid is a
-//!   ~67 MB table, ~128 KB touched per evaluation) every pass is
-//!   DRAM-bound, so the accept-side pass re-streams what propose just
-//!   read; there the **fused** variant wins — `vgl_one` on propose
-//!   computes V for the ratio *and* G/L for the drift in one streaming
-//!   pass (the extra arithmetic hides under the line traffic), and the
-//!   accept side reads the context-cached output streams with no
-//!   further kernel call, making the pair's cost one cold pass
-//!   regardless of acceptance rate (the ledger's `spline_onemove`
-//!   workload times both halves as its `bspline.onemove.*` rows).
 //! * **No dedicated kernel.** A move runs the engine's one body over a
-//!   slice of 1, exactly like a scalar call or a batch of one. What a
-//!   slice of 1 lacks is a neighbour position to overlap memory latency
-//!   with, so the body itself reacts to it: the SoA kernel walks V over
-//!   a streaming-sized table (≥ 8 MiB) in 64-orbital chunks with the
-//!   next chunk's 64 coefficient line segments software-prefetched (its
-//!   64 concurrent z-line streams defeat the hardware prefetcher; the
-//!   measurements that keep this are on `simd`'s kernel docs), and the
+//!   slice of 1, exactly like a scalar call or a batch of one, and the
+//!   SoA kernel walks that one position exactly as it walks each
+//!   position of a batch (four packs a step for V; the kernel docs
+//!   record why a look-ahead walk for a lone V does not pay). The
 //!   blocked core prefetches the next block while the current one
 //!   computes. The one adapter forwards the view:
 //!   [`precision::MixedEngine`] narrows in / widens out per move with
@@ -297,7 +281,7 @@
 //!   cache hit or miss — property-tested in
 //!   `tests/integration_onemove.rs` across layouts × backends ×
 //!   precisions, including accept/reject sequences, grid-cell boundary
-//!   positions and streaming-sized tables.
+//!   positions and tables larger than an L2.
 //!
 //! # Precision model
 //!

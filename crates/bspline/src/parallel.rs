@@ -318,17 +318,28 @@ mod tests {
 
     #[test]
     fn nested_workers_inherit_the_forced_backend() {
-        use crate::simd::{with_backend, Backend};
-        // Scalar-pack forcing must survive the fan-out: the nested run
-        // under a scalar force must equal a plain scalar-forced serial
-        // loop even if the stub spawns worker threads.
+        use crate::simd::{backend_log, with_backend, Backend};
+        use std::collections::BTreeSet;
+        // A scalar force must survive the fan-out to worker threads.
+        // Every backend gives the same bits, so the outputs cannot show
+        // a worker that fell back to the default backend; the backend
+        // log of each block's table can. (On a one-thread pool the
+        // fan-out runs inline, where the force holds anyway.)
         let engine = blocked_engine(24, 8);
         let positions = random_blocks(&engine, 1, 3, 11);
-        let expect = with_backend(Backend::Scalar, || serial(&engine, &positions));
+        let tables = || engine.blocks().iter().map(BsplineSoA::coefs);
+        for t in tables() {
+            backend_log::take(t);
+        }
         let mut nested = vec![engine.make_out()];
         with_backend(Backend::Scalar, || {
             run_nested_blocked(&engine, Kernel::Vgh, &mut nested, &positions, 4);
         });
+        for (b, t) in tables().enumerate() {
+            let seen = backend_log::take(t);
+            assert_eq!(seen, BTreeSet::from([Backend::Scalar]), "block {b}");
+        }
+        let expect = with_backend(Backend::Scalar, || serial(&engine, &positions));
         assert_walkers_eq(&expect, &nested, 24, "forced scalar");
     }
 }

@@ -195,9 +195,8 @@ pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
 /// Signature of the dispatched SoA evaluation kernel: one function
 /// covers V/VGL/VGH via the leading selector, the stream view carries
 /// the orbital range (whole padded streams for the monolithic engines,
-/// one block's sub-range for [`crate::blocked`]), and the trailing flag
-/// says the evaluation covers this one position only.
-type EvalSoaFn<T> = for<'a> fn(Kernel, &MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>, bool);
+/// one block's sub-range for [`crate::blocked`]).
+type EvalSoaFn<T> = for<'a> fn(Kernel, &MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>);
 /// Signature of the dispatched AoS V/L point accumulation.
 type VlPointFn<T> = fn(T, T, &[T], &mut [T], &mut [T], usize);
 

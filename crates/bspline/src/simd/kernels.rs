@@ -69,7 +69,9 @@
 //! hoists 160 splats to the stack; −12 %); hinting V's four-pack walk a
 //! whole chunk ahead (V 466–481 → 341–344). That loss was put down to
 //! the four shared L1 sets, but it survives the row pad: four packs a
-//! step already stream every z-line for the hardware prefetchers.
+//! step already stream every z-line for the hardware prefetchers. Nor
+//! for a lone position (a slice of 1, tables of 8 MiB and up): see the
+//! rows under [`eval_soa`].
 //!
 //! Per element the operation chain is unchanged by all of this (same
 //! products, same accumulation order, same fused ops), so results are
@@ -352,67 +354,36 @@ fn range<T: Real, L: SimdReal<T>, const Q: usize, const A: usize>(
     chunks::<T, Lane1<T>, 1, Q, A>(h, terms, wc, &mut out, at, to);
 }
 
-/// Prefetch the byte span covering orbitals `[from, to)` of all 64
-/// coefficient z-lines of the evaluation cell into L1.
-#[inline(always)]
-fn prefetch_span<T: Real, const Q: usize>(h: &Hoisted<'_, T, Q>, from: usize, to: usize) {
-    let step = CACHE_LINE / std::mem::size_of::<T>();
-    for run in h.runs {
-        for k in 0..4 {
-            for at in (from..to).step_by(step) {
-                prefetch_line(run, k * h.stride + at);
-            }
-        }
-    }
-}
-
-/// Orbitals per look-ahead chunk of [`eval_soa`]'s streaming V walk:
-/// 64·4 B = one 256 B segment per z-line in f32 (512 B in f64) — small
-/// enough that the prefetched next chunk displaces little of L1, large
-/// enough that one chunk's compute covers the 64 outstanding DRAM
-/// round-trips. Always a multiple of every pack's lane count, so the
-/// chunked lane partition equals the monolithic one.
-const LOOKAHEAD_CHUNK: usize = 64;
-
-/// Coefficient tables at least this large are treated as streaming
-/// (not cache-resident) by [`eval_soa`].
-const STREAMING_BYTES: usize = 8 << 20;
-
 /// The SoA evaluation kernel: V, VGL or VGH over one pre-located
 /// position, the streams `kernel` produces fully overwritten for all
 /// `out.len()` orbitals.
 ///
-/// One case walks differently, selected from what this body observes —
-/// the kernel is V, the table is at least [`STREAMING_BYTES`], and the
-/// evaluation covers this position only (`single`: a slice of 1 has no
-/// neighbour position to overlap memory latency with, and V's 64
-/// concurrent z-line streams exceed the hardware prefetcher's stream
-/// capacity). It then walks the orbitals in [`LOOKAHEAD_CHUNK`]s with
-/// the *next* chunk's 64 coefficient segments software-prefetched while
-/// the current one computes. Results are bit-identical either way (the
-/// per-orbital accumulators are lane-private, so any lane-aligned range
-/// partition reproduces the monolithic walk). The mechanism was
-/// measured on the traced `spline_onemove` workload against the same
-/// code with the look-ahead disabled (3 alternating pairs, every pair
-/// the same sign):
+/// Every kernel takes one walk, [`range`], whether the position is
+/// evaluated alone (a scalar call, a one-move call, a batch of one) or
+/// as one of a batch. A lone V on a table of 8 MiB or more takes no
+/// look-ahead walk (64-orbital chunks, each prefetching the next one's
+/// coefficient segments): on padded rows that walk pays only on
+/// cell-wide positions, by about 5 %, and at confined positions it
+/// makes V slower than VGL over the same lines. Traced `spline_onemove`
+/// (N = 256, AVX-512, 2 MiB L2, reference clock), four alternating
+/// pairs, median and range:
 ///
-/// * `bspline.onemove.pair_cellwide_ns` (positions drawn cell-wide, the
-///   table streams): 7019/7017/6850 with it vs 10228/10095/9520
-///   without — it saves ~30 %, which is why it stays;
-/// * `bspline.onemove.v_one_ns` (confined positions, hot set resident
-///   in L2 although the table is above the threshold): 1579/1660/1684
-///   with it vs 1460/1414/1452 without — every prefetch is then a hit
-///   and the µops cost ~13 %, which is why tables below the threshold,
-///   and VGL/VGH (3–6× the arithmetic per coefficient already covers
-///   the latency; their only hints are the [`ahead`]-plane ones of the
-///   chunk loop), take the plain walk.
+/// | row | look-ahead | one walk |
+/// |---|---|---|
+/// | `bspline.onemove.v_one_ns` | 1065 (995–1290) | 634 (593–719) |
+/// | `bspline.soa.v_scalar_ns` | 1016 (952–1278) | 574 (550–713) |
+/// | `bspline.onemove.vgl_one_hit_ns` | 927 (844–1142) | 934 (862–1102) |
+/// | `bspline.onemove.pair_cellwide_ns` | 6302 (5738–6647) | 6904 (6454–7047) |
+///
+/// The cell-wide pair reads ≈ 10 % slower, about its per-run spread
+/// (0.09–0.16); the untraced `spline_onemove` rate went 627 k → 950 k
+/// pairs/s (median of ten pairs).
 #[inline(always)]
 pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(
     kernel: Kernel,
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     out: SoAStreamsMut<'_, T>,
-    single: bool,
 ) {
     let m = out.len();
     debug_assert!(m <= coefs.stride_n());
@@ -420,18 +391,7 @@ pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(
     match kernel {
         Kernel::V => {
             let h = Hoisted::new(coefs, loc, |i, j| [wa.a[i] * wb.a[j]]);
-            if single && coefs.bytes() >= STREAMING_BYTES {
-                prefetch_span(&h, 0, LOOKAHEAD_CHUNK.min(m));
-                let mut cs = 0usize;
-                while cs < m {
-                    let ce = (cs + LOOKAHEAD_CHUNK).min(m);
-                    prefetch_span(&h, ce, (ce + LOOKAHEAD_CHUNK).min(m));
-                    range::<T, L, 1, 1>(&h, &V_TERMS, wc, [&mut *out.v], cs, ce);
-                    cs = ce;
-                }
-            } else {
-                range::<T, L, 1, 1>(&h, &V_TERMS, wc, [out.v], 0, m);
-            }
+            range::<T, L, 1, 1>(&h, &V_TERMS, wc, [out.v], 0, m);
         }
         Kernel::Vgl => {
             let h = Hoisted::new(coefs, loc, |i, j| {

@@ -89,21 +89,50 @@ use einspline::Real;
 /// `v/gx/gy/gz/h**`). The view's length selects the orbital count —
 /// whole padded streams for the monolithic engine, one block's
 /// sub-range of a shared contiguous output for [`crate::blocked`].
-/// `single` states that the enclosing evaluation covers this one
-/// position only (a slice of 1): there is then no neighbour position
-/// to overlap memory latency with, which is what the look-ahead V walk
-/// keys on (see `kernels::eval_soa`). Results do not depend on it.
+/// One position evaluated alone walks exactly like one position of a
+/// batch (see `kernels::eval_soa`).
 #[inline]
 pub(crate) fn eval_soa<T: Real>(
     kernel: Kernel,
     coefs: &MultiCoefs<T>,
     loc: &Located<T>,
     out: SoAStreamsMut<'_, T>,
-    single: bool,
 ) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.eval_soa)(kernel, coefs, loc, out, single),
-        None => kernels::eval_soa::<T, ScalarLanes<T>>(kernel, coefs, loc, out, single),
+    let fns = dispatch::fns::<T>();
+    #[cfg(test)]
+    backend_log::record(coefs, fns.map_or(Backend::Scalar, |f| f.backend));
+    match fns {
+        Some(f) => (f.eval_soa)(kernel, coefs, loc, out),
+        None => kernels::eval_soa::<T, ScalarLanes<T>>(kernel, coefs, loc, out),
+    }
+}
+
+/// Which backends [`eval_soa`] ran under, per coefficient table: the
+/// only way a test can see the backend of a call, since every backend
+/// gives the same bits. Keyed by the table's address, so a test
+/// that clears its own tables' entries first sees only its own calls:
+/// no other live table shares the address.
+#[cfg(test)]
+pub(crate) mod backend_log {
+    use super::Backend;
+    use einspline::multi::MultiCoefs;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Mutex;
+
+    static SEEN: Mutex<BTreeMap<usize, BTreeSet<Backend>>> = Mutex::new(BTreeMap::new());
+
+    fn key<T>(coefs: &MultiCoefs<T>) -> usize {
+        std::ptr::from_ref(coefs) as usize
+    }
+
+    pub(crate) fn record<T>(coefs: &MultiCoefs<T>, backend: Backend) {
+        SEEN.lock().unwrap().entry(key(coefs)).or_default().insert(backend);
+    }
+
+    /// The backends `coefs` was evaluated under since the last call,
+    /// clearing them.
+    pub(crate) fn take<T>(coefs: &MultiCoefs<T>) -> BTreeSet<Backend> {
+        SEEN.lock().unwrap().remove(&key(coefs)).unwrap_or_default()
     }
 }
 
@@ -191,7 +220,6 @@ mod tests {
                 &table,
                 &loc,
                 out.streams_range_mut(0, m),
-                false,
             );
             out
         };
@@ -203,7 +231,7 @@ mod tests {
                 for kernel in Kernel::ALL {
                     let mut out = WalkerSoA::<f32>::new(30);
                     with_backend(b, || {
-                        eval_soa(kernel, &table, &loc, out.streams_range_mut(0, m), false)
+                        eval_soa(kernel, &table, &loc, out.streams_range_mut(0, m))
                     });
                     for idx in 0..m {
                         let (want, got) = (reference.v[idx], out.v[idx]);

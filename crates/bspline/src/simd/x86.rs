@@ -199,9 +199,8 @@ macro_rules! backend_fns {
                 c: &MultiCoefs<$t>,
                 l: &Located<$t>,
                 o: SoAStreamsMut<'_, $t>,
-                single: bool,
             ) {
-                kernels::eval_soa::<$t, $lane>(k, c, l, o, single)
+                kernels::eval_soa::<$t, $lane>(k, c, l, o)
             }
             #[target_feature(enable = $feat)]
             fn axpy_tf(a: $t, x: &[$t], y: &mut [$t], n: usize) {
@@ -212,16 +211,10 @@ macro_rules! backend_fns {
                 kernels::vl_point::<$t, $lane>(pv, pl, x, v, l, n)
             }
 
-            fn eval_soa(
-                k: Kernel,
-                c: &MultiCoefs<$t>,
-                l: &Located<$t>,
-                o: SoAStreamsMut<'_, $t>,
-                single: bool,
-            ) {
+            fn eval_soa(k: Kernel, c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
                 // SAFETY: this table is only selected after runtime
                 // detection of the required CPU features.
-                unsafe { eval_soa_tf(k, c, l, o, single) }
+                unsafe { eval_soa_tf(k, c, l, o) }
             }
             fn axpy(a: $t, x: &[$t], y: &mut [$t], n: usize) {
                 // SAFETY: as above.

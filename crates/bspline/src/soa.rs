@@ -67,18 +67,16 @@ impl<T: Real> BsplineSoA<T> {
 
     /// The engine's one call into [`crate::simd`]: `kernel` over a
     /// pre-located position, writing through a stream view whose length
-    /// selects how many of this engine's orbitals are evaluated. `single`
-    /// says the enclosing call evaluates this one position only (a slice
-    /// of 1), which is what the kernel's look-ahead V walk keys on.
+    /// selects how many of this engine's orbitals are evaluated.
     #[inline]
-    fn eval_view(&self, kernel: Kernel, loc: &Located<T>, out: SoAStreamsMut<'_, T>, single: bool) {
+    fn eval_view(&self, kernel: Kernel, loc: &Located<T>, out: SoAStreamsMut<'_, T>) {
         assert!(
             out.len() <= self.stride(),
             "stream view ({}) wider than the coefficient stride ({})",
             out.len(),
             self.stride()
         );
-        crate::simd::eval_soa(kernel, &self.coefs, loc, out, single);
+        crate::simd::eval_soa(kernel, &self.coefs, loc, out);
     }
 
     /// Kernel body over a pre-located position, writing through a
@@ -89,7 +87,7 @@ impl<T: Real> BsplineSoA<T> {
     /// this engine's orbitals are evaluated (`≤ stride`; ragged lengths
     /// take the micro-kernels' scalar tail).
     pub fn eval_streams(&self, kernel: Kernel, loc: &Located<T>, out: SoAStreamsMut<'_, T>) {
-        self.eval_view(kernel, loc, out, false);
+        self.eval_view(kernel, loc, out);
     }
 
     /// [`Self::eval_view`] into a whole output block, after the shared
@@ -97,15 +95,9 @@ impl<T: Real> BsplineSoA<T> {
     /// a block of [`crate::blocked::BlockedEngine`] (an AoSoA tile) the
     /// engine is entered through [`Self::eval_streams`] instead.
     #[inline]
-    fn eval_block(
-        &self,
-        kernel: Kernel,
-        loc: &Located<T>,
-        out: &mut WalkerSoA<T>,
-        single: bool,
-    ) {
+    fn eval_block(&self, kernel: Kernel, loc: &Located<T>, out: &mut WalkerSoA<T>) {
         let m = self.check_out(out);
-        self.eval_view(kernel, loc, out.streams_range_mut(0, m), single);
+        self.eval_view(kernel, loc, out.streams_range_mut(0, m));
     }
 }
 
@@ -130,13 +122,11 @@ impl<T: Real> crate::engine::EvalCore for BsplineSoA<T> {
     }
 
     /// Positions back to back over the shared table. A slice of 1 (a
-    /// scalar call, a one-move call, a batch of one) has no neighbour
-    /// position to overlap its memory latency with and says so to the
-    /// kernel.
+    /// scalar call, a one-move call, a batch of one) runs the same walk
+    /// as every position of a longer slice.
     fn eval_located(&self, kernel: Kernel, locs: &[Located<T>], out: &mut [WalkerSoA<T>]) {
-        let single = locs.len() == 1;
         for (loc, block) in locs.iter().zip(out) {
-            self.eval_block(kernel, loc, block, single);
+            self.eval_block(kernel, loc, block);
         }
     }
 }

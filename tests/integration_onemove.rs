@@ -9,8 +9,8 @@
 //! difference is a real defect, not an accumulation-order artifact.
 //! The same checker pins all three views to each other: V through
 //! `eval`, `eval_one` and `eval_batch` at batch 1 must bit-match
-//! position 0 of a batch of 2 — including on tables large enough for
-//! the SoA kernel's look-ahead V walk, which only a slice of 1 takes.
+//! position 0 of a batch of 2 — including on tables larger than an L2,
+//! where a lone position's V streams its coefficients from memory.
 
 use bspline::blocked::BlockedEngine;
 use bspline::precision::{MixedEngine, MixedOut, WidenOut};
@@ -103,8 +103,8 @@ where
 /// cached-weights `vgl_one`, `i % 3 == 1` accepts via `vgh_one`, and
 /// `i % 3 == 2` rejects (nothing else runs, and the *next* propose
 /// replaces the stale cache). Every propose also runs V through the
-/// batch view, alone and as position 0 of a batch of 2 (which has a
-/// neighbour position, so it never takes the look-ahead walk).
+/// batch view, alone and as position 0 of a batch of 2, so a walk that
+/// depended on how many positions a call holds would show here.
 fn check_moves<T: Real, E: SpoEngine<T>>(
     engine: &E,
     n: usize,
@@ -237,16 +237,16 @@ proptest! {
     }
 }
 
-/// Tables above the SoA kernel's 8 MiB streaming threshold, where V over
-/// a slice of 1 walks the orbitals in 64-wide look-ahead chunks (every
-/// other table in the workspace's tests is far below it): N = 200 pads
-/// to 208, three full chunks and a ragged one (≈ 13 MB on 22³); N = 40
-/// is a single chunk shorter than the look-ahead (≈ 9 MB on 33³).
+/// V over a slice of 1 on tables larger than an L2 (every other table in
+/// the workspace's tests is far below one) is bit-identical across
+/// backends and to the batch entry. N = 200 pads to 208 orbitals, three
+/// whole four-pack steps of the widest pack and a remainder (≈ 13 MB on
+/// 22³); N = 40 pads to 48, shorter than one such step (≈ 9 MB on 33³).
 #[test]
 fn lookahead_sized_tables_bitmatch() {
     for (nx, n) in [(22usize, 200usize), (33, 40)] {
         let table = random_table_on::<f32>(nx, n, 41);
-        assert!(table.bytes() >= 8 << 20, "table must be streaming-sized");
+        assert!(table.bytes() >= 8 << 20, "table must exceed an L2");
         let soa = BsplineSoA::new(table);
         let pos = random_positions::<f32>(4, 43);
         // The walk itself, under each backend: V over a slice of 1.
@@ -271,9 +271,8 @@ fn lookahead_sized_tables_bitmatch() {
                     &format!("{} SoA {nx}^3 N={n}", backend.name()),
                 );
             });
-            // A look-ahead chunk is 64 orbitals: four 16-lane packs, one
-            // unrolled step of the widest backend. Every pack must
-            // partition it to the scalar backend's bits.
+            // Every pack width and step must give the scalar backend's
+            // bits.
             assert_eq!(walk(backend), reference, "{backend} vs scalar {nx}^3 N={n}");
         }
     }
