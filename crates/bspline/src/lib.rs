@@ -241,7 +241,7 @@
 //! [`onemove`]) makes that propose→accept pair first-class. (`miniqmc`'s
 //! VMC proposals are symmetric, so its wavefunction makes only the
 //! propose-side `v_one` call and takes every electron's derivatives from
-//! one batched VGH per spin per sweep.)
+//! one VGH per electron per sweep, each read by the determinant at once.)
 //!
 //! ```text
 //!   propose r'  ──►  v_one(ctx, r')        locate + weights computed,

@@ -1,11 +1,11 @@
 //! `cachesim` — trace-driven cache-hierarchy simulation of the paper's
 //! four evaluation platforms.
 //!
-//! The paper measures on BDW, KNC, KNL and BG/Q hardware (Table I). This
-//! crate substitutes for those machines (see DESIGN.md): it replays the
-//! exact memory-access streams of the B-spline kernels through
-//! set-associative LRU models of each platform's cache hierarchy and
-//! predicts node throughput with a cache-aware roofline. The capacity
+//! The paper measures on BDW, KNC, KNL and BG/Q hardware (Table I). None
+//! of those machines is at hand, so this crate substitutes for them: it
+//! replays the exact memory-access streams of the B-spline kernels
+//! through set-associative LRU models of each platform's cache hierarchy
+//! and predicts node throughput with a cache-aware roofline. The capacity
 //! crossovers the paper reports — optimal tile size 64 on shared-LLC
 //! machines vs 512 on private-L2 Xeon Phi, output arrays spilling at
 //! large N — are emergent properties of the replay, not inputs.

@@ -13,7 +13,7 @@
 //! T_pred = min(T_mem, T_comp) · N                          (orbital evals/s)
 //! ```
 //!
-//! Calibration constants (documented in DESIGN.md):
+//! Calibration constants (each documented at its definition):
 //!
 //! * `eff(layout)` — per-platform fractions of peak for vectorized SoA
 //!   code vs the strided AoS baseline ([`Platform::eff_soa`] /

@@ -7,7 +7,8 @@
 //! wavefunction already tracks (gradients/Laplacians of `log Ψ`) are
 //! needed. The potential is the bare Coulomb sum under minimum image —
 //! adequate for exercising the V kernel path and the distance tables
-//! (a full Ewald sum is out of scope; see DESIGN.md).
+//! (a full Ewald sum is out of scope: no energy with a potential is
+//! claimed to be physical, only to exercise those paths).
 
 use crate::determinant::DiracDeterminant;
 use crate::distance::soa::{DistanceTableAA, DistanceTableAB};

@@ -83,7 +83,7 @@ pub fn run_vmc<T: Real<Accum = f64>>(wf: &mut TrialWaveFunction<T>, cfg: &VmcCon
                 wf.reject();
             }
         }
-        // Measurement stage: one batched all-electron VGH sweep.
+        // Measurement stage: one all-electron VGH sweep.
         kinetic_sum += kinetic_energy(&wf.log_derivs());
     }
 

@@ -7,8 +7,14 @@
 //! ([`BsplineFunctor`]): electrons are ordered spin-up first, so a row
 //! is two contiguous segments split at `n_up`, each evaluated by the
 //! functor its pairs use.
+//!
+//! The full evaluation visits each pair once: row `i` is evaluated over
+//! `j > i` only, and each pair's terms go to `i` as row sums and to `j`
+//! through O(N) column accumulators. A pair's `u`, `u′/r` and Laplacian
+//! term are the same for both electrons, and its gradient differs in
+//! sign only.
 
-use super::{sum_row, JastrowDerivs};
+use super::JastrowDerivs;
 use crate::distance::soa::DistanceTableAA;
 use crate::jastrow::BsplineFunctor;
 use std::ops::Range;
@@ -24,16 +30,54 @@ struct PairFunctors {
 }
 
 impl PairFunctors {
-    /// Electron `i`'s row as its two segments, each with the functor of
-    /// its pairs.
-    fn segments(&self, i: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
+    /// Electron `i`'s row from column `lo` on, as its two segments (one
+    /// may be empty), each with the functor of its pairs.
+    fn segments(&self, i: usize, lo: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
         let (up, down) = if i < self.n_up {
             (&self.same, &self.opp)
         } else {
             (&self.opp, &self.same)
         };
-        [(0..self.n_up, up), (self.n_up..self.n, down)]
+        let mid = self.n_up.max(lo);
+        [(lo..mid, up), (mid..self.n, down)]
     }
+}
+
+/// Row `i`'s pairs with the electrons `j > i` whose distances `r`,
+/// displacements `r_j − r_i` and `[u, u′, u″]` are given. Returns `i`'s
+/// sums as [`super::sum_row`] does, with the same `r = 0` select, and
+/// adds each pair's terms for `j` into the column accumulators
+/// `[Σu, ∇x, ∇y, ∇z, ∇²]` of `log J2`.
+fn pair_row(
+    r: &[f64],
+    [u, du, d2u]: [&[f64]; 3],
+    (dx, dy, dz): (&[f64], &[f64], &[f64]),
+    col: [&mut [f64]; 5],
+) -> (f64, [f64; 3], f64) {
+    let n = r.len();
+    let (u, du, d2u) = (&u[..n], &du[..n], &d2u[..n]);
+    let (dx, dy, dz) = (&dx[..n], &dy[..n], &dz[..n]);
+    let [cu, cx, cy, cz, cl] = col.map(|c| &mut c[..n]);
+    let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
+    for j in 0..n {
+        usum += u[j];
+        cu[j] += u[j];
+        let apart = r[j] > 0.0;
+        let du_r = du[j] / r[j];
+        let du_r = if apart { du_r } else { 0.0 };
+        let (gx, gy, gz) = (du_r * dx[j], du_r * dy[j], du_r * dz[j]);
+        g[0] += gx;
+        g[1] += gy;
+        g[2] += gz;
+        cx[j] -= gx;
+        cy[j] -= gy;
+        cz[j] -= gz;
+        let l = d2u[j] + 2.0 * du_r;
+        let l = if apart { l } else { 0.0 };
+        lap -= l;
+        cl[j] -= l;
+    }
+    (usum, g, lap)
 }
 
 /// Two-body Jastrow term with distinct radial functions for same-spin
@@ -54,6 +98,9 @@ pub struct TwoBodyJastrow {
     /// Scratch of `evaluate_log`: the `u`, `u′`, `u″` rows of one
     /// electron.
     vgl: [Vec<f64>; 3],
+    /// Scratch of `evaluate_log`: the column accumulators `∇x, ∇y, ∇z,
+    /// ∇²` of `log J2` per electron (`Uat` holds the `Σu` column).
+    col: [Vec<f64>; 4],
     /// Scratch of the row evaluators.
     idx: Vec<usize>,
     iel: usize,
@@ -85,7 +132,8 @@ impl TwoBodyJastrow {
             uat: row.clone(),
             u_new: row.clone(),
             u_old: row.clone(),
-            vgl: [row.clone(), row.clone(), row],
+            vgl: [row.clone(), row.clone(), row.clone()],
+            col: [row.clone(), row.clone(), row.clone(), row],
             idx: vec![0; n_electrons],
             iel: usize::MAX,
         }
@@ -100,33 +148,42 @@ impl TwoBodyJastrow {
     /// Full evaluation: returns `log J2` and adds the per-electron
     /// gradients/Laplacians of `log J2` into `derivs`. Also (re)builds
     /// the `Uat` accumulators.
+    ///
+    /// Each pair is evaluated once, from the row of its lower index:
+    /// row `i` runs the functor over `j > i` only, and `pair_row`
+    /// hands the pair's terms to `i` as row sums and to `j` through the
+    /// column accumulators. When row `i` is reached, every pair with a
+    /// lower index has already added into `i`'s column.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAA, derivs: &mut JastrowDerivs) -> f64 {
         let n = self.u.n;
         assert_eq!(dist.len(), n);
+        self.uat.fill(0.0);
+        for c in &mut self.col {
+            c.fill(0.0);
+        }
         let mut log_sum = 0.0;
         for i in 0..n {
-            let row = dist.row(i);
-            for (seg, f) in self.u.segments(i) {
+            let (lo, row) = (i + 1, dist.row(i));
+            for (seg, f) in self.u.segments(i, lo) {
                 let out = self.vgl.each_mut().map(|x| &mut x[seg.clone()]);
                 f.vgl_row(&row[seg.clone()], &mut self.idx[seg], out);
             }
-            // The self-pair is no pair.
-            for x in &mut self.vgl {
-                x[i] = 0.0;
-            }
+            let vgl = self.vgl.each_ref().map(|x| &x[lo..]);
+            let (dx, dy, dz) = dist.disp_rows(i);
+            let [cx, cy, cz, cl] = &mut self.col;
+            let col = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[lo..]);
             // ∇ᵢ log J2 = +Σ u′(r)·(r_j − r_i)/r  (log J2 = −Σu,
-            // ∂r/∂rᵢ = −disp/r).
-            let vgl = self.vgl.each_ref().map(|x| &x[..]);
-            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(i));
-            self.uat[i] = usum;
+            // ∂r/∂rᵢ = −disp/r); ∇ⱼ takes the opposite sign.
+            let disp = (&dx[lo..], &dy[lo..], &dz[lo..]);
+            let (usum, g, lap) = pair_row(&row[lo..], vgl, disp, col);
+            self.uat[i] += usum;
             for d in 0..3 {
-                derivs.grad[i][d] += g[d];
+                derivs.grad[i][d] += self.col[d][i] + g[d];
             }
-            derivs.lap[i] += lap;
+            derivs.lap[i] += self.col[3][i] + lap;
             log_sum += usum;
         }
-        // Each pair counted twice in Σᵢ Uat[i].
-        -0.5 * log_sum
+        -log_sum
     }
 
     /// Move ratio `J2(new)/J2(old)` for electron `iel` whose proposed
@@ -134,7 +191,7 @@ impl TwoBodyJastrow {
     /// `DistanceTableAA::propose`).
     pub fn ratio(&mut self, dist: &DistanceTableAA, iel: usize) -> f64 {
         let (temp, old) = (dist.temp_row(), dist.row(iel));
-        for (seg, f) in self.u.segments(iel) {
+        for (seg, f) in self.u.segments(iel, 0) {
             let idx = &mut self.idx[seg.clone()];
             f.values_row(&temp[seg.clone()], idx, &mut self.u_new[seg.clone()]);
             f.values_row(&old[seg.clone()], idx, &mut self.u_old[seg]);
@@ -171,6 +228,7 @@ impl TwoBodyJastrow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jastrow::sum_row;
     use crate::lattice::Lattice;
     use crate::particleset::{random_electrons, ParticleSet};
     use rand::rngs::StdRng;
@@ -196,6 +254,89 @@ mod tests {
             }
         }
         -s
+    }
+
+    /// `evaluate_log` as it was before each pair was visited once:
+    /// every row over all `n` columns with the self-pair zeroed, summed
+    /// by [`sum_row`], so each pair is evaluated from both ends.
+    fn full_rows_reference(
+        j2: &mut TwoBodyJastrow,
+        dist: &DistanceTableAA,
+        derivs: &mut JastrowDerivs,
+    ) -> f64 {
+        let mut log_sum = 0.0;
+        for i in 0..j2.u.n {
+            let row = dist.row(i);
+            for (seg, f) in j2.u.segments(i, 0) {
+                let out = j2.vgl.each_mut().map(|x| &mut x[seg.clone()]);
+                f.vgl_row(&row[seg.clone()], &mut j2.idx[seg], out);
+            }
+            for x in &mut j2.vgl {
+                x[i] = 0.0;
+            }
+            let vgl = j2.vgl.each_ref().map(|x| &x[..]);
+            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(i));
+            j2.uat[i] = usum;
+            for d in 0..3 {
+                derivs.grad[i][d] += g[d];
+            }
+            derivs.lap[i] += lap;
+            log_sum += usum;
+        }
+        -0.5 * log_sum
+    }
+
+    /// The pair-once evaluation agrees with [`full_rows_reference`] on
+    /// `log J2`, `log_value()`, every gradient and Laplacian, with
+    /// distinct same- and opposite-spin functors and both spins present:
+    /// at several sizes with one coincident pair (`r = 0`), and with
+    /// every pair beyond the cutoff.
+    #[test]
+    fn pair_once_matches_the_full_row_reference() {
+        let u_same = BsplineFunctor::rpa_like(0.25, 1.4, 2.5, 32);
+        let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
+        let check = |lat: Lattice, pos: &[[f64; 3]]| -> f64 {
+            let n = pos.len();
+            let close = |a: f64, b: f64, what: &str| {
+                let tol = 1e-12 * a.abs().max(1.0);
+                assert!((a - b).abs() <= tol, "n={n} {what}: {a} vs {b}");
+            };
+            let dist = DistanceTableAA::new(&ParticleSet::new("e", lat, pos));
+            let n_up = n.div_ceil(2);
+            let mut once =
+                TwoBodyJastrow::with_spin_functors(u_same.clone(), u_opp.clone(), n, n_up);
+            let mut full = once.clone();
+            // Nonzero starting derivatives: both add into them.
+            let mut d_once = JastrowDerivs::zeros(n);
+            d_once.lap.fill(0.5);
+            let mut d_full = d_once.clone();
+            let log = once.evaluate_log(&dist, &mut d_once);
+            let reference = full_rows_reference(&mut full, &dist, &mut d_full);
+            close(log, reference, "log");
+            close(once.log_value(), full.log_value(), "log_value");
+            close(once.log_value(), log, "log_value against log");
+            for i in 0..n {
+                for d in 0..3 {
+                    let what = format!("grad[{i}][{d}]");
+                    close(d_once.grad[i][d], d_full.grad[i][d], &what);
+                }
+                close(d_once.lap[i], d_full.lap[i], &format!("lap[{i}]"));
+            }
+            log
+        };
+        let lat = Lattice::cubic(6.0);
+        for n in [1, 2, 3, 17, 256] {
+            let mut pos = random_electrons(lat, n, &mut StdRng::seed_from_u64(n as u64)).to_aos();
+            if n > 1 {
+                pos[n - 1] = pos[0];
+            }
+            check(lat, &pos);
+        }
+        // 3×3×2 sites 8 apart in a 24 box: every pair is beyond 2.5.
+        let sites: Vec<[f64; 3]> = (0..18)
+            .map(|s| [s % 3, s / 3 % 3, s / 9].map(|k| k as f64 * 8.0))
+            .collect();
+        assert_eq!(check(Lattice::cubic(24.0), &sites), 0.0);
     }
 
     #[test]

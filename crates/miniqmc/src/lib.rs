@@ -22,7 +22,8 @@
 //!   reproduce Tables II/III;
 //! * [`campaign`] — the checkpointable DMC campaign layer (see below);
 //! * [`synthetic`] — synthetic orbitals and the CORAL system builder
-//!   (see DESIGN.md for the data substitution rationale).
+//!   (the paper's DFT orbital files are not available; kernel cost
+//!   depends only on grid size and N, so synthetic tables stand in).
 //!
 //! # Campaign layer
 //!

@@ -68,10 +68,11 @@ pub struct SpoSet<T: Real, E: SpoEngine<T, Out = WalkerSoA<T>> = BsplineSoA<T>> 
     metric: [[f64; 3]; 3],
     scratch: WalkerSoA<T>,
     out: SpoVgl,
-    /// Batched-sweep scratch: per-electron engine outputs + position
+    /// Batched-V scratch: per-position engine outputs + position
     /// block, grown on demand and reused across sweeps.
     batch_scratch: BatchOut<WalkerSoA<T>>,
     batch_pos: PosBlock<T>,
+    /// Per-position results of the block calls.
     batch_rows: Vec<SpoVgl>,
     /// Per-walker single-electron move state: the locate/weights cached
     /// by `evaluate_v_one`, which an `evaluate_vgl_one` at the same
@@ -209,47 +210,49 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
 
     /// Pull one engine output block back to Cartesian coordinates:
     /// `∇ᵣ = G ∇ᵤ`, `lap = Σ_bc M[b][c]·Hᵤ[b][c]` (Hᵤ symmetric,
-    /// 6 streams).
+    /// 6 streams). Every stream is cut to `n` before the loop, so the
+    /// loop body has no bounds checks or accessor calls and LLVM
+    /// vectorizes it (two f64 lanes at the baseline x86-64 target).
     fn pull_back(
         g: &[[f64; 3]; 3],
         m: &[[f64; 3]; 3],
         n: usize,
-        scratch: &WalkerSoA<T>,
+        s: &WalkerSoA<T>,
         out: &mut SpoVgl,
     ) {
+        fn cut<T>(s: &[T], n: usize) -> &[T] {
+            &s[..n]
+        }
+        let (v, gx, gy, gz) = (cut(&s.v, n), cut(&s.gx, n), cut(&s.gy, n), cut(&s.gz, n));
+        let (hxx, hxy, hxz) = (cut(&s.hxx, n), cut(&s.hxy, n), cut(&s.hxz, n));
+        let (hyy, hyz, hzz) = (cut(&s.hyy, n), cut(&s.hyz, n), cut(&s.hzz, n));
+        let (ov, ogx, ogy) = (&mut out.v[..n], &mut out.gx[..n], &mut out.gy[..n]);
+        let (ogz, olap) = (&mut out.gz[..n], &mut out.lap[..n]);
         for k in 0..n {
-            out.v[k] = scratch.value(k).to_accum();
-            let gu = scratch.gradient(k);
-            let gu = [gu[0].to_accum(), gu[1].to_accum(), gu[2].to_accum()];
-            out.gx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
-            out.gy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
-            out.gz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
-            let h = scratch.hessian(k);
+            ov[k] = v[k].to_accum();
+            let gu = [gx[k].to_accum(), gy[k].to_accum(), gz[k].to_accum()];
+            ogx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
+            ogy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
+            ogz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
             let h = [
-                h[0].to_accum(),
-                h[1].to_accum(),
-                h[2].to_accum(),
-                h[3].to_accum(),
-                h[4].to_accum(),
-                h[5].to_accum(),
+                hxx[k].to_accum(),
+                hxy[k].to_accum(),
+                hxz[k].to_accum(),
+                hyy[k].to_accum(),
+                hyz[k].to_accum(),
+                hzz[k].to_accum(),
             ];
-            out.lap[k] = m[0][0] * h[0]
+            olap[k] = m[0][0] * h[0]
                 + m[1][1] * h[3]
                 + m[2][2] * h[5]
                 + 2.0 * (m[0][1] * h[1] + m[0][2] * h[2] + m[1][2] * h[4]);
         }
     }
 
-    /// Grow and fill the batched-sweep scratch for `rs.len()` positions.
-    fn prepare_batch(&mut self, rs: &[[f64; 3]]) {
-        self.batch_pos.clear();
-        for &r in rs {
-            let u = self.frac_pos(r);
-            self.batch_pos.push(u);
-        }
+    /// Grow the per-position result rows to at least `m`.
+    fn grow_rows(&mut self, m: usize) {
         let n = self.n_orbitals();
-        self.batch_scratch.ensure(rs.len(), || WalkerSoA::new(n));
-        while self.batch_rows.len() < rs.len() {
+        while self.batch_rows.len() < m {
             self.batch_rows.push(SpoVgl::zeros(n));
         }
     }
@@ -259,9 +262,15 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
     /// the `v` stream is filled). One engine call per block; scratch is
     /// reused across sweeps.
     pub fn evaluate_v_batch(&mut self, rs: &[[f64; 3]]) -> &[SpoVgl] {
-        self.prepare_batch(rs);
-        self.engine.eval_batch(Kernel::V, &self.batch_pos, &mut self.batch_scratch);
+        self.batch_pos.clear();
+        for &r in rs {
+            let u = self.frac_pos(r);
+            self.batch_pos.push(u);
+        }
         let n = self.n_orbitals();
+        self.batch_scratch.ensure(rs.len(), || WalkerSoA::new(n));
+        self.grow_rows(rs.len());
+        self.engine.eval_batch(Kernel::V, &self.batch_pos, &mut self.batch_scratch);
         for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
             let scratch = self.batch_scratch.block(e);
             for k in 0..n {
@@ -271,24 +280,21 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
         &self.batch_rows[..rs.len()]
     }
 
-    /// The multi-electron VGH sweep: values + Cartesian gradients +
-    /// Laplacians for every position of the block — one batched engine
-    /// call (`eval_batch` with `Kernel::Vgh`) followed by the per-row
-    /// pull-back. This is what the VMC/DMC drift-diffusion machinery
-    /// consumes to get all electrons' drift gradients and kinetic
-    /// Laplacians at once.
+    /// Values + Cartesian gradients + Laplacians for every position of
+    /// a block: row `e` holds what [`Self::evaluate_vgl`] gives at
+    /// `rs[e]`, bit for bit. Each position runs one VGH into the
+    /// L1-sized scratch and is pulled back at once. A batched engine
+    /// call would stage 10 `T` streams per position and read them back:
+    /// for one spin of 128 f32 orbitals that is 655 KB, which beside
+    /// the rows and the table overflows a 2 MiB L2.
     pub fn evaluate_vgl_batch(&mut self, rs: &[[f64; 3]]) -> &[SpoVgl] {
-        self.prepare_batch(rs);
-        self.engine.eval_batch(Kernel::Vgh, &self.batch_pos, &mut self.batch_scratch);
+        self.grow_rows(rs.len());
         let n = self.n_orbitals();
-        for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
-            Self::pull_back(
-                &self.g,
-                &self.metric,
-                n,
-                self.batch_scratch.block(e),
-                row,
-            );
+        for (e, &r) in rs.iter().enumerate() {
+            let u = self.frac_pos(r);
+            self.engine.vgh(u, &mut self.scratch);
+            let row = &mut self.batch_rows[e];
+            Self::pull_back(&self.g, &self.metric, n, &self.scratch, row);
         }
         &self.batch_rows[..rs.len()]
     }
@@ -445,6 +451,100 @@ mod tests {
         let v_batch = spo.evaluate_v_batch(&rs).to_vec();
         for (e, (s, b)) in v_scalar.iter().zip(&v_batch).enumerate() {
             assert_eq!(s.as_slice(), &b.v[..3], "e={e}");
+        }
+    }
+
+    /// What `evaluate_vgl_batch` computed before it became a loop over
+    /// the single-position body: one engine `eval_batch(Kernel::Vgh)`
+    /// over the whole block, then each position's pull-back through the
+    /// per-orbital accessors.
+    fn batched_engine_reference<T, E>(spo: &SpoSet<T, E>, rs: &[[f64; 3]]) -> Vec<SpoVgl>
+    where
+        T: Real<Accum = f64>,
+        E: SpoEngine<T, Out = WalkerSoA<T>>,
+    {
+        let n = spo.n_orbitals();
+        let us: Vec<[T; 3]> = rs.iter().map(|&r| spo.frac_pos(r)).collect();
+        let mut out = BatchOut::from_blocks(Vec::new());
+        out.ensure(rs.len(), || WalkerSoA::new(n));
+        let pos = PosBlock::from_positions(&us);
+        spo.engine().eval_batch(Kernel::Vgh, &pos, &mut out);
+        let (g, m) = (&spo.g, &spo.metric);
+        (0..rs.len())
+            .map(|e| {
+                let s = out.block(e);
+                let mut row = SpoVgl::zeros(n);
+                for k in 0..n {
+                    row.v[k] = s.value(k).to_accum();
+                    let gu = s.gradient(k).map(|x| x.to_accum());
+                    row.gx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
+                    row.gy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
+                    row.gz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
+                    let h = s.hessian(k).map(|x| x.to_accum());
+                    row.lap[k] = m[0][0] * h[0]
+                        + m[1][1] * h[3]
+                        + m[2][2] * h[5]
+                        + 2.0 * (m[0][1] * h[1] + m[0][2] * h[2] + m[1][2] * h[4]);
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// `evaluate_vgl` per position and `evaluate_vgl_batch` against
+    /// [`batched_engine_reference`], bit for bit, for blocks of 0, 1, 7
+    /// and 128 random positions.
+    fn check_vgl_paths<T, E>(mut spo: SpoSet<T, E>, seed: u64)
+    where
+        T: Real<Accum = f64>,
+        E: SpoEngine<T, Out = WalkerSoA<T>>,
+    {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = spo.n_orbitals();
+        let bits = |row: &SpoVgl| -> Vec<u64> {
+            [&row.v, &row.gx, &row.gy, &row.gz, &row.lap]
+                .iter()
+                .flat_map(|s| s[..n].iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lat = *spo.lattice();
+        for m in [0, 1, 7, 128] {
+            let rs: Vec<[f64; 3]> = (0..m)
+                .map(|_| lat.to_cart([rng.random(), rng.random(), rng.random()]))
+                .collect();
+            let want = batched_engine_reference(&spo, &rs);
+            let batch = spo.evaluate_vgl_batch(&rs).to_vec();
+            assert_eq!(batch.len(), m);
+            for (e, (got, want)) in batch.iter().zip(&want).enumerate() {
+                assert_eq!(bits(got), bits(want), "batch: m={m} e={e}");
+                let one = spo.evaluate_vgl(rs[e]);
+                assert_eq!(bits(one), bits(want), "one: m={m} e={e}");
+            }
+        }
+    }
+
+    /// Both VGH paths against the batched engine call they replaced, on
+    /// f32 and f64 tables, monolithic and blocked (multi-block at 32
+    /// orbitals), in a hexagonal cell (the `M[0][1]` term is live) and a
+    /// triclinic one (every metric term is live).
+    #[test]
+    fn vgl_paths_bitmatch_the_batched_engine_reference() {
+        fn run<T: Real<Accum = f64>>(lat: Lattice, seed: u64) {
+            let g = Grid1::periodic(0.0, 1.0, 10);
+            let coefs = crate::synthetic::synthetic_orbitals::<T>(g, g, g, 32, 3, seed);
+            let blocked = SpoSet::new_blocked(coefs.clone(), lat, 1);
+            assert!(blocked.engine().n_blocks() > 1);
+            check_vgl_paths(blocked, seed);
+            check_vgl_paths(SpoSet::new(coefs, lat), seed);
+        }
+        let triclinic = Lattice::from_rows([[3.0, 0.2, 0.4], [-1.1, 2.7, 0.3], [0.5, -0.6, 5.0]]);
+        let metric = build(triclinic, 8, 1).metric;
+        assert!(metric.iter().flatten().all(|&x| x != 0.0), "{metric:?}");
+        for lat in [Lattice::hexagonal(2.5, 6.0), triclinic] {
+            run::<f32>(lat, 5);
+            run::<f64>(lat, 6);
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! The paper's benchmarks use DFT-generated graphite orbitals (CORAL
 //! 4×4×1). We do not have those coefficient files, so we substitute
-//! synthetic inputs that exercise identical code paths (see DESIGN.md):
+//! synthetic inputs that exercise identical code paths: the kernels
+//! read the same table shapes whatever the coefficient values.
 //!
 //! * [`synthetic_orbitals`] — smooth periodic orbitals built from a few
 //!   low-|k| Fourier modes, fitted through the real coefficient solver.

@@ -194,10 +194,11 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
 
     /// All-electron `∇ᵢ ln|Ψ|` and `∇²ᵢ ln|Ψ|` — the drift-diffusion
     /// sweep: drift vectors for proposal moves and the input of the
-    /// kinetic-energy estimator. One batched VGH evaluation per spin
-    /// ([`SpoSet::evaluate_vgl_batch`]) replaces the per-electron engine
-    /// calls; determinant and Jastrow contributions are combined per
-    /// electron.
+    /// kinetic-energy estimator. One pass per electron: its VGH and
+    /// pull-back ([`SpoSet::evaluate_vgl`]) fill one L1-sized row,
+    /// which the determinant's dot products read at once, so no spin's
+    /// block of orbital rows is staged. The Jastrow terms come from one
+    /// full evaluation each, J2 visiting each pair once.
     ///
     /// The internal state (determinant inverses, distance tables) must
     /// be consistent with the current electron positions, i.e. call this
@@ -232,26 +233,24 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             j1.evaluate_log(dist_ei, &mut derivs);
         });
 
-        for spin in 0..2 {
-            let rs = Self::spin_positions(electrons, spin, n_per_spin);
-            let rows = timers.time(Category::Bspline, || spo.evaluate_vgl_batch(&rs));
-            for (e, row) in rows.iter().enumerate() {
-                let (g, l) = timers.time(Category::Determinant, || {
-                    crate::drivers::observables::det_log_derivs(
-                        &dets[spin],
-                        e,
-                        &row.gx,
-                        &row.gy,
-                        &row.gz,
-                        &row.lap,
-                    )
-                });
-                let iel = spin * n_per_spin + e;
-                for d in 0..3 {
-                    derivs.grad[iel][d] += g[d];
-                }
-                derivs.lap[iel] += l;
+        for iel in 0..n_el {
+            let (spin, e) = (iel / n_per_spin, iel % n_per_spin);
+            let r = electrons.get(iel);
+            let row = timers.time(Category::Bspline, || spo.evaluate_vgl(r));
+            let (g, l) = timers.time(Category::Determinant, || {
+                crate::drivers::observables::det_log_derivs(
+                    &dets[spin],
+                    e,
+                    &row.gx,
+                    &row.gy,
+                    &row.gz,
+                    &row.lap,
+                )
+            });
+            for d in 0..3 {
+                derivs.grad[iel][d] += g[d];
             }
+            derivs.lap[iel] += l;
         }
         derivs
     }
@@ -500,12 +499,26 @@ mod tests {
         let [kept, rebuilt] = &mut wfs;
         rebuilt.dist_ee.rebuild(&rebuilt.electrons);
         rebuilt.dist_ei.rebuild(&rebuilt.electrons);
-        let (a, b) = (kept.log_derivs(), rebuilt.log_derivs());
-        let bits = |d: &JastrowDerivs| -> Vec<u64> {
-            let grad = d.grad.iter().flatten();
-            grad.chain(&d.lap).map(|x| x.to_bits()).collect()
-        };
-        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(bits(&kept.log_derivs()), bits(&rebuilt.log_derivs()));
+    }
+
+    /// Every gradient component and Laplacian, as bit patterns.
+    fn bits(d: &JastrowDerivs) -> Vec<u64> {
+        let grad = d.grad.iter().flatten();
+        grad.chain(&d.lap).map(|x| x.to_bits()).collect()
+    }
+
+    /// `log_derivs` runs SIMD code in the spline kernel and the Jastrow
+    /// row evaluators; every backend fuses, so the scalar pack and the
+    /// active one give the same bits.
+    #[test]
+    fn log_derivs_bit_identical_across_backends() {
+        use bspline::simd::{active_backend, with_backend, Backend};
+        let mut wf = small_system(37);
+        let accepted = metropolis_sweep(&mut wf, &mut StdRng::seed_from_u64(107), 0.8);
+        assert!(accepted > 2, "accepted {accepted}");
+        let mut run = |b: Backend| bits(&with_backend(b, || wf.log_derivs()));
+        assert_eq!(run(Backend::Scalar), run(active_backend()));
     }
 
     /// Positions overwritten without `evaluate_log` leave the tables

@@ -3,8 +3,8 @@
 //! paper's kernels live in (scaled down to a single primitive cell).
 //!
 //! The move loop evaluates orbital values (V) for every proposal and
-//! makes no orbital call on accept; after each sweep one batched VGH per
-//! spin gives every electron's derivatives for the kinetic energy.
+//! makes no orbital call on accept; after each sweep one VGH per electron
+//! gives every electron's derivatives for the kinetic energy.
 //!
 //! Run: `cargo run --release --example graphite_vmc`
 
