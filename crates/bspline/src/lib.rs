@@ -140,10 +140,11 @@
 //! * **Ownership.** [`service::SpoService::new`] moves the engine
 //!   behind one `Arc<E>` — the read-only table every worker shares, as
 //!   in the paper's threading model — and spawns `replicas` long-lived
-//!   worker threads. It pins the SIMD backend active at construction
-//!   and every worker re-arms it for every batch (restarts included),
-//!   so forced scalar/SIMD A/B measurement works across the submission
-//!   boundary.
+//!   worker threads that all serve **one** FIFO queue. Locality comes
+//!   from that shared table, not from routing requests between queues.
+//!   It pins the SIMD backend active at construction and every worker
+//!   re-arms it for every batch (restarts included), so forced
+//!   scalar/SIMD A/B measurement works across the submission boundary.
 //! * **Coalescing policy.** Submissions carry a kernel tag. A worker
 //!   seeds a batch from the queue head and splices every queued
 //!   same-kernel request ([`batch::PosBlock::extend_from_block`]) into
@@ -161,47 +162,6 @@
 //!   call and come back filled through the [`service::Ticket`].
 //!   Dropping the service drains every queued request before joining
 //!   the workers.
-//!
-//! # Sharding & routing
-//!
-//! On a multi-domain host one FIFO queue squanders the locality the
-//! blocked layout worked for: submitters with disjoint working sets
-//! interleave in arrival order, so consecutive fused batches sweep
-//! unrelated coefficient regions and every batch re-streams from DRAM.
-//! The routing layer ([`service::RoutingPolicy`]) splits the service
-//! into per-domain shard queues and routes each submission to the
-//! shard whose workers keep its coefficient region warm:
-//!
-//! * **Shards.** [`service::ServiceConfig::routing`] selects the shard
-//!   count: `Fifo` forces one queue (the pre-routing behavior, and the
-//!   configuration the ledger's `service_mixed` workload runs), `Auto`
-//!   matches the detected NUMA domain count ([`tuning::numa_domains`],
-//!   overridable via `QMC_NUMA_DOMAINS`), `Affinity { domains }` pins
-//!   it explicitly.
-//!   Worker `i` drains its *home* shard queue `i % shards` first, so
-//!   the workers spread round-robin across the domains.
-//! * **Affinity scoring.** Each submitted block's positions are
-//!   quantized onto a small per-axis lattice over the engine's domain;
-//!   an [`einspline::ShardMap`] partitions the lattice cells across
-//!   shards. A strict majority of positions in one shard's cells wins;
-//!   otherwise a content hash of the cell sequence decides, so
-//!   identical blocks always land on the same queue and the coalescer
-//!   fuses them adjacently (cache-distance reuse of the same
-//!   coefficient lines).
-//! * **Spill policy.** Affinity yields to load: when the scored queue
-//!   already holds more than `max(max_batch, queue_positions/shards)`
-//!   positions and a strictly cooler queue exists, the request spills
-//!   to the least-loaded queue. Idle workers steal from other shards
-//!   in rotation order, so a hot shard never serializes the service.
-//!   Both events are counted ([`service::StatsSnapshot::spilled`],
-//!   [`service::StatsSnapshot::stolen`]).
-//! * **Single-domain no-op contract.** Routing picks *where a request
-//!   waits*, never how it is split or fused — so every routed result
-//!   is **bit-identical** to a direct `eval_batch` call, and with one
-//!   shard (single-domain hosts, or `Fifo`) the router degenerates to
-//!   exactly the old single-queue FIFO: no classification, no spills,
-//!   no steals (property-tested across policies in
-//!   `tests/integration_service.rs`).
 //!
 //! # Failure model
 //!
@@ -221,8 +181,8 @@
 //! * **Retry & in-place restart.** Kernel evaluation runs under
 //!   `catch_unwind`; a panicking batch is un-fused, its requests
 //!   re-enqueued (front of queue, bounded by `max_retries`), and the
-//!   worker restarts its loop on the same thread with the same engine,
-//!   pinned backend and home shard. Load shedding is the deadline dual:
+//!   worker restarts its loop on the same thread with the same engine
+//!   and pinned backend. Load shedding is the deadline dual:
 //!   expired requests are dropped *before* evaluation, never mid-fuse.
 //! * **Bit-identity of successes.** Faults decide *whether* a request
 //!   evaluates, never *how*: every successful result — retried,
@@ -388,7 +348,7 @@ pub use layout::{Kernel, Layout, OptStep};
 pub use onemove::MoveContext;
 pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA};
 pub use service::{
-    Failed, RoutingPolicy, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan,
-    ServiceHealth, SpoService, Ticket,
+    Failed, ServiceConfig, ServiceError, ServiceFault, ServiceFaultPlan, ServiceHealth,
+    SpoService, Ticket,
 };
 pub use soa::BsplineSoA;

@@ -11,9 +11,9 @@
 //!
 //! * **Ownership.** [`SpoService::new`] moves the engine behind one
 //!   `Arc<E>` — the read-only table every worker shares — and spawns
-//!   exactly `replicas` worker threads. It also reads the active SIMD
-//!   backend once and pins it: every worker re-arms that backend
-//!   before every batch, so a service built inside a
+//!   exactly `replicas` worker threads, all serving one FIFO queue. It
+//!   also reads the active SIMD backend once and pins it: every worker
+//!   re-arms that backend before every batch, so a service built inside a
 //!   [`with_backend`](crate::simd::with_backend) force keeps that
 //!   backend no matter which thread submits, crash or no crash.
 //! * **Coalescing.** Submissions carry a kernel tag
@@ -21,8 +21,10 @@
 //!   splices every queued same-kernel request
 //!   ([`PosBlock::extend_from_block`]) until the fused block reaches
 //!   `max_batch` positions, waiting at most `max_wait` for stragglers
-//!   once it holds a partial batch. Requests for other kernels are left
-//!   queued for the next worker.
+//!   once it holds a partial batch (a `max_wait` too long for
+//!   [`Instant`] waits without bound, until the batch fills or the
+//!   service shuts down). Requests for other kernels are left queued
+//!   for the next worker.
 //! * **Backpressure.** The queue is bounded by `queue_positions`
 //!   pending positions; [`SpoService::submit`] blocks until space is
 //!   available (one oversized request is admitted when the queue is
@@ -31,22 +33,6 @@
 //!   moved into the fused engine call and handed back through the
 //!   [`Ticket`] — the engine writes orbitals directly into the
 //!   submitter's buffers; nothing is copied out.
-//! * **Routing.** With more than one shard ([`RoutingPolicy`]), the
-//!   service keeps one queue per NUMA-domain shard and classifies each
-//!   submission by the table region its positions fall in: positions
-//!   quantize onto a small lattice of cells, a [`ShardMap`] assigns
-//!   cells to shards, and the submission lands on the shard owning the
-//!   strict majority of its positions (spatially uniform blocks route
-//!   by a deterministic content hash instead, so *identical* blocks
-//!   always land on the same shard and coalesce adjacently). A
-//!   load-balance escape hatch spills submissions off a shard whose
-//!   queue is over its spill limit onto the least-loaded one, so a hot
-//!   region cannot starve the rest. Worker `i` drains home shard
-//!   `i % shards` first and steals round-robin otherwise. Routing only decides
-//!   *where* a batch runs — never how it is split — so routed results
-//!   stay bit-identical to the FIFO path. With one shard (the
-//!   [`RoutingPolicy::Auto`] default on a single-domain host) the
-//!   service is exactly the single-queue FIFO coalescer.
 //! * **Determinism.** Fusing blocks never splits a per-orbital
 //!   accumulation chain, so coalesced results are **bit-identical** to
 //!   a direct `eval_batch` call on every backend — property-tested in
@@ -65,9 +51,9 @@
 //!   worker recovers the in-flight requests (the fused output blocks
 //!   are un-fused and reattached to their callers), re-enqueues them
 //!   with a bumped crash count, and restarts its own loop on the same
-//!   thread with the same engine, pinned backend and home shard. Only a
-//!   slot the fault plan killed stops for good; when the last worker
-//!   stops outside a shutdown, the service turns
+//!   thread with the same engine and pinned backend. Only a slot the
+//!   fault plan killed stops for good; when the last worker stops
+//!   outside a shutdown, the service turns
 //!   [`ServiceHealth::Failed`] and resolves everything still queued to
 //!   [`ServiceError::ShuttingDown`]. A request that crashes workers
 //!   more than [`ServiceConfig::max_retries`] times resolves its ticket
@@ -96,8 +82,7 @@ use crate::batch::{check_batch, BatchOut, PosBlock};
 use crate::engine::SpoEngine;
 use crate::layout::Kernel;
 use crate::simd::{self, Backend};
-use crate::tuning;
-use einspline::{Real, ShardMap};
+use einspline::Real;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -115,42 +100,20 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// How submissions map onto shard queues (see the [module docs](self)
-/// **Routing** bullet).
+/// How submissions are queued. There is one queue, served in submit
+/// order, so [`RoutingPolicy::Fifo`] is the only policy. The type and
+/// [`ServiceConfig::routing`] remain only because the `service_mixed`
+/// ledger workload (`bench/src/service_mixed.rs`) names them; the next
+/// change to that benchmark removes both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RoutingPolicy {
-    /// One queue, strict submit order — the pre-routing coalescer.
-    Fifo,
-    /// Shard by the host's detected NUMA domain count
-    /// ([`tuning::numa_domains`]; override with `QMC_NUMA_DOMAINS`).
-    /// On a single-domain host this is exactly [`RoutingPolicy::Fifo`]
-    /// — the single-domain no-op contract.
+    /// One queue, strict submit order.
     #[default]
-    Auto,
-    /// Affinity routing over an explicit shard count, regardless of
-    /// what the host reports (ablations, tests).
-    Affinity {
-        /// Number of shard queues (must be positive).
-        domains: usize,
-    },
-}
-
-impl RoutingPolicy {
-    /// The shard-queue count this policy resolves to on this host.
-    pub fn shards(self) -> usize {
-        match self {
-            Self::Fifo => 1,
-            Self::Auto => tuning::numa_domains(),
-            Self::Affinity { domains } => {
-                assert!(domains > 0, "RoutingPolicy::Affinity domains must be positive");
-                domains
-            }
-        }
-    }
+    Fifo,
 }
 
 /// Service shape: replica count, coalescing policy, queue bound,
-/// routing policy, crash-retry budget.
+/// crash-retry budget.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Worker threads, all sharing the one engine.
@@ -163,9 +126,10 @@ pub struct ServiceConfig {
     pub max_wait: Duration,
     /// Backpressure bound: pending positions (queued, including those a
     /// worker is still coalescing) the service admits before `submit`
-    /// blocks. The bound is global across all shard queues.
+    /// blocks.
     pub queue_positions: usize,
-    /// How submissions map onto shard queues.
+    /// Always [`RoutingPolicy::Fifo`]; kept for the `service_mixed`
+    /// ledger workload (see [`RoutingPolicy`]).
     pub routing: RoutingPolicy,
     /// How many times a request caught in a worker crash is re-enqueued
     /// before its ticket resolves to [`ServiceError::WorkerLost`]. `0`
@@ -395,95 +359,6 @@ impl FaultState {
     }
 }
 
-/// Cells per axis of the routing lattice: classification quantizes
-/// every position into one of `ROUTER_CELLS³` table regions, and a
-/// [`ShardMap`] partitions those regions across the shard queues.
-const ROUTER_CELLS: usize = 4;
-
-/// The routing decision state: lattice → shard ownership plus the
-/// spill threshold. Immutable after service construction.
-struct Router {
-    /// Lattice cells → shards (balanced contiguous partition).
-    map: ShardMap,
-    /// Engine evaluation domain the lattice spans.
-    domain: [(f64, f64); 3],
-    /// Per-shard queued-position level above which a submission may
-    /// escape to the least-loaded shard.
-    spill_limit: usize,
-}
-
-impl Router {
-    fn n_shards(&self) -> usize {
-        self.map.n_domains()
-    }
-
-    /// Quantize one position into its lattice cell (out-of-domain
-    /// positions clamp to the boundary cells).
-    fn cell_of<T: Real>(&self, p: [T; 3]) -> usize {
-        let mut cell = 0;
-        for k in 0..3 {
-            let (lo, hi) = self.domain[k];
-            let frac = ((p[k].to_f64() - lo) / (hi - lo)).clamp(0.0, 1.0);
-            let idx = ((frac * ROUTER_CELLS as f64) as usize).min(ROUTER_CELLS - 1);
-            cell = cell * ROUTER_CELLS + idx;
-        }
-        cell
-    }
-
-    /// The shard this block has affinity with: the owner of a strict
-    /// majority of its positions' cells, else (spatially uniform
-    /// blocks) a deterministic content hash over the cell sequence —
-    /// so identical blocks always classify identically and coalesce
-    /// adjacently on one shard's queue.
-    fn classify<T: Real>(&self, pos: &PosBlock<T>) -> usize {
-        let shards = self.n_shards();
-        let mut votes = vec![0usize; shards];
-        // FNV-1a over the cell sequence as the content key.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..pos.len() {
-            let cell = self.cell_of(pos.get(i));
-            votes[self.map.domain_of(cell)] += 1;
-            hash = (hash ^ cell as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        let (leader, &n) = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, n)| *n)
-            .expect("at least one shard");
-        if 2 * n > pos.len() {
-            leader
-        } else {
-            (hash % shards as u64) as usize
-        }
-    }
-}
-
-/// The load-balance escape hatch: keep `classified` unless its queue
-/// would exceed `limit` positions *and* some other queue is strictly
-/// cooler — then route to the least-loaded queue. Returns the target
-/// and whether it spilled.
-fn spill_target(
-    classified: usize,
-    len: usize,
-    queued: &[usize],
-    limit: usize,
-) -> (usize, bool) {
-    if queued[classified] + len <= limit {
-        return (classified, false);
-    }
-    let coolest = queued
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, n)| *n)
-        .map(|(q, _)| q)
-        .expect("at least one shard");
-    if queued[coolest] < queued[classified] {
-        (coolest, true)
-    } else {
-        (classified, false)
-    }
-}
-
 /// Aggregate service counters (monotonic; relaxed atomics).
 #[derive(Debug, Default)]
 struct Stats {
@@ -491,8 +366,6 @@ struct Stats {
     batches: AtomicUsize,
     positions: AtomicUsize,
     coalesced: AtomicUsize,
-    spilled: AtomicUsize,
-    stolen: AtomicUsize,
     shed: AtomicUsize,
     retried: AtomicUsize,
     panics: AtomicUsize,
@@ -514,11 +387,12 @@ pub struct StatsSnapshot {
     /// Requests that shared their (successful) engine call with at
     /// least one other request.
     pub coalesced: usize,
-    /// Requests routed off their affinity shard by the load-balance
-    /// escape hatch (always 0 with one shard).
+    /// Always 0: the service has one queue, so no request is routed
+    /// off it. Kept, like `stolen`, because the `service_mixed` ledger
+    /// workload reports it; the next change to that benchmark removes
+    /// both.
     pub spilled: usize,
-    /// Batches a worker seeded from a shard other than its home
-    /// (always 0 with one shard).
+    /// Always 0: with one queue there is no other queue to steal from.
     pub stolen: usize,
     /// Requests resolved to [`ServiceError::Shed`]: their deadline
     /// passed while they were still queued.
@@ -609,9 +483,11 @@ impl<T: Real, O> Ticket<T, O> {
     /// at most `timeout`. On expiry the error is
     /// [`ServiceError::Timeout`] and the still-live claim comes back in
     /// [`Failed::ticket`] — the request is still in flight and the
-    /// service still guarantees it resolves.
+    /// service still guarantees it resolves. A `timeout` too long for
+    /// [`Instant`] to represent waits without bound, as
+    /// [`Ticket::redeem`] does.
     pub fn redeem_for(self, timeout: Duration) -> Result<Completed<T, O>, Failed<T, O>> {
-        self.redeem_inner(Some(Instant::now() + timeout))
+        self.redeem_inner(Instant::now().checked_add(timeout))
     }
 
     /// The unified wait path: one loop serves both the unbounded and
@@ -670,9 +546,6 @@ struct Request<T: Real, O> {
     done: Arc<Done<T, O>>,
     /// Admission sequence number (the fault plan's clock).
     seq: usize,
-    /// The shard queue this request was routed to (re-enqueue target
-    /// after a worker crash).
-    shard: usize,
     /// Worker crashes this request has survived so far.
     crashes: usize,
     /// Service-side deadline: shed (never evaluate) once passed.
@@ -692,13 +565,11 @@ impl<T: Real, O> Request<T, O> {
 }
 
 struct State<T: Real, O> {
-    /// One queue per shard; index 0 is the only queue under FIFO.
-    queues: Vec<VecDeque<Request<T, O>>>,
-    /// Positions currently sitting in each shard queue (drops as soon
-    /// as a worker removes the request) — the router's load signal.
-    queued_positions: Vec<usize>,
-    /// Positions admitted but not yet evaluated (queued + coalescing),
-    /// summed across shards — the backpressure signal.
+    /// Admitted requests in submit order (crash retries go back to the
+    /// front).
+    queue: VecDeque<Request<T, O>>,
+    /// Positions admitted but not yet evaluated (queued + coalescing) —
+    /// the backpressure signal.
     pending_positions: usize,
     shutdown: bool,
 }
@@ -710,7 +581,6 @@ struct Shared<T: Real, O> {
     /// Signals submitters: pending positions dropped below the bound.
     space: Condvar,
     cfg: ServiceConfig,
-    router: Router,
     stats: Stats,
     /// Live worker count (decremented when a worker thread stops) —
     /// the health signal.
@@ -763,27 +633,17 @@ where
         assert!(cfg.replicas > 0, "ServiceConfig::replicas must be positive");
         assert!(cfg.max_batch > 0, "ServiceConfig::max_batch must be positive");
         assert!(cfg.queue_positions > 0, "ServiceConfig::queue_positions must be positive");
-        let n_shards = cfg.routing.shards();
-        let router = Router {
-            map: ShardMap::balanced(ROUTER_CELLS * ROUTER_CELLS * ROUTER_CELLS, n_shards),
-            domain: engine.domain(),
-            // A shard is "hot" once it holds more than its fair share
-            // of the queue bound (but never less than one full batch).
-            spill_limit: cfg.max_batch.max(cfg.queue_positions / n_shards),
-        };
         let engine = Arc::new(engine);
         let backend = simd::active_backend();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                queues: (0..n_shards).map(|_| VecDeque::new()).collect(),
-                queued_positions: vec![0; n_shards],
+                queue: VecDeque::new(),
                 pending_positions: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
             cfg,
-            router,
             stats: Stats::default(),
             live: AtomicUsize::new(cfg.replicas),
             failed: AtomicBool::new(false),
@@ -807,11 +667,6 @@ where
     /// The service configuration.
     pub fn config(&self) -> ServiceConfig {
         self.shared.cfg
-    }
-
-    /// The shard-queue count the routing policy resolved to.
-    pub fn n_shards(&self) -> usize {
-        self.shared.router.n_shards()
     }
 
     /// Liveness of the worker pool.
@@ -838,8 +693,8 @@ where
             batches: s.batches.load(Ordering::Relaxed),
             positions: s.positions.load(Ordering::Relaxed),
             coalesced: s.coalesced.load(Ordering::Relaxed),
-            spilled: s.spilled.load(Ordering::Relaxed),
-            stolen: s.stolen.load(Ordering::Relaxed),
+            spilled: 0,
+            stolen: 0,
             shed: s.shed.load(Ordering::Relaxed),
             retried: s.retried.load(Ordering::Relaxed),
             panics: s.panics.load(Ordering::Relaxed),
@@ -870,10 +725,6 @@ where
             done.fail(ServiceError::Shed, pos, out);
             return Ticket { done };
         }
-        // Classify outside the state lock (`None` = single shard,
-        // nothing to decide).
-        let router = &self.shared.router;
-        let class = (router.n_shards() > 1).then(|| router.classify(&pos));
         let mut st = lock_recover(&self.shared.state);
         loop {
             assert!(!st.shutdown, "submit on a shut-down SpoService");
@@ -915,24 +766,13 @@ where
                 }
             }
         }
-        // Admitted: route onto the classified shard queue, unless the
-        // load-balance escape hatch spills it.
-        let (target, spilled) = match class {
-            Some(c) => spill_target(c, pos.len(), &st.queued_positions, router.spill_limit),
-            None => (0, false),
-        };
-        if spilled {
-            self.shared.stats.spilled.fetch_add(1, Ordering::Relaxed);
-        }
         st.pending_positions += pos.len();
-        st.queued_positions[target] += pos.len();
-        st.queues[target].push_back(Request {
+        st.queue.push_back(Request {
             kernel,
             pos,
             out: out.into_blocks(),
             done: Arc::clone(&done),
             seq,
-            shard: target,
             crashes: 0,
             deadline,
         });
@@ -1052,12 +892,9 @@ fn fail_all_queued<T: Real, O>(shared: &Shared<T, O>) {
     let mut doomed = Vec::new();
     {
         let mut st = lock_recover(&shared.state);
-        for q in 0..st.queues.len() {
-            while let Some(r) = st.queues[q].pop_front() {
-                st.queued_positions[q] -= r.pos.len();
-                st.pending_positions -= r.pos.len();
-                doomed.push(r);
-            }
+        while let Some(r) = st.queue.pop_front() {
+            st.pending_positions -= r.pos.len();
+            doomed.push(r);
         }
     }
     for r in doomed {
@@ -1067,17 +904,12 @@ fn fail_all_queued<T: Real, O>(shared: &Shared<T, O>) {
     shared.space.notify_all();
 }
 
-/// Pop the next *live* request off queue `q`: requests whose deadline
+/// Pop the next *live* request off the queue: requests whose deadline
 /// already passed are shed on the way (before evaluation, never
 /// mid-fuse) and never returned.
-fn pop_live<T: Real, O>(
-    st: &mut State<T, O>,
-    q: usize,
-    shared: &Shared<T, O>,
-) -> Option<Request<T, O>> {
+fn pop_live<T: Real, O>(st: &mut State<T, O>, shared: &Shared<T, O>) -> Option<Request<T, O>> {
     let now = Instant::now();
-    while let Some(r) = st.queues[q].pop_front() {
-        st.queued_positions[q] -= r.pos.len();
+    while let Some(r) = st.queue.pop_front() {
         if r.expired(now) {
             st.pending_positions -= r.pos.len();
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -1093,19 +925,12 @@ fn pop_live<T: Real, O>(
 /// One service worker: pop → coalesce → evaluate → complete, until
 /// shutdown (or until an evaluation crash, which re-enqueues the batch
 /// and returns so [`spawn_worker`] can restart the loop).
-///
-/// With shards, worker `slot` seeds from home shard `slot % shards`
-/// first and steals round-robin from the others when home is empty;
-/// the coalescing scan is scoped to the seed's queue, so only
-/// same-shard (spatially adjacent or identical) requests fuse.
 fn worker_loop<T: Real, E: SpoEngine<T>>(
     engine: &E,
     backend: Backend,
     slot: usize,
     shared: &Shared<T, E::Out>,
 ) -> WorkerExit {
-    let n_shards = shared.router.n_shards();
-    let home = slot % n_shards;
     // Reused across batches: the fused position block (reserve keeps
     // the splice allocation-free in steady state).
     let mut fused_pos = PosBlock::<T>::new();
@@ -1116,19 +941,11 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
         shared
             .faults
             .maybe_poison(slot, shared.stats.requests.load(Ordering::Relaxed));
-        // Seed a batch from home, else steal (or exit once every queue
-        // is drained after shutdown — in-flight work always completes).
-        let (from, first) = loop {
-            if let Some(r) = pop_live(&mut st, home, shared) {
-                break (home, r);
-            }
-            let stolen = (1..n_shards).find_map(|off| {
-                let q = (home + off) % n_shards;
-                pop_live(&mut st, q, shared).map(|r| (q, r))
-            });
-            if let Some(hit) = stolen {
-                shared.stats.stolen.fetch_add(1, Ordering::Relaxed);
-                break hit;
+        // Seed a batch from the queue head (or exit once the queue is
+        // drained after shutdown — in-flight work always completes).
+        let first = loop {
+            if let Some(r) = pop_live(&mut st, shared) {
+                break r;
             }
             if st.shutdown {
                 return WorkerExit::Shutdown;
@@ -1138,19 +955,19 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
         let kernel = first.kernel;
         let mut total = first.pos.len();
         let mut batch = vec![first];
-        let deadline = Instant::now() + shared.cfg.max_wait;
-        // Coalesce: splice in every same-kernel request queued on the
-        // seed's shard, waiting (bounded by max_wait) for more while
-        // the batch is partial. Other kernels — and other shards —
-        // stay queued for the next worker. Expired requests found
-        // during the scan are shed, not fused.
+        // `None`: `max_wait` runs past what `Instant` can hold, so the
+        // wait has no bound and only a full batch or shutdown ends it.
+        let deadline = Instant::now().checked_add(shared.cfg.max_wait);
+        // Coalesce: splice in every queued same-kernel request, waiting
+        // (bounded by max_wait) for more while the batch is partial.
+        // Other kernels stay queued for the next worker. Expired
+        // requests found during the scan are shed, not fused.
         loop {
             let now = Instant::now();
             let mut i = 0;
-            while i < st.queues[from].len() && total < shared.cfg.max_batch {
-                if st.queues[from][i].kernel == kernel {
-                    let r = st.queues[from].remove(i).expect("index in bounds");
-                    st.queued_positions[from] -= r.pos.len();
+            while i < st.queue.len() && total < shared.cfg.max_batch {
+                if st.queue[i].kernel == kernel {
+                    let r = st.queue.remove(i).expect("index in bounds");
                     if r.expired(now) {
                         st.pending_positions -= r.pos.len();
                         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -1166,14 +983,17 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
             if total >= shared.cfg.max_batch || st.shutdown {
                 break;
             }
-            if now >= deadline {
-                break;
-            }
-            let (guard, _timeout) = shared
-                .work
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
+            st = match deadline {
+                None => shared.work.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(d) if now >= d => break,
+                Some(d) => {
+                    shared
+                        .work
+                        .wait_timeout(st, d - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
         // The batch leaves the queue but its positions stay counted
         // (pending) until evaluated, so the backpressure bound covers
@@ -1283,7 +1103,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
 }
 
 /// Put a crashed batch back: each request re-enqueues at the *front* of
-/// its shard queue (aged work keeps its place) with a bumped crash
+/// the queue (aged work keeps its place) with a bumped crash
 /// count — unless its deadline has passed (shed) or its retry budget is
 /// spent ([`ServiceError::WorkerLost`]).
 fn requeue_after_crash<T: Real, O>(shared: &Shared<T, O>, batch: Vec<Request<T, O>>) {
@@ -1304,8 +1124,7 @@ fn requeue_after_crash<T: Real, O>(shared: &Shared<T, O>, batch: Vec<Request<T, 
             } else {
                 shared.stats.retried.fetch_add(1, Ordering::Relaxed);
                 st.pending_positions += r.pos.len();
-                st.queued_positions[r.shard] += r.pos.len();
-                st.queues[r.shard].push_front(r);
+                st.queue.push_front(r);
             }
         }
     }
@@ -1465,143 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_policies_resolve_shard_counts() {
-        let fifo = SpoService::new(
-            soa(8),
-            ServiceConfig {
-                routing: RoutingPolicy::Fifo,
-                ..ServiceConfig::default()
-            },
-        );
-        assert_eq!(fifo.n_shards(), 1);
-        let pinned = SpoService::new(
-            soa(8),
-            ServiceConfig {
-                routing: RoutingPolicy::Affinity { domains: 3 },
-                ..ServiceConfig::default()
-            },
-        );
-        assert_eq!(pinned.n_shards(), 3);
-        // Auto resolves to whatever the host (or QMC_NUMA_DOMAINS)
-        // reports — at least one shard, whatever that is.
-        let auto = SpoService::new(soa(8), ServiceConfig::default());
-        assert!(auto.n_shards() >= 1);
-        assert_eq!(auto.n_shards(), crate::tuning::numa_domains());
-    }
-
-    #[test]
-    fn classification_is_deterministic_and_separates_corners() {
-        let router = Router {
-            map: ShardMap::balanced(ROUTER_CELLS * ROUTER_CELLS * ROUTER_CELLS, 2),
-            domain: [(0.0, 1.0); 3],
-            spill_limit: 1024,
-        };
-        // A block concentrated near the origin owns cell 0 → shard 0;
-        // one at the far corner owns the last cell → shard 1.
-        let mut near = PosBlock::<f32>::new();
-        let mut far = PosBlock::<f32>::new();
-        for i in 0..5 {
-            let eps = 0.01 * i as f32;
-            near.push([0.05 + eps; 3]);
-            far.push([0.95 - eps; 3]);
-        }
-        assert_eq!(router.classify(&near), 0);
-        assert_eq!(router.classify(&far), 1);
-        // Deterministic: the same content classifies identically, even
-        // for a spatially uniform block (hash tie-break path).
-        let uniform = block(32, 7);
-        let shard = router.classify(&uniform);
-        assert!(shard < 2);
-        assert_eq!(router.classify(&uniform), shard);
-        assert_eq!(router.classify(&block(32, 7)), shard);
-    }
-
-    #[test]
-    fn spill_escapes_hot_shard_to_least_loaded() {
-        // Under the limit: stay on the affinity shard.
-        assert_eq!(spill_target(0, 8, &[10, 0], 32), (0, false));
-        // Over the limit with a cooler shard available: spill.
-        assert_eq!(spill_target(0, 8, &[100, 2], 32), (1, true));
-        // Everything hot: the least-loaded still wins.
-        assert_eq!(spill_target(1, 8, &[100, 200], 32), (0, true));
-        // No strictly cooler shard: stay put (never bounce between
-        // equally loaded queues).
-        assert_eq!(spill_target(0, 8, &[50, 50], 32), (0, false));
-    }
-
-    #[test]
-    fn affinity_routed_results_match_direct_batch() {
-        let engine = soa(24);
-        let service = SpoService::new(
-            soa(24),
-            ServiceConfig {
-                replicas: 2,
-                max_batch: 16,
-                max_wait: Duration::from_millis(2),
-                queue_positions: 256,
-                routing: RoutingPolicy::Affinity { domains: 3 },
-                ..ServiceConfig::default()
-            },
-        );
-        let tickets: Vec<_> = (0..9)
-            .map(|i| {
-                // Blocks concentrated in alternating corners exercise
-                // the majority path; uniform ones the hash tie-break.
-                let pos = if i % 3 == 2 {
-                    block(4, 40 + i as u64)
-                } else {
-                    let lo = if i % 2 == 0 { 0.02 } else { 0.7 };
-                    let mut rng = StdRng::seed_from_u64(40 + i as u64);
-                    PosBlock::random(&mut rng, 4, [(lo, lo + 0.2); 3])
-                };
-                let out = service.engine().make_batch_out(4);
-                (pos.clone(), service.submit(Kernel::Vgh, pos, out))
-            })
-            .collect();
-        for (sent, ticket) in tickets {
-            let (pos, out, _) = ticket.redeem().unwrap();
-            let mut direct = engine.make_batch_out(4);
-            engine.eval_batch(Kernel::Vgh, &sent, &mut direct);
-            for p in 0..4 {
-                assert_eq!(pos.get(p), sent.get(p), "positions round-trip");
-                for n in 0..24 {
-                    assert_eq!(
-                        direct.block(p).value(n),
-                        out.block(p).value(n),
-                        "routed result bit-identical, p={p} n={n}"
-                    );
-                    assert_eq!(
-                        direct.block(p).hessian(n),
-                        out.block(p).hessian(n),
-                        "p={p} n={n}"
-                    );
-                }
-            }
-        }
-        assert_eq!(service.stats().requests, 9);
-    }
-
-    #[test]
-    fn single_shard_affinity_never_spills_or_steals() {
-        let service = SpoService::new(
-            soa(8),
-            ServiceConfig {
-                routing: RoutingPolicy::Affinity { domains: 1 },
-                ..ServiceConfig::default()
-            },
-        );
-        for i in 0..6 {
-            let pos = block(3, i);
-            let out = service.engine().make_batch_out(3);
-            service.submit(Kernel::V, pos, out).redeem().unwrap();
-        }
-        let stats = service.stats();
-        assert_eq!(stats.spilled, 0);
-        assert_eq!(stats.stolen, 0);
-        assert_eq!(stats.requests, 6);
-    }
-
-    #[test]
     fn service_error_display_is_stable() {
         assert!(ServiceError::Timeout.to_string().contains("in flight"));
         assert!(ServiceError::Shed.to_string().contains("shed"));
@@ -1744,7 +1426,6 @@ mod tests {
             ServiceConfig {
                 replicas: 1,
                 max_batch: 1,
-                routing: RoutingPolicy::Fifo,
                 max_retries: 0,
                 ..ServiceConfig::default()
             },
@@ -1904,5 +1585,54 @@ mod tests {
                 assert_eq!(pos.len(), 1);
             }
         }
+    }
+
+    #[test]
+    fn redeem_for_a_timeout_past_instant_waits_without_bound() {
+        let service = SpoService::new(soa(8), ServiceConfig::default());
+        let out = service.engine().make_batch_out(2);
+        let (pos, _, _) = service
+            .submit(Kernel::V, block(2, 30), out)
+            .redeem_for(Duration::MAX)
+            .expect("an unbounded wait resolves like redeem");
+        assert_eq!(pos.len(), 2);
+    }
+
+    #[test]
+    fn max_wait_past_instant_coalesces_without_bound() {
+        // A full batch evaluates at once; a partial one waits for more
+        // same-kernel work with no bound, until shutdown drains it.
+        let mut service = SpoService::new(
+            soa(8),
+            ServiceConfig {
+                max_batch: 4,
+                max_wait: Duration::MAX,
+                queue_positions: 4,
+                ..ServiceConfig::default()
+            },
+        );
+        for seed in 0..2 {
+            let out = service.engine().make_batch_out(4);
+            let (pos, _, _) = service
+                .submit(Kernel::V, block(4, 40 + seed), out)
+                .redeem_for(Duration::from_secs(3))
+                .expect("a full batch resolves, and frees its queue positions");
+            assert_eq!(pos.len(), 4);
+        }
+        let out = service.engine().make_batch_out(1);
+        let partial = service.submit(Kernel::V, block(1, 42), out);
+        let failed = partial
+            .redeem_for(Duration::from_millis(20))
+            .expect_err("a partial batch waits for more work");
+        assert_eq!(failed.error, ServiceError::Timeout);
+        service.shutdown();
+        let (pos, _, _) = failed
+            .ticket
+            .expect("the claim comes back")
+            .redeem()
+            .expect("shutdown drains the partial batch");
+        assert_eq!(pos.len(), 1);
+        let stats = service.stats();
+        assert_eq!((stats.panics, stats.respawns), (0, 0));
     }
 }

@@ -1,23 +1,19 @@
-//! Cache and NUMA probes, and the block-budget policy built on them.
+//! Cache probes, and the block-budget policy built on them.
 //!
 //! [`BlockBudgets`] reads the cache hierarchy's natural block budgets
 //! (private L2, LLC per worker, whole table) from sysfs;
 //! [`default_block_budget`] is the policy that picks one of them for a
-//! table; [`numa_domains`] is the domain count the service's shard
-//! routing resolves against. The paper lists an FFTW-style auto-tuner as
-//! future work (Sec. VI); none is built here. The Nb sweep is
-//! `qmc-bench`'s `fig7c` binary, and `examples/blocked_scaling.rs`
-//! compares the budget candidates.
-
-// ---------------------------------------------------------------------------
-// Cache probes and block budgets.
+//! table. The paper lists an FFTW-style auto-tuner as future work
+//! (Sec. VI); none is built here. The Nb sweep is `qmc-bench`'s `fig7c`
+//! binary, and `examples/blocked_scaling.rs` compares the budget
+//! candidates.
 
 /// Fallback L2 size when sysfs is unreadable (bytes).
 const FALLBACK_L2: usize = 1 << 20;
 /// Fallback shared-LLC size when sysfs is unreadable (bytes).
 const FALLBACK_L3: usize = 32 << 20;
 
-/// The live sysfs root the cache and NUMA probes read under.
+/// The live sysfs root the cache probes read under.
 const SYSFS_ROOT: &str = "/sys/devices/system";
 
 /// Parse a sysfs cache-size string (`"2048K"`, `"260M"`).
@@ -86,57 +82,6 @@ impl BlockBudgets {
             whole_table: table_bytes.max(1),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// NUMA-domain detection (the sharding counterpart of the cache probes
-// above; consumed by the service router's shard resolution).
-
-/// Count the memory domains under `<root>/node` (`node0`, `node1`, …) —
-/// the injectable-root core of [`numa_domains`], unit-testable against
-/// fixture trees. A missing or empty node directory reads as one
-/// domain (UMA / off-Linux).
-pub fn numa_domains_at(root: &std::path::Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(root.join("node")) else {
-        return 1;
-    };
-    entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.strip_prefix("node").is_some_and(|rest| {
-                !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit())
-            })
-        })
-        .count()
-        .max(1)
-}
-
-/// Strict parse of a `QMC_NUMA_DOMAINS` override: a positive decimal
-/// domain count. Garbage or zero panics naming the variable (the same
-/// contract as the rayon stub's `QMC_THREADS`) — a silently ignored
-/// typo would fall back to single-domain FIFO routing and quietly
-/// invalidate a routed measurement.
-fn parse_numa_domains(raw: &str) -> usize {
-    match raw.trim().parse::<usize>() {
-        Ok(0) => panic!("QMC_NUMA_DOMAINS must be at least 1, got 0"),
-        Ok(n) => n,
-        Err(_) => panic!("QMC_NUMA_DOMAINS must be a positive integer, got {raw:?}"),
-    }
-}
-
-/// The NUMA-domain count shard routing resolves against:
-/// `QMC_NUMA_DOMAINS` when set (strictly parsed, so multi-domain
-/// routing is exercisable on a single-domain host), else the sysfs
-/// node count (`/sys/devices/system/node/node*`), else 1. Cached for
-/// the process lifetime like the rayon stub's thread count.
-pub fn numa_domains() -> usize {
-    static DOMAINS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DOMAINS.get_or_init(|| match std::env::var("QMC_NUMA_DOMAINS") {
-        Ok(raw) => parse_numa_domains(&raw),
-        Err(_) => numa_domains_at(std::path::Path::new(SYSFS_ROOT)),
-    })
 }
 
 /// The block budget production runs use for a table of `table_bytes`.
@@ -245,48 +190,6 @@ mod tests {
         assert_eq!(b.l2, FALLBACK_L2);
         assert_eq!(b.l3_per_core, FALLBACK_L3 / 2);
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn numa_domains_counts_node_dirs() {
-        let root = fixture_root("numa");
-        for d in ["node/node0", "node/node1", "node/node12"] {
-            std::fs::create_dir_all(root.join(d)).expect("node dir");
-        }
-        // Non-node entries are ignored: files, other names, bare "node".
-        std::fs::create_dir_all(root.join("node/possible")).expect("dir");
-        std::fs::create_dir_all(root.join("node/nodeX")).expect("dir");
-        write_fixture(&root, "node/online", "0-2\n");
-        assert_eq!(numa_domains_at(&root), 3);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn numa_domains_missing_tree_is_single_domain() {
-        let root = fixture_root("numa-missing");
-        assert_eq!(numa_domains_at(&root), 1);
-        // An empty node dir also reads as UMA.
-        std::fs::create_dir_all(root.join("node")).expect("dir");
-        assert_eq!(numa_domains_at(&root), 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn numa_override_parses_strictly() {
-        assert_eq!(parse_numa_domains("2"), 2);
-        assert_eq!(parse_numa_domains(" 8\n"), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "QMC_NUMA_DOMAINS must be a positive integer")]
-    fn numa_override_rejects_garbage() {
-        parse_numa_domains("two");
-    }
-
-    #[test]
-    #[should_panic(expected = "QMC_NUMA_DOMAINS must be at least 1")]
-    fn numa_override_rejects_zero() {
-        parse_numa_domains("0");
     }
 
     #[test]

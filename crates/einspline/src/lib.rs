@@ -56,7 +56,7 @@ pub mod spline3d;
 
 pub use aligned::{padded_len, AlignedVec, CACHE_LINE};
 pub use grid::{Boundary, Grid1};
-pub use multi::{GridPoint, MultiCoefs, ShardMap, TableLayout};
+pub use multi::{GridPoint, MultiCoefs, TableLayout};
 pub use real::Real;
 pub use solver1d::{solve_clamped, solve_natural, solve_periodic};
 pub use spline1d::Spline1;

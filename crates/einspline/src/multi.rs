@@ -500,68 +500,6 @@ pub fn table_bytes_in<T>(grid: (usize, usize, usize), n_splines: usize) -> usize
     TableLayout::new::<T>(grid, n_splines).bytes()
 }
 
-/// A balanced contiguous partition of a block set into per-domain
-/// shards — the ownership map behind NUMA-domain batch routing.
-///
-/// The "blocks" are whatever unit the caller shards over; the
-/// evaluation service shards its table-region cells. Each domain owns
-/// one contiguous run of block ids; the first `n_blocks % n_domains`
-/// domains own one extra block, so shard sizes differ by at most one. When `n_domains >= n_blocks`
-/// the trailing domains own empty ranges (they still exist, so a
-/// replica keyed to such a domain simply never wins affinity).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `bounds[d]..bounds[d + 1]` is domain `d`'s block range.
-    bounds: Vec<usize>,
-}
-
-impl ShardMap {
-    /// Balanced contiguous partition of `n_blocks` blocks into
-    /// `n_domains` shards. Panics on zero blocks or zero domains.
-    pub fn balanced(n_blocks: usize, n_domains: usize) -> Self {
-        assert!(n_blocks > 0, "cannot shard an empty block set");
-        assert!(n_domains > 0, "need at least one domain");
-        let base = n_blocks / n_domains;
-        let extra = n_blocks % n_domains;
-        let mut bounds = Vec::with_capacity(n_domains + 1);
-        let mut at = 0;
-        bounds.push(at);
-        for d in 0..n_domains {
-            at += base + usize::from(d < extra);
-            bounds.push(at);
-        }
-        Self { bounds }
-    }
-
-    /// Number of domains (shards).
-    #[inline]
-    pub fn n_domains(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Number of blocks partitioned.
-    #[inline]
-    pub fn n_blocks(&self) -> usize {
-        *self.bounds.last().expect("bounds never empty")
-    }
-
-    /// The domain owning block `b`.
-    #[inline]
-    pub fn domain_of(&self, b: usize) -> usize {
-        debug_assert!(b < self.n_blocks(), "block index out of range");
-        // bounds is ascending; partition_point returns how many bounds
-        // are <= b, and bounds[0] = 0 is always <= b.
-        self.bounds.partition_point(|&lo| lo <= b) - 1
-    }
-
-    /// The contiguous block range domain `d` owns (may be empty when
-    /// there are more domains than blocks).
-    #[inline]
-    pub fn blocks_of(&self, d: usize) -> std::ops::Range<usize> {
-        self.bounds[d]..self.bounds[d + 1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,48 +844,5 @@ mod tests {
         let s = Spline3::<f32>::interpolate(gx, gy, gz, &data);
         let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 2);
         m.set_orbital(2, &s);
-    }
-
-    #[test]
-    fn shard_map_partitions_balanced_and_contiguous() {
-        // 10 blocks over 3 domains: 4 + 3 + 3.
-        let map = ShardMap::balanced(10, 3);
-        assert_eq!(map.n_domains(), 3);
-        assert_eq!(map.n_blocks(), 10);
-        assert_eq!(map.blocks_of(0), 0..4);
-        assert_eq!(map.blocks_of(1), 4..7);
-        assert_eq!(map.blocks_of(2), 7..10);
-        // domain_of agrees with the ranges for every block, and sizes
-        // differ by at most one.
-        for d in 0..map.n_domains() {
-            for b in map.blocks_of(d) {
-                assert_eq!(map.domain_of(b), d, "block {b}");
-            }
-            let len = map.blocks_of(d).len();
-            assert!((3..=4).contains(&len));
-        }
-    }
-
-    #[test]
-    fn shard_map_single_domain_owns_everything() {
-        let map = ShardMap::balanced(7, 1);
-        assert_eq!(map.blocks_of(0), 0..7);
-        assert_eq!(map.domain_of(6), 0);
-    }
-
-    #[test]
-    fn shard_map_more_domains_than_blocks_leaves_trailing_empty() {
-        let map = ShardMap::balanced(2, 4);
-        assert_eq!(map.blocks_of(0), 0..1);
-        assert_eq!(map.blocks_of(1), 1..2);
-        assert!(map.blocks_of(2).is_empty());
-        assert!(map.blocks_of(3).is_empty());
-        assert_eq!(map.domain_of(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one domain")]
-    fn shard_map_rejects_zero_domains() {
-        let _ = ShardMap::balanced(4, 0);
     }
 }

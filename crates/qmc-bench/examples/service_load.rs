@@ -27,20 +27,17 @@
 //!   (default 2; 0 streams fresh random positions every request —
 //!   expect a bandwidth-bound ceiling well under the closed-loop
 //!   reference, which re-evaluates a cache-resident position set);
-//! * `QMC_SERVICE_ROUTING` — `fifo` (single queue, the default) or
-//!   `affinity` (shard queues with block-affinity routing; shard count
-//!   from `QMC_NUMA_DOMAINS` or the host's NUMA topology);
 //! * `QMC_SERVICE_DEADLINE_US` — service-side request deadline in µs
 //!   (unset = no deadline): requests still queued past it are shed and
 //!   counted in the `shed` column instead of the latency percentiles;
 //! * `QMC_SERVICE_RETRIES` — crash re-enqueue budget per request
 //!   (default 2; 0 = fail a request on its first lost worker).
 //!
-//! All knobs parse strictly, matching `QMC_THREADS` /
-//! `QMC_NUMA_DOMAINS`: a set-but-garbage value panics instead of
-//! silently falling back and invalidating the measurement.
+//! All knobs parse strictly, matching `QMC_THREADS`: a set-but-garbage
+//! value panics instead of silently falling back and invalidating the
+//! measurement.
 
-use bspline::service::{RoutingPolicy, ServiceConfig, SpoService};
+use bspline::service::{ServiceConfig, SpoService};
 use bspline::{BsplineSoA, Kernel};
 use qmc_bench::workload::{batch_size, is_quick};
 use qmc_bench::{
@@ -94,11 +91,6 @@ fn main() {
             env_usize("QMC_SERVICE_DEADLINE_US", 0) as u64,
         )),
     };
-    let routing = match std::env::var("QMC_SERVICE_ROUTING").as_deref() {
-        Err(_) | Ok("fifo") => RoutingPolicy::Fifo,
-        Ok("affinity") => RoutingPolicy::Auto,
-        Ok(other) => panic!("QMC_SERVICE_ROUTING must be fifo or affinity, got {other:?}"),
-    };
     let table = coefficients(n, grid, 7);
 
     // Closed-loop reference: the direct batched VGH call the service
@@ -119,14 +111,13 @@ fn main() {
             max_batch,
             max_wait: Duration::from_micros(200),
             queue_positions: 4096,
-            routing,
             max_retries,
+            ..ServiceConfig::default()
         },
     );
     println!(
         "SoA f32 N={n} grid={grid:?}  replicas={replicas} max_batch={max_batch} \
-         positions/request={ppr} submitters={submitters} shards={}",
-        service.n_shards()
+         positions/request={ppr} submitters={submitters}"
     );
     println!("closed-loop batched VGH reference: {:.2} M-evals/s", closed / 1e6);
 

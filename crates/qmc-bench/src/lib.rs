@@ -39,8 +39,8 @@ pub mod report;
 pub mod workload;
 
 pub use measure::{
-    measure_kernel, measure_kernel_batched, measure_routed_ablation, measure_service,
-    MeasureConfig, RoutedAblation, ServiceLoad, ServiceLoadConfig,
+    measure_kernel, measure_kernel_batched, measure_service, MeasureConfig, ServiceLoad,
+    ServiceLoadConfig,
 };
 pub use modelled::{model_prediction, sim_threads, ModelScenario};
 pub use profile_suite::{run_profile, ProfileConfig, Suite};

@@ -1,11 +1,11 @@
 //! Host throughput measurement for the engines.
 
 use crate::workload::{batch_size, pos_block_in, positions_in};
-use bspline::service::{RoutingPolicy, ServiceConfig, SpoService};
+use bspline::service::SpoService;
 use bspline::walker::walker_rng;
 use bspline::SpoEngine;
-use bspline::{BsplineSoA, Kernel, PosBlock};
-use einspline::{MultiCoefs, Real};
+use bspline::{Kernel, PosBlock};
+use einspline::Real;
 use std::time::{Duration, Instant};
 
 /// Measurement parameters.
@@ -360,67 +360,6 @@ fn run_service_load<T: Real, E: SpoEngine<T> + 'static>(
         } else {
             run_positions as f64 / run_batches as f64
         },
-    }
-}
-
-/// Result of [`measure_routed_ablation`]: the same open-loop workload
-/// against a FIFO service and an affinity-routed one over identical
-/// engines.
-#[derive(Clone, Copy, Debug)]
-pub struct RoutedAblation {
-    /// Single-queue FIFO service ([`RoutingPolicy::Fifo`]).
-    pub fifo: ServiceLoad,
-    /// Affinity-routed service ([`RoutingPolicy::Affinity`]).
-    pub routed: ServiceLoad,
-    /// Requests the routed run spilled off their affinity shard.
-    pub spilled: usize,
-    /// Batches the routed run's workers stole from non-home shards.
-    pub stolen: usize,
-}
-
-impl RoutedAblation {
-    /// Routed / FIFO throughput ratio (the ≥ 1 affinity win).
-    pub fn speedup(&self) -> f64 {
-        self.routed.evals_per_sec / self.fifo.evals_per_sec
-    }
-}
-
-/// Routed-vs-FIFO ablation on one workload: build two services over
-/// engines constructed from the same coefficient table — one FIFO, one
-/// affinity-routed over `domains` shards — and run the identical
-/// [`measure_service`] load against each. Routing only picks *where*
-/// batches run, so any throughput difference is queue/locality
-/// mechanics, not work.
-pub fn measure_routed_ablation<T: Real>(
-    table: &MultiCoefs<T>,
-    kernel: Kernel,
-    base: ServiceConfig,
-    domains: usize,
-    cfg: &ServiceLoadConfig,
-) -> RoutedAblation {
-    let fifo_svc = SpoService::new(
-        BsplineSoA::new(table.clone()),
-        ServiceConfig {
-            routing: RoutingPolicy::Fifo,
-            ..base
-        },
-    );
-    let fifo = measure_service(&fifo_svc, kernel, cfg);
-    drop(fifo_svc);
-    let routed_svc = SpoService::new(
-        BsplineSoA::new(table.clone()),
-        ServiceConfig {
-            routing: RoutingPolicy::Affinity { domains },
-            ..base
-        },
-    );
-    let routed = measure_service(&routed_svc, kernel, cfg);
-    let stats = routed_svc.stats();
-    RoutedAblation {
-        fifo,
-        routed,
-        spilled: stats.spilled,
-        stolen: stats.stolen,
     }
 }
 

@@ -16,7 +16,7 @@ pub const GRID: (usize, usize, usize) = (48, 48, 48);
 
 /// `QMC_BENCH_QUICK=1` shrinks every workload (used by CI and tests).
 /// Unset or `0` is the full-size run; anything else panics naming the
-/// variable, like `QMC_THREADS` / `QMC_NUMA_DOMAINS`.
+/// variable, like `QMC_THREADS`.
 pub fn is_quick() -> bool {
     std::env::var("QMC_BENCH_QUICK").is_ok_and(|raw| parse_quick(&raw))
 }

@@ -7,7 +7,7 @@ use bspline::precision::{MixedEngine, MixedOut, WidenOut};
 use bspline::SpoEngine;
 use bspline::{
     BatchOut, BlockedEngine, BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock,
-    RoutingPolicy, ServiceConfig, SpoService, WalkerAoS, WalkerSoA,
+    ServiceConfig, SpoService, WalkerAoS, WalkerSoA,
 };
 use einspline::{Grid1, MultiCoefs, Real};
 use miniqmc::determinant::DiracDeterminant;
@@ -325,14 +325,9 @@ fn hostile_positions_have_defined_behaviour() {
         t64.fill_random(&mut StdRng::seed_from_u64(50 + n as u64));
         assert_hostile_positions("mixed", &MixedEngine::soa(&t64));
 
-        // Two affinity shards, so the router's cell scoring sees the
-        // hostile coordinates too.
         assert_hostile_service(&SpoService::new(
             BsplineSoA::new(t),
-            ServiceConfig {
-                routing: RoutingPolicy::Affinity { domains: 2 },
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
         ));
     }
 }
@@ -348,13 +343,6 @@ fn zero_sized_service_configs_are_rejected_by_name() {
         ("replicas", ServiceConfig { replicas: 0, ..base }),
         ("max_batch", ServiceConfig { max_batch: 0, ..base }),
         ("queue_positions", ServiceConfig { queue_positions: 0, ..base }),
-        (
-            "domains",
-            ServiceConfig {
-                routing: RoutingPolicy::Affinity { domains: 0 },
-                ..base
-            },
-        ),
     ];
     for (field, cfg) in cases {
         let engine = BsplineSoA::new(table(4, 5, 60));

@@ -18,24 +18,21 @@
 //!    deadlocks, and an oversized request is still admitted when the
 //!    service drains idle;
 //! 4. `PosBlock::chunks` edge cases (the splitter submitters use to
-//!    shard a walker's positions): empty block, ragged tail, chunk
+//!    split a walker's positions): empty block, ragged tail, chunk
 //!    size ≥ length, and the positive-size contract;
 //! 5. a proptest partition property: any chunking of any position
 //!    block, pipelined through the service, reassembles to the direct
 //!    batch;
-//! 6. routing invariants (ISSUE 8): under any [`RoutingPolicy`] —
-//!    FIFO, single-domain affinity (the fallback), or multi-shard
-//!    affinity — every routing decision (majority classification,
-//!    content-hash tie-break, spill, steal) only picks *which queue*
-//!    a request waits in, so results stay bit-identical to the direct
-//!    batch even for spatially-concentrated blocks that all classify
-//!    to one hot shard;
+//! 6. one or two workers against a tight or a loose queue bound, fed a
+//!    stream of clustered and uniform blocks: how many workers drain
+//!    the queue, and how often submitters block, only decide *when* a
+//!    request runs, so results stay bit-identical to the direct batch;
 //! 7. the pinned backend: a service built under a backend force keeps
 //!    that backend for submitters outside the force.
 
 mod common;
 
-use bspline::service::{RoutingPolicy, ServiceConfig, ServiceError, SpoService};
+use bspline::service::{ServiceConfig, ServiceError, SpoService};
 use bspline::{BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{Grid1, MultiCoefs, Real};
 use proptest::prelude::*;
@@ -99,7 +96,7 @@ fn direct_batch<T: Real>(
     out
 }
 
-/// Shard `pos` into `chunk`-sized requests, fire them at `service`
+/// Split `pos` into `chunk`-sized requests, fire them at `service`
 /// from `submitters` concurrent threads, and assert every returned
 /// block bit-matches the direct big-batch reference at its global
 /// position index.
@@ -147,12 +144,13 @@ fn stress_service<T: Real>(
 
 fn small_service<T: Real>(
     table: MultiCoefs<T>,
+    replicas: usize,
     queue_positions: usize,
 ) -> SpoService<T, BsplineSoA<T>> {
     SpoService::new(
         BsplineSoA::new(table),
         ServiceConfig {
-            replicas: 2,
+            replicas,
             max_batch: 32,
             max_wait: Duration::from_micros(200),
             queue_positions,
@@ -164,7 +162,7 @@ fn small_service<T: Real>(
 #[test]
 fn many_small_submissions_equal_one_big_batch_f32() {
     let n = 24;
-    let service = small_service(random_table::<f32>(n, 0xf32), 4096);
+    let service = small_service(random_table::<f32>(n, 0xf32), 2, 4096);
     let pos = random_block::<f32>(96, 0xf32 ^ 0xabcd);
     for kernel in Kernel::ALL {
         stress_service(&service, kernel, &pos, 4, 6);
@@ -178,7 +176,7 @@ fn many_small_submissions_equal_one_big_batch_f32() {
 #[test]
 fn many_small_submissions_equal_one_big_batch_f64() {
     let n = 17;
-    let service = small_service(random_table::<f64>(n, 0xf64), 4096);
+    let service = small_service(random_table::<f64>(n, 0xf64), 2, 4096);
     let pos = random_block::<f64>(60, 0xf64 ^ 0xabcd);
     for kernel in Kernel::ALL {
         stress_service(&service, kernel, &pos, 5, 4);
@@ -188,7 +186,7 @@ fn many_small_submissions_equal_one_big_batch_f64() {
 #[test]
 fn mixed_kernel_stream_returns_each_callers_own_results() {
     let n = 12;
-    let service = small_service(random_table::<f32>(n, 0x717), 4096);
+    let service = small_service(random_table::<f32>(n, 0x717), 2, 4096);
     let pos = random_block::<f32>(72, 0x717 ^ 0xabcd);
     let references: Vec<_> = Kernel::ALL
         .into_iter()
@@ -234,7 +232,7 @@ fn tiny_queue_bound_throttles_without_deadlock() {
     // threads: at most one request is ever admitted at a time, every
     // other submitter blocks in `submit` — progress proves the worker
     // wakes blocked submitters as it drains.
-    let service = small_service(random_table::<f32>(n, 0x404), 4);
+    let service = small_service(random_table::<f32>(n, 0x404), 2, 4);
     let pos = random_block::<f32>(64, 0x404 ^ 0xabcd);
     stress_service(&service, Kernel::Vgh, &pos, 4, 4);
     // An oversized request (8 positions > bound 4) is still admitted
@@ -295,9 +293,9 @@ fn zero_chunk_size_panics() {
     let _ = pos.chunks(0).count();
 }
 
-/// A block whose positions cluster inside one octant of the domain, so
-/// the router's majority vote classifies the whole block to a single
-/// shard (the hot-shard case); `corner` picks which octant.
+/// A block whose positions cluster inside one octant of the domain
+/// (`corner` picks which), so consecutive requests touch the same few
+/// coefficient lines.
 fn concentrated_block<T: Real>(ns: usize, corner: usize, seed: u64) -> PosBlock<T> {
     let mut rng = StdRng::seed_from_u64(seed);
     let lo = [
@@ -316,41 +314,22 @@ fn concentrated_block<T: Real>(ns: usize, corner: usize, seed: u64) -> PosBlock<
         .collect()
 }
 
-fn routed_service<T: Real>(
-    table: MultiCoefs<T>,
-    routing: RoutingPolicy,
-    queue_positions: usize,
-) -> SpoService<T, BsplineSoA<T>> {
-    SpoService::new(
-        BsplineSoA::new(table),
-        ServiceConfig {
-            replicas: 2,
-            max_batch: 32,
-            max_wait: Duration::from_micros(200),
-            queue_positions,
-            routing,
-            ..ServiceConfig::default()
-        },
-    )
-}
-
-/// Hot-shard stress: every submitter fires blocks concentrated in the
-/// *same* octant at a 2-shard affinity service with a tight queue
-/// bound, so the home queue saturates and the spill/steal paths run —
-/// and the results must still bit-match the direct batch.
+/// Six submitters fire a clustered-then-uniform stream at one or two
+/// workers, under a queue bound below the stream (48 positions: the
+/// submitters block and the workers wake them as they drain) and above
+/// it: every result must still bit-match the direct batch.
 #[test]
-fn hot_shard_spill_and_steal_stay_bit_identical() {
+fn workers_under_any_queue_bound_stay_bit_identical() {
     let n = 16;
-    let service = routed_service(
-        random_table::<f32>(n, 0x5b11),
-        RoutingPolicy::Affinity { domains: 2 },
-        64,
-    );
-    let pos = concentrated_block::<f32>(96, 7, 0x5b11 ^ 0xabcd);
-    stress_service(&service, Kernel::Vgh, &pos, 8, 6);
-    let stats = service.stats();
-    assert_eq!(stats.positions, 96);
-    assert_eq!(service.n_shards(), 2);
+    for replicas in [1, 2] {
+        for queue_positions in [48, 4096] {
+            let service = small_service(random_table::<f32>(n, 0x5b11), replicas, queue_positions);
+            let mut pos = concentrated_block::<f32>(96, 7, 0x5b11 ^ 0xabcd);
+            pos.extend_from_block(&random_block::<f32>(48, 0x5b11 ^ 0x5eed));
+            stress_service(&service, Kernel::Vgh, &pos, 8, 6);
+            assert_eq!(service.stats().positions, 144, "replicas={replicas}");
+        }
+    }
 }
 
 proptest! {
@@ -367,7 +346,7 @@ proptest! {
         chunk in 1usize..12,
         seed in 0u64..1000,
     ) {
-        let service = small_service(random_table::<f32>(n, seed), 4096);
+        let service = small_service(random_table::<f32>(n, seed), 2, 4096);
         let pos = random_block::<f32>(ns, seed ^ 0x5eed);
         for kernel in Kernel::ALL {
             let reference = direct_batch(service.engine(), kernel, &pos);
@@ -396,35 +375,22 @@ proptest! {
         }
     }
 
-    /// Routing property: for any policy (FIFO, single-domain affinity
-    /// — the fallback — or 2/3-shard affinity), any mix of uniform and
-    /// corner-concentrated blocks pipelined through the service
-    /// reassembles bit-for-bit into the direct batch. Concentrated
-    /// blocks exercise the majority-vote path, uniform blocks the
-    /// content-hash tie-break, and the tight queue bound the spill and
-    /// steal escape hatches; none of them may change *what* a request
-    /// evaluates to, only *where* it queues.
+    /// Worker-pool property: with one or two workers and a tight or a
+    /// loose queue bound, a clustered block followed by a uniform one,
+    /// pipelined through the service, reassembles bit-for-bit into the
+    /// direct batch.
     #[test]
-    fn any_routing_decision_reassembles_to_the_direct_batch(
-        policy_ix in 0usize..4,
+    fn any_pool_and_queue_bound_reassembles_to_the_direct_batch(
+        replicas in 1usize..3,
         corner in 0usize..8,
         ns in 1usize..40,
         chunk in 1usize..12,
         queue_ix in 0usize..2,
         seed in 0u64..1000,
     ) {
-        let policy = [
-            RoutingPolicy::Fifo,
-            RoutingPolicy::Affinity { domains: 1 },
-            RoutingPolicy::Affinity { domains: 2 },
-            RoutingPolicy::Affinity { domains: 3 },
-        ][policy_ix];
         let queue_positions = [48usize, 4096][queue_ix];
         let n = 10;
-        let service =
-            routed_service(random_table::<f32>(n, seed), policy, queue_positions);
-        // Interleave a concentrated block (majority vote) with a
-        // uniform one (hash tie-break) in a single position stream.
+        let service = small_service(random_table::<f32>(n, seed), replicas, queue_positions);
         let mut pos = concentrated_block::<f32>(ns, corner, seed ^ 0x0c0c);
         pos.extend_from_block(&random_block::<f32>(ns / 2, seed ^ 0x5eed));
         let kernel = Kernel::ALL[(seed % 3) as usize];
@@ -445,7 +411,7 @@ proptest! {
                     n,
                     out.block(j),
                     reference.block(at + j),
-                    &format!("{policy:?} {kernel} chunk={i} pos={j}"),
+                    &format!("replicas={replicas} {kernel} chunk={i} pos={j}"),
                 );
             }
             at += sub.len();

@@ -268,8 +268,6 @@ fn stats_counters_are_monotone_and_sum_consistent_under_load() {
                         ("batches", prev.batches, now.batches),
                         ("positions", prev.positions, now.positions),
                         ("coalesced", prev.coalesced, now.coalesced),
-                        ("spilled", prev.spilled, now.spilled),
-                        ("stolen", prev.stolen, now.stolen),
                         ("shed", prev.shed, now.shed),
                         ("retried", prev.retried, now.retried),
                         ("panics", prev.panics, now.panics),
