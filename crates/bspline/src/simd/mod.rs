@@ -264,6 +264,7 @@ mod tests {
             ("simd/x86.rs", include_str!("x86.rs")),
             ("output.rs", include_str!("../output.rs")),
             ("einspline/aligned.rs", include_str!("../../../einspline/src/aligned.rs")),
+            ("miniqmc/multiversion.rs", include_str!("../../../miniqmc/src/multiversion.rs")),
         ];
         // Spelled in two halves so that this test does not find itself.
         let needles = [concat!("un", "safe {"), concat!("un", "safe impl")];

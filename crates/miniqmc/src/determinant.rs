@@ -26,18 +26,18 @@
 //!
 //! Both bodies are written as `c += a * b` and never as
 //! [`f64::mul_add`]: on the x86-64 baseline target `mul_add` is not an
-//! instruction but a call into libm per element, and Rust does not
-//! contract that into a fused multiply-add on its own, also not
-//! where FMA is available. So the two instantiations of each body (the
-//! baseline and `avx2,fma` — the latter for every backend from AVX2 up,
-//! picked by [`bspline::simd::active_backend`] like every other kernel,
-//! so `QMC_SIMD` and `with_backend` select them) are bit-identical.
+//! instruction but a call into libm per element. Each is instantiated
+//! three times by the crate's `multiversion!` macro — baseline,
+//! `avx2,fma` and `avx2,fma,avx512f`, picked by
+//! [`bspline::simd::active_backend`] like every other kernel, so
+//! `QMC_SIMD` and `with_backend` select them — and the three are
+//! bit-identical.
 
-#[cfg(target_arch = "x86_64")]
-use bspline::simd::{active_backend, Backend};
+use crate::multiversion::multiversion;
 
-/// Lane accumulators of [`dot`]: four AVX2 or eight SSE2 vectors of
-/// `f64`, enough independent chains to cover the add latency.
+/// Lane accumulators of [`dot`]: two AVX-512, four AVX2 or eight SSE2
+/// vectors of `f64`, enough independent chains to cover the add
+/// latency.
 const LANES: usize = 16;
 
 /// `Σ_k a[k]·b[k]` over two slices of one length, in the fixed
@@ -70,25 +70,10 @@ fn dot_body(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// [`dot_body`] compiled with AVX2 available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    dot_body(a, b)
-}
-
-/// [`dot_body`] in the active backend's instantiation.
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if active_backend() >= Backend::Avx2 {
-        // SAFETY: a backend from AVX2 up is only ever active after
-        // run-time detection of `avx2` and `fma` (`Backend::available`
-        // lists AVX-512 on top of them only), which `with_backend` and
-        // the `QMC_SIMD` override both respect.
-        return unsafe { dot_avx2(a, b) };
-    }
-    dot_body(a, b)
+multiversion! {
+    /// [`dot_body`] in the active backend's instantiation.
+    #[inline]
+    fn dot(a: &[f64], b: &[f64]) -> f64 = dot_body;
 }
 
 /// Sherman–Morrison update of the `n × n` transposed inverse `inv_t`
@@ -111,21 +96,10 @@ fn sherman_morrison_body(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &m
     }
 }
 
-/// [`sherman_morrison_body`] compiled with AVX2 available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn sherman_morrison_avx2(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &mut [f64]) {
-    sherman_morrison_body(inv_t, e, phi, r, c);
-}
-
-/// [`sherman_morrison_body`] in the active backend's instantiation.
-fn sherman_morrison(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if active_backend() >= Backend::Avx2 {
-        // SAFETY: as in `dot`.
-        return unsafe { sherman_morrison_avx2(inv_t, e, phi, r, c) };
-    }
-    sherman_morrison_body(inv_t, e, phi, r, c);
+multiversion! {
+    /// [`sherman_morrison_body`] in the active backend's instantiation.
+    fn sherman_morrison(inv_t: &mut [f64], e: usize, phi: &[f64], r: f64, c: &mut [f64]) =
+        sherman_morrison_body;
 }
 
 /// LU factorization with partial pivoting of a dense row-major matrix.

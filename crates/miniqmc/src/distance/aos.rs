@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn aos_propose_accept_matches_soa() {
         let lat = Lattice::hexagonal(3.0, 8.0);
-        let ps = random_electrons(lat, 8, &mut StdRng::seed_from_u64(29));
+        let mut ps = random_electrons(lat, 8, &mut StdRng::seed_from_u64(29));
         let mut aos = DistanceTableAAAoS::new(&ps);
         let mut soa = DistanceTableAA::new(&ps);
         let rnew = [0.9, 1.1, 4.0];
@@ -229,6 +229,9 @@ mod tests {
         }
         aos.accept(3);
         soa.accept(3);
+        // The SoA table writes row 3 only; rows 4..8 are recomputed.
+        ps.set(3, rnew);
+        assert_eq!(soa.refresh_stale_rows(&ps), 4);
         for i in 0..8 {
             for j in 0..8 {
                 assert!((aos.distance(i, j) - soa.distance(i, j)).abs() < 1e-10);

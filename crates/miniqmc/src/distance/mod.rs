@@ -13,8 +13,11 @@
 //!   SoA transformation"): coordinate streams through one
 //!   register-resident pass that scans only the images that can win.
 //!
-//! Both produce identical tables; the benchmark harness times them
-//! against each other for the Table II → Table III profile shift.
+//! Both produce identical distances; the benchmark harness times them
+//! against each other for the Table II → Table III profile shift. The
+//! SoA electron–electron table holds the lower triangle only and writes
+//! rows only (see [`soa::DistanceTableAA`]); its `distance(i, j)` and
+//! `displacement(i, j)` answer for every pair as the AoS table's do.
 //!
 //! # Which images can win
 //!
@@ -205,8 +208,9 @@ mod tests {
 
     #[test]
     fn pruned_set_is_symmetric() {
-        // What lets `accept` mirror a row into a column: the candidates
-        // for `−c` are the negated candidates for `c`.
+        // What lets the e–e table store one triangle: the candidates for
+        // `−c` are the negated candidates for `c`, so row `j`'s entry for
+        // `i` is the distance row `i` would hold for `j`.
         let mut rng = StdRng::seed_from_u64(5);
         for lat in [Lattice::hexagonal(3.0, 8.0), random_triclinic(&mut rng)] {
             let im = ImageShifts::new(&lat);

@@ -31,18 +31,34 @@
 //! edge where this multiplies by its inverse, and they agree to
 //! rounding.
 //!
-//! The body is compiled twice, for the x86-64 baseline and for
-//! AVX2 (which every backend from AVX2 up runs), and
+//! The body is compiled three times by the crate's `multiversion!`
+//! macro, for the x86-64 baseline, `avx2,fma` and `avx2,fma,avx512f`
+//! (one [`CHUNK`] per 512-bit register), and
 //! [`bspline::simd::active_backend`] picks one, so `QMC_SIMD` and
 //! `with_backend` select it like every other kernel.
+//!
+//! # The electron–electron table
+//!
+//! [`DistanceTableAA`] stores the strict lower triangle in `n`-stride
+//! rows (row `i` holds `j < i`) and writes rows only. A proposal costs
+//! two kernel rows, the moving electron's at its new and at its current
+//! position; accept and reject each copy `iel` entries of one of them.
+//! At 8 lanes a fresh row is cheaper than the strided column stores a
+//! mirrored full matrix needs on every accept. Moves out of index order
+//! leave rows stale; the table tracks which, and
+//! [`DistanceTableAA::refresh_stale_rows`] recomputes them. The
+//! triangle is not packed: a packed prototype ran no faster here and
+//! raised peak RSS by 5 % (at n = 256 its 255 KiB arrays fall under
+//! glibc's dynamic mmap threshold and stay on the brk heap).
 
 use super::ImageShifts;
 use crate::lattice::Lattice;
+use crate::multiversion::multiversion;
 use crate::particleset::ParticleSet;
-#[cfg(any(test, target_arch = "x86_64"))]
-use bspline::simd::{active_backend, Backend};
+use std::cmp::Ordering;
 
-/// Sources per kernel step: two AVX2 or four SSE2 vectors of `f64`.
+/// Sources per kernel step: one AVX-512, two AVX2 or four SSE2 vectors
+/// of `f64`.
 pub const CHUNK: usize = 8;
 
 /// `f64::round` (half away from zero) for any input, from operations
@@ -171,11 +187,10 @@ fn row_min_image(lattice: &Lattice, shifts: &[[f64; 3]], p: [f64; 3], row: Row<'
     }
 }
 
-/// [`row_min_image`] compiled with AVX2 available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn row_min_image_avx2(lattice: &Lattice, shifts: &[[f64; 3]], p: [f64; 3], row: Row<'_>) {
-    row_min_image(lattice, shifts, p, row);
+multiversion! {
+    /// [`row_min_image`] in the active backend's instantiation.
+    fn row_min_image_any(lattice: &Lattice, shifts: &[[f64; 3]], p: [f64; 3], row: Row<'_>) =
+        row_min_image;
 }
 
 /// Kernel: minimum-image distances from one point to all sources given as
@@ -205,15 +220,7 @@ pub fn distances_to_point(
         dy: &mut dy[..n],
         dz: &mut dz[..n],
     };
-    #[cfg(target_arch = "x86_64")]
-    if active_backend() >= Backend::Avx2 {
-        // SAFETY: a backend from AVX2 up is only ever active after
-        // run-time detection of `avx2` and `fma` (`Backend::available`
-        // lists AVX-512 on top of them only), which `with_backend` and
-        // the `QMC_SIMD` override both respect.
-        return unsafe { row_min_image_avx2(lattice, im.pruned(), p, row) };
-    }
-    row_min_image(lattice, im.pruned(), p, row);
+    row_min_image_any(lattice, im.pruned(), p, row);
 }
 
 /// Elementwise `|a − b| ≤ tol·max(1, |b|)`, NaN matching NaN.
@@ -223,28 +230,67 @@ fn rows_match(a: &[f64], b: &[f64], tol: f64) -> bool {
         .all(|(&x, &y)| (x - y).abs() <= tol * y.abs().max(1.0) || (x.is_nan() && y.is_nan()))
 }
 
+/// The four streams `[r, dx, dy, dz]` of `p`'s row against the first
+/// `out[0].len()` particles of `ps`.
+fn fill_row(
+    lattice: &Lattice,
+    im: &ImageShifts,
+    ps: &ParticleSet,
+    p: [f64; 3],
+    [r, dx, dy, dz]: [&mut [f64]; 4],
+) {
+    let (sx, sy, sz) = ps.soa();
+    distances_to_point(lattice, im, &sx[..r.len()], sy, sz, p, r, dx, dy, dz);
+}
+
 /// Same-species (electron–electron) distance table, SoA layout.
+///
+/// Row `i` holds the pairs `j < i` only: the table is the strict lower
+/// triangle of the symmetric matrix, stored in `n`-stride rows, and no
+/// move ever writes a column. [`Self::propose`] computes the moving
+/// electron's row at its proposed position *and* at its current one
+/// (QMCPACK's "prepare old"); [`Self::accept`] writes the first into the
+/// row, [`Self::reject`] the second.
+///
+/// So a move of `k` leaves entry `k` of every row `i > k` stale until
+/// row `i` is written again. In a forward sweep (each electron proposed
+/// once, in index order, then accepted or rejected) every row is
+/// written after all the moves below it, and the triangle ends
+/// bit-identical to a [`Self::rebuild`]. For any other order the table
+/// knows which rows went stale, and [`Self::refresh_stale_rows`]
+/// recomputes exactly those.
 #[derive(Clone, Debug)]
 pub struct DistanceTableAA {
     n: usize,
     lattice: Lattice,
     im: ImageShifts,
-    /// Row-major `n × n`: `r[i*n + j]` = |r_j − r_i| (min image).
+    /// Row-major with stride `n`, strict lower triangle only:
+    /// `r[i*n + j]` = |r_j − r_i| (min image) for `j < i`. No other
+    /// entry is written or read.
     r: Vec<f64>,
     dx: Vec<f64>,
     dy: Vec<f64>,
     dz: Vec<f64>,
-    /// Proposed-move scratch row.
-    r_tmp: Vec<f64>,
-    dx_tmp: Vec<f64>,
-    dy_tmp: Vec<f64>,
-    dz_tmp: Vec<f64>,
+    /// `[r, dx, dy, dz]` of the moving electron's row at its proposed
+    /// position, over all `n` (its own entry zero).
+    new: [Vec<f64>; 4],
+    /// The same row at its current position.
+    old: [Vec<f64>; 4],
+    /// The electron of the pending proposal (`usize::MAX`: none).
+    proposed: usize,
+    /// Accepted moves so far: the clock of the two stamps below.
+    moves: u64,
+    /// Per electron: `moves` just after it last moved.
+    moved_at: Vec<u64>,
+    /// Per row: `moves` when it was last written whole.
+    written_at: Vec<u64>,
 }
 
 impl DistanceTableAA {
     /// Create a new instance.
     pub fn new(ps: &ParticleSet) -> Self {
         let n = ps.len();
+        let row = || [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
         let mut t = Self {
             n,
             lattice: *ps.lattice(),
@@ -253,10 +299,12 @@ impl DistanceTableAA {
             dx: vec![0.0; n * n],
             dy: vec![0.0; n * n],
             dz: vec![0.0; n * n],
-            r_tmp: vec![0.0; n],
-            dx_tmp: vec![0.0; n],
-            dy_tmp: vec![0.0; n],
-            dz_tmp: vec![0.0; n],
+            new: row(),
+            old: row(),
+            proposed: usize::MAX,
+            moves: 0,
+            moved_at: vec![0; n],
+            written_at: vec![0; n],
         };
         t.rebuild(ps);
         t
@@ -274,31 +322,38 @@ impl DistanceTableAA {
         self.n == 0
     }
 
-    /// Full O(N²) recompute.
+    /// Compute row `i` (its pairs `j < i`) from the positions in `ps`.
+    fn write_row(&mut self, ps: &ParticleSet, i: usize) {
+        let at = i * self.n..i * self.n + i;
+        let out = [&mut self.r, &mut self.dx, &mut self.dy, &mut self.dz];
+        let out = out.map(|s| &mut s[at.clone()]);
+        fill_row(&self.lattice, &self.im, ps, ps.get(i), out);
+        self.written_at[i] = self.moves;
+    }
+
+    /// Full recompute of the triangle, O(N²/2).
     pub fn rebuild(&mut self, ps: &ParticleSet) {
-        let (sx, sy, sz) = ps.soa();
         for i in 0..self.n {
-            let p = ps.get(i);
-            let lo = i * self.n;
-            let hi = lo + self.n;
-            distances_to_point(
-                &self.lattice,
-                &self.im,
-                sx,
-                sy,
-                sz,
-                p,
-                &mut self.r[lo..hi],
-                &mut self.dx[lo..hi],
-                &mut self.dy[lo..hi],
-                &mut self.dz[lo..hi],
-            );
-            // Self-distance slot: set to 0 exactly.
-            self.r[lo + i] = 0.0;
-            self.dx[lo + i] = 0.0;
-            self.dy[lo + i] = 0.0;
-            self.dz[lo + i] = 0.0;
+            self.write_row(ps, i);
         }
+    }
+
+    /// Recompute the rows that a move of a lower index made stale (see
+    /// the type docs) from the positions in `ps`, which must include
+    /// every accepted move. Returns how many rows it recomputed: none
+    /// after a forward sweep.
+    pub fn refresh_stale_rows(&mut self, ps: &ParticleSet) -> usize {
+        // The latest move of any electron below row `i`.
+        let mut latest = 0;
+        let mut stale = 0;
+        for i in 0..self.n {
+            if latest > self.written_at[i] {
+                self.write_row(ps, i);
+                stale += 1;
+            }
+            latest = latest.max(self.moved_at[i]);
+        }
+        stale
     }
 
     /// Whether every cached distance is within `tol` (relative above 1)
@@ -308,87 +363,109 @@ impl DistanceTableAA {
     pub(crate) fn distances_match_rebuild(&self, ps: &ParticleSet, tol: f64) -> bool {
         let mut fresh = self.clone();
         fresh.rebuild(ps);
-        rows_match(&self.r, &fresh.r, tol)
+        (0..self.n).all(|i| rows_match(self.row(i), fresh.row(i), tol))
     }
 
-    /// Distances from particle `i` to every particle (entry `i` itself is
-    /// zero).
+    /// Distances from particle `i` to the particles `j < i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.r[i * self.n..(i + 1) * self.n]
+        &self.r[i * self.n..i * self.n + i]
     }
 
-    /// Displacement component rows for particle `i`.
+    /// Displacement component rows `r_j − r_i` for `j < i`.
     #[inline]
     pub fn disp_rows(&self, i: usize) -> (&[f64], &[f64], &[f64]) {
-        let lo = i * self.n;
-        let hi = lo + self.n;
-        (&self.dx[lo..hi], &self.dy[lo..hi], &self.dz[lo..hi])
+        let at = i * self.n..i * self.n + i;
+        (&self.dx[at.clone()], &self.dy[at.clone()], &self.dz[at])
     }
 
     #[inline]
-    /// Cached minimum-image distance between two particles.
+    /// Cached minimum-image distance between two particles (any order;
+    /// zero for `i == j`).
     pub fn distance(&self, i: usize, j: usize) -> f64 {
-        self.r[i * self.n + j]
+        match i.cmp(&j) {
+            Ordering::Greater => self.r[i * self.n + j],
+            Ordering::Less => self.r[j * self.n + i],
+            Ordering::Equal => 0.0,
+        }
     }
 
-    /// Displacement `r_j − r_i` (minimum image).
+    /// Displacement `r_j − r_i` (minimum image) for any `i`, `j`.
     #[inline]
     pub fn displacement(&self, i: usize, j: usize) -> [f64; 3] {
-        let k = i * self.n + j;
-        [self.dx[k], self.dy[k], self.dz[k]]
+        let at = |k: usize| [self.dx[k], self.dy[k], self.dz[k]];
+        match i.cmp(&j) {
+            Ordering::Greater => at(i * self.n + j),
+            Ordering::Less => at(j * self.n + i).map(|x| -x),
+            Ordering::Equal => [0.0; 3],
+        }
     }
 
-    /// Compute the scratch row for moving `iel` to `rnew`.
+    /// Compute the rows of `iel` at `rnew` and at its current position,
+    /// for [`Self::temp_row`]/[`Self::old_row`] and for the
+    /// [`Self::accept`] or [`Self::reject`] that follows.
     pub fn propose(&mut self, ps: &ParticleSet, iel: usize, rnew: [f64; 3]) {
-        let (sx, sy, sz) = ps.soa();
-        distances_to_point(
-            &self.lattice,
-            &self.im,
-            sx,
-            sy,
-            sz,
-            rnew,
-            &mut self.r_tmp,
-            &mut self.dx_tmp,
-            &mut self.dy_tmp,
-            &mut self.dz_tmp,
-        );
-        self.r_tmp[iel] = 0.0;
-        self.dx_tmp[iel] = 0.0;
-        self.dy_tmp[iel] = 0.0;
-        self.dz_tmp[iel] = 0.0;
+        for (row, p) in [(&mut self.new, rnew), (&mut self.old, ps.get(iel))] {
+            let out = row.each_mut().map(|s| &mut s[..]);
+            fill_row(&self.lattice, &self.im, ps, p, out);
+            for s in row {
+                s[iel] = 0.0;
+            }
+        }
+        self.proposed = iel;
     }
 
-    /// Scratch row from the last [`Self::propose`].
+    /// Distances from the proposed position of the last
+    /// [`Self::propose`] to every particle.
     #[inline]
     pub fn temp_row(&self) -> &[f64] {
-        &self.r_tmp
+        &self.new[0]
     }
 
     #[inline]
-    /// Temp disp.
+    /// Displacement rows of the proposed position.
     pub fn temp_disp(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.dx_tmp, &self.dy_tmp, &self.dz_tmp)
+        (&self.new[1], &self.new[2], &self.new[3])
     }
 
-    /// Commit the proposed move of `iel`: overwrite its row and mirror
-    /// into the column (distance symmetric, displacement antisymmetric).
-    pub fn accept(&mut self, iel: usize) {
-        let n = self.n;
-        let lo = iel * n;
-        self.r[lo..lo + n].copy_from_slice(&self.r_tmp);
-        self.dx[lo..lo + n].copy_from_slice(&self.dx_tmp);
-        self.dy[lo..lo + n].copy_from_slice(&self.dy_tmp);
-        self.dz[lo..lo + n].copy_from_slice(&self.dz_tmp);
-        for j in 0..n {
-            let k = j * n + iel;
-            self.r[k] = self.r_tmp[j];
-            // Row iel stores r_j − r_new; column stores r_new − r_j.
-            self.dx[k] = -self.dx_tmp[j];
-            self.dy[k] = -self.dy_tmp[j];
-            self.dz[k] = -self.dz_tmp[j];
+    /// Distances from the current position of the electron of the last
+    /// [`Self::propose`] to every particle, computed fresh by it.
+    #[inline]
+    pub fn old_row(&self) -> &[f64] {
+        &self.old[0]
+    }
+
+    /// Write the proposal's `[0, iel)` part from `new` (accept) or
+    /// `old` (reject) into row `iel`.
+    fn store_row(&mut self, iel: usize, accepted: bool) {
+        assert_eq!(
+            iel, self.proposed,
+            "accept/reject must follow propose for the same electron"
+        );
+        let src = if accepted { &self.new } else { &self.old };
+        let lo = iel * self.n;
+        let dst = [&mut self.r, &mut self.dx, &mut self.dy, &mut self.dz];
+        for (d, s) in dst.into_iter().zip(src) {
+            d[lo..lo + iel].copy_from_slice(&s[..iel]);
         }
+        self.written_at[iel] = self.moves;
+        self.proposed = usize::MAX;
+    }
+
+    /// Commit the proposed move of `iel`: its row takes the proposed
+    /// distances. Rows above it keep their entry for `iel` until they
+    /// are written again.
+    pub fn accept(&mut self, iel: usize) {
+        self.moves += 1;
+        self.moved_at[iel] = self.moves;
+        self.store_row(iel, true);
+    }
+
+    /// Discard the proposed move of `iel`: its row takes the distances
+    /// from its current position, which `propose` computed, so a row
+    /// left stale by earlier moves below it is fresh again.
+    pub fn reject(&mut self, iel: usize) {
+        self.store_row(iel, false);
     }
 }
 
@@ -541,7 +618,7 @@ mod tests {
     use super::*;
     use crate::lattice::{graphite_supercell, random_triclinic};
     use crate::particleset::random_electrons;
-    use bspline::simd::with_backend;
+    use bspline::simd::{with_backend, Backend};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -549,10 +626,10 @@ mod tests {
         random_electrons(lat, n, &mut StdRng::seed_from_u64(seed))
     }
 
-    /// Both instantiations of the kernel: the baseline one, and the one
-    /// this host runs.
-    fn backends() -> [Backend; 2] {
-        [Backend::Scalar, active_backend()]
+    /// Every instantiation of the kernel this host can run, the
+    /// baseline one first.
+    fn backends() -> Vec<Backend> {
+        Backend::available()
     }
 
     /// `[r, dx, dy, dz]` bit patterns of one kernel row.
@@ -705,16 +782,17 @@ mod tests {
                 ei.propose(4, farther);
                 for j in 0..n {
                     let (_, r) = min_image_scalar(&lat, &im, ps.get(2), ps.get(j));
-                    assert_eq!(ee.row(2)[j].to_bits(), if j == 2 { 0 } else { r.to_bits() });
+                    let want = if j == 2 { 0 } else { r.to_bits() };
+                    assert_eq!(ee.distance(2, j).to_bits(), want);
                     let (_, r) = min_image_scalar(&lat, &im, farther, ps.get(j));
                     assert_eq!(
                         ee.temp_row()[j].to_bits(),
                         if j == 4 { 0 } else { r.to_bits() }
                     );
                     assert!(
-                        ee.row(2)[j] < 2.0 * lat.a[0][0],
+                        ee.distance(2, j) < 2.0 * lat.a[0][0],
                         "not reduced: {}",
-                        ee.row(2)[j]
+                        ee.distance(2, j)
                     );
                 }
                 for (i, &ion) in ions_pos.iter().enumerate() {
@@ -793,49 +871,112 @@ mod tests {
         }
     }
 
+    /// A proposal for every electron, 3 cells wide, wrapped into the cell.
+    fn step(lat: &Lattice, ps: &ParticleSet, iel: usize, rng: &mut StdRng) -> [f64; 3] {
+        let r = ps.get(iel);
+        lat.wrap([
+            r[0] + 3.0 * (rng.random::<f64>() - 0.5),
+            r[1] + 3.0 * (rng.random::<f64>() - 0.5),
+            r[2] + 3.0 * (rng.random::<f64>() - 0.5),
+        ])
+    }
+
     #[test]
     fn incremental_tables_equal_a_rebuild_bitwise() {
         // What lets `TrialWaveFunction::log_derivs` read the tables as
-        // the moves left them.
+        // the moves left them: forward sweeps with random accepts and
+        // rejects leave the triangle as a rebuild writes it, with no
+        // row to recompute.
         let (lat, ions_pos) = graphite_supercell(2, 2, 1);
         let ions = ParticleSet::new("ion", lat, &ions_pos);
-        let n = 2 * CHUNK + 3;
         let mut rng = StdRng::seed_from_u64(57);
-        for b in backends() {
-            with_backend(b, || {
-                let mut ps = electrons(lat, n, 55);
-                let mut ee = DistanceTableAA::new(&ps);
-                let mut ei = DistanceTableAB::new(&ions, &ps);
-                for _sweep in 0..3 {
-                    for iel in 0..n {
-                        let r = ps.get(iel);
-                        let rnew = lat.wrap([
-                            r[0] + 3.0 * (rng.random::<f64>() - 0.5),
-                            r[1] + 3.0 * (rng.random::<f64>() - 0.5),
-                            r[2] + 3.0 * (rng.random::<f64>() - 0.5),
-                        ]);
-                        ee.propose(&ps, iel, rnew);
-                        ei.propose(iel, rnew);
-                        if rng.random::<f64>() < 0.5 {
-                            ee.accept(iel);
-                            ei.accept(iel);
-                            ps.set(iel, rnew);
+        for n in [1, 2, 3, 2 * CHUNK + 3] {
+            for b in backends() {
+                with_backend(b, || {
+                    let mut ps = electrons(lat, n, 55);
+                    let mut ee = DistanceTableAA::new(&ps);
+                    let mut ei = DistanceTableAB::new(&ions, &ps);
+                    for _sweep in 0..3 {
+                        for iel in 0..n {
+                            let rnew = step(&lat, &ps, iel, &mut rng);
+                            ee.propose(&ps, iel, rnew);
+                            ei.propose(iel, rnew);
+                            if rng.random::<f64>() < 0.5 {
+                                ee.accept(iel);
+                                ei.accept(iel);
+                                ps.set(iel, rnew);
+                            } else {
+                                ee.reject(iel);
+                            }
                         }
+                        assert_eq!(aa_bits(&ee), aa_bits(&DistanceTableAA::new(&ps)), "n={n}");
+                        assert_eq!(ab_bits(&ei), ab_bits(&DistanceTableAB::new(&ions, &ps)));
+                        assert!(ee.distances_match_rebuild(&ps, 0.0));
+                        assert!(ei.distances_match_rebuild(&ps, 0.0));
+                        assert_eq!(ee.refresh_stale_rows(&ps), 0, "n={n}");
                     }
-                    // Equal as numbers, every one the same float: the one
-                    // bit a rebuild changes is the sign of the zero `accept`
-                    // negates into the moved electron's own slot.
-                    let fresh = DistanceTableAA::new(&ps);
-                    assert_eq!(
-                        [&ee.r, &ee.dx, &ee.dy, &ee.dz],
-                        [&fresh.r, &fresh.dx, &fresh.dy, &fresh.dz]
-                    );
-                    assert_eq!(ab_bits(&ei), ab_bits(&DistanceTableAB::new(&ions, &ps)));
-                    assert!(ee.distances_match_rebuild(&ps, 0.0));
-                    assert!(ei.distances_match_rebuild(&ps, 0.0));
-                }
-            });
+                });
+            }
         }
+    }
+
+    /// Moves out of index order: a reverse sweep, a partial sweep, the
+    /// same electron twice, and accepts with no reject. After each, the
+    /// stale-row recompute gives the rebuild's triangle bit for bit, and
+    /// recomputes no row a second time.
+    #[test]
+    fn stale_rows_recompute_to_the_rebuild_after_any_order() {
+        let lat = Lattice::hexagonal(3.0, 7.0);
+        let mut rng = StdRng::seed_from_u64(59);
+        for n in [1, 2, 3, 2 * CHUNK + 3] {
+            let orders: [Vec<usize>; 4] = [
+                (0..n).rev().collect(),
+                (0..n.div_ceil(2)).collect(),
+                vec![n / 2, n / 2, 0],
+                (0..n).chain(0..n / 2).collect(),
+            ];
+            for (k, order) in orders.iter().enumerate() {
+                // The last order accepts every move; the others half.
+                let p_accept = if k == 3 { 1.0 } else { 0.5 };
+                let mut ps = electrons(lat, n, 61 + n as u64);
+                let mut ee = DistanceTableAA::new(&ps);
+                let mut accepted = 0;
+                for &iel in order {
+                    let rnew = step(&lat, &ps, iel, &mut rng);
+                    ee.propose(&ps, iel, rnew);
+                    if rng.random::<f64>() < p_accept {
+                        ee.accept(iel);
+                        ps.set(iel, rnew);
+                        accepted += 1;
+                    } else {
+                        ee.reject(iel);
+                    }
+                }
+                let stale = ee.refresh_stale_rows(&ps);
+                assert!(
+                    stale <= n.saturating_sub(1),
+                    "n={n} order {k}: {stale} rows"
+                );
+                if accepted == 0 || n == 1 {
+                    assert_eq!(stale, 0, "n={n} order {k}");
+                }
+                assert_eq!(
+                    aa_bits(&ee),
+                    aa_bits(&DistanceTableAA::new(&ps)),
+                    "n={n} order {k}"
+                );
+                assert_eq!(ee.refresh_stale_rows(&ps), 0, "n={n} order {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must follow propose for the same electron")]
+    fn reject_of_another_electron_is_refused() {
+        let ps = electrons(Lattice::cubic(4.0), 5, 63);
+        let mut ee = DistanceTableAA::new(&ps);
+        ee.propose(&ps, 3, [1.0, 2.0, 3.0]);
+        ee.reject(2);
     }
 
     #[test]
@@ -895,6 +1036,8 @@ mod tests {
         t.propose(&ps, 4, rnew);
         t.accept(4);
         ps.set(4, rnew);
+        // Rows 5..9 hold electron 4's old position.
+        assert_eq!(t.refresh_stale_rows(&ps), 4);
         let fresh = DistanceTableAA::new(&ps);
         for i in 0..9 {
             for j in 0..9 {

@@ -66,17 +66,13 @@ pub fn combine_log_derivs(
     out
 }
 
-/// Electron–electron Coulomb energy `Σ_{i<j} 1/r_ij` from a distance
-/// table.
+/// Electron–electron Coulomb energy `Σ_{j<i} 1/r_ij`, summed over the
+/// lower triangle the distance table holds, row by row.
 pub fn coulomb_ee(dist: &DistanceTableAA) -> f64 {
-    let n = dist.len();
     let mut v = 0.0;
-    for i in 0..n {
-        let row = dist.row(i);
-        for (j, &r) in row.iter().enumerate() {
-            if j > i {
-                v += 1.0 / r;
-            }
+    for i in 0..dist.len() {
+        for &r in dist.row(i) {
+            v += 1.0 / r;
         }
     }
     v

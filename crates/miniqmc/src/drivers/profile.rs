@@ -9,7 +9,10 @@ use std::time::{Duration, Instant};
 pub enum Category {
     /// B-spline SPO evaluations (V/VGL/VGH).
     Bspline,
-    /// Distance-table construction and updates.
+    /// Distance-table construction and updates: proposal rows (for the
+    /// e–e table the moving electron's new and old rows), the row an
+    /// accept or reject writes, and the stale-row recompute of
+    /// `log_derivs`.
     Distance,
     /// One- and two-body Jastrow evaluations.
     Jastrow,

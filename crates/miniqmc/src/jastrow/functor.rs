@@ -24,15 +24,14 @@
 //! [`einspline::Spline1`] uses, with every `mul_add` of it written as
 //! `a * b + c`. On the x86-64 baseline target `f64::mul_add` is a call
 //! into libm, 4 (value) or 12 (vgl) of them per pair; and Rust does not
-//! contract `a * b + c` on its own, so the two instantiations of each
-//! row body (baseline and `avx2,fma` — the latter for every backend
-//! from AVX2 up, picked by [`bspline::simd::active_backend`], so
+//! contract `a * b + c` on its own, so the three instantiations of each
+//! row body (the crate's `multiversion!`: baseline, `avx2,fma` and
+//! `avx2,fma,avx512f`, picked by [`bspline::simd::active_backend`], so
 //! `QMC_SIMD` and `with_backend` select them like every other kernel)
 //! and the scalar
 //! [`BsplineFunctor::value`]/[`BsplineFunctor::vgl`] agree to the bit.
 
-#[cfg(target_arch = "x86_64")]
-use bspline::simd::{active_backend, Backend};
+use crate::multiversion::multiversion;
 use einspline::basis::{d2_weights, d_weights, weights};
 use einspline::{Grid1, Spline1};
 
@@ -147,13 +146,6 @@ impl BsplineFunctor {
         }
     }
 
-    /// [`Self::values_row_body`] compiled with AVX2 available.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    fn values_row_avx2(&self, r: &[f64], idx: &mut [usize], u: &mut [f64]) {
-        self.values_row_body(r, idx, u);
-    }
-
     /// `u[j] = value(r[j])` for a whole row, bit for bit. `idx` is
     /// scratch; the three slices have one length.
     pub(crate) fn values_row(&self, r: &[f64], idx: &mut [usize], u: &mut [f64]) {
@@ -161,16 +153,7 @@ impl BsplineFunctor {
             idx.len() == r.len() && u.len() == r.len(),
             "row lengths differ"
         );
-        #[cfg(target_arch = "x86_64")]
-        if active_backend() >= Backend::Avx2 {
-            // SAFETY: a backend from AVX2 up is only ever active
-            // after run-time detection of `avx2` and `fma`
-            // (`Backend::available` lists AVX-512 on top of them
-            // only), which `with_backend` and the `QMC_SIMD` override
-            // both respect.
-            return unsafe { self.values_row_avx2(r, idx, u) };
-        }
-        self.values_row_body(r, idx, u);
+        values_row_any(self, r, idx, u);
     }
 
     /// The body of [`Self::vgl_row`].
@@ -186,13 +169,6 @@ impl BsplineFunctor {
         }
     }
 
-    /// [`Self::vgl_row_body`] compiled with AVX2 available.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    fn vgl_row_avx2(&self, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) {
-        self.vgl_row_body(r, idx, out);
-    }
-
     /// `(u[j], u′[j], u″[j]) = vgl(r[j])` for a whole row into `out =
     /// [u, u′, u″]`, bit for bit. `idx` is scratch; all slices have one
     /// length.
@@ -201,13 +177,22 @@ impl BsplineFunctor {
             idx.len() == r.len() && out.iter().all(|o| o.len() == r.len()),
             "row lengths differ"
         );
-        #[cfg(target_arch = "x86_64")]
-        if active_backend() >= Backend::Avx2 {
-            // SAFETY: as in `values_row`.
-            return unsafe { self.vgl_row_avx2(r, idx, out) };
-        }
-        self.vgl_row_body(r, idx, out);
+        vgl_row_any(self, r, idx, out);
     }
+}
+
+multiversion! {
+    /// [`BsplineFunctor::values_row_body`] in the active backend's
+    /// instantiation.
+    fn values_row_any(f: &BsplineFunctor, r: &[f64], idx: &mut [usize], u: &mut [f64]) =
+        BsplineFunctor::values_row_body;
+}
+
+multiversion! {
+    /// [`BsplineFunctor::vgl_row_body`] in the active backend's
+    /// instantiation.
+    fn vgl_row_any(f: &BsplineFunctor, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) =
+        BsplineFunctor::vgl_row_body;
 }
 
 #[cfg(test)]

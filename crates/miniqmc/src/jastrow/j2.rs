@@ -8,11 +8,13 @@
 //! is two contiguous segments split at `n_up`, each evaluated by the
 //! functor its pairs use.
 //!
-//! The full evaluation visits each pair once: row `i` is evaluated over
-//! `j > i` only, and each pair's terms go to `i` as row sums and to `j`
-//! through O(N) column accumulators. A pair's `u`, `u′/r` and Laplacian
-//! term are the same for both electrons, and its gradient differs in
-//! sign only.
+//! The full evaluation visits each pair once: the distance table holds
+//! row `i` over `j < i` only, and each pair's terms go to `i` as row
+//! sums and to `j` through O(N) column accumulators. A pair's `u`,
+//! `u′/r` and Laplacian term are the same for both electrons, and its
+//! gradient differs in sign only. A move ratio reads the moving
+//! electron's whole row twice, at the proposed and at the current
+//! position, both of which `DistanceTableAA::propose` computes.
 
 use super::JastrowDerivs;
 use crate::distance::soa::DistanceTableAA;
@@ -30,20 +32,20 @@ struct PairFunctors {
 }
 
 impl PairFunctors {
-    /// Electron `i`'s row from column `lo` on, as its two segments (one
+    /// Electron `i`'s row up to column `end`, as its two segments (one
     /// may be empty), each with the functor of its pairs.
-    fn segments(&self, i: usize, lo: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
+    fn segments(&self, i: usize, end: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
         let (up, down) = if i < self.n_up {
             (&self.same, &self.opp)
         } else {
             (&self.opp, &self.same)
         };
-        let mid = self.n_up.max(lo);
-        [(lo..mid, up), (mid..self.n, down)]
+        let mid = self.n_up.min(end);
+        [(0..mid, up), (mid..end, down)]
     }
 }
 
-/// Row `i`'s pairs with the electrons `j > i` whose distances `r`,
+/// Row `i`'s pairs with the electrons `j < i` whose distances `r`,
 /// displacements `r_j − r_i` and `[u, u′, u″]` are given. Returns `i`'s
 /// sums as [`super::sum_row`] does, with the same `r = 0` select, and
 /// adds each pair's terms for `j` into the column accumulators
@@ -147,13 +149,15 @@ impl TwoBodyJastrow {
 
     /// Full evaluation: returns `log J2` and adds the per-electron
     /// gradients/Laplacians of `log J2` into `derivs`. Also (re)builds
-    /// the `Uat` accumulators.
+    /// the `Uat` accumulators. `dist` must be current: no stale rows
+    /// (`DistanceTableAA::refresh_stale_rows`).
     ///
-    /// Each pair is evaluated once, from the row of its lower index:
-    /// row `i` runs the functor over `j > i` only, and `pair_row`
-    /// hands the pair's terms to `i` as row sums and to `j` through the
-    /// column accumulators. When row `i` is reached, every pair with a
-    /// lower index has already added into `i`'s column.
+    /// Each pair is evaluated once, from the row of its higher index:
+    /// row `i` runs the functor over `j < i`, and `pair_row` hands the
+    /// pair's terms to `i` as row sums and to `j` through the column
+    /// accumulators. Row `i`'s sums go into its own column slot, which
+    /// no lower row has touched; the rows above add into it later, and
+    /// the columns are applied to `derivs` after the loop.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAA, derivs: &mut JastrowDerivs) -> f64 {
         let n = self.u.n;
         assert_eq!(dist.len(), n);
@@ -163,35 +167,39 @@ impl TwoBodyJastrow {
         }
         let mut log_sum = 0.0;
         for i in 0..n {
-            let (lo, row) = (i + 1, dist.row(i));
-            for (seg, f) in self.u.segments(i, lo) {
+            let row = dist.row(i);
+            for (seg, f) in self.u.segments(i, i) {
                 let out = self.vgl.each_mut().map(|x| &mut x[seg.clone()]);
                 f.vgl_row(&row[seg.clone()], &mut self.idx[seg], out);
             }
-            let vgl = self.vgl.each_ref().map(|x| &x[lo..]);
-            let (dx, dy, dz) = dist.disp_rows(i);
+            let vgl = self.vgl.each_ref().map(|x| &x[..i]);
             let [cx, cy, cz, cl] = &mut self.col;
-            let col = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[lo..]);
+            let col = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[..i]);
             // ∇ᵢ log J2 = +Σ u′(r)·(r_j − r_i)/r  (log J2 = −Σu,
             // ∂r/∂rᵢ = −disp/r); ∇ⱼ takes the opposite sign.
-            let disp = (&dx[lo..], &dy[lo..], &dz[lo..]);
-            let (usum, g, lap) = pair_row(&row[lo..], vgl, disp, col);
+            let (usum, g, lap) = pair_row(row, vgl, dist.disp_rows(i), col);
             self.uat[i] += usum;
             for d in 0..3 {
-                derivs.grad[i][d] += self.col[d][i] + g[d];
+                self.col[d][i] += g[d];
             }
-            derivs.lap[i] += self.col[3][i] + lap;
+            self.col[3][i] += lap;
             log_sum += usum;
+        }
+        for i in 0..n {
+            for d in 0..3 {
+                derivs.grad[i][d] += self.col[d][i];
+            }
+            derivs.lap[i] += self.col[3][i];
         }
         -log_sum
     }
 
-    /// Move ratio `J2(new)/J2(old)` for electron `iel` whose proposed
-    /// distances are in the table's scratch row (after
+    /// Move ratio `J2(new)/J2(old)` for electron `iel`, from the
+    /// table's proposed and current rows (after
     /// `DistanceTableAA::propose`).
     pub fn ratio(&mut self, dist: &DistanceTableAA, iel: usize) -> f64 {
-        let (temp, old) = (dist.temp_row(), dist.row(iel));
-        for (seg, f) in self.u.segments(iel, 0) {
+        let (temp, old) = (dist.temp_row(), dist.old_row());
+        for (seg, f) in self.u.segments(iel, self.u.n) {
             let idx = &mut self.idx[seg.clone()];
             f.values_row(&temp[seg.clone()], idx, &mut self.u_new[seg.clone()]);
             f.values_row(&old[seg.clone()], idx, &mut self.u_old[seg]);
@@ -258,16 +266,21 @@ mod tests {
 
     /// `evaluate_log` as it was before each pair was visited once:
     /// every row over all `n` columns with the self-pair zeroed, summed
-    /// by [`sum_row`], so each pair is evaluated from both ends.
+    /// by [`sum_row`], so each pair is evaluated from both ends. The
+    /// full rows are read pair by pair through `distance` and
+    /// `displacement`.
     fn full_rows_reference(
         j2: &mut TwoBodyJastrow,
         dist: &DistanceTableAA,
         derivs: &mut JastrowDerivs,
     ) -> f64 {
+        let n = j2.u.n;
         let mut log_sum = 0.0;
-        for i in 0..j2.u.n {
-            let row = dist.row(i);
-            for (seg, f) in j2.u.segments(i, 0) {
+        for i in 0..n {
+            let row: Vec<f64> = (0..n).map(|j| dist.distance(i, j)).collect();
+            let disp: Vec<[f64; 3]> = (0..n).map(|j| dist.displacement(i, j)).collect();
+            let [dx, dy, dz] = [0, 1, 2].map(|d| disp.iter().map(|x| x[d]).collect::<Vec<_>>());
+            for (seg, f) in j2.u.segments(i, n) {
                 let out = j2.vgl.each_mut().map(|x| &mut x[seg.clone()]);
                 f.vgl_row(&row[seg.clone()], &mut j2.idx[seg], out);
             }
@@ -275,7 +288,7 @@ mod tests {
                 x[i] = 0.0;
             }
             let vgl = j2.vgl.each_ref().map(|x| &x[..]);
-            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(i));
+            let (usum, g, lap) = sum_row(&row, vgl, (&dx, &dy, &dz));
             j2.uat[i] = usum;
             for d in 0..3 {
                 derivs.grad[i][d] += g[d];
@@ -514,6 +527,8 @@ mod tests {
             j2.accept(iel);
             ps.set(iel, rnew);
         }
+        // 20 moves over 7 electrons end mid-sweep: row 6 is stale.
+        assert_eq!(dist.refresh_stale_rows(&ps), 1);
         let tracked = j2.log_value();
         let expect = brute_force_log(&ps, j2.functor());
         assert!((tracked - expect).abs() < 1e-10, "{tracked} vs {expect}");

@@ -88,6 +88,7 @@ pub mod distance;
 pub mod drivers;
 pub mod jastrow;
 pub mod lattice;
+mod multiversion;
 pub mod particleset;
 pub mod spo;
 pub mod synthetic;
@@ -116,12 +117,12 @@ pub mod prelude {
 
 #[cfg(test)]
 mod backend_twins {
-    //! The plain-Rust kernels have two instantiations each (baseline and
-    //! `avx2,fma`) and pick the wide one for every backend from
-    //! `Backend::Avx2` **up**. Forced through each such backend the host
-    //! has, all four must reproduce the baseline instantiation bit for
-    //! bit — a backend added above AVX2 that fell out of the gate, or
-    //! into a differently rounding body, shows here.
+    //! The plain-Rust kernels have three instantiations each (baseline,
+    //! `avx2,fma` and `avx2,fma,avx512f`, emitted by `multiversion!`),
+    //! picked by the active backend. Forced through each backend the
+    //! host has, every instantiated body must reproduce the baseline
+    //! instantiation bit for bit — a backend that fell out of the
+    //! dispatch, or an instantiation that rounds differently, shows here.
 
     use crate::determinant::DiracDeterminant;
     use crate::distance::{soa::distances_to_point, ImageShifts};
@@ -132,43 +133,55 @@ mod backend_twins {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Bit patterns of everything the four kernels produce on one fixed
-    /// input: `dot` (determinant ratio), `sherman_morrison` (the accepted
-    /// inverse), `row_min_image` (one distance row) and the Jastrow
-    /// `values_row`/`vgl_row`.
+    /// Bit patterns of everything the five bodies produce on fixed
+    /// inputs: `dot` (determinant ratio, gradient and Laplacian),
+    /// `sherman_morrison` (the accepted inverse's `log det` and a ratio
+    /// through it), `row_min_image` (one distance row) and the Jastrow
+    /// `values_row`/`vgl_row`. Every length has a ragged tail at 8 `f64`
+    /// lanes; 37 has two whole 16-lane `dot` blocks.
     fn fingerprint() -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(23);
         let mut bits = Vec::new();
 
-        // 37: two 16-lane blocks of `dot` and a ragged tail.
-        let n = 37;
-        let mut a: Vec<f64> = (0..n * n).map(|_| rng.random::<f64>() - 0.5).collect();
-        for i in 0..n {
-            a[i * n + i] += 2.0;
+        for n in [5, 13, 37] {
+            let mut a: Vec<f64> = (0..n * n).map(|_| rng.random::<f64>() - 0.5).collect();
+            for i in 0..n {
+                a[i * n + i] += 2.0;
+            }
+            let streams: Vec<Vec<f64>> = (0..5)
+                .map(|_| (0..n).map(|_| rng.random::<f64>() - 0.5).collect())
+                .collect();
+            let [phi, gx, gy, gz, lap] = &streams[..] else {
+                unreachable!()
+            };
+            let mut det = DiracDeterminant::build(&a, n);
+            bits.push(det.ratio(n / 2, phi).to_bits());
+            det.accept(n / 2, phi);
+            bits.push(det.log_det().to_bits());
+            bits.push(det.ratio(n - 1, phi).to_bits());
+            let g = det.grad_log(n / 2, gx, gy, gz);
+            bits.extend(g.map(f64::to_bits));
+            bits.push(det.lap_log(n / 2, lap, g).to_bits());
         }
-        let phi: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-        let mut det = DiracDeterminant::build(&a, n);
-        bits.push(det.ratio(n / 2, &phi).to_bits());
-        det.accept(n / 2, &phi);
-        bits.push(det.log_det().to_bits());
-        bits.push(det.ratio(3, &phi).to_bits());
 
         let (lat, _) = graphite_supercell(2, 2, 1);
-        let ps = random_electrons(lat, 41, &mut rng);
         let im = ImageShifts::new(&lat);
-        let (sx, sy, sz) = ps.soa();
-        let mut row = [vec![0.0; 41], vec![0.0; 41], vec![0.0; 41], vec![0.0; 41]];
-        let [r, dx, dy, dz] = &mut row;
-        distances_to_point(&lat, &im, sx, sy, sz, [0.3, 1.1, 2.9], r, dx, dy, dz);
-        bits.extend(row.iter().flatten().map(|x| x.to_bits()));
-
         let f = BsplineFunctor::rpa_like(0.5, 1.0, 3.0, 64);
-        let mut idx = vec![0; 41];
-        let mut rows = [vec![0.0; 41], vec![0.0; 41], vec![0.0; 41], vec![0.0; 41]];
-        let [v, u, du, d2u] = &mut rows;
-        f.values_row(&row[0], &mut idx, v);
-        f.vgl_row(&row[0], &mut idx, [u, du, d2u]);
-        bits.extend(rows.iter().flatten().map(|x| x.to_bits()));
+        for n in [3, 41] {
+            let ps = random_electrons(lat, n, &mut rng);
+            let (sx, sy, sz) = ps.soa();
+            let mut row = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let [r, dx, dy, dz] = &mut row;
+            distances_to_point(&lat, &im, sx, sy, sz, [0.3, 1.1, 2.9], r, dx, dy, dz);
+            bits.extend(row.iter().flatten().map(|x| x.to_bits()));
+
+            let mut idx = vec![0; n];
+            let mut rows = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            let [v, u, du, d2u] = &mut rows;
+            f.values_row(&row[0], &mut idx, v);
+            f.vgl_row(&row[0], &mut idx, [u, du, d2u]);
+            bits.extend(rows.iter().flatten().map(|x| x.to_bits()));
+        }
         bits
     }
 
@@ -176,10 +189,10 @@ mod backend_twins {
     fn every_backend_from_avx2_up_matches_the_baseline_instantiation() {
         let baseline = with_backend(Backend::Scalar, fingerprint);
         assert!(baseline.len() > 8 * 41);
-        for b in Backend::available() {
-            if b >= Backend::Avx2 {
-                assert_eq!(with_backend(b, fingerprint), baseline, "{b}");
-            }
+        let available = Backend::available();
+        assert_eq!(available[0], Backend::Scalar);
+        for &b in &available[1..] {
+            assert_eq!(with_backend(b, fingerprint), baseline, "{b}");
         }
     }
 }

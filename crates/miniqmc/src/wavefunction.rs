@@ -37,6 +37,9 @@ pub struct TrialWaveFunction<T: Real> {
     phi_new: Vec<f64>,
     /// Pending move bookkeeping.
     pending: Option<(usize, [f64; 3], f64)>,
+    /// Positions were overwritten since the last
+    /// [`Self::evaluate_log`]: every incremental cache is stale.
+    stale: bool,
     log_psi: f64,
     /// Timers.
     pub timers: Timers,
@@ -90,6 +93,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             n_per_spin,
             phi_new: vec![0.0; n_per_spin],
             pending: None,
+            stale: false,
             log_psi: 0.0,
             timers: Timers::new(),
         };
@@ -119,15 +123,26 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// copy). All incremental caches become stale; callers must run
     /// [`TrialWaveFunction::evaluate_log`] — which rebuilds distance
     /// tables, Jastrow sums and determinants from positions alone —
-    /// before the next per-electron move or [`Self::log_derivs`]
-    /// (nothing else rebuilds the tables). That full rebuild is what
-    /// makes the wavefunction state a pure function of the positions
-    /// written here (the campaign layer's resume-equivalence contract).
+    /// before the next [`Self::ratio`] or [`Self::log_derivs`], both of
+    /// which panic otherwise (nothing else rebuilds the tables). That
+    /// full rebuild is what makes the wavefunction state a pure function
+    /// of the positions written here (the campaign layer's
+    /// resume-equivalence contract).
     pub fn set_electron_positions(&mut self, pos: &[[f64; 3]]) {
         assert_eq!(pos.len(), self.electrons.len(), "electron count mismatch");
         for (i, &r) in pos.iter().enumerate() {
             self.electrons.set(i, r);
         }
+        self.stale = true;
+    }
+
+    /// Panics when positions were overwritten without
+    /// [`Self::evaluate_log`]: the caches would silently be read stale.
+    fn assert_current(&self) {
+        assert!(
+            !self.stale,
+            "distance tables are stale: positions changed without evaluate_log"
+        );
     }
 
     fn spin_of(&self, iel: usize) -> (usize, usize) {
@@ -189,6 +204,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi =
             log_j1 + log_j2 + self.dets[0].log_det() + self.dets[1].log_det();
         self.pending = None;
+        self.stale = false;
         self.log_psi
     }
 
@@ -203,17 +219,23 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// The internal state (determinant inverses, distance tables) must
     /// be consistent with the current electron positions, i.e. call this
     /// between sweeps, not with a move pending. The distance tables are
-    /// read as the moves left them, not rebuilt: `accept` writes the
-    /// moved electron's row and mirrors it into its column, which is the
-    /// table a rebuild from the new positions would give (debug builds
-    /// assert it). Only [`Self::evaluate_log`] re-anchors them.
+    /// read as the moves left them, not rebuilt: `accept` and `reject`
+    /// write the moved electron's row of the e–e triangle, so after a
+    /// forward sweep it is the table a rebuild from the new positions
+    /// would give. First the e–e table recomputes the rows that moves
+    /// out of index order left stale
+    /// (`DistanceTableAA::refresh_stale_rows`, charged to distance):
+    /// none after a forward sweep. Only [`Self::evaluate_log`]
+    /// re-anchors the tables; after [`Self::set_electron_positions`]
+    /// without it this panics.
     pub fn log_derivs(&mut self) -> JastrowDerivs {
         assert!(self.pending.is_none(), "log_derivs with a move pending");
+        self.assert_current();
         let n_per_spin = self.n_per_spin;
         let n_el = self.electrons.len();
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers) = (
             &self.electrons,
-            &self.dist_ee,
+            &mut self.dist_ee,
             &self.dist_ei,
             &mut self.spo,
             &self.dets,
@@ -222,10 +244,11 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             &mut self.timers,
         );
 
+        timers.time(Category::Distance, || dist_ee.refresh_stale_rows(electrons));
         debug_assert!(
             dist_ee.distances_match_rebuild(electrons, 1e-12)
                 && dist_ei.distances_match_rebuild(electrons, 1e-12),
-            "distance tables are stale: positions changed without evaluate_log"
+            "distance tables are stale after the row refresh: an incremental update went wrong"
         );
         let mut derivs = JastrowDerivs::zeros(n_el);
         timers.time(Category::Jastrow, || {
@@ -263,6 +286,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// orbital values, because the driver's proposals are symmetric and
     /// carry no drift term.
     pub fn ratio(&mut self, iel: usize, rnew: [f64; 3]) -> f64 {
+        self.assert_current();
         let (spin, e) = self.spin_of(iel);
 
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers, phi_new) = (
@@ -295,11 +319,12 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         ratio
     }
 
-    /// Commit the pending move: update the distance tables, the
-    /// determinant inverse (from the values [`Self::ratio`] stored) and
-    /// the Jastrow sums. It makes no SPO call. Nothing reads a moved
-    /// electron's derivatives between moves; the sweep's
-    /// [`Self::log_derivs`] recomputes every electron's at once.
+    /// Commit the pending move: write the moved electron's row of each
+    /// distance table (no column is written), update the determinant
+    /// inverse (from the values [`Self::ratio`] stored) and the Jastrow
+    /// sums. It makes no SPO call. Nothing reads a moved electron's
+    /// derivatives between moves; the sweep's [`Self::log_derivs`]
+    /// recomputes every electron's at once.
     pub fn accept(&mut self, iel: usize) {
         let Some((p_iel, rnew, ratio)) = self.pending.take() else {
             panic!("accept without a pending ratio");
@@ -330,9 +355,15 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi += ratio.abs().ln();
     }
 
-    /// Discard the pending move.
+    /// Discard the pending move. The e–e table writes the moving
+    /// electron's row from its current position, which the proposal
+    /// computed, so a row that earlier moves below it left stale is
+    /// current again.
     pub fn reject(&mut self) {
-        self.pending = None;
+        if let Some((iel, _, _)) = self.pending.take() {
+            let dist_ee = &mut self.dist_ee;
+            self.timers.time(Category::Distance, || dist_ee.reject(iel));
+        }
     }
 }
 
@@ -500,6 +531,68 @@ mod tests {
         rebuilt.dist_ee.rebuild(&rebuilt.electrons);
         rebuilt.dist_ei.rebuild(&rebuilt.electrons);
         assert_eq!(bits(&kept.log_derivs()), bits(&rebuilt.log_derivs()));
+    }
+
+    /// Moves out of index order leave rows of the e–e triangle stale;
+    /// `log_derivs` recomputes them first. For a reverse sweep, a
+    /// partial sweep, one electron moved twice and accepts with no
+    /// reject, its result is the bits of the same wavefunction with both
+    /// tables rebuilt, and agrees with `log_derivs` after `evaluate_log`
+    /// (which also refactorizes the determinants) to rounding.
+    #[test]
+    fn log_derivs_after_moves_in_any_order_equals_a_rebuild() {
+        let n = 16;
+        let orders: [Vec<usize>; 4] = [
+            (0..n).rev().collect(),
+            (0..n / 2).collect(),
+            vec![5, 5, 2],
+            (3..n).chain(0..3).collect(),
+        ];
+        for (k, order) in orders.iter().enumerate() {
+            let mut wfs = [small_system(47), small_system(47)];
+            for wf in &mut wfs {
+                let mut rng = StdRng::seed_from_u64(109 + k as u64);
+                for &iel in order {
+                    let r = wf.electrons().get(iel);
+                    let rnew = [r[0] + 0.3, r[1] - 0.2, r[2] + 0.1];
+                    wf.ratio(iel, rnew);
+                    if k == 3 || rng.random::<f64>() < 0.5 {
+                        wf.accept(iel);
+                    } else {
+                        wf.reject();
+                    }
+                }
+            }
+            let [kept, rebuilt] = &mut wfs;
+            rebuilt.dist_ee.rebuild(&rebuilt.electrons);
+            rebuilt.dist_ei.rebuild(&rebuilt.electrons);
+            let got = kept.log_derivs();
+            assert_eq!(bits(&got), bits(&rebuilt.log_derivs()), "order {k}");
+            kept.evaluate_log();
+            let fresh = kept.log_derivs();
+            let pairs = got.grad.iter().flatten().zip(fresh.grad.iter().flatten());
+            for (a, b) in pairs.chain(got.lap.iter().zip(&fresh.lap)) {
+                assert!((a - b).abs() <= 1e-8 * b.abs().max(1.0), "order {k}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Positions overwritten without `evaluate_log` are refused by
+    /// `ratio` and `log_derivs` in every build, release included.
+    #[test]
+    fn stale_positions_are_refused_in_every_build() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut wf = small_system(53);
+        let mut pos = wf.electrons().to_aos();
+        pos[3][0] += 0.5;
+        wf.set_electron_positions(&pos);
+        let ratio = catch_unwind(AssertUnwindSafe(|| wf.ratio(3, [0.5, 0.5, 0.5])));
+        let derivs = catch_unwind(AssertUnwindSafe(|| wf.log_derivs()));
+        assert!(ratio.is_err() && derivs.is_err());
+        wf.evaluate_log();
+        assert!(wf.ratio(3, [0.5, 0.5, 0.5]).is_finite());
+        wf.reject();
+        assert_eq!(wf.log_derivs().lap.len(), 16);
     }
 
     /// Every gradient component and Laplacian, as bit patterns.

@@ -7,7 +7,11 @@
 //!   baseline engine in both suites: Tables II and III predate the
 //!   B-spline optimization);
 //! * **Distance tables** — electron–electron and electron–ion proposal
-//!   rows + acceptance updates;
+//!   rows + acceptance updates. The SoA electron–electron proposal
+//!   computes two rows, the moving electron's new one and its old one
+//!   (QMCPACK's "prepare old", which the two-body Jastrow ratio reads
+//!   and a reject writes back), and an accept writes that one row, no
+//!   column;
 //! * **Jastrow** — one/two-body ratio evaluations over those rows;
 //! * **Determinant** — ratio (O(N)) + Sherman–Morrison update (O(N²)).
 //!

@@ -10,7 +10,9 @@
 //!
 //! Env knobs: `QMC_N` (orbitals), `QMC_GRID` (grid per dimension),
 //! `QMC_WALKERS`, `QMC_NS` (positions per walker), `QMC_REPS`,
-//! `QMC_THREADS` (worker pin, via the rayon stub). One row per budget
+//! `QMC_THREADS` (worker pin, via the rayon stub). The first five must
+//! be unsigned integers: anything else panics naming the variable and
+//! the value. One row per budget
 //! candidate ({L2, LLC/workers, whole table} + the recorded default),
 //! comparing one VGH generation against the monolithic single-object
 //! engine at the same walker×thread shape.
@@ -22,11 +24,16 @@ use bspline::tuning::BlockBudgets;
 use bspline::walker::walker_rng;
 use einspline::{Grid1, MultiCoefs};
 
+/// `key` as an unsigned integer, `default` when unset; a malformed
+/// value panics naming the variable and the value.
 fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(key) {
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{key} must be an unsigned integer, got {v:?}")),
+        Err(_) => default,
+    }
 }
 
 fn main() {

@@ -129,13 +129,20 @@ fn a_move_allocates_nothing() {
     for backend in [Backend::Scalar, active_backend()] {
         with_backend(backend, || {
             let before = ALLOCATIONS.with(Cell::get);
-            for iel in 0..ps.len() {
+            // Accepts and rejects, in reverse order so that every row
+            // above an accepted move goes stale.
+            for iel in (0..ps.len()).rev() {
                 let rnew = [0.1 * iel as f64, 1.0, 2.0];
                 ee.propose(&ps, iel, rnew);
                 ei.propose(iel, rnew);
-                ee.accept(iel);
-                ei.accept(iel);
+                if iel % 3 == 0 {
+                    ee.reject(iel);
+                } else {
+                    ee.accept(iel);
+                    ei.accept(iel);
+                }
             }
+            assert!(ee.refresh_stale_rows(&ps) > 0);
             ee.rebuild(&ps);
             ei.rebuild(&ps);
             assert_eq!(ALLOCATIONS.with(Cell::get), before, "{backend}");
