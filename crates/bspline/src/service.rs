@@ -33,6 +33,15 @@
 //!   moved into the fused engine call and handed back through the
 //!   [`Ticket`] — the engine writes orbitals directly into the
 //!   submitter's buffers; nothing is copied out.
+//! * **Hand-offs.** A hand-off wakes a thread only when that thread is
+//!   blocked on it. `submit` notifies one worker if one is waiting for
+//!   work; a worker that takes a batch off the queue notifies the
+//!   submitters blocked on backpressure, if any; resolving a ticket
+//!   notifies its redeemer only if the redeemer is blocked in
+//!   [`Ticket::redeem`] or [`Ticket::redeem_for`]. A fused batch resolves every member ticket
+//!   before it wakes any redeemer, so a woken client cannot preempt the
+//!   worker halfway through a batch. Shutdown, crash requeue, shedding
+//!   and a failed pool still wake every waiter.
 //! * **Determinism.** Fusing blocks never splits a per-orbital
 //!   accumulation chain, so coalesced results are **bit-identical** to
 //!   a direct `eval_batch` call on every backend — property-tested in
@@ -419,8 +428,8 @@ impl StatsSnapshot {
 
 /// What a completed request hands back: the submitted positions, the
 /// caller's filled output blocks, and the instant the worker finished
-/// (stamped service-side so latency measurement does not charge the
-/// submitter's reaping delay).
+/// the batch (stamped service-side, once per fused batch, so latency
+/// measurement does not charge the submitter's reaping delay).
 pub type Completed<T, O> = (PosBlock<T>, BatchOut<O>, Instant);
 
 /// How a request resolved, as stored in its completion slot.
@@ -435,31 +444,56 @@ enum Outcome<T: Real, O> {
 
 /// Completion slot shared between a [`Ticket`] and the worker.
 struct Done<T: Real, O> {
-    slot: Mutex<Option<Outcome<T, O>>>,
+    slot: Mutex<Slot<T, O>>,
     cv: Condvar,
+}
+
+/// What the completion slot's lock guards.
+struct Slot<T: Real, O> {
+    outcome: Option<Outcome<T, O>>,
+    /// Whether the redeemer is blocked on `cv`: set under the lock
+    /// before the wait, cleared when a bounded wait times out. Resolving
+    /// notifies only when it is set.
+    waiting: bool,
 }
 
 impl<T: Real, O> Done<T, O> {
     fn new() -> Self {
         Self {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot {
+                outcome: None,
+                waiting: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
-    fn complete(&self, pos: PosBlock<T>, out: BatchOut<O>, at: Instant) {
+    /// Store the outcome without waking anyone; returns whether the
+    /// redeemer is blocked and needs [`Done::wake`].
+    #[must_use]
+    fn resolve(&self, outcome: Outcome<T, O>) -> bool {
         let mut slot = lock_recover(&self.slot);
-        debug_assert!(slot.is_none(), "a request resolves once");
-        *slot = Some(Outcome::Done((pos, out, at)));
-        self.cv.notify_all();
+        debug_assert!(slot.outcome.is_none(), "a request resolves once");
+        slot.outcome = Some(outcome);
+        slot.waiting
+    }
+
+    /// Wake the blocked redeemer (one per ticket).
+    fn wake(&self) {
+        self.cv.notify_one();
+    }
+
+    fn complete(&self, pos: PosBlock<T>, out: BatchOut<O>, at: Instant) {
+        if self.resolve(Outcome::Done((pos, out, at))) {
+            self.wake();
+        }
     }
 
     /// Resolve the ticket to `error`, handing the caller's buffers back.
     fn fail(&self, error: ServiceError, pos: PosBlock<T>, out: BatchOut<O>) {
-        let mut slot = lock_recover(&self.slot);
-        debug_assert!(slot.is_none(), "a request resolves once");
-        *slot = Some(Outcome::Failed { error, pos, out });
-        self.cv.notify_all();
+        if self.resolve(Outcome::Failed { error, pos, out }) {
+            self.wake();
+        }
     }
 }
 
@@ -495,7 +529,7 @@ impl<T: Real, O> Ticket<T, O> {
     fn redeem_inner(self, deadline: Option<Instant>) -> Result<Completed<T, O>, Failed<T, O>> {
         let mut slot = lock_recover(&self.done.slot);
         loop {
-            match slot.take() {
+            match slot.outcome.take() {
                 Some(Outcome::Done(r)) => return Ok(r),
                 Some(Outcome::Failed { error, pos, out }) => {
                     return Err(Failed {
@@ -507,13 +541,12 @@ impl<T: Real, O> Ticket<T, O> {
                 }
                 None => {}
             }
-            match deadline {
-                None => {
-                    slot = self.done.cv.wait(slot).unwrap_or_else(PoisonError::into_inner);
-                }
+            let timeout = match deadline {
+                None => None,
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
+                        slot.waiting = false;
                         drop(slot);
                         return Err(Failed {
                             error: ServiceError::Timeout,
@@ -522,20 +555,26 @@ impl<T: Real, O> Ticket<T, O> {
                             ticket: Some(self),
                         });
                     }
-                    let (guard, _timeout) = self
-                        .done
-                        .cv
-                        .wait_timeout(slot, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    slot = guard;
+                    Some(d - now)
                 }
-            }
+            };
+            slot.waiting = true;
+            slot = match timeout {
+                None => self.done.cv.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(t) => {
+                    self.done
+                        .cv
+                        .wait_timeout(slot, t)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
     }
 
     /// Whether the request has already resolved (non-blocking).
     pub fn is_done(&self) -> bool {
-        lock_recover(&self.done.slot).is_some()
+        lock_recover(&self.done.slot).outcome.is_some()
     }
 }
 
@@ -571,6 +610,11 @@ struct State<T: Real, O> {
     /// Positions admitted but not yet evaluated (queued + coalescing) —
     /// the backpressure signal.
     pending_positions: usize,
+    /// Workers blocked on `work`; `submit` notifies only when nonzero.
+    workers_waiting: usize,
+    /// Submitters blocked on `space`; a worker taking a batch notifies
+    /// only when nonzero.
+    submitters_waiting: usize,
     shutdown: bool,
 }
 
@@ -639,6 +683,8 @@ where
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 pending_positions: 0,
+                workers_waiting: 0,
+                submitters_waiting: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -743,10 +789,8 @@ where
             {
                 break;
             }
-            match deadline {
-                None => {
-                    st = self.shared.space.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
+            let timeout = match deadline {
+                None => None,
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
@@ -757,14 +801,21 @@ where
                         done.fail(ServiceError::Shed, pos, out);
                         return Ticket { done };
                     }
-                    let (guard, _timeout) = self
-                        .shared
-                        .space
-                        .wait_timeout(st, d - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = guard;
+                    Some(d - now)
                 }
-            }
+            };
+            st.submitters_waiting += 1;
+            st = match timeout {
+                None => self.shared.space.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(t) => {
+                    self.shared
+                        .space
+                        .wait_timeout(st, t)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            st.submitters_waiting -= 1;
         }
         st.pending_positions += pos.len();
         st.queue.push_back(Request {
@@ -776,8 +827,11 @@ where
             crashes: 0,
             deadline,
         });
+        let wake = st.workers_waiting > 0;
         drop(st);
-        self.shared.work.notify_one();
+        if wake {
+            self.shared.work.notify_one();
+        }
         Ticket { done }
     }
 
@@ -922,6 +976,28 @@ fn pop_live<T: Real, O>(st: &mut State<T, O>, shared: &Shared<T, O>) -> Option<R
     None
 }
 
+/// Block on `work` (at most `timeout`), counted in
+/// [`State::workers_waiting`] so that `submit` knows to notify.
+fn wait_for_work<'a, T: Real, O>(
+    shared: &'a Shared<T, O>,
+    mut st: MutexGuard<'a, State<T, O>>,
+    timeout: Option<Duration>,
+) -> MutexGuard<'a, State<T, O>> {
+    st.workers_waiting += 1;
+    let mut st = match timeout {
+        None => shared.work.wait(st).unwrap_or_else(PoisonError::into_inner),
+        Some(t) => {
+            shared
+                .work
+                .wait_timeout(st, t)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+    };
+    st.workers_waiting -= 1;
+    st
+}
+
 /// One service worker: pop → coalesce → evaluate → complete, until
 /// shutdown (or until an evaluation crash, which re-enqueues the batch
 /// and returns so [`spawn_worker`] can restart the loop).
@@ -931,9 +1007,7 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
     slot: usize,
     shared: &Shared<T, E::Out>,
 ) -> WorkerExit {
-    // Reused across batches: the fused position block (reserve keeps
-    // the splice allocation-free in steady state).
-    let mut fused_pos = PosBlock::<T>::new();
+    let mut fuser = Fuser::new();
     loop {
         let mut st = lock_recover(&shared.state);
         // The scripted lock-held fault: panics with the state mutex
@@ -950,7 +1024,7 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
             if st.shutdown {
                 return WorkerExit::Shutdown;
             }
-            st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = wait_for_work(shared, st, None);
         };
         let kernel = first.kernel;
         let mut total = first.pos.len();
@@ -984,24 +1058,21 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
                 break;
             }
             st = match deadline {
-                None => shared.work.wait(st).unwrap_or_else(PoisonError::into_inner),
+                None => wait_for_work(shared, st, None),
                 Some(d) if now >= d => break,
-                Some(d) => {
-                    shared
-                        .work
-                        .wait_timeout(st, d - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
+                Some(d) => wait_for_work(shared, st, Some(d - now)),
             };
         }
         // The batch leaves the queue but its positions stay counted
         // (pending) until evaluated, so the backpressure bound covers
         // coalescing and in-flight work too.
         st.pending_positions -= total;
+        let wake = st.submitters_waiting > 0;
         drop(st);
-        shared.space.notify_all();
-        match execute(engine, backend, slot, batch, total, &mut fused_pos, shared) {
+        if wake {
+            shared.space.notify_all();
+        }
+        match execute(engine, backend, slot, batch, total, &mut fuser, shared) {
             Ok(()) => {}
             Err(recovered) => {
                 requeue_after_crash(shared, recovered);
@@ -1011,8 +1082,29 @@ fn worker_loop<T: Real, E: SpoEngine<T>>(
     }
 }
 
+/// A worker's fusing buffers, reused across batches so that the steady
+/// state fuses, unfuses and wakes without allocating.
+struct Fuser<T: Real, O> {
+    pos: PosBlock<T>,
+    blocks: Vec<O>,
+    /// Completion slots whose redeemer was blocked when resolved.
+    wake: Vec<Arc<Done<T, O>>>,
+}
+
+impl<T: Real, O> Fuser<T, O> {
+    fn new() -> Self {
+        Self {
+            pos: PosBlock::new(),
+            blocks: Vec::new(),
+            wake: Vec::new(),
+        }
+    }
+}
+
 /// Evaluate one coalesced batch and complete every member request.
 ///
+/// A fused batch resolves every member's slot before it wakes any
+/// redeemer, so a woken client never preempts the worker mid-batch.
 /// Evaluation runs under `catch_unwind`: on a panic (injected or real)
 /// the fused output blocks are un-fused and reattached to their
 /// requests — contents unspecified, but every caller buffer recovered —
@@ -1023,7 +1115,7 @@ fn execute<T: Real, E: SpoEngine<T>>(
     slot: usize,
     mut batch: Vec<Request<T, E::Out>>,
     total: usize,
-    fused_pos: &mut PosBlock<T>,
+    fuser: &mut Fuser<T, E::Out>,
     shared: &Shared<T, E::Out>,
 ) -> Result<(), Vec<Request<T, E::Out>>> {
     let stats = &shared.stats;
@@ -1046,60 +1138,60 @@ fn execute<T: Real, E: SpoEngine<T>>(
             }
             Err(_) => {
                 req.out = out.into_blocks();
-                Err(batch.drain(..).chain(std::iter::once(req)).collect())
+                batch.push(req);
+                Err(batch)
             }
         };
     }
     // Fuse: splice positions, move each caller's first pos.len() output
-    // blocks into one BatchOut (extra ragged-tail blocks are parked and
-    // reattached untouched).
-    fused_pos.clear();
-    fused_pos.reserve(total);
-    let mut blocks: Vec<E::Out> = Vec::with_capacity(total);
-    let mut extras: Vec<Vec<E::Out>> = Vec::with_capacity(batch.len());
+    // blocks into one BatchOut (extra ragged-tail blocks stay in the
+    // caller's own Vec, untouched).
+    let Fuser { pos, blocks, wake } = fuser;
+    pos.clear();
+    pos.reserve(total);
+    blocks.reserve(total);
     for req in &mut batch {
-        fused_pos.extend_from_block(&req.pos);
-        let mut mine = std::mem::take(&mut req.out);
-        extras.push(mine.split_off(req.pos.len()));
-        blocks.append(&mut mine);
+        pos.extend_from_block(&req.pos);
+        blocks.extend(req.out.drain(..req.pos.len()));
     }
-    let mut fused_out = BatchOut::from_blocks(blocks);
+    let mut fused_out = BatchOut::from_blocks(std::mem::take(blocks));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         shared.faults.before_eval(slot, seq0);
-        simd::with_backend(backend, || engine.eval_batch(kernel, fused_pos, &mut fused_out));
+        simd::with_backend(backend, || engine.eval_batch(kernel, pos, &mut fused_out));
     }));
-    let mut rest = fused_out.into_blocks();
-    match outcome {
-        Ok(()) => {
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.positions.fetch_add(total, Ordering::Relaxed);
-            stats.coalesced.fetch_add(batch.len(), Ordering::Relaxed);
-            // Unfuse: hand each request its own blocks back in submit
-            // order.
-            for (req, extra) in batch.into_iter().zip(extras) {
-                let tail = rest.split_off(req.pos.len());
-                let mut mine = std::mem::replace(&mut rest, tail);
-                mine.extend(extra);
-                req.done
-                    .complete(req.pos, BatchOut::from_blocks(mine), Instant::now());
-            }
-            debug_assert!(rest.is_empty(), "every output block returned");
-            Ok(())
-        }
-        Err(_) => {
-            // Crash recovery: un-fuse the (possibly half-written)
-            // blocks back onto their requests so no caller buffer is
-            // lost; a retry overwrites the contents anyway.
-            for (req, extra) in batch.iter_mut().zip(extras) {
-                let tail = rest.split_off(req.pos.len());
-                let mut mine = std::mem::replace(&mut rest, tail);
-                mine.extend(extra);
-                req.out = mine;
-            }
-            debug_assert!(rest.is_empty(), "every output block recovered");
-            Err(batch)
+    *blocks = fused_out.into_blocks();
+    // Unfuse in one pass, crash or not: on a crash the (possibly
+    // half-written) blocks go back to their callers too, and a retry
+    // overwrites them.
+    unfuse(&mut batch, blocks);
+    if outcome.is_err() {
+        return Err(batch);
+    }
+    let finished = Instant::now();
+    stats.batches.fetch_add(1, Ordering::Relaxed);
+    stats.positions.fetch_add(total, Ordering::Relaxed);
+    stats.coalesced.fetch_add(batch.len(), Ordering::Relaxed);
+    for req in batch {
+        let out = BatchOut::from_blocks(req.out);
+        if req.done.resolve(Outcome::Done((req.pos, out, finished))) {
+            wake.push(req.done);
         }
     }
+    for done in wake.drain(..) {
+        done.wake();
+    }
+    Ok(())
+}
+
+/// Hand every request its own output blocks back, in submit order and
+/// ahead of any ragged-tail blocks it kept: one linear pass over the
+/// fused blocks, into each caller's own allocation.
+fn unfuse<T: Real, O>(batch: &mut [Request<T, O>], blocks: &mut Vec<O>) {
+    let mut fused = blocks.drain(..);
+    for req in batch {
+        req.out.splice(0..0, fused.by_ref().take(req.pos.len()));
+    }
+    debug_assert!(fused.next().is_none(), "every output block returned");
 }
 
 /// Put a crashed batch back: each request re-enqueues at the *front* of
@@ -1634,5 +1726,115 @@ mod tests {
         assert_eq!(pos.len(), 1);
         let stats = service.stats();
         assert_eq!((stats.panics, stats.respawns), (0, 0));
+    }
+
+    /// Spin (yielding, never sleeping) until `f` holds; panics naming
+    /// `what` after 10 s so a protocol bug cannot hang the suite.
+    fn spin_until(what: &str, f: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !f() {
+            assert!(start.elapsed() < Duration::from_secs(10), "never reached: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn workers_waiting<E: SpoEngine<f32> + 'static>(service: &SpoService<f32, E>) -> usize {
+        lock_recover(&service.shared.state).workers_waiting
+    }
+
+    #[test]
+    fn blocked_redeemer_is_woken() {
+        // A two-position batch with no coalescing bound: the first
+        // request sits in the worker's partial batch until the second
+        // fills it, and by then its redeemer is blocked on the slot.
+        let service = SpoService::new(
+            soa(8),
+            ServiceConfig {
+                max_batch: 2,
+                max_wait: Duration::MAX,
+                ..ServiceConfig::default()
+            },
+        );
+        let out = service.engine().make_batch_out(1);
+        let first = service.submit(Kernel::V, block(1, 50), out);
+        let slot = Arc::clone(&first.done);
+        let wait = Duration::from_secs(10);
+        // A lost wakeup still finds the outcome when the bounded wait
+        // expires, so the redeemer reports how long it was blocked.
+        let redeemer = std::thread::spawn(move || {
+            let start = Instant::now();
+            (first.redeem_for(wait), start.elapsed())
+        });
+        spin_until("redeemer blocked", || lock_recover(&slot.slot).waiting);
+        spin_until("worker coalescing", || workers_waiting(&service) == 1);
+        let out = service.engine().make_batch_out(1);
+        let second = service.submit(Kernel::V, block(1, 51), out);
+        let (result, blocked) = redeemer.join().expect("redeemer thread");
+        let (pos, _, _) = result.expect("the request resolves");
+        assert_eq!(pos.len(), 1);
+        assert!(blocked < wait, "the blocked redeemer is woken, not timed out");
+        second
+            .redeem_for(wait)
+            .expect("the batch that filled resolves");
+        assert_eq!(service.stats().batches, 1, "both requests in one batch");
+    }
+
+    #[test]
+    fn blocked_submitter_is_woken() {
+        // No timer decides anything here. The first position sits in a
+        // partial batch that waits without bound, so a two-position
+        // submitter is over the bound and blocks on backpressure. A
+        // third one-position request still fits, fills the batch, and
+        // the batch leaving the queue is what must admit the submitter.
+        let service = SpoService::new(
+            soa(8),
+            ServiceConfig {
+                max_batch: 2,
+                max_wait: Duration::MAX,
+                queue_positions: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let wait = Duration::from_secs(10);
+        let out = service.engine().make_batch_out(1);
+        let first = service.submit(Kernel::V, block(1, 52), out);
+        let out = service.engine().make_batch_out(2);
+        let pos = block(2, 53);
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                // The deadline bounds the backpressure wait: a lost
+                // wakeup sheds the request instead of hanging.
+                service
+                    .submit_with_deadline(Kernel::V, pos, out, Instant::now() + wait)
+                    .redeem_for(wait)
+            });
+            spin_until("submitter blocked", || {
+                lock_recover(&service.shared.state).submitters_waiting == 1
+            });
+            let out = service.engine().make_batch_out(1);
+            let third = service.submit(Kernel::V, block(1, 54), out);
+            for ticket in [first, third] {
+                ticket.redeem_for(wait).expect("the filled batch resolves");
+            }
+            let (pos, _, _) = submitter
+                .join()
+                .expect("submitter thread")
+                .expect("the blocked submitter is admitted and served");
+            assert_eq!(pos.len(), 2);
+        });
+        let stats = service.stats();
+        assert_eq!((stats.batches, stats.shed), (2, 0));
+    }
+
+    #[test]
+    fn idle_worker_is_woken() {
+        let service = SpoService::new(soa(8), ServiceConfig::default());
+        spin_until("worker idle", || workers_waiting(&service) == 1);
+        let out = service.engine().make_batch_out(2);
+        let (pos, _, _) = service
+            .submit(Kernel::V, block(2, 55), out)
+            .redeem_for(Duration::from_secs(10))
+            .expect("the idle worker is woken");
+        assert_eq!(pos.len(), 2);
     }
 }

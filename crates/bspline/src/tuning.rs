@@ -25,7 +25,7 @@ fn parse_cache_size(s: &str) -> Option<usize> {
         b'G' | b'g' => (&s[..s.len() - 1], 1024 * 1024 * 1024),
         _ => (s, 1),
     };
-    digits.trim().parse::<usize>().ok().map(|v| v * mult)
+    digits.trim().parse::<usize>().ok()?.checked_mul(mult)
 }
 
 /// Read `<root>/cpu/cpu0/cache/index{index}/size` — the injectable-root
@@ -133,6 +133,8 @@ mod tests {
         assert_eq!(parse_cache_size("lots"), None);
         assert_eq!(parse_cache_size(""), None);
         assert_eq!(parse_cache_size("-1K"), None);
+        // A size past `usize` (2^64 bytes) is garbage, not a wrap to 0.
+        assert_eq!(parse_cache_size("18014398509481984K"), None);
     }
 
     /// Build a throwaway sysfs-shaped fixture tree; each test gets its

@@ -15,8 +15,9 @@
 //!   (default 0);
 //! * `QMC_DMC_CKPT_DIR` — checkpoint directory (default
 //!   `target/dmc-ckpt`);
-//! * `QMC_DMC_RESUME` — `1` resumes from the newest valid checkpoint
-//!   (fresh start if none);
+//! * `QMC_DMC_RESUME` — `1` (or `true`) resumes from the newest valid
+//!   checkpoint (fresh start if none); `0`, `false` or unset starts
+//!   fresh, and any other value is refused;
 //! * `QMC_DMC_SLEEP_MS` — artificial per-generation pause so an outer
 //!   script has a window to `kill -9` mid-run.
 //!
@@ -46,8 +47,19 @@ fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 
+/// A strict boolean: unset, `0` or `false` is off; `1` or `true` is
+/// on; anything else panics rather than silently reading as off (a
+/// mistyped `QMC_DMC_RESUME` would otherwise start fresh and overwrite
+/// the checkpoints it was asked to resume from).
 fn env_flag(name: &str) -> bool {
-    matches!(std::env::var(name).as_deref(), Ok("1") | Ok("true"))
+    match std::env::var(name) {
+        Err(_) => false,
+        Ok(v) => match v.as_str() {
+            "0" | "false" => false,
+            "1" | "true" => true,
+            _ => panic!("{name} must be 0, 1, false or true, got {v:?}"),
+        },
+    }
 }
 
 /// One graphite walker: a 1×1×1 cell (16 electrons, 8 orbitals/spin)
