@@ -96,30 +96,6 @@ impl fmt::Display for Kernel {
     }
 }
 
-/// The paper's cumulative optimization steps (Table IV rows).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OptStep {
-    /// Baseline AoS implementation.
-    Baseline,
-    /// Opt A: AoS→SoA output transformation.
-    A,
-    /// Opt B: AoSoA tiling on top of A.
-    B,
-    /// Opt C: nested threading over tiles on top of B.
-    C,
-}
-
-impl fmt::Display for OptStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OptStep::Baseline => "baseline",
-            OptStep::A => "A (SoA)",
-            OptStep::B => "B (AoSoA)",
-            OptStep::C => "C (nested)",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +113,6 @@ mod tests {
     fn display_names() {
         assert_eq!(Layout::AoSoA.to_string(), "AoSoA");
         assert_eq!(Kernel::Vgl.to_string(), "VGL");
-        assert_eq!(OptStep::B.to_string(), "B (AoSoA)");
     }
 
     #[test]

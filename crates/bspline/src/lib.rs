@@ -199,9 +199,10 @@
 //! each scalar call would re-run the grid locate and rebuild the basis
 //! weights. The one-move view ([`engine::SpoEngine::eval_one`], state in
 //! [`onemove`]) makes that propose→accept pair first-class. (`miniqmc`'s
-//! VMC proposals are symmetric, so its wavefunction makes only the
-//! propose-side `v_one` call and takes every electron's derivatives from
-//! one VGH per electron per sweep, each read by the determinant at once.)
+//! VMC proposals are symmetric, so its wavefunction never reuses a
+//! cached locate: the ratio test is one plain V call, and every
+//! electron's derivatives come from one VGH per electron per sweep, each
+//! read by the determinant at once.)
 //!
 //! ```text
 //!   propose r'  ──►  v_one(ctx, r')        locate + weights computed,
@@ -325,7 +326,7 @@ pub mod prelude {
     pub use crate::batch::{BatchOut, Located, PosBlock};
     pub use crate::blocked::BlockedEngine;
     pub use crate::engine::SpoEngine;
-    pub use crate::layout::{Kernel, Layout, OptStep};
+    pub use crate::layout::{Kernel, Layout};
     pub use crate::onemove::MoveContext;
     pub use crate::output::{WalkerAoS, WalkerSoA};
     pub use crate::parallel::run_nested_blocked;
@@ -344,7 +345,7 @@ pub use aosoa::BsplineAoSoA;
 pub use batch::{BatchOut, PosBlock};
 pub use blocked::BlockedEngine;
 pub use engine::SpoEngine;
-pub use layout::{Kernel, Layout, OptStep};
+pub use layout::{Kernel, Layout};
 pub use onemove::MoveContext;
 pub use output::{SoAStreamsMut, WalkerAoS, WalkerSoA};
 pub use service::{

@@ -83,9 +83,10 @@
 //!   outcome is exactly the direct `eval_batch` result, crash or no crash.
 //! * **Fault injection.** [`SpoService::with_fault_plan`] scripts
 //!   worker faults ([`ServiceFault`]: panic, kill, stall, poison) for
-//!   tests, the chaos proptest suite, and the degraded-mode benchmark
-//!   rows — the service-layer analogue of the campaign layer's
-//!   `CampaignFaultPlan`.
+//!   the unit tests, the `integration_service_faults` proptest suite and
+//!   `qmc-bench`'s `service_chaos` smoke — the service-layer analogue of
+//!   the campaign layer's `CampaignFaultPlan`. No benchmark injects
+//!   faults.
 
 use crate::batch::{check_batch, BatchOut, PosBlock};
 use crate::engine::SpoEngine;
@@ -253,7 +254,7 @@ pub enum ServiceFault {
         at_request: usize,
     },
     /// Panic the worker and stop its thread instead of restarting it —
-    /// a permanent worker loss (the degraded-mode benchmark's knob).
+    /// a permanent worker loss.
     Kill {
         /// Worker slot the fault targets.
         worker: usize,
@@ -671,8 +672,7 @@ where
     }
 
     /// [`SpoService::new`] with a scripted [`ServiceFaultPlan`] —
-    /// fault-injection entry point for tests, the chaos suite, and the
-    /// degraded-mode benchmark rows.
+    /// fault-injection entry point for tests and the chaos smoke.
     pub fn with_fault_plan(engine: E, cfg: ServiceConfig, plan: ServiceFaultPlan) -> Self {
         assert!(cfg.replicas > 0, "ServiceConfig::replicas must be positive");
         assert!(cfg.max_batch > 0, "ServiceConfig::max_batch must be positive");

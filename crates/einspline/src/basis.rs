@@ -102,12 +102,6 @@ impl<T: Real> BasisWeights<T> {
         }
         Self { a, da, d2a }
     }
-
-    /// Value-only weights (kernel `V` needs no derivatives).
-    #[inline(always)]
-    pub fn value_only(t: T) -> [T; 4] {
-        weights(t)
-    }
 }
 
 /// Evaluate the single basis function `b_{i,3}` centred so that its

@@ -187,20 +187,6 @@ fn invert_transposed(a: &[f64], n: usize, inv_t: &mut [f64]) -> (f64, f64) {
     (sign, log_det)
 }
 
-/// Dense inverse (row-major `A⁻¹`) + `(sign, log|det|)` via LU.
-pub fn invert_log_det(a: &[f64], n: usize) -> (Vec<f64>, f64, f64) {
-    assert_eq!(a.len(), n * n);
-    let mut inv_t = vec![0.0; n * n];
-    let (sign, log_det) = invert_transposed(a, n, &mut inv_t);
-    let mut inv = vec![0.0; n * n];
-    for e in 0..n {
-        for k in 0..n {
-            inv[k * n + e] = inv_t[e * n + k];
-        }
-    }
-    (inv, sign, log_det)
-}
-
 /// Slater determinant state for one spin channel.
 #[derive(Clone, Debug)]
 pub struct DiracDeterminant {

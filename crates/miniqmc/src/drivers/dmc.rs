@@ -137,17 +137,6 @@ impl DmcPopulation {
         self.walkers.iter().map(|w| w.weight).sum()
     }
 
-    /// Weighted mean of per-walker local energies.
-    pub fn mixed_estimator(&self, local_energy: impl Fn(usize) -> f64) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for w in &self.walkers {
-            num += w.weight * local_energy(w.id);
-            den += w.weight;
-        }
-        num / den
-    }
-
     /// Population-control parameters this population was built with.
     pub fn config(&self) -> &DmcConfig {
         &self.cfg
@@ -362,15 +351,6 @@ mod tests {
             "E_T = {} vs E0 = {e0}",
             p.trial_energy
         );
-    }
-
-    #[test]
-    fn mixed_estimator_weights_by_walker_weight() {
-        let mut p = DmcPopulation::new(cfg(2, 5), 0.0);
-        p.walkers[0].weight = 3.0;
-        p.walkers[1].weight = 1.0;
-        let e = p.mixed_estimator(|id| if id == 0 { 4.0 } else { 8.0 });
-        assert!((e - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -96,13 +96,6 @@ impl Timers {
         self.acc = Default::default();
     }
 
-    /// Merge another timer set (e.g. from a parallel walker).
-    pub fn merge(&mut self, other: &Timers) {
-        for (a, b) in self.acc.iter_mut().zip(&other.acc) {
-            *a += *b;
-        }
-    }
-
     /// Report.
     pub fn report(&self) -> ProfileReport {
         ProfileReport {
@@ -187,16 +180,6 @@ mod tests {
         let r = Timers::new().report();
         assert_eq!(r.percent(Category::Bspline), 0.0);
         assert_eq!(r.total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn merge_adds_componentwise() {
-        let mut a = Timers::new();
-        a.add(Category::Other, Duration::from_millis(1));
-        let mut b = Timers::new();
-        b.add(Category::Other, Duration::from_millis(2));
-        a.merge(&b);
-        assert_eq!(a.get(Category::Other), Duration::from_millis(3));
     }
 
     #[test]

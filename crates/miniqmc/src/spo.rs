@@ -11,7 +11,7 @@
 
 use crate::lattice::Lattice;
 use bspline::blocked::BlockedEngine;
-use bspline::{BatchOut, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine, WalkerSoA};
+use bspline::{BatchOut, BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{MultiCoefs, Real};
 
 /// Orbital values + Cartesian gradients + Laplacians for one position —
@@ -74,10 +74,6 @@ pub struct SpoSet<T: Real, E: SpoEngine<T, Out = WalkerSoA<T>> = BsplineSoA<T>> 
     batch_pos: PosBlock<T>,
     /// Per-position results of the block calls.
     batch_rows: Vec<SpoVgl>,
-    /// Per-walker single-electron move state: the locate/weights cached
-    /// by `evaluate_v_one`, which an `evaluate_vgl_one` at the same
-    /// position reuses. The wavefunction calls only `evaluate_v_one`.
-    move_ctx: MoveContext<T>,
 }
 
 impl<T: Real<Accum = f64>> SpoSet<T> {
@@ -130,7 +126,6 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
             batch_scratch: BatchOut::from_blocks(Vec::new()),
             batch_pos: PosBlock::new(),
             batch_rows: Vec::new(),
-            move_ctx: MoveContext::new(),
         }
     }
 
@@ -157,8 +152,9 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
         [T::from_f64(u[0]), T::from_f64(u[1]), T::from_f64(u[2])]
     }
 
-    /// Orbital values at Cartesian `r` (kernel V).
-    pub fn evaluate_v(&mut self, r: [f64; 3]) -> &[f64] {
+    /// Orbital values at Cartesian `r` (kernel V): the propose side of
+    /// a single-electron move.
+    pub fn evaluate_v_one(&mut self, r: [f64; 3]) -> &[f64] {
         let u = self.frac_pos(r);
         self.engine.v(u, &mut self.scratch);
         let n = self.n_orbitals();
@@ -169,40 +165,11 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
     }
 
     /// Values + Cartesian gradients + Laplacians at `r` (kernel VGH +
-    /// pull-back). Returns the filled view.
-    pub fn evaluate_vgl(&mut self, r: [f64; 3]) -> &SpoVgl {
-        let u = self.frac_pos(r);
-        self.engine.vgh(u, &mut self.scratch);
-        let n = self.n_orbitals();
-        Self::pull_back(&self.g, &self.metric, n, &self.scratch, &mut self.out);
-        &self.out
-    }
-
-    /// Orbital values at `r` through the single-electron fast path
-    /// ([`SpoEngine::v_one`]): the grid locate + basis weights for the
-    /// fractional position are cached in this walker's move context, so
-    /// a following [`Self::evaluate_vgl_one`] at the *same* `r` reuses
-    /// them without recomputation. Bit-identical to
-    /// [`Self::evaluate_v`].
-    pub fn evaluate_v_one(&mut self, r: [f64; 3]) -> &[f64] {
-        let u = self.frac_pos(r);
-        self.engine.v_one(&mut self.move_ctx, u, &mut self.scratch);
-        let n = self.n_orbitals();
-        for k in 0..n {
-            self.out.v[k] = self.scratch.value(k).to_accum();
-        }
-        &self.out.v[..n]
-    }
-
-    /// Values + Cartesian gradients + Laplacians at `r` through the
-    /// single-electron fast path: the engine runs the VGH kernel
-    /// ([`SpoEngine::vgh_one`] — the hexagonal-cell Laplacian pull-back
-    /// needs the full Hessian) over the locate/weights cached by a
-    /// prior [`Self::evaluate_v_one`] at the same position. Bit-identical
-    /// to [`Self::evaluate_vgl`].
+    /// pull-back; the hexagonal-cell Laplacian needs the full Hessian).
+    /// Returns the filled view.
     pub fn evaluate_vgl_one(&mut self, r: [f64; 3]) -> &SpoVgl {
         let u = self.frac_pos(r);
-        self.engine.vgh_one(&mut self.move_ctx, u, &mut self.scratch);
+        self.engine.vgh(u, &mut self.scratch);
         let n = self.n_orbitals();
         Self::pull_back(&self.g, &self.metric, n, &self.scratch, &mut self.out);
         &self.out
@@ -281,7 +248,7 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
     }
 
     /// Values + Cartesian gradients + Laplacians for every position of
-    /// a block: row `e` holds what [`Self::evaluate_vgl`] gives at
+    /// a block: row `e` holds what [`Self::evaluate_vgl_one`] gives at
     /// `rs[e]`, bit for bit. Each position runs one VGH into the
     /// L1-sized scratch and is pulled back at once. A batched engine
     /// call would stage 10 `T` streams per position and read them back:
@@ -342,7 +309,7 @@ mod tests {
         let lat = Lattice::hexagonal(3.0, 7.0);
         let mut spo = build(lat, 24, 3);
         let r = lat.to_cart([0.31, 0.62, 0.13]);
-        let v = spo.evaluate_v(r).to_vec();
+        let v = spo.evaluate_v_one(r).to_vec();
         let u = [0.31, 0.62, 0.13];
         for (s, val) in v.iter().enumerate() {
             let kx = (1 + s % 2) as f64;
@@ -360,14 +327,14 @@ mod tests {
         let mut spo = build(lat, 32, 2);
         let r = lat.to_cart([0.4, 0.3, 0.6]);
         let h = 1e-5;
-        let out = spo.evaluate_vgl(r).clone();
+        let out = spo.evaluate_vgl_one(r).clone();
         for d in 0..3 {
             let mut rp = r;
             rp[d] += h;
-            let vp = spo.evaluate_v(rp).to_vec();
+            let vp = spo.evaluate_v_one(rp).to_vec();
             let mut rm = r;
             rm[d] -= h;
-            let vm = spo.evaluate_v(rm).to_vec();
+            let vm = spo.evaluate_v_one(rm).to_vec();
             for k in 0..2 {
                 let fd = (vp[k] - vm[k]) / (2.0 * h);
                 let an = [out.gx[k], out.gy[k], out.gz[k]][d];
@@ -382,16 +349,16 @@ mod tests {
         let mut spo = build(lat, 32, 2);
         let r = lat.to_cart([0.21, 0.55, 0.37]);
         let h = 2e-4;
-        let out = spo.evaluate_vgl(r).clone();
-        let v0 = spo.evaluate_v(r).to_vec();
+        let out = spo.evaluate_vgl_one(r).clone();
+        let v0 = spo.evaluate_v_one(r).to_vec();
         let mut lap_fd = [0.0; 2];
         for d in 0..3 {
             let mut rp = r;
             rp[d] += h;
-            let vp = spo.evaluate_v(rp).to_vec();
+            let vp = spo.evaluate_v_one(rp).to_vec();
             let mut rm = r;
             rm[d] -= h;
-            let vm = spo.evaluate_v(rm).to_vec();
+            let vm = spo.evaluate_v_one(rm).to_vec();
             for k in 0..2 {
                 lap_fd[k] += (vp[k] - 2.0 * v0[k] + vm[k]) / (h * h);
             }
@@ -409,7 +376,7 @@ mod tests {
         let lat = Lattice::orthorhombic(2.0, 3.0, 4.0);
         let mut spo = build(lat, 16, 1);
         let r = lat.to_cart([0.3, 0.3, 0.3]);
-        let out = spo.evaluate_vgl(r).clone();
+        let out = spo.evaluate_vgl_one(r).clone();
         let u = [0.3f64, 0.3, 0.3];
         let mut scratch = WalkerSoA::<f64>::new(1);
         spo.engine().vgh(u, &mut scratch);
@@ -433,7 +400,7 @@ mod tests {
         .collect();
 
         let scalar: Vec<SpoVgl> =
-            rs.iter().map(|&r| spo.evaluate_vgl(r).clone()).collect();
+            rs.iter().map(|&r| spo.evaluate_vgl_one(r).clone()).collect();
         let batch = spo.evaluate_vgl_batch(&rs).to_vec();
         assert_eq!(batch.len(), rs.len());
         for (e, (s, b)) in scalar.iter().zip(&batch).enumerate() {
@@ -447,7 +414,7 @@ mod tests {
         }
 
         let v_scalar: Vec<Vec<f64>> =
-            rs.iter().map(|&r| spo.evaluate_v(r).to_vec()).collect();
+            rs.iter().map(|&r| spo.evaluate_v_one(r).to_vec()).collect();
         let v_batch = spo.evaluate_v_batch(&rs).to_vec();
         for (e, (s, b)) in v_scalar.iter().zip(&v_batch).enumerate() {
             assert_eq!(s.as_slice(), &b.v[..3], "e={e}");
@@ -491,7 +458,7 @@ mod tests {
             .collect()
     }
 
-    /// `evaluate_vgl` per position and `evaluate_vgl_batch` against
+    /// `evaluate_vgl_one` per position and `evaluate_vgl_batch` against
     /// [`batched_engine_reference`], bit for bit, for blocks of 0, 1, 7
     /// and 128 random positions.
     fn check_vgl_paths<T, E>(mut spo: SpoSet<T, E>, seed: u64)
@@ -519,7 +486,7 @@ mod tests {
             assert_eq!(batch.len(), m);
             for (e, (got, want)) in batch.iter().zip(&want).enumerate() {
                 assert_eq!(bits(got), bits(want), "batch: m={m} e={e}");
-                let one = spo.evaluate_vgl(rs[e]);
+                let one = spo.evaluate_vgl_one(rs[e]);
                 assert_eq!(bits(one), bits(want), "one: m={m} e={e}");
             }
         }
@@ -580,8 +547,8 @@ mod tests {
             .map(|u| lat.to_cart(*u))
             .collect();
         for &r in &rs {
-            let a = mono.evaluate_vgl(r).clone();
-            let b = blocked.evaluate_vgl(r).clone();
+            let a = mono.evaluate_vgl_one(r).clone();
+            let b = blocked.evaluate_vgl_one(r).clone();
             for k in 0..5 {
                 assert_eq!(a.v[k], b.v[k], "k={k}");
                 assert_eq!(a.gx[k], b.gx[k]);
@@ -601,41 +568,14 @@ mod tests {
     }
 
     #[test]
-    fn one_move_path_matches_scalar_bit_for_bit() {
-        let lat = Lattice::hexagonal(2.5, 6.0);
-        let mut spo = build(lat, 16, 3);
-        let rs: Vec<[f64; 3]> = [[0.11, 0.42, 0.83], [0.57, 0.24, 0.39], [0.91, 0.66, 0.05]]
-            .iter()
-            .map(|u| lat.to_cart(*u))
-            .collect();
-        for &r in &rs {
-            // Propose side: V through the move context...
-            let v_one = spo.evaluate_v_one(r).to_vec();
-            let v_scalar = spo.evaluate_v(r).to_vec();
-            assert_eq!(v_scalar, v_one);
-            // ...then the accept side reuses the cached weights (the
-            // interleaved evaluate_v above did not touch the context).
-            let one = spo.evaluate_vgl_one(r).clone();
-            let scalar = spo.evaluate_vgl(r).clone();
-            for k in 0..3 {
-                assert_eq!(scalar.v[k], one.v[k], "k={k}");
-                assert_eq!(scalar.gx[k], one.gx[k]);
-                assert_eq!(scalar.gy[k], one.gy[k]);
-                assert_eq!(scalar.gz[k], one.gz[k]);
-                assert_eq!(scalar.lap[k], one.lap[k]);
-            }
-        }
-    }
-
-    #[test]
     fn periodic_positions_wrap() {
         let lat = Lattice::hexagonal(3.0, 7.0);
         let mut spo = build(lat, 16, 2);
         let r = lat.to_cart([0.2, 0.8, 0.5]);
         let shift = lat.to_cart([1.0, -1.0, 2.0]);
         let r2 = [r[0] + shift[0], r[1] + shift[1], r[2] + shift[2]];
-        let v1 = spo.evaluate_v(r).to_vec();
-        let v2 = spo.evaluate_v(r2).to_vec();
+        let v1 = spo.evaluate_v_one(r).to_vec();
+        let v2 = spo.evaluate_v_one(r2).to_vec();
         for k in 0..2 {
             assert!((v1[k] - v2[k]).abs() < 1e-10);
         }

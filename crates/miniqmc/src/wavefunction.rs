@@ -211,7 +211,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// All-electron `∇ᵢ ln|Ψ|` and `∇²ᵢ ln|Ψ|` — the drift-diffusion
     /// sweep: drift vectors for proposal moves and the input of the
     /// kinetic-energy estimator. One pass per electron: its VGH and
-    /// pull-back ([`SpoSet::evaluate_vgl`]) fill one L1-sized row,
+    /// pull-back ([`SpoSet::evaluate_vgl_one`]) fill one L1-sized row,
     /// which the determinant's dot products read at once, so no spin's
     /// block of orbital rows is staged. The Jastrow terms come from one
     /// full evaluation each, J2 visiting each pair once.
@@ -259,7 +259,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         for iel in 0..n_el {
             let (spin, e) = (iel / n_per_spin, iel % n_per_spin);
             let r = electrons.get(iel);
-            let row = timers.time(Category::Bspline, || spo.evaluate_vgl(r));
+            let row = timers.time(Category::Bspline, || spo.evaluate_vgl_one(r));
             let (g, l) = timers.time(Category::Determinant, || {
                 crate::drivers::observables::det_log_derivs(
                     &dets[spin],

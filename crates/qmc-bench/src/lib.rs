@@ -22,12 +22,12 @@
 //!
 //! The layer ledger under `bench/` (declared in `BENCHMARK.json`) is the
 //! only gate: a performance claim is one of its metric names, and a
-//! regression is judged there. Everything in this crate — the binaries
-//! above and the `examples/` load drivers —
-//! reproduces a paper table or figure on the host and *prints* it; none
-//! of them records a baseline, compares against one, or fails on a
-//! timing (`service_chaos` exits non-zero only on a lost ticket or a
-//! bit mismatch, which is a correctness check).
+//! regression is judged there; the service's latency and overhead are
+//! on record in its `service_mixed` workload. The binaries above
+//! reproduce a paper table or figure on the host and *print* it; none of
+//! them records a baseline, compares against one, or fails on a timing.
+//! The one example, `service_chaos`, is a correctness smoke: it exits
+//! non-zero only on a lost ticket or a bit mismatch.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -38,10 +38,7 @@ pub mod profile_suite;
 pub mod report;
 pub mod workload;
 
-pub use measure::{
-    measure_kernel, measure_kernel_batched, measure_service, MeasureConfig, ServiceLoad,
-    ServiceLoadConfig,
-};
+pub use measure::{measure_kernel, measure_kernel_batched, MeasureConfig};
 pub use modelled::{model_prediction, sim_threads, ModelScenario};
 pub use profile_suite::{run_profile, ProfileConfig, Suite};
 pub use report::Table;

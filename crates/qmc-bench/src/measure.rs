@@ -1,12 +1,10 @@
 //! Host throughput measurement for the engines.
 
 use crate::workload::{batch_size, pos_block_in, positions_in};
-use bspline::service::SpoService;
-use bspline::walker::walker_rng;
 use bspline::SpoEngine;
 use bspline::{Kernel, PosBlock};
 use einspline::Real;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Measurement parameters.
 #[derive(Clone, Copy, Debug)]
@@ -86,283 +84,6 @@ pub fn measure_kernel_batched<T: Real, E: SpoEngine<T>>(
     (engine.n_splines() * cfg.ns) as f64 / best
 }
 
-/// Shape of an open-loop service-load measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceLoadConfig {
-    /// Concurrent submitter threads (independent walker streams).
-    pub submitters: usize,
-    /// Requests each submitter issues.
-    pub requests_per_submitter: usize,
-    /// Positions per request (the per-walker electron-block size; small
-    /// against the service `max_batch`, so throughput comes from
-    /// cross-submitter coalescing).
-    pub positions_per_request: usize,
-    /// Offered load in requests/s summed over all submitters.
-    /// `Some(r)`: *open-loop* — each submitter issues on a fixed
-    /// schedule and latency is measured from the **intended** send
-    /// time, so backpressure-induced queueing is charged to the
-    /// service, not silently absorbed (no coordinated omission).
-    /// `None`: saturation — submitters issue back-to-back as fast as
-    /// the pipeline allows (the peak-throughput measurement).
-    pub offered_rps: Option<f64>,
-    /// In-flight requests each submitter keeps (buffer pairs; >1 lets
-    /// the coalescer see concurrent work even from few submitters).
-    pub pipeline: usize,
-    /// Distinct position blocks each submitter cycles through; later
-    /// requests re-submit earlier positions, mirroring the fixed
-    /// position set [`measure_kernel_batched`] re-evaluates every rep
-    /// (the QMC generation semantic — walkers re-visit nearby table
-    /// regions). Size `submitters × distinct_blocks ×
-    /// positions_per_request` to the closed-loop harness's `ns` so a
-    /// service-vs-closed ratio compares the service mechanism, not
-    /// table cache residency: fresh random positions stream the whole
-    /// coefficient table while the closed loop re-reads an LLC-resident
-    /// working set. `0` = fresh random positions for every request
-    /// (a streaming, open-world workload).
-    pub distinct_blocks: usize,
-    /// Whole-run repetitions; the rep with the highest throughput is
-    /// reported (matching [`measure_kernel_batched`]'s best-of
-    /// statistic — comparing a single service run's *mean* against the
-    /// closed loop's best-of *peak* would charge host noise to the
-    /// service).
-    pub reps: usize,
-    /// Position RNG seed.
-    pub seed: u64,
-    /// Service-side request deadline: `Some(d)` submits every request
-    /// through [`SpoService::submit_with_deadline`] with `issue_at + d`
-    /// (charged from the *intended* send time, like the latency
-    /// accounting), so queueing past the deadline sheds the request
-    /// instead of evaluating stale work. `None` = no deadline.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for ServiceLoadConfig {
-    fn default() -> Self {
-        Self {
-            submitters: 4,
-            requests_per_submitter: 64,
-            positions_per_request: 8,
-            offered_rps: None,
-            pipeline: 4,
-            distinct_blocks: 2,
-            reps: 3,
-            seed: 0xca11,
-            deadline: None,
-        }
-    }
-}
-
-/// Result of one [`measure_service`] run: aggregate throughput plus the
-/// per-request latency distribution.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceLoad {
-    /// Orbital evaluations per second across all submitters
-    /// (`N · total positions / wall`).
-    pub evals_per_sec: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 95th-percentile request latency, microseconds.
-    pub p95_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Requests measured (successful completions; failed requests are
-    /// excluded from the latency distribution and the throughput
-    /// numerator).
-    pub requests: usize,
-    /// Requests that resolved to a service error instead of a result —
-    /// deadline sheds ([`ServiceLoadConfig::deadline`]) plus any
-    /// retry-budget worker losses. Their buffers are recycled; their
-    /// (non-)latency is never sampled.
-    pub shed: usize,
-    /// Mean positions per fused engine call over the run (coalescing
-    /// effectiveness; ≈ `positions_per_request` means no coalescing).
-    pub mean_batch_positions: f64,
-}
-
-/// Nearest-rank percentile of an ascending-sorted latency vector.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Drive `service` with concurrent open-loop submitters and measure the
-/// per-request latency distribution and aggregate throughput.
-///
-/// Each submitter owns `pipeline` buffer pairs and keeps that many
-/// requests in flight, reaping the oldest ticket (and recording its
-/// latency) whenever the pool runs dry. Latency runs from the request's
-/// scheduled issue time (see [`ServiceLoadConfig::offered_rps`]) to the
-/// completion instant the worker stamped inside the service
-/// ([`bspline::service::Ticket::redeem`]), so neither submitter
-/// pacing slip nor reaping delay is charged to the service. Requests
-/// that resolve to a service error (deadline sheds, exhausted retry
-/// budgets) recycle their buffers and count in [`ServiceLoad::shed`]
-/// instead of the latency distribution.
-pub fn measure_service<T: Real, E: SpoEngine<T> + 'static>(
-    service: &SpoService<T, E>,
-    kernel: Kernel,
-    cfg: &ServiceLoadConfig,
-) -> ServiceLoad {
-    assert!(cfg.submitters > 0 && cfg.requests_per_submitter > 0);
-    assert!(cfg.positions_per_request > 0 && cfg.pipeline > 0);
-    let mut best: Option<ServiceLoad> = None;
-    for _ in 0..cfg.reps.max(1) {
-        let run = run_service_load(service, kernel, cfg);
-        if best
-            .as_ref()
-            .is_none_or(|b| run.evals_per_sec > b.evals_per_sec)
-        {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one rep")
-}
-
-/// One timed pass of the load run behind [`measure_service`].
-fn run_service_load<T: Real, E: SpoEngine<T> + 'static>(
-    service: &SpoService<T, E>,
-    kernel: Kernel,
-    cfg: &ServiceLoadConfig,
-) -> ServiceLoad {
-    let domain = service.engine().domain();
-    let n_splines = service.engine().n_splines();
-    let batches_before = service.stats().batches;
-    let positions_before = service.stats().positions;
-    // Per-submitter issue interval for the offered-rate schedule.
-    let interval = cfg
-        .offered_rps
-        .map(|rps| Duration::from_secs_f64(cfg.submitters as f64 / rps));
-
-    let start = Instant::now();
-    let per_submitter: Vec<(Vec<f64>, usize)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.submitters)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut rng = walker_rng(cfg.seed, w);
-                    let fixed: Vec<PosBlock<T>> = (0..cfg.distinct_blocks)
-                        .map(|_| {
-                            PosBlock::random(&mut rng, cfg.positions_per_request, domain)
-                        })
-                        .collect();
-                    let mut pool: Vec<(PosBlock<T>, bspline::BatchOut<E::Out>)> = (0
-                        ..cfg.pipeline)
-                        .map(|_| {
-                            (
-                                PosBlock::with_capacity(cfg.positions_per_request),
-                                service.engine().make_batch_out(cfg.positions_per_request),
-                            )
-                        })
-                        .collect();
-                    let mut outstanding: std::collections::VecDeque<(
-                        Instant,
-                        bspline::service::Ticket<T, E::Out>,
-                    )> = std::collections::VecDeque::new();
-                    let mut latencies =
-                        Vec::with_capacity(cfg.requests_per_submitter);
-                    let mut shed = 0usize;
-                    let reap = |outstanding: &mut std::collections::VecDeque<_>,
-                                    pool: &mut Vec<_>,
-                                    latencies: &mut Vec<f64>,
-                                    shed: &mut usize| {
-                        let (issued, ticket): (
-                            Instant,
-                            bspline::service::Ticket<T, E::Out>,
-                        ) = outstanding.pop_front().expect("an in-flight request");
-                        match ticket.redeem() {
-                            Ok((pos, out, done_at)) => {
-                                latencies.push(
-                                    done_at.duration_since(issued).as_secs_f64() * 1e6,
-                                );
-                                pool.push((pos, out));
-                            }
-                            Err(f) => {
-                                // Shed (or retry-exhausted) request: the
-                                // buffers come back untouched — recycle
-                                // them, sample nothing.
-                                *shed += 1;
-                                let pos =
-                                    f.pos.expect("service failures return the block");
-                                let out =
-                                    f.out.expect("service failures return the outputs");
-                                pool.push((pos, out));
-                            }
-                        }
-                    };
-                    for i in 0..cfg.requests_per_submitter {
-                        // Intended issue time: paced for open-loop,
-                        // "now" at saturation.
-                        let issue_at = match interval {
-                            Some(dt) => {
-                                let due = start + dt.mul_f64(i as f64);
-                                if let Some(sleep) =
-                                    due.checked_duration_since(Instant::now())
-                                {
-                                    std::thread::sleep(sleep);
-                                }
-                                due
-                            }
-                            None => Instant::now(),
-                        };
-                        if pool.is_empty() {
-                            reap(&mut outstanding, &mut pool, &mut latencies, &mut shed);
-                        }
-                        let (mut pos, out) = pool.pop().expect("reap refilled");
-                        pos.clear();
-                        if fixed.is_empty() {
-                            let fresh = PosBlock::random(
-                                &mut rng,
-                                cfg.positions_per_request,
-                                domain,
-                            );
-                            pos.extend_from_block(&fresh);
-                        } else {
-                            pos.extend_from_block(&fixed[i % fixed.len()]);
-                        }
-                        let ticket = match cfg.deadline {
-                            Some(d) => service
-                                .submit_with_deadline(kernel, pos, out, issue_at + d),
-                            None => service.submit(kernel, pos, out),
-                        };
-                        outstanding.push_back((issue_at, ticket));
-                    }
-                    while !outstanding.is_empty() {
-                        reap(&mut outstanding, &mut pool, &mut latencies, &mut shed);
-                    }
-                    (latencies, shed)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("submitter")).collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-
-    let shed: usize = per_submitter.iter().map(|(_, s)| s).sum();
-    let mut latencies: Vec<f64> =
-        per_submitter.into_iter().flat_map(|(lat, _)| lat).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let requests = latencies.len();
-    let total_positions = requests * cfg.positions_per_request;
-    let stats = service.stats();
-    let run_batches = stats.batches.saturating_sub(batches_before);
-    let run_positions = stats.positions.saturating_sub(positions_before);
-    ServiceLoad {
-        evals_per_sec: (n_splines * total_positions) as f64 / wall,
-        p50_us: percentile(&latencies, 50.0),
-        p95_us: percentile(&latencies, 95.0),
-        p99_us: percentile(&latencies, 99.0),
-        requests,
-        shed,
-        mean_batch_positions: if run_batches == 0 {
-            0.0
-        } else {
-            run_positions as f64 / run_batches as f64
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,94 +127,6 @@ mod tests {
         assert!(
             measure_kernel_batched(&mixed, Kernel::Vgh, &cfg()) > 0.0
         );
-    }
-
-    #[test]
-    fn service_load_measures_saturation_and_open_loop() {
-        use bspline::service::{ServiceConfig, SpoService};
-        let table = coefficients(24, (8, 8, 8), 7);
-        let service = SpoService::new(
-            BsplineSoA::new(table),
-            ServiceConfig {
-                replicas: 2,
-                max_batch: 16,
-                max_wait: std::time::Duration::from_micros(100),
-                queue_positions: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        let sat = measure_service(
-            &service,
-            Kernel::Vgh,
-            &ServiceLoadConfig {
-                submitters: 2,
-                requests_per_submitter: 8,
-                positions_per_request: 4,
-                offered_rps: None,
-                pipeline: 2,
-                distinct_blocks: 2,
-                reps: 2,
-                seed: 1,
-                deadline: None,
-            },
-        );
-        assert_eq!(sat.requests, 16);
-        assert_eq!(sat.shed, 0, "no deadline, nothing sheds");
-        assert!(sat.evals_per_sec > 0.0);
-        assert!(sat.p50_us > 0.0 && sat.p50_us <= sat.p95_us);
-        assert!(sat.p95_us <= sat.p99_us);
-        assert!(sat.mean_batch_positions >= 4.0 - 1e-9);
-
-        // Open-loop at a generous offered rate still completes and
-        // reports positive latencies.
-        let open = measure_service(
-            &service,
-            Kernel::Vgh,
-            &ServiceLoadConfig {
-                submitters: 2,
-                requests_per_submitter: 4,
-                positions_per_request: 4,
-                offered_rps: Some(2000.0),
-                pipeline: 2,
-                // Streaming workload: fresh random positions per
-                // request (the `distinct_blocks = 0` path).
-                distinct_blocks: 0,
-                reps: 1,
-                seed: 2,
-                deadline: None,
-            },
-        );
-        assert_eq!(open.requests, 8);
-        assert!(open.p99_us > 0.0);
-
-        // A generous deadline never sheds on this tiny load; every
-        // request still completes and is sampled.
-        let dl = measure_service(
-            &service,
-            Kernel::Vgh,
-            &ServiceLoadConfig {
-                submitters: 2,
-                requests_per_submitter: 4,
-                positions_per_request: 4,
-                pipeline: 2,
-                reps: 1,
-                seed: 3,
-                deadline: Some(std::time::Duration::from_secs(30)),
-                ..ServiceLoadConfig::default()
-            },
-        );
-        assert_eq!(dl.requests, 8);
-        assert_eq!(dl.shed, 0);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&v, 50.0), 50.0);
-        assert_eq!(percentile(&v, 95.0), 95.0);
-        assert_eq!(percentile(&v, 99.0), 99.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! Env knobs: `QMC_N` (orbitals), `QMC_GRID` (grid per dimension),
 //! `QMC_WALKERS`, `QMC_NS` (positions per walker), `QMC_REPS`,
 //! `QMC_THREADS` (worker pin, via the rayon stub). The first five must
-//! be unsigned integers: anything else panics naming the variable and
-//! the value. One row per budget
+//! be positive integers: anything else, zero included, panics naming
+//! the variable and the value. One row per budget
 //! candidate ({L2, LLC/workers, whole table} + the recorded default),
 //! comparing one VGH generation against the monolithic single-object
 //! engine at the same walker×thread shape.
@@ -24,15 +24,16 @@ use bspline::tuning::BlockBudgets;
 use bspline::walker::walker_rng;
 use einspline::{Grid1, MultiCoefs};
 
-/// `key` as an unsigned integer, `default` when unset; a malformed
-/// value panics naming the variable and the value.
+/// `key` as a positive integer, `default` when unset; a malformed or
+/// zero value panics naming the variable and the value (zero would time
+/// no work and print an infinite or NaN rate).
 fn env_usize(key: &str, default: usize) -> usize {
     match std::env::var(key) {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{key} must be an unsigned integer, got {v:?}")),
         Err(_) => default,
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => panic!("{key} must be a positive integer, got {v:?}"),
+        },
     }
 }
 
@@ -84,8 +85,9 @@ fn main() {
         ("default", bspline::tuning::default_block_budget(table.bytes())),
     ];
     // Measure each distinct decomposition once (several budgets can
-    // resolve to the same block width — notably "default" is the
-    // LLC/workers candidate by construction).
+    // resolve to the same block width — "default" is the whole table
+    // when the table fits the LLC and the LLC/workers candidate
+    // otherwise).
     let mut seen_nb: Vec<usize> = Vec::new();
     for (label, budget) in candidates {
         let nb = table.block_splines_for_budget(budget);
