@@ -25,7 +25,10 @@
 //! builds each block on the thread the static nested schedule assigns
 //! it to, so on a NUMA host its pages are first touched where they are
 //! streamed (exact with a pinned pool; approximated by the vendored
-//! scoped-thread rayon stub).
+//! scoped-thread rayon stub). At `B = 1` (the default budget for every
+//! table that fits the LLC) the one block *is* the caller's table: a
+//! whole-range [`MultiCoefs::slice_splines`] shares its storage, so it
+//! is neither copied nor first-touched again.
 //!
 //! Results are **bit-identical** to the monolithic SoA engine on every
 //! backend, for every kernel and block width: the per-orbital operation
@@ -66,7 +69,10 @@ impl<T: Real> BlockedEngine<BsplineSoA<T>> {
     /// Split `coefs` into blocks whose coefficient slab fits
     /// `budget_bytes` and build one [`BsplineSoA`] per block, each
     /// constructed (allocated **and** written) on the thread the static
-    /// nested schedule assigns it to — the first-touch path.
+    /// nested schedule assigns it to — the first-touch path. When the
+    /// whole table fits the budget (B = 1) the one block shares
+    /// `coefs`'s storage: no copy, and its pages stay where the caller
+    /// first touched them.
     pub fn from_multi(coefs: &MultiCoefs<T>, budget_bytes: usize) -> Self {
         let nb = coefs.block_splines_for_budget(budget_bytes);
         Self::build(coefs, nb, budget_bytes)
@@ -88,7 +94,8 @@ impl<T: Real> BlockedEngine<BsplineSoA<T>> {
         // Parallel construction = first-touch: the rayon partition that
         // builds block b is the same balanced static partition the
         // nested schedule uses to evaluate it, so each worker writes
-        // (first-touches) exactly the slabs it will later stream.
+        // (first-touches) exactly the slabs it will later stream. One
+        // block spanning every orbital is the caller's table, shared.
         let blocks: Vec<BsplineSoA<T>> = ranges
             .into_par_iter()
             .map(|(lo, hi)| BsplineSoA::new(coefs.slice_splines(lo, hi)))
@@ -367,6 +374,15 @@ mod tests {
         assert!(blocked.block_bytes() <= blocked.budget_bytes());
         assert_eq!(SpoEngine::<f32>::layout(&blocked), Layout::AoSoA);
         assert_eq!(SpoEngine::<f32>::domain(&blocked)[2], (0.0, 1.0));
+    }
+
+    #[test]
+    fn whole_table_budget_shares_the_callers_table() {
+        let t = table(40, 3);
+        let blocked = BlockedEngine::from_multi(&t, t.bytes());
+        assert_eq!(blocked.n_blocks(), 1);
+        let shared = blocked.block(0).coefs();
+        assert_eq!(shared.line(0, 0, 0).as_ptr(), t.line(0, 0, 0).as_ptr());
     }
 
     #[test]

@@ -114,7 +114,10 @@
 //!   *and writes* exactly the slabs it will stream — on a NUMA host,
 //!   first-touch page placement puts a block's pages in the domain of
 //!   the thread that reads them every generation. (Exact with a pinned
-//!   rayon pool; approximated by the vendored scoped-thread stub.)
+//!   rayon pool; approximated by the vendored scoped-thread stub.) At
+//!   B = 1 the one block is the caller's table, shared copy-on-write
+//!   ([`einspline::MultiCoefs`]): nothing is copied or re-touched, and
+//!   the pages stay where the caller's solve wrote them.
 //! * **Prefetch distance.** The block-major batch loop issues
 //!   `_mm_prefetch(T1)` for the sixteen (i,j) coefficient runs **one
 //!   evaluation ahead**: the current block's next position while

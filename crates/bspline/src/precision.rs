@@ -340,7 +340,8 @@ impl MixedEngine<BlockedEngine<BsplineSoA<f32>>> {
     /// Mixed-precision blocked engine from a double-precision table
     /// (solve in `f64`, store `f32`, orbital-block-decompose to
     /// `budget_bytes` — [`crate::blocked::BlockedEngine::from_multi`],
-    /// including its first-touch construction). The `f32` budget buys
+    /// including its first-touch construction; at B = 1 the one block
+    /// is the down-cast table itself). The `f32` budget buys
     /// twice the orbitals per cache-sized block compared to an `f64`
     /// decomposition of the same byte budget.
     pub fn blocked(coefs: &MultiCoefs<f64>, budget_bytes: usize) -> Self {

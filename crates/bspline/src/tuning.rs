@@ -51,7 +51,8 @@ pub struct BlockBudgets {
     pub l2: usize,
     /// Shared last-level cache divided by the active worker count.
     pub l3_per_core: usize,
-    /// The full coefficient-table footprint (yields B = 1).
+    /// The full coefficient-table footprint (yields B = 1, whose one
+    /// block shares the caller's table: no copy).
     pub whole_table: usize,
 }
 
@@ -90,6 +91,8 @@ impl BlockBudgets {
 /// * **Table ≤ LLC**: the **whole table** (B = 1) — blocking has
 ///   nothing to gain while the monolithic slab already fits the shared
 ///   LLC, so the decomposition would only add per-block loop overhead.
+///   The one block is the caller's table, shared copy-on-write, so
+///   B = 1 costs no copy and no second table's memory.
 /// * **Table > LLC**: **LLC/workers** — each worker's block slab can
 ///   stay LLC-resident while a generation's positions re-touch it,
 ///   where the monolithic slab would be re-streamed from DRAM.

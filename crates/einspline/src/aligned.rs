@@ -18,14 +18,16 @@ pub const CACHE_LINE: usize = 64;
 
 /// Round `n` elements of `T` up so the byte size is a multiple of the
 /// cache line, i.e. the padded element count used for the innermost
-/// (spline) dimension of SoA layouts.
+/// (spline) dimension of SoA layouts. Panics if the rounded count
+/// overflows `usize`.
 #[inline]
 pub fn padded_len<T>(n: usize) -> usize {
     let per_line = CACHE_LINE / std::mem::size_of::<T>().max(1);
     if per_line <= 1 {
         return n;
     }
-    n.div_ceil(per_line) * per_line
+    n.checked_next_multiple_of(per_line)
+        .expect("AlignedVec layout overflow")
 }
 
 /// A fixed-size, zero-initialized, 64-byte aligned buffer.
@@ -47,6 +49,8 @@ unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
 impl<T: Copy + Default> AlignedVec<T> {
     /// Allocate `len` zero-initialized elements aligned to [`CACHE_LINE`].
+    /// Panics if `len` elements of `T` are more bytes than an allocation
+    /// can hold.
     pub fn zeroed(len: usize) -> Self {
         if len == 0 {
             return Self {
@@ -75,11 +79,6 @@ impl<T: Copy + Default> AlignedVec<T> {
         Self::zeroed(padded_len::<T>(n))
     }
 
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<T>(), CACHE_LINE)
-            .expect("AlignedVec layout overflow")
-    }
-
     /// Reset every element to `T::default()` (zero for floats).
     pub fn fill_default(&mut self) {
         self.as_mut_slice().fill(T::default());
@@ -87,6 +86,14 @@ impl<T: Copy + Default> AlignedVec<T> {
 }
 
 impl<T> AlignedVec<T> {
+    /// The allocation of `len` elements. The byte count is checked: a
+    /// wrapped product would back a huge `len` with a tiny allocation.
+    fn layout(len: usize) -> Layout {
+        len.checked_mul(std::mem::size_of::<T>())
+            .and_then(|bytes| Layout::from_size_align(bytes, CACHE_LINE).ok())
+            .expect("AlignedVec layout overflow")
+    }
+
     #[inline]
     /// Number of elements.
     pub fn len(&self) -> usize {
@@ -124,13 +131,8 @@ impl<T> AlignedVec<T> {
 impl<T> Drop for AlignedVec<T> {
     fn drop(&mut self) {
         if self.len != 0 {
-            let layout = Layout::from_size_align(
-                self.len * std::mem::size_of::<T>(),
-                CACHE_LINE,
-            )
-            .expect("AlignedVec layout overflow");
             // SAFETY: allocated in `zeroed` with the identical layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), layout) }
+            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
         }
     }
 }
@@ -226,6 +228,20 @@ mod tests {
     fn zeroed_padded_pads() {
         let v = AlignedVec::<f32>::zeroed_padded(100);
         assert_eq!(v.len(), 112); // 100 -> 7 lines of 16
+    }
+
+    /// `usize::MAX / 4 + 2` f32s are `2^64 + 4` bytes: an unchecked
+    /// product wraps to a 4-byte allocation behind a huge length.
+    #[test]
+    #[should_panic(expected = "AlignedVec layout overflow")]
+    fn zeroed_rejects_a_byte_count_past_usize() {
+        let _ = AlignedVec::<f32>::zeroed(usize::MAX / 4 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "AlignedVec layout overflow")]
+    fn padded_len_rejects_a_count_past_usize() {
+        let _ = padded_len::<f32>(usize::MAX - 3);
     }
 
     #[test]

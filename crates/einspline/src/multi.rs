@@ -42,6 +42,7 @@ use crate::real::Real;
 use crate::solver1d::COEF_PAD;
 use crate::spline3d::Spline3;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Location of an evaluation point inside the table: lower-corner indices
 /// plus fractional offsets.
@@ -199,27 +200,21 @@ impl TableLayout {
 /// [`TableLayout`]: line `(ix, iy, iz)` is `stride_n ≥ n_splines`
 /// elements (a whole number of cache lines) at
 /// [`MultiCoefs::line_offset`].
-#[derive(Debug)]
+///
+/// The coefficients are shared copy-on-write: `clone` (and a
+/// whole-range [`MultiCoefs::slice_splines`]) bumps a reference count
+/// and shares the one read-only table, as the paper shares one table
+/// among every thread of a node. The first write through a shared
+/// handle ([`MultiCoefs::fill_random`], [`MultiCoefs::set_orbital`])
+/// copies the table first, so a clone still behaves as a value.
+#[derive(Clone, Debug)]
 pub struct MultiCoefs<T> {
     gx: Grid1,
     gy: Grid1,
     gz: Grid1,
     n_splines: usize,
     layout: TableLayout,
-    data: AlignedVec<T>,
-}
-
-impl<T: Real> Clone for MultiCoefs<T> {
-    fn clone(&self) -> Self {
-        Self {
-            gx: self.gx,
-            gy: self.gy,
-            gz: self.gz,
-            n_splines: self.n_splines,
-            layout: self.layout,
-            data: self.data.clone(),
-        }
-    }
+    data: Arc<AlignedVec<T>>,
 }
 
 impl<T: Real> MultiCoefs<T> {
@@ -228,7 +223,7 @@ impl<T: Real> MultiCoefs<T> {
     pub fn new(gx: Grid1, gy: Grid1, gz: Grid1, n_splines: usize) -> Self {
         assert!(n_splines > 0, "need at least one spline");
         let layout = TableLayout::new::<T>((gx.num(), gy.num(), gz.num()), n_splines);
-        let data = AlignedVec::zeroed(layout.len);
+        let data = Arc::new(AlignedVec::zeroed(layout.len));
         // Explicit-SIMD contract (bspline::simd): every coefficient line
         // must start on a cache-line boundary and span a whole number of
         // cache lines (= a multiple of the widest lane count), so the
@@ -264,7 +259,7 @@ impl<T: Real> MultiCoefs<T> {
     pub fn fill_random<R: Rng>(&mut self, rng: &mut R) {
         let (n, stride, row_len) = (self.n_splines, self.stride_n(), self.layout.row_len());
         let lines = self.layout.dims().2 * stride;
-        for row in self.data.as_mut_slice().chunks_exact_mut(row_len) {
+        for row in Arc::make_mut(&mut self.data).chunks_exact_mut(row_len) {
             for line in row[..lines].chunks_exact_mut(stride) {
                 for x in &mut line[..n] {
                     *x = T::from_f64(rng.random::<f64>() - 0.5);
@@ -283,10 +278,11 @@ impl<T: Real> MultiCoefs<T> {
         assert_eq!(*sgy, self.gy, "y grid mismatch");
         assert_eq!(*sgz, self.gz, "z grid mismatch");
         let (px, py, pz) = s.padded_dims();
+        let data = Arc::make_mut(&mut self.data);
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
-                    self.data[self.layout.offset(ix, iy, iz) + n] = s.coef(ix, iy, iz);
+                    data[self.layout.offset(ix, iy, iz) + n] = s.coef(ix, iy, iz);
                 }
             }
         }
@@ -376,17 +372,23 @@ impl<T: Real> MultiCoefs<T> {
 
     /// Extract the orbital range `[lo, hi)` into a standalone table — the
     /// AoSoA "tile" construction (paper Sec. V-B): the coefficient array
-    /// is split along its innermost spline dimension.
+    /// is split along its innermost spline dimension. The whole range
+    /// `[0, N)` has this table's layout, so it is this table: a clone
+    /// that shares the storage and copies nothing.
     pub fn slice_splines(&self, lo: usize, hi: usize) -> Self {
         assert!(lo < hi && hi <= self.n_splines, "bad spline range");
+        if (lo, hi) == (0, self.n_splines) {
+            return self.clone();
+        }
         let mut out = Self::new(self.gx, self.gy, self.gz, hi - lo);
         let (px, py, pz) = self.layout.dims();
+        let dst_data = Arc::make_mut(&mut out.data).as_mut_slice();
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
                     let src = self.line_offset(ix, iy, iz);
-                    let dst = out.line_offset(ix, iy, iz);
-                    out.data.as_mut_slice()[dst..dst + (hi - lo)]
+                    let dst = out.layout.offset(ix, iy, iz);
+                    dst_data[dst..dst + (hi - lo)]
                         .copy_from_slice(&self.data.as_slice()[src + lo..src + hi]);
                 }
             }
@@ -414,13 +416,14 @@ impl<T: Real> MultiCoefs<T> {
     {
         let mut out = MultiCoefs::<f32>::new(self.gx, self.gy, self.gz, self.n_splines);
         let (px, py, pz) = self.layout.dims();
+        let dst_data = Arc::make_mut(&mut out.data).as_mut_slice();
         for ix in 0..px {
             for iy in 0..py {
                 for iz in 0..pz {
                     let src = self.line_offset(ix, iy, iz);
-                    let dst = out.line_offset(ix, iy, iz);
+                    let dst = out.layout.offset(ix, iy, iz);
                     let src_line = &self.data.as_slice()[src..src + self.n_splines];
-                    let dst_line = &mut out.data.as_mut_slice()[dst..dst + self.n_splines];
+                    let dst_line = &mut dst_data[dst..dst + self.n_splines];
                     for (d, s) in dst_line.iter_mut().zip(src_line) {
                         *d = s.to_accum() as f32;
                     }
@@ -793,6 +796,44 @@ mod tests {
         let tiles = narrow.split_tiles(32);
         assert!(tiles.len() > 1);
         assert!(tiles.iter().all(pads_are_zero));
+    }
+
+    #[test]
+    fn clone_and_whole_range_slice_share_storage() {
+        let (gx, gy, gz) = small_grids();
+        let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 40);
+        m.fill_random(&mut StdRng::seed_from_u64(3));
+        let base = m.line(0, 0, 0).as_ptr();
+        assert_eq!(m.clone().line(0, 0, 0).as_ptr(), base);
+        let whole = m.slice_splines(0, 40);
+        assert_eq!(whole.line(0, 0, 0).as_ptr(), base);
+        assert_eq!(whole.layout(), m.layout());
+        // A partial slice is a compact table of its own.
+        let part = m.slice_splines(0, 16);
+        assert_ne!(part.line(0, 0, 0).as_ptr(), base);
+        assert_eq!(&part.line(2, 3, 4)[..16], &m.line(2, 3, 4)[..16]);
+    }
+
+    #[test]
+    fn a_write_to_a_clone_unshares_it() {
+        let (gx, gy, gz) = small_grids();
+        let mut m = MultiCoefs::<f32>::new(gx, gy, gz, 8);
+        m.fill_random(&mut StdRng::seed_from_u64(11));
+        let bits = |t: &MultiCoefs<f32>| t.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let before = bits(&m);
+
+        let mut refilled = m.clone();
+        refilled.fill_random(&mut StdRng::seed_from_u64(12));
+        assert_ne!(refilled.line(0, 0, 0).as_ptr(), m.line(0, 0, 0).as_ptr());
+        assert_ne!(bits(&refilled), before);
+
+        let data = vec![0.25f64; 6 * 6 * 8];
+        let s = Spline3::<f32>::interpolate(gx, gy, gz, &data);
+        let mut set = m.slice_splines(0, 8);
+        set.set_orbital(5, &s);
+        assert_ne!(set.line(0, 0, 0).as_ptr(), m.line(0, 0, 0).as_ptr());
+        assert_eq!(set.line(1, 1, 1)[5], s.coef(1, 1, 1));
+        assert_eq!(bits(&m), before);
     }
 
     #[test]

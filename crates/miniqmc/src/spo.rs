@@ -90,7 +90,8 @@ impl<T: Real<Accum = f64>> SpoSet<T, BlockedEngine<BsplineSoA<T>>> {
     /// construction included): the QMC-scale path where one table of N
     /// orbitals is served by `⌈N·slab/budget⌉` independent cache-sized
     /// blocks. Use [`bspline::tuning::default_block_budget`] (table
-    /// size in, budget out) for the budget.
+    /// size in, budget out) for the budget. At B = 1 the one block is
+    /// `coefs` itself, not a copy of it.
     pub fn new_blocked(coefs: MultiCoefs<T>, lattice: Lattice, budget_bytes: usize) -> Self {
         Self::with_engine(BlockedEngine::from_multi(&coefs, budget_bytes), lattice)
     }

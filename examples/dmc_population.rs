@@ -33,6 +33,7 @@
 //! readably and as its exact bit pattern, so two runs can be compared
 //! for bit-identity with `grep`.
 
+use einspline::MultiCoefs;
 use miniqmc::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,9 +64,10 @@ fn env_flag(name: &str) -> bool {
 }
 
 /// One graphite walker: a 1×1×1 cell (16 electrons, 8 orbitals/spin)
-/// with its own electron configuration.
-fn make_walker(sys: &CoralSystem, seed: u64) -> TrialWaveFunction<f64> {
-    let spo = SpoSet::new(sys.orbitals::<f64>(7), sys.lattice);
+/// with its own electron configuration, over the campaign's one
+/// orbital table (`clone` shares it: no copy, no second solve).
+fn make_walker(sys: &CoralSystem, orbitals: &MultiCoefs<f64>, seed: u64) -> TrialWaveFunction<f64> {
+    let spo = SpoSet::new(orbitals.clone(), sys.lattice);
     let electrons = random_electrons(
         sys.lattice,
         sys.n_electrons(),
@@ -90,6 +92,7 @@ fn main() {
     let resume = env_flag("QMC_DMC_RESUME");
 
     let sys = CoralSystem::new(1, 1, 1, (10, 10, 12));
+    let orbitals = sys.orbitals::<f64>(7);
     println!(
         "graphite DMC campaign: {n_walkers} walkers x {} electrons",
         sys.n_electrons()
@@ -102,13 +105,13 @@ fn main() {
     // The walker factory: deterministic initial configurations. A
     // resumed campaign overwrites the positions from the checkpoint, so
     // the factory seed sequence only matters for fresh starts.
-    let sys_ref = &sys;
+    let (sys_ref, orbitals_ref) = (&sys, &orbitals);
     let make_prop = |first_seed: u64| {
         let mut seed = first_seed;
         WalkerPropagator::new(
             move || {
                 seed += 1;
-                make_walker(sys_ref, seed)
+                make_walker(sys_ref, orbitals_ref, seed)
             },
             n_walkers,
             0.5,
