@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"QMCCKPT\0"
-//! 8       4     format version (little-endian u32, currently 1)
+//! 8       4     format version (little-endian u32, currently 2)
 //! 12      8     payload length in bytes (little-endian u64)
 //! 20      n     payload (opaque to this layer)
 //! 20+n    4     CRC-32 (IEEE) over bytes [0, 20+n)
@@ -37,8 +37,10 @@ use super::fault::CampaignFaultPlan;
 
 /// Frame magic: identifies a campaign checkpoint file.
 pub const MAGIC: [u8; 8] = *b"QMCCKPT\0";
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// Current checkpoint format version. A version-1 campaign payload
+/// carries walker ids this decoder does not read, so a frame of any
+/// other version is refused as [`CkptError::BadVersion`].
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint failed to load or store.
 #[derive(Debug)]
@@ -412,6 +414,26 @@ mod tests {
         fs::write(&newest, &bytes).unwrap();
         let (generation, payload) = store.latest_valid().unwrap().expect("fallback");
         assert_eq!((generation, payload.as_slice()), (2, &b"gen two"[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_frame_is_refused_and_skipped() {
+        // A frame of the previous format, with a valid CRC.
+        let mut old = frame(b"gen two, old format");
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = old.len() - 4;
+        let crc = crc32(&old[..body]);
+        old[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(unframe(&old), Err(CkptError::BadVersion(1))));
+
+        let dir = tmpdir("version");
+        let mut store = CheckpointStore::new(&dir).unwrap();
+        let plan = CampaignFaultPlan::default();
+        store.write(1, b"gen one", &plan).unwrap();
+        fs::write(store.path_for(2), &old).unwrap();
+        let (generation, payload) = store.latest_valid().unwrap().expect("fallback");
+        assert_eq!((generation, payload.as_slice()), (1, &b"gen one"[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 

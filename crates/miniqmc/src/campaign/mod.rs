@@ -12,13 +12,24 @@
 //! [`checkpoint`] format (header + CRC, atomic temp-file + rename,
 //! newest-valid fallback scan).
 //!
+//! # A walker is its slot
+//!
+//! Slot `i` of the population holds walker `i`'s weight and age; slot
+//! `i` of the propagator holds its configuration. Branching records
+//! which pre-branch slot each new slot copies, and the propagator
+//! replays that copy ([`Propagator::rebranch`]). The production
+//! [`WalkerPropagator`] keeps W electron configurations and one
+//! [`TrialWaveFunction`] that sweeps them in turn, so the orbital table,
+//! the Jastrow functors and the wavefunction's scratch exist once per
+//! campaign, not once per walker.
+//!
 //! # Resume-equivalence contract
 //!
 //! For a deterministic propagator, one generation is a pure function
 //! of `(campaign state, generation index)`: the RNG streams are part
 //! of the state (exact-state export, see [`rand::rngs::StdRng::state`])
 //! and the wavefunction propagator re-derives all incremental caches
-//! from electron positions at each generation start
+//! from a slot's electron positions before it sweeps that slot
 //! ([`TrialWaveFunction::evaluate_log`] rebuilds distance tables,
 //! Jastrow sums and determinants from positions alone). Therefore a
 //! campaign restored from any checkpoint continues **bit-identically**
@@ -108,11 +119,6 @@ impl GenStatsRing {
             cap,
             data: VecDeque::with_capacity(cap),
         }
-    }
-
-    /// Retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Generations currently retained.
@@ -224,11 +230,6 @@ impl SyntheticPropagator {
             sigma,
         }
     }
-
-    /// Slot coordinates (test observability).
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
 }
 
 impl Propagator for SyntheticPropagator {
@@ -275,40 +276,47 @@ impl Propagator for SyntheticPropagator {
     }
 }
 
-/// The production [`Propagator`]: a pool of Slater–Jastrow
-/// [`TrialWaveFunction`] walkers advanced by particle-by-particle VMC
-/// sweeps on the single-electron fast path, measuring the kinetic
-/// local energy.
+/// The production [`Propagator`]: W electron configurations swept in
+/// turn by one Slater–Jastrow [`TrialWaveFunction`], with
+/// particle-by-particle VMC on the single-electron fast path, measuring
+/// the kinetic local energy.
 ///
-/// Each generation, every slot's incremental caches are rebuilt from
-/// its electron positions (`evaluate_log`), so the serialized state is
-/// *just the positions* — Sherman–Morrison rounding history cannot leak
-/// across a checkpoint boundary, which is what makes resume bit-exact
-/// on the real wavefunction path, not only on synthetic walkers.
-pub struct WalkerPropagator<F: FnMut() -> TrialWaveFunction<f64>> {
-    pool: Vec<TrialWaveFunction<f64>>,
-    active: usize,
-    factory: F,
+/// A walker is its positions. Each generation, each slot's positions
+/// are written into the wavefunction and every incremental cache is
+/// rebuilt from them (`evaluate_log`) before the sweep, and the swept
+/// positions are written back. So the wavefunction is scratch shared by
+/// every slot, and the state branching copies and a checkpoint carries
+/// is *just the positions*: Sherman–Morrison rounding history cannot
+/// leak across a slot or a checkpoint boundary, which is what makes
+/// resume bit-exact on the real wavefunction path, not only on synthetic
+/// walkers. A parallel generation needs only one wavefunction per
+/// worker, each sweeping a chunk of the configurations.
+pub struct WalkerPropagator {
+    wf: TrialWaveFunction<f64>,
+    configs: Vec<Vec<[f64; 3]>>,
     step_size: f64,
     seed: u64,
 }
 
-impl<F: FnMut() -> TrialWaveFunction<f64>> WalkerPropagator<F> {
-    /// `n` walker slots built by `factory` (which must produce walkers
-    /// over the same system: equal electron counts). Moves use a cubic
-    /// proposal of amplitude `step_size`; `seed` derives the
-    /// per-(generation, slot) sweep seeds.
-    pub fn new(mut factory: F, n: usize, step_size: f64, seed: u64) -> Self {
-        let pool: Vec<_> = (0..n).map(|_| factory()).collect();
-        let n_el = pool.first().map_or(0, |w| w.n_electrons());
+impl WalkerPropagator {
+    /// One walker slot per entry of `configs`, each a full set of
+    /// `wf.n_electrons()` positions, swept by `wf` (whose own positions
+    /// are overwritten). Moves use a cubic proposal of amplitude
+    /// `step_size`; `seed` derives the per-(generation, slot) sweep
+    /// seeds.
+    pub fn new(
+        wf: TrialWaveFunction<f64>,
+        configs: Vec<Vec<[f64; 3]>>,
+        step_size: f64,
+        seed: u64,
+    ) -> Self {
         assert!(
-            pool.iter().all(|w| w.n_electrons() == n_el),
-            "factory produced walkers over different systems"
+            configs.iter().all(|c| c.len() == wf.n_electrons()),
+            "every configuration must hold one position per electron"
         );
         Self {
-            pool,
-            active: n,
-            factory,
+            wf,
+            configs,
             step_size,
             seed,
         }
@@ -320,28 +328,23 @@ impl<F: FnMut() -> TrialWaveFunction<f64>> WalkerPropagator<F> {
             ^ (slot as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
     }
 
-    fn positions_of(&self, slot: usize) -> Vec<[f64; 3]> {
-        let el = self.pool[slot].electrons();
-        (0..el.len()).map(|i| el.get(i)).collect()
-    }
-
-    /// The active walker at `slot` (test observability).
-    pub fn walker(&self, slot: usize) -> &TrialWaveFunction<f64> {
-        assert!(slot < self.active);
-        &self.pool[slot]
+    /// The electron positions of the walker at `slot`.
+    pub fn positions(&self, slot: usize) -> &[[f64; 3]] {
+        &self.configs[slot]
     }
 }
 
-impl<F: FnMut() -> TrialWaveFunction<f64>> Propagator for WalkerPropagator<F> {
+impl Propagator for WalkerPropagator {
     fn len(&self) -> usize {
-        self.active
+        self.configs.len()
     }
 
     fn propagate(&mut self, generation: u64) -> Vec<f64> {
-        let mut energies = Vec::with_capacity(self.active);
-        for slot in 0..self.active {
+        let mut energies = Vec::with_capacity(self.configs.len());
+        for slot in 0..self.configs.len() {
             let seed = self.move_seed(generation, slot);
-            let wf = &mut self.pool[slot];
+            let wf = &mut self.wf;
+            wf.set_electron_positions(&self.configs[slot]);
             // Rebuild every incremental cache from positions: the
             // resume-equivalence linchpin (see the type-level docs).
             wf.evaluate_log();
@@ -353,64 +356,43 @@ impl<F: FnMut() -> TrialWaveFunction<f64>> Propagator for WalkerPropagator<F> {
                     seed,
                 },
             );
+            self.configs[slot] = wf.electrons().to_aos();
             energies.push(res.kinetic);
         }
         energies
     }
 
     fn rebranch(&mut self, parents: &[usize]) {
-        let snapshots: Vec<Vec<[f64; 3]>> = parents
-            .iter()
-            .map(|&p| {
-                assert!(p < self.active, "parent index out of range");
-                self.positions_of(p)
-            })
-            .collect();
-        while self.pool.len() < parents.len() {
-            self.pool.push((self.factory)());
-        }
-        for (slot, pos) in snapshots.iter().enumerate() {
-            self.pool[slot].set_electron_positions(pos);
-        }
-        self.active = parents.len();
+        self.configs = parents.iter().map(|&p| self.configs[p].clone()).collect();
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        let n_el = self.pool.first().map_or(0, |w| w.n_electrons());
-        put_u64(out, self.active as u64);
-        put_u64(out, n_el as u64);
-        for slot in 0..self.active {
-            for r in self.positions_of(slot) {
-                put_f64(out, r[0]);
-                put_f64(out, r[1]);
-                put_f64(out, r[2]);
-            }
+        put_u64(out, self.configs.len() as u64);
+        put_u64(out, self.wf.n_electrons() as u64);
+        for r in self.configs.iter().flatten() {
+            put_f64(out, r[0]);
+            put_f64(out, r[1]);
+            put_f64(out, r[2]);
         }
     }
 
     fn decode(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let have = self.pool.first().map_or(0, |w| w.n_electrons());
+        let have = self.wf.n_electrons();
         // Each walker is `have` positions of three f64s.
-        let active = r.count(have * 3 * 8)?;
+        let n_walkers = r.count(have * 3 * 8)?;
         let n_el = r.len_u64()?;
         if n_el != have {
             return Err(CkptError::Malformed("electron count mismatch"));
         }
-        let mut all = Vec::with_capacity(active);
-        for _ in 0..active {
+        let mut configs = Vec::with_capacity(n_walkers);
+        for _ in 0..n_walkers {
             let mut pos = Vec::with_capacity(n_el);
             for _ in 0..n_el {
                 pos.push([r.f64()?, r.f64()?, r.f64()?]);
             }
-            all.push(pos);
+            configs.push(pos);
         }
-        while self.pool.len() < active {
-            self.pool.push((self.factory)());
-        }
-        for (slot, pos) in all.iter().enumerate() {
-            self.pool[slot].set_electron_positions(pos);
-        }
-        self.active = active;
+        self.configs = configs;
         Ok(())
     }
 }
@@ -513,7 +495,7 @@ impl<P: Propagator> Campaign<P> {
         let energies = self.prop.propagate(self.generation);
         assert_eq!(energies.len(), self.pop.len(), "propagator out of sync");
         let mut parents = Vec::new();
-        let step = self.pop.step_traced(|slot| energies[slot], &mut parents);
+        let step = self.pop.step(|slot| energies[slot], &mut parents);
         self.prop.rebranch(&parents);
         self.generation += 1;
         let gs = GenStats {
@@ -574,13 +556,11 @@ impl<P: Propagator> Campaign<P> {
         put_f64(&mut out, snap.cfg.max_ratio);
         put_u64(&mut out, snap.cfg.seed);
         put_f64(&mut out, snap.trial_energy);
-        put_u64(&mut out, snap.next_id as u64);
         for w in snap.rng_state {
             put_u64(&mut out, w);
         }
         put_u64(&mut out, snap.walkers.len() as u64);
         for w in &snap.walkers {
-            put_u64(&mut out, w.id as u64);
             put_f64(&mut out, w.weight);
             put_u64(&mut out, w.age as u64);
         }
@@ -594,7 +574,8 @@ impl<P: Propagator> Campaign<P> {
 
     /// Rebuild a campaign from [`Campaign::encode`] bytes. `prop` is a
     /// freshly-constructed propagator over the same system; its state
-    /// is overwritten by the checkpoint.
+    /// is overwritten by the checkpoint. A population config that
+    /// [`DmcPopulation::new`] would refuse is [`CkptError::Malformed`].
     pub fn decode(mut prop: P, payload: &[u8]) -> Result<Self, CkptError> {
         let mut r = Reader::new(payload);
         let generation = r.u64()?;
@@ -605,18 +586,17 @@ impl<P: Propagator> Campaign<P> {
             max_ratio: r.f64()?,
             seed: r.u64()?,
         };
+        cfg.check().map_err(CkptError::Malformed)?;
         let trial_energy = r.f64()?;
-        let next_id = r.len_u64()?;
         let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         if rng_state == [0; 4] {
             return Err(CkptError::Malformed("all-zero RNG state"));
         }
-        // Each walker is an id, a weight and an age.
-        let n_walkers = r.count(3 * 8)?;
+        // Each walker is a weight and an age.
+        let n_walkers = r.count(2 * 8)?;
         let mut walkers = Vec::with_capacity(n_walkers);
         for _ in 0..n_walkers {
             walkers.push(DmcWalker {
-                id: r.len_u64()?,
                 weight: r.f64()?,
                 age: r.len_u64()?,
             });
@@ -643,7 +623,6 @@ impl<P: Propagator> Campaign<P> {
                 cfg,
                 walkers,
                 trial_energy,
-                next_id,
                 rng_state,
             }),
             prop,
@@ -685,22 +664,12 @@ mod tests {
         )
     }
 
+    /// The encoding carries every float as its bit pattern, so equal
+    /// bytes are bit-identical state.
     fn assert_bit_identical(a: &Campaign<SyntheticPropagator>, b: &Campaign<SyntheticPropagator>) {
         assert_eq!(a.generation(), b.generation());
-        assert_eq!(a.population().snapshot(), b.population().snapshot());
-        assert_eq!(
-            a.propagator()
-                .xs()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            b.propagator()
-                .xs()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.encode(), b.encode());
     }
 
     #[test]

@@ -7,19 +7,23 @@
 //! parallelization discussion rests on — a *population* of independent
 //! walkers whose count fluctuates under branching and is controlled
 //! towards a target (the `Nw` that the node-level parallelism
-//! distributes). The per-walker "local energy" here is a configurable
-//! score function so the population dynamics can be tested exactly;
-//! the physical estimator from [`super::observables`] plugs in through
-//! the same interface.
+//! distributes). The population holds only what branching needs: each
+//! walker's weight and age, in slot order. The local energy is a
+//! function of the slot, so the population dynamics can be tested
+//! exactly, and the campaign (`crate::campaign`) feeds it the energies of
+//! the configurations it keeps at the same slots, replaying each
+//! branching step through the parent slots [`DmcPopulation::step`]
+//! records.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One walker of the DMC ensemble: a configuration tag plus its weight.
+/// One walker of the DMC ensemble: its branching weight and age. A
+/// walker *is* its slot: the caller keeps the walker's configuration
+/// at the same index (the campaign's propagator), and
+/// [`DmcPopulation::step`] reports the slot each survivor came from.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DmcWalker {
-    /// Opaque configuration id (indexes the caller's state storage).
-    pub id: usize,
     /// Branching weight accumulated since the last resampling.
     pub weight: f64,
     /// Age: generations since the walker last branched (stuck-walker
@@ -54,6 +58,35 @@ impl Default for DmcConfig {
     }
 }
 
+impl DmcConfig {
+    /// Why this config cannot drive a population, if it cannot: the
+    /// target must be at least one walker and the cap
+    /// `⌊target × max_ratio⌋` at least the target (`max_ratio ≥ 1`),
+    /// so branching always keeps a walker; `tau` must be a finite,
+    /// non-negative time step and `feedback` finite.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.target_population == 0 {
+            return Err("target population must be at least 1");
+        }
+        if !(self.max_ratio.is_finite() && self.max_ratio >= 1.0) {
+            return Err("max_ratio must be finite and at least 1");
+        }
+        if !(self.tau.is_finite() && self.tau >= 0.0) {
+            return Err("tau must be finite and non-negative");
+        }
+        if !self.feedback.is_finite() {
+            return Err("feedback must be finite");
+        }
+        Ok(())
+    }
+
+    fn assert_valid(&self) {
+        if let Err(why) = self.check() {
+            panic!("invalid DMC config {self:?}: {why}");
+        }
+    }
+}
+
 /// The walker population plus trial-energy state.
 #[derive(Clone, Debug)]
 pub struct DmcPopulation {
@@ -62,7 +95,6 @@ pub struct DmcPopulation {
     pub trial_energy: f64,
     cfg: DmcConfig,
     rng: StdRng,
-    next_id: usize,
 }
 
 /// A complete, restorable image of a [`DmcPopulation`]: everything
@@ -73,17 +105,15 @@ pub struct DmcPopulation {
 pub struct DmcSnapshot {
     /// Population-control parameters.
     pub cfg: DmcConfig,
-    /// The walker ensemble (ids, weights, ages).
+    /// The walker ensemble (weights and ages, in slot order).
     pub walkers: Vec<DmcWalker>,
     /// Current trial energy `E_T`.
     pub trial_energy: f64,
-    /// Next fresh walker id for branching births.
-    pub next_id: usize,
     /// Exact xoshiro256** state of the branching RNG.
     pub rng_state: [u64; 4],
 }
 
-/// Per-generation outcome of [`DmcPopulation::step_traced`].
+/// Per-generation outcome of [`DmcPopulation::step`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DmcStepStats {
     /// Walkers cloned beyond their parent this generation.
@@ -99,20 +129,22 @@ pub struct DmcStepStats {
 }
 
 impl DmcPopulation {
-    /// Start from `cfg.target_population` unit-weight walkers.
+    /// Start from `cfg.target_population` unit-weight walkers. Panics on
+    /// a target of zero, a `max_ratio` below 1, a negative `tau`, or a
+    /// non-finite `tau`, `feedback` or `max_ratio`.
     pub fn new(cfg: DmcConfig, initial_energy: f64) -> Self {
-        let walkers = (0..cfg.target_population)
-            .map(|id| DmcWalker {
-                id,
+        cfg.assert_valid();
+        let walkers = vec![
+            DmcWalker {
                 weight: 1.0,
                 age: 0,
-            })
-            .collect();
+            };
+            cfg.target_population
+        ];
         Self {
             walkers,
             trial_energy: initial_energy,
             rng: StdRng::seed_from_u64(cfg.seed),
-            next_id: cfg.target_population,
             cfg,
         }
     }
@@ -137,31 +169,26 @@ impl DmcPopulation {
         self.walkers.iter().map(|w| w.weight).sum()
     }
 
-    /// Population-control parameters this population was built with.
-    pub fn config(&self) -> &DmcConfig {
-        &self.cfg
-    }
-
     /// Capture the full resumable state (see [`DmcSnapshot`]).
     pub fn snapshot(&self) -> DmcSnapshot {
         DmcSnapshot {
             cfg: self.cfg,
             walkers: self.walkers.clone(),
             trial_energy: self.trial_energy,
-            next_id: self.next_id,
             rng_state: self.rng.state(),
         }
     }
 
     /// Rebuild a population from a snapshot; the restored population's
-    /// future evolution is bit-identical to the original's.
+    /// future evolution is bit-identical to the original's. Panics on a
+    /// config [`DmcPopulation::new`] would refuse.
     pub fn from_snapshot(s: DmcSnapshot) -> Self {
+        s.cfg.assert_valid();
         Self {
             walkers: s.walkers,
             trial_energy: s.trial_energy,
             cfg: s.cfg,
             rng: StdRng::from_state(s.rng_state),
-            next_id: s.next_id,
         }
     }
 
@@ -169,45 +196,24 @@ impl DmcPopulation {
     /// `exp(−τ·(E_L − E_T))`, branch with stochastic rounding, and move
     /// the trial energy towards population balance (paper step iii).
     ///
-    /// `local_energy` is keyed by the walker's opaque `id`. Returns
-    /// `(births, deaths)` of the branching step.
-    pub fn step(&mut self, local_energy: impl Fn(usize) -> f64) -> (usize, usize) {
-        let stats = self.step_core(|w, _| local_energy(w.id), None);
-        (stats.births, stats.deaths)
-    }
-
-    /// [`DmcPopulation::step`] with the local energy keyed by *slot
-    /// index* into [`DmcPopulation::walkers`], and the branching decision
-    /// recorded into `parents`: after the call, `parents[i]` is the
-    /// pre-branch slot index that new slot `i` was copied from. A caller
-    /// holding per-walker state in slot order (the campaign driver's
-    /// configuration pool) replays the same copy on its side.
-    ///
-    /// Consumes the RNG stream identically to `step`, so the two
-    /// variants are interchangeable without perturbing determinism.
-    pub fn step_traced(
+    /// `local_energy` is keyed by slot index into
+    /// [`DmcPopulation::walkers`]. The branching decision is recorded
+    /// into `parents`: after the call, `parents[i]` is the pre-branch
+    /// slot that new slot `i` was copied from, so a caller holding
+    /// per-walker state in slot order replays the same copy on its side.
+    pub fn step(
         &mut self,
         local_energy: impl Fn(usize) -> f64,
         parents: &mut Vec<usize>,
     ) -> DmcStepStats {
-        self.step_core(|_, slot| local_energy(slot), Some(parents))
-    }
-
-    fn step_core(
-        &mut self,
-        local_energy: impl Fn(&DmcWalker, usize) -> f64,
-        mut parents: Option<&mut Vec<usize>>,
-    ) -> DmcStepStats {
-        if let Some(p) = parents.as_deref_mut() {
-            p.clear();
-        }
+        parents.clear();
 
         // (ii) measurement + reweighting; accumulate the mixed estimator
         // that anchors the trial-energy update.
         let mut e_num = 0.0;
         let mut e_den = 0.0;
         for (slot, w) in self.walkers.iter_mut().enumerate() {
-            let el = local_energy(w, slot);
+            let el = local_energy(slot);
             w.weight *= (-self.cfg.tau * (el - self.trial_energy)).exp();
             e_num += w.weight * el;
             e_den += w.weight;
@@ -224,7 +230,8 @@ impl DmcPopulation {
         let total_weight = e_den;
 
         // (iii) branching with stochastic rounding: a walker of weight w
-        // becomes ⌊w + u⌋ copies, u ~ U[0,1).
+        // becomes ⌊w + u⌋ copies, u ~ U[0,1). The cap is at least one
+        // walker (`DmcConfig::check`).
         let mut births = 0;
         let mut deaths = 0;
         let mut next: Vec<DmcWalker> = Vec::with_capacity(self.walkers.len());
@@ -238,21 +245,14 @@ impl DmcPopulation {
                         if next.len() >= cap {
                             break;
                         }
-                        let id = if c == 0 {
-                            w.id
-                        } else {
+                        if c > 0 {
                             births += 1;
-                            self.next_id += 1;
-                            self.next_id - 1
-                        };
+                        }
                         next.push(DmcWalker {
-                            id,
                             weight: 1.0,
                             age: if n == 1 { w.age + 1 } else { 0 },
                         });
-                        if let Some(p) = parents.as_deref_mut() {
-                            p.push(slot);
-                        }
+                        parents.push(slot);
                     }
                 }
             }
@@ -271,13 +271,10 @@ impl DmcPopulation {
                 .expect("stepping an empty population");
             deaths -= 1;
             next.push(DmcWalker {
-                id: survivor.id,
                 weight: 1.0,
                 age: survivor.age + 1,
             });
-            if let Some(p) = parents {
-                p.push(slot);
-            }
+            parents.push(slot);
         }
         self.walkers = next;
 
@@ -298,6 +295,11 @@ impl DmcPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One step whose branching record nobody replays.
+    fn step(p: &mut DmcPopulation, energy: impl Fn(usize) -> f64) -> DmcStepStats {
+        p.step(energy, &mut Vec::new())
+    }
 
     fn cfg(pop: usize, seed: u64) -> DmcConfig {
         DmcConfig {
@@ -320,7 +322,7 @@ mod tests {
     fn uniform_energy_at_trial_keeps_population_stable() {
         let mut p = DmcPopulation::new(cfg(128, 2), -5.0);
         for _ in 0..50 {
-            p.step(|_| -5.0);
+            step(&mut p, |_| -5.0);
         }
         let n = p.len() as f64;
         assert!((n - 128.0).abs() < 40.0, "population drifted to {n}");
@@ -329,9 +331,9 @@ mod tests {
     #[test]
     fn low_energy_walkers_multiply() {
         let mut p = DmcPopulation::new(cfg(64, 3), 0.0);
-        // Walkers with even id have lower energy: they should dominate.
+        // Walkers in even slots have lower energy: they should dominate.
         for _ in 0..20 {
-            p.step(|id| if id % 2 == 0 { -2.0 } else { 2.0 });
+            step(&mut p, |slot| if slot % 2 == 0 { -2.0 } else { 2.0 });
         }
         // Population bounded by the cap and non-extinct.
         assert!(p.len() >= 16 && p.len() <= 256);
@@ -344,7 +346,7 @@ mod tests {
         let e0 = -7.5;
         let mut p = DmcPopulation::new(cfg(256, 4), 0.0);
         for _ in 0..400 {
-            p.step(|_| e0);
+            step(&mut p, |_| e0);
         }
         assert!(
             (p.trial_energy - e0).abs() < 0.6,
@@ -357,7 +359,7 @@ mod tests {
     fn population_capped_under_explosive_growth() {
         let mut p = DmcPopulation::new(cfg(32, 6), 0.0);
         for _ in 0..30 {
-            p.step(|_| -100.0); // huge positive weights
+            step(&mut p, |_| -100.0); // huge positive weights
         }
         assert!(p.len() <= 32 * 4);
     }
@@ -367,7 +369,7 @@ mod tests {
         let run = |seed| {
             let mut p = DmcPopulation::new(cfg(64, seed), -1.0);
             for _ in 0..10 {
-                p.step(|id| -1.0 - (id % 3) as f64 * 0.1);
+                step(&mut p, |slot| -1.0 - (slot % 3) as f64 * 0.1);
             }
             (p.len(), p.trial_energy)
         };
@@ -382,7 +384,7 @@ mod tests {
         // fallback must resurrect exactly one (the heaviest) instead of
         // panicking, and keep the run steppable afterwards.
         let mut p = DmcPopulation::new(cfg(16, 11), 0.0);
-        let (_, deaths) = p.step(|_| 1.0e6);
+        let deaths = step(&mut p, |_| 1.0e6).deaths;
         assert_eq!(p.len(), 1, "exactly one survivor after total underflow");
         assert_eq!(deaths, 15, "the resurrected walker is not a death");
         assert!((p.total_weight() - 1.0).abs() < 1e-12);
@@ -391,7 +393,7 @@ mod tests {
         // population regrows towards the target.
         for _ in 0..40 {
             let recover = p.trial_energy - 40.0;
-            p.step(|_| recover);
+            step(&mut p, |_| recover);
             assert!(!p.is_empty());
         }
         assert!(p.len() > 1, "population recovers after the bottleneck");
@@ -403,21 +405,18 @@ mod tests {
         // copy clamp (8) and the global cap (target × max_ratio) must
         // bound the very first generation.
         let mut p = DmcPopulation::new(cfg(32, 12), 0.0);
-        let stats_parents = {
-            let mut parents = Vec::new();
-            let stats = p.step_traced(|_| -1.0e3, &mut parents);
-            (stats, parents)
-        };
+        let mut parents = Vec::new();
+        let stats = p.step(|_| -1.0e3, &mut parents);
         let cap = 32 * 4;
         assert_eq!(p.len(), cap, "one explosive step saturates the cap");
-        assert_eq!(stats_parents.1.len(), cap);
+        assert_eq!(parents.len(), cap);
         // Every parent index refers to a pre-branch slot.
-        assert!(stats_parents.1.iter().all(|&s| s < 32));
-        assert_eq!(stats_parents.0.deaths, 0);
+        assert!(parents.iter().all(|&s| s < 32));
+        assert_eq!(stats.deaths, 0);
         // Each parent contributes one non-birth first copy; everything
         // else pushed is a birth.
-        let distinct_parents = stats_parents.1[cap - 1] + 1;
-        assert_eq!(stats_parents.0.births, cap - distinct_parents);
+        let distinct_parents = parents[cap - 1] + 1;
+        assert_eq!(stats.births, cap - distinct_parents);
     }
 
     #[test]
@@ -425,7 +424,7 @@ mod tests {
         let mut p = DmcPopulation::new(cfg(1, 13), -2.0);
         assert_eq!(p.len(), 1);
         for _ in 0..200 {
-            p.step(|_| -2.0);
+            step(&mut p, |_| -2.0);
             assert!(!p.is_empty(), "singleton population must never go extinct");
             assert!(p.len() <= 4, "cap = target × max_ratio = 4");
         }
@@ -437,43 +436,19 @@ mod tests {
     }
 
     #[test]
-    fn traced_step_consumes_rng_identically_to_step() {
-        // step / step_traced must be interchangeable mid-run without
-        // perturbing the stream: same branching, same E_T trajectory.
-        let energy = |id: usize| -1.0 - (id % 5) as f64 * 0.3;
-        let mut a = DmcPopulation::new(cfg(48, 14), -1.0);
-        let mut b = DmcPopulation::new(cfg(48, 14), -1.0);
-        let mut parents = Vec::new();
-        for g in 0..12 {
-            a.step(energy);
-            if g % 2 == 0 {
-                // Slot-keyed closure: look the id up through the slot.
-                let ids: Vec<usize> = b.walkers().iter().map(|w| w.id).collect();
-                b.step_traced(|slot| energy(ids[slot]), &mut parents);
-                assert_eq!(parents.len(), b.len());
-            } else {
-                b.step(energy);
-            }
-        }
-        assert_eq!(a.walkers(), b.walkers());
-        assert_eq!(a.trial_energy.to_bits(), b.trial_energy.to_bits());
-        assert_eq!(a.snapshot().rng_state, b.snapshot().rng_state);
-    }
-
-    #[test]
     fn snapshot_restore_is_bit_identical() {
-        let energy = |id: usize| -3.0 + (id % 7) as f64 * 0.2;
+        let energy = |slot: usize| -3.0 + (slot % 7) as f64 * 0.2;
         let mut p = DmcPopulation::new(cfg(64, 15), -3.0);
         for _ in 0..5 {
-            p.step(energy);
+            step(&mut p, energy);
         }
         let snap = p.snapshot();
         // Golden continuation vs restored continuation.
         let mut golden = p.clone();
         let mut restored = DmcPopulation::from_snapshot(snap.clone());
         for _ in 0..10 {
-            golden.step(energy);
-            restored.step(energy);
+            step(&mut golden, energy);
+            step(&mut restored, energy);
         }
         assert_eq!(golden.walkers(), restored.walkers());
         assert_eq!(

@@ -44,8 +44,9 @@
 //! * **Resume-equivalence contract** — a campaign restored from any
 //!   checkpoint continues *bit-identically* to the uninterrupted run:
 //!   RNG streams are serialized as exact xoshiro256** state, and the
-//!   wavefunction propagator rebuilds every incremental cache from
-//!   electron positions at each generation start, so no
+//!   wavefunction propagator (W electron configurations swept in turn
+//!   by one wavefunction) rebuilds every incremental cache from a
+//!   slot's positions before it sweeps that slot, so no
 //!   Sherman–Morrison rounding history leaks across the boundary.
 //!   Proven by `tests/integration_campaign.rs` over seeds ×
 //!   populations × checkpoint intervals × kill points.

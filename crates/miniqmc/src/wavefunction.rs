@@ -49,7 +49,7 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// Assemble the wavefunction. `electrons.len()` must be `2 ×
     /// spo.n_orbitals()`.
     pub fn new(
-        mut spo: SpoSet<T>,
+        spo: SpoSet<T>,
         ions: &ParticleSet,
         electrons: ParticleSet,
         j1_functor: BsplineFunctor,
@@ -65,19 +65,10 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         let dist_ee = DistanceTableAA::new(&electrons);
         let dist_ei = DistanceTableAB::new(ions, &electrons);
 
-        // Build both spin determinants from SPO values, one batched
-        // multi-electron evaluation per spin.
-        let mut build_det = |spin: usize| -> DiracDeterminant {
-            let rs = Self::spin_positions(&electrons, spin, n_per_spin);
-            let rows = spo.evaluate_v_batch(&rs);
-            let mut a = vec![0.0; n_per_spin * n_per_spin];
-            for (e, row) in rows.iter().enumerate() {
-                a[e * n_per_spin..(e + 1) * n_per_spin]
-                    .copy_from_slice(&row.v[..n_per_spin]);
-            }
-            DiracDeterminant::build(&a, n_per_spin)
-        };
-        let dets = [build_det(0), build_det(1)];
+        // Empty placeholders: `evaluate_log` below builds both spin
+        // determinants, one batched V evaluation and one LU per spin.
+        let empty = DiracDeterminant::build(&[], 0);
+        let dets = [empty.clone(), empty];
 
         let j1 = OneBodyJastrow::new(j1_functor, n_el);
         let j2 = TwoBodyJastrow::new(j2_functor, n_el);

@@ -1,12 +1,13 @@
 //! Checkpointable DMC campaign over graphite walkers (paper Sec. III
 //! population dynamics + the ISSUE 9 campaign layer).
 //!
-//! Each walker is a real Slater–Jastrow [`TrialWaveFunction`] advanced
-//! by particle-by-particle sweeps (V per proposal, nothing on accept); the
-//! campaign driver couples the pool to `DmcPopulation` branching,
-//! records per-generation statistics, and (optionally) checkpoints the
-//! full resume closure so a `SIGKILL` mid-run loses nothing: resuming
-//! reproduces the uninterrupted run bit-for-bit.
+//! Each walker is an electron configuration; one real Slater–Jastrow
+//! [`TrialWaveFunction`] sweeps every configuration in turn,
+//! particle by particle (V per proposal, nothing on accept). The
+//! campaign driver couples the configurations to `DmcPopulation`
+//! branching, records per-generation statistics, and (optionally)
+//! checkpoints the full resume closure so a `SIGKILL` mid-run loses
+//! nothing: resuming reproduces the uninterrupted run bit-for-bit.
 //!
 //! Environment knobs (a kill-resume cycle is drivable from the shell):
 //!
@@ -63,24 +64,35 @@ fn env_flag(name: &str) -> bool {
     }
 }
 
-/// One graphite walker: a 1×1×1 cell (16 electrons, 8 orbitals/spin)
-/// with its own electron configuration, over the campaign's one
-/// orbital table (`clone` shares it: no copy, no second solve).
-fn make_walker(sys: &CoralSystem, orbitals: &MultiCoefs<f64>, seed: u64) -> TrialWaveFunction<f64> {
-    let spo = SpoSet::new(orbitals.clone(), sys.lattice);
-    let electrons = random_electrons(
-        sys.lattice,
-        sys.n_electrons(),
-        &mut StdRng::seed_from_u64(seed),
-    );
+/// The campaign's propagator: `n_walkers` configurations of a graphite
+/// 1×1×1 cell (16 electrons, 8 orbitals/spin; seeds 101, 102, ...)
+/// swept by one wavefunction over the campaign's one orbital table
+/// (`clone` shares it: no copy, no second solve). A resumed campaign
+/// overwrites the configurations from the checkpoint.
+fn make_propagator(
+    sys: &CoralSystem,
+    orbitals: &MultiCoefs<f64>,
+    n_walkers: usize,
+) -> WalkerPropagator {
+    let electrons = |seed| {
+        random_electrons(
+            sys.lattice,
+            sys.n_electrons(),
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
     let rc = sys.lattice.wigner_seitz_radius() * 0.9;
-    TrialWaveFunction::new(
-        spo,
+    let wf = TrialWaveFunction::new(
+        SpoSet::new(orbitals.clone(), sys.lattice),
         &sys.ions,
-        electrons,
+        electrons(100),
         BsplineFunctor::rpa_like(0.3, 1.0, rc, 24),
         BsplineFunctor::rpa_like(0.5, 1.2, rc, 24),
-    )
+    );
+    let configs = (101..101 + n_walkers as u64)
+        .map(|seed| electrons(seed).to_aos())
+        .collect();
+    WalkerPropagator::new(wf, configs, 0.5, 0xFEED)
 }
 
 fn main() {
@@ -102,22 +114,7 @@ fn main() {
          dir={ckpt_dir} resume={resume}"
     );
 
-    // The walker factory: deterministic initial configurations. A
-    // resumed campaign overwrites the positions from the checkpoint, so
-    // the factory seed sequence only matters for fresh starts.
-    let (sys_ref, orbitals_ref) = (&sys, &orbitals);
-    let make_prop = |first_seed: u64| {
-        let mut seed = first_seed;
-        WalkerPropagator::new(
-            move || {
-                seed += 1;
-                make_walker(sys_ref, orbitals_ref, seed)
-            },
-            n_walkers,
-            0.5,
-            0xFEED,
-        )
-    };
+    let make_prop = || make_propagator(&sys, &orbitals, n_walkers);
 
     let dmc_cfg = DmcConfig {
         target_population: n_walkers,
@@ -131,7 +128,7 @@ fn main() {
         .then(|| CheckpointStore::new(&ckpt_dir).expect("checkpoint dir"));
 
     let mut campaign = if resume {
-        match Campaign::resume_latest(store.as_ref().expect("store"), make_prop(100))
+        match Campaign::resume_latest(store.as_ref().expect("store"), make_prop())
             .expect("checkpoint scan")
         {
             Some(c) => {
@@ -140,24 +137,22 @@ fn main() {
             }
             None => {
                 println!("no valid checkpoint found; starting fresh");
-                Campaign::new(dmc_cfg, -0.5, make_prop(100), 16)
+                Campaign::new(dmc_cfg, -0.5, make_prop(), 16)
             }
         }
     } else {
-        Campaign::new(dmc_cfg, -0.5, make_prop(100), 16)
+        Campaign::new(dmc_cfg, -0.5, make_prop(), 16)
     };
 
-    let cfg = CampaignConfig::new(generations, checkpoint_every);
     println!("gen  population  E_T           E_mixed       births/deaths");
     while campaign.generation() < generations {
-        let stats = campaign.step();
-        if let Some(store) = store.as_mut() {
-            if checkpoint_every > 0 && stats.generation.is_multiple_of(checkpoint_every) {
-                store
-                    .write(stats.generation, &campaign.encode(), &cfg.faults)
-                    .expect("checkpoint write");
-            }
-        }
+        // One generation per `run` call, so each prints as it lands;
+        // `run` checkpoints on its cadence.
+        let cfg = CampaignConfig::new(campaign.generation() + 1, checkpoint_every);
+        let report = campaign
+            .run(&cfg, store.as_mut())
+            .expect("checkpoint write");
+        let stats = report.stats[0];
         println!(
             "{:>3}  {:>10}  {:+.9}  {:+.9}  {}/{}",
             stats.generation,

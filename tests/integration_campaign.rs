@@ -15,23 +15,26 @@
 //!    the CRC scan, recovery falls back to the last valid generation,
 //!    and the resumed run still matches golden bit-for-bit;
 //! 3. the same kill-resume equivalence on the *real* per-electron
-//!    wavefunction path (`WalkerPropagator` over graphite walkers):
-//!    electron positions, estimators and stats all match, proving the
-//!    rebuild-from-positions contract erases incremental rounding
-//!    history at checkpoint boundaries;
+//!    wavefunction path (`WalkerPropagator`: graphite configurations
+//!    swept by one wavefunction): electron positions, estimators and
+//!    stats all match, proving the rebuild-from-positions contract
+//!    erases incremental rounding history at checkpoint boundaries, and
+//!    that path's first six generations are pinned bit for bit;
 //! 4. recovery edge cases: kill before the first checkpoint (fresh
 //!    restart must equal golden), and an empty/corrupt-only store;
 //! 5. hostile bytes: every count field overwritten with `u64::MAX` or
 //!    2^58, and seeded random byte flips, through `unframe` and
 //!    `Campaign::decode` on both propagators — each case returns `Ok` or
-//!    `Err`, never panics or aborts on a huge allocation.
+//!    `Err`, never panics or aborts on a huge allocation — and a
+//!    population config that `DmcPopulation::new` refuses is
+//!    `Malformed`.
 
 use std::path::PathBuf;
 
 use miniqmc::campaign::checkpoint::{frame, unframe};
 use miniqmc::campaign::{
-    BitFlip, Campaign, CampaignConfig, CampaignFaultPlan, CheckpointStore, GenStats, Propagator,
-    RunOutcome, SyntheticPropagator, TornWrite, WalkerPropagator,
+    BitFlip, Campaign, CampaignConfig, CampaignFaultPlan, CheckpointStore, CkptError, GenStats,
+    Propagator, RunOutcome, SyntheticPropagator, TornWrite, WalkerPropagator,
 };
 use miniqmc::drivers::dmc::DmcConfig;
 use miniqmc::prelude::*;
@@ -99,38 +102,17 @@ fn assert_stats_bitmatch(golden: &[GenStats], resumed: &[GenStats], ctx: &str) {
     }
 }
 
-fn assert_synthetic_bitmatch(
-    a: &Campaign<SyntheticPropagator>,
-    b: &Campaign<SyntheticPropagator>,
-    ctx: &str,
-) {
+/// Exact equality of two campaigns' whole state. The encoding carries
+/// every float as its bit pattern (weights, ages, trial energy, RNG
+/// words, the statistics ring, the propagator's state), so equal bytes
+/// are bit-identical state; the ring is compared first for a legible
+/// failure.
+fn assert_campaigns_bitmatch<P: Propagator>(a: &Campaign<P>, b: &Campaign<P>, ctx: &str) {
     assert_eq!(a.generation(), b.generation(), "{ctx}: generation");
-    // DmcSnapshot derives PartialEq over ids/ages (exact) and weights;
-    // compare weights and the RNG state by bits explicitly as well.
-    let (sa, sb) = (a.population().snapshot(), b.population().snapshot());
-    assert_eq!(sa.rng_state, sb.rng_state, "{ctx}: rng state");
-    assert_eq!(sa.next_id, sb.next_id, "{ctx}: next id");
-    assert_eq!(
-        sa.trial_energy.to_bits(),
-        sb.trial_energy.to_bits(),
-        "{ctx}: trial energy bits"
-    );
-    assert_eq!(sa.walkers.len(), sb.walkers.len(), "{ctx}: population");
-    for (wa, wb) in sa.walkers.iter().zip(&sb.walkers) {
-        assert_eq!(wa.id, wb.id, "{ctx}: walker id");
-        assert_eq!(wa.age, wb.age, "{ctx}: walker age");
-        assert_eq!(
-            wa.weight.to_bits(),
-            wb.weight.to_bits(),
-            "{ctx}: walker weight bits"
-        );
-    }
-    let xa: Vec<u64> = a.propagator().xs().iter().map(|x| x.to_bits()).collect();
-    let xb: Vec<u64> = b.propagator().xs().iter().map(|x| x.to_bits()).collect();
-    assert_eq!(xa, xb, "{ctx}: propagator coordinates");
     let ra: Vec<GenStats> = a.stats().iter().copied().collect();
     let rb: Vec<GenStats> = b.stats().iter().copied().collect();
     assert_stats_bitmatch(&ra, &rb, &format!("{ctx}: stats ring"));
+    assert_eq!(a.encode(), b.encode(), "{ctx}: encoded state");
 }
 
 proptest! {
@@ -178,7 +160,7 @@ proptest! {
             .expect("resumed run");
         prop_assert_eq!(resumed_report.outcome, RunOutcome::Completed);
 
-        assert_synthetic_bitmatch(&golden, &resumed, "final state");
+        assert_campaigns_bitmatch(&golden, &resumed, "final state");
         assert_stats_bitmatch(
             &golden_report.stats[resume_gen as usize..],
             &resumed_report.stats,
@@ -251,7 +233,7 @@ proptest! {
         let resumed_report = resumed
             .run(&CampaignConfig::new(generations, 1), Some(&mut store))
             .expect("resumed run");
-        assert_synthetic_bitmatch(&golden, &resumed, "final state after fallback");
+        assert_campaigns_bitmatch(&golden, &resumed, "final state after fallback");
         assert_stats_bitmatch(
             &golden_report.stats[resume_gen..],
             &resumed_report.stats,
@@ -261,45 +243,44 @@ proptest! {
     }
 }
 
-/// The orbitals every graphite walker shares (solved once, cloned per
-/// walker).
+/// The orbitals of the graphite campaign (solved once; a clone shares
+/// the table).
 fn graphite_orbitals(sys: &CoralSystem) -> SpoSet<f64> {
     SpoSet::new(sys.orbitals::<f64>(7), sys.lattice)
 }
 
-/// One graphite walker over the smallest CORAL cell (16 electrons,
-/// 8 orbitals/spin) on the per-electron fast path.
-fn graphite_walker(sys: &CoralSystem, spo: &SpoSet<f64>, seed: u64) -> TrialWaveFunction<f64> {
-    let electrons = random_electrons(
-        sys.lattice,
-        sys.n_electrons(),
-        &mut StdRng::seed_from_u64(seed),
-    );
+/// One wavefunction over `spo` sweeping `pop` configurations of the
+/// smallest CORAL cell (16 electrons, 8 orbitals/spin), seeded
+/// `first_seed + 1 ..= first_seed + pop`, on the per-electron fast path.
+fn graphite_propagator(
+    sys: &CoralSystem,
+    spo: &SpoSet<f64>,
+    first_seed: u64,
+    pop: usize,
+) -> WalkerPropagator {
+    let electrons = |seed| {
+        random_electrons(
+            sys.lattice,
+            sys.n_electrons(),
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
     let rc = sys.lattice.wigner_seitz_radius() * 0.9;
-    TrialWaveFunction::new(
+    let wf = TrialWaveFunction::new(
         spo.clone(),
         &sys.ions,
-        electrons,
+        electrons(first_seed),
         BsplineFunctor::rpa_like(0.3, 1.0, rc, 20),
         BsplineFunctor::rpa_like(0.5, 1.2, rc, 20),
-    )
+    );
+    let configs = (1..=pop as u64)
+        .map(|i| electrons(first_seed + i).to_aos())
+        .collect();
+    WalkerPropagator::new(wf, configs, 0.5, 0xFEED)
 }
 
-fn graphite_campaign(
-    sys: &CoralSystem,
-    pop: usize,
-) -> Campaign<WalkerPropagator<impl FnMut() -> TrialWaveFunction<f64> + '_>> {
-    let mut walker_seed = 100u64;
-    let spo = graphite_orbitals(sys);
-    let prop = WalkerPropagator::new(
-        move || {
-            walker_seed += 1;
-            graphite_walker(sys, &spo, walker_seed)
-        },
-        pop,
-        0.5,
-        0xFEED,
-    );
+fn graphite_campaign(sys: &CoralSystem, pop: usize) -> Campaign<WalkerPropagator> {
+    let prop = graphite_propagator(sys, &graphite_orbitals(sys), 100, pop);
     Campaign::new(
         DmcConfig {
             target_population: pop,
@@ -314,6 +295,20 @@ fn graphite_campaign(
     )
 }
 
+/// The graphite campaign's trajectory: `(e_mixed, trial_energy)` bits of
+/// each of the first six generations of `graphite_campaign(&sys, 4)`. A
+/// change to the campaign, the wavefunction or the kernels under it that
+/// moves any bit of the real-wavefunction path fails here; one that does
+/// so on purpose re-pins these values and says why.
+const GRAPHITE_PIN: [(u64, u64); 6] = [
+    (0x4054fbcb46264ea3, 0x4054fbcb46264ea3),
+    (0x40565a28478d526e, 0x40565a28478d526e),
+    (0x405600a571342735, 0x405600a571342735),
+    (0x4054ea4d28f61fa9, 0x4054ea4d28f61fa9),
+    (0x4056bf2c9132d745, 0x4056bf2c9132d745),
+    (0x4055fb51141166a3, 0x4055fb51141166a3),
+];
+
 #[test]
 fn wavefunction_campaign_resume_is_bit_identical() {
     let sys = CoralSystem::new(1, 1, 1, (10, 10, 12));
@@ -324,6 +319,10 @@ fn wavefunction_campaign_resume_is_bit_identical() {
     let golden_report = golden
         .run(&CampaignConfig::new(generations, 0), None)
         .expect("golden run");
+    let bits: Vec<(u64, u64)> = (golden_report.stats.iter())
+        .map(|s| (s.e_mixed.to_bits(), s.trial_energy.to_bits()))
+        .collect();
+    assert_eq!(bits, GRAPHITE_PIN, "the graphite trajectory moved");
 
     let dir = fresh_dir("graphite");
     let mut store = CheckpointStore::new(&dir).expect("store");
@@ -334,25 +333,12 @@ fn wavefunction_campaign_resume_is_bit_identical() {
     assert_eq!(report.outcome, RunOutcome::Killed { generation: 3 });
     drop(victim);
 
-    let sys_ref = &sys;
-    let mut resumed = Campaign::resume_latest(&store, {
-        // A fresh propagator over the same system: the factory
-        // reproduces walkers with the right electron count; positions
-        // come from the checkpoint.
-        let mut walker_seed = 500u64;
-        let spo = graphite_orbitals(sys_ref);
-        WalkerPropagator::new(
-            move || {
-                walker_seed += 1;
-                graphite_walker(sys_ref, &spo, walker_seed)
-            },
-            pop,
-            0.5,
-            0xFEED,
-        )
-    })
-    .expect("scan")
-    .expect("a checkpoint exists");
+    // A fresh propagator over the same system with no configurations:
+    // they come from the checkpoint.
+    let blank = graphite_propagator(&sys, &graphite_orbitals(&sys), 500, 0);
+    let mut resumed = Campaign::resume_latest(&store, blank)
+        .expect("scan")
+        .expect("a checkpoint exists");
     assert_eq!(resumed.generation(), 2);
     let resumed_report = resumed
         .run(&CampaignConfig::new(generations, 2), Some(&mut store))
@@ -365,33 +351,10 @@ fn wavefunction_campaign_resume_is_bit_identical() {
         &resumed_report.stats,
         "graphite post-resume",
     );
-    // Population state matches exactly.
-    let (sg, sr) = (
-        golden.population().snapshot(),
-        resumed.population().snapshot(),
-    );
-    assert_eq!(sg, sr, "population snapshots");
-    // Every electron position of every active walker matches bitwise:
-    // the per-generation rebuild erased all incremental rounding
-    // history, so the resumed trajectory is the golden trajectory.
-    assert_eq!(golden.propagator().len(), resumed.propagator().len());
-    for slot in 0..golden.propagator().len() {
-        let (wg, wr) = (
-            golden.propagator().walker(slot),
-            resumed.propagator().walker(slot),
-        );
-        assert_eq!(wg.n_electrons(), wr.n_electrons());
-        for i in 0..wg.n_electrons() {
-            let (pg, pr) = (wg.electrons().get(i), wr.electrons().get(i));
-            for d in 0..3 {
-                assert_eq!(
-                    pg[d].to_bits(),
-                    pr[d].to_bits(),
-                    "walker {slot} electron {i} axis {d}"
-                );
-            }
-        }
-    }
+    // Population state and every electron position of every walker
+    // match bitwise: the per-slot rebuild erased all incremental
+    // rounding history, so the resumed trajectory is the golden one.
+    assert_campaigns_bitmatch(&golden, &resumed, "graphite final state");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -416,10 +379,10 @@ fn empty_or_fully_corrupt_store_resumes_none() {
 /// all located by reading the payload itself.
 fn count_offsets(payload: &[u8], prop_counts: usize) -> (Vec<usize>, usize) {
     let at = |o: usize| u64::from_le_bytes(payload[o..o + 8].try_into().unwrap()) as usize;
-    // Twelve 8-byte header fields: generation, target population, tau,
-    // feedback, max ratio, seed, trial energy, next id, four RNG words.
-    let walkers = 12 * 8;
-    let ring_cap = walkers + 8 + 3 * 8 * at(walkers);
+    // Eleven 8-byte header fields: generation, target population, tau,
+    // feedback, max ratio, seed, trial energy, four RNG words.
+    let walkers = 11 * 8;
+    let ring_cap = walkers + 8 + 2 * 8 * at(walkers);
     let ring_len = ring_cap + 8;
     let prop_len = ring_len + 8 + 7 * 8 * at(ring_len);
     let mut counts = vec![walkers, ring_len, prop_len];
@@ -486,6 +449,40 @@ fn hostile_checkpoint_bytes_error_instead_of_aborting() {
     let mut g = graphite_campaign(&sys, 2);
     g.step();
     let spo = graphite_orbitals(&sys);
-    let walker = || WalkerPropagator::new(|| graphite_walker(&sys, &spo, 3), 1, 0.5, 0xFEED);
-    assert_hostile_bytes_return(&g.encode(), 2, 200, 0xBEEF, walker);
+    let blank = || graphite_propagator(&sys, &spo, 3, 0);
+    assert_hostile_bytes_return(&g.encode(), 2, 200, 0xBEEF, blank);
+}
+
+/// A CRC-valid checkpoint whose population config `DmcPopulation::new`
+/// would refuse is `Malformed`, not a campaign that panics (target 0)
+/// or caps its population at zero walkers (`⌊8 × 0.1⌋ = 0`) later.
+#[test]
+fn refused_population_config_does_not_decode() {
+    let mut c = synthetic(8, 5);
+    c.step();
+    let payload = c.encode();
+    assert!(Campaign::decode(blank(8), &payload).is_ok());
+    // Header offsets: target population, tau, feedback, max ratio.
+    let cases: [(usize, u64); 7] = [
+        (8, 0),
+        (16, (-0.01f64).to_bits()),
+        (16, f64::INFINITY.to_bits()),
+        (24, f64::NAN.to_bits()),
+        (32, 0.1f64.to_bits()),
+        (32, 0.999f64.to_bits()),
+        (32, f64::NAN.to_bits()),
+    ];
+    for (off, value) in cases {
+        let mut bad = payload.clone();
+        bad[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        let framed = frame(&bad);
+        let inner = unframe(&framed).expect("re-framed payload validates");
+        assert!(
+            matches!(
+                Campaign::decode(blank(8), inner),
+                Err(CkptError::Malformed(_))
+            ),
+            "offset {off} = {value:#x} decoded"
+        );
+    }
 }

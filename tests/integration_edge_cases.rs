@@ -132,20 +132,64 @@ fn determinant_survives_long_update_chains_with_refresh() {
 
 #[test]
 fn dmc_population_handles_tiny_targets() {
-    let mut p = DmcPopulation::new(
+    let tiny = DmcConfig {
+        target_population: 2,
+        tau: 0.01,
+        feedback: 1.0,
+        max_ratio: 4.0,
+        seed: 9,
+    };
+    let mut parents = Vec::new();
+    let mut p = DmcPopulation::new(tiny, 0.0);
+    for _ in 0..100 {
+        p.step(|_| 0.0, &mut parents);
+        assert!(!p.is_empty());
+        assert!(p.len() <= 8);
+    }
+
+    // The smallest config that can run: one walker, a cap of one.
+    let mut one = DmcPopulation::new(
         DmcConfig {
-            target_population: 2,
-            tau: 0.01,
-            feedback: 1.0,
-            max_ratio: 4.0,
-            seed: 9,
+            target_population: 1,
+            max_ratio: 1.0,
+            ..tiny
         },
         0.0,
     );
-    for _ in 0..100 {
-        p.step(|_| 0.0);
-        assert!(!p.is_empty());
-        assert!(p.len() <= 8);
+    for energy in [1.0e6, -1.0e3, 0.0] {
+        let deaths = one.step(|_| energy, &mut parents).deaths;
+        assert_eq!((one.len(), parents.as_slice(), deaths), (1, &[0][..], 0));
+    }
+
+    // Configs that cannot drive a population are refused up front. A
+    // cap `⌊target × max_ratio⌋` of zero would keep no walker, count no
+    // death and then underflow `deaths` in the anti-extinction fallback;
+    // a target of zero would panic at the first step.
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    // (target_population, tau, feedback, max_ratio)
+    for (target_population, tau, feedback, max_ratio) in [
+        (0, 0.01, 1.0, 4.0),
+        (4, 0.01, 1.0, 0.1),
+        (2, 0.01, 1.0, 0.5),
+        (2, 0.01, 1.0, nan),
+        (2, 0.01, 1.0, inf),
+        (2, -0.01, 1.0, 4.0),
+        (2, nan, 1.0, 4.0),
+        (2, 0.01, inf, 4.0),
+    ] {
+        let cfg = DmcConfig {
+            target_population,
+            tau,
+            feedback,
+            max_ratio,
+            seed: 9,
+        };
+        let built = catch_unwind(|| DmcPopulation::new(cfg, 0.0));
+        assert!(built.is_err(), "{cfg:?} was accepted");
+        let mut snap = p.snapshot();
+        snap.cfg = cfg;
+        let restored = catch_unwind(|| DmcPopulation::from_snapshot(snap));
+        assert!(restored.is_err(), "{cfg:?} was restored");
     }
 }
 
