@@ -265,8 +265,9 @@
 //!   to `f64` at the engine boundary ([`precision::MixedEngine`], an
 //!   [`engine::SpoEngine<f64>`] over any `f32` inner engine, all three
 //!   views). Downstream reductions (miniqmc determinants, drift,
-//!   kinetic energy) accumulate in `f64` — the
-//!   [`einspline::Real::Accum`] contract.
+//!   kinetic energy) accumulate in `f64` whatever the table precision:
+//!   miniqmc's SPO set widens each output with
+//!   [`einspline::Real::to_f64`].
 //!
 //! The f32/mixed deviation from the f64 reference is bounded by
 //! [`precision::F32_REL_ERROR_BUDGET`] relative to the table's

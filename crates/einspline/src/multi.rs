@@ -410,10 +410,7 @@ impl<T: Real> MultiCoefs<T> {
     /// stored coefficient rounds once (≤ 0.5 ulp ≈ 6e-8 relative); the
     /// evaluation-side consequences are documented and tested against
     /// `bspline::precision::F32_REL_ERROR_BUDGET`.
-    pub fn downcast(&self) -> MultiCoefs<f32>
-    where
-        T: Real<Accum = f64>,
-    {
+    pub fn downcast(&self) -> MultiCoefs<f32> {
         let mut out = MultiCoefs::<f32>::new(self.gx, self.gy, self.gz, self.n_splines);
         let (px, py, pz) = self.layout.dims();
         let dst_data = Arc::make_mut(&mut out.data).as_mut_slice();
@@ -425,7 +422,7 @@ impl<T: Real> MultiCoefs<T> {
                     let src_line = &self.data.as_slice()[src..src + self.n_splines];
                     let dst_line = &mut dst_data[dst..dst + self.n_splines];
                     for (d, s) in dst_line.iter_mut().zip(src_line) {
-                        *d = s.to_accum() as f32;
+                        *d = s.to_f64() as f32;
                     }
                 }
             }

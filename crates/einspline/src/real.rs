@@ -14,17 +14,9 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// Implemented for `f32` and `f64`. The bound set mirrors what the hot
 /// loops need: arithmetic, `mul_add` (maps to FMA), and cheap conversions
-/// for setup code that is always done in `f64`.
-///
-/// # Mixed precision
-///
-/// [`Real::Accum`] is the *accumulation* scalar paired with each storage
-/// scalar — the QMC mixed-precision contract (f32 orbital tables, f64
-/// wavefunction-level reductions) expressed in the type system. `f32`
-/// accumulates in `f64`; `f64` accumulates in itself. Kernels that store
-/// in `T` but must not lose accuracy in long reductions widen each
-/// contribution with [`Real::to_accum`] and only narrow (if at all) at
-/// the output boundary with [`Real::from_accum`].
+/// for setup code that is always done in `f64`. Consumers that store in
+/// `T` but reduce in double precision (miniqmc's SPO set and
+/// wavefunction) widen each value with [`Real::to_f64`].
 pub trait Real:
     Copy
     + Send
@@ -46,27 +38,14 @@ pub trait Real:
     + Sum
     + 'static
 {
-    /// The accumulation-precision scalar for this storage scalar:
-    /// wide enough that summing many `Self` contributions does not lose
-    /// the paper's physical accuracy (`f64` for both `f32` and `f64`
-    /// storage).
-    type Accum: Real;
-
     /// ZERO.
     const ZERO: Self;
     /// ONE.
     const ONE: Self;
 
-    /// Widen one stored value into the accumulation precision
-    /// ([`Real::Accum`]). Lossless for both implementations.
-    fn to_accum(self) -> Self::Accum;
-    /// Narrow an accumulated value back to storage precision (rounds
-    /// once for `f32`; identity for `f64`).
-    fn from_accum(x: Self::Accum) -> Self;
-
     /// Lossy conversion from `f64` (setup paths only).
     fn from_f64(x: f64) -> Self;
-    /// Widening conversion to `f64` (validation paths only).
+    /// Widening conversion to `f64`, lossless for both implementations.
     fn to_f64(self) -> f64;
     /// Fused multiply-add `self * a + b`.
     fn mul_add(self, a: Self, b: Self) -> Self;
@@ -85,19 +64,9 @@ pub trait Real:
 macro_rules! impl_real {
     ($t:ty) => {
         impl Real for $t {
-            type Accum = f64;
-
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
 
-            #[inline(always)]
-            fn to_accum(self) -> f64 {
-                self as f64
-            }
-            #[inline(always)]
-            fn from_accum(x: f64) -> Self {
-                x as $t
-            }
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
                 x as $t
@@ -172,14 +141,10 @@ mod tests {
         assert_eq!(sum_generic(&[1.0f64, 2.0, 3.0]), 6.0);
     }
 
-    /// Accumulate generically in the paired accumulation precision —
-    /// the shape every mixed-precision consumer uses.
-    fn sum_in_accum<T: Real>(xs: &[T]) -> T::Accum {
-        let mut acc = <T::Accum as Real>::ZERO;
-        for &x in xs {
-            acc += x.to_accum();
-        }
-        acc
+    /// The mixed-precision shape: widen each stored value with
+    /// `to_f64` and reduce in `f64`.
+    fn sum_widened<T: Real>(xs: &[T]) -> f64 {
+        xs.iter().map(|x| x.to_f64()).sum()
     }
 
     #[test]
@@ -188,12 +153,9 @@ mod tests {
         let tiny = 2f32.powi(-30);
         let xs = [1.0f32, tiny, tiny];
         assert_eq!(xs.iter().copied().sum::<f32>(), 1.0);
-        let wide = sum_in_accum(&xs);
-        assert!(wide > 1.0);
-        assert_eq!(f32::from_accum(wide), 1.0); // narrows back with one rounding
-        // f64 accumulates in itself: identity conversions.
-        assert_eq!(1.25f64.to_accum(), 1.25);
-        assert_eq!(f64::from_accum(1.25), 1.25);
+        let wide = sum_widened(&xs);
+        assert_eq!(wide, 1.0 + 2.0 * f64::from(tiny));
+        assert_eq!(f32::from_f64(wide), 1.0); // narrows back with one rounding
     }
 
     #[test]

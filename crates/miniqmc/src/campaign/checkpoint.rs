@@ -23,7 +23,9 @@
 //! * [`CheckpointStore::latest_valid`] scans generations newest-first
 //!   and returns the first frame whose CRC verifies, silently skipping
 //!   torn or corrupt files — the "last good fallback" of the recovery
-//!   story;
+//!   story. An intact frame of another format version is not damage: the
+//!   scan stops and refuses it, so a resume never starts fresh over
+//!   checkpoints it cannot read;
 //! * fault injection (torn writes, bit flips — see
 //!   [`super::CampaignFaultPlan`]) mangles the frame *after* framing,
 //!   exactly like a misbehaving disk would.
@@ -38,8 +40,8 @@ use super::fault::CampaignFaultPlan;
 /// Frame magic: identifies a campaign checkpoint file.
 pub const MAGIC: [u8; 8] = *b"QMCCKPT\0";
 /// Current checkpoint format version. A version-1 campaign payload
-/// carries walker ids this decoder does not read, so a frame of any
-/// other version is refused as [`CkptError::BadVersion`].
+/// carries walker ids this decoder does not read, so an intact frame of
+/// any other version is refused as [`CkptError::BadVersion`].
 pub const VERSION: u32 = 2;
 
 /// Why a checkpoint failed to load or store.
@@ -193,7 +195,9 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validate a framed checkpoint and return its payload slice.
+/// Validate a framed checkpoint and return its payload slice. The CRC
+/// is checked before the version, so [`CkptError::BadVersion`] means an
+/// intact frame of another format, never a damaged version field.
 pub fn unframe(bytes: &[u8]) -> Result<&[u8], CkptError> {
     if bytes.len() < MAGIC.len() {
         return Err(CkptError::Truncated);
@@ -203,9 +207,6 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], CkptError> {
     }
     let mut r = Reader::new(&bytes[MAGIC.len()..]);
     let version = r.u32()?;
-    if version != VERSION {
-        return Err(CkptError::BadVersion(version));
-    }
     let payload_len = r.len_u64()?;
     let header = MAGIC.len() + 12;
     let framed = header
@@ -224,6 +225,9 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], CkptError> {
     let computed = crc32(body);
     if stored != computed {
         return Err(CkptError::BadCrc { stored, computed });
+    }
+    if version != VERSION {
+        return Err(CkptError::BadVersion(version));
     }
     Ok(&bytes[header..header + payload_len])
 }
@@ -311,14 +315,19 @@ impl CheckpointStore {
     /// The newest checkpoint whose frame validates, as
     /// `(generation, payload)`. Torn or corrupt frames (bad magic, bad
     /// CRC, truncation) are skipped — the scan falls back to the last
-    /// good one. `None` if no valid checkpoint exists.
+    /// good one. The first intact frame of another format version met on
+    /// the way is refused as [`CkptError::BadVersion`]: falling back past
+    /// it, or starting fresh, would overwrite a campaign this build
+    /// cannot read. `None` if no valid checkpoint exists.
     pub fn latest_valid(&self) -> Result<Option<(u64, Vec<u8>)>, CkptError> {
         let mut files = self.list()?;
         files.reverse();
         for (generation, path) in files {
             let bytes = fs::read(&path)?;
-            if let Ok(payload) = unframe(&bytes) {
-                return Ok(Some((generation, payload.to_vec())));
+            match unframe(&bytes) {
+                Ok(payload) => return Ok(Some((generation, payload.to_vec()))),
+                Err(e @ CkptError::BadVersion(_)) => return Err(e),
+                Err(_) => {}
             }
         }
         Ok(None)
@@ -417,14 +426,19 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn version_one_frame_is_refused_and_skipped() {
-        // A frame of the previous format, with a valid CRC.
-        let mut old = frame(b"gen two, old format");
+    /// A frame of the previous format, with a valid CRC.
+    fn version_one_frame(payload: &[u8]) -> Vec<u8> {
+        let mut old = frame(payload);
         old[8..12].copy_from_slice(&1u32.to_le_bytes());
         let body = old.len() - 4;
         let crc = crc32(&old[..body]);
         old[body..].copy_from_slice(&crc.to_le_bytes());
+        old
+    }
+
+    #[test]
+    fn version_one_frame_is_refused_not_skipped() {
+        let old = version_one_frame(b"gen two, old format");
         assert!(matches!(unframe(&old), Err(CkptError::BadVersion(1))));
 
         let dir = tmpdir("version");
@@ -432,8 +446,40 @@ mod tests {
         let plan = CampaignFaultPlan::default();
         store.write(1, b"gen one", &plan).unwrap();
         fs::write(store.path_for(2), &old).unwrap();
+        assert!(matches!(
+            store.latest_valid(),
+            Err(CkptError::BadVersion(1))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Falling back past a torn frame to nothing must not hide a
+    /// version-1 frame above it: the scan refuses instead of reporting
+    /// an empty store (a fresh start would overwrite the old campaign).
+    #[test]
+    fn version_one_frame_above_a_torn_frame_is_refused() {
+        let dir = tmpdir("version-torn");
+        let mut store = CheckpointStore::new(&dir).unwrap();
+        let mut torn = frame(b"gen one");
+        torn.truncate(torn.len() - 3);
+        fs::write(store.path_for(1), &torn).unwrap();
+        assert!(store.latest_valid().unwrap().is_none());
+        fs::write(store.path_for(2), version_one_frame(b"gen two, old format")).unwrap();
+        assert!(matches!(
+            store.latest_valid(),
+            Err(CkptError::BadVersion(1))
+        ));
+        // A damaged version field is damage, not a format: its CRC
+        // fails, so the scan skips it like any corrupt frame.
+        let mut flipped = frame(b"gen three");
+        flipped[8] ^= 0x04;
+        assert!(matches!(unframe(&flipped), Err(CkptError::BadCrc { .. })));
+        store
+            .write(3, b"gen three", &CampaignFaultPlan::default())
+            .unwrap();
+        fs::write(store.path_for(4), &flipped).unwrap();
         let (generation, payload) = store.latest_valid().unwrap().expect("fallback");
-        assert_eq!((generation, payload.as_slice()), (1, &b"gen one"[..]));
+        assert_eq!((generation, payload.as_slice()), (3, &b"gen three"[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -30,15 +30,15 @@
 //! of the state (exact-state export, see [`rand::rngs::StdRng::state`])
 //! and the wavefunction propagator re-derives all incremental caches
 //! from a slot's electron positions before it sweeps that slot
-//! ([`TrialWaveFunction::evaluate_log`] rebuilds distance tables,
-//! Jastrow sums and determinants from positions alone). Therefore a
-//! campaign restored from any checkpoint continues **bit-identically**
-//! to the uninterrupted run — same walker populations, same mixed
-//! estimators, same generation statistics, down to the last ulp. The
-//! suite in `tests/integration_campaign.rs` proves this property over
-//! random seeds × populations × checkpoint intervals × kill points,
-//! and exercises the torn-write/bit-flip fallback through
-//! [`CampaignFaultPlan`].
+//! ([`TrialWaveFunction::set_electron_positions`] rebuilds distance
+//! tables, Jastrow sums and determinants from positions alone).
+//! Therefore a campaign restored from any checkpoint continues
+//! **bit-identically** to the uninterrupted run — same walker
+//! populations, same mixed estimators, same generation statistics,
+//! down to the last ulp. The suite in `tests/integration_campaign.rs`
+//! proves this property over random seeds × populations × checkpoint
+//! intervals × kill points, and exercises the torn-write/bit-flip
+//! fallback through [`CampaignFaultPlan`].
 
 use std::collections::VecDeque;
 
@@ -282,15 +282,16 @@ impl Propagator for SyntheticPropagator {
 /// the kinetic local energy.
 ///
 /// A walker is its positions. Each generation, each slot's positions
-/// are written into the wavefunction and every incremental cache is
-/// rebuilt from them (`evaluate_log`) before the sweep, and the swept
-/// positions are written back. So the wavefunction is scratch shared by
-/// every slot, and the state branching copies and a checkpoint carries
-/// is *just the positions*: Sherman–Morrison rounding history cannot
-/// leak across a slot or a checkpoint boundary, which is what makes
-/// resume bit-exact on the real wavefunction path, not only on synthetic
-/// walkers. A parallel generation needs only one wavefunction per
-/// worker, each sweeping a chunk of the configurations.
+/// are written into the wavefunction, which rebuilds every incremental
+/// cache from them (`set_electron_positions`); the slot is swept
+/// (`run_vmc`) and its swept positions are written back. So the
+/// wavefunction is scratch shared by every slot, and the state
+/// branching copies and a checkpoint carries is *just the positions*:
+/// Sherman–Morrison rounding history cannot leak across a slot or a
+/// checkpoint boundary, which is what makes resume bit-exact on the
+/// real wavefunction path, not only on synthetic walkers. A parallel
+/// generation needs only one wavefunction per worker, each sweeping a
+/// chunk of the configurations.
 pub struct WalkerPropagator {
     wf: TrialWaveFunction<f64>,
     configs: Vec<Vec<[f64; 3]>>,
@@ -344,10 +345,9 @@ impl Propagator for WalkerPropagator {
         for slot in 0..self.configs.len() {
             let seed = self.move_seed(generation, slot);
             let wf = &mut self.wf;
-            wf.set_electron_positions(&self.configs[slot]);
             // Rebuild every incremental cache from positions: the
             // resume-equivalence linchpin (see the type-level docs).
-            wf.evaluate_log();
+            wf.set_electron_positions(&self.configs[slot]);
             let res = run_vmc(
                 wf,
                 &VmcConfig {

@@ -7,6 +7,6 @@ pub mod profile;
 pub mod vmc;
 
 pub use dmc::{DmcConfig, DmcPopulation, DmcSnapshot, DmcStepStats, DmcWalker};
-pub use observables::{coulomb_ee, coulomb_ei, kinetic_energy, LocalEnergy};
+pub use observables::kinetic_energy;
 pub use profile::{Category, ProfileReport, Timers};
 pub use vmc::{run_vmc, VmcConfig, VmcResult};

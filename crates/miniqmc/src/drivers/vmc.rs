@@ -57,7 +57,7 @@ pub struct VmcResult {
 
 /// Run VMC sweeps on a wavefunction. |ΨT|² sampling with uniform
 /// symmetric proposals (valid Metropolis).
-pub fn run_vmc<T: Real<Accum = f64>>(wf: &mut TrialWaveFunction<T>, cfg: &VmcConfig) -> VmcResult {
+pub fn run_vmc<T: Real>(wf: &mut TrialWaveFunction<T>, cfg: &VmcConfig) -> VmcResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n_el = wf.n_electrons();
     let lat = *wf.electrons().lattice();

@@ -37,8 +37,9 @@
 //! * **Checkpoint format** — std-only framed files
 //!   (`magic · version · length · payload · CRC-32`), one per
 //!   checkpointed generation, written to a temp sibling and published
-//!   with an atomic rename; recovery scans newest-first and falls back
-//!   past any frame whose CRC does not verify. All floats travel as
+//!   with an atomic rename; recovery scans newest-first, falls back
+//!   past any frame whose CRC does not verify, and refuses an intact
+//!   frame of another format version. All floats travel as
 //!   IEEE-754 bit patterns, so a round-trip is bit-exact. See
 //!   [`campaign::checkpoint`].
 //! * **Resume-equivalence contract** — a campaign restored from any
@@ -105,14 +106,16 @@ pub mod prelude {
     pub use crate::distance::aos::{DistanceTableAAAoS, DistanceTableABAoS};
     pub use crate::distance::soa::{DistanceTableAA, DistanceTableAB};
     pub use crate::drivers::{
-        coulomb_ee, coulomb_ei, kinetic_energy, run_vmc, Category, DmcConfig,
-        DmcPopulation, LocalEnergy, ProfileReport, Timers, VmcConfig,
+        kinetic_energy, run_vmc, Category, DmcConfig, DmcPopulation, ProfileReport, Timers,
+        VmcConfig,
     };
     pub use crate::jastrow::{BsplineFunctor, JastrowDerivs, OneBodyJastrow, TwoBodyJastrow};
     pub use crate::lattice::{graphite_supercell, Lattice};
     pub use crate::particleset::{random_electrons, ParticleSet};
     pub use crate::spo::SpoSet;
-    pub use crate::synthetic::{random_coefficients, synthetic_orbitals, CoralSystem};
+    pub use crate::synthetic::{
+        plane_wave_shell, random_coefficients, synthetic_orbitals, CoralSystem,
+    };
     pub use crate::wavefunction::TrialWaveFunction;
 }
 

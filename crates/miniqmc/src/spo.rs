@@ -10,7 +10,6 @@
 //! trace of `Hᵤ`).
 
 use crate::lattice::Lattice;
-use bspline::blocked::BlockedEngine;
 use bspline::{BatchOut, BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{MultiCoefs, Real};
 
@@ -46,21 +45,14 @@ impl SpoVgl {
 ///
 /// `T` is the *orbital* (storage + kernel) precision; everything this
 /// type hands to QMC — values, Cartesian gradients, Laplacians — is
-/// delivered and accumulated in the paired accumulation precision
-/// `T::Accum = f64` (see [`einspline::Real::Accum`]), regardless of
+/// widened to `f64` ([`Real::to_f64`]) and pulled back in `f64`,
 /// whether the orbital tables are `f32` or `f64`. This is the
 /// mixed-precision contract: storage precision is a bandwidth knob,
-/// never an observable-accuracy knob.
-///
-/// `E` is the orbital *engine*: any [`SpoEngine`] with contiguous SoA
-/// outputs. The default is the monolithic [`BsplineSoA`]; QMC-scale
-/// runs construct from the cache-budget orbital-block decomposition
-/// instead ([`SpoSet::new_blocked`] → [`BlockedEngine`]), which changes
-/// nothing downstream — blocked outputs scatter into the same
-/// contiguous [`WalkerSoA`] streams the pull-back reads.
+/// never an observable-accuracy knob. The engine is the monolithic
+/// [`BsplineSoA`] over the caller's table.
 #[derive(Clone, Debug)]
-pub struct SpoSet<T: Real, E: SpoEngine<T, Out = WalkerSoA<T>> = BsplineSoA<T>> {
-    engine: E,
+pub struct SpoSet<T: Real> {
+    engine: BsplineSoA<T>,
     lattice: Lattice,
     /// `G = A⁻¹` (Cartesian→fractional Jacobian).
     g: [[f64; 3]; 3],
@@ -76,31 +68,11 @@ pub struct SpoSet<T: Real, E: SpoEngine<T, Out = WalkerSoA<T>> = BsplineSoA<T>> 
     batch_rows: Vec<SpoVgl>,
 }
 
-impl<T: Real<Accum = f64>> SpoSet<T> {
-    /// Wrap a coefficient table whose grids span the unit cube in the
-    /// default monolithic SoA engine.
+impl<T: Real> SpoSet<T> {
+    /// Wrap a coefficient table whose grids span the unit cube of
+    /// fractional coordinates in the monolithic SoA engine.
     pub fn new(coefs: MultiCoefs<T>, lattice: Lattice) -> Self {
-        Self::with_engine(BsplineSoA::new(coefs), lattice)
-    }
-}
-
-impl<T: Real<Accum = f64>> SpoSet<T, BlockedEngine<BsplineSoA<T>>> {
-    /// Construct from the cache-budget orbital-block decomposition
-    /// ([`BlockedEngine::from_multi`], first-touch parallel block
-    /// construction included): the QMC-scale path where one table of N
-    /// orbitals is served by `⌈N·slab/budget⌉` independent cache-sized
-    /// blocks. Use [`bspline::tuning::default_block_budget`] (table
-    /// size in, budget out) for the budget. At B = 1 the one block is
-    /// `coefs` itself, not a copy of it.
-    pub fn new_blocked(coefs: MultiCoefs<T>, lattice: Lattice, budget_bytes: usize) -> Self {
-        Self::with_engine(BlockedEngine::from_multi(&coefs, budget_bytes), lattice)
-    }
-}
-
-impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
-    /// Wrap any SoA-output engine whose domain spans the unit cube of
-    /// fractional coordinates.
-    pub fn with_engine(engine: E, lattice: Lattice) -> Self {
+        let engine = BsplineSoA::new(coefs);
         assert_eq!(
             engine.domain(),
             [(0.0, 1.0); 3],
@@ -144,7 +116,7 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
 
     /// Direct access to the underlying engine (benchmarks).
     #[inline]
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &BsplineSoA<T> {
         &self.engine
     }
 
@@ -160,7 +132,7 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
         self.engine.v(u, &mut self.scratch);
         let n = self.n_orbitals();
         for k in 0..n {
-            self.out.v[k] = self.scratch.value(k).to_accum();
+            self.out.v[k] = self.scratch.value(k).to_f64();
         }
         &self.out.v[..n]
     }
@@ -197,18 +169,18 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
         let (ov, ogx, ogy) = (&mut out.v[..n], &mut out.gx[..n], &mut out.gy[..n]);
         let (ogz, olap) = (&mut out.gz[..n], &mut out.lap[..n]);
         for k in 0..n {
-            ov[k] = v[k].to_accum();
-            let gu = [gx[k].to_accum(), gy[k].to_accum(), gz[k].to_accum()];
+            ov[k] = v[k].to_f64();
+            let gu = [gx[k].to_f64(), gy[k].to_f64(), gz[k].to_f64()];
             ogx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
             ogy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
             ogz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
             let h = [
-                hxx[k].to_accum(),
-                hxy[k].to_accum(),
-                hxz[k].to_accum(),
-                hyy[k].to_accum(),
-                hyz[k].to_accum(),
-                hzz[k].to_accum(),
+                hxx[k].to_f64(),
+                hxy[k].to_f64(),
+                hxz[k].to_f64(),
+                hyy[k].to_f64(),
+                hyz[k].to_f64(),
+                hzz[k].to_f64(),
             ];
             olap[k] = m[0][0] * h[0]
                 + m[1][1] * h[3]
@@ -242,7 +214,7 @@ impl<T: Real<Accum = f64>, E: SpoEngine<T, Out = WalkerSoA<T>>> SpoSet<T, E> {
         for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
             let scratch = self.batch_scratch.block(e);
             for k in 0..n {
-                row.v[k] = scratch.value(k).to_accum();
+                row.v[k] = scratch.value(k).to_f64();
             }
         }
         &self.batch_rows[..rs.len()]
@@ -426,11 +398,7 @@ mod tests {
     /// the single-position body: one engine `eval_batch(Kernel::Vgh)`
     /// over the whole block, then each position's pull-back through the
     /// per-orbital accessors.
-    fn batched_engine_reference<T, E>(spo: &SpoSet<T, E>, rs: &[[f64; 3]]) -> Vec<SpoVgl>
-    where
-        T: Real<Accum = f64>,
-        E: SpoEngine<T, Out = WalkerSoA<T>>,
-    {
+    fn batched_engine_reference<T: Real>(spo: &SpoSet<T>, rs: &[[f64; 3]]) -> Vec<SpoVgl> {
         let n = spo.n_orbitals();
         let us: Vec<[T; 3]> = rs.iter().map(|&r| spo.frac_pos(r)).collect();
         let mut out = BatchOut::from_blocks(Vec::new());
@@ -443,12 +411,12 @@ mod tests {
                 let s = out.block(e);
                 let mut row = SpoVgl::zeros(n);
                 for k in 0..n {
-                    row.v[k] = s.value(k).to_accum();
-                    let gu = s.gradient(k).map(|x| x.to_accum());
+                    row.v[k] = s.value(k).to_f64();
+                    let gu = s.gradient(k).map(|x| x.to_f64());
                     row.gx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
                     row.gy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
                     row.gz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
-                    let h = s.hessian(k).map(|x| x.to_accum());
+                    let h = s.hessian(k).map(|x| x.to_f64());
                     row.lap[k] = m[0][0] * h[0]
                         + m[1][1] * h[3]
                         + m[2][2] * h[5]
@@ -462,11 +430,7 @@ mod tests {
     /// `evaluate_vgl_one` per position and `evaluate_vgl_batch` against
     /// [`batched_engine_reference`], bit for bit, for blocks of 0, 1, 7
     /// and 128 random positions.
-    fn check_vgl_paths<T, E>(mut spo: SpoSet<T, E>, seed: u64)
-    where
-        T: Real<Accum = f64>,
-        E: SpoEngine<T, Out = WalkerSoA<T>>,
-    {
+    fn check_vgl_paths<T: Real>(mut spo: SpoSet<T>, seed: u64) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let n = spo.n_orbitals();
@@ -494,17 +458,13 @@ mod tests {
     }
 
     /// Both VGH paths against the batched engine call they replaced, on
-    /// f32 and f64 tables, monolithic and blocked (multi-block at 32
-    /// orbitals), in a hexagonal cell (the `M[0][1]` term is live) and a
-    /// triclinic one (every metric term is live).
+    /// f32 and f64 tables, in a hexagonal cell (the `M[0][1]` term is
+    /// live) and a triclinic one (every metric term is live).
     #[test]
     fn vgl_paths_bitmatch_the_batched_engine_reference() {
-        fn run<T: Real<Accum = f64>>(lat: Lattice, seed: u64) {
+        fn run<T: Real>(lat: Lattice, seed: u64) {
             let g = Grid1::periodic(0.0, 1.0, 10);
             let coefs = crate::synthetic::synthetic_orbitals::<T>(g, g, g, 32, 3, seed);
-            let blocked = SpoSet::new_blocked(coefs.clone(), lat, 1);
-            assert!(blocked.engine().n_blocks() > 1);
-            check_vgl_paths(blocked, seed);
             check_vgl_paths(SpoSet::new(coefs, lat), seed);
         }
         let triclinic = Lattice::from_rows([[3.0, 0.2, 0.4], [-1.1, 2.7, 0.3], [0.5, -0.6, 5.0]]);
@@ -528,44 +488,6 @@ mod tests {
         assert_eq!(spo.evaluate_vgl_batch(&big[..2]).len(), 2);
         // Empty sweep is a no-op.
         assert!(spo.evaluate_vgl_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn blocked_spo_set_matches_monolithic_bit_for_bit() {
-        let lat = Lattice::hexagonal(2.5, 6.0);
-        let mut mono = build(lat, 16, 5);
-        // Rebuild the same coefficients for the blocked path.
-        let coefs = {
-            let spo = build(lat, 16, 5);
-            spo.engine().coefs().clone()
-        };
-        // Budget of 1 byte floors to one cache-line quantum (8 f64
-        // splines) per block: a 5-orbital table still decomposes (B=1
-        // here); use a wider table for a real multi-block split.
-        let mut blocked = SpoSet::new_blocked(coefs, lat, 1);
-        let rs: Vec<[f64; 3]> = [[0.11, 0.42, 0.83], [0.57, 0.24, 0.39]]
-            .iter()
-            .map(|u| lat.to_cart(*u))
-            .collect();
-        for &r in &rs {
-            let a = mono.evaluate_vgl_one(r).clone();
-            let b = blocked.evaluate_vgl_one(r).clone();
-            for k in 0..5 {
-                assert_eq!(a.v[k], b.v[k], "k={k}");
-                assert_eq!(a.gx[k], b.gx[k]);
-                assert_eq!(a.lap[k], b.lap[k]);
-            }
-        }
-        // Batched sweep parity through the blocked engine.
-        let am = mono.evaluate_vgl_batch(&rs).to_vec();
-        let ab = blocked.evaluate_vgl_batch(&rs).to_vec();
-        for (e, (x, y)) in am.iter().zip(&ab).enumerate() {
-            for k in 0..5 {
-                assert_eq!(x.v[k], y.v[k], "e={e} k={k}");
-                assert_eq!(x.lap[k], y.lap[k]);
-            }
-        }
-        assert!(blocked.engine().n_blocks() >= 1);
     }
 
     #[test]

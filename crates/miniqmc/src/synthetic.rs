@@ -11,6 +11,9 @@
 //! * [`random_coefficients`] — coefficient tables filled with random
 //!   numbers, exactly like miniQMC's benchmark table (paper Fig. 3 L9).
 //!   Kernel cost depends only on grid size and N, not values.
+//! * [`plane_wave_shell`] — a closed shell of real plane waves, whose
+//!   Slater determinant has a closed-form local kinetic energy. Used for
+//!   checks against analytic values (spline error order, zero variance).
 //! * [`CoralSystem`] — the graphite supercell + electron counts + grid of
 //!   the CORAL benchmark family (`4×4×1` → 64 C, 256 electrons, 128
 //!   orbitals per spin, grid 48×48×60).
@@ -105,6 +108,67 @@ pub fn synthetic_orbitals<T: Real>(
         coefs.set_orbital(orb, &sp);
     }
     coefs
+}
+
+/// The real plane waves of the closed shells `|n|² ≤ shell`, fitted
+/// on a periodic `grid³` fractional grid: each orbital is
+/// `cos(G·r − φ)` with `G = 2π A⁻¹ n` for an integer vector `n` — the
+/// constant (`n = 0`), then for one `n` of each `±n` pair its cosine
+/// (`φ = 0`) and sine (`φ = π/2`), shell by shell. Returns the table and
+/// each orbital's Cartesian `(G, φ)`.
+///
+/// In [`Lattice::cubic`] the shells of `|n|²` are the closed shells of
+/// `|G|` (1, 7, 19, 27 orbitals for `shell` = 0, 1, 2, 3), and every
+/// orbital is an eigenfunction of `−½∇²` with eigenvalue `½|G|²`. So a
+/// determinant of them, with no Jastrow, has the local kinetic energy
+/// `½ Σ|G|²` at every configuration: a zero-variance wavefunction.
+pub fn plane_wave_shell<T: Real>(
+    lattice: Lattice,
+    shell: usize,
+    grid: usize,
+) -> (MultiCoefs<T>, Vec<([f64; 3], f64)>) {
+    let tau = 2.0 * std::f64::consts::PI;
+    let reach = (shell as f64).sqrt() as i32;
+    let mut ns: Vec<[i32; 3]> = Vec::new();
+    for a in -reach..=reach {
+        for b in -reach..=reach {
+            for c in -reach..=reach {
+                let n = [a, b, c];
+                let n2 = (a * a + b * b + c * c) as usize;
+                // One of each ±n pair: its first non-zero component > 0.
+                if n2 <= shell && n.iter().find(|&&x| x != 0).is_none_or(|&x| x > 0) {
+                    ns.push(n);
+                }
+            }
+        }
+    }
+    ns.sort_by_key(|n| (n[0] * n[0] + n[1] * n[1] + n[2] * n[2], *n));
+
+    let inv = lattice.jacobian();
+    let mut waves = Vec::new();
+    for n in &ns {
+        let g = inv.map(|row| tau * (0..3).map(|b| row[b] * n[b] as f64).sum::<f64>());
+        waves.push((*n, g, 0.0));
+        if *n != [0, 0, 0] {
+            waves.push((*n, g, std::f64::consts::FRAC_PI_2));
+        }
+    }
+
+    let g1 = Grid1::periodic(0.0, 1.0, grid);
+    let mut coefs = MultiCoefs::<T>::new(g1, g1, g1, waves.len());
+    let mut data = vec![0.0f64; grid * grid * grid];
+    for (orb, &(n, _, phi)) in waves.iter().enumerate() {
+        for (idx, d) in data.iter_mut().enumerate() {
+            let u = [idx / (grid * grid), idx / grid % grid, idx % grid];
+            let nu: f64 = (0..3).map(|b| n[b] as f64 * u[b] as f64).sum();
+            *d = (tau * nu / grid as f64 - phi).cos();
+        }
+        coefs.set_orbital(orb, &Spline3::<T>::interpolate(g1, g1, g1, &data));
+    }
+    (
+        coefs,
+        waves.into_iter().map(|(_, g, phi)| (g, phi)).collect(),
+    )
 }
 
 /// Random coefficient table on a `nx×ny×nz` fractional grid — the
@@ -229,6 +293,28 @@ mod tests {
         let line = coefs.line(4, 4, 4);
         assert_ne!(line[1], line[2]);
         assert_ne!(line[2], line[3]);
+    }
+
+    #[test]
+    fn plane_wave_shells_are_closed() {
+        let lat = Lattice::cubic(2.0);
+        for (shell, count) in [(0, 1), (1, 7), (2, 19), (3, 27)] {
+            let (coefs, waves) = plane_wave_shell::<f64>(lat, shell, 4);
+            assert_eq!(
+                (coefs.n_splines(), waves.len()),
+                (count, count),
+                "shell {shell}"
+            );
+        }
+        // Shell 1 in a cube of side 2: |G| = π for the six non-constant
+        // orbitals, cos then sin of each.
+        let (_, waves) = plane_wave_shell::<f64>(lat, 1, 4);
+        assert_eq!(waves[0], ([0.0; 3], 0.0));
+        for (g, phi) in &waves[1..] {
+            let g2: f64 = g.iter().map(|x| x * x).sum();
+            assert!((g2 - std::f64::consts::PI.powi(2)).abs() < 1e-12);
+            assert!(*phi == 0.0 || *phi == std::f64::consts::FRAC_PI_2);
+        }
     }
 
     #[test]

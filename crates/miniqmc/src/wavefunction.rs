@@ -20,10 +20,10 @@ use einspline::Real;
 /// `T` is the orbital storage/kernel precision only. Every
 /// wavefunction-level quantity — determinant builds and ratios
 /// (`phi_new`), `log ΨT`, drift gradients, kinetic Laplacians
-/// ([`Self::log_derivs`]) — is accumulated in `T::Accum = f64`
-/// regardless of `T`, so a mixed-precision run (f32 tables) changes
-/// memory bandwidth, not observable accuracy beyond the documented
-/// orbital error budget (`bspline::precision`).
+/// ([`Self::log_derivs`]) — is accumulated in `f64` regardless of `T`
+/// (the SPO set widens its outputs), so a mixed-precision run (f32
+/// tables) changes memory bandwidth, not observable accuracy beyond the
+/// documented orbital error budget (`bspline::precision`).
 pub struct TrialWaveFunction<T: Real> {
     spo: SpoSet<T>,
     electrons: ParticleSet,
@@ -37,15 +37,12 @@ pub struct TrialWaveFunction<T: Real> {
     phi_new: Vec<f64>,
     /// Pending move bookkeeping.
     pending: Option<(usize, [f64; 3], f64)>,
-    /// Positions were overwritten since the last
-    /// [`Self::evaluate_log`]: every incremental cache is stale.
-    stale: bool,
     log_psi: f64,
     /// Timers.
     pub timers: Timers,
 }
 
-impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
+impl<T: Real> TrialWaveFunction<T> {
     /// Assemble the wavefunction. `electrons.len()` must be `2 ×
     /// spo.n_orbitals()`.
     pub fn new(
@@ -65,8 +62,9 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         let dist_ee = DistanceTableAA::new(&electrons);
         let dist_ei = DistanceTableAB::new(ions, &electrons);
 
-        // Empty placeholders: `evaluate_log` below builds both spin
-        // determinants, one batched V evaluation and one LU per spin.
+        // Empty placeholders: `evaluate_from_tables` below builds both
+        // spin determinants, one batched V evaluation and one LU per
+        // spin, from the distance tables `new` just built.
         let empty = DiracDeterminant::build(&[], 0);
         let dets = [empty.clone(), empty];
 
@@ -84,11 +82,10 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
             n_per_spin,
             phi_new: vec![0.0; n_per_spin],
             pending: None,
-            stale: false,
             log_psi: 0.0,
             timers: Timers::new(),
         };
-        wf.evaluate_log();
+        wf.evaluate_from_tables();
         wf
     }
 
@@ -110,30 +107,18 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi
     }
 
-    /// Overwrite every electron position (campaign restore / branching
-    /// copy). All incremental caches become stale; callers must run
-    /// [`TrialWaveFunction::evaluate_log`] — which rebuilds distance
-    /// tables, Jastrow sums and determinants from positions alone —
-    /// before the next [`Self::ratio`] or [`Self::log_derivs`], both of
-    /// which panic otherwise (nothing else rebuilds the tables). That
-    /// full rebuild is what makes the wavefunction state a pure function
-    /// of the positions written here (the campaign layer's
+    /// Overwrite every electron position (campaign restore / a walker
+    /// slot's configuration) and rebuild every incremental cache from
+    /// them ([`Self::evaluate_log`]); returns `log |ΨT|`. That full
+    /// rebuild is what makes the wavefunction state a pure function of
+    /// the positions written here (the campaign layer's
     /// resume-equivalence contract).
-    pub fn set_electron_positions(&mut self, pos: &[[f64; 3]]) {
+    pub fn set_electron_positions(&mut self, pos: &[[f64; 3]]) -> f64 {
         assert_eq!(pos.len(), self.electrons.len(), "electron count mismatch");
         for (i, &r) in pos.iter().enumerate() {
             self.electrons.set(i, r);
         }
-        self.stale = true;
-    }
-
-    /// Panics when positions were overwritten without
-    /// [`Self::evaluate_log`]: the caches would silently be read stale.
-    fn assert_current(&self) {
-        assert!(
-            !self.stale,
-            "distance tables are stale: positions changed without evaluate_log"
-        );
+        self.evaluate_log()
     }
 
     fn spin_of(&self, iel: usize) -> (usize, usize) {
@@ -153,23 +138,29 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
 
     /// Full recompute of `log |ΨT|` (and internal state).
     pub fn evaluate_log(&mut self) -> f64 {
+        let (electrons, dist_ee, dist_ei) = (&self.electrons, &mut self.dist_ee, &mut self.dist_ei);
+        self.timers.time(Category::Distance, || {
+            dist_ee.rebuild(electrons);
+            dist_ei.rebuild(electrons);
+        });
+        self.evaluate_from_tables()
+    }
+
+    /// The determinants and Jastrow sums of [`Self::evaluate_log`],
+    /// from distance tables already built from the current positions.
+    fn evaluate_from_tables(&mut self) -> f64 {
         let n_per_spin = self.n_per_spin;
 
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers) = (
             &self.electrons,
-            &mut self.dist_ee,
-            &mut self.dist_ei,
+            &self.dist_ee,
+            &self.dist_ei,
             &mut self.spo,
             &mut self.dets,
             &mut self.j1,
             &mut self.j2,
             &mut self.timers,
         );
-
-        timers.time(Category::Distance, || {
-            dist_ee.rebuild(electrons);
-            dist_ei.rebuild(electrons);
-        });
 
         for spin in 0..2 {
             let rs = Self::spin_positions(electrons, spin, n_per_spin);
@@ -195,7 +186,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
         self.log_psi =
             log_j1 + log_j2 + self.dets[0].log_det() + self.dets[1].log_det();
         self.pending = None;
-        self.stale = false;
         self.log_psi
     }
 
@@ -216,12 +206,11 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// would give. First the e–e table recomputes the rows that moves
     /// out of index order left stale
     /// (`DistanceTableAA::refresh_stale_rows`, charged to distance):
-    /// none after a forward sweep. Only [`Self::evaluate_log`]
-    /// re-anchors the tables; after [`Self::set_electron_positions`]
-    /// without it this panics.
+    /// none after a forward sweep. Only [`Self::evaluate_log`] (and
+    /// [`Self::set_electron_positions`], which runs it) re-anchors the
+    /// tables.
     pub fn log_derivs(&mut self) -> JastrowDerivs {
         assert!(self.pending.is_none(), "log_derivs with a move pending");
-        self.assert_current();
         let n_per_spin = self.n_per_spin;
         let n_el = self.electrons.len();
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers) = (
@@ -277,7 +266,6 @@ impl<T: Real<Accum = f64>> TrialWaveFunction<T> {
     /// orbital values, because the driver's proposals are symmetric and
     /// carry no drift term.
     pub fn ratio(&mut self, iel: usize, rnew: [f64; 3]) -> f64 {
-        self.assert_current();
         let (spin, e) = self.spin_of(iel);
 
         let (electrons, dist_ee, dist_ei, spo, dets, j1, j2, timers, phi_new) = (
@@ -568,24 +556,6 @@ mod tests {
         }
     }
 
-    /// Positions overwritten without `evaluate_log` are refused by
-    /// `ratio` and `log_derivs` in every build, release included.
-    #[test]
-    fn stale_positions_are_refused_in_every_build() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut wf = small_system(53);
-        let mut pos = wf.electrons().to_aos();
-        pos[3][0] += 0.5;
-        wf.set_electron_positions(&pos);
-        let ratio = catch_unwind(AssertUnwindSafe(|| wf.ratio(3, [0.5, 0.5, 0.5])));
-        let derivs = catch_unwind(AssertUnwindSafe(|| wf.log_derivs()));
-        assert!(ratio.is_err() && derivs.is_err());
-        wf.evaluate_log();
-        assert!(wf.ratio(3, [0.5, 0.5, 0.5]).is_finite());
-        wf.reject();
-        assert_eq!(wf.log_derivs().lap.len(), 16);
-    }
-
     /// Every gradient component and Laplacian, as bit patterns.
     fn bits(d: &JastrowDerivs) -> Vec<u64> {
         let grad = d.grad.iter().flatten();
@@ -605,16 +575,16 @@ mod tests {
         assert_eq!(run(Backend::Scalar), run(active_backend()));
     }
 
-    /// Positions overwritten without `evaluate_log` leave the tables
-    /// stale; debug builds catch `log_derivs` reading them.
+    /// An electron moved behind the tables' back (no `ratio`/`accept`,
+    /// no `evaluate_log`) leaves them stale; debug builds catch
+    /// `log_derivs` reading them.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "distance tables are stale")]
     fn log_derivs_on_stale_tables_is_caught_in_debug_builds() {
         let mut wf = small_system(31);
-        let mut pos = wf.electrons().to_aos();
-        pos[3][0] += 0.5;
-        wf.set_electron_positions(&pos);
+        let r = wf.electrons().get(3);
+        wf.electrons.set(3, [r[0] + 0.5, r[1], r[2]]);
         wf.log_derivs();
     }
 
