@@ -238,12 +238,6 @@ impl<O> BatchOut<O> {
         &self.blocks[i]
     }
 
-    /// Mutable output block for position `i`.
-    #[inline]
-    pub fn block_mut(&mut self, i: usize) -> &mut O {
-        &mut self.blocks[i]
-    }
-
     /// All blocks.
     #[inline]
     pub fn blocks(&self) -> &[O] {
@@ -445,8 +439,7 @@ mod tests {
 
     #[test]
     fn batch_out_blocks_are_addressable() {
-        let mut out = BatchOut::from_blocks(vec![0usize; 3]);
-        *out.block_mut(1) = 7;
+        let mut out = BatchOut::from_blocks(vec![0usize, 7, 0]);
         assert_eq!(*out.block(1), 7);
         assert_eq!(out.len(), 3);
         out.ensure(5, || 9);

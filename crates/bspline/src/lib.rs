@@ -88,15 +88,12 @@
 //!   bytes are those of the table layout ([`einspline::TableLayout`]):
 //!   `(gx+3)(gy+3)` z-rows of `(gz+3)` lines of `nb · sizeof(T)` bytes,
 //!   each followed by the row pad chosen for that line length, so a
-//!   slab is not linear in `nb`. The budget candidates are the cache
-//!   hierarchy's natural levels ([`tuning::BlockBudgets`]): private L2,
-//!   shared LLC divided by the worker count, and the whole table
-//!   (`B = 1`, the monolithic degenerate case).
-//!   [`tuning::default_block_budget`] is the policy — the whole table
-//!   below the LLC, LLC/workers above it, so that a generation's
-//!   positions re-touch a resident block slab. The super-LLC branch is
-//!   not shown to pay on any recorded host (the last N = 2048 reading
-//!   was 0.58× of monolithic; see its docs).
+//!   slab is not linear in `nb`. [`tuning::default_block_budget`] is
+//!   the budget policy — the whole table below the LLC, LLC/workers
+//!   above it, so that a generation's positions re-touch a resident
+//!   block slab. The super-LLC branch is not shown to pay on any
+//!   recorded host (the last N = 2048 reading was 0.58× of monolithic;
+//!   see its docs).
 //! * **Nested schedule.** [`parallel::run_nested_blocked`] partitions
 //!   the `B` blocks into `nth` contiguous chunks
 //!   ([`parallel::partition_tiles`], non-empty chunks only) and crosses
@@ -341,7 +338,7 @@ pub mod prelude {
     };
     pub use crate::simd::{active_backend, with_backend, Backend as SimdBackend};
     pub use crate::soa::BsplineSoA;
-    pub use crate::tuning::{default_block_budget, BlockBudgets};
+    pub use crate::tuning::default_block_budget;
 }
 
 pub use aos::BsplineAoS;

@@ -129,10 +129,6 @@ use einspline::Real;
 /// cannot be loosened silently.
 pub const F32_REL_ERROR_BUDGET: f64 = 3e-5;
 
-/// Largest grid resolution (intervals per dimension) the budget
-/// derivation covers — the paper's production 48³ grid.
-pub const BUDGET_MAX_GRID: usize = 48;
-
 /// Per-derivative-order normalization magnitudes of one coefficient
 /// table: the "spline scale" the error budget is relative to.
 #[derive(Clone, Copy, Debug)]

@@ -8,7 +8,7 @@ use super::kernels;
 use super::lanes::{ScalarLanes, SimdReal};
 use crate::batch::Located;
 use crate::layout::Kernel;
-use crate::output::SoAStreamsMut;
+use crate::output::{SoAStreamsMut, WalkerAoS};
 use einspline::multi::MultiCoefs;
 use einspline::Real;
 use std::any::TypeId;
@@ -197,8 +197,9 @@ pub fn with_backend<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
 /// the orbital range (whole padded streams for the monolithic engines,
 /// one block's sub-range for [`crate::blocked`]).
 type EvalSoaFn<T> = for<'a> fn(Kernel, &MultiCoefs<T>, &Located<T>, SoAStreamsMut<'a, T>);
-/// Signature of the dispatched AoS V/L point accumulation.
-type VlPointFn<T> = fn(T, T, &[T], &mut [T], &mut [T], usize);
+/// Signature of the dispatched AoS evaluation body: one call covers
+/// every position of an engine call, block `i` written from `locs[i]`.
+type EvalAosFn<T> = fn(Kernel, &MultiCoefs<T>, &[Located<T>], &mut [WalkerAoS<T>]);
 
 /// One monomorphized micro-kernel set: what the dispatch hands back per
 /// (scalar type, backend).
@@ -207,8 +208,7 @@ pub(crate) struct Fns<T: Real> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub backend: Backend,
     pub eval_soa: EvalSoaFn<T>,
-    pub axpy: fn(T, &[T], &mut [T], usize),
-    pub vl_point: VlPointFn<T>,
+    pub eval_aos: EvalAosFn<T>,
 }
 
 macro_rules! scalar_fns {
@@ -216,8 +216,7 @@ macro_rules! scalar_fns {
         Fns {
             backend: Backend::Scalar,
             eval_soa: kernels::eval_soa::<$t, ScalarLanes<$t>>,
-            axpy: kernels::axpy::<$t, ScalarLanes<$t>>,
-            vl_point: kernels::vl_point::<$t, ScalarLanes<$t>>,
+            eval_aos: crate::aos::eval_aos::<$t>,
         }
     };
 }

@@ -429,51 +429,3 @@ pub(crate) fn eval_soa<T: Real, L: SimdReal<T>>(
         }
     }
 }
-
-/// `y[..n] += a · x[..n]` (read-modify-write, one coefficient point of
-/// the AoS baseline's V accumulation).
-#[inline(always)]
-pub(crate) fn axpy<T: Real, L: SimdReal<T>>(a: T, x: &[T], y: &mut [T], n: usize) {
-    let x = &x[..n];
-    let y = &mut y[..n];
-    let av = L::splat(a);
-    let mut i = 0;
-    while i + L::LANES <= n {
-        av.mul_add(L::load(x, i), L::load(y, i)).store(y, i);
-        i += L::LANES;
-    }
-    while i < n {
-        y[i] = a.mul_add(x[i], y[i]);
-        i += 1;
-    }
-}
-
-/// `v[..n] += pv·x[..n]` and `l[..n] += pl·x[..n]` in one pass over `x`
-/// (the unit-stride streams of one AoS VGL coefficient point).
-#[inline(always)]
-pub(crate) fn vl_point<T: Real, L: SimdReal<T>>(
-    pv: T,
-    pl: T,
-    x: &[T],
-    v: &mut [T],
-    l: &mut [T],
-    n: usize,
-) {
-    let x = &x[..n];
-    let v = &mut v[..n];
-    let l = &mut l[..n];
-    let pvv = L::splat(pv);
-    let plv = L::splat(pl);
-    let mut i = 0;
-    while i + L::LANES <= n {
-        let xv = L::load(x, i);
-        pvv.mul_add(xv, L::load(v, i)).store(v, i);
-        plv.mul_add(xv, L::load(l, i)).store(l, i);
-        i += L::LANES;
-    }
-    while i < n {
-        v[i] = pv.mul_add(x[i], v[i]);
-        l[i] = pl.mul_add(x[i], l[i]);
-        i += 1;
-    }
-}

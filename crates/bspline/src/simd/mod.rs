@@ -23,7 +23,11 @@
 //!    orbital chunk, instead of read-modified-written once per plane;
 //!    what depends on the position only (weight products, plane bases)
 //!    is resolved once per evaluation. Ragged `m % LANES` tails run the
-//!    same loop one lane at a time.
+//!    same loop one lane at a time. The AoS baseline's body
+//!    (`aos::eval_aos`) is the other dispatched entry: plain `mul_add`
+//!    loops over `T` with no packs, so its interleaved stores stay the
+//!    layout Opt A removes, but it runs at the backend's instruction
+//!    set like every engine body.
 //! 3. **Runtime dispatch** ([`Backend`], [`active_backend`],
 //!    [`with_backend`]): the backend is detected once
 //!    (`is_x86_feature_detected!`) and cached; every kernel call goes
@@ -80,7 +84,7 @@ pub use lanes::{ScalarLanes, SimdReal};
 
 use crate::batch::Located;
 use crate::layout::Kernel;
-use crate::output::SoAStreamsMut;
+use crate::output::{SoAStreamsMut, WalkerAoS};
 use einspline::multi::MultiCoefs;
 use einspline::Real;
 
@@ -107,11 +111,30 @@ pub(crate) fn eval_soa<T: Real>(
     }
 }
 
-/// Which backends [`eval_soa`] ran under, per coefficient table: the
-/// only way a test can see the backend of a call, since every backend
-/// gives the same bits. Keyed by the table's address, so a test
-/// that clears its own tables' entries first sees only its own calls:
-/// no other live table shares the address.
+/// The one dispatched AoS evaluation entry: the baseline engine's whole
+/// body (`aos::eval_aos`) over every position of one engine call, at
+/// the active backend's instruction set — one table lookup per call.
+#[inline]
+pub(crate) fn eval_aos<T: Real>(
+    kernel: Kernel,
+    coefs: &MultiCoefs<T>,
+    locs: &[Located<T>],
+    out: &mut [WalkerAoS<T>],
+) {
+    let fns = dispatch::fns::<T>();
+    #[cfg(test)]
+    backend_log::record(coefs, fns.map_or(Backend::Scalar, |f| f.backend));
+    match fns {
+        Some(f) => (f.eval_aos)(kernel, coefs, locs, out),
+        None => crate::aos::eval_aos(kernel, coefs, locs, out),
+    }
+}
+
+/// Which backends [`eval_soa`] and [`eval_aos`] ran under, per
+/// coefficient table: the only way a test can see the backend of a
+/// call, since every backend gives the same bits. Keyed by the table's
+/// address, so a test that clears its own tables' entries first sees
+/// only its own calls: no other live table shares the address.
 #[cfg(test)]
 pub(crate) mod backend_log {
     use super::Backend;
@@ -161,28 +184,6 @@ pub(crate) fn prefetch_tile<T: Real>(coefs: &MultiCoefs<T>, loc: &Located<T>) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (coefs, loc);
-    }
-}
-
-/// `y[..n] += a · x[..n]` — the AoS baseline's unit-stride value
-/// accumulation (one call per coefficient point).
-#[inline]
-pub(crate) fn axpy<T: Real>(a: T, x: &[T], y: &mut [T], n: usize) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.axpy)(a, x, y, n),
-        None => kernels::axpy::<T, ScalarLanes<T>>(a, x, y, n),
-    }
-}
-
-/// The unit-stride half of the AoS VGL point accumulation:
-/// `v[..n] += pv·x[..n]`, `l[..n] += pl·x[..n]`. The 3-strided gradient
-/// stores stay scalar in the engine — they are the baseline's layout
-/// deficiency that Opt A removes, not something to hide with shuffles.
-#[inline]
-pub(crate) fn vl_point<T: Real>(pv: T, pl: T, x: &[T], v: &mut [T], l: &mut [T], n: usize) {
-    match dispatch::fns::<T>() {
-        Some(f) => (f.vl_point)(pv, pl, x, v, l, n),
-        None => kernels::vl_point::<T, ScalarLanes<T>>(pv, pl, x, v, l, n),
     }
 }
 
@@ -283,31 +284,5 @@ mod tests {
         }
         // The scan sees the sites at all (x86.rs alone has 20).
         assert!(sites >= 30, "only {sites} unsafe sites found");
-    }
-
-    #[test]
-    fn ragged_tails_axpy_and_vl_point() {
-        let x: Vec<f32> = (0..30).map(|i| (i as f32) * 0.25 - 3.0).collect();
-        for b in Backend::available() {
-            for n in [1usize, 7, 13, 29] {
-                let mut y = vec![1.0f32; 30];
-                let mut v = vec![0.5f32; 30];
-                let mut l = vec![-0.5f32; 30];
-                with_backend(b, || {
-                    axpy(2.0, &x, &mut y, n);
-                    vl_point(3.0, -1.5, &x, &mut v, &mut l, n);
-                });
-                for i in 0..n {
-                    assert_eq!(y[i], 2.0f32.mul_add(x[i], 1.0), "{b} axpy n={n} i={i}");
-                    assert_eq!(v[i], 3.0f32.mul_add(x[i], 0.5), "{b} v n={n} i={i}");
-                    assert_eq!(l[i], (-1.5f32).mul_add(x[i], -0.5), "{b} l n={n} i={i}");
-                }
-                for i in n..30 {
-                    assert_eq!(y[i], 1.0, "{b} axpy untouched n={n} i={i}");
-                    assert_eq!(v[i], 0.5);
-                    assert_eq!(l[i], -0.5);
-                }
-            }
-        }
     }
 }

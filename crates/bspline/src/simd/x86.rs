@@ -189,7 +189,7 @@ macro_rules! backend_fns {
             use super::*;
             use crate::batch::Located;
             use crate::layout::Kernel;
-            use crate::output::SoAStreamsMut;
+            use crate::output::{SoAStreamsMut, WalkerAoS};
             use crate::simd::kernels;
             use einspline::multi::MultiCoefs;
 
@@ -203,12 +203,13 @@ macro_rules! backend_fns {
                 kernels::eval_soa::<$t, $lane>(k, c, l, o)
             }
             #[target_feature(enable = $feat)]
-            fn axpy_tf(a: $t, x: &[$t], y: &mut [$t], n: usize) {
-                kernels::axpy::<$t, $lane>(a, x, y, n)
-            }
-            #[target_feature(enable = $feat)]
-            fn vl_point_tf(pv: $t, pl: $t, x: &[$t], v: &mut [$t], l: &mut [$t], n: usize) {
-                kernels::vl_point::<$t, $lane>(pv, pl, x, v, l, n)
+            fn eval_aos_tf(
+                k: Kernel,
+                c: &MultiCoefs<$t>,
+                l: &[Located<$t>],
+                o: &mut [WalkerAoS<$t>],
+            ) {
+                crate::aos::eval_aos::<$t>(k, c, l, o)
             }
 
             fn eval_soa(k: Kernel, c: &MultiCoefs<$t>, l: &Located<$t>, o: SoAStreamsMut<'_, $t>) {
@@ -216,20 +217,15 @@ macro_rules! backend_fns {
                 // detection of the required CPU features.
                 unsafe { eval_soa_tf(k, c, l, o) }
             }
-            fn axpy(a: $t, x: &[$t], y: &mut [$t], n: usize) {
+            fn eval_aos(k: Kernel, c: &MultiCoefs<$t>, l: &[Located<$t>], o: &mut [WalkerAoS<$t>]) {
                 // SAFETY: as above.
-                unsafe { axpy_tf(a, x, y, n) }
-            }
-            fn vl_point(pv: $t, pl: $t, x: &[$t], v: &mut [$t], l: &mut [$t], n: usize) {
-                // SAFETY: as above.
-                unsafe { vl_point_tf(pv, pl, x, v, l, n) }
+                unsafe { eval_aos_tf(k, c, l, o) }
             }
 
             pub(crate) static FNS: Fns<$t> = Fns {
                 backend: $backend,
                 eval_soa,
-                axpy,
-                vl_point,
+                eval_aos,
             };
         }
     };

@@ -4,7 +4,7 @@
 use crate::basis::{d2_weights, d_weights, weights};
 use crate::grid::{Boundary, Grid1};
 use crate::real::Real;
-use crate::solver1d::{solve_clamped, solve_natural, solve_periodic, COEF_PAD};
+use crate::solver1d::{solve_clamped, solve_natural, solve_periodic};
 
 /// A 1D cubic B-spline over a uniform grid.
 ///
@@ -46,14 +46,6 @@ impl<T: Real> Spline1<T> {
             .into_iter()
             .map(T::from_f64)
             .collect();
-        Self { grid, coefs }
-    }
-
-    /// Build directly from padded control points (`grid.num() + 3`
-    /// entries) — QMCPACK's Jastrow splines treat the control points as
-    /// variational parameters rather than fitting them.
-    pub fn from_coefficients(grid: Grid1, coefs: Vec<T>) -> Self {
-        assert_eq!(coefs.len(), grid.num() + COEF_PAD);
         Self { grid, coefs }
     }
 
@@ -180,18 +172,6 @@ mod tests {
             assert!((v - f(x)).abs() < 1e-9, "x={x}");
             assert!((d - df(x)).abs() < 1e-8, "x={x}");
             assert!((d2 - 6.0 * x).abs() < 1e-7, "x={x}");
-        }
-    }
-
-    #[test]
-    fn from_coefficients_roundtrip() {
-        let grid = Grid1::natural(0.0, 1.0, 4);
-        let coefs = vec![1.0f32; 7];
-        let s = Spline1::from_coefficients(grid, coefs);
-        // All-ones control points give the constant function 1.
-        for k in 0..10 {
-            let x = k as f32 / 10.0;
-            assert!((s.value(x) - 1.0).abs() < 1e-6);
         }
     }
 

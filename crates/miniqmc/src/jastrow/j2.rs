@@ -4,9 +4,8 @@
 //! u(r_ij)` so a single-particle move ratio is O(N) and acceptance is
 //! O(N). The hot loops consume contiguous distance-table rows (the SoA
 //! layout payoff) through the functor's row evaluators
-//! ([`BsplineFunctor`]): electrons are ordered spin-up first, so a row
-//! is two contiguous segments split at `n_up`, each evaluated by the
-//! functor its pairs use.
+//! ([`BsplineFunctor`]): one functor serves every pair, so a row is one
+//! contiguous run.
 //!
 //! The full evaluation visits each pair once: the distance table holds
 //! row `i` over `j < i` only, and each pair's terms go to `i` as row
@@ -19,31 +18,6 @@
 use super::JastrowDerivs;
 use crate::distance::soa::DistanceTableAA;
 use crate::jastrow::BsplineFunctor;
-use std::ops::Range;
-
-/// The radial functions of same-spin and opposite-spin pairs, and the
-/// spin split that selects between them.
-#[derive(Clone, Debug)]
-struct PairFunctors {
-    same: BsplineFunctor,
-    opp: BsplineFunctor,
-    n: usize,
-    n_up: usize,
-}
-
-impl PairFunctors {
-    /// Electron `i`'s row up to column `end`, as its two segments (one
-    /// may be empty), each with the functor of its pairs.
-    fn segments(&self, i: usize, end: usize) -> [(Range<usize>, &BsplineFunctor); 2] {
-        let (up, down) = if i < self.n_up {
-            (&self.same, &self.opp)
-        } else {
-            (&self.opp, &self.same)
-        };
-        let mid = self.n_up.min(end);
-        [(0..mid, up), (mid..end, down)]
-    }
-}
 
 /// Row `i`'s pairs with the electrons `j < i` whose distances `r`,
 /// displacements `r_j − r_i` and `[u, u′, u″]` are given. Returns `i`'s
@@ -82,15 +56,11 @@ fn pair_row(
     (usum, g, lap)
 }
 
-/// Two-body Jastrow term with distinct radial functions for same-spin
-/// and opposite-spin pairs (`u↑↑ = u↓↓`, `u↑↓`), the standard QMCPACK
-/// parameterization (same-spin correlation is weaker because exchange
-/// already keeps like-spin electrons apart).
-///
-/// Electrons `0..n_up` are spin-up, the rest spin-down.
+/// Two-body Jastrow term with one radial function `u` for every pair,
+/// whatever the spins.
 #[derive(Clone, Debug)]
 pub struct TwoBodyJastrow {
-    u: PairFunctors,
+    u: BsplineFunctor,
     /// Per-electron pair sums `Uat[i] = Σ_{j≠i} u(r_ij)`.
     uat: Vec<f64>,
     /// Scratch: `u(r)` of the proposed row.
@@ -109,28 +79,11 @@ pub struct TwoBodyJastrow {
 }
 
 impl TwoBodyJastrow {
-    /// One radial function for every pair: the spin split is then
-    /// immaterial, and a row is one segment.
+    /// Create with the radial function `u` of every pair.
     pub fn new(u: BsplineFunctor, n_electrons: usize) -> Self {
-        Self::with_spin_functors(u.clone(), u, n_electrons, n_electrons)
-    }
-
-    /// Create with the same/opposite-spin functors and the spin split.
-    pub fn with_spin_functors(
-        u_same: BsplineFunctor,
-        u_opp: BsplineFunctor,
-        n_electrons: usize,
-        n_up: usize,
-    ) -> Self {
-        assert!(n_up <= n_electrons, "spin-up count exceeds electrons");
         let row = vec![0.0; n_electrons];
         Self {
-            u: PairFunctors {
-                same: u_same,
-                opp: u_opp,
-                n: n_electrons,
-                n_up,
-            },
+            u,
             uat: row.clone(),
             u_new: row.clone(),
             u_old: row.clone(),
@@ -142,9 +95,9 @@ impl TwoBodyJastrow {
     }
 
     #[inline]
-    /// The same-spin functor (the only one after [`Self::new`]).
+    /// The radial function of every pair.
     pub fn functor(&self) -> &BsplineFunctor {
-        &self.u.same
+        &self.u
     }
 
     /// Full evaluation: returns `log J2` and adds the per-electron
@@ -159,7 +112,7 @@ impl TwoBodyJastrow {
     /// no lower row has touched; the rows above add into it later, and
     /// the columns are applied to `derivs` after the loop.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAA, derivs: &mut JastrowDerivs) -> f64 {
-        let n = self.u.n;
+        let n = self.uat.len();
         assert_eq!(dist.len(), n);
         self.uat.fill(0.0);
         for c in &mut self.col {
@@ -168,10 +121,8 @@ impl TwoBodyJastrow {
         let mut log_sum = 0.0;
         for i in 0..n {
             let row = dist.row(i);
-            for (seg, f) in self.u.segments(i, i) {
-                let out = self.vgl.each_mut().map(|x| &mut x[seg.clone()]);
-                f.vgl_row(&row[seg.clone()], &mut self.idx[seg], out);
-            }
+            let out = self.vgl.each_mut().map(|x| &mut x[..i]);
+            self.u.vgl_row(row, &mut self.idx[..i], out);
             let vgl = self.vgl.each_ref().map(|x| &x[..i]);
             let [cx, cy, cz, cl] = &mut self.col;
             let col = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[..i]);
@@ -199,11 +150,8 @@ impl TwoBodyJastrow {
     /// `DistanceTableAA::propose`).
     pub fn ratio(&mut self, dist: &DistanceTableAA, iel: usize) -> f64 {
         let (temp, old) = (dist.temp_row(), dist.old_row());
-        for (seg, f) in self.u.segments(iel, self.u.n) {
-            let idx = &mut self.idx[seg.clone()];
-            f.values_row(&temp[seg.clone()], idx, &mut self.u_new[seg.clone()]);
-            f.values_row(&old[seg.clone()], idx, &mut self.u_old[seg]);
-        }
+        self.u.values_row(temp, &mut self.idx, &mut self.u_new);
+        self.u.values_row(old, &mut self.idx, &mut self.u_old);
         // The self-pair is no pair.
         (self.u_new[iel], self.u_old[iel]) = (0.0, 0.0);
         let mut du_sum = 0.0;
@@ -274,16 +222,14 @@ mod tests {
         dist: &DistanceTableAA,
         derivs: &mut JastrowDerivs,
     ) -> f64 {
-        let n = j2.u.n;
+        let n = j2.uat.len();
         let mut log_sum = 0.0;
         for i in 0..n {
             let row: Vec<f64> = (0..n).map(|j| dist.distance(i, j)).collect();
             let disp: Vec<[f64; 3]> = (0..n).map(|j| dist.displacement(i, j)).collect();
             let [dx, dy, dz] = [0, 1, 2].map(|d| disp.iter().map(|x| x[d]).collect::<Vec<_>>());
-            for (seg, f) in j2.u.segments(i, n) {
-                let out = j2.vgl.each_mut().map(|x| &mut x[seg.clone()]);
-                f.vgl_row(&row[seg.clone()], &mut j2.idx[seg], out);
-            }
+            let out = j2.vgl.each_mut().map(|x| &mut x[..]);
+            j2.u.vgl_row(&row, &mut j2.idx, out);
             for x in &mut j2.vgl {
                 x[i] = 0.0;
             }
@@ -300,14 +246,12 @@ mod tests {
     }
 
     /// The pair-once evaluation agrees with [`full_rows_reference`] on
-    /// `log J2`, `log_value()`, every gradient and Laplacian, with
-    /// distinct same- and opposite-spin functors and both spins present:
-    /// at several sizes with one coincident pair (`r = 0`), and with
-    /// every pair beyond the cutoff.
+    /// `log J2`, `log_value()`, every gradient and Laplacian: at several
+    /// sizes with one coincident pair (`r = 0`), and with every pair
+    /// beyond the cutoff.
     #[test]
     fn pair_once_matches_the_full_row_reference() {
-        let u_same = BsplineFunctor::rpa_like(0.25, 1.4, 2.5, 32);
-        let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
+        let u = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
         let check = |lat: Lattice, pos: &[[f64; 3]]| -> f64 {
             let n = pos.len();
             let close = |a: f64, b: f64, what: &str| {
@@ -315,9 +259,7 @@ mod tests {
                 assert!((a - b).abs() <= tol, "n={n} {what}: {a} vs {b}");
             };
             let dist = DistanceTableAA::new(&ParticleSet::new("e", lat, pos));
-            let n_up = n.div_ceil(2);
-            let mut once =
-                TwoBodyJastrow::with_spin_functors(u_same.clone(), u_opp.clone(), n, n_up);
+            let mut once = TwoBodyJastrow::new(u.clone(), n);
             let mut full = once.clone();
             // Nonzero starting derivatives: both add into them.
             let mut d_once = JastrowDerivs::zeros(n);
@@ -437,75 +379,6 @@ mod tests {
             "{ratio} vs {}",
             (log_new - log_old).exp()
         );
-    }
-
-    /// With equal functors the spin split is immaterial: one segment
-    /// or two, every bit is the same.
-    #[test]
-    fn spin_j2_with_equal_functors_matches_spinless() {
-        let (_, dist, mut j2) = setup(8, 41);
-        let u = j2.functor().clone();
-        let mut spin = TwoBodyJastrow::with_spin_functors(u.clone(), u, 8, 4);
-        let mut d1 = JastrowDerivs::zeros(8);
-        let mut d2 = JastrowDerivs::zeros(8);
-        let a = j2.evaluate_log(&dist, &mut d1);
-        let b = spin.evaluate_log(&dist, &mut d2);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(d1.grad, d2.grad);
-        assert_eq!(d1.lap, d2.lap);
-    }
-
-    #[test]
-    fn spin_j2_ratio_and_accept_consistent() {
-        let lat = Lattice::cubic(6.0);
-        let mut ps = random_electrons(lat, 8, &mut StdRng::seed_from_u64(43));
-        let mut dist = DistanceTableAA::new(&ps);
-        let u_same = BsplineFunctor::rpa_like(0.25, 1.4, 2.5, 32);
-        let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
-        let mut spin = TwoBodyJastrow::with_spin_functors(u_same, u_opp, 8, 4);
-        let mut derivs = JastrowDerivs::zeros(8);
-        spin.evaluate_log(&dist, &mut derivs);
-        let mut rng = StdRng::seed_from_u64(44);
-        for step in 0..16 {
-            let iel = step % 8;
-            let rnew = [
-                6.0 * rng.random::<f64>(),
-                6.0 * rng.random::<f64>(),
-                6.0 * rng.random::<f64>(),
-            ];
-            dist.propose(&ps, iel, rnew);
-            let r = spin.ratio(&dist, iel);
-            assert!(r.is_finite() && r > 0.0);
-            dist.accept(iel);
-            spin.accept(iel);
-            ps.set(iel, rnew);
-        }
-        // Accumulators consistent with a fresh evaluation.
-        let tracked = spin.log_value();
-        let mut fresh_derivs = JastrowDerivs::zeros(8);
-        let fresh = spin.evaluate_log(&dist, &mut fresh_derivs);
-        assert!((tracked - fresh).abs() < 1e-10, "{tracked} vs {fresh}");
-    }
-
-    #[test]
-    fn opposite_spin_pairs_use_the_opp_functor() {
-        // With u_same = 0, only cross-spin pairs contribute.
-        let lat = Lattice::cubic(6.0);
-        let ps = random_electrons(lat, 4, &mut StdRng::seed_from_u64(45));
-        let dist = DistanceTableAA::new(&ps);
-        let zero = BsplineFunctor::fit(|_| 0.0, 2.5, 8);
-        let u_opp = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
-        let mut spin = TwoBodyJastrow::with_spin_functors(zero, u_opp.clone(), 4, 2);
-        let mut d = JastrowDerivs::zeros(4);
-        let log = spin.evaluate_log(&dist, &mut d);
-        let mut expect = 0.0;
-        for i in 0..2 {
-            for j in 2..4 {
-                let (_, r) = lat.min_image(ps.get(i), ps.get(j));
-                expect -= u_opp.value(r);
-            }
-        }
-        assert!((log - expect).abs() < 1e-10, "{log} vs {expect}");
     }
 
     #[test]

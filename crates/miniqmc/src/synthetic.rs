@@ -222,11 +222,6 @@ impl CoralSystem {
         }
     }
 
-    /// The 4×4×1 CORAL benchmark configuration.
-    pub fn coral_4x4x1() -> Self {
-        Self::new(4, 4, 1, (48, 48, 60))
-    }
-
     /// Total electrons (both spins).
     pub fn n_electrons(&self) -> usize {
         2 * self.n_per_spin
@@ -252,7 +247,7 @@ mod tests {
 
     #[test]
     fn coral_4x4x1_counts_match_paper() {
-        let sys = CoralSystem::coral_4x4x1();
+        let sys = CoralSystem::new(4, 4, 1, (48, 48, 60));
         assert_eq!(sys.ions.len(), 64);
         assert_eq!(sys.n_electrons(), 256);
         assert_eq!(sys.n_per_spin, 128);

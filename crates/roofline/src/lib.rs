@@ -145,11 +145,6 @@ impl Roofline {
         (ai * self.bw_gbs).min(self.peak_gflops)
     }
 
-    /// Attainable GFLOP/s under the scalar roof.
-    pub fn attainable_scalar(&self, ai: f64) -> f64 {
-        (ai * self.bw_gbs).min(self.scalar_gflops)
-    }
-
     /// The ridge point: the intensity where the kernel stops being
     /// memory bound.
     pub fn ridge(&self) -> f64 {
@@ -220,8 +215,8 @@ mod tests {
         // Compute-bound region: flat at peak.
         let high = r.ridge() * 10.0;
         assert_eq!(r.attainable(high), r.peak_gflops);
-        // Scalar roof below vector roof at high AI.
-        assert!(r.attainable_scalar(high) < r.attainable(high));
+        // Scalar roof below vector roof.
+        assert!(r.scalar_gflops < r.peak_gflops);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reproduce the paper's Fig. 2a: the four piecewise-cubic B-spline
 //! basis functions contributing on one grid interval, as CSV.
 //!
-//! Run: `cargo run --release -p qmc-bench --example basis_curves > fig2a.csv`
+//! Run: `cargo run --release --example basis_curves > fig2a.csv`
 
 use einspline::basis::{basis_function, weights};
 

@@ -5,7 +5,7 @@
 //! position block, one pre-allocated output block per position) and
 //! `eval_one` (one single-electron move with a walker-owned context).
 //!
-//! Run: `cargo run --release -p qmc-bench --example quickstart`
+//! Run: `cargo run --release --example quickstart`
 
 use bspline::{BsplineAoS, BsplineAoSoA, BsplineSoA, Kernel, MoveContext, PosBlock, SpoEngine};
 use rand::rngs::StdRng;

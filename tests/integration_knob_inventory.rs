@@ -11,18 +11,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Every env knob the program reads, by the literal that names it.
-const KNOBS: [&str; 13] = [
+const KNOBS: [&str; 8] = [
     // SIMD backend and worker pin (bspline, the rayon stub).
     "QMC_SIMD",
     "QMC_THREADS",
     // qmc-bench's quick mode for the table/figure binaries.
     "QMC_BENCH_QUICK",
-    // examples/blocked_scaling.rs.
-    "QMC_N",
-    "QMC_GRID",
-    "QMC_WALKERS",
-    "QMC_NS",
-    "QMC_REPS",
     // examples/dmc_population.rs (the campaign driver).
     "QMC_DMC_GENERATIONS",
     "QMC_DMC_CHECKPOINT_EVERY",
