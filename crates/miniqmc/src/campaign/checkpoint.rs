@@ -339,10 +339,7 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "qmc-ckpt-test-{tag}-{}",
-            std::process::id()
-        ));
+        let d = std::env::temp_dir().join(format!("qmc-ckpt-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -413,7 +410,12 @@ mod tests {
         let (generation, payload) = store.latest_valid().unwrap().expect("some");
         assert_eq!((generation, payload.as_slice()), (3, &b"gen three"[..]));
         assert_eq!(
-            store.list().unwrap().iter().map(|x| x.0).collect::<Vec<_>>(),
+            store
+                .list()
+                .unwrap()
+                .iter()
+                .map(|x| x.0)
+                .collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
         // Corrupt the newest on disk: the scan falls back to gen 2.

@@ -528,8 +528,7 @@ impl<P: Propagator> Campaign<P> {
             let gs = self.step();
             report.stats.push(gs);
             if let Some(store) = store.as_deref_mut() {
-                if cfg.checkpoint_every > 0
-                    && self.generation.is_multiple_of(cfg.checkpoint_every)
+                if cfg.checkpoint_every > 0 && self.generation.is_multiple_of(cfg.checkpoint_every)
                 {
                     store.write(self.generation, &self.encode(), &cfg.faults)?;
                 }
@@ -679,8 +678,7 @@ mod tests {
             c.step();
         }
         let bytes = c.encode();
-        let mut d =
-            Campaign::decode(SyntheticPropagator::new(24, 0, 0.0), &bytes).expect("decode");
+        let mut d = Campaign::decode(SyntheticPropagator::new(24, 0, 0.0), &bytes).expect("decode");
         assert_bit_identical(&c, &d);
         for _ in 0..7 {
             let gc = c.step();
@@ -710,10 +708,9 @@ mod tests {
         assert_eq!(report.outcome, RunOutcome::Killed { generation: 8 });
         drop(victim); // the "process" died; only the store survives
 
-        let mut resumed =
-            Campaign::resume_latest(&store, SyntheticPropagator::new(16, 0, 0.0))
-                .expect("scan")
-                .expect("a checkpoint exists");
+        let mut resumed = Campaign::resume_latest(&store, SyntheticPropagator::new(16, 0, 0.0))
+            .expect("scan")
+            .expect("a checkpoint exists");
         // Kill at 8 with interval 3 → last checkpoint at generation 6.
         assert_eq!(resumed.generation(), 6);
         let resumed_report = resumed

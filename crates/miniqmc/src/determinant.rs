@@ -275,9 +275,15 @@ impl DiracDeterminant {
     /// Commit the pending move: Sherman–Morrison rank-1 update of the
     /// inverse in O(N²).
     pub fn accept(&mut self, e: usize, phi_new: &[f64]) {
-        assert_eq!(e, self.pending_e, "accept must follow ratio for the same electron");
+        assert_eq!(
+            e, self.pending_e,
+            "accept must follow ratio for the same electron"
+        );
         let r = self.pending_ratio;
-        assert!(r != 0.0 && r.is_finite(), "degenerate determinant ratio {r}");
+        assert!(
+            r != 0.0 && r.is_finite(),
+            "degenerate determinant ratio {r}"
+        );
         let n = self.n;
         sherman_morrison(&mut self.inv_t, e, &phi_new[..n], r, &mut self.c);
 
@@ -508,8 +514,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for step in 0..200 {
             let e = step % n;
-            let phi: Vec<f64> =
-                (0..n).map(|_| rng.random::<f64>() - 0.5 + 0.3).collect();
+            let phi: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5 + 0.3).collect();
             let r = det.ratio(e, &phi);
             if r.abs() > 1e-3 {
                 det.accept(e, &phi);

@@ -94,7 +94,10 @@ impl OneBodyJastrow {
 
     /// Commit the move.
     pub fn accept(&mut self, iel: usize) {
-        assert_eq!(iel, self.iel, "accept must follow ratio for the same electron");
+        assert_eq!(
+            iel, self.iel,
+            "accept must follow ratio for the same electron"
+        );
         self.uat[iel] = self.u_new;
         self.iel = usize::MAX;
     }
@@ -126,11 +129,7 @@ mod tests {
         (ions, els, dist, j1)
     }
 
-    fn brute_force_log(
-        ions: &ParticleSet,
-        els: &ParticleSet,
-        u: &BsplineFunctor,
-    ) -> f64 {
+    fn brute_force_log(ions: &ParticleSet, els: &ParticleSet, u: &BsplineFunctor) -> f64 {
         let lat = els.lattice();
         let mut s = 0.0;
         for e in 0..els.len() {

@@ -165,7 +165,10 @@ impl TwoBodyJastrow {
     /// Commit the proposed move (call after the distance table accepted
     /// it): repair the `Uat` accumulators in O(N).
     pub fn accept(&mut self, iel: usize) {
-        assert_eq!(iel, self.iel, "accept must follow ratio for the same electron");
+        assert_eq!(
+            iel, self.iel,
+            "accept must follow ratio for the same electron"
+        );
         let mut unew_sum = 0.0;
         for ((uat, un), uo) in self.uat.iter_mut().zip(&self.u_new).zip(&self.u_old) {
             *uat += un - uo;

@@ -124,11 +124,7 @@ impl Lattice {
         for di in -1..=1 {
             for dj in -1..=1 {
                 for dk in -1..=1 {
-                    let cand = self.to_cart([
-                        u[0] + di as f64,
-                        u[1] + dj as f64,
-                        u[2] + dk as f64,
-                    ]);
+                    let cand = self.to_cart([u[0] + di as f64, u[1] + dj as f64, u[2] + dk as f64]);
                     let r2 = cand[0] * cand[0] + cand[1] * cand[1] + cand[2] * cand[2];
                     if r2 < best_r2 {
                         best_r2 = r2;
@@ -300,10 +296,8 @@ mod tests {
                     assert!((dab[d] + dba[d]).abs() < 1e-10);
                 }
                 // Never longer than the direct displacement.
-                let direct = ((a[0] - b[0]).powi(2)
-                    + (a[1] - b[1]).powi(2)
-                    + (a[2] - b[2]).powi(2))
-                .sqrt();
+                let direct =
+                    ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
                 assert!(rab <= direct + 1e-12);
                 let _ = rc;
             }

@@ -210,7 +210,8 @@ impl<T: Real> SpoSet<T> {
         let n = self.n_orbitals();
         self.batch_scratch.ensure(rs.len(), || WalkerSoA::new(n));
         self.grow_rows(rs.len());
-        self.engine.eval_batch(Kernel::V, &self.batch_pos, &mut self.batch_scratch);
+        self.engine
+            .eval_batch(Kernel::V, &self.batch_pos, &mut self.batch_scratch);
         for (e, row) in self.batch_rows.iter_mut().take(rs.len()).enumerate() {
             let scratch = self.batch_scratch.block(e);
             for k in 0..n {
@@ -372,8 +373,10 @@ mod tests {
         .map(|u| lat.to_cart(*u))
         .collect();
 
-        let scalar: Vec<SpoVgl> =
-            rs.iter().map(|&r| spo.evaluate_vgl_one(r).clone()).collect();
+        let scalar: Vec<SpoVgl> = rs
+            .iter()
+            .map(|&r| spo.evaluate_vgl_one(r).clone())
+            .collect();
         let batch = spo.evaluate_vgl_batch(&rs).to_vec();
         assert_eq!(batch.len(), rs.len());
         for (e, (s, b)) in scalar.iter().zip(&batch).enumerate() {
@@ -386,8 +389,7 @@ mod tests {
             }
         }
 
-        let v_scalar: Vec<Vec<f64>> =
-            rs.iter().map(|&r| spo.evaluate_v_one(r).to_vec()).collect();
+        let v_scalar: Vec<Vec<f64>> = rs.iter().map(|&r| spo.evaluate_v_one(r).to_vec()).collect();
         let v_batch = spo.evaluate_v_batch(&rs).to_vec();
         for (e, (s, b)) in v_scalar.iter().zip(&v_batch).enumerate() {
             assert_eq!(s.as_slice(), &b.v[..3], "e={e}");

@@ -74,8 +74,7 @@ pub fn synthetic_orbitals<T: Real>(
             let phase = |n: usize, kk: i32| -> Vec<(f64, f64)> {
                 (0..n)
                     .map(|i| {
-                        let t = 2.0 * std::f64::consts::PI * kk as f64 * i as f64
-                            / n as f64;
+                        let t = 2.0 * std::f64::consts::PI * kk as f64 * i as f64 / n as f64;
                         (t.cos(), t.sin())
                     })
                     .collect()

@@ -126,11 +126,7 @@ impl<T: Real> TrialWaveFunction<T> {
     }
 
     /// Positions of one spin's electrons, in determinant row order.
-    fn spin_positions(
-        electrons: &ParticleSet,
-        spin: usize,
-        n_per_spin: usize,
-    ) -> Vec<[f64; 3]> {
+    fn spin_positions(electrons: &ParticleSet, spin: usize, n_per_spin: usize) -> Vec<[f64; 3]> {
         (0..n_per_spin)
             .map(|e| electrons.get(spin * n_per_spin + e))
             .collect()
@@ -167,8 +163,7 @@ impl<T: Real> TrialWaveFunction<T> {
             let rows = timers.time(Category::Bspline, || spo.evaluate_v_batch(&rs));
             let mut a = vec![0.0; n_per_spin * n_per_spin];
             for (e, row) in rows.iter().enumerate() {
-                a[e * n_per_spin..(e + 1) * n_per_spin]
-                    .copy_from_slice(&row.v[..n_per_spin]);
+                a[e * n_per_spin..(e + 1) * n_per_spin].copy_from_slice(&row.v[..n_per_spin]);
             }
             timers.time(Category::Determinant, || {
                 dets[spin] = DiracDeterminant::build(&a, n_per_spin);
@@ -183,8 +178,7 @@ impl<T: Real> TrialWaveFunction<T> {
             )
         });
 
-        self.log_psi =
-            log_j1 + log_j2 + self.dets[0].log_det() + self.dets[1].log_det();
+        self.log_psi = log_j1 + log_j2 + self.dets[0].log_det() + self.dets[1].log_det();
         self.pending = None;
         self.log_psi
     }
@@ -551,7 +545,10 @@ mod tests {
             let fresh = kept.log_derivs();
             let pairs = got.grad.iter().flatten().zip(fresh.grad.iter().flatten());
             for (a, b) in pairs.chain(got.lap.iter().zip(&fresh.lap)) {
-                assert!((a - b).abs() <= 1e-8 * b.abs().max(1.0), "order {k}: {a} vs {b}");
+                assert!(
+                    (a - b).abs() <= 1e-8 * b.abs().max(1.0),
+                    "order {k}: {a} vs {b}"
+                );
             }
         }
     }
