@@ -51,7 +51,10 @@ pub struct VmcResult {
     /// Mean kinetic energy over the sweeps (from the batched
     /// all-electron VGH measurement after each sweep).
     pub kinetic: f64,
-    /// Per-category profile of the run.
+    /// Per-category profile of the run: an estimate, because the
+    /// wavefunction times one per-move call in
+    /// [`SAMPLE_EVERY`](crate::drivers::profile::SAMPLE_EVERY) and
+    /// weights it (see [`crate::drivers::profile`]).
     pub profile: ProfileReport,
 }
 

@@ -5,7 +5,13 @@
 //! Electrons are ordered spin-up first (`0..N`) then spin-down
 //! (`N..2N`); both determinants share one SPO set (paper: `D↓ = D↑`).
 //! Every method charges its work to the profiling categories so the VMC
-//! driver reproduces the Table II/III accounting.
+//! driver reproduces the Table II–IV accounting. Full rebuilds and the
+//! sweep-wide passes are timed on every call. The per-move calls
+//! (`ratio`, then `accept` or `reject`) and the per-electron VGH and
+//! determinant work of `log_derivs` are timed on one call in
+//! [`SAMPLE_EVERY`](crate::drivers::profile::SAMPLE_EVERY) and charged
+//! that many times over, so the profile is an estimate (see
+//! [`crate::drivers::profile`]).
 
 use crate::determinant::DiracDeterminant;
 use crate::distance::soa::{DistanceTableAA, DistanceTableAB};
@@ -35,8 +41,10 @@ pub struct TrialWaveFunction<T: Real> {
     n_per_spin: usize,
     /// Scratch: proposed orbital values (f64) for the determinant.
     phi_new: Vec<f64>,
-    /// Pending move bookkeeping.
-    pending: Option<(usize, [f64; 3], f64)>,
+    /// Pending move bookkeeping: electron, proposed position, ratio, and
+    /// whether `ratio` sampled the move for the profile (`accept` and
+    /// `reject` follow its decision).
+    pending: Option<(usize, [f64; 3], f64, bool)>,
     log_psi: f64,
     /// Timers.
     pub timers: Timers,
@@ -233,8 +241,9 @@ impl<T: Real> TrialWaveFunction<T> {
         for iel in 0..n_el {
             let (spin, e) = (iel / n_per_spin, iel % n_per_spin);
             let r = electrons.get(iel);
-            let row = timers.time(Category::Bspline, || spo.evaluate_vgl_one(r));
-            let (g, l) = timers.time(Category::Determinant, || {
+            let sampled = timers.sample();
+            let row = timers.time_sampled(sampled, Category::Bspline, || spo.evaluate_vgl_one(r));
+            let (g, l) = timers.time_sampled(sampled, Category::Determinant, || {
                 crate::drivers::observables::det_log_derivs(
                     &dets[spin],
                     e,
@@ -274,21 +283,24 @@ impl<T: Real> TrialWaveFunction<T> {
             &mut self.phi_new,
         );
 
-        timers.time(Category::Distance, || {
+        let sampled = timers.sample();
+        timers.time_sampled(sampled, Category::Distance, || {
             dist_ee.propose(electrons, iel, rnew);
             dist_ei.propose(iel, rnew);
         });
 
-        let v = timers.time(Category::Bspline, || spo.evaluate_v_one(rnew));
+        let v = timers.time_sampled(sampled, Category::Bspline, || spo.evaluate_v_one(rnew));
         phi_new.copy_from_slice(v);
-        let det_ratio = timers.time(Category::Determinant, || dets[spin].ratio(e, phi_new));
+        let det_ratio = timers.time_sampled(sampled, Category::Determinant, || {
+            dets[spin].ratio(e, phi_new)
+        });
 
-        let (r2, r1) = timers.time(Category::Jastrow, || {
+        let (r2, r1) = timers.time_sampled(sampled, Category::Jastrow, || {
             (j2.ratio(dist_ee, iel), j1.ratio(dist_ei, iel))
         });
 
         let ratio = det_ratio * r1 * r2;
-        self.pending = Some((iel, rnew, ratio));
+        self.pending = Some((iel, rnew, ratio, sampled));
         ratio
     }
 
@@ -299,7 +311,7 @@ impl<T: Real> TrialWaveFunction<T> {
     /// derivatives between moves; the sweep's [`Self::log_derivs`]
     /// recomputes every electron's at once.
     pub fn accept(&mut self, iel: usize) {
-        let Some((p_iel, rnew, ratio)) = self.pending.take() else {
+        let Some((p_iel, rnew, ratio, sampled)) = self.pending.take() else {
             panic!("accept without a pending ratio");
         };
         assert_eq!(iel, p_iel, "accept must match the proposed electron");
@@ -315,12 +327,14 @@ impl<T: Real> TrialWaveFunction<T> {
             &self.phi_new,
         );
 
-        timers.time(Category::Distance, || {
+        timers.time_sampled(sampled, Category::Distance, || {
             dist_ee.accept(iel);
             dist_ei.accept(iel);
         });
-        timers.time(Category::Determinant, || dets[spin].accept(e, phi_new));
-        timers.time(Category::Jastrow, || {
+        timers.time_sampled(sampled, Category::Determinant, || {
+            dets[spin].accept(e, phi_new)
+        });
+        timers.time_sampled(sampled, Category::Jastrow, || {
             j2.accept(iel);
             j1.accept(iel);
         });
@@ -333,9 +347,10 @@ impl<T: Real> TrialWaveFunction<T> {
     /// computed, so a row that earlier moves below it left stale is
     /// current again.
     pub fn reject(&mut self) {
-        if let Some((iel, _, _)) = self.pending.take() {
+        if let Some((iel, _, _, sampled)) = self.pending.take() {
             let dist_ee = &mut self.dist_ee;
-            self.timers.time(Category::Distance, || dist_ee.reject(iel));
+            self.timers
+                .time_sampled(sampled, Category::Distance, || dist_ee.reject(iel));
         }
     }
 }

@@ -28,7 +28,6 @@ fn main() {
         (Category::Distance, "23 - 39 %"),
         (Category::Jastrow, "13 - 21 %"),
         (Category::Determinant, "(in remainder)"),
-        (Category::Other, "(in remainder)"),
     ];
     for (cat, range) in paper {
         t.row(vec![

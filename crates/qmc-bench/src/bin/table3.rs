@@ -29,7 +29,6 @@ fn main() {
         (Category::Distance, "20.3 / 22.6 %"),
         (Category::Jastrow, "11.2 / 22.1 %"),
         (Category::Determinant, "(not tabulated)"),
-        (Category::Other, "(not tabulated)"),
     ];
     for (cat, range) in paper {
         t.row(vec![

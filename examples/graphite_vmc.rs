@@ -53,6 +53,8 @@ fn main() {
         100.0 * result.acceptance
     );
     println!("final log|Psi_T| = {:.6}", result.log_psi);
-    println!("\nper-kernel profile (cf. paper Tables II/III):");
+    // The per-move work is timed on one call in SAMPLE_EVERY and
+    // weighted, so the times and shares are estimates.
+    println!("\nper-kernel profile (cf. paper Tables II/III; sampled estimate):");
     println!("{}", result.profile);
 }

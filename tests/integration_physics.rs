@@ -16,6 +16,10 @@
 //!    configuration, which checks the SPO pull-back, the determinant's
 //!    gradients, Laplacians and Sherman–Morrison updates, and the
 //!    estimator at once, with no error bar to argue about.
+//! 3. **Two kinetic estimators agree.** For a nodeless `ΨT = e^{J1+J2}`,
+//!    `−¼⟨Σ∇² ln Ψ⟩` and `½⟨Σ|∇ ln Ψ|²⟩` over VMC sweeps are the same
+//!    kinetic energy (integration by parts), which checks the Jastrow
+//!    gradients against the Jastrow Laplacians statistically.
 
 use bspline::blocked::BlockedEngine;
 use bspline::precision::{spline_scale, MixedEngine, MixedOut, WidenOut, F32_REL_ERROR_BUDGET};
@@ -296,4 +300,78 @@ fn plane_wave_determinant_has_zero_kinetic_variance() {
     }
     assert!(accepted > 16.0 * 0.3, "mean acceptance {}", accepted / 16.0);
     assert_exact(kinetic_energy(&wf.log_derivs()), "after the sweeps");
+}
+
+// ---------------------------------------------------------------------------
+// Two kinetic estimators.
+
+/// Side of the cell of the nodeless wavefunction.
+const NODELESS_SIDE: f64 = 2.0;
+/// Sweeps per block, and blocks, of the estimator comparison.
+const SWEEPS_PER_BLOCK: usize = 100;
+const BLOCKS: usize = 200;
+
+/// `ΨT = exp(J1 + J2)`: one electron per spin in the constant orbital
+/// (`plane_wave_shell` with `shell = 0`), one ion, both Jastrows
+/// non-zero. It has no nodes, so both kinetic estimators below have
+/// finite variance.
+fn nodeless_wavefunction(seed: u64) -> TrialWaveFunction<f64> {
+    let lat = Lattice::cubic(NODELESS_SIDE);
+    let (coefs, waves) = plane_wave_shell::<f64>(lat, 0, 8);
+    assert_eq!(waves.len(), 1);
+    let ions = ParticleSet::new("ion", lat, &[[0.0; 3]]);
+    let electrons = random_electrons(lat, 2, &mut StdRng::seed_from_u64(seed));
+    let rc = lat.wigner_seitz_radius() * 0.9;
+    let u = BsplineFunctor::rpa_like(3.0, 0.5, rc, 16);
+    TrialWaveFunction::new(SpoSet::new(coefs, lat), &ions, electrons, u.clone(), u)
+}
+
+/// Mean and standard error of the mean of block averages.
+fn blocked_mean(blocks: &[f64]) -> (f64, f64) {
+    let n = blocks.len() as f64;
+    let mean = blocks.iter().sum::<f64>() / n;
+    let var = blocks.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, (var / n).sqrt())
+}
+
+/// Integrating `Ψ² ∇² ln Ψ` by parts gives `⟨∇² ln Ψ⟩ = −2 ⟨|∇ ln Ψ|²⟩`
+/// under `|Ψ|²` sampling, so `−¼⟨Σ∇² ln Ψ⟩` and `½⟨Σ|∇ ln Ψ|²⟩` estimate
+/// the same kinetic energy. `log_derivs` produces both from separate
+/// terms (the Jastrow gradient and Laplacian sums, rows and columns),
+/// so a wrong sign or a missing term in either shows as a disagreement
+/// beyond the sampling error.
+#[test]
+fn laplacian_and_gradient_kinetic_estimators_agree_without_nodes() {
+    let mut wf = nodeless_wavefunction(21);
+    let mut blocks = [Vec::new(), Vec::new()];
+    for b in 0..=BLOCKS {
+        let mut sums = [0.0; 2];
+        for s in 0..SWEEPS_PER_BLOCK {
+            let cfg = VmcConfig {
+                n_steps: 1,
+                step_size: 0.8,
+                seed: (b * SWEEPS_PER_BLOCK + s) as u64,
+            };
+            run_vmc(&mut wf, &cfg);
+            let d = wf.log_derivs();
+            sums[0] += -0.25 * d.lap.iter().sum::<f64>();
+            sums[1] += 0.5 * d.grad.iter().flatten().map(|g| g * g).sum::<f64>();
+        }
+        // The first block equilibrates from the uniform start.
+        if b > 0 {
+            for (blk, sum) in blocks.iter_mut().zip(sums) {
+                blk.push(sum / SWEEPS_PER_BLOCK as f64);
+            }
+        }
+    }
+    let [(lap, lap_se), (grad, grad_se)] = blocks.map(|b| blocked_mean(&b));
+    let se = lap_se.hypot(grad_se);
+    assert!(
+        grad > 10.0 * se,
+        "kinetic {grad} not resolved by error {se}"
+    );
+    assert!(
+        (lap - grad).abs() <= 4.0 * se,
+        "−¼⟨Σ∇² ln Ψ⟩ = {lap} ± {lap_se} vs ½⟨Σ|∇ ln Ψ|²⟩ = {grad} ± {grad_se}"
+    );
 }
