@@ -8,10 +8,12 @@
 //! Metropolis test needs no drift and no moved electron's gradient is
 //! read between moves.
 //!
-//! After every sweep the driver runs the *batched* all-electron VGH
-//! sweep ([`TrialWaveFunction::log_derivs`]): one VGH `eval_batch` engine
-//! call per spin yields every electron's drift gradient and the kinetic
-//! energy estimator, instead of an engine call per electron.
+//! After every sweep the driver runs the measurement stage
+//! ([`TrialWaveFunction::log_derivs`]): one VGH engine call and its
+//! pull-back per electron, each read by the determinant at once, and
+//! one full evaluation of each Jastrow over the pairs inside its
+//! cutoff yield every electron's drift gradient and the kinetic energy
+//! estimator.
 
 use crate::drivers::observables::kinetic_energy;
 use crate::drivers::profile::ProfileReport;
@@ -48,8 +50,8 @@ pub struct VmcResult {
     pub acceptance: f64,
     /// Final `log |ΨT|`.
     pub log_psi: f64,
-    /// Mean kinetic energy over the sweeps (from the batched
-    /// all-electron VGH measurement after each sweep).
+    /// Mean kinetic energy over the sweeps (from the all-electron
+    /// measurement stage after each sweep).
     pub kinetic: f64,
     /// Per-category profile of the run: an estimate, because the
     /// wavefunction times one per-move call in
@@ -86,7 +88,7 @@ pub fn run_vmc<T: Real>(wf: &mut TrialWaveFunction<T>, cfg: &VmcConfig) -> VmcRe
                 wf.reject();
             }
         }
-        // Measurement stage: one all-electron VGH sweep.
+        // Measurement stage: every electron's gradient and Laplacian.
         kinetic_sum += kinetic_energy(&wf.log_derivs());
     }
 

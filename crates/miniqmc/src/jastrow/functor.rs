@@ -6,14 +6,24 @@
 //!
 //! The Jastrow loops ask for `u` over a whole distance-table row, of
 //! which a minority lies inside the cutoff (about a fifth of the pairs
-//! at `r_cut = 0.9·r_WS` in the CORAL 4×4×1 cell).
-//! `BsplineFunctor::values_row` and `BsplineFunctor::vgl_row` first
-//! compress the in-cutoff indices without a branch (`idx[m] = j; m +=
-//! !(r >= r_cut)`: NaN counts as inside and stays NaN, as in the scalar
-//! calls), zero-fill the outputs, then evaluate only the compressed
-//! entries. Evaluating all entries under a select instead was slower
-//! than the branchy scalar loop these replace (prototype:
-//! `miniqmc.jastrow.ratio_us` 4.26 against 2.72).
+//! at `r_cut = 0.9·r_WS` in the CORAL 4×4×1 cell). Both evaluators
+//! first compress the in-cutoff indices without a branch (`idx[m] = j;
+//! m += !(r >= r_cut)`: NaN counts as inside and stays NaN, as in the
+//! scalar calls), then evaluate only the compressed entries.
+//! `BsplineFunctor::values_row` zero-fills its row and scatters the
+//! values into it, for the move ratio's whole-row sums.
+//! `BsplineFunctor::vgl_packed` writes `(u, u′, u″)` densely, one entry
+//! per in-cutoff index, for the full evaluation's loops, which visit
+//! only those pairs. It works in blocks of 64 entries: a scalar loop
+//! locates each entry and copies its interval's four coefficients into
+//! stack streams, then the weights and sums run over those streams at
+//! the backend's vector width (the loads through each entry's index
+//! kept a single loop scalar). A pair beyond the cutoff adds exact
+//! zeros, so skipping it changes no bit. (Its displacement is finite: the
+//! distance tables turn a non-finite position into NaN distances,
+//! which are evaluated, never into +∞.) Evaluating all entries under
+//! a select instead was slower than the branchy scalar loop these
+//! replace (prototype: `miniqmc.jastrow.ratio_us` 4.26 against 2.72).
 //!
 //! # Accumulation order, and why there is no `mul_add`
 //!
@@ -79,26 +89,31 @@ impl BsplineFunctor {
     /// `u(r)` for `r` not beyond the cutoff.
     #[inline(always)]
     fn value_inside(&self, r: f64) -> f64 {
-        let (i, t) = self.spline.grid().locate(r);
+        let (t, c) = self.window(r);
         let w = weights(t);
-        let c = &self.spline.coefficients()[i..i + 4];
         w[3] * c[3] + (w[2] * c[2] + (w[1] * c[1] + w[0] * c[0]))
     }
 
-    /// `(u, u′, u″)` for `r` not beyond the cutoff.
+    /// The basis offset `t` of `r` and the 4-coefficient window its
+    /// interval reads.
     #[inline(always)]
-    fn vgl_inside(&self, r: f64) -> (f64, f64, f64) {
-        let grid = self.spline.grid();
-        let (i, t) = grid.locate(r);
-        let (w, dw, d2w) = (weights(t), d_weights(t), d2_weights(t));
+    fn window(&self, r: f64) -> (f64, [f64; 4]) {
+        let (i, t) = self.spline.grid().locate(r);
         let c = &self.spline.coefficients()[i..i + 4];
+        (t, [c[0], c[1], c[2], c[3]])
+    }
+
+    /// `(u, u′, u″)` from a [`Self::window`].
+    #[inline(always)]
+    fn vgl_window(&self, t: f64, c: [f64; 4]) -> (f64, f64, f64) {
+        let (w, dw, d2w) = (weights(t), d_weights(t), d2_weights(t));
         let (mut v, mut d, mut d2) = (0.0, 0.0, 0.0);
         for k in 0..4 {
             v += w[k] * c[k];
             d += dw[k] * c[k];
             d2 += d2w[k] * c[k];
         }
-        let di = grid.delta_inv();
+        let di = self.spline.grid().delta_inv();
         (v, d * di, d2 * di * di)
     }
 
@@ -118,7 +133,8 @@ impl BsplineFunctor {
         if r >= self.rcut {
             (0.0, 0.0, 0.0)
         } else {
-            self.vgl_inside(r)
+            let (t, c) = self.window(r);
+            self.vgl_window(t, c)
         }
     }
 
@@ -156,28 +172,58 @@ impl BsplineFunctor {
         values_row_any(self, r, idx, u);
     }
 
-    /// The body of [`Self::vgl_row`].
+    /// The body of [`Self::vgl_packed`].
     #[inline(always)]
-    fn vgl_row_body(&self, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) {
+    fn vgl_packed_body(&self, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) -> usize {
+        const B: usize = 64;
         let m = self.compress(r, idx);
         let [u, du, d2u] = out;
-        u.fill(0.0);
-        du.fill(0.0);
-        d2u.fill(0.0);
-        for &j in &idx[..m] {
-            (u[j], du[j], d2u[j]) = self.vgl_inside(r[j]);
+        let (u, du, d2u) = (
+            u[..m].chunks_mut(B),
+            du[..m].chunks_mut(B),
+            d2u[..m].chunks_mut(B),
+        );
+        for (((js, u), du), d2u) in idx[..m].chunks(B).zip(u).zip(du).zip(d2u) {
+            // The windows as five streams, so that the second loop has
+            // no indirect load and vectorizes.
+            let (mut t, mut c) = ([0.0; B], [[0.0; B]; 4]);
+            for (k, &j) in js.iter().enumerate() {
+                let (tk, ck) = self.window(r[j]);
+                t[k] = tk;
+                for q in 0..4 {
+                    c[q][k] = ck[q];
+                }
+            }
+            for k in 0..js.len() {
+                let ck = [c[0][k], c[1][k], c[2][k], c[3][k]];
+                (u[k], du[k], d2u[k]) = self.vgl_window(t[k], ck);
+            }
         }
+        m
     }
 
-    /// `(u[j], u′[j], u″[j]) = vgl(r[j])` for a whole row into `out =
-    /// [u, u′, u″]`, bit for bit. `idx` is scratch; all slices have one
-    /// length.
-    pub(crate) fn vgl_row(&self, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) {
+    /// The entries of `r` not beyond the cutoff, packed: their indices
+    /// in order into `idx[..m]`, and `(u, u′, u″) = vgl(r[idx[k]])` into
+    /// entry `k` of `out = [u, u′, u″]`, bit for bit. Returns `m`;
+    /// entries past it are scratch. All slices have one length.
+    pub(crate) fn vgl_packed(&self, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) -> usize {
         assert!(
             idx.len() == r.len() && out.iter().all(|o| o.len() == r.len()),
             "row lengths differ"
         );
-        vgl_row_any(self, r, idx, out);
+        vgl_packed_any(self, r, idx, out)
+    }
+
+    /// `(u[j], u′[j], u″[j]) = vgl(r[j])` for a whole row into `out =
+    /// [u, u′, u″]`: the zero-filled rows the full evaluation read
+    /// before it visited in-cutoff pairs only, kept as the tests'
+    /// reference.
+    #[cfg(test)]
+    pub(crate) fn vgl_row(&self, r: &[f64], out: [&mut [f64]; 3]) {
+        let [u, du, d2u] = out;
+        for (j, &rj) in r.iter().enumerate() {
+            (u[j], du[j], d2u[j]) = self.vgl(rj);
+        }
     }
 }
 
@@ -189,10 +235,10 @@ multiversion! {
 }
 
 multiversion! {
-    /// [`BsplineFunctor::vgl_row_body`] in the active backend's
+    /// [`BsplineFunctor::vgl_packed_body`] in the active backend's
     /// instantiation.
-    fn vgl_row_any(f: &BsplineFunctor, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) =
-        BsplineFunctor::vgl_row_body;
+    fn vgl_packed_any(f: &BsplineFunctor, r: &[f64], idx: &mut [usize], out: [&mut [f64]; 3]) -> usize =
+        BsplineFunctor::vgl_packed_body;
 }
 
 #[cfg(test)]
@@ -205,29 +251,44 @@ mod tests {
     }
 
     /// Both row evaluators over `r`, as bit patterns `[u, u′, u″]` per
-    /// entry, after checking that `values_row` gives the same `u`.
+    /// entry (`vgl_packed`'s entries scattered back to their indices,
+    /// zeros elsewhere), after checking that `vgl_packed` kept exactly
+    /// the entries not beyond the cutoff and that `values_row` gives
+    /// the same `u`.
     fn rows(f: &BsplineFunctor, r: &[f64]) -> Vec<[u64; 3]> {
         let n = r.len();
         let mut idx = vec![usize::MAX; n];
-        // Stale scratch: the evaluators must overwrite every entry.
+        // Stale scratch: the evaluators must overwrite what they report.
         let stale = vec![7.0; n];
         let (mut v, mut u, mut du, mut d2u) = (stale.clone(), stale.clone(), stale.clone(), stale);
         f.values_row(r, &mut idx, &mut v);
-        f.vgl_row(r, &mut idx, [&mut u, &mut du, &mut d2u]);
-        let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&v), bits(&u), "values_row against vgl_row");
-        (0..n)
-            .map(|j| [u[j], du[j], d2u[j]].map(f64::to_bits))
-            .collect()
+        let m = f.vgl_packed(r, &mut idx, [&mut u, &mut du, &mut d2u]);
+        let inside: Vec<usize> = (0..n)
+            .filter(|&j| r[j] < f.cutoff() || r[j].is_nan())
+            .collect();
+        assert_eq!(idx[..m], inside[..], "packed indices");
+        let mut full = vec![[0u64; 3]; n];
+        for (k, &j) in idx[..m].iter().enumerate() {
+            full[j] = [u[k], du[k], d2u[k]].map(f64::to_bits);
+        }
+        let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            bits,
+            full.iter().map(|e| e[0]).collect::<Vec<_>>(),
+            "values_row against vgl_packed"
+        );
+        full
     }
 
     /// A row with every kind of entry: zero, interior, the last value
-    /// below the cutoff, the cutoff itself, beyond, +∞ and NaN.
+    /// below the cutoff, the cutoff itself, beyond, +∞ and NaN; about
+    /// 150 entries inside the cutoff, so `vgl_packed` runs two whole
+    /// blocks and a ragged one.
     fn hostile_row() -> Vec<f64> {
         let rcut = functor().cutoff();
         let (below, above) = (rcut.next_down(), rcut.next_up());
         let mut r = vec![0.0, below, rcut, above, 5.0, f64::INFINITY];
-        r.extend((0..40).map(|k| 0.1 * k as f64));
+        r.extend((0..200).map(|k| 0.02 * k as f64));
         r.insert(9, f64::NAN);
         r
     }

@@ -1,9 +1,10 @@
 //! One-body (electron–ion) Jastrow: `log J1 = −Σ_e Σ_I u(r_eI)`.
 //!
 //! The loops consume whole electron–ion rows through the functor's row
-//! evaluators ([`BsplineFunctor`]).
+//! evaluators ([`BsplineFunctor`]). The full evaluation visits only the
+//! ions inside the cutoff: a move ratio sums a zero-filled row.
 
-use super::{sum_row, JastrowDerivs};
+use super::{packed_row_sums, JastrowDerivs};
 use crate::distance::soa::DistanceTableAB;
 use crate::jastrow::BsplineFunctor;
 
@@ -16,8 +17,9 @@ pub struct OneBodyJastrow {
     uat: Vec<f64>,
     u_new: f64,
     iel: usize,
-    /// Scratch: the `u`, `u′`, `u″` rows of one electron, one entry per
-    /// ion (sized on first use: the ion count comes with the table).
+    /// Scratch: the `u`, `u′`, `u″` of one electron's in-cutoff ions,
+    /// packed (sized for every ion on first use: the ion count comes
+    /// with the table).
     vgl: [Vec<f64>; 3],
     /// Scratch of the row evaluators.
     idx: Vec<usize>,
@@ -55,6 +57,10 @@ impl OneBodyJastrow {
     /// Full evaluation: `log J1` plus per-electron derivative
     /// accumulation (added into `derivs`, so call after zeroing or after
     /// J2 to accumulate the total Jastrow derivatives).
+    ///
+    /// Each electron's row runs the functor over its ions inside the
+    /// cutoff only (`BsplineFunctor::vgl_packed`) and sums their terms
+    /// in ion order; an ion beyond the cutoff would add exact zeros.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAB, derivs: &mut JastrowDerivs) -> f64 {
         assert_eq!(dist.n_targets(), self.n_el);
         self.fit_rows(dist.n_sources());
@@ -62,10 +68,11 @@ impl OneBodyJastrow {
         for e in 0..self.n_el {
             let row = dist.row(e);
             let out = self.vgl.each_mut().map(|x| &mut x[..]);
-            self.u.vgl_row(row, &mut self.idx, out);
+            let m = self.u.vgl_packed(row, &mut self.idx, out);
             // displacement = ion − electron; ∂r/∂r_e = −disp/r.
             let vgl = self.vgl.each_ref().map(|x| &x[..]);
-            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(e));
+            let idx = &self.idx[..m];
+            let (usum, g, lap) = packed_row_sums(row, idx, vgl, dist.disp_rows(e), |_, _, _, _| {});
             self.uat[e] = usum;
             for d in 0..3 {
                 derivs.grad[e][d] += g[d];
@@ -111,6 +118,7 @@ impl OneBodyJastrow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jastrow::sum_row;
     use crate::lattice::{graphite_supercell, Lattice};
     use crate::particleset::{random_electrons, ParticleSet};
     use rand::rngs::StdRng;
@@ -139,6 +147,96 @@ mod tests {
             }
         }
         -s
+    }
+
+    /// `evaluate_log` as it was before it skipped the ions beyond the
+    /// cutoff: [`sum_row`] over [`BsplineFunctor::vgl_row`]'s
+    /// zero-filled rows.
+    fn all_ions_reference(
+        j1: &mut OneBodyJastrow,
+        dist: &DistanceTableAB,
+        derivs: &mut JastrowDerivs,
+    ) -> f64 {
+        j1.fit_rows(dist.n_sources());
+        let mut log_sum = 0.0;
+        for e in 0..j1.n_el {
+            let row = dist.row(e);
+            j1.u.vgl_row(row, j1.vgl.each_mut().map(|x| &mut x[..]));
+            let vgl = j1.vgl.each_ref().map(|x| &x[..]);
+            let (usum, g, lap) = sum_row(row, vgl, dist.disp_rows(e));
+            j1.uat[e] = usum;
+            for d in 0..3 {
+                derivs.grad[e][d] += g[d];
+            }
+            derivs.lap[e] += lap;
+            log_sum += usum;
+        }
+        -log_sum
+    }
+
+    /// Bit patterns of `log`, `log_value()` and every gradient and
+    /// Laplacian of `evaluate_log` (if `packed`) or of
+    /// [`all_ions_reference`], added into nonzero starting derivatives.
+    fn log_derivs_bits(ions: &ParticleSet, els: &[[f64; 3]], packed: bool) -> Vec<u64> {
+        let n = els.len();
+        let els = ParticleSet::new("e", *ions.lattice(), els);
+        let dist = DistanceTableAB::new(ions, &els);
+        let mut j1 = OneBodyJastrow::new(BsplineFunctor::rpa_like(0.3, 0.9, 2.2, 40), n);
+        let mut derivs = JastrowDerivs::zeros(n);
+        derivs.lap.fill(0.5);
+        let log = if packed {
+            j1.evaluate_log(&dist, &mut derivs)
+        } else {
+            all_ions_reference(&mut j1, &dist, &mut derivs)
+        };
+        let mut bits = vec![log.to_bits(), j1.log_value().to_bits()];
+        bits.extend(derivs.grad.iter().flatten().map(|x| x.to_bits()));
+        bits.extend(derivs.lap.iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    /// The in-cutoff evaluation equals [`all_ions_reference`] bit for
+    /// bit: at n ∈ {1, 2, 17, 256} electrons with one on an ion (`r =
+    /// 0`), on a lattice with every ion beyond the cutoff, and with one
+    /// electron at a NaN position, whose NaN reaches only its own
+    /// entries.
+    #[test]
+    fn jastrow_j1_packed_log_bitmatches_the_all_ions_reference() {
+        let check = |ions: &ParticleSet, els: &[[f64; 3]]| {
+            let packed = log_derivs_bits(ions, els, true);
+            assert_eq!(packed, log_derivs_bits(ions, els, false), "n={}", els.len());
+            packed
+        };
+        let (lat, ion_pos) = graphite_supercell(2, 2, 1);
+        let ions = ParticleSet::new("ion", lat, &ion_pos);
+        for n in [1, 2, 17, 256] {
+            let mut els = random_electrons(lat, n, &mut StdRng::seed_from_u64(n as u64)).to_aos();
+            els[n - 1] = ion_pos[0];
+            check(&ions, &els);
+            if n > 2 {
+                els[1] = [f64::NAN; 3];
+                let bits = check(&ions, &els);
+                let nan = |k: usize| f64::from_bits(bits[k]).is_nan();
+                let lap = 2 + 3 * n;
+                // `r > 0` is false for NaN, so the Laplacian's select
+                // drops the NaN terms; `Σ u` and the gradient keep them.
+                assert!(nan(0) && nan(2 + 3) && !nan(lap + 1), "n={n}: electron 1");
+                assert!(!nan(2) && !nan(lap) && !nan(lap + 2), "n={n}: the others");
+            }
+        }
+        // Ions and electrons on interleaved 3×3×2 sites 8 apart in a 24
+        // box: every electron–ion distance is √48 > 2.2.
+        let sites = |o: f64| -> Vec<[f64; 3]> {
+            (0..18)
+                .map(|s| [s % 3, s / 3 % 3, s / 9].map(|k| k as f64 * 8.0 + o))
+                .collect()
+        };
+        let far = ParticleSet::new("ion", Lattice::cubic(24.0), &sites(0.0));
+        let bits = check(&far, &sites(4.0));
+        assert!(
+            bits[..2 + 3 * 18].iter().all(|&b| f64::from_bits(b) == 0.0),
+            "no ion inside"
+        );
     }
 
     #[test]

@@ -7,54 +7,19 @@
 //! ([`BsplineFunctor`]): one functor serves every pair, so a row is one
 //! contiguous run.
 //!
-//! The full evaluation visits each pair once: the distance table holds
-//! row `i` over `j < i` only, and each pair's terms go to `i` as row
+//! The full evaluation visits each pair inside the cutoff once: the
+//! distance table holds row `i` over `j < i` only, the functor packs
+//! the row's in-cutoff pairs, and each pair's terms go to `i` as row
 //! sums and to `j` through O(N) column accumulators. A pair's `u`,
 //! `u′/r` and Laplacian term are the same for both electrons, and its
-//! gradient differs in sign only. A move ratio reads the moving
-//! electron's whole row twice, at the proposed and at the current
-//! position, both of which `DistanceTableAA::propose` computes.
+//! gradient differs in sign only; a pair beyond the cutoff would add
+//! exact zeros to both. A move ratio reads the moving electron's whole
+//! row twice, at the proposed and at the current position, both of
+//! which `DistanceTableAA::propose` computes.
 
-use super::JastrowDerivs;
+use super::{packed_row_sums, JastrowDerivs};
 use crate::distance::soa::DistanceTableAA;
 use crate::jastrow::BsplineFunctor;
-
-/// Row `i`'s pairs with the electrons `j < i` whose distances `r`,
-/// displacements `r_j − r_i` and `[u, u′, u″]` are given. Returns `i`'s
-/// sums as [`super::sum_row`] does, with the same `r = 0` select, and
-/// adds each pair's terms for `j` into the column accumulators
-/// `[Σu, ∇x, ∇y, ∇z, ∇²]` of `log J2`.
-fn pair_row(
-    r: &[f64],
-    [u, du, d2u]: [&[f64]; 3],
-    (dx, dy, dz): (&[f64], &[f64], &[f64]),
-    col: [&mut [f64]; 5],
-) -> (f64, [f64; 3], f64) {
-    let n = r.len();
-    let (u, du, d2u) = (&u[..n], &du[..n], &d2u[..n]);
-    let (dx, dy, dz) = (&dx[..n], &dy[..n], &dz[..n]);
-    let [cu, cx, cy, cz, cl] = col.map(|c| &mut c[..n]);
-    let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
-    for j in 0..n {
-        usum += u[j];
-        cu[j] += u[j];
-        let apart = r[j] > 0.0;
-        let du_r = du[j] / r[j];
-        let du_r = if apart { du_r } else { 0.0 };
-        let (gx, gy, gz) = (du_r * dx[j], du_r * dy[j], du_r * dz[j]);
-        g[0] += gx;
-        g[1] += gy;
-        g[2] += gz;
-        cx[j] -= gx;
-        cy[j] -= gy;
-        cz[j] -= gz;
-        let l = d2u[j] + 2.0 * du_r;
-        let l = if apart { l } else { 0.0 };
-        lap -= l;
-        cl[j] -= l;
-    }
-    (usum, g, lap)
-}
 
 /// Two-body Jastrow term with one radial function `u` for every pair,
 /// whatever the spins.
@@ -67,8 +32,8 @@ pub struct TwoBodyJastrow {
     u_new: Vec<f64>,
     /// Scratch: `u(r)` of the current row of the moving electron.
     u_old: Vec<f64>,
-    /// Scratch of `evaluate_log`: the `u`, `u′`, `u″` rows of one
-    /// electron.
+    /// Scratch of `evaluate_log`: the `u`, `u′`, `u″` of one
+    /// electron's in-cutoff pairs, packed.
     vgl: [Vec<f64>; 3],
     /// Scratch of `evaluate_log`: the column accumulators `∇x, ∇y, ∇z,
     /// ∇²` of `log J2` per electron (`Uat` holds the `Σu` column).
@@ -105,12 +70,13 @@ impl TwoBodyJastrow {
     /// the `Uat` accumulators. `dist` must be current: no stale rows
     /// (`DistanceTableAA::refresh_stale_rows`).
     ///
-    /// Each pair is evaluated once, from the row of its higher index:
-    /// row `i` runs the functor over `j < i`, and `pair_row` hands the
-    /// pair's terms to `i` as row sums and to `j` through the column
-    /// accumulators. Row `i`'s sums go into its own column slot, which
-    /// no lower row has touched; the rows above add into it later, and
-    /// the columns are applied to `derivs` after the loop.
+    /// Each pair inside the cutoff is evaluated once, from the row of
+    /// its higher index: row `i` runs the functor over the `j < i`
+    /// inside the cutoff (`BsplineFunctor::vgl_packed`) and hands each
+    /// pair's terms, in `j` order, to `i` as row sums and to `j` through
+    /// the column accumulators. Row `i`'s sums go into its own column
+    /// slot, which no lower row has touched; the rows above add into it
+    /// later, and the columns are applied to `derivs` after the loop.
     pub fn evaluate_log(&mut self, dist: &DistanceTableAA, derivs: &mut JastrowDerivs) -> f64 {
         let n = self.uat.len();
         assert_eq!(dist.len(), n);
@@ -122,13 +88,21 @@ impl TwoBodyJastrow {
         for i in 0..n {
             let row = dist.row(i);
             let out = self.vgl.each_mut().map(|x| &mut x[..i]);
-            self.u.vgl_row(row, &mut self.idx[..i], out);
-            let vgl = self.vgl.each_ref().map(|x| &x[..i]);
+            let m = self.u.vgl_packed(row, &mut self.idx[..i], out);
+            let vgl = self.vgl.each_ref().map(|x| &x[..]);
             let [cx, cy, cz, cl] = &mut self.col;
-            let col = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[..i]);
+            let [cu, cx, cy, cz, cl] = [&mut self.uat, cx, cy, cz, cl].map(|c| &mut c[..i]);
             // ∇ᵢ log J2 = +Σ u′(r)·(r_j − r_i)/r  (log J2 = −Σu,
             // ∂r/∂rᵢ = −disp/r); ∇ⱼ takes the opposite sign.
-            let (usum, g, lap) = pair_row(row, vgl, dist.disp_rows(i), col);
+            let pair = |j: usize, u: f64, g: [f64; 3], l: f64| {
+                cu[j] += u;
+                cx[j] -= g[0];
+                cy[j] -= g[1];
+                cz[j] -= g[2];
+                cl[j] -= l;
+            };
+            let idx = &self.idx[..m];
+            let (usum, g, lap) = packed_row_sums(row, idx, vgl, dist.disp_rows(i), pair);
             self.uat[i] += usum;
             for d in 0..3 {
                 self.col[d][i] += g[d];
@@ -232,7 +206,7 @@ mod tests {
             let disp: Vec<[f64; 3]> = (0..n).map(|j| dist.displacement(i, j)).collect();
             let [dx, dy, dz] = [0, 1, 2].map(|d| disp.iter().map(|x| x[d]).collect::<Vec<_>>());
             let out = j2.vgl.each_mut().map(|x| &mut x[..]);
-            j2.u.vgl_row(&row, &mut j2.idx, out);
+            j2.u.vgl_row(&row, out);
             for x in &mut j2.vgl {
                 x[i] = 0.0;
             }
@@ -246,6 +220,147 @@ mod tests {
             log_sum += usum;
         }
         -0.5 * log_sum
+    }
+
+    /// Row `i`'s pairs with the electrons `j < i` whose distances `r`,
+    /// displacements `r_j − r_i` and `[u, u′, u″]` are given, zeros of
+    /// the pairs beyond the cutoff included. Returns `i`'s sums as
+    /// [`sum_row`] does, with the same `r = 0` select, and adds each
+    /// pair's terms for `j` into the column accumulators `[Σu, ∇x, ∇y,
+    /// ∇z, ∇²]` of `log J2`.
+    fn pair_row(
+        r: &[f64],
+        [u, du, d2u]: [&[f64]; 3],
+        (dx, dy, dz): (&[f64], &[f64], &[f64]),
+        col: [&mut [f64]; 5],
+    ) -> (f64, [f64; 3], f64) {
+        let n = r.len();
+        let (u, du, d2u) = (&u[..n], &du[..n], &d2u[..n]);
+        let (dx, dy, dz) = (&dx[..n], &dy[..n], &dz[..n]);
+        let [cu, cx, cy, cz, cl] = col.map(|c| &mut c[..n]);
+        let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
+        for j in 0..n {
+            usum += u[j];
+            cu[j] += u[j];
+            let apart = r[j] > 0.0;
+            let du_r = du[j] / r[j];
+            let du_r = if apart { du_r } else { 0.0 };
+            let (gx, gy, gz) = (du_r * dx[j], du_r * dy[j], du_r * dz[j]);
+            g[0] += gx;
+            g[1] += gy;
+            g[2] += gz;
+            cx[j] -= gx;
+            cy[j] -= gy;
+            cz[j] -= gz;
+            let l = d2u[j] + 2.0 * du_r;
+            let l = if apart { l } else { 0.0 };
+            lap -= l;
+            cl[j] -= l;
+        }
+        (usum, g, lap)
+    }
+
+    /// `evaluate_log` as it was before it skipped the pairs beyond the
+    /// cutoff: each pair once, every row over all `j < i` through
+    /// [`BsplineFunctor::vgl_row`]'s zero-filled rows and [`pair_row`].
+    fn all_pairs_reference(
+        j2: &mut TwoBodyJastrow,
+        dist: &DistanceTableAA,
+        derivs: &mut JastrowDerivs,
+    ) -> f64 {
+        let n = j2.uat.len();
+        j2.uat.fill(0.0);
+        for c in &mut j2.col {
+            c.fill(0.0);
+        }
+        let mut log_sum = 0.0;
+        for i in 0..n {
+            let row = dist.row(i);
+            j2.u.vgl_row(row, j2.vgl.each_mut().map(|x| &mut x[..i]));
+            let vgl = j2.vgl.each_ref().map(|x| &x[..i]);
+            let [cx, cy, cz, cl] = &mut j2.col;
+            let col = [&mut j2.uat, cx, cy, cz, cl].map(|c| &mut c[..i]);
+            let (usum, g, lap) = pair_row(row, vgl, dist.disp_rows(i), col);
+            j2.uat[i] += usum;
+            for d in 0..3 {
+                j2.col[d][i] += g[d];
+            }
+            j2.col[3][i] += lap;
+            log_sum += usum;
+        }
+        for i in 0..n {
+            for d in 0..3 {
+                derivs.grad[i][d] += j2.col[d][i];
+            }
+            derivs.lap[i] += j2.col[3][i];
+        }
+        -log_sum
+    }
+
+    /// Bit patterns of `log`, `log_value()` and every gradient and
+    /// Laplacian of `evaluate_log` (if `packed`) or of
+    /// [`all_pairs_reference`], added into nonzero starting derivatives.
+    fn log_derivs_bits(
+        u: &BsplineFunctor,
+        lat: Lattice,
+        pos: &[[f64; 3]],
+        packed: bool,
+    ) -> Vec<u64> {
+        let n = pos.len();
+        let dist = DistanceTableAA::new(&ParticleSet::new("e", lat, pos));
+        let mut j2 = TwoBodyJastrow::new(u.clone(), n);
+        let mut derivs = JastrowDerivs::zeros(n);
+        derivs.lap.fill(0.5);
+        let log = if packed {
+            j2.evaluate_log(&dist, &mut derivs)
+        } else {
+            all_pairs_reference(&mut j2, &dist, &mut derivs)
+        };
+        let mut bits = vec![log.to_bits(), j2.log_value().to_bits()];
+        bits.extend(derivs.grad.iter().flatten().map(|x| x.to_bits()));
+        bits.extend(derivs.lap.iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    /// The in-cutoff evaluation equals [`all_pairs_reference`] bit for
+    /// bit: at n ∈ {1, 2, 17, 256} with one coincident pair (`r = 0`),
+    /// on a lattice with every pair beyond the cutoff, and with one
+    /// electron at a NaN position, whose NaN reaches the same entries.
+    #[test]
+    fn jastrow_j2_packed_log_bitmatches_the_all_pairs_reference() {
+        let u = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
+        let check = |lat: Lattice, pos: &[[f64; 3]]| {
+            let packed = log_derivs_bits(&u, lat, pos, true);
+            assert_eq!(
+                packed,
+                log_derivs_bits(&u, lat, pos, false),
+                "n={}",
+                pos.len()
+            );
+            packed
+        };
+        let lat = Lattice::cubic(6.0);
+        for n in [1, 2, 17, 256] {
+            let mut pos = random_electrons(lat, n, &mut StdRng::seed_from_u64(n as u64)).to_aos();
+            if n > 1 {
+                pos[n - 1] = pos[0];
+            }
+            check(lat, &pos);
+            if n > 2 {
+                pos[1] = [f64::NAN; 3];
+                let bits = check(lat, &pos);
+                assert!(f64::from_bits(bits[0]).is_nan(), "n={n}: log");
+            }
+        }
+        // 3×3×2 sites 8 apart in a 24 box: every pair is beyond 2.5.
+        let sites: Vec<[f64; 3]> = (0..18)
+            .map(|s| [s % 3, s / 3 % 3, s / 9].map(|k| k as f64 * 8.0))
+            .collect();
+        let bits = check(Lattice::cubic(24.0), &sites);
+        assert!(
+            bits[..2 + 3 * 18].iter().all(|&b| f64::from_bits(b) == 0.0),
+            "no pair inside"
+        );
     }
 
     /// The pair-once evaluation agrees with [`full_rows_reference`] on

@@ -40,11 +40,48 @@ impl JastrowDerivs {
     }
 }
 
-/// One particle's sums over a row that [`BsplineFunctor::vgl_row`]
-/// filled: `Σ u`, the gradient `Σ (u′/r)·disp` and the Laplacian
-/// `−Σ (u″ + 2u′/r)` of `log J`, in index order. An entry at `r = 0`
-/// (coincident particles have no direction) counts towards `Σ u` only;
-/// that guard is a select, so the loop has no branch.
+/// One particle's sums over the in-cutoff entries of its row that
+/// [`BsplineFunctor::vgl_packed`] found: `Σ u`, the gradient `Σ (u′/r)·disp`
+/// and the Laplacian `−Σ (u″ + 2u′/r)` of `log J`, in index order. Entry
+/// `k` is pair `j = idx[k]`, with distance `r[j]`, displacement
+/// `disp[j]` and `[u, u′, u″][k]`; `pair(j, u, ∇, ∇²)` sees each pair's
+/// terms as they are added. An entry at `r = 0` (coincident particles
+/// have no direction) counts towards `Σ u` only; that guard is a
+/// select. The pairs beyond the cutoff, which add exact zeros, are not
+/// visited.
+#[inline(always)]
+pub(crate) fn packed_row_sums(
+    r: &[f64],
+    idx: &[usize],
+    [u, du, d2u]: [&[f64]; 3],
+    (dx, dy, dz): (&[f64], &[f64], &[f64]),
+    mut pair: impl FnMut(usize, f64, [f64; 3], f64),
+) -> (f64, [f64; 3], f64) {
+    let m = idx.len();
+    let (u, du, d2u) = (&u[..m], &du[..m], &d2u[..m]);
+    let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
+    for (k, &j) in idx.iter().enumerate() {
+        usum += u[k];
+        let apart = r[j] > 0.0;
+        let du_r = du[k] / r[j];
+        let du_r = if apart { du_r } else { 0.0 };
+        let gj = [du_r * dx[j], du_r * dy[j], du_r * dz[j]];
+        g[0] += gj[0];
+        g[1] += gj[1];
+        g[2] += gj[2];
+        let l = d2u[k] + 2.0 * du_r;
+        let l = if apart { l } else { 0.0 };
+        lap -= l;
+        pair(j, u[k], gj, l);
+    }
+    (usum, g, lap)
+}
+
+/// `packed_row_sums` as it was before it skipped pairs beyond the
+/// cutoff: one particle's sums over a whole row that
+/// [`BsplineFunctor::vgl_row`] filled, zeros included. The tests'
+/// reference.
+#[cfg(test)]
 pub(crate) fn sum_row(
     r: &[f64],
     [u, du, d2u]: [&[f64]; 3],

@@ -131,18 +131,22 @@ mod backend_twins {
     use crate::determinant::DiracDeterminant;
     use crate::distance::{soa::distances_to_point, ImageShifts};
     use crate::jastrow::BsplineFunctor;
-    use crate::lattice::graphite_supercell;
+    use crate::lattice::{graphite_supercell, Lattice};
     use crate::particleset::random_electrons;
+    use crate::spo::SpoSet;
+    use crate::synthetic::synthetic_orbitals;
     use bspline::simd::{with_backend, Backend};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Bit patterns of everything the five bodies produce on fixed
+    /// Bit patterns of everything the six bodies produce on fixed
     /// inputs: `dot` (determinant ratio, gradient and Laplacian),
     /// `sherman_morrison` (the accepted inverse's `log det` and a ratio
-    /// through it), `row_min_image` (one distance row) and the Jastrow
-    /// `values_row`/`vgl_row`. Every length has a ragged tail at 8 `f64`
-    /// lanes; 37 has two whole 16-lane `dot` blocks.
+    /// through it), `row_min_image` (one distance row), the Jastrow
+    /// `values_row`/`vgl_packed` and the SPO `pull_back` (through
+    /// `evaluate_vgl_one` on an f32 and an f64 table). Every length has
+    /// a ragged tail at 8 `f64` lanes; 37 has two whole 16-lane `dot`
+    /// blocks.
     fn fingerprint() -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(23);
         let mut bits = Vec::new();
@@ -183,8 +187,30 @@ mod backend_twins {
             let mut rows = [vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]];
             let [v, u, du, d2u] = &mut rows;
             f.values_row(&row[0], &mut idx, v);
-            f.vgl_row(&row[0], &mut idx, [u, du, d2u]);
-            bits.extend(rows.iter().flatten().map(|x| x.to_bits()));
+            let m = f.vgl_packed(&row[0], &mut idx, [u, du, d2u]);
+            bits.extend(rows[0].iter().map(|x| x.to_bits()));
+            bits.extend(rows[1..].iter().flat_map(|x| &x[..m]).map(|x| x.to_bits()));
+            bits.extend(idx[..m].iter().map(|&j| j as u64));
+        }
+
+        bits.extend(vgl_one_bits::<f32>(&lat, &mut rng));
+        bits.extend(vgl_one_bits::<f64>(&lat, &mut rng));
+        bits
+    }
+
+    /// `SpoSet::evaluate_vgl_one` at three positions over a table of 37
+    /// orbitals of precision `T`, as bit patterns.
+    fn vgl_one_bits<T: einspline::Real>(lat: &Lattice, rng: &mut StdRng) -> Vec<u64> {
+        let g = einspline::Grid1::periodic(0.0, 1.0, 8);
+        let coefs = synthetic_orbitals::<T>(g, g, g, 37, 3, 29);
+        let mut spo = SpoSet::new(coefs, *lat);
+        let mut bits = Vec::new();
+        for _ in 0..3 {
+            let r = lat.to_cart([rng.random(), rng.random(), rng.random()]);
+            let out = spo.evaluate_vgl_one(r);
+            for s in [&out.v, &out.gx, &out.gy, &out.gz, &out.lap] {
+                bits.extend(s.iter().map(|x| x.to_bits()));
+            }
         }
         bits
     }

@@ -11,28 +11,29 @@
 //! bit-identical: only the vector width differs.
 //!
 //! The instantiated bodies are `determinant::{dot_body,
-//! sherman_morrison_body}`, `distance::soa::row_min_image` and
-//! `BsplineFunctor::{values_row_body, vgl_row_body}`;
-//! `backend_twins` in the crate root pins all five under every
-//! available backend.
+//! sherman_morrison_body}`, `distance::soa::row_min_image`,
+//! `BsplineFunctor::{values_row_body, vgl_packed_body}` and
+//! `spo::pull_back_body`; `backend_twins` in the crate root pins all
+//! six under every available backend.
 
-/// `multiversion! { $(#[attr])* $vis fn name(args) -> ret = body; }`
+/// `multiversion! { $(#[attr])* $vis fn name<T: Bound>(args) -> ret = body; }`
 /// defines `name` with the signature given, running the body function
 /// `body` (called with the arguments in order) in the instantiation of
-/// the active backend. Off x86-64 it calls the body directly.
+/// the active backend. The one type parameter is optional. Off x86-64
+/// it calls the body directly.
 macro_rules! multiversion {
-    ($(#[$attr:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident $(<$tp:ident: $bound:path>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
         $(#[$attr])*
-        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name $(<$tp: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 use ::bspline::simd::{active_backend, Backend};
                 #[target_feature(enable = "avx2,fma")]
-                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                fn avx2 $(<$tp: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 #[target_feature(enable = "avx2,fma,avx512f")]
-                fn avx512($($arg: $ty),*) $(-> $ret)? {
+                fn avx512 $(<$tp: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 // SAFETY: `Avx2` is active only after run-time detection of `avx2` and

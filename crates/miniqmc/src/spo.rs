@@ -10,6 +10,7 @@
 //! trace of `Hᵤ`).
 
 use crate::lattice::Lattice;
+use crate::multiversion::multiversion;
 use bspline::{BatchOut, BsplineSoA, Kernel, PosBlock, SpoEngine, WalkerSoA};
 use einspline::{MultiCoefs, Real};
 
@@ -144,49 +145,8 @@ impl<T: Real> SpoSet<T> {
         let u = self.frac_pos(r);
         self.engine.vgh(u, &mut self.scratch);
         let n = self.n_orbitals();
-        Self::pull_back(&self.g, &self.metric, n, &self.scratch, &mut self.out);
+        pull_back(&self.g, &self.metric, n, &self.scratch, &mut self.out);
         &self.out
-    }
-
-    /// Pull one engine output block back to Cartesian coordinates:
-    /// `∇ᵣ = G ∇ᵤ`, `lap = Σ_bc M[b][c]·Hᵤ[b][c]` (Hᵤ symmetric,
-    /// 6 streams). Every stream is cut to `n` before the loop, so the
-    /// loop body has no bounds checks or accessor calls and LLVM
-    /// vectorizes it (two f64 lanes at the baseline x86-64 target).
-    fn pull_back(
-        g: &[[f64; 3]; 3],
-        m: &[[f64; 3]; 3],
-        n: usize,
-        s: &WalkerSoA<T>,
-        out: &mut SpoVgl,
-    ) {
-        fn cut<T>(s: &[T], n: usize) -> &[T] {
-            &s[..n]
-        }
-        let (v, gx, gy, gz) = (cut(&s.v, n), cut(&s.gx, n), cut(&s.gy, n), cut(&s.gz, n));
-        let (hxx, hxy, hxz) = (cut(&s.hxx, n), cut(&s.hxy, n), cut(&s.hxz, n));
-        let (hyy, hyz, hzz) = (cut(&s.hyy, n), cut(&s.hyz, n), cut(&s.hzz, n));
-        let (ov, ogx, ogy) = (&mut out.v[..n], &mut out.gx[..n], &mut out.gy[..n]);
-        let (ogz, olap) = (&mut out.gz[..n], &mut out.lap[..n]);
-        for k in 0..n {
-            ov[k] = v[k].to_f64();
-            let gu = [gx[k].to_f64(), gy[k].to_f64(), gz[k].to_f64()];
-            ogx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
-            ogy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
-            ogz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
-            let h = [
-                hxx[k].to_f64(),
-                hxy[k].to_f64(),
-                hxz[k].to_f64(),
-                hyy[k].to_f64(),
-                hyz[k].to_f64(),
-                hzz[k].to_f64(),
-            ];
-            olap[k] = m[0][0] * h[0]
-                + m[1][1] * h[3]
-                + m[2][2] * h[5]
-                + 2.0 * (m[0][1] * h[1] + m[0][2] * h[2] + m[1][2] * h[4]);
-        }
     }
 
     /// Grow the per-position result rows to at least `m`.
@@ -235,10 +195,64 @@ impl<T: Real> SpoSet<T> {
             let u = self.frac_pos(r);
             self.engine.vgh(u, &mut self.scratch);
             let row = &mut self.batch_rows[e];
-            Self::pull_back(&self.g, &self.metric, n, &self.scratch, row);
+            pull_back(&self.g, &self.metric, n, &self.scratch, row);
         }
         &self.batch_rows[..rs.len()]
     }
+}
+
+/// The body of [`pull_back`]: one engine output block pulled back to
+/// Cartesian coordinates, `∇ᵣ = G ∇ᵤ`, `lap = Σ_bc M[b][c]·Hᵤ[b][c]`
+/// (Hᵤ symmetric, 6 streams). Every stream is cut to `n` before the
+/// loop, so the loop body has no bounds checks or accessor calls and
+/// LLVM vectorizes it.
+#[inline(always)]
+fn pull_back_body<T: Real>(
+    g: &[[f64; 3]; 3],
+    m: &[[f64; 3]; 3],
+    n: usize,
+    s: &WalkerSoA<T>,
+    out: &mut SpoVgl,
+) {
+    fn cut<T>(s: &[T], n: usize) -> &[T] {
+        &s[..n]
+    }
+    let (v, gx, gy, gz) = (cut(&s.v, n), cut(&s.gx, n), cut(&s.gy, n), cut(&s.gz, n));
+    let (hxx, hxy, hxz) = (cut(&s.hxx, n), cut(&s.hxy, n), cut(&s.hxz, n));
+    let (hyy, hyz, hzz) = (cut(&s.hyy, n), cut(&s.hyz, n), cut(&s.hzz, n));
+    let (ov, ogx, ogy) = (&mut out.v[..n], &mut out.gx[..n], &mut out.gy[..n]);
+    let (ogz, olap) = (&mut out.gz[..n], &mut out.lap[..n]);
+    for k in 0..n {
+        ov[k] = v[k].to_f64();
+        let gu = [gx[k].to_f64(), gy[k].to_f64(), gz[k].to_f64()];
+        ogx[k] = g[0][0] * gu[0] + g[0][1] * gu[1] + g[0][2] * gu[2];
+        ogy[k] = g[1][0] * gu[0] + g[1][1] * gu[1] + g[1][2] * gu[2];
+        ogz[k] = g[2][0] * gu[0] + g[2][1] * gu[1] + g[2][2] * gu[2];
+        let h = [
+            hxx[k].to_f64(),
+            hxy[k].to_f64(),
+            hxz[k].to_f64(),
+            hyy[k].to_f64(),
+            hyz[k].to_f64(),
+            hzz[k].to_f64(),
+        ];
+        olap[k] = m[0][0] * h[0]
+            + m[1][1] * h[3]
+            + m[2][2] * h[5]
+            + 2.0 * (m[0][1] * h[1] + m[0][2] * h[2] + m[1][2] * h[4]);
+    }
+}
+
+multiversion! {
+    /// [`pull_back_body`] in the active backend's instantiation: 8 or 4
+    /// `f64` lanes under AVX-512 or AVX2, 2 at the x86-64 baseline.
+    fn pull_back<T: Real>(
+        g: &[[f64; 3]; 3],
+        m: &[[f64; 3]; 3],
+        n: usize,
+        s: &WalkerSoA<T>,
+        out: &mut SpoVgl,
+    ) = pull_back_body;
 }
 
 #[cfg(test)]

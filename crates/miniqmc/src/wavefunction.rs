@@ -197,7 +197,8 @@ impl<T: Real> TrialWaveFunction<T> {
     /// pull-back ([`SpoSet::evaluate_vgl_one`]) fill one L1-sized row,
     /// which the determinant's dot products read at once, so no spin's
     /// block of orbital rows is staged. The Jastrow terms come from one
-    /// full evaluation each, J2 visiting each pair once.
+    /// full evaluation each over the pairs inside the cutoff, J2
+    /// visiting each pair once.
     ///
     /// The internal state (determinant inverses, distance tables) must
     /// be consistent with the current electron positions, i.e. call this
@@ -574,9 +575,9 @@ mod tests {
         grad.chain(&d.lap).map(|x| x.to_bits()).collect()
     }
 
-    /// `log_derivs` runs SIMD code in the spline kernel and the Jastrow
-    /// row evaluators; every backend fuses, so the scalar pack and the
-    /// active one give the same bits.
+    /// `log_derivs` runs SIMD code in the spline kernel, the Jastrow
+    /// row evaluators and the SPO pull-back; every backend fuses, so the
+    /// scalar pack and the active one give the same bits.
     #[test]
     fn log_derivs_bit_identical_across_backends() {
         use bspline::simd::{active_backend, with_backend, Backend};
