@@ -32,11 +32,7 @@ pub fn weights<T: Real>(t: T) -> [T; 4] {
         // (3t³ - 6t² + 4)/6
         sixth * (T::from_f64(3.0) * t3 - T::from_f64(6.0) * t2 + T::from_f64(4.0)),
         // (-3t³ + 3t² + 3t + 1)/6
-        sixth
-            * (T::from_f64(-3.0) * t3
-                + T::from_f64(3.0) * t2
-                + T::from_f64(3.0) * t
-                + one),
+        sixth * (T::from_f64(-3.0) * t3 + T::from_f64(3.0) * t2 + T::from_f64(3.0) * t + one),
         sixth * t3,
     ]
 }
@@ -225,10 +221,7 @@ mod tests {
             let w = weights(t);
             for (j, wj) in w.iter().enumerate() {
                 let dist = t - (j as f64 - 1.0);
-                assert!(
-                    (basis_function(dist) - wj).abs() < EPS,
-                    "t={t} j={j}"
-                );
+                assert!((basis_function(dist) - wj).abs() < EPS, "t={t} j={j}");
             }
         }
     }

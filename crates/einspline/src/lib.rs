@@ -14,12 +14,14 @@
 //! * [`grid`] — uniform grids with periodic/natural boundaries and the
 //!   position → (interval, fraction) mapping;
 //! * [`solver1d`] — interpolation coefficient solvers (cyclic/natural/
-//!   clamped tridiagonal systems);
+//!   clamped tridiagonal systems; the periodic one factored once per
+//!   axis length and applied across many lanes in place);
 //! * [`spline1d`] / [`spline3d`] — scalar splines (Jastrow radial
 //!   functions; the tensor-product reference for engine validation);
 //! * [`multi`] — the 4D table `P[nx][ny][nz][N]` with padded, 64-byte
 //!   aligned spline lines and padded z-rows ([`TableLayout`]) consumed
-//!   by the `bspline` evaluation engines;
+//!   by the `bspline` evaluation engines, fitted to orbital samples in
+//!   place by [`MultiCoefs::interpolate`];
 //! * [`aligned`] — cache-line aligned storage used throughout.
 //!
 //! # Quick example

@@ -37,11 +37,12 @@
 //! [`block_splines_for_budget_in`]) derives from it.
 
 use crate::aligned::{padded_len, AlignedVec, CACHE_LINE};
-use crate::grid::Grid1;
+use crate::grid::{Boundary, Grid1};
 use crate::real::Real;
-use crate::solver1d::COEF_PAD;
+use crate::solver1d::{PeriodicFactor, COEF_PAD};
 use crate::spline3d::Spline3;
 use rand::Rng;
+use std::any::Any;
 use std::sync::Arc;
 
 /// Location of an evaluation point inside the table: lower-corner indices
@@ -248,6 +249,73 @@ impl<T: Real> MultiCoefs<T> {
             layout,
             data,
         }
+    }
+
+    /// The interpolating table of `n_splines` orbitals on periodic
+    /// grids: `samples(n, f)` writes orbital `n`'s `nx·ny·nz` samples
+    /// into `f` (z fastest, every entry; `f` holds the previous
+    /// orbital's on entry), called once per orbital in order `0..N`.
+    ///
+    /// Equal bit for bit, pads included, to [`Spline3::interpolate`]
+    /// of each orbital's samples copied in by [`Self::set_orbital`],
+    /// without a `Spline3` per orbital: each orbital's samples are
+    /// written into the lines `(1..=nx, 1..=ny, 1..=nz)` of an `f64`
+    /// table, and the three passes of the tensor-product solve run in
+    /// place across the orbital-fastest lines with `solver1d`'s
+    /// factored periodic solve: along x with the `ix`-slabs as rows,
+    /// along y with the z-runs, along z with the lines, each across
+    /// every lane of the other two axes and every orbital — the same
+    /// lines `Spline3` solves, in the same order. Lane and row pads are
+    /// zero and stay zero. A table of `f32` is solved in `f64` and
+    /// narrowed by [`MultiCoefs::downcast`], which rounds each
+    /// coefficient as `Spline3::<f32>` does.
+    ///
+    /// Panics unless every grid is periodic.
+    pub fn interpolate(
+        gx: Grid1,
+        gy: Grid1,
+        gz: Grid1,
+        n_splines: usize,
+        mut samples: impl FnMut(usize, &mut [f64]),
+    ) -> Self {
+        assert!(
+            [gx, gy, gz]
+                .iter()
+                .all(|g| g.boundary() == Boundary::Periodic),
+            "the table solve takes periodic grids only"
+        );
+        let mut table = MultiCoefs::<f64>::new(gx, gy, gz, n_splines);
+        let (layout, (nx, ny, nz)) = (table.layout, (gx.num(), gy.num(), gz.num()));
+        let (px, py, _) = layout.dims();
+        let (stride, sy, sx) = (layout.stride_n, layout.sy, layout.sx);
+        let data = Arc::make_mut(&mut table.data).as_mut_slice();
+        let mut f = vec![0.0f64; nx * ny * nz];
+        for n in 0..n_splines {
+            samples(n, &mut f);
+            for (at, row) in f.chunks_exact(nz).enumerate() {
+                let line = layout.offset(at / ny + 1, at % ny + 1, 1) + n;
+                for (iz, &v) in row.iter().enumerate() {
+                    data[line + iz * stride] = v;
+                }
+            }
+        }
+        // The sampled lanes of a z-run: lines 1..=nz.
+        let run = nz * stride;
+        let along_x = PeriodicFactor::new(nx);
+        for iy in 1..=ny {
+            along_x.solve_lanes(&mut data[layout.offset(0, iy, 1)..], run, sx);
+        }
+        let along_y = PeriodicFactor::new(ny);
+        for ix in 0..px {
+            along_y.solve_lanes(&mut data[layout.offset(ix, 0, 1)..], run, sy);
+        }
+        let along_z = PeriodicFactor::new(nz);
+        for ix in 0..px {
+            for iy in 0..py {
+                along_z.solve_lanes(&mut data[layout.offset(ix, iy, 0)..], stride, stride);
+            }
+        }
+        in_precision(table)
     }
 
     /// Fill every coefficient with uniform random values in `[-0.5, 0.5)`
@@ -464,6 +532,20 @@ impl<T: Real> MultiCoefs<T> {
             budget_bytes,
         )
     }
+}
+
+/// `table` as a table of `T`: itself for `f64`, [`MultiCoefs::downcast`]
+/// for `f32`.
+fn in_precision<T: Real>(table: MultiCoefs<f64>) -> MultiCoefs<T> {
+    let narrow: Box<dyn Any> = match (Box::new(table) as Box<dyn Any>).downcast() {
+        Ok(same) => return *same,
+        Err(wide) => Box::new(
+            wide.downcast::<MultiCoefs<f64>>()
+                .expect("an f64 table")
+                .downcast(),
+        ),
+    };
+    *narrow.downcast().expect("a `Real` is f32 or f64")
 }
 
 /// Table-free twin of [`MultiCoefs::block_splines_for_budget`]: the
@@ -793,6 +875,79 @@ mod tests {
         let tiles = narrow.split_tiles(32);
         assert!(tiles.len() > 1);
         assert!(tiles.iter().all(pads_are_zero));
+    }
+
+    /// Orbital `n`'s sample at flat grid index `i`: smooth, and
+    /// different for every orbital.
+    fn sample(n: usize, i: usize) -> f64 {
+        ((i * (2 * n + 5)) as f64 * 0.211).cos() + 0.01 * n as f64
+    }
+
+    /// The table the constructor must reproduce: one `Spline3` per
+    /// orbital, copied in by `set_orbital`.
+    fn per_orbital<T: Real>(g: [Grid1; 3], n_splines: usize) -> MultiCoefs<T> {
+        let mut m = MultiCoefs::<T>::new(g[0], g[1], g[2], n_splines);
+        let points = g[0].num() * g[1].num() * g[2].num();
+        for n in 0..n_splines {
+            let data: Vec<f64> = (0..points).map(|i| sample(n, i)).collect();
+            m.set_orbital(n, &Spline3::interpolate(g[0], g[1], g[2], &data));
+        }
+        m
+    }
+
+    fn all_bits<T: Real>(m: &MultiCoefs<T>) -> Vec<u64> {
+        m.data.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn check_interpolate<T: Real>(grid: (usize, usize, usize), n_splines: usize) -> bool {
+        let g = [grid.0, grid.1, grid.2].map(|k| Grid1::periodic(0.0, 1.0, k));
+        let mut calls = Vec::new();
+        let m = MultiCoefs::<T>::interpolate(g[0], g[1], g[2], n_splines, |n, f| {
+            calls.push(n);
+            for (i, x) in f.iter_mut().enumerate() {
+                *x = sample(n, i);
+            }
+        });
+        let at = format!(
+            "{} B, N = {n_splines}, grid {grid:?}",
+            std::mem::size_of::<T>()
+        );
+        assert_eq!(calls, (0..n_splines).collect::<Vec<_>>(), "{at}");
+        let want = per_orbital::<T>(g, n_splines);
+        assert_eq!(m.layout(), want.layout(), "{at}");
+        assert!(all_bits(&m) == all_bits(&want), "{at}: coefficients differ");
+        assert!(pads_are_zero(&m), "{at}: a pad is not zero");
+        m.layout().row_pad() > 0
+    }
+
+    /// The in-place table solve equals a `Spline3` per orbital copied in
+    /// by `set_orbital`, bit for bit over the whole allocation, pads
+    /// included: for axis lengths 1, 2, 3 and 12 (the closed forms and
+    /// the factored solve) in mixed shapes, N on both sides of the `f64`
+    /// (8) and `f32` (16) quanta, in both precisions; and pads stay zero.
+    #[test]
+    fn interpolate_bitmatches_spline3_per_orbital_with_zero_pads() {
+        let mut row_pads = false;
+        for grid in [(1, 2, 3), (3, 12, 2), (12, 3, 1), (2, 1, 12), (12, 12, 12)] {
+            let ns: &[usize] = if grid == (12, 12, 12) {
+                &[9, 128]
+            } else {
+                &[1, 7, 8, 9, 16, 17, 128]
+            };
+            for &n in ns {
+                row_pads |= check_interpolate::<f64>(grid, n);
+                row_pads |= check_interpolate::<f32>(grid, n);
+            }
+        }
+        assert!(row_pads, "no case had row pads");
+    }
+
+    #[test]
+    #[should_panic(expected = "periodic grids only")]
+    fn interpolate_rejects_a_natural_grid() {
+        let (gx, gy, _) = small_grids();
+        let gz = Grid1::natural(0.0, 1.0, 4);
+        let _ = MultiCoefs::<f64>::interpolate(gx, gy, gz, 2, |_, f| f.fill(1.0));
     }
 
     #[test]

@@ -17,6 +17,22 @@
 //! contiguous window `coefs[i..i+4]`. Periodic dimensions duplicate the
 //! first three control points at the tail, which removes every modulo
 //! from the hot loops.
+//!
+//! # Factor once, apply across lanes
+//!
+//! The periodic system depends only on the axis length, not on the
+//! data: `PeriodicFactor` computes its Thomas pivots, upper factors
+//! and Sherman–Morrison vector once per length, and
+//! `PeriodicFactor::solve_lanes` applies them in place to many
+//! right-hand sides stored side by side — `w` lanes of `n + 3` rows, the
+//! layout of a 3D table's passes, where the lanes are every other
+//! coordinate and every orbital. Each row is then one loop across the
+//! lanes that the compiler vectorizes, and each lane runs the
+//! operations of a one-lane solve in the same order, so the result is
+//! bit for bit the same as solving the lanes one at a time
+//! ([`solve_periodic`] is that one-lane call).
+
+use std::ops::Range;
 
 /// Number of extra coefficient slots per dimension (`coefs.len() = n+3`).
 pub const COEF_PAD: usize = 3;
@@ -28,12 +44,7 @@ pub const COEF_PAD: usize = 3;
 ///
 /// Panics if a pivot vanishes (the spline systems are diagonally
 /// dominant, so this indicates misuse).
-pub fn solve_tridiagonal(
-    sub: &[f64],
-    diag: &[f64],
-    sup: &[f64],
-    rhs: &[f64],
-) -> Vec<f64> {
+pub fn solve_tridiagonal(sub: &[f64], diag: &[f64], sup: &[f64], rhs: &[f64]) -> Vec<f64> {
     let n = diag.len();
     assert!(n > 0);
     assert_eq!(sub.len(), n);
@@ -61,58 +72,185 @@ pub fn solve_tridiagonal(
     x
 }
 
-/// Solve the cyclic tridiagonal system with constant bands
-/// `(a, b, a) = (1/6, 4/6, 1/6)` and periodic corners, via the
-/// Sherman–Morrison correction of a plain Thomas solve.
-fn solve_cyclic_146(rhs: &[f64]) -> Vec<f64> {
+/// Lanes of one chunk of [`PeriodicFactor::solve_lanes`]: the
+/// Sherman–Morrison factors of a chunk (2 KiB) live on the stack, and a
+/// chunk's `n + 3` rows stay in cache between the passes.
+const CHUNK: usize = 256;
+
+/// Rows `lo < hi` of `buf` (rows `stride` apart), each cut to `lanes`.
+fn row_pair(
+    buf: &mut [f64],
+    stride: usize,
+    lo: usize,
+    hi: usize,
+    lanes: Range<usize>,
+) -> (&mut [f64], &mut [f64]) {
+    let (head, tail) = buf.split_at_mut(hi * stride);
+    (&mut head[lo * stride..][lanes.clone()], &mut tail[lanes])
+}
+
+/// The right-hand-side-independent part of the periodic interpolation
+/// solve for one axis length `n`: the cyclic tridiagonal system with
+/// constant bands `(a, b, a) = (1/6, 4/6, 1/6)` and periodic corners,
+/// solved as a Thomas solve corrected by Sherman–Morrison (Numerical
+/// Recipes `cyclic`, corners `alpha = beta = a`). Factored once, it is
+/// applied to any number of right-hand sides side by side
+/// ([`Self::solve_lanes`]), each lane running the same operations in
+/// the same order as a solve of that lane alone.
+#[derive(Clone, Debug)]
+pub(crate) struct PeriodicFactor {
+    n: usize,
+    /// Thomas pivot of row 0.
+    diag0: f64,
+    /// Thomas pivots `m[i]` of rows `1..n` (`m[0]` unused).
+    m: Vec<f64>,
+    /// Thomas upper factors `c*[i]`, rows `0..n-1`.
+    c_star: Vec<f64>,
+    /// The Sherman–Morrison vector `z` and its denominator.
+    z: Vec<f64>,
+    den: f64,
+}
+
+impl PeriodicFactor {
     const A: f64 = 1.0 / 6.0;
     const B: f64 = 4.0 / 6.0;
-    let n = rhs.len();
-    match n {
-        0 => return vec![],
-        1 => return vec![rhs[0] / (B + 2.0 * A)],
-        2 => {
-            // Rows: (B)c0 + (2A)c1 = f0 ; (2A)c0 + (B)c1 = f1.
-            let det = B * B - 4.0 * A * A;
-            return vec![
-                (B * rhs[0] - 2.0 * A * rhs[1]) / det,
-                (B * rhs[1] - 2.0 * A * rhs[0]) / det,
-            ];
+    const GAMMA: f64 = -Self::B;
+
+    /// Factor the periodic system of `n ≥ 1` points. Lengths 1 and 2
+    /// have closed forms and keep no factors.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n >= 1, "periodic solve needs at least one sample");
+        let (a, b, gamma) = (Self::A, Self::B, Self::GAMMA);
+        let mut f = Self {
+            n,
+            diag0: 0.0,
+            m: vec![],
+            c_star: vec![],
+            z: vec![],
+            den: 0.0,
+        };
+        if n < 3 {
+            return f;
         }
-        _ => {}
+        let mut diag = vec![b; n];
+        diag[0] = b - gamma;
+        diag[n - 1] = b - a * a / gamma;
+        let band = vec![a; n];
+        f.diag0 = diag[0];
+        f.c_star = vec![0.0; n];
+        f.m = vec![0.0; n];
+        f.c_star[0] = a / diag[0];
+        for i in 1..n {
+            let m = diag[i] - a * f.c_star[i - 1];
+            assert!(m != 0.0, "tridiagonal pivot is zero at row {i}");
+            f.m[i] = m;
+            f.c_star[i] = a / m;
+        }
+        let mut u = vec![0.0; n];
+        u[0] = gamma;
+        u[n - 1] = a;
+        f.z = solve_tridiagonal(&band, &diag, &band, &u);
+        f.den = 1.0 + f.z[0] + a * f.z[n - 1] / gamma;
+        f
     }
 
-    // Numerical Recipes `cyclic`: corners alpha = A (bottom-left),
-    // beta = A (top-right).
-    let gamma = -B;
-    let mut diag = vec![B; n];
-    diag[0] = B - gamma;
-    diag[n - 1] = B - A * A / gamma;
-    let sub = vec![A; n];
-    let sup = vec![A; n];
+    /// Solve `w` lanes in place. `buf` holds `n + 3` rows `stride`
+    /// apart, of which the first `w` elements are used: on entry rows
+    /// `1..=n` hold each lane's samples, on exit rows `0..n+3` hold its
+    /// padded coefficients `coefs[j] = c[(j + n − 1) mod n]` (see the
+    /// module docs). Lanes are solved in chunks of a few KiB.
+    pub(crate) fn solve_lanes(&self, buf: &mut [f64], w: usize, stride: usize) {
+        let n = self.n;
+        assert!(
+            w <= stride && buf.len() >= (n + 2) * stride + w,
+            "{w} lanes of {} rows {stride} apart do not fit {} elements",
+            n + 3,
+            buf.len()
+        );
+        for lo in (0..w).step_by(CHUNK) {
+            let lanes = lo..(lo + CHUNK).min(w);
+            self.solve_chunk(buf, stride, lanes.clone());
+            // coefs[j] = c[(j + n − 1) mod n], c[i] in row i + 1.
+            for (dst, src) in [(0, n), (n + 1, 1), (n + 2, 2)] {
+                let from = src * stride + lanes.start;
+                buf.copy_within(from..from + lanes.len(), dst * stride + lanes.start);
+            }
+        }
+    }
 
-    let x = solve_tridiagonal(&sub, &diag, &sup, rhs);
-
-    let mut u = vec![0.0; n];
-    u[0] = gamma;
-    u[n - 1] = A;
-    let z = solve_tridiagonal(&sub, &diag, &sup, &u);
-
-    let fact = (x[0] + A * x[n - 1] / gamma) / (1.0 + z[0] + A * z[n - 1] / gamma);
-    x.iter().zip(&z).map(|(xi, zi)| xi - fact * zi).collect()
+    /// The solve of rows `1..=n` of one chunk of lanes.
+    fn solve_chunk(&self, buf: &mut [f64], stride: usize, lanes: Range<usize>) {
+        let (a, b, gamma) = (Self::A, Self::B, Self::GAMMA);
+        let n = self.n;
+        match n {
+            1 => {
+                for x in &mut buf[stride..][lanes] {
+                    *x /= b + 2.0 * a;
+                }
+                return;
+            }
+            2 => {
+                // Rows: (B)c0 + (2A)c1 = f0 ; (2A)c0 + (B)c1 = f1.
+                let det = b * b - 4.0 * a * a;
+                let (r0, r1) = row_pair(buf, stride, 1, 2, lanes);
+                for (x0, x1) in r0.iter_mut().zip(r1) {
+                    (*x0, *x1) = (
+                        (b * *x0 - 2.0 * a * *x1) / det,
+                        (b * *x1 - 2.0 * a * *x0) / det,
+                    );
+                }
+                return;
+            }
+            _ => {}
+        }
+        // Thomas forward sweep; equation i is in row i + 1.
+        for x in &mut buf[stride..][lanes.clone()] {
+            *x /= self.diag0;
+        }
+        for i in 1..n {
+            let (prev, cur) = row_pair(buf, stride, i, i + 1, lanes.clone());
+            let m = self.m[i];
+            for (x, p) in cur.iter_mut().zip(&*prev) {
+                *x = (*x - a * p) / m;
+            }
+        }
+        // Back substitution.
+        for i in (0..n - 1).rev() {
+            let (cur, next) = row_pair(buf, stride, i + 1, i + 2, lanes.clone());
+            let c = self.c_star[i];
+            for (x, q) in cur.iter_mut().zip(&*next) {
+                *x -= c * q;
+            }
+        }
+        // Sherman–Morrison: x − fact·z, one `fact` per lane.
+        let mut fact = [0.0f64; CHUNK];
+        let fact = &mut fact[..lanes.len()];
+        let (first, last) = row_pair(buf, stride, 1, n, lanes.clone());
+        for ((f, x0), xn) in fact.iter_mut().zip(&*first).zip(&*last) {
+            *f = (x0 + a * xn / gamma) / self.den;
+        }
+        for (i, &z) in self.z.iter().enumerate() {
+            for (x, f) in buf[(i + 1) * stride..][lanes.clone()]
+                .iter_mut()
+                .zip(&*fact)
+            {
+                *x -= f * z;
+            }
+        }
+    }
 }
 
 /// Periodic interpolation: `data[i]` are samples at the `n` grid points of
-/// a period; returns `n + 3` padded coefficients (see module docs).
+/// a period; returns `n + 3` padded coefficients (see module docs). The
+/// one-lane call of `PeriodicFactor::solve_lanes`.
 pub fn solve_periodic(data: &[f64]) -> Vec<f64> {
     let n = data.len();
-    assert!(n >= 1, "periodic solve needs at least one sample");
+    let factor = PeriodicFactor::new(n);
     // Bands are already (1/6, 4/6, 1/6): the RHS is the raw data.
-    let c = solve_cyclic_146(data);
-    // coefs[j] = c[(j-1) mod n]
-    (0..n + COEF_PAD)
-        .map(|j| c[(j + n - 1) % n])
-        .collect()
+    let mut coefs = vec![0.0; n + COEF_PAD];
+    coefs[1..=n].copy_from_slice(data);
+    factor.solve_lanes(&mut coefs, 1, 1);
+    coefs
 }
 
 /// Natural-boundary interpolation: `data` holds `n+1` samples at the
@@ -265,6 +403,77 @@ mod tests {
         assert!((coefs[n] - coefs[0]).abs() < 1e-14);
         assert!((coefs[n + 1] - coefs[1]).abs() < 1e-14);
         assert!((coefs[n + 2] - coefs[2]).abs() < 1e-14);
+    }
+
+    /// The periodic solve as it was before it was factored: one cyclic
+    /// solve per line, allocating its bands, then the pad rotation. The
+    /// tests' reference.
+    fn one_line_reference(rhs: &[f64]) -> Vec<f64> {
+        const A: f64 = 1.0 / 6.0;
+        const B: f64 = 4.0 / 6.0;
+        let n = rhs.len();
+        let c = match n {
+            1 => vec![rhs[0] / (B + 2.0 * A)],
+            2 => {
+                let det = B * B - 4.0 * A * A;
+                vec![
+                    (B * rhs[0] - 2.0 * A * rhs[1]) / det,
+                    (B * rhs[1] - 2.0 * A * rhs[0]) / det,
+                ]
+            }
+            _ => {
+                let gamma = -B;
+                let mut diag = vec![B; n];
+                diag[0] = B - gamma;
+                diag[n - 1] = B - A * A / gamma;
+                let band = vec![A; n];
+                let x = solve_tridiagonal(&band, &diag, &band, rhs);
+                let mut u = vec![0.0; n];
+                u[0] = gamma;
+                u[n - 1] = A;
+                let z = solve_tridiagonal(&band, &diag, &band, &u);
+                let fact = (x[0] + A * x[n - 1] / gamma) / (1.0 + z[0] + A * z[n - 1] / gamma);
+                x.iter().zip(&z).map(|(xi, zi)| xi - fact * zi).collect()
+            }
+        };
+        (0..n + COEF_PAD).map(|j| c[(j + n - 1) % n]).collect()
+    }
+
+    /// `solve_lanes` gives every lane the bits of a solve of that lane
+    /// alone, at the closed-form lengths and the factored ones, for one
+    /// lane, a few and more than a chunk (a ragged last chunk), and
+    /// leaves the elements between the lanes and the next row alone.
+    #[test]
+    fn periodic_lanes_bitmatch_the_one_line_solve() {
+        for n in [1, 2, 3, 4, 7, 12, 48] {
+            for w in [1, 3, CHUNK + 37] {
+                let stride = w + 5;
+                let sample =
+                    |i: usize, l: usize| ((i * 31 + l * 17 + n) as f64 * 0.377).sin() + 0.1;
+                let mut buf = vec![-7.0; (n + COEF_PAD) * stride];
+                for i in 0..n {
+                    for l in 0..w {
+                        buf[(i + 1) * stride + l] = sample(i, l);
+                    }
+                }
+                PeriodicFactor::new(n).solve_lanes(&mut buf, w, stride);
+                for l in 0..w {
+                    let line: Vec<f64> = (0..n).map(|i| sample(i, l)).collect();
+                    let want = one_line_reference(&line);
+                    for (j, c) in want.iter().enumerate() {
+                        let got = buf[j * stride + l];
+                        assert_eq!(got.to_bits(), c.to_bits(), "n={n} w={w} lane {l} row {j}");
+                    }
+                }
+                for j in 0..n + COEF_PAD {
+                    assert!(buf[j * stride + w..(j + 1) * stride]
+                        .iter()
+                        .all(|&x| x == -7.0));
+                }
+                let line0: Vec<f64> = (0..n).map(|i| sample(i, 0)).collect();
+                assert_eq!(solve_periodic(&line0), one_line_reference(&line0), "n={n}");
+            }
+        }
     }
 
     #[test]

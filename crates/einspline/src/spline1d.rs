@@ -22,10 +22,7 @@ impl<T: Real> Spline1<T> {
     pub fn interpolate_periodic(grid: Grid1, data: &[f64]) -> Self {
         assert_eq!(grid.boundary(), Boundary::Periodic);
         assert_eq!(data.len(), grid.num(), "periodic data covers one period");
-        let coefs = solve_periodic(data)
-            .into_iter()
-            .map(T::from_f64)
-            .collect();
+        let coefs = solve_periodic(data).into_iter().map(T::from_f64).collect();
         Self { grid, coefs }
     }
 
@@ -67,10 +64,7 @@ impl<T: Real> Spline1<T> {
         let (i, t) = self.grid.locate(x);
         let w = weights(t);
         let c = &self.coefs[i..i + 4];
-        w[3].mul_add(
-            c[3],
-            w[2].mul_add(c[2], w[1].mul_add(c[1], w[0] * c[0])),
-        )
+        w[3].mul_add(c[3], w[2].mul_add(c[2], w[1].mul_add(c[1], w[0] * c[0])))
     }
 
     /// Value, first and second derivative at `x` (physical units).
@@ -130,9 +124,7 @@ mod tests {
     fn periodic_wraps_smoothly() {
         let n = 32;
         let grid = Grid1::periodic(0.0, 1.0, n);
-        let data: Vec<f64> = (0..n)
-            .map(|i| (2.0 * PI * grid.point(i)).cos())
-            .collect();
+        let data: Vec<f64> = (0..n).map(|i| (2.0 * PI * grid.point(i)).cos()).collect();
         let s = Spline1::<f64>::interpolate_periodic(grid, &data);
         // Value and derivative continuous across the period seam.
         let (vl, dl, _) = s.vgl(1.0 - 1e-9);

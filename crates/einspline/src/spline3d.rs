@@ -8,7 +8,7 @@
 use crate::basis::BasisWeights;
 use crate::grid::{Boundary, Grid1};
 use crate::real::Real;
-use crate::solver1d::{solve_natural, solve_periodic, COEF_PAD};
+use crate::solver1d::{solve_natural, PeriodicFactor, COEF_PAD};
 
 /// Value + gradient + symmetric Hessian of a scalar field at a point.
 ///
@@ -44,6 +44,44 @@ pub struct Spline3<T> {
     sx: usize, // stride between x-neighbours = (ny+3)(nz+3)
 }
 
+/// One pass of the tensor-product solve: `src` is `outer` blocks of
+/// `d` lines along the axis of `g` by `inner` lanes (the samples, or the
+/// previous pass); returns `outer` blocks of `g.num() + 3` padded
+/// coefficients by `inner` lanes. A periodic axis solves each block's
+/// lanes side by side, in place ([`PeriodicFactor::solve_lanes`]); a
+/// natural one line by line.
+fn solve_axis(g: &Grid1, src: &[f64], outer: usize, inner: usize) -> Vec<f64> {
+    let p = g.num() + COEF_PAD;
+    let d = src.len() / (outer * inner);
+    let mut dst = vec![0.0f64; outer * p * inner];
+    let blocks = src
+        .chunks_exact(d * inner)
+        .zip(dst.chunks_exact_mut(p * inner));
+    match g.boundary() {
+        Boundary::Periodic => {
+            let factor = PeriodicFactor::new(d);
+            for (s, t) in blocks {
+                t[inner..][..d * inner].copy_from_slice(s);
+                factor.solve_lanes(t, inner, inner);
+            }
+        }
+        Boundary::Natural => {
+            let mut line = vec![0.0f64; d];
+            for (s, t) in blocks {
+                for lane in 0..inner {
+                    for (i, l) in line.iter_mut().enumerate() {
+                        *l = s[i * inner + lane];
+                    }
+                    for (i, c) in solve_natural(&line).into_iter().enumerate() {
+                        t[i * inner + lane] = c;
+                    }
+                }
+            }
+        }
+    }
+    dst
+}
+
 impl<T: Real> Spline3<T> {
     /// Interpolate samples on the grid. `data` has shape
     /// `[nx][ny][nz]` (z fastest) for periodic grids, or
@@ -56,58 +94,18 @@ impl<T: Real> Spline3<T> {
         let (dx, dy, dz) = (dim(&gx), dim(&gy), dim(&gz));
         assert_eq!(data.len(), dx * dy * dz, "sample array shape mismatch");
 
-        let solve = |g: &Grid1, line: &[f64]| -> Vec<f64> {
-            match g.boundary() {
-                Boundary::Periodic => solve_periodic(line),
-                Boundary::Natural => solve_natural(line),
-            }
-        };
-
-        // Pass 1: solve along x for every (y,z) -> [nx+3][dy][dz].
-        let px = gx.num() + COEF_PAD;
-        let mut a = vec![0.0f64; px * dy * dz];
-        let mut line = vec![0.0f64; dx];
-        for y in 0..dy {
-            for z in 0..dz {
-                for (x, l) in line.iter_mut().enumerate() {
-                    *l = data[(x * dy + y) * dz + z];
-                }
-                for (x, c) in solve(&gx, &line).into_iter().enumerate() {
-                    a[(x * dy + y) * dz + z] = c;
-                }
-            }
-        }
-
-        // Pass 2: solve along y for every (x,z) -> [nx+3][ny+3][dz].
-        let py = gy.num() + COEF_PAD;
-        let mut b = vec![0.0f64; px * py * dz];
-        let mut line = vec![0.0f64; dy];
-        for x in 0..px {
-            for z in 0..dz {
-                for (y, l) in line.iter_mut().enumerate() {
-                    *l = a[(x * dy + y) * dz + z];
-                }
-                for (y, c) in solve(&gy, &line).into_iter().enumerate() {
-                    b[(x * py + y) * dz + z] = c;
-                }
-            }
-        }
+        // Solve along x, then y, then z; each pass pads its axis to
+        // `num + 3` points.
+        let (px, py, pz) = (
+            gx.num() + COEF_PAD,
+            gy.num() + COEF_PAD,
+            gz.num() + COEF_PAD,
+        );
+        let a = solve_axis(&gx, data, 1, dy * dz);
+        let b = solve_axis(&gy, &a, px, dz);
         drop(a);
-
-        // Pass 3: solve along z for every (x,y) -> [nx+3][ny+3][nz+3].
-        let pz = gz.num() + COEF_PAD;
-        let mut coefs = vec![T::ZERO; px * py * pz];
-        let mut line = vec![0.0f64; dz];
-        for x in 0..px {
-            for y in 0..py {
-                for (z, l) in line.iter_mut().enumerate() {
-                    *l = b[(x * py + y) * dz + z];
-                }
-                for (z, c) in solve(&gz, &line).into_iter().enumerate() {
-                    coefs[(x * py + y) * pz + z] = T::from_f64(c);
-                }
-            }
-        }
+        let coefs = solve_axis(&gz, &b, px * py, 1);
+        let coefs = coefs.into_iter().map(T::from_f64).collect();
 
         Self {
             gx,
@@ -316,8 +314,7 @@ mod tests {
         let hxx = (s.value(x + h, y, z) - 2.0 * v0 + s.value(x - h, y, z)) / (h * h);
         let hyy = (s.value(x, y + h, z) - 2.0 * v0 + s.value(x, y - h, z)) / (h * h);
         let hzz = (s.value(x, y, z + h) - 2.0 * v0 + s.value(x, y, z - h)) / (h * h);
-        let hxy = (s.value(x + h, y + h, z) - s.value(x + h, y - h, z)
-            - s.value(x - h, y + h, z)
+        let hxy = (s.value(x + h, y + h, z) - s.value(x + h, y - h, z) - s.value(x - h, y + h, z)
             + s.value(x - h, y - h, z))
             / (4.0 * h * h);
         assert!((out.h[0] - hxx).abs() < 1e-3, "hxx {} {}", out.h[0], hxx);

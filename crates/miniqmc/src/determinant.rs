@@ -24,9 +24,14 @@
 //! (w/R)·c` while the row is in L1, with `c` the old row `e` saved
 //! first. That is legal because `w_j` depends on row `j` alone.
 //!
-//! Both bodies are written as `c += a * b` and never as
-//! [`f64::mul_add`]: on the x86-64 baseline target `mul_add` is not an
-//! instruction but a call into libm per element. Each is instantiated
+//! Build and refresh invert the matrix through LU: `lu_factor` (serial
+//! partial pivoting), then the unit right-hand sides 16 at a time
+//! (`lu_solve_block`), each lane with the operations of its own solve.
+//!
+//! The three bodies are written with plain products, `c += a * b` or
+//! `s −= a * b`, and never as [`f64::mul_add`]: on the x86-64 baseline
+//! target `mul_add` is not an instruction but a call into libm per
+//! element. Each is instantiated
 //! three times by the crate's `multiversion!` macro — baseline,
 //! `avx2,fma` and `avx2,fma,avx512f`, picked by
 //! [`bspline::simd::active_backend`] like every other kernel, so
@@ -147,42 +152,77 @@ fn lu_factor(a: &mut [f64], n: usize, piv: &mut [usize]) -> (f64, f64) {
     (sign, log_det)
 }
 
-/// Solve `LU x = b` in place, `x` holding the permuted right-hand side
-/// `P b` on entry, given factors from [`lu_factor`].
-fn lu_solve(lu: &[f64], n: usize, x: &mut [f64]) {
+/// Right-hand sides of one block of [`invert_transposed`].
+const RHS: usize = 16;
+
+/// Solve `LU x = b` in place for [`RHS`] right-hand sides side by side:
+/// `xs[i][l]` is entry `i` of right-hand side `l`, holding the permuted
+/// `P b` on entry. Factors from [`lu_factor`]. Each lane runs the
+/// operations of a one-right-hand-side solve in the same order —
+/// `s −= lu[i][j]·x[j]` in increasing `j`, then the division by the
+/// pivot — so the lanes are independent and the bits do not depend on
+/// the vector width. The kernel body.
+#[inline(always)]
+fn lu_solve_block_body(lu: &[f64], n: usize, xs: &mut [[f64; RHS]]) {
     // Forward substitution (L has unit diagonal).
     for i in 1..n {
-        let mut s = x[i];
-        for j in 0..i {
-            s -= lu[i * n + j] * x[j];
+        let (done, rest) = xs.split_at_mut(i);
+        let mut s = rest[0];
+        for (&l, x) in lu[i * n..i * n + i].iter().zip(&*done) {
+            for k in 0..RHS {
+                s[k] -= l * x[k];
+            }
         }
-        x[i] = s;
+        rest[0] = s;
     }
     // Back substitution.
     for i in (0..n).rev() {
-        let mut s = x[i];
-        for j in (i + 1)..n {
-            s -= lu[i * n + j] * x[j];
+        let (head, done) = xs.split_at_mut(i + 1);
+        let mut s = head[i];
+        for (&u, x) in lu[i * n + i + 1..(i + 1) * n].iter().zip(&*done) {
+            for k in 0..RHS {
+                s[k] -= u * x[k];
+            }
         }
-        x[i] = s / lu[i * n + i];
+        let pivot = lu[i * n + i];
+        for k in 0..RHS {
+            head[i][k] = s[k] / pivot;
+        }
     }
 }
 
+multiversion! {
+    /// [`lu_solve_block_body`] in the active backend's instantiation.
+    fn lu_solve_block(lu: &[f64], n: usize, xs: &mut [[f64; RHS]]) = lu_solve_block_body;
+}
+
 /// Transposed inverse + `(sign, log|det|)` via LU (the O(N³) path of
-/// build and refresh). Column `e` of `A⁻¹` is the solution of `A x =
-/// unit_e` and is row `e` of `inv_t`, so each solve runs in place on a
-/// unit-stride row: no transpose, no per-column temporary.
+/// build, refresh and every full `evaluate_log`). Column `e` of `A⁻¹`
+/// is the solution of `A x = unit_e` and is row `e` of `inv_t`. The unit
+/// right-hand sides are solved [`RHS`] at a time
+/// ([`lu_solve_block`], a 16 KiB scratch at n = 128), which turns the
+/// serial `s −= lu·x` chain of one solve into 16 independent lanes; each
+/// column gets the bits a solve of it alone gives.
 fn invert_transposed(a: &[f64], n: usize, inv_t: &mut [f64]) -> (f64, f64) {
     let mut lu = a.to_vec();
     let mut piv = vec![0usize; n];
     let (sign, log_det) = lu_factor(&mut lu, n, &mut piv);
-    for e in 0..n {
-        let x = &mut inv_t[e * n..(e + 1) * n];
+    let mut xs = vec![[0.0f64; RHS]; n];
+    // (`max(1)`: a channel with no electrons has an empty inverse.)
+    for (block, rows) in inv_t.chunks_mut(RHS * n.max(1)).enumerate() {
+        let e0 = block * RHS;
         // P·unit_e: one where the permutation sends row `e`.
-        for (xi, &p) in x.iter_mut().zip(&piv) {
-            *xi = if p == e { 1.0 } else { 0.0 };
+        for (x, &p) in xs.iter_mut().zip(&piv) {
+            for (k, xk) in x.iter_mut().enumerate() {
+                *xk = if p == e0 + k { 1.0 } else { 0.0 };
+            }
         }
-        lu_solve(&lu, n, x);
+        lu_solve_block(&lu, n, &mut xs);
+        for (k, row) in rows.chunks_exact_mut(n).enumerate() {
+            for (r, x) in row.iter_mut().zip(&xs) {
+                *r = x[k];
+            }
+        }
     }
     (sign, log_det)
 }
@@ -343,6 +383,71 @@ mod tests {
         let mut piv = vec![0; n];
         let (sign, log) = lu_factor(&mut lu, n, &mut piv);
         sign * log.exp()
+    }
+
+    /// `invert_transposed` as it was before it solved 16 right-hand
+    /// sides at once: one `LU x = P·unit_e` solve per column. The tests'
+    /// reference.
+    fn invert_transposed_one_rhs(a: &[f64], n: usize) -> (Vec<f64>, f64, f64) {
+        let mut lu = a.to_vec();
+        let mut piv = vec![0usize; n];
+        let (sign, log_det) = lu_factor(&mut lu, n, &mut piv);
+        let mut inv_t = vec![0.0; n * n];
+        for e in 0..n {
+            let x = &mut inv_t[e * n..(e + 1) * n];
+            for (xi, &p) in x.iter_mut().zip(&piv) {
+                *xi = if p == e { 1.0 } else { 0.0 };
+            }
+            for i in 1..n {
+                let mut s = x[i];
+                for j in 0..i {
+                    s -= lu[i * n + j] * x[j];
+                }
+                x[i] = s;
+            }
+            for i in (0..n).rev() {
+                let mut s = x[i];
+                for j in (i + 1)..n {
+                    s -= lu[i * n + j] * x[j];
+                }
+                x[i] = s / lu[i * n + i];
+            }
+        }
+        (inv_t, sign, log_det)
+    }
+
+    /// The block solve gives every column the bits of its own solve, and
+    /// the same sign and `log det`: below one block (1, 2, 15), at one
+    /// (16), with a ragged block (17) and at the benchmark's 128, on a
+    /// diagonally boosted matrix and on one whose largest entry in each
+    /// row sits off the diagonal, so that the factorization swaps rows.
+    #[test]
+    fn determinant_block_inverse_bitmatches_the_one_rhs_reference() {
+        for n in [1, 2, 15, 16, 17, 128] {
+            let boosted = random_matrix(n, 100 + n as u64);
+            let mut shifted = random_matrix(n, 200 + n as u64);
+            for i in 0..n {
+                shifted[i * n + i] -= 2.0;
+                shifted[i * n + (i + 1) % n] += 3.0;
+            }
+            if n > 1 {
+                let mut piv = vec![0; n];
+                lu_factor(&mut shifted.clone(), n, &mut piv);
+                assert!(
+                    piv.iter().enumerate().any(|(i, &p)| i != p),
+                    "n={n}: no swap"
+                );
+            }
+            for a in [boosted, shifted] {
+                let (want, sign, log_det) = invert_transposed_one_rhs(&a, n);
+                let mut inv_t = vec![0.0; n * n];
+                let got = invert_transposed(&a, n, &mut inv_t);
+                assert_eq!(got.0.to_bits(), sign.to_bits(), "n={n}: sign");
+                assert_eq!(got.1.to_bits(), log_det.to_bits(), "n={n}: log det");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&inv_t), bits(&want), "n={n}: inverse");
+            }
+        }
     }
 
     #[test]

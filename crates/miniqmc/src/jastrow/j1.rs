@@ -199,7 +199,7 @@ mod tests {
     /// bit: at n ∈ {1, 2, 17, 256} electrons with one on an ion (`r =
     /// 0`), on a lattice with every ion beyond the cutoff, and with one
     /// electron at a NaN position, whose NaN reaches only its own
-    /// entries.
+    /// entries, its Laplacian included.
     #[test]
     fn jastrow_j1_packed_log_bitmatches_the_all_ions_reference() {
         let check = |ions: &ParticleSet, els: &[[f64; 3]]| {
@@ -218,9 +218,9 @@ mod tests {
                 let bits = check(&ions, &els);
                 let nan = |k: usize| f64::from_bits(bits[k]).is_nan();
                 let lap = 2 + 3 * n;
-                // `r > 0` is false for NaN, so the Laplacian's select
-                // drops the NaN terms; `Σ u` and the gradient keep them.
-                assert!(nan(0) && nan(2 + 3) && !nan(lap + 1), "n={n}: electron 1");
+                // A NaN distance is not a coincident pair: the NaN
+                // reaches `Σ u`, the gradient and the Laplacian.
+                assert!(nan(0) && nan(2 + 3) && nan(lap + 1), "n={n}: electron 1");
                 assert!(!nan(2) && !nan(lap) && !nan(lap + 2), "n={n}: the others");
             }
         }

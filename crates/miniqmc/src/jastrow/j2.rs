@@ -242,9 +242,10 @@ mod tests {
         for j in 0..n {
             usum += u[j];
             cu[j] += u[j];
-            let apart = r[j] > 0.0;
+            // False for NaN: a NaN distance is not a coincident pair.
+            let coincident = r[j] <= 0.0;
             let du_r = du[j] / r[j];
-            let du_r = if apart { du_r } else { 0.0 };
+            let du_r = if coincident { 0.0 } else { du_r };
             let (gx, gy, gz) = (du_r * dx[j], du_r * dy[j], du_r * dz[j]);
             g[0] += gx;
             g[1] += gy;
@@ -253,7 +254,7 @@ mod tests {
             cy[j] -= gy;
             cz[j] -= gz;
             let l = d2u[j] + 2.0 * du_r;
-            let l = if apart { l } else { 0.0 };
+            let l = if coincident { 0.0 } else { l };
             lap -= l;
             cl[j] -= l;
         }
@@ -325,7 +326,8 @@ mod tests {
     /// The in-cutoff evaluation equals [`all_pairs_reference`] bit for
     /// bit: at n ∈ {1, 2, 17, 256} with one coincident pair (`r = 0`),
     /// on a lattice with every pair beyond the cutoff, and with one
-    /// electron at a NaN position, whose NaN reaches the same entries.
+    /// electron at a NaN position, whose NaN reaches the same entries,
+    /// its own Laplacian among them.
     #[test]
     fn jastrow_j2_packed_log_bitmatches_the_all_pairs_reference() {
         let u = BsplineFunctor::rpa_like(0.5, 1.0, 2.5, 32);
@@ -350,6 +352,10 @@ mod tests {
                 pos[1] = [f64::NAN; 3];
                 let bits = check(lat, &pos);
                 assert!(f64::from_bits(bits[0]).is_nan(), "n={n}: log");
+                // A NaN distance is not a coincident pair: the NaN
+                // reaches electron 1's Laplacian too.
+                let lap = 2 + 3 * n;
+                assert!(f64::from_bits(bits[lap + 1]).is_nan(), "n={n}: lap[1]");
             }
         }
         // 3×3×2 sites 8 apart in a 24 box: every pair is beyond 2.5.

@@ -47,8 +47,10 @@ impl JastrowDerivs {
 /// `disp[j]` and `[u, u′, u″][k]`; `pair(j, u, ∇, ∇²)` sees each pair's
 /// terms as they are added. An entry at `r = 0` (coincident particles
 /// have no direction) counts towards `Σ u` only; that guard is a
-/// select. The pairs beyond the cutoff, which add exact zeros, are not
-/// visited.
+/// select on `r <= 0`, which is false for a NaN distance: a NaN pair is
+/// not taken for a coincident one, and its NaN reaches `Σ u`, the
+/// gradient and the Laplacian alike. The pairs beyond the cutoff, which add exact zeros,
+/// are not visited.
 #[inline(always)]
 pub(crate) fn packed_row_sums(
     r: &[f64],
@@ -62,15 +64,16 @@ pub(crate) fn packed_row_sums(
     let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
     for (k, &j) in idx.iter().enumerate() {
         usum += u[k];
-        let apart = r[j] > 0.0;
+        // False for NaN: a NaN distance is not a coincident pair.
+        let coincident = r[j] <= 0.0;
         let du_r = du[k] / r[j];
-        let du_r = if apart { du_r } else { 0.0 };
+        let du_r = if coincident { 0.0 } else { du_r };
         let gj = [du_r * dx[j], du_r * dy[j], du_r * dz[j]];
         g[0] += gj[0];
         g[1] += gj[1];
         g[2] += gj[2];
         let l = d2u[k] + 2.0 * du_r;
-        let l = if apart { l } else { 0.0 };
+        let l = if coincident { 0.0 } else { l };
         lap -= l;
         pair(j, u[k], gj, l);
     }
@@ -93,14 +96,15 @@ pub(crate) fn sum_row(
     let (mut usum, mut g, mut lap) = (0.0, [0.0f64; 3], 0.0);
     for j in 0..n {
         usum += u[j];
-        let apart = r[j] > 0.0;
+        // False for NaN: a NaN distance is not a coincident pair.
+        let coincident = r[j] <= 0.0;
         let du_r = du[j] / r[j];
-        let du_r = if apart { du_r } else { 0.0 };
+        let du_r = if coincident { 0.0 } else { du_r };
         g[0] += du_r * dx[j];
         g[1] += du_r * dy[j];
         g[2] += du_r * dz[j];
         let l = d2u[j] + 2.0 * du_r;
-        lap -= if apart { l } else { 0.0 };
+        lap -= if coincident { 0.0 } else { l };
     }
     (usum, g, lap)
 }

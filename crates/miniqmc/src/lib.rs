@@ -139,8 +139,10 @@ mod backend_twins {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Bit patterns of everything the six bodies produce on fixed
-    /// inputs: `dot` (determinant ratio, gradient and Laplacian),
+    /// Bit patterns of everything the seven bodies produce on fixed
+    /// inputs: `lu_solve_block` (the built inverse, through a ratio on
+    /// each of its rows), `dot` (determinant ratio, gradient and
+    /// Laplacian),
     /// `sherman_morrison` (the accepted inverse's `log det` and a ratio
     /// through it), `row_min_image` (one distance row), the Jastrow
     /// `values_row`/`vgl_packed` and the SPO `pull_back` (through
@@ -163,6 +165,9 @@ mod backend_twins {
                 unreachable!()
             };
             let mut det = DiracDeterminant::build(&a, n);
+            for e in 0..n {
+                bits.push(det.ratio(e, phi).to_bits());
+            }
             bits.push(det.ratio(n / 2, phi).to_bits());
             det.accept(n / 2, phi);
             bits.push(det.log_det().to_bits());

@@ -11,10 +11,10 @@
 //! bit-identical: only the vector width differs.
 //!
 //! The instantiated bodies are `determinant::{dot_body,
-//! sherman_morrison_body}`, `distance::soa::row_min_image`,
-//! `BsplineFunctor::{values_row_body, vgl_packed_body}` and
-//! `spo::pull_back_body`; `backend_twins` in the crate root pins all
-//! six under every available backend.
+//! sherman_morrison_body, lu_solve_block_body}`,
+//! `distance::soa::row_min_image`, `BsplineFunctor::{values_row_body,
+//! vgl_packed_body}` and `spo::pull_back_body`; `backend_twins` in the
+//! crate root pins all seven under every available backend.
 
 /// `multiversion! { $(#[attr])* $vis fn name<T: Bound>(args) -> ret = body; }`
 /// defines `name` with the signature given, running the body function

@@ -17,10 +17,15 @@
 //! * [`CoralSystem`] — the graphite supercell + electron counts + grid of
 //!   the CORAL benchmark family (`4×4×1` → 64 C, 256 electrons, 128
 //!   orbitals per spin, grid 48×48×60).
+//!
+//! Both fitted builders hand their samples to
+//! [`MultiCoefs::interpolate`], one orbital at a time, which solves the
+//! whole table in place across its orbitals; the coefficients are those
+//! of a `Spline3` fit per orbital, bit for bit.
 
 use crate::lattice::{graphite_supercell, Lattice};
 use crate::particleset::ParticleSet;
-use einspline::{Grid1, MultiCoefs, Real, Spline3};
+use einspline::{Grid1, MultiCoefs, Real};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,7 +40,8 @@ struct Mode {
 /// Build `n_orbitals` smooth periodic orbitals on the given grids by
 /// summing `n_modes` random low-frequency Fourier modes each, then
 /// fitting interpolating B-spline coefficients (the full einspline
-/// pipeline). Deterministic per seed.
+/// pipeline, [`MultiCoefs::interpolate`]). Deterministic per seed: the
+/// modes are drawn orbital by orbital.
 pub fn synthetic_orbitals<T: Real>(
     gx: Grid1,
     gy: Grid1,
@@ -46,10 +52,7 @@ pub fn synthetic_orbitals<T: Real>(
 ) -> MultiCoefs<T> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (nx, ny, nz) = (gx.num(), gy.num(), gz.num());
-    let mut coefs = MultiCoefs::<T>::new(gx, gy, gz, n_orbitals);
-    let mut data = vec![0.0f64; nx * ny * nz];
-
-    for orb in 0..n_orbitals {
+    MultiCoefs::interpolate(gx, gy, gz, n_orbitals, |orb, data| {
         // Low-|k| shell: components in [-2, 2]; ensure a non-zero k.
         let modes: Vec<Mode> = (0..n_modes)
             .map(|_| {
@@ -103,10 +106,7 @@ pub fn synthetic_orbitals<T: Real>(
                 *d += 2.0;
             }
         }
-        let sp = Spline3::<T>::interpolate(gx, gy, gz, &data);
-        coefs.set_orbital(orb, &sp);
-    }
-    coefs
+    })
 }
 
 /// The real plane waves of the closed shells `|n|² ≤ shell`, fitted
@@ -154,16 +154,14 @@ pub fn plane_wave_shell<T: Real>(
     }
 
     let g1 = Grid1::periodic(0.0, 1.0, grid);
-    let mut coefs = MultiCoefs::<T>::new(g1, g1, g1, waves.len());
-    let mut data = vec![0.0f64; grid * grid * grid];
-    for (orb, &(n, _, phi)) in waves.iter().enumerate() {
+    let coefs = MultiCoefs::interpolate(g1, g1, g1, waves.len(), |orb, data| {
+        let (n, _, phi) = waves[orb];
         for (idx, d) in data.iter_mut().enumerate() {
             let u = [idx / (grid * grid), idx / grid % grid, idx % grid];
             let nu: f64 = (0..3).map(|b| n[b] as f64 * u[b] as f64).sum();
             *d = (tau * nu / grid as f64 - phi).cos();
         }
-        coefs.set_orbital(orb, &Spline3::<T>::interpolate(g1, g1, g1, &data));
-    }
+    });
     (
         coefs,
         waves.into_iter().map(|(_, g, phi)| (g, phi)).collect(),
