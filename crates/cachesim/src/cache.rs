@@ -16,7 +16,10 @@ impl CacheConfig {
     /// Create a new instance.
     pub fn new(size: usize, assoc: usize, line: usize) -> Self {
         assert!(line.is_power_of_two(), "line size must be a power of two");
-        assert!(size.is_multiple_of(assoc * line), "size must be sets*assoc*line");
+        assert!(
+            size.is_multiple_of(assoc * line),
+            "size must be sets*assoc*line"
+        );
         Self { size, assoc, line }
     }
 

@@ -354,16 +354,7 @@ pub fn simulate(cfg: &TraceConfig, platform: &Platform) -> SimStats {
                 for s in lo..hi {
                     for g in 0..groups {
                         for &(thread, walker, tile) in &active {
-                            emit_group(
-                                h,
-                                &map,
-                                cfg,
-                                thread,
-                                walker,
-                                tile,
-                                corners[walker][s],
-                                g,
-                            );
+                            emit_group(h, &map, cfg, thread, walker, tile, corners[walker][s], g);
                         }
                     }
                 }

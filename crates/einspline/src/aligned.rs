@@ -5,16 +5,99 @@
 //! lines, and pads the spline dimension so the innermost loop has an exact
 //! vector trip count. [`AlignedVec`] provides both: a `Vec`-like buffer
 //! whose base pointer is 64-byte aligned.
+//!
+//! # Huge pages for large tables
+//!
+//! The kernels make random reads into one large table (136 MB for 48³
+//! grid points and 256 `f32` orbitals), and its construction is dominated
+//! by first-touch page faults: zeroing it at 4 KiB pages takes about 33 k
+//! faults. On Linux (x86-64 and aarch64) an allocation of at least
+//! [`HUGE_ADVICE_MIN_BYTES`] is advised with `madvise(MADV_HUGEPAGE)` on
+//! its 2 MiB-aligned interior *before* it is first written, so a kernel
+//! whose transparent huge pages are in `madvise` mode backs it with 2 MiB
+//! pages (about 68 faults for that table). 32 MiB is glibc's ceiling on
+//! its dynamic mmap threshold on 64-bit targets: an allocation that large
+//! is always its own mapping and is unmapped on free, so the advice dies
+//! with the allocation and never marks pages of the shared heap. The
+//! advice changes no contents and its result is ignored (a kernel without
+//! transparent huge pages answers `EINVAL`); below the threshold and on
+//! other targets an allocation is a plain `posix_memalign` and a `memset`,
+//! which is what std's `alloc_zeroed` does at 64-byte alignment.
+//!
+//! # Debug canary
+//!
+//! In builds with debug assertions every non-empty allocation carries one
+//! extra cache line after its `len` elements, filled with a fixed byte;
+//! dropping the buffer checks it and panics if a write ran past the end.
+//! Release builds allocate exactly `len` elements.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
-use std::ptr::NonNull;
+use std::ptr::{self, NonNull};
 use std::slice;
 
 /// Alignment (bytes) of every allocation: one x86 cache line / 512-bit
 /// vector register.
 pub const CACHE_LINE: usize = 64;
+
+/// Allocations of at least this many bytes are advised for transparent
+/// huge pages (see the module docs): glibc's ceiling on its mmap
+/// threshold on 64-bit targets, so such an allocation is its own mapping.
+pub const HUGE_ADVICE_MIN_BYTES: usize = 32 << 20;
+
+/// The transparent huge page size the advice is aligned to (x86-64, and
+/// aarch64 with 4 KiB base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Bytes of the debug canary after the last element: one cache line.
+#[cfg(debug_assertions)]
+const CANARY_LEN: usize = CACHE_LINE;
+
+/// The byte the debug canary is filled with.
+#[cfg(debug_assertions)]
+const CANARY_BYTE: u8 = 0xA5;
+
+/// The 2 MiB-aligned interior `(start, len)` of the allocation
+/// `[addr, addr + bytes)` that is advised for huge pages, or `None` when
+/// the allocation is under [`HUGE_ADVICE_MIN_BYTES`] or holds no whole
+/// huge page. The range always lies inside the allocation.
+fn huge_advice_range(addr: usize, bytes: usize) -> Option<(usize, usize)> {
+    if bytes < HUGE_ADVICE_MIN_BYTES {
+        return None;
+    }
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(bytes)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then(|| (start, end - start))
+}
+
+/// Ask the kernel to back `[addr, addr + len)` with transparent huge
+/// pages. Advice only: the return value is ignored.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages(addr: *mut u8, len: usize) {
+    use std::ffi::{c_int, c_void};
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    // The generic Linux value; parisc numbers it differently, which is
+    // why the declaration is limited to these two architectures.
+    const MADV_HUGEPAGE: c_int = 14;
+    // SAFETY: `[addr, addr + len)` lies inside a live allocation that the
+    // calling `AlignedVec` owns, and `MADV_HUGEPAGE` only flags the
+    // mapping: it changes no contents.
+    unsafe {
+        madvise(addr.cast(), len, MADV_HUGEPAGE);
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages(_addr: *mut u8, _len: usize) {}
 
 /// Round `n` elements of `T` up so the byte size is a multiple of the
 /// cache line, i.e. the padded element count used for the innermost
@@ -49,23 +132,16 @@ unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
 impl<T: Copy + Default> AlignedVec<T> {
     /// Allocate `len` zero-initialized elements aligned to [`CACHE_LINE`].
+    /// An allocation of at least [`HUGE_ADVICE_MIN_BYTES`] is advised
+    /// for 2 MiB pages before it is zeroed, so zeroing faults it in at
+    /// huge pages where the kernel grants them (see the module docs).
     /// Panics if `len` elements of `T` are more bytes than an allocation
     /// can hold.
     pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self {
-                ptr: NonNull::dangling(),
-                len: 0,
-                _marker: PhantomData,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size (len > 0, T sized) and valid
-        // power-of-two alignment.
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
-            handle_alloc_error(layout)
-        };
+        let ptr = Self::allocate(len);
+        // SAFETY: `allocate` returned room for `len` elements (or a
+        // dangling pointer when `len == 0`, where zero bytes are written).
+        unsafe { ptr.as_ptr().write_bytes(0, len) };
         Self {
             ptr,
             len,
@@ -86,12 +162,44 @@ impl<T: Copy + Default> AlignedVec<T> {
 }
 
 impl<T> AlignedVec<T> {
-    /// The allocation of `len` elements. The byte count is checked: a
-    /// wrapped product would back a huge `len` with a tiny allocation.
+    /// The allocation of `len` elements, plus the canary line in debug
+    /// builds. The byte count is checked: a wrapped product would back a
+    /// huge `len` with a tiny allocation.
     fn layout(len: usize) -> Layout {
         len.checked_mul(std::mem::size_of::<T>())
-            .and_then(|bytes| Layout::from_size_align(bytes, CACHE_LINE).ok())
+            .and_then(|bytes| {
+                #[cfg(debug_assertions)]
+                let bytes = bytes.checked_add(CANARY_LEN)?;
+                Layout::from_size_align(bytes, CACHE_LINE).ok()
+            })
             .expect("AlignedVec layout overflow")
+    }
+
+    /// Uninitialized room for `len` elements: a dangling pointer when
+    /// `len == 0`; otherwise advised for huge pages when large and, in
+    /// debug builds, followed by a filled canary line.
+    fn allocate(len: usize) -> NonNull<T> {
+        if len == 0 {
+            return NonNull::dangling();
+        }
+        let layout = Self::layout(len);
+        // SAFETY: layout has non-zero size (len > 0, T sized) and valid
+        // power-of-two alignment.
+        let Some(ptr) = NonNull::new(unsafe { alloc(layout) }) else {
+            handle_alloc_error(layout)
+        };
+        let raw = ptr.as_ptr();
+        if let Some((start, bytes)) = huge_advice_range(raw as usize, layout.size()) {
+            advise_huge_pages(raw.wrapping_add(start - raw as usize), bytes);
+        }
+        #[cfg(debug_assertions)]
+        // SAFETY: the layout ends with `CANARY_LEN` bytes after the
+        // `len` elements, all inside the allocation just made.
+        unsafe {
+            raw.add(layout.size() - CANARY_LEN)
+                .write_bytes(CANARY_BYTE, CANARY_LEN)
+        };
+        ptr.cast()
     }
 
     #[inline]
@@ -130,18 +238,51 @@ impl<T> AlignedVec<T> {
 
 impl<T> Drop for AlignedVec<T> {
     fn drop(&mut self) {
-        if self.len != 0 {
-            // SAFETY: allocated in `zeroed` with the identical layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) }
+        if self.len == 0 {
+            return;
         }
+        let layout = Self::layout(self.len);
+        #[cfg(debug_assertions)]
+        // SAFETY: the last `CANARY_LEN` bytes of the layout lie inside
+        // the allocation this value owns, written in `allocate`.
+        let canary_intact = unsafe {
+            slice::from_raw_parts(
+                self.ptr
+                    .as_ptr()
+                    .cast::<u8>()
+                    .add(layout.size() - CANARY_LEN),
+                CANARY_LEN,
+            )
+        }
+        .iter()
+        .all(|&b| b == CANARY_BYTE);
+        // SAFETY: allocated in `allocate` with the identical layout.
+        unsafe { dealloc(self.ptr.as_ptr().cast(), layout) }
+        // A panic during another unwind would abort: skip the report then.
+        #[cfg(debug_assertions)]
+        assert!(
+            canary_intact || std::thread::panicking(),
+            "AlignedVec canary overwritten: a write ran past the last of {} elements",
+            self.len
+        );
     }
 }
 
-impl<T: Copy + Default> Clone for AlignedVec<T> {
+/// Copies into a fresh allocation made the way [`AlignedVec::zeroed`]
+/// makes one (huge-page advice included) but without zeroing it first,
+/// so a large copy, such as copy-on-write of a shared coefficient table,
+/// writes each byte once.
+impl<T: Copy> Clone for AlignedVec<T> {
     fn clone(&self) -> Self {
-        let mut out = Self::zeroed(self.len);
-        out.as_mut_slice().copy_from_slice(self.as_slice());
-        out
+        let ptr = Self::allocate(self.len);
+        // SAFETY: both buffers hold `len` elements, `T: Copy`, and a
+        // fresh allocation cannot overlap `self`'s.
+        unsafe { ptr::copy_nonoverlapping(self.ptr.as_ptr(), ptr.as_ptr(), self.len) };
+        Self {
+            ptr,
+            len: self.len,
+            _marker: PhantomData,
+        }
     }
 }
 
@@ -252,6 +393,142 @@ mod tests {
         assert_eq!(w[3], 9.0);
         assert_eq!(w.len(), 32);
         assert_eq!(w.as_ptr() as usize % CACHE_LINE, 0);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn huge_advice_skips_allocations_under_the_threshold() {
+        assert_eq!(huge_advice_range(0, HUGE_ADVICE_MIN_BYTES - 1), None);
+        assert_eq!(huge_advice_range(64 * MIB, 31 * MIB), None);
+        assert_eq!(huge_advice_range(64 * MIB, 0), None);
+    }
+
+    #[test]
+    fn huge_advice_covers_an_aligned_allocation_whole() {
+        assert_eq!(
+            huge_advice_range(64 * MIB, 32 * MIB),
+            Some((64 * MIB, 32 * MIB))
+        );
+        // A ragged tail is left out: only whole huge pages are advised.
+        assert_eq!(
+            huge_advice_range(64 * MIB, 33 * MIB + 4096),
+            Some((64 * MIB, 32 * MIB))
+        );
+    }
+
+    #[test]
+    fn huge_advice_rounds_an_unaligned_start_up() {
+        // An mmap'd glibc chunk starts just past a page boundary.
+        let addr = 64 * MIB + 4096 + 16;
+        let (start, len) = huge_advice_range(addr, 40 * MIB).expect("advised");
+        assert_eq!(start, 66 * MIB);
+        assert_eq!(len, 38 * MIB);
+    }
+
+    #[test]
+    fn huge_advice_stays_inside_the_allocation() {
+        for addr in [
+            0,
+            16,
+            4096 + 16,
+            2 * MIB - 64,
+            2 * MIB,
+            3 * MIB + 7,
+            1 << 40,
+        ] {
+            for bytes in [32 * MIB, 32 * MIB + 1, 34 * MIB - 1, 136_000_000] {
+                let (start, len) = huge_advice_range(addr, bytes).expect("advised");
+                assert!(start >= addr, "addr={addr} bytes={bytes}");
+                assert!(start + len <= addr + bytes, "addr={addr} bytes={bytes}");
+                assert_eq!(start % HUGE_PAGE, 0);
+                assert_eq!(len % HUGE_PAGE, 0);
+                assert!(len > 0);
+            }
+        }
+        // A range that would wrap past the address space advises nothing.
+        assert_eq!(huge_advice_range(usize::MAX - 4 * MIB, 40 * MIB), None);
+        assert_eq!(huge_advice_range(usize::MAX - MIB, 40 * MIB), None);
+    }
+
+    #[test]
+    fn clone_of_a_large_vec_is_a_bit_copy() {
+        let mut v = AlignedVec::<f32>::zeroed(HUGE_ADVICE_MIN_BYTES / 4 + 5);
+        for (i, x) in v.iter_mut().enumerate().step_by(4099) {
+            *x = i as f32 * -0.5;
+        }
+        let w = v.clone();
+        assert_eq!(w.len(), v.len());
+        assert_eq!(w.as_ptr() as usize % CACHE_LINE, 0);
+        assert!(v
+            .iter()
+            .zip(w.iter())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// A 40 MiB buffer is zeroed, aligned and, where the kernel offers
+    /// transparent huge pages, backed by some: its mappings' summed
+    /// `AnonHugePages` in `/proc/self/smaps` is positive.
+    #[test]
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    fn a_large_vec_is_zeroed_aligned_and_backed_by_huge_pages() {
+        let v = AlignedVec::<f32>::zeroed(40 * MIB / 4);
+        assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0);
+        assert!(v.iter().all(|&x| x.to_bits() == 0));
+
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        match thp {
+            Ok(mode) if !mode.contains("[never]") => {}
+            Ok(mode) => {
+                eprintln!("skipped: transparent huge pages are off ({})", mode.trim());
+                return;
+            }
+            Err(e) => {
+                eprintln!("skipped: no transparent huge page support ({e})");
+                return;
+            }
+        }
+        let (lo, hi) = (v.as_ptr() as usize, v.as_ptr() as usize + 40 * MIB);
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("readable smaps");
+        let mut overlaps = false;
+        let mut huge_kb = 0u64;
+        for line in smaps.lines() {
+            let mut words = line.split_whitespace();
+            let Some(first) = words.next() else { continue };
+            if let Some((start, end)) = first.split_once('-') {
+                if let (Ok(start), Ok(end)) = (
+                    usize::from_str_radix(start, 16),
+                    usize::from_str_radix(end, 16),
+                ) {
+                    overlaps = start < hi && lo < end;
+                    continue;
+                }
+            }
+            if overlaps && first == "AnonHugePages:" {
+                huge_kb += words
+                    .next()
+                    .and_then(|kb| kb.parse::<u64>().ok())
+                    .unwrap_or(0);
+            }
+        }
+        assert!(huge_kb > 0, "no huge pages back the 40 MiB buffer");
+    }
+
+    /// A write one element past the end lands in the canary line, which
+    /// is inside the allocation, and is caught on drop.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "AlignedVec canary overwritten")]
+    fn a_write_past_the_end_trips_the_canary() {
+        let v = AlignedVec::<f32>::zeroed(16);
+        // SAFETY: debug builds allocate a canary line after the 16
+        // elements, so element 16 is inside the allocation; `as_ptr`
+        // carries the whole allocation's provenance.
+        unsafe { v.as_ptr().cast_mut().add(v.len()).write(1.0) };
+        drop(v);
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub mod strategy {
             }
         )*};
     }
-    impl_range_strategy!(
-        u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64
-    );
+    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
     /// A strategy yielding one fixed value (`proptest::strategy::Just`).
     #[derive(Clone, Copy, Debug)]

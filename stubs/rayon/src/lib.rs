@@ -39,8 +39,8 @@ pub mod prelude {
 /// claiming the pinned one.
 pub fn current_num_threads() -> usize {
     static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    let forced = *OVERRIDE
-        .get_or_init(|| std::env::var("QMC_THREADS").ok().map(|v| parse_threads(&v)));
+    let forced =
+        *OVERRIDE.get_or_init(|| std::env::var("QMC_THREADS").ok().map(|v| parse_threads(&v)));
     forced.unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -178,9 +178,12 @@ mod tests {
     fn vec_for_each_visits_everything() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let sum = AtomicUsize::new(0);
-        (1..=100).collect::<Vec<usize>>().into_par_iter().for_each(|x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
+        (1..=100)
+            .collect::<Vec<usize>>()
+            .into_par_iter()
+            .for_each(|x| {
+                sum.fetch_add(x, Ordering::Relaxed);
+            });
         assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 
