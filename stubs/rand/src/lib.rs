@@ -12,6 +12,21 @@
 //!
 //! Replace this stub with the real crate by pointing the
 //! `[workspace.dependencies]` entry back at crates.io.
+//!
+//! # Extensions
+//!
+//! `StdRng` here has an exposed state and a jump-ahead that upstream's
+//! ChaCha-based `StdRng` lacks. A swap to upstream needs
+//! `rand_xoshiro::Xoshiro256StarStar` (whose `jump` covers only fixed
+//! 2¹²⁸ steps) and ports of:
+//! - [`rngs::StdRng::state`] and [`rngs::StdRng::from_state`], which
+//!   checkpoints use to resume a stream mid-way;
+//! - [`rngs::StdRng::advance`], an arbitrary jump ahead, which
+//!   `einspline`'s lane fill uses to start each lane at its place in
+//!   the serial stream;
+//! - [`rngs::step_lanes`], which steps many xoshiro256** states at once
+//!   through the same transition [`RngCore::next_u64`] runs; the lane
+//!   fill steps 16.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -183,12 +198,93 @@ pub mod rngs {
         s: [u64; 4],
     }
 
-    impl StdRng {
-        #[inline]
-        fn rotl(x: u64, k: u32) -> u64 {
-            x.rotate_left(k)
-        }
+    /// One xoshiro256** step of the state words `s0..s3`: returns the
+    /// output and steps the words. This is the one copy of the
+    /// transition; [`StdRng`]'s `next_u64` runs it on its state and
+    /// [`step_lanes`] on every lane.
+    #[inline(always)]
+    fn step(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
+        result
+    }
 
+    /// One xoshiro256** step of `L` independent generators held
+    /// word-major (`s[w][l]` is word `w` of lane `l`): returns each
+    /// lane's output and steps each lane's state, as `next_u64` on each
+    /// would. A caller with `L` = 8 or 16 gets a loop the compiler
+    /// vectorizes across lanes.
+    #[inline(always)]
+    pub fn step_lanes<const L: usize>(s: &mut [[u64; L]; 4]) -> [u64; L] {
+        let [s0, s1, s2, s3] = s;
+        let mut out = [0; L];
+        for l in 0..L {
+            out[l] = step(&mut s0[l], &mut s1[l], &mut s2[l], &mut s3[l]);
+        }
+        out
+    }
+
+    /// The characteristic polynomial of xoshiro256**'s state transition,
+    /// `x²⁵⁶ + Σ_k c_k x^k` with `c_k` bit `k % 64` of word `k / 64`.
+    /// The transition is linear over GF(2) and its polynomial is
+    /// primitive, so every state sequence satisfies this recurrence
+    /// (the `tests` module recovers it with Berlekamp–Massey).
+    pub(crate) const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// `x · a` modulo [`CHAR_POLY`].
+    fn mul_x(a: [u64; 4]) -> [u64; 4] {
+        let mut r = [
+            a[0] << 1,
+            a[1] << 1 | a[0] >> 63,
+            a[2] << 1 | a[1] >> 63,
+            a[3] << 1 | a[2] >> 63,
+        ];
+        if a[3] >> 63 == 1 {
+            for (r, c) in r.iter_mut().zip(CHAR_POLY) {
+                *r ^= c;
+            }
+        }
+        r
+    }
+
+    /// `a · b` modulo [`CHAR_POLY`] (Horner over the bits of `b`).
+    fn mul_mod(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
+        let mut acc = [0; 4];
+        for i in (0..256).rev() {
+            acc = mul_x(acc);
+            if b[i / 64] >> (i % 64) & 1 == 1 {
+                for (acc, a) in acc.iter_mut().zip(a) {
+                    *acc ^= a;
+                }
+            }
+        }
+        acc
+    }
+
+    /// `x^k` modulo [`CHAR_POLY`], by square-and-multiply.
+    fn x_pow(k: u128) -> [u64; 4] {
+        let mut r = [1, 0, 0, 0];
+        for bit in (0..u128::BITS - k.leading_zeros()).rev() {
+            r = mul_mod(r, r);
+            if k >> bit & 1 == 1 {
+                r = mul_x(r);
+            }
+        }
+        r
+    }
+
+    impl StdRng {
         /// Export the full generator state.
         ///
         /// Together with [`StdRng::from_state`] this makes the stream
@@ -214,6 +310,30 @@ pub mod rngs {
             assert!(s != [0; 4], "xoshiro256** state must be non-zero");
             Self { s }
         }
+
+        /// Jump the stream `draws` draws ahead: afterwards the generator
+        /// is where `draws` calls of [`RngCore::next_u64`] would have
+        /// left it. A stub extension, like [`StdRng::state`].
+        ///
+        /// The transition `T` is linear over GF(2), so `Tᵏ` is a
+        /// polynomial in `T` of degree below 256: `xᵏ` modulo its
+        /// characteristic polynomial (Haramoto et al., INFORMS J. Comput.
+        /// 20(3), 2008). The jump evaluates that polynomial on the state
+        /// with 256 steps, whatever `draws` is; `advance(2¹²⁸)` (two
+        /// calls of `1 << 127`) is Vigna's published `jump()`.
+        pub fn advance(&mut self, draws: u128) {
+            let g = x_pow(draws);
+            let mut acc = [0; 4];
+            for i in 0..256 {
+                if g[i / 64] >> (i % 64) & 1 == 1 {
+                    for (acc, s) in acc.iter_mut().zip(self.s) {
+                        *acc ^= s;
+                    }
+                }
+                self.next_u64();
+            }
+            self.s = acc;
+        }
     }
 
     impl SeedableRng for StdRng {
@@ -236,16 +356,8 @@ pub mod rngs {
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let s = &mut self.s;
-            let result = Self::rotl(s[1].wrapping_mul(5), 7).wrapping_mul(9);
-            let t = s[1] << 17;
-            s[2] ^= s[0];
-            s[3] ^= s[1];
-            s[1] ^= s[2];
-            s[0] ^= s[3];
-            s[2] ^= t;
-            s[3] = Self::rotl(s[3], 45);
-            result
+            let [s0, s1, s2, s3] = &mut self.s;
+            step(s0, s1, s2, s3)
         }
     }
 }
@@ -363,5 +475,123 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn all_zero_state_rejected() {
         let _ = StdRng::from_state([0; 4]);
+    }
+
+    /// Vigna's published `jump()` for xoshiro256** (prng.di.unimi.it),
+    /// transcribed: the state `2¹²⁸` draws ahead.
+    fn vigna_jump(rng: &mut StdRng) {
+        use super::RngCore;
+        const JUMP: [u64; 4] = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        let mut acc = [0u64; 4];
+        for word in JUMP {
+            for b in 0..64 {
+                if word & 1 << b != 0 {
+                    for (acc, s) in acc.iter_mut().zip(rng.state()) {
+                        *acc ^= s;
+                    }
+                }
+                rng.next_u64();
+            }
+        }
+        *rng = StdRng::from_state(acc);
+    }
+
+    #[test]
+    fn advance_by_two_to_the_128_is_vignas_jump() {
+        for seed in [0, 5, 0xC4A7] {
+            let mut want = StdRng::seed_from_u64(seed);
+            vigna_jump(&mut want);
+            // 2¹²⁸ does not fit a u128: two halves.
+            let mut got = StdRng::seed_from_u64(seed);
+            got.advance(1 << 127);
+            got.advance(1 << 127);
+            assert_eq!(got.state(), want.state(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn advance_equals_that_many_draws() {
+        for k in [0u32, 1, 63, 64, 65, 1000] {
+            let mut stepped = StdRng::seed_from_u64(u64::from(k) + 3);
+            let mut jumped = stepped.clone();
+            for _ in 0..k {
+                let _ = stepped.random::<u64>();
+            }
+            jumped.advance(u128::from(k));
+            assert_eq!(jumped.state(), stepped.state(), "k = {k}");
+            assert_eq!(jumped.random::<u64>(), stepped.random::<u64>(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let pairs: [(u128, u128); 4] = [
+            (0, 17),
+            (300, 1 << 20),
+            ((1 << 100) + 12_345, (3 << 90) + 7),
+            (u128::MAX - 5, 5),
+        ];
+        for (a, b) in pairs {
+            let mut twice = StdRng::seed_from_u64(77);
+            let mut once = twice.clone();
+            twice.advance(a);
+            twice.advance(b);
+            once.advance(a + b);
+            assert_eq!(twice.state(), once.state(), "{a} + {b}");
+        }
+    }
+
+    /// The shortest linear recurrence over GF(2) that generates `bits`
+    /// (Berlekamp–Massey): `c` with `c[0] = 1` and
+    /// `bits[i] = Σ_{j=1..L} c[j]·bits[i − j]`, `L = c.len() − 1`.
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let n = bits.len();
+        let (mut c, mut b) = (vec![0u8; n + 1], vec![0u8; n + 1]);
+        (c[0], b[0]) = (1, 1);
+        let (mut l, mut m) = (0, 1);
+        for i in 0..n {
+            let d = (1..=l).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+            if d == 0 {
+                m += 1;
+                continue;
+            }
+            let before = c.clone();
+            for j in 0..=n - m {
+                c[j + m] ^= b[j];
+            }
+            if 2 * l <= i {
+                (l, b, m) = (i + 1 - l, before, 1);
+            } else {
+                m += 1;
+            }
+        }
+        c.truncate(l + 1);
+        c
+    }
+
+    #[test]
+    fn char_poly_is_the_recurrence_of_the_state_bits() {
+        // Any one state bit along the stream obeys the characteristic
+        // polynomial, and a primitive polynomial is its shortest one.
+        let mut rng = StdRng::seed_from_u64(2);
+        let bits: Vec<u8> = (0..512)
+            .map(|_| {
+                let bit = (rng.state()[0] & 1) as u8;
+                let _ = rng.random::<u64>();
+                bit
+            })
+            .collect();
+        let c = berlekamp_massey(&bits);
+        assert_eq!(c.len(), 257, "degree 256");
+        let mut poly = [0u64; 4];
+        for k in 0..256 {
+            poly[k / 64] |= u64::from(c[256 - k]) << (k % 64);
+        }
+        assert_eq!(poly, super::rngs::CHAR_POLY);
     }
 }
